@@ -17,7 +17,7 @@ True
 See ``examples/`` for richer scenarios (a Byzantine-tolerant replicated
 counter, attack resilience, signature vs plain message complexity) and
 ``benchmarks/`` for the experiment harness regenerating every quantitative
-claim of the paper (DESIGN.md maps each to its experiment id).
+claim of the paper (``python -m repro list`` maps each to its experiment id).
 
 Package layout
 --------------
@@ -35,7 +35,7 @@ Package layout
 ``repro.rsm``                 replicated state machine + CRDT objects + checker
 ``repro.baselines``           crash-fault LA/GLA, restrictive-spec comparison
 ``repro.metrics``             message/latency accounting and report helpers
-``repro.harness``             scenario builders and experiments E1–E12
+``repro.harness``             scenario builders and experiments E1–E13
 ``repro.orchestrator``        parallel sweep runner, JSON result artifacts and
                               the ``python -m repro`` CLI
 ``repro.cluster``             service mode: the RSM as real OS processes over

@@ -24,22 +24,17 @@ File format (TOML shown; JSON carries the identical keys)::
     wire = ["flip:0.3", "tamper-value:0.5"]  # keep the built-in menus.
     # schedulers = [...], fault_plans = [...]
 
-TOML needs Python 3.11+ (stdlib ``tomllib``); on older interpreters the
-loader says so loudly and JSON campaigns still work.  Unknown keys are
-errors — a typo'd ``buget`` must not silently run the defaults.
+Unknown keys are errors — a typo'd ``buget`` must not silently run the
+defaults.
 """
 
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - gated, not installed
-    tomllib = None
 
 from repro.engine.wire import WireError
 from repro.engine.wire_faults import parse_wire_faults
@@ -161,11 +156,6 @@ def load_campaign(path: str | Path) -> Campaign:
     suffix = path.suffix.lower()
     text = path.read_text()
     if suffix == ".toml":
-        if tomllib is None:  # pragma: no cover - Python < 3.11 only
-            raise ValueError(
-                f"{path}: TOML campaigns need Python 3.11+ (tomllib); "
-                f"rewrite the campaign as JSON"
-            )
         try:
             data = tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:

@@ -58,14 +58,7 @@ from repro.core.wts import WTSProcess
 from repro.engine.wire import WireError
 from repro.engine.wire_faults import parse_wire_faults
 from repro.explore.invariants import check_scenario_invariants
-from repro.harness.workloads import (
-    run_gsbs_scenario,
-    run_gwts_scenario,
-    run_rsm_scenario,
-    run_sbs_scenario,
-    run_sharded_rsm_scenario,
-    run_wts_scenario,
-)
+from repro.harness.workloads import PROTOCOLS, build_scenario
 from repro.metrics.report import format_table
 from repro.rsm.crdt import GCounterObject, GSetObject
 from repro.sim.axes import describe_axes, parse_fault_plan, parse_scheduler, scheduler_spec_is_adversarial
@@ -142,8 +135,8 @@ PROTOCOL_BEHAVIOURS: dict[str, tuple[str, ...]] = {
     "rsm": ("silent",),
 }
 
-#: The invariant set each protocol is judged by.
-PROTOCOL_KINDS = {"wts": "la", "sbs": "la", "gwts": "gla", "gsbs": "gla", "rsm": "rsm"}
+#: The invariant set each protocol is judged by (from the protocol registry).
+PROTOCOL_KINDS = {protocol: PROTOCOLS[protocol].kind for protocol in PROTOCOL_BEHAVIOURS}
 
 #: Scheduler axis values sampled by the generator.  The worst-case starve
 #: delay is kept moderate so a fuzzing run stays fast; it is still an order
@@ -232,19 +225,10 @@ class ScenarioSpec:
 
     def params(self) -> dict[str, Any]:
         """The spec as ``SCENARIO`` experiment params (seed travels separately)."""
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "f": self.f,
-            "byzantine": "+".join(self.byzantine),
-            "scheduler": self.scheduler,
-            "fault_plan": self.fault_plan,
-            "rounds": self.rounds,
-            "mutant": self.mutant,
-            "wire": self.wire,
-            "batch": self.batch,
-            "shards": self.shards,
-        }
+        params = dataclasses.asdict(self)
+        del params["seed"]
+        params["byzantine"] = "+".join(self.byzantine)
+        return params
 
     def replay_command(self, quick: bool = False) -> str:
         """A copy-pastable deterministic replay of exactly this scenario.
@@ -611,17 +595,17 @@ def _mutant_process_class(mutant: str) -> type:
 def _run_spec(spec: ScenarioSpec, quick: bool, backend: str = "kernel"):
     """Execute one spec; returns ``(scenario, kind, strict)``.
 
-    ``strict=False`` relaxes the invariant that is only *eventual* over a
-    perturbed finite prefix (inclusivity for generalized runs, operation
-    liveness for RSM runs) — the same treatment E12 gives its churn
-    configurations.
+    The spec's fields become :func:`~repro.harness.workloads.build_scenario`
+    arguments; the protocol registry supplies the rest (core class, seeding,
+    stop predicate) and the invariant ``kind``.  ``strict=False`` relaxes the
+    invariant that is only *eventual* over a perturbed finite prefix
+    (inclusivity for generalized runs, operation liveness for RSM runs) — the
+    same treatment E12 gives its churn configurations.
     """
-    factories = [_BEHAVIOUR_BUILDERS[name](spec.rounds) for name in spec.byzantine]
-    common = dict(
-        n=spec.n,
-        f=spec.f,
+    kind = PROTOCOL_KINDS[spec.protocol]
+    kwargs: dict[str, Any] = dict(
         seed=spec.seed,
-        byzantine_factories=factories,
+        byzantine_factories=[_BEHAVIOUR_BUILDERS[name](spec.rounds) for name in spec.byzantine],
         scheduler=spec.scheduler,
         fault_plan=spec.fault_plan,
         backend=backend,
@@ -630,7 +614,7 @@ def _run_spec(spec: ScenarioSpec, quick: bool, backend: str = "kernel"):
         # The wire axis forces the async backend's real TCP transport with
         # the FaultyCodec injecting on the send path; a wall-clock budget
         # bounds the run because real sockets have no simulated-time cap.
-        common.update(
+        kwargs.update(
             backend="async",
             transport="tcp",
             wire_faults=spec.wire,
@@ -641,83 +625,43 @@ def _run_spec(spec: ScenarioSpec, quick: bool, backend: str = "kernel"):
             # timeout_s still bounds a genuinely wedged run.
             max_wall_s=30.0 if quick else 60.0,
         )
-        if spec.mutant == "no-signatures":
-            from repro.core.ablations import BlindKeyRegistry
+    if spec.mutant == "no-signatures":
+        from repro.core.ablations import BlindKeyRegistry
 
-            common["registry"] = BlindKeyRegistry(seed=spec.seed)
-    if spec.protocol == "wts":
-        if spec.mutant:
-            # Mirror E11: run the weakened variant to quiescence under a
-            # message cap so liveness-destroying mutants terminate and
-            # value-laundering mutants get time to contaminate decisions.
-            scenario = run_wts_scenario(
-                process_class=_mutant_process_class(spec.mutant),
-                run_to_quiescence=True,
-                max_messages=30_000,
-                **common,
-            )
-        else:
-            scenario = run_wts_scenario(**common)
-        return scenario, "la", True
-    if spec.protocol == "sbs":
-        return run_sbs_scenario(**common), "la", True
-    if spec.protocol in ("gwts", "gsbs"):
-        runner = run_gwts_scenario if spec.protocol == "gwts" else run_gsbs_scenario
-        scenario = runner(
-            values_per_process=1 if quick else 2,
-            rounds=spec.rounds,
-            batch_size=spec.batch or None,
-            **common,
-        )
+        kwargs["registry"] = BlindKeyRegistry(seed=spec.seed)
+    elif spec.mutant:
+        # Mirror E11: run the weakened variant to quiescence under a
+        # message cap so liveness-destroying mutants terminate and
+        # value-laundering mutants get time to contaminate decisions.
+        kwargs.update(process_class=_mutant_process_class(spec.mutant), run_to_quiescence=True, max_messages=30_000)
+    undisturbed = spec.fault_plan in ("", "none")
+    strict = True
+    if kind == "gla":
+        kwargs.update(values_per_process=1 if quick else 2, rounds=spec.rounds, batch_size=spec.batch or None)
         # Inclusivity over the finite prefix is only guaranteed when the
         # environment does not hold traffic for long stretches.  Wire runs
         # ride real wall-clock TCP, whose timing can truncate the prefix
         # the same way, so they get the same relaxation.
-        strict = spec.fault_plan in ("", "none") and not (
-            scheduler_spec_is_adversarial(spec.scheduler)
-        ) and not spec.wire
-        return scenario, "gla", strict
-    if spec.protocol == "rsm":
+        strict = undisturbed and not scheduler_spec_is_adversarial(spec.scheduler) and not spec.wire
+    elif kind == "rsm":
         counter = GCounterObject("hits")
         gset = GSetObject("tags")
         scripts = {
             "client0": [("update", counter.op_inc(1)), ("update", counter.op_inc(2)), ("read",)],
             "client1": [("update", gset.op_add("tag-a")), ("read",)],
         }
+        kwargs.update(inputs=scripts, rounds=12, batch_size=spec.batch or None)
         if spec.shards > 1:
             # The sharded data plane (PR 9): independent per-shard GWTS
             # groups, commands routed by object, reads joining every shard.
-            scenario = run_sharded_rsm_scenario(
-                n_replicas=spec.n,
-                f=spec.f,
-                shards=spec.shards,
-                client_scripts=scripts,
-                rounds=12,
-                seed=spec.seed,
-                scheduler=spec.scheduler,
-                fault_plan=spec.fault_plan,
-                backend=backend,
-                batch_size=spec.batch or None,
-            )
+            kwargs.update(shards=spec.shards)
         else:
-            scenario = run_rsm_scenario(
-                n_replicas=spec.n,
-                f=spec.f,
-                client_scripts=scripts,
-                byzantine_replica_factories=factories,
-                byzantine_client_payloads={"badclient": ["junk-0", "junk-1"]},
-                rounds=12,
-                seed=spec.seed,
-                scheduler=spec.scheduler,
-                fault_plan=spec.fault_plan,
-                backend=backend,
-                batch_size=spec.batch or None,
-            )
+            kwargs.update(byzantine_client_payloads={"badclient": ["junk-0", "junk-1"]})
         # Replicas execute a finite GWTS prefix; a fault window can eat
         # rounds on empty batches, so operation liveness is only strict on
         # an unperturbed run (read safety is always checked).
-        return scenario, "rsm", spec.fault_plan in ("", "none")
-    raise ValueError(f"unknown protocol {spec.protocol!r}")  # validate_spec prevents this
+        strict = undisturbed
+    return build_scenario(spec.protocol, spec.n, spec.f, **kwargs).run(), kind, strict
 
 
 def run_scenario_spec(
@@ -759,60 +703,34 @@ def run_scenario_spec(
 
 
 def run_scenario_experiment(
-    protocol: str = "wts",
-    n: int = 4,
-    f: int = 1,
-    byzantine: str = "",
-    scheduler: str = "",
-    fault_plan: str = "",
-    rounds: int = 3,
-    mutant: str = "",
-    wire: str = "",
-    batch: int = 0,
-    shards: int = 1,
-    backend: str = "kernel",
-    seed: int = 0,
-    quick: bool = False,
+    seed: int = 0, quick: bool = False, backend: str = "kernel", **params: Any
 ) -> dict[str, Any]:
     """The hidden ``SCENARIO`` experiment: one randomized-explorer scenario.
 
-    Every parameter mirrors a :class:`ScenarioSpec` field (``byzantine`` is
-    ``+``-joined), so ``repro run SCENARIO --seed S --param ...`` replays
-    any scenario the explorer reports — including shrunk reproducers.
+    ``params`` are :class:`ScenarioSpec` fields in their
+    :meth:`ScenarioSpec.params` form (``byzantine`` is ``+``-joined), so
+    ``repro run SCENARIO --seed S --param ...`` replays any scenario the
+    explorer reports — including shrunk reproducers.
     """
-    spec = ScenarioSpec(
-        protocol=protocol,
-        n=n,
-        f=f,
-        byzantine=tuple(name for name in byzantine.split("+") if name),
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        rounds=rounds,
-        mutant=mutant,
-        wire=wire,
-        batch=batch,
-        shards=shards,
-        seed=seed,
-    )
-    return run_scenario_spec(spec, quick=quick, backend=backend)
+    return run_scenario_spec(spec_from_params(seed, params), quick=quick, backend=backend)
 
 
 def spec_from_params(seed: int, params: dict[str, Any]) -> ScenarioSpec:
-    """Rebuild a :class:`ScenarioSpec` from ``SCENARIO`` job params."""
-    byzantine = params.get("byzantine", "")
-    if isinstance(byzantine, str):
-        byzantine = tuple(name for name in byzantine.split("+") if name)
-    return ScenarioSpec(
-        protocol=params.get("protocol", "wts"),
-        n=int(params.get("n", 4)),
-        f=int(params.get("f", 1)),
-        byzantine=tuple(byzantine),
-        scheduler=params.get("scheduler", ""),
-        fault_plan=params.get("fault_plan", ""),
-        rounds=int(params.get("rounds", 3)),
-        mutant=params.get("mutant", ""),
-        wire=params.get("wire", ""),
-        batch=int(params.get("batch", 0)),
-        shards=int(params.get("shards", 1)),
-        seed=seed,
-    )
+    """Rebuild a :class:`ScenarioSpec` from ``SCENARIO`` job params.
+
+    Absent fields keep their defaults; present ones are coerced to the
+    field's type (job params may arrive as CLI strings).
+    """
+    fields = {field.name: field for field in dataclasses.fields(ScenarioSpec)}
+    unknown = sorted(set(params) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown scenario parameters {unknown}; known: {', '.join(fields)}")
+    values: dict[str, Any] = {"seed": seed}
+    for name, value in params.items():
+        if name != "byzantine":
+            values[name] = type(fields[name].default)(value)
+        elif isinstance(value, str):
+            values[name] = tuple(part for part in value.split("+") if part)
+        else:
+            values[name] = tuple(value)
+    return ScenarioSpec(**values)

@@ -1,17 +1,20 @@
-"""Experiment harness: scenario builders, workload generators, experiments.
+"""Experiment harness: the scenario path, workload generators, experiments.
 
-:mod:`repro.harness.workloads` builds ready-to-run simulated clusters for
-every algorithm (WTS, GWTS, SbS, GSbS, the crash baselines and the RSM),
-with configurable size, failure threshold, Byzantine population, delay model
-and seed, and returns a :class:`~repro.harness.workloads.ScenarioResult`
-exposing the proposals, decisions, metrics and specification checks.
+:mod:`repro.harness.workloads` holds the one scenario path — a protocol
+registry (:data:`PROTOCOLS`), :func:`build_scenario` and
+:meth:`Scenario.run` — that assembles and runs simulated clusters of every
+algorithm (WTS, GWTS, SbS, GSbS, the crash baselines and the RSM) with
+configurable size, failure threshold, Byzantine population, delay model and
+seed, and returns a :class:`~repro.harness.workloads.ScenarioResult`
+exposing the proposals, decisions, metrics and specification checks.  The
+``run_*_scenario`` functions are the per-algorithm entry points onto it.
 
 :mod:`repro.harness.experiments` implements the per-table/figure experiment
-runners E1–E13 (E1–E10 from DESIGN.md plus the E11 ablation, E12
-partition-churn and E13 sharded/batched scaling extensions); the
-``benchmarks/`` directory contains
-one pytest-benchmark target per experiment, and ``EXPERIMENTS.md`` records
-the paper-vs-measured outcome of each.
+runners E1–E13 (E1–E10 regenerate the paper's claims; E11 ablation, E12
+partition-churn and E13 sharded/batched scaling are extensions);
+``python -m repro list`` prints each with its parameters, and the
+``benchmarks/`` directory contains one pytest-benchmark target per
+experiment.
 """
 
 from repro.harness.experiments import (
@@ -31,8 +34,11 @@ from repro.harness.experiments import (
     run_wts_messages_experiment,
 )
 from repro.harness.workloads import (
+    PROTOCOLS,
     OpenLoopReport,
+    Scenario,
     ScenarioResult,
+    build_scenario,
     default_proposals,
     member_pids,
     run_crash_gla_scenario,
@@ -47,6 +53,9 @@ from repro.harness.workloads import (
 )
 
 __all__ = [
+    "PROTOCOLS",
+    "build_scenario",
+    "Scenario",
     "ScenarioResult",
     "member_pids",
     "default_proposals",

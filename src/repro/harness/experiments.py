@@ -1,5 +1,7 @@
-"""Per-table/figure experiment runners (E1–E10 of DESIGN.md, plus E11–E12).
+"""Per-table/figure experiment runners E1–E13.
 
+E1–E10 regenerate the paper's quantitative claims; E11 (ablations), E12
+(partition/crash churn) and E13 (sharded + batched scaling) are extensions.
 Each function runs the relevant simulated scenarios and returns a dictionary
 with a uniform shape the orchestrator (:mod:`repro.orchestrator`) persists:
 
@@ -13,14 +15,23 @@ with a uniform shape the orchestrator (:mod:`repro.orchestrator`) persists:
 * ``table`` — the text rendering of ``headers``/``rows`` (presentation
   only; everything the table shows is also available as data).
 
-The functions accept ``quick=True`` to shrink sweep ranges; the benchmark
-harness and the CI sweep use the quick settings so a full run stays in the
-minutes range, while the defaults give smoother curves.
+Every runner is a body ``(sweep, **params)`` registered through
+:func:`experiment`: the decorator gives it the four axes all experiments
+share (``scheduler``, ``fault_plan``, ``backend``, ``quick``), hands the body
+a :class:`_Sweep` that threads them into every scenario it builds, and
+records the experiment in :data:`EXPERIMENTS` — the single list both
+:data:`ALL_EXPERIMENTS` and the orchestrator's spec table are generated from.
+``quick=True`` shrinks sweep ranges; the benchmark harness and the CI sweep
+use the quick settings so a full run stays in the minutes range, while the
+defaults give smoother curves.
 """
 
 from __future__ import annotations
-from collections.abc import Callable, Hashable, Sequence
 
+import functools
+import inspect
+from collections.abc import Callable, Hashable, Mapping, Sequence
+from dataclasses import dataclass
 from typing import Any
 
 from repro.baselines.restricted_spec import (
@@ -41,16 +52,7 @@ from repro.core.quorum import max_faults, required_processes
 from repro.engine.backends import backend_is_wall_clock
 from repro.engine.delays import FixedDelay, SkewedPairDelay, UniformDelay
 from repro.explore.invariants import la_invariants
-from repro.harness.workloads import (
-    member_pids,
-    run_crash_gla_scenario,
-    run_crash_la_scenario,
-    run_gwts_scenario,
-    run_rsm_scenario,
-    run_sbs_scenario,
-    run_sharded_rsm_scenario,
-    run_wts_scenario,
-)
+from repro.harness.workloads import ScenarioResult, build_scenario, member_pids
 from repro.lattice.chain import all_comparable, hasse_diagram_text, sort_chain
 from repro.lattice.set_lattice import SetLattice
 from repro.metrics.report import fit_polynomial_order, format_table
@@ -99,57 +101,174 @@ def wall_latency_of(*scenarios) -> dict[str, float] | None:
 
 
 # ---------------------------------------------------------------------------
+# The shared skeleton: axes in, scenarios run, one outcome out
+# ---------------------------------------------------------------------------
+
+
+class _Sweep:
+    """One experiment run: the shared axes, the scenarios run under them, the outcome.
+
+    :meth:`run` is the scenario path (registry -> build -> run) with this
+    experiment's ``scheduler``/``fault_plan``/``backend`` filled in;
+    :meth:`outcome` is the one place the uniform outcome dictionary is built.
+    """
+
+    def __init__(self, experiment_id: str, scheduler: str, fault_plan: str, backend: str, quick: bool):
+        self.experiment_id = experiment_id
+        self.axes = {"scheduler": scheduler, "fault_plan": fault_plan, "backend": backend}
+        self.quick = quick
+        self.wall_clock = backend_is_wall_clock(backend)
+        #: Every scenario run so far, for the pooled ``wall_latency``.
+        self.measured: list[ScenarioResult] = []
+
+    def run(self, protocol: str, n: int, f: int, **kwargs: Any) -> ScenarioResult:
+        """Build and run one scenario under this experiment's axes (``kwargs`` win)."""
+        scenario = build_scenario(protocol, n, f, **{**self.axes, **kwargs}).run()
+        self.measured.append(scenario)
+        return scenario
+
+    def outcome(
+        self,
+        *,
+        expected: str,
+        headers: Sequence[str],
+        rows: Sequence[Sequence[Any]],
+        title: str,
+        ok: Any,
+        headline: dict[str, float],
+        latency: dict[str, float] | None = None,
+        more_tables: Mapping[str, tuple[Sequence[str], Sequence[Sequence[Any]], str]] | None = None,
+        time_bound: bool = False,
+        **data: Any,
+    ) -> dict[str, Any]:
+        """The uniform outcome dictionary.
+
+        ``more_tables`` maps a key prefix to further ``(headers, rows,
+        title)`` tables: each is appended to ``table`` and exposed as
+        ``<prefix>_headers``/``<prefix>_rows``.  ``time_bound`` marks an
+        experiment whose verdict includes a simulated-time check (a
+        message-delay bound, a timing order, a throughput ratio), which a
+        wall-clock backend skips (recorded in ``skipped_checks``).
+        """
+        tables = [format_table(headers, rows, title=title)]
+        for prefix, (more_headers, more_rows, more_title) in (more_tables or {}).items():
+            data[f"{prefix}_headers"], data[f"{prefix}_rows"] = more_headers, more_rows
+            tables.append(format_table(more_headers, more_rows, title=more_title))
+        if time_bound:
+            data["skipped_checks"] = [_WALL_CLOCK_SKIP] if self.wall_clock else []
+        return {
+            "experiment": self.experiment_id,
+            "expected": expected,
+            "headers": headers,
+            "rows": rows,
+            "table": "\n\n".join(tables),
+            "ok": bool(ok),
+            "headline": headline,
+            "wall_latency": wall_latency_of(*self.measured),
+            "latency": latency or {},
+            **data,
+        }
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registered experiment: what the CLI lists and the orchestrator runs."""
+
+    id: str
+    title: str
+    runner: Callable[..., dict[str, Any]]
+    #: Parameter name -> help text (kinds and defaults come from the signature).
+    param_help: Mapping[str, str]
+
+
+#: Every experiment, in registration (= report) order.
+EXPERIMENTS: list[Experiment] = []
+
+
+def experiment(experiment_id: str, title: str, backend: str = "kernel", **param_help: str):
+    """Register a runner body ``(sweep, **params)`` as one experiment.
+
+    The public runner accepts the body's own parameters plus the shared
+    ``scheduler``/``fault_plan``/``backend``/``quick`` axes (``backend``
+    defaulting as given here) and advertises exactly that signature.
+    """
+
+    def register(body: Callable[..., dict[str, Any]]) -> Callable[..., dict[str, Any]]:
+        @functools.wraps(body)
+        def runner(
+            *args: Any,
+            scheduler: str = "",
+            fault_plan: str = "",
+            backend: str = backend,
+            quick: bool = False,
+            **params: Any,
+        ) -> dict[str, Any]:
+            sweep = _Sweep(experiment_id, scheduler, fault_plan, backend, quick)
+            return body(sweep, *args, **params)
+
+        own = list(inspect.signature(body).parameters.values())[1:]
+        axes = inspect.signature(runner, follow_wrapped=False).parameters.values()
+        runner.__signature__ = inspect.Signature(own + [axis for axis in axes if axis.kind is axis.KEYWORD_ONLY])
+        EXPERIMENTS.append(Experiment(experiment_id, title, runner, param_help))
+        return runner
+
+    return register
+
+
+_SIZES_HELP = "comma-separated cluster sizes for the sweep, e.g. 4,7,10"
+
+
+def _silent(pid, lattice, members, f):
+    return SilentByzantine(pid)
+
+
+def _decided(scenario: ScenarioResult) -> int:
+    """How many correct processes decided at least once."""
+    return sum(1 for decs in scenario.decisions().values() if decs)
+
+
+def _last_decision(scenario: ScenarioResult) -> float:
+    return max((record.time for record in scenario.metrics.decisions), default=0.0)
+
+
+def _msgs_per_process(scenario: ScenarioResult) -> float:
+    return scenario.metrics.mean_messages_per_process(scenario.correct_pids)
+
+
+def _render(value: Any) -> str:
+    if isinstance(value, frozenset):
+        return "{" + ",".join(sorted(map(str, value))) + "}"
+    return repr(value)
+
+
+# ---------------------------------------------------------------------------
 # E1 — Figure 1: decisions form a chain in the power-set lattice
 # ---------------------------------------------------------------------------
 
 
-def run_chain_experiment(
-    n: int = 4,
-    f: int = 1,
-    seed: int = 11,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment("E1", "decisions form a chain in the power-set lattice (Figure 1)", n="cluster size", f="failure threshold")
+def run_chain_experiment(sweep: _Sweep, n: int = 4, f: int = 1, seed: int = 11) -> dict[str, Any]:
     """Reproduce Figure 1: the decisions of a WTS run form a chain."""
-    lattice = SetLattice()
-    scenario = run_wts_scenario(
-        n=n,
-        f=f,
-        seed=seed,
-        lattice=lattice,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        backend=backend,
-    )
+    scenario = sweep.run("wts", n, f, seed=seed)
+    lattice = scenario.lattice
     decisions = [decs[0] for decs in scenario.decisions().values() if decs]
-    chain = sort_chain(lattice, decisions) if all_comparable(lattice, decisions) else []
-    elements = list(dict.fromkeys(list(scenario.proposals().values()) + decisions))
-    diagram = hasse_diagram_text(lattice, elements, highlight_chain=chain)
-    rows = [
-        (pid, _render(decs[0]) if decs else "-")
-        for pid, decs in sorted(scenario.decisions().items())
-    ]
-    headers = ["process", "decision"]
     is_chain = all_comparable(lattice, decisions)
+    chain = sort_chain(lattice, decisions) if is_chain else []
+    elements = list(dict.fromkeys(list(scenario.proposals().values()) + decisions))
     check = scenario.check_la()
-    return {
-        "experiment": "E1",
-        "expected": "all decisions pairwise comparable (a chain in the Figure 1 lattice)",
-        "decisions": decisions,
-        "chain": chain,
-        "is_chain": is_chain,
-        "hasse": diagram,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(headers, rows, title="E1: decisions per process"),
-        "check": check,
-        "ok": bool(is_chain and check.ok),
-        "headline": {"decided": float(len(decisions))},
-        "wall_latency": wall_latency_of(scenario),
-        "latency": {},
-    }
+    return sweep.outcome(
+        expected="all decisions pairwise comparable (a chain in the Figure 1 lattice)",
+        headers=["process", "decision"],
+        rows=[(pid, _render(decs[0]) if decs else "-") for pid, decs in sorted(scenario.decisions().items())],
+        title="E1: decisions per process",
+        ok=is_chain and check.ok,
+        headline={"decided": float(len(decisions))},
+        decisions=decisions,
+        chain=chain,
+        is_chain=is_chain,
+        hasse=hasse_diagram_text(lattice, elements, highlight_chain=chain),
+        check=check,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +276,16 @@ def run_chain_experiment(
 # ---------------------------------------------------------------------------
 
 
-def run_resilience_experiment(
-    f: int = 1,
-    seed: int = 7,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+def _split_brain(n: int, f: int, slow_delay: float) -> SkewedPairDelay:
+    """The Theorem 1 schedule: slow links between the two halves of the correct processes."""
+    correct = member_pids(n)[: n - f]
+    half = max(1, len(correct) // 2)
+    slow_pairs = [(a, b) for a in correct[:half] for b in correct[half:]]
+    return SkewedPairDelay(slow_pairs, base=FixedDelay(1.0), slow_delay=slow_delay)
+
+
+@experiment("E2", "necessity of 3f+1 processes (Theorem 1)", f="failure threshold")
+def run_resilience_experiment(sweep: _Sweep, f: int = 1, seed: int = 7) -> dict[str, Any]:
     """Theorem 1: with ``n = 3f`` no algorithm is both safe and live.
 
     Three configurations make the impossibility concrete:
@@ -179,144 +300,88 @@ def run_resilience_experiment(
     3. **WTS at n = 3f + 1 with the same adversary and schedule** — both
        safety and liveness hold.
     """
+    small, big = 3 * f, 3 * f + 1
+    # (label, protocol, n, whether the LA check demands liveness, scenario kwargs)
+    configs = [
+        (
+            f"WTS, n={small} (=3f), silent Byzantines",
+            "wts",
+            small,
+            False,
+            dict(
+                byzantine_factories=[_silent] * f,
+                delay_model=FixedDelay(1.0),
+                max_messages=20_000,
+                run_to_quiescence=True,
+            ),
+        ),
+        (
+            f"majority-quorum LA, n={small} (=3f), always-ack Byzantine + partition",
+            "crash-la",
+            small,
+            False,
+            dict(
+                byzantine_factories=[AlwaysAckAcceptor] * f,
+                delay_model=_split_brain(small, f, slow_delay=10_000.0),
+                max_messages=20_000,
+            ),
+        ),
+        (
+            f"WTS, n={big} (=3f+1), same adversary",
+            "wts",
+            big,
+            True,
+            dict(
+                byzantine_factories=[AlwaysAckAcceptor] * f,
+                delay_model=_split_brain(big, f, slow_delay=50.0),
+                max_messages=60_000,
+            ),
+        ),
+    ]
     lattice = SetLattice()
     outcomes: list[dict[str, Any]] = []
-
-    # (1) WTS at n = 3f, silent Byzantines: liveness lost, safety kept.
-    n_small = 3 * f
-    silent = [lambda pid, lat, members, ff: SilentByzantine(pid) for _ in range(f)]
-    wts_small = run_wts_scenario(
-        n=n_small,
-        f=f,
-        seed=seed,
-        lattice=lattice,
-        byzantine_factories=silent,
-        delay_model=FixedDelay(1.0),
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        backend=backend,
-        max_messages=20_000,
-        run_to_quiescence=True,
-    )
-    check_small = wts_small.check_la(require_liveness=False)
-    decided_small = sum(1 for decs in wts_small.decisions().values() if decs)
-    outcomes.append(
-        {
-            "config": f"WTS, n={n_small} (=3f), silent Byzantines",
-            "n": n_small,
-            "live": decided_small == len(wts_small.correct_pids),
-            "decided": decided_small,
-            "correct": len(wts_small.correct_pids),
-            "safety_ok": check_small.ok,
-        }
-    )
-
-    # (2) Majority-quorum baseline at n = 3f with the Theorem 1 schedule.
-    pids = member_pids(n_small)
-    correct = pids[: n_small - f]
-    half = max(1, len(correct) // 2)
-    slow_pairs = [(a, b) for a in correct[:half] for b in correct[half:]]
-    partition = SkewedPairDelay(slow_pairs, base=FixedDelay(1.0), slow_delay=10_000.0)
-    always_ack = [
-        lambda pid, lat, members, ff: AlwaysAckAcceptor(pid, lat, members, ff)
-        for _ in range(f)
-    ]
-    crash_small = run_crash_la_scenario(
-        n=n_small,
-        f=f,
-        seed=seed,
-        lattice=lattice,
-        byzantine_factories=always_ack,
-        delay_model=partition,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        backend=backend,
-        max_messages=20_000,
-    )
-    check_crash = crash_small.check_la(require_liveness=False)
-    decided_crash = sum(1 for decs in crash_small.decisions().values() if decs)
-    outcomes.append(
-        {
-            "config": f"majority-quorum LA, n={n_small} (=3f), always-ack Byzantine + partition",
-            "n": n_small,
-            "live": decided_crash == len(crash_small.correct_pids),
-            "decided": decided_crash,
-            "correct": len(crash_small.correct_pids),
-            "safety_ok": check_crash.ok,
-        }
-    )
-
-    # (3) WTS at n = 3f + 1 with the same adversary and schedule.
-    n_big = 3 * f + 1
-    pids_big = member_pids(n_big)
-    correct_big = pids_big[: n_big - f]
-    half_big = max(1, len(correct_big) // 2)
-    slow_big = [(a, b) for a in correct_big[:half_big] for b in correct_big[half_big:]]
-    partition_big = SkewedPairDelay(slow_big, base=FixedDelay(1.0), slow_delay=50.0)
-    wts_big = run_wts_scenario(
-        n=n_big,
-        f=f,
-        seed=seed,
-        lattice=lattice,
-        byzantine_factories=always_ack,
-        delay_model=partition_big,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        backend=backend,
-        max_messages=60_000,
-    )
-    check_big = wts_big.check_la()
-    decided_big = sum(1 for decs in wts_big.decisions().values() if decs)
-    outcomes.append(
-        {
-            "config": f"WTS, n={n_big} (=3f+1), same adversary",
-            "n": n_big,
-            "live": decided_big == len(wts_big.correct_pids),
-            "decided": decided_big,
-            "correct": len(wts_big.correct_pids),
-            "safety_ok": check_big.ok,
-        }
-    )
-
-    rows = [
-        (
-            o["config"],
-            f"{o['decided']}/{o['correct']}",
-            "live" if o["live"] else "BLOCKED",
-            "OK" if o["safety_ok"] else "VIOLATED",
+    for label, protocol, n, require_liveness, kwargs in configs:
+        scenario = sweep.run(protocol, n, f, seed=seed, lattice=lattice, **kwargs)
+        decided = _decided(scenario)
+        outcomes.append(
+            {
+                "config": label,
+                "n": n,
+                "live": decided == len(scenario.correct_pids),
+                "decided": decided,
+                "correct": len(scenario.correct_pids),
+                "safety_ok": scenario.check_la(require_liveness=require_liveness).ok,
+            }
         )
-        for o in outcomes
-    ]
-    headers = ["configuration", "decided", "liveness", "safety"]
-    wts_small_o, crash_small_o, wts_big_o = outcomes
-    ok = (
-        wts_small_o["safety_ok"]
-        and not wts_small_o["live"]
-        and crash_small_o["live"]
-        and not crash_small_o["safety_ok"]
-        and wts_big_o["safety_ok"]
-        and wts_big_o["live"]
-    )
-    return {
-        "experiment": "E2",
-        "expected": "n=3f: liveness lost (Byzantine quorum) or safety lost (majority quorum); n=3f+1: both hold",
-        "outcomes": outcomes,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title="E2: necessity of 3f+1 processes (Theorem 1)",
+    wts_small, crash_small, wts_big = outcomes
+    return sweep.outcome(
+        expected="n=3f: liveness lost (Byzantine quorum) or safety lost (majority quorum); n=3f+1: both hold",
+        headers=["configuration", "decided", "liveness", "safety"],
+        rows=[
+            (
+                o["config"],
+                f"{o['decided']}/{o['correct']}",
+                "live" if o["live"] else "BLOCKED",
+                "OK" if o["safety_ok"] else "VIOLATED",
+            )
+            for o in outcomes
+        ],
+        title="E2: necessity of 3f+1 processes (Theorem 1)",
+        ok=(
+            wts_small["safety_ok"]
+            and not wts_small["live"]
+            and crash_small["live"]
+            and not crash_small["safety_ok"]
+            and wts_big["safety_ok"]
+            and wts_big["live"]
         ),
-        "ok": bool(ok),
-        "headline": {
-            "decided_wts_3f": float(wts_small_o["decided"]),
-            "decided_crash_3f": float(crash_small_o["decided"]),
-            "decided_wts_3f1": float(wts_big_o["decided"]),
+        headline={
+            "decided_wts_3f": float(wts_small["decided"]),
+            "decided_crash_3f": float(crash_small["decided"]),
+            "decided_wts_3f1": float(wts_big["decided"]),
         },
-        "wall_latency": wall_latency_of(wts_small, crash_small, wts_big),
-        "latency": {},
-    }
+        outcomes=outcomes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,80 +389,47 @@ def run_resilience_experiment(
 # ---------------------------------------------------------------------------
 
 
-def run_wts_latency_experiment(
-    max_f: int = 3,
-    seed: int = 3,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment("E3", "WTS decides within 2f+5 message delays (Theorem 3)", max_f="largest failure threshold swept")
+def run_wts_latency_experiment(sweep: _Sweep, max_f: int = 3, seed: int = 3) -> dict[str, Any]:
     """Measure WTS decision latency (in message delays) as f grows.
 
     Run with a fixed unit delay so simulated time counts message delays
     exactly; the Byzantine population mixes silent and flip-flopping
     acceptors to exercise the nack/refinement path.
     """
-    top = 2 if quick else max_f
-    wall_clock = backend_is_wall_clock(backend)
+    top = 2 if sweep.quick else max_f
     rows: list[Sequence[Any]] = []
     series: dict[int, float] = {}
     checks = []
-    measured: list = []
     for f in range(0, top + 1):
         n = required_processes(f)
-        byz = []
-        for index in range(f):
-            if index % 2 == 0:
-                byz.append(lambda pid, lat, members, ff: FlipFloppingAcceptor(pid, lat, members, ff))
-            else:
-                byz.append(lambda pid, lat, members, ff: SilentByzantine(pid))
-        scenario = run_wts_scenario(
-            n=n,
-            f=f,
-            seed=seed + f,
-            byzantine_factories=byz,
-            delay_model=FixedDelay(1.0),
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-        )
+        byz = [FlipFloppingAcceptor if index % 2 == 0 else _silent for index in range(f)]
+        scenario = sweep.run("wts", n, f, seed=seed + f, byzantine_factories=byz, delay_model=FixedDelay(1.0))
         checks.append(scenario.check_la())
-        measured.append(scenario)
-        latest_decision_time = max(
-            (record.time for record in scenario.metrics.decisions), default=0.0
-        )
+        series[f] = latest = _last_decision(scenario)
         bound = 2 * f + 5
-        series[f] = latest_decision_time
-        if wall_clock:
+        if sweep.wall_clock:
             verdict = "skipped (wall-clock)"
         else:
-            verdict = "OK" if latest_decision_time <= bound else "EXCEEDED"
-        rows.append((f, n, f"{latest_decision_time:.0f}", bound, verdict))
-    if wall_clock:
+            verdict = "OK" if latest <= bound else "EXCEEDED"
+        rows.append((f, n, f"{latest:.0f}", bound, verdict))
+    if sweep.wall_clock:
         # The bound counts message delays; wall-clock seconds cannot be
         # compared against it.  The LA properties still judge the runs.
         ok = all(check.ok for check in checks)
     else:
         ok = all(measured <= 2 * f + 5 for f, measured in series.items())
-    headers = ["f", "n", "measured delays", "bound 2f+5", "within bound"]
-    return {
-        "experiment": "E3",
-        "expected": "decision within 2f + 5 message delays",
-        "series": series,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title="E3: WTS decision latency",
-        ),
-        "ok": bool(ok),
-        "skipped_checks": [_WALL_CLOCK_SKIP] if wall_clock else [],
-        "headline": {"f_max": float(top)},
-        "wall_latency": wall_latency_of(*measured),
-        "latency": {"max_message_delays": max(series.values(), default=0.0)},
-    }
+    return sweep.outcome(
+        expected="decision within 2f + 5 message delays",
+        headers=["f", "n", "measured delays", "bound 2f+5", "within bound"],
+        rows=rows,
+        title="E3: WTS decision latency",
+        ok=ok,
+        headline={"f_max": float(top)},
+        latency={"max_message_delays": max(series.values(), default=0.0)},
+        time_bound=True,
+        series=series,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,53 +437,29 @@ def run_wts_latency_experiment(
 # ---------------------------------------------------------------------------
 
 
-def run_wts_messages_experiment(
-    sizes: Sequence[int] | None = None, seed: int = 5,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment("E4", "WTS message complexity O(n^2) per process (Section 5.1.3)", sizes=_SIZES_HELP)
+def run_wts_messages_experiment(sweep: _Sweep, sizes: Sequence[int] | None = None, seed: int = 5) -> dict[str, Any]:
     """Measure WTS per-process message counts over a sweep of n."""
     if sizes is None:
-        sizes = (4, 7, 10, 13) if quick else (4, 7, 10, 13, 16, 19)
+        sizes = (4, 7, 10, 13) if sweep.quick else (4, 7, 10, 13, 16, 19)
     series: dict[int, float] = {}
     rows: list[Sequence[Any]] = []
-    measured: list = []
     for n in sizes:
         f = max_faults(n)
-        scenario = run_wts_scenario(
-            n=n, f=f, seed=seed + n, delay_model=FixedDelay(1.0),
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-        )
-        measured.append(scenario)
-        per_process = scenario.metrics.mean_messages_per_process(scenario.correct_pids)
-        series[n] = per_process
+        scenario = sweep.run("wts", n, f, seed=seed + n, delay_model=FixedDelay(1.0))
+        series[n] = per_process = _msgs_per_process(scenario)
         rows.append((n, f, f"{per_process:.1f}", f"{per_process / (n * n):.2f}"))
     order = fit_polynomial_order(list(series.keys()), list(series.values()))
-    headers = ["n", "f", "msgs/process", "msgs / n^2"]
-    return {
-        "experiment": "E4",
-        "expected": "messages per process grow quadratically in n (reliable broadcast dominates)",
-        "series": series,
-        "fit_order": order,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title=f"E4: WTS message complexity (log-log slope ~ {order:.2f})",
-        ),
-        "ok": 1.5 <= order <= 3.0,
-        "headline": {
-            "fit_order": order,
-            "max_msgs_per_process": max(series.values(), default=0.0),
-        },
-        "wall_latency": wall_latency_of(*measured),
-        "latency": {},
-    }
+    return sweep.outcome(
+        expected="messages per process grow quadratically in n (reliable broadcast dominates)",
+        headers=["n", "f", "msgs/process", "msgs / n^2"],
+        rows=rows,
+        title=f"E4: WTS message complexity (log-log slope ~ {order:.2f})",
+        ok=1.5 <= order <= 3.0,
+        headline={"fit_order": order, "max_msgs_per_process": max(series.values(), default=0.0)},
+        series=series,
+        fit_order=order,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,85 +467,53 @@ def run_wts_messages_experiment(
 # ---------------------------------------------------------------------------
 
 
-def run_sbs_experiment(
-    sizes: Sequence[int] | None = None, seed: int = 9,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment("E5", "SbS latency 5+4f and O(n) messages (Theorem 8)", sizes=_SIZES_HELP)
+def run_sbs_experiment(sweep: _Sweep, sizes: Sequence[int] | None = None, seed: int = 9) -> dict[str, Any]:
     """SbS: latency bound 5 + 4f and per-process message counts linear in n (f fixed)."""
     if sizes is None:
-        sizes = (4, 7, 10, 13) if quick else (4, 7, 10, 13, 16, 19)
+        sizes = (4, 7, 10, 13) if sweep.quick else (4, 7, 10, 13, 16, 19)
     f_fixed = 1
-    wall_clock = backend_is_wall_clock(backend)
     series_msgs: dict[int, float] = {}
     rows: list[Sequence[Any]] = []
-    measured: list = []
     for n in sizes:
-        scenario = run_sbs_scenario(
-            n=n, f=f_fixed, seed=seed + n, delay_model=FixedDelay(1.0),
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-        )
-        measured.append(scenario)
-        per_process = scenario.metrics.mean_messages_per_process(scenario.correct_pids)
-        latest = max((r.time for r in scenario.metrics.decisions), default=0.0)
-        bound = 5 + 4 * f_fixed
-        series_msgs[n] = per_process
+        scenario = sweep.run("sbs", n, f_fixed, seed=seed + n, delay_model=FixedDelay(1.0))
+        series_msgs[n] = per_process = _msgs_per_process(scenario)
         rows.append(
-            (n, f_fixed, f"{per_process:.1f}", f"{per_process / n:.2f}", f"{latest:.0f}", bound)
+            (
+                n,
+                f_fixed,
+                f"{per_process:.1f}",
+                f"{per_process / n:.2f}",
+                f"{_last_decision(scenario):.0f}",
+                5 + 4 * f_fixed,
+            )
         )
     order = fit_polynomial_order(list(series_msgs.keys()), list(series_msgs.values()))
     # Latency sweep over f at n = 3f + 1.
     latency_rows: list[Sequence[Any]] = []
     latency_series: dict[int, float] = {}
-    for f in range(0, 2 if quick else 3):
+    for f in range(0, 2 if sweep.quick else 3):
         n = required_processes(f)
-        scenario = run_sbs_scenario(
-            n=n, f=f, seed=seed + 100 + f, delay_model=FixedDelay(1.0),
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-        )
-        measured.append(scenario)
-        latest = max((r.time for r in scenario.metrics.decisions), default=0.0)
-        latency_series[f] = latest
+        scenario = sweep.run("sbs", n, f, seed=seed + 100 + f, delay_model=FixedDelay(1.0))
+        latency_series[f] = latest = _last_decision(scenario)
         latency_rows.append((f, n, f"{latest:.0f}", 5 + 4 * f))
-    headers = ["n", "f", "msgs/process", "msgs / n", "delays", "bound 5+4f"]
-    latency_headers = ["f", "n", "delays", "bound 5+4f"]
     # Message complexity is schedule-reproducible on every backend; the
     # latency bound counts message delays and is skipped on wall-clock time.
-    latency_ok = wall_clock or all(
-        latest <= 5 + 4 * f for f, latest in latency_series.items()
+    latency_ok = sweep.wall_clock or all(latest <= 5 + 4 * f for f, latest in latency_series.items())
+    return sweep.outcome(
+        expected="messages per process linear in n for f=O(1); latency <= 5 + 4f",
+        headers=["n", "f", "msgs/process", "msgs / n", "delays", "bound 5+4f"],
+        rows=rows,
+        title=f"E5: SbS message complexity (log-log slope ~ {order:.2f})",
+        more_tables={"latency": (["f", "n", "delays", "bound 5+4f"], latency_rows, "E5b: SbS latency vs f")},
+        ok=0.7 <= order <= 1.5 and latency_ok,
+        headline={"fit_order": order, "max_msgs_per_process": max(series_msgs.values(), default=0.0)},
+        latency={"max_delays": max(latency_series.values(), default=0.0)},
+        time_bound=True,
+        series=series_msgs,
+        latency_series=latency_series,
+        fit_order=order,
     )
-    return {
-        "experiment": "E5",
-        "expected": "messages per process linear in n for f=O(1); latency <= 5 + 4f",
-        "series": series_msgs,
-        "latency_series": latency_series,
-        "fit_order": order,
-        "headers": headers,
-        "rows": rows,
-        "latency_headers": latency_headers,
-        "latency_rows": latency_rows,
-        "table": format_table(
-            headers,
-            rows,
-            title=f"E5: SbS message complexity (log-log slope ~ {order:.2f})",
-        )
-        + "\n\n"
-        + format_table(latency_headers, latency_rows, title="E5b: SbS latency vs f"),
-        "ok": bool(0.7 <= order <= 1.5 and latency_ok),
-        "skipped_checks": [_WALL_CLOCK_SKIP] if wall_clock else [],
-        "headline": {
-            "fit_order": order,
-            "max_msgs_per_process": max(series_msgs.values(), default=0.0),
-        },
-        "wall_latency": wall_latency_of(*measured),
-        "latency": {"max_delays": max(latency_series.values(), default=0.0)},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -545,57 +521,44 @@ def run_sbs_experiment(
 # ---------------------------------------------------------------------------
 
 
+@experiment(
+    "E6",
+    "GWTS messages per proposer per decision O(f n^2) (Section 6.4)",
+    sizes=_SIZES_HELP,
+    rounds="GWTS rounds per run",
+)
 def run_gwts_messages_experiment(
-    sizes: Sequence[int] | None = None,
-    rounds: int = 3,
-    seed: int = 13,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
+    sweep: _Sweep, sizes: Sequence[int] | None = None, rounds: int = 3, seed: int = 13
 ) -> dict[str, Any]:
     """Measure GWTS per-proposer per-decision message counts over n."""
     if sizes is None:
-        sizes = (4, 7) if quick else (4, 7, 10, 13)
+        sizes = (4, 7) if sweep.quick else (4, 7, 10, 13)
     series: dict[int, float] = {}
     rows: list[Sequence[Any]] = []
-    measured: list = []
     for n in sizes:
         f = max_faults(n)
-        scenario = run_gwts_scenario(
-            n=n, f=f, values_per_process=1, rounds=rounds, seed=seed + n,
-            delay_model=FixedDelay(1.0), scheduler=scheduler, fault_plan=fault_plan, backend=backend,
+        scenario = sweep.run(
+            "gwts", n, f, values_per_process=1, rounds=rounds, seed=seed + n, delay_model=FixedDelay(1.0)
         )
-        measured.append(scenario)
         decisions = sum(len(d) for d in scenario.decisions().values())
-        per_process = scenario.metrics.mean_messages_per_process(scenario.correct_pids)
+        per_process = _msgs_per_process(scenario)
         per_decision = per_process / max(1, decisions / max(1, len(scenario.correct_pids)))
         series[n] = per_decision
-        rows.append((n, f, rounds, f"{per_process:.1f}", f"{per_decision:.1f}",
-                     f"{per_decision / (max(1, f) * n * n):.2f}"))
+        rows.append(
+            (n, f, rounds, f"{per_process:.1f}", f"{per_decision:.1f}", f"{per_decision / (max(1, f) * n * n):.2f}")
+        )
     order = fit_polynomial_order(list(series.keys()), list(series.values()))
-    headers = ["n", "f", "rounds", "msgs/process", "msgs/process/decision", "ratio to f*n^2"]
-    return {
-        "experiment": "E6",
-        "expected": "messages per proposer per decision bounded by c * f * n^2",
-        "series": series,
-        "fit_order": order,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title=f"E6: GWTS per-decision message complexity (log-log slope ~ {order:.2f})",
-        ),
+    return sweep.outcome(
+        expected="messages per proposer per decision bounded by c * f * n^2",
+        headers=["n", "f", "rounds", "msgs/process", "msgs/process/decision", "ratio to f*n^2"],
+        rows=rows,
+        title=f"E6: GWTS per-decision message complexity (log-log slope ~ {order:.2f})",
         # With f growing as (n-1)/3 in the sweep, O(f n^2) behaves like n^3.
-        "ok": 1.8 <= order <= 3.6,
-        "headline": {
-            "fit_order": order,
-            "max_msgs_per_decision": max(series.values(), default=0.0),
-        },
-        "wall_latency": wall_latency_of(*measured),
-        "latency": {},
-    }
+        ok=1.8 <= order <= 3.6,
+        headline={"fit_order": order, "max_msgs_per_decision": max(series.values(), default=0.0)},
+        series=series,
+        fit_order=order,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -603,63 +566,42 @@ def run_gwts_messages_experiment(
 # ---------------------------------------------------------------------------
 
 
-def run_gwts_liveness_experiment(
-    f: int = 1, rounds: int = 5, seed: int = 17,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment(
+    "E7",
+    "GWTS liveness and inclusivity under round clogging (Section 6.2/6.3)",
+    f="failure threshold",
+    rounds="GWTS rounds per run",
+)
+def run_gwts_liveness_experiment(sweep: _Sweep, f: int = 1, rounds: int = 5, seed: int = 17) -> dict[str, Any]:
     """GWTS under the fast-forward (round-clogging) and nack-spam adversaries."""
-    n = required_processes(f)
-    byz = [
-        (
-            lambda pid, lat, members, ff: FastForwardGWTS(
-                pid,
-                lat,
-                members,
-                rounds_ahead=rounds + 3,
-                values=[frozenset({f"byz-ff-{pid}-{k}"}) for k in range(3)],
-            )
+
+    def fast_forward(pid, lat, members, ff):
+        return FastForwardGWTS(
+            pid, lat, members, rounds_ahead=rounds + 3, values=[frozenset({f"byz-ff-{pid}-{k}"}) for k in range(3)]
         )
-        for _ in range(f)
-    ]
-    scenario = run_gwts_scenario(
-        n=n,
-        f=f,
+
+    scenario = sweep.run(
+        "gwts",
+        required_processes(f),
+        f,
         values_per_process=2,
         rounds=rounds,
         seed=seed,
-        byzantine_factories=byz,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        backend=backend,
+        byzantine_factories=[fast_forward] * f,
     )
     check = scenario.check_gla()
     decisions = scenario.decisions()
-    rows = [
-        (pid, len(decs), _render(decs[-1]) if decs else "-")
-        for pid, decs in sorted(decisions.items())
-    ]
     counts = {pid: len(d) for pid, d in decisions.items()}
-    headers = ["process", "#decisions", "final decision"]
-    return {
-        "experiment": "E7",
-        "expected": "every correct process keeps deciding; every submitted value is eventually included",
-        "check": check,
-        "decisions_per_process": counts,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title="E7: GWTS liveness under round-clogging adversary",
-        ),
-        "ok": bool(check.ok and counts and all(count >= 1 for count in counts.values())),
-        "headline": {"total_decisions": float(sum(counts.values()))},
-        "wall_latency": wall_latency_of(scenario),
-        "latency": {},
-    }
+    return sweep.outcome(
+        expected="every correct process keeps deciding; every submitted value is eventually included",
+        headers=["process", "#decisions", "final decision"],
+        rows=[(pid, len(decs), _render(decs[-1]) if decs else "-") for pid, decs in sorted(decisions.items())],
+        title="E7: GWTS liveness under round-clogging adversary",
+        ok=check.ok and counts and all(count >= 1 for count in counts.values()),
+        headline={"total_decisions": float(sum(counts.values()))},
+        check=check,
+        decisions_per_process=counts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -667,20 +609,21 @@ def run_gwts_liveness_experiment(
 # ---------------------------------------------------------------------------
 
 
+@experiment(
+    "E8",
+    "RSM linearizability and wait-freedom with Byzantine clients (Section 7)",
+    f="failure threshold",
+    clients="number of correct clients",
+    updates_per_client="updates issued per client",
+)
 def run_rsm_experiment(
-    f: int = 1, clients: int = 3, updates_per_client: int = 2, seed: int = 19,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
+    sweep: _Sweep, f: int = 1, clients: int = 3, updates_per_client: int = 2, seed: int = 19
 ) -> dict[str, Any]:
     """Run the replicated set/counter RSM with Byzantine replicas and clients."""
-    n = required_processes(f)
     counter = GCounterObject("hits")
     gset = GSetObject("tags")
     scripts: dict[Hashable, list] = {}
     for index in range(clients):
-        client_id = f"client{index}"
         script: list = []
         for k in range(updates_per_client):
             if index % 2 == 0:
@@ -688,58 +631,44 @@ def run_rsm_experiment(
             else:
                 script.append(("update", gset.op_add(f"tag-{index}-{k}")))
         script.append(("read",))
-        scripts[client_id] = script
-    byz_replicas = [lambda pid, lat, members, ff: SilentByzantine(pid) for _ in range(f)]
-    scenario = run_rsm_scenario(
-        n_replicas=n,
-        f=f,
-        client_scripts=scripts,
-        byzantine_replica_factories=byz_replicas,
+        scripts[f"client{index}"] = script
+    scenario = sweep.run(
+        "rsm",
+        required_processes(f),
+        f,
+        inputs=scripts,
+        byzantine_factories=[_silent] * f,
         byzantine_client_payloads={"badclient": ["junk-0", "junk-1"]},
-        rounds=6 if quick else 10,
+        rounds=6 if sweep.quick else 10,
         seed=seed,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        backend=backend,
     )
     histories = scenario.extras["histories"].values()
-    admissible = collect_admissible_commands(
-        (scenario.nodes[pid] for pid in scenario.correct_pids), histories
-    )
+    admissible = collect_admissible_commands((scenario.nodes[pid] for pid in scenario.correct_pids), histories)
     check = check_rsm_history(histories, admissible_commands=admissible)
     reads = [
-        record
-        for history in scenario.extras["histories"].values()
-        for record in history
-        if record.kind == "read" and record.result is not None
+        record for history in histories for record in history if record.kind == "read" and record.result is not None
     ]
     counter_values = [counter.value(read.result) for read in reads]
     read_latencies = [read.end_time - read.start_time for read in reads]
-    rows = [
-        (read.client, f"{read.end_time - read.start_time:.1f}", counter.value(read.result),
-         len(gset.value(read.result)))
-        for read in reads
-    ]
-    headers = ["client", "read latency", "counter value", "|tag set|"]
-    return {
-        "experiment": "E8",
-        "expected": "all operations complete; reads are comparable, monotonic and reflect completed updates",
-        "check": check,
-        "counter_values": counter_values,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title="E8: RSM reads (counter + grow-only set objects)",
-        ),
-        "ok": bool(check.ok and counter_values and max(counter_values) >= 1),
-        "headline": {"reads": float(len(reads)), "max_counter": float(max(counter_values, default=0))},
-        "wall_latency": wall_latency_of(scenario),
-        "latency": {
-            "mean_read_latency": sum(read_latencies) / len(read_latencies) if read_latencies else 0.0
-        },
-    }
+    return sweep.outcome(
+        expected="all operations complete; reads are comparable, monotonic and reflect completed updates",
+        headers=["client", "read latency", "counter value", "|tag set|"],
+        rows=[
+            (
+                read.client,
+                f"{read.end_time - read.start_time:.1f}",
+                counter.value(read.result),
+                len(gset.value(read.result)),
+            )
+            for read in reads
+        ],
+        title="E8: RSM reads (counter + grow-only set objects)",
+        ok=check.ok and counter_values and max(counter_values) >= 1,
+        headline={"reads": float(len(reads)), "max_counter": float(max(counter_values, default=0))},
+        latency={"mean_read_latency": sum(read_latencies) / len(read_latencies) if read_latencies else 0.0},
+        check=check,
+        counter_values=counter_values,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -747,64 +676,45 @@ def run_rsm_experiment(
 # ---------------------------------------------------------------------------
 
 
+@experiment(
+    "E9",
+    "breadth argument against the restrictive specification (Section 2)",
+    n="cluster size",
+    f="failure threshold",
+    breadths="lattice breadths to contrast",
+)
 def run_breadth_experiment(
-    n: int = 4, f: int = 1, breadths: Sequence[int] | None = None, seed: int = 23,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
+    sweep: _Sweep, n: int = 4, f: int = 1, breadths: Sequence[int] | None = None, seed: int = 23
 ) -> dict[str, Any]:
     """Contrast this paper's specification with the restrictive one as breadth grows."""
     if breadths is None:
         breadths = (2, 3, 4, 6, 8)
     rows: list[Sequence[Any]] = []
     outcomes: list[dict[str, Any]] = []
-    measured: list = []
     # Run WTS with one Byzantine value injector; our spec must hold, and the
     # decisions typically include the Byzantine value, which the restrictive
     # spec forbids.
     byz_value = frozenset({"byz-injected"})
-    byz = [
-        lambda pid, lat, members, ff: ValueInjectorProposer(
-            pid, lat, members, ff, proposal=byz_value
-        )
-    ]
+    byz = [functools.partial(ValueInjectorProposer, proposal=byz_value)]
+    correct = member_pids(n)[: n - 1]
     for k in breadths:
         feasible = restricted_spec_feasible(n, power_set_breadth(k))
-        universe = {f"u{i}" for i in range(k)} | {"byz-injected"}
-        lattice = SetLattice(universe=universe)
-        pids = member_pids(n)
-        correct = pids[: n - 1]
-        proposals = {
-            pid: frozenset({f"u{i % k}"}) for i, pid in enumerate(correct)
-        }
-        scenario = run_wts_scenario(
-            n=n,
-            f=f,
+        lattice = SetLattice(universe={f"u{i}" for i in range(k)} | {"byz-injected"})
+        scenario = sweep.run(
+            "wts",
+            n,
+            f,
             seed=seed + k,
             lattice=lattice,
-            proposals=proposals,
+            inputs={pid: frozenset({f"u{i % k}"}) for i, pid in enumerate(correct)},
             byzantine_factories=byz,
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
         )
-        measured.append(scenario)
         ours = scenario.check_la()
         restricted = check_restricted_la_run(
-            lattice,
-            scenario.proposals(),
-            scenario.decisions(),
-            byzantine_values=[byz_value],
-            f=f,
+            lattice, scenario.proposals(), scenario.decisions(), byzantine_values=[byz_value], f=f
         )
         outcomes.append(
-            {
-                "breadth": k,
-                "restricted_feasible": feasible,
-                "our_spec_ok": ours.ok,
-                "restricted_ok": restricted.ok,
-            }
+            {"breadth": k, "restricted_feasible": feasible, "our_spec_ok": ours.ok, "restricted_ok": restricted.ok}
         )
         rows.append(
             (
@@ -815,29 +725,19 @@ def run_breadth_experiment(
                 "OK" if restricted.ok else "violated (Byzantine value decided)",
             )
         )
-    headers = ["breadth k", "n", "restrictive spec feasible", "our spec", "restrictive spec on same run"]
-    ok = all(o["our_spec_ok"] for o in outcomes) and all(
-        not o["restricted_feasible"] for o in outcomes if o["breadth"] >= n
-    )
-    return {
-        "experiment": "E9",
-        "expected": "our spec holds for every breadth; the restrictive spec is infeasible once breadth >= n and is violated whenever a Byzantine value is decided",
-        "outcomes": outcomes,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title="E9: lattice breadth vs specifications",
-        ),
-        "ok": bool(ok),
-        "headline": {
+    return sweep.outcome(
+        expected="our spec holds for every breadth; the restrictive spec is infeasible once breadth >= n and is violated whenever a Byzantine value is decided",
+        headers=["breadth k", "n", "restrictive spec feasible", "our spec", "restrictive spec on same run"],
+        rows=rows,
+        title="E9: lattice breadth vs specifications",
+        ok=all(o["our_spec_ok"] for o in outcomes)
+        and all(not o["restricted_feasible"] for o in outcomes if o["breadth"] >= n),
+        headline={
             "breadths": float(len(outcomes)),
             "restricted_infeasible": float(sum(1 for o in outcomes if not o["restricted_feasible"])),
         },
-        "wall_latency": wall_latency_of(*measured),
-        "latency": {},
-    }
+        outcomes=outcomes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -845,42 +745,22 @@ def run_breadth_experiment(
 # ---------------------------------------------------------------------------
 
 
-def run_baseline_comparison(
-    sizes: Sequence[int] | None = None, seed: int = 29,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment("E10", "Byzantine tolerance overhead vs the crash-fault baseline", sizes=_SIZES_HELP)
+def run_baseline_comparison(sweep: _Sweep, sizes: Sequence[int] | None = None, seed: int = 29) -> dict[str, Any]:
     """Message/latency overhead of WTS and GWTS over the crash-fault baseline."""
     if sizes is None:
-        sizes = (4, 7) if quick else (4, 7, 10, 13)
+        sizes = (4, 7) if sweep.quick else (4, 7, 10, 13)
     rows: list[Sequence[Any]] = []
     wts_series: dict[int, float] = {}
     crash_series: dict[int, float] = {}
     max_wts_time = 0.0
-    measured: list = []
     for n in sizes:
         f = max_faults(n)
-        wts = run_wts_scenario(
-            n=n, f=f, seed=seed + n, delay_model=FixedDelay(1.0),
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-        )
-        crash = run_crash_la_scenario(
-            n=n, f=f, seed=seed + n, delay_model=FixedDelay(1.0),
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-        )
-        measured.extend((wts, crash))
-        wts_msgs = wts.metrics.mean_messages_per_process(wts.correct_pids)
-        crash_msgs = crash.metrics.mean_messages_per_process(crash.correct_pids)
-        wts_time = max((r.time for r in wts.metrics.decisions), default=0.0)
-        crash_time = max((r.time for r in crash.metrics.decisions), default=0.0)
-        wts_series[n] = wts_msgs
-        crash_series[n] = crash_msgs
+        common = dict(seed=seed + n, delay_model=FixedDelay(1.0))
+        wts, crash = sweep.run("wts", n, f, **common), sweep.run("crash-la", n, f, **common)
+        wts_series[n] = wts_msgs = _msgs_per_process(wts)
+        crash_series[n] = crash_msgs = _msgs_per_process(crash)
+        wts_time = _last_decision(wts)
         max_wts_time = max(max_wts_time, wts_time)
         rows.append(
             (
@@ -889,32 +769,21 @@ def run_baseline_comparison(
                 f"{crash_msgs:.1f}",
                 f"{wts_msgs:.1f}",
                 f"{wts_msgs / max(crash_msgs, 1e-9):.1f}x",
-                f"{crash_time:.0f}",
+                f"{_last_decision(crash):.0f}",
                 f"{wts_time:.0f}",
             )
         )
-    headers = ["n", "f", "crash msgs/proc", "WTS msgs/proc", "overhead", "crash delays", "WTS delays"]
-    return {
-        "experiment": "E10",
-        "expected": "WTS costs a quadratic (vs linear) message term and never fewer delays than the crash baseline",
-        "wts_series": wts_series,
-        "crash_series": crash_series,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title="E10: Byzantine tolerance overhead vs crash-fault baseline",
-        ),
-        "ok": all(wts_series[n] > crash_series[n] for n in wts_series),
-        "headline": {
-            "max_overhead": max(
-                (wts_series[n] / max(crash_series[n], 1e-9) for n in wts_series), default=0.0
-            ),
-        },
-        "wall_latency": wall_latency_of(*measured),
-        "latency": {"max_wts_delays": max_wts_time},
-    }
+    return sweep.outcome(
+        expected="WTS costs a quadratic (vs linear) message term and never fewer delays than the crash baseline",
+        headers=["n", "f", "crash msgs/proc", "WTS msgs/proc", "overhead", "crash delays", "WTS delays"],
+        rows=rows,
+        title="E10: Byzantine tolerance overhead vs crash-fault baseline",
+        ok=all(wts_series[n] > crash_series[n] for n in wts_series),
+        headline={"max_overhead": max((wts_series[n] / max(crash_series[n], 1e-9) for n in wts_series), default=0.0)},
+        latency={"max_wts_delays": max_wts_time},
+        wts_series=wts_series,
+        crash_series=crash_series,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -922,13 +791,8 @@ def run_baseline_comparison(
 # ---------------------------------------------------------------------------
 
 
-def run_ablation_experiment(
-    seed: int = 31,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment("E11", "ablation of the WTS design choices (extension)")
+def run_ablation_experiment(sweep: _Sweep, seed: int = 31) -> dict[str, Any]:
     """Ablation study: remove one WTS defence and run the attack it blocks.
 
     Three configurations, each compared against intact WTS under the same
@@ -943,76 +807,49 @@ def run_ablation_experiment(
       process gets *two* distinct values into decisions, breaking the
       ``|B| <= f`` bound of Non-Triviality that Observation 1 (one safe value
       per process) is there to enforce.
+
+    The verdicts come from the shared invariant library
+    (:mod:`repro.explore.invariants`).
     """
-    from repro.core.ablations import (
-        NoDefencesWTSProcess,
-        NoSafetyWTSProcess,
-        PlainDisclosureWTSProcess,
-    )
+    from repro.core.ablations import NoDefencesWTSProcess, NoSafetyWTSProcess, PlainDisclosureWTSProcess
 
-    def nack_spammer(pid, lat, members, ff):
-        return NackSpamAcceptor(pid, lat, members, ff)
-
-    def equivocator(pid, lat, members, ff):
-        return EquivocatingProposer(
-            pid, lat, members, ff,
-            value_a=frozenset({"eq-a"}), value_b=frozenset({"eq-b"}),
-        )
-
-    def broke_invariant(name):
-        """Judge via the shared invariant library (repro.explore.invariants)."""
-
-        def judge(scenario):
-            return name in la_invariants(scenario)
-
-        return judge
-
+    equivocator = functools.partial(EquivocatingProposer, value_a=frozenset({"eq-a"}), value_b=frozenset({"eq-b"}))
+    # (name, ablated class, adversary, targeted property, the invariant it breaks)
     configs = [
-        ("A1 no wait-till-safe", NoSafetyWTSProcess, nack_spammer,
-         "non_triviality", broke_invariant("non_triviality")),
-        ("A2 plain disclosure", PlainDisclosureWTSProcess, equivocator,
-         "liveness", broke_invariant("liveness")),
-        ("A3 both removed", NoDefencesWTSProcess, equivocator,
-         "|B| <= f (one value per Byzantine)", broke_invariant("byzantine_value_bound")),
+        ("A1 no wait-till-safe", NoSafetyWTSProcess, NackSpamAcceptor, "non_triviality", "non_triviality"),
+        ("A2 plain disclosure", PlainDisclosureWTSProcess, equivocator, "liveness", "liveness"),
+        (
+            "A3 both removed",
+            NoDefencesWTSProcess,
+            equivocator,
+            "|B| <= f (one value per Byzantine)",
+            "byzantine_value_bound",
+        ),
     ]
     rows: list[Sequence[Any]] = []
     outcomes: list[dict[str, Any]] = []
-    measured: list = []
-    for name, ablated_class, adversary, expected_break, judge in configs:
+    for name, ablated_class, adversary, expected_break, invariant in configs:
         intact_ok = True
-        ablated_broken = False
         broken_seed = None
         # The attack's success can depend on the schedule; scan a few seeds
         # and report whether any schedule breaks the ablated variant while
         # the intact algorithm survives all of them.
-        for offset in range(4 if quick else 8):
-            run_seed = seed + offset
-            intact = run_wts_scenario(
-                n=4, f=1, seed=run_seed, byzantine_factories=[adversary],
-                delay_model=UniformDelay(0.5, 2.0), max_messages=30_000,
-                scheduler=scheduler,
-                fault_plan=fault_plan,
-                backend=backend,
+        for run_seed in range(seed, seed + (4 if sweep.quick else 8)):
+            common = dict(
+                seed=run_seed, byzantine_factories=[adversary], delay_model=UniformDelay(0.5, 2.0), max_messages=30_000
             )
-            ablated = run_wts_scenario(
-                n=4, f=1, seed=run_seed, byzantine_factories=[adversary],
-                delay_model=UniformDelay(0.5, 2.0), max_messages=30_000,
-                scheduler=scheduler,
-                fault_plan=fault_plan,
-                backend=backend,
-                process_class=ablated_class, run_to_quiescence=True,
-            )
-            measured.extend((intact, ablated))
+            intact = sweep.run("wts", 4, 1, **common)
+            ablated = sweep.run("wts", 4, 1, process_class=ablated_class, run_to_quiescence=True, **common)
             intact_ok = intact_ok and intact.check_la().ok
-            if not ablated_broken and judge(ablated):
-                ablated_broken = True
+            if broken_seed is None and invariant in la_invariants(ablated):
                 broken_seed = run_seed
+        ablated_broken = broken_seed is not None
         outcomes.append(
             {
                 "ablation": name,
                 "expected_break": expected_break,
                 "intact_ok": bool(intact_ok),
-                "ablated_broken": bool(ablated_broken),
+                "ablated_broken": ablated_broken,
                 "witness_seed": broken_seed,
             }
         )
@@ -1024,23 +861,15 @@ def run_ablation_experiment(
                 "broken (as expected)" if ablated_broken else "not broken in scanned seeds",
             )
         )
-    headers = ["ablation", "targeted property", "intact WTS", "ablated WTS"]
-    return {
-        "experiment": "E11",
-        "expected": "each removed defence lets its targeted attack break exactly the property the paper claims it protects",
-        "outcomes": outcomes,
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title="E11: ablation of WTS design choices",
-        ),
-        "ok": all(o["intact_ok"] and o["ablated_broken"] for o in outcomes),
-        "headline": {"ablations_broken": float(sum(1 for o in outcomes if o["ablated_broken"]))},
-        "wall_latency": wall_latency_of(*measured),
-        "latency": {},
-    }
+    return sweep.outcome(
+        expected="each removed defence lets its targeted attack break exactly the property the paper claims it protects",
+        headers=["ablation", "targeted property", "intact WTS", "ablated WTS"],
+        rows=rows,
+        title="E11: ablation of WTS design choices",
+        ok=all(o["intact_ok"] and o["ablated_broken"] for o in outcomes),
+        headline={"ablations_broken": float(sum(1 for o in outcomes if o["ablated_broken"]))},
+        outcomes=outcomes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1048,13 +877,8 @@ def run_ablation_experiment(
 # ---------------------------------------------------------------------------
 
 
-def run_partition_churn_experiment(
-    f: int = 1, rounds: int = 4, seed: int = 37,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "kernel",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment("E12", "GWTS under partition/crash churn (extension)", f="failure threshold", rounds="GWTS rounds per run")
+def run_partition_churn_experiment(sweep: _Sweep, f: int = 1, rounds: int = 4, seed: int = 37) -> dict[str, Any]:
     """GWTS survives scripted partition + crash/recover churn (kernel faults).
 
     Three configurations, identical workload and seed:
@@ -1079,8 +903,6 @@ def run_partition_churn_experiment(
         raise ValueError("partition churn needs f >= 1 (n >= 4) to have groups to split")
     n = required_processes(f)
     pids = member_pids(n)
-    rounds = 3 if quick else rounds
-    byz = [lambda pid, lat, members, ff: SilentByzantine(pid) for _ in range(f)]
     correct = pids[: n - f]
     half = max(1, n // 2)
     plan = (
@@ -1093,93 +915,63 @@ def run_partition_churn_experiment(
     # ingredients (rather than stacking on top of them): a custom fault plan
     # substitutes for the scripted churn, a custom scheduler for the built-in
     # worst case.  The calm reference configuration stays calm.
-    scheduler_override = parse_scheduler(scheduler, pids=pids, f=f)
-    fault_plan_override = parse_fault_plan(fault_plan, pids=pids, correct=correct)
+    scheduler_override = parse_scheduler(sweep.axes["scheduler"], pids=pids, f=f)
+    fault_plan_override = parse_fault_plan(sweep.axes["fault_plan"], pids=pids, correct=correct)
     churn_plan = fault_plan_override or plan
-    worst_scheduler = scheduler_override or WorstCaseScheduler(
-        victims=[correct[0]], starve_delay=40.0, fast_delay=1.0
-    )
+    worst_scheduler = scheduler_override or WorstCaseScheduler(victims=[correct[0]], starve_delay=40.0, fast_delay=1.0)
     # The strict calm < churn < worst-case timing ordering is a claim about
     # the *built-in* churn script and starvation schedule; a substituted axis
     # may legitimately be faster than either, and a wall-clock backend
     # reports real seconds whose ordering is scheduling noise, so in both
     # cases the verdict checks only the schedule-independent properties
     # (safety + everyone decides).
-    wall_clock = backend_is_wall_clock(backend)
     axes_overridden = scheduler_override is not None or fault_plan_override is not None
-
-    def build(**kwargs):
-        if "scheduler" not in kwargs:
-            kwargs["delay_model"] = FixedDelay(1.0)
-        return run_gwts_scenario(
-            n=n,
-            f=f,
-            values_per_process=1,
-            rounds=rounds,
-            seed=seed,
-            byzantine_factories=byz,
-            backend=backend,
-            **kwargs,
-        )
-
-    calm = build()
-    churn = build(fault_plan=churn_plan)
-    worst = build(fault_plan=churn_plan, scheduler=worst_scheduler)
-
-    rows: list[Sequence[Any]] = []
+    configs = [("calm", None, None), ("churn", churn_plan, None), ("churn+worst-case", churn_plan, worst_scheduler)]
     outcomes: list[dict[str, Any]] = []
-    for name, scenario in (("calm", calm), ("churn", churn), ("churn+worst-case", worst)):
-        check = scenario.check_gla(require_all_inputs_decided=False)
-        decided = sum(1 for decs in scenario.decisions().values() if decs)
-        last = max((record.time for record in scenario.metrics.decisions), default=0.0)
+    for name, config_plan, config_scheduler in configs:
+        scenario = sweep.run(
+            "gwts",
+            n,
+            f,
+            values_per_process=1,
+            rounds=3 if sweep.quick else rounds,
+            seed=seed,
+            byzantine_factories=[_silent] * f,
+            delay_model=FixedDelay(1.0),
+            fault_plan=config_plan,
+            scheduler=config_scheduler,
+        )
         outcomes.append(
             {
                 "config": name,
-                "decided": decided,
+                "decided": _decided(scenario),
                 "correct": len(scenario.correct_pids),
-                "last_decision_time": last,
-                "safety_ok": check.ok,
+                "last_decision_time": _last_decision(scenario),
+                "safety_ok": scenario.check_gla(require_all_inputs_decided=False).ok,
             }
         )
-        rows.append(
+    calm, churn, worst = (o["last_decision_time"] for o in outcomes)
+    return sweep.outcome(
+        expected="churn and adversarial schedules delay decisions but never prevent them; comparability always holds",
+        headers=["configuration", "decided", "last decision time", "properties"],
+        rows=[
             (
-                name,
-                f"{decided}/{len(scenario.correct_pids)}",
-                f"{last:.1f}",
-                "OK" if check.ok else "VIOLATED",
+                o["config"],
+                f"{o['decided']}/{o['correct']}",
+                f"{o['last_decision_time']:.1f}",
+                "OK" if o["safety_ok"] else "VIOLATED",
             )
-        )
-    headers = ["configuration", "decided", "last decision time", "properties"]
-    calm_o, churn_o, worst_o = outcomes
-    ok = all(o["safety_ok"] and o["decided"] == o["correct"] for o in outcomes) and (
-        axes_overridden
-        or wall_clock
-        or calm_o["last_decision_time"]
-        < churn_o["last_decision_time"]
-        < worst_o["last_decision_time"]
+            for o in outcomes
+        ],
+        title="E12: GWTS under partition/crash churn (discrete-event kernel)",
+        ok=all(o["safety_ok"] and o["decided"] == o["correct"] for o in outcomes)
+        and (axes_overridden or sweep.wall_clock or calm < churn < worst),
+        headline={"configs": float(len(outcomes))},
+        latency={"calm_last_decision": calm, "churn_last_decision": churn, "worst_case_last_decision": worst},
+        time_bound=True,
+        outcomes=outcomes,
+        fault_plan=plan.describe(),
     )
-    return {
-        "experiment": "E12",
-        "skipped_checks": [_WALL_CLOCK_SKIP] if wall_clock else [],
-        "expected": "churn and adversarial schedules delay decisions but never prevent them; comparability always holds",
-        "outcomes": outcomes,
-        "fault_plan": plan.describe(),
-        "headers": headers,
-        "rows": rows,
-        "table": format_table(
-            headers,
-            rows,
-            title="E12: GWTS under partition/crash churn (discrete-event kernel)",
-        ),
-        "ok": bool(ok),
-        "headline": {"configs": float(len(outcomes))},
-        "wall_latency": wall_latency_of(calm, churn, worst),
-        "latency": {
-            "calm_last_decision": calm_o["last_decision_time"],
-            "churn_last_decision": churn_o["last_decision_time"],
-            "worst_case_last_decision": worst_o["last_decision_time"],
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1188,15 +980,7 @@ def run_partition_churn_experiment(
 
 
 def _sharded_point(
-    shards: int,
-    batch_size: int | None,
-    total_commands: int,
-    seed: int,
-    scheduler: str,
-    fault_plan: str,
-    backend: str,
-    n_replicas: int,
-    f: int = 1,
+    sweep: _Sweep, shards: int, batch_size: int | None, total_commands: int, seed: int, n_replicas: int, f: int = 1
 ) -> dict[str, Any]:
     """Run one sharded-RSM configuration and report deterministic metrics.
 
@@ -1206,21 +990,16 @@ def _sharded_point(
     rates (those live in ``benchmarks/bench_shard_throughput.py``).
     """
     per_client = total_commands // 2
-    scripts = {
-        f"c{index}": [("update", (f"obj-{index}-{k}", k)) for k in range(per_client)]
-        for index in range(2)
-    }
-    scenario = run_sharded_rsm_scenario(
-        n_replicas=n_replicas,
-        f=f,
+    scripts = {f"c{index}": [("update", (f"obj-{index}-{k}", k)) for k in range(per_client)] for index in range(2)}
+    scenario = sweep.run(
+        "rsm",
+        n_replicas,
+        f,
         shards=shards,
-        client_scripts=scripts,
+        inputs=scripts,
         # Worst case one command per round per shard, plus slack for ramp-up.
         rounds=total_commands + 10,
         seed=seed,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        backend=backend,
         batch_size=batch_size,
         client_pipeline=16,
         max_messages=6_000_000,
@@ -1246,20 +1025,15 @@ def _sharded_point(
         "msgs_per_command": scenario.run.delivered / max(1, completed),
         "makespan": makespan,
         "throughput": completed / makespan if makespan > 0 else 0.0,
-        "scenario": scenario,
     }
 
 
-def run_shard_scaling_experiment(
-    seed: int = 41,
-    scheduler: str = "",
-    fault_plan: str = "",
-    backend: str = "turbo",
-    quick: bool = False,
-) -> dict[str, Any]:
+@experiment("E13", "sharded + batched GLA data-plane scaling (extension)", backend="turbo")
+def run_shard_scaling_experiment(sweep: _Sweep, seed: int = 41) -> dict[str, Any]:
     """E13: throughput vs batch size and shard count, plus the large-n study.
 
-    Three sections, all on the deterministic simulated clock:
+    Three sections, all on the deterministic simulated clock (a data-plane
+    throughput study, so unlike E1–E12 the backend defaults to turbo):
 
     1. **Batch curve** — 25 replicas as 5 shards of 5 (f=1 per group), the
        same command stream under ``batch_size`` 1..16.  Capping the per-round
@@ -1278,23 +1052,12 @@ def run_shard_scaling_experiment(
        covers both sizes, so the quorum-size trend (majority vs Byzantine
        quorum) is read off the same table.
     """
-    wall_clock = backend_is_wall_clock(backend)
+    quick = sweep.quick
 
     # -- 1. batch curve: 5 shards x 5 replicas = 25 ----------------------------
-    batch_sweep = (1, 8) if quick else (1, 2, 4, 8, 16)
-    batch_commands = 40 if quick else 60
     batch_points = [
-        _sharded_point(
-            shards=5,
-            batch_size=batch,
-            total_commands=batch_commands,
-            seed=seed,
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-            n_replicas=25,
-        )
-        for batch in batch_sweep
+        _sharded_point(sweep, 5, batch, 40 if quick else 60, seed, n_replicas=25)
+        for batch in ((1, 8) if quick else (1, 2, 4, 8, 16))
     ]
     batch_rows = [
         (
@@ -1308,27 +1071,13 @@ def run_shard_scaling_experiment(
         for point in batch_points
     ]
     base = batch_points[0]
-    batched = max(
-        (p for p in batch_points if p["batch_size"] and p["batch_size"] >= 8),
-        key=lambda p: p["throughput"],
-    )
+    batched = max((p for p in batch_points if p["batch_size"] and p["batch_size"] >= 8), key=lambda p: p["throughput"])
     batch_speedup = batched["throughput"] / max(base["throughput"], 1e-9)
 
     # -- 2. shard curve: fixed fleet of 24 replicas ----------------------------
-    shard_sweep = (2, 6) if quick else (2, 3, 4, 6)
-    shard_commands = 24 if quick else 48
     shard_points = [
-        _sharded_point(
-            shards=shards,
-            batch_size=8,
-            total_commands=shard_commands,
-            seed=seed,
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-            n_replicas=24,
-        )
-        for shards in shard_sweep
+        _sharded_point(sweep, shards, 8, 24 if quick else 48, seed, n_replicas=24)
+        for shards in ((2, 6) if quick else (2, 3, 4, 6))
     ]
     shard_rows = [
         (
@@ -1341,20 +1090,24 @@ def run_shard_scaling_experiment(
         )
         for point in shard_points
     ]
-    shard_scaleup = shard_points[-1]["throughput"] / max(
-        shard_points[0]["throughput"], 1e-9
-    )
+    shard_scaleup = shard_points[-1]["throughput"] / max(shard_points[0]["throughput"], 1e-9)
 
     # -- 3. large-n quorum study ------------------------------------------------
+    # (protocol label, registry name, n, quorum size, scenario kwargs)
+    large = [
+        ("crash-GLA", "crash-gla", n, n // 2 + 1, dict(values_per_process=1, rounds=2, seed=seed + n))
+        for n in ((100,) if quick else (100, 250))
+    ]
+    if not quick:
+        proposals = {f"p{i}": frozenset({f"v{i}"}) for i in range(3)}
+        large.append(("WTS", "wts", 100, (100 + max_faults(100)) // 2 + 1, dict(inputs=proposals, seed=seed + 1000)))
     scaling_rows: list[Sequence[Any]] = []
     scaling_outcomes: list[dict[str, Any]] = []
-    scaling_scenarios: list = []
-
-    def record_scaling(name: str, n: int, f: int, scenario, quorum: int) -> None:
-        scaling_scenarios.append(scenario)
-        decided = sum(1 for decs in scenario.decisions().values() if decs)
-        per_process = scenario.metrics.mean_messages_per_process(scenario.correct_pids)
-        last = max((r.time for r in scenario.metrics.decisions), default=0.0)
+    for name, protocol, n, quorum, kwargs in large:
+        f = max_faults(n)
+        scenario = sweep.run(protocol, n, f, delay_model=FixedDelay(1.0), max_messages=4_000_000, **kwargs)
+        decided, correct = _decided(scenario), len(scenario.correct_pids)
+        per_process, last = _msgs_per_process(scenario), _last_decision(scenario)
         scaling_outcomes.append(
             {
                 "protocol": name,
@@ -1362,151 +1115,61 @@ def run_shard_scaling_experiment(
                 "f": f,
                 "quorum": quorum,
                 "decided": decided,
-                "correct": len(scenario.correct_pids),
+                "correct": correct,
                 "msgs_per_process": per_process,
                 "last_decision_time": last,
             }
         )
-        scaling_rows.append(
-            (
-                name,
-                n,
-                f,
-                quorum,
-                f"{decided}/{len(scenario.correct_pids)}",
-                f"{per_process:.0f}",
-                f"{last:.1f}",
-            )
-        )
-
-    crash_sizes = (100,) if quick else (100, 250)
-    for n in crash_sizes:
-        f = max_faults(n)
-        crash = run_crash_gla_scenario(
-            n=n,
-            f=f,
-            values_per_process=1,
-            rounds=2,
-            seed=seed + n,
-            delay_model=FixedDelay(1.0),
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-            max_messages=4_000_000,
-        )
-        record_scaling("crash-GLA", n, f, crash, quorum=n // 2 + 1)
-    if not quick:
-        n = 100
-        f = max_faults(n)
-        wts = run_wts_scenario(
-            n=n,
-            f=f,
-            proposals={f"p{i}": frozenset({f"v{i}"}) for i in range(3)},
-            seed=seed + 1000,
-            delay_model=FixedDelay(1.0),
-            scheduler=scheduler,
-            fault_plan=fault_plan,
-            backend=backend,
-            max_messages=4_000_000,
-        )
-        record_scaling("WTS", n, f, wts, quorum=(n + f) // 2 + 1)
+        scaling_rows.append((name, n, f, quorum, f"{decided}/{correct}", f"{per_process:.0f}", f"{last:.1f}"))
 
     # -- verdict ------------------------------------------------------------------
-    all_completed = all(
-        point["completed"] == point["expected"]
-        for point in batch_points + shard_points
-    )
+    all_completed = all(point["completed"] == point["expected"] for point in batch_points + shard_points)
     all_decided = all(o["decided"] == o["correct"] for o in scaling_outcomes)
     msgs_drop = all(
         earlier["msgs_per_command"] > later["msgs_per_command"]
         for earlier, later in zip(shard_points, shard_points[1:], strict=False)
     )
-    if wall_clock:
-        # Wall-clock backends report real seconds: the simulated-throughput
-        # ratios are scheduling noise there, so judge completion only.
-        ok = all_completed and all_decided
-    else:
-        ok = all_completed and all_decided and batch_speedup >= 2.0 and msgs_drop
-
-    batch_headers = ["batch", "completed", "messages", "msgs/cmd", "makespan", "cmds/time"]
-    shard_headers = ["shards", "group", "completed", "messages", "msgs/cmd", "cmds/time"]
-    scaling_headers = ["protocol", "n", "f", "quorum", "decided", "msgs/proc", "delays"]
-    table = (
-        format_table(
-            batch_headers,
-            batch_rows,
-            title=f"E13a: batch curve, 25 replicas as 5x5 (speedup {batch_speedup:.1f}x)",
-        )
-        + "\n\n"
-        + format_table(
-            shard_headers,
-            shard_rows,
-            title=f"E13b: shard curve, 24 replicas (scale-up {shard_scaleup:.1f}x)",
-        )
-        + "\n\n"
-        + format_table(scaling_headers, scaling_rows, title="E13c: large-n quorum study")
-    )
-    return {
-        "experiment": "E13",
-        "expected": "batching amortises the per-round O(group^3) ack traffic (>=2x at batch 8); "
+    # Wall-clock backends report real seconds: the simulated-throughput
+    # ratios are scheduling noise there, so they judge completion only.
+    ok = all_completed and all_decided and (sweep.wall_clock or (batch_speedup >= 2.0 and msgs_drop))
+    return sweep.outcome(
+        expected="batching amortises the per-round O(group^3) ack traffic (>=2x at batch 8); "
         "more shards of a fixed fleet cut messages per command superlinearly; "
         "large-n rows expose the quorum-size cost",
-        "batch_points": [
-            {k: v for k, v in point.items() if k != "scenario"} for point in batch_points
-        ],
-        "shard_points": [
-            {k: v for k, v in point.items() if k != "scenario"} for point in shard_points
-        ],
-        "scaling": scaling_outcomes,
-        "batch_speedup": batch_speedup,
-        "shard_scaleup": shard_scaleup,
-        "headers": batch_headers,
-        "rows": batch_rows,
-        "shard_headers": shard_headers,
-        "shard_rows": shard_rows,
-        "scaling_headers": scaling_headers,
-        "scaling_rows": scaling_rows,
-        "table": table,
-        "ok": bool(ok),
-        "skipped_checks": [_WALL_CLOCK_SKIP] if wall_clock else [],
-        "headline": {
+        headers=["batch", "completed", "messages", "msgs/cmd", "makespan", "cmds/time"],
+        rows=batch_rows,
+        title=f"E13a: batch curve, 25 replicas as 5x5 (speedup {batch_speedup:.1f}x)",
+        more_tables={
+            "shard": (
+                ["shards", "group", "completed", "messages", "msgs/cmd", "cmds/time"],
+                shard_rows,
+                f"E13b: shard curve, 24 replicas (scale-up {shard_scaleup:.1f}x)",
+            ),
+            "scaling": (
+                ["protocol", "n", "f", "quorum", "decided", "msgs/proc", "delays"],
+                scaling_rows,
+                "E13c: large-n quorum study",
+            ),
+        },
+        ok=ok,
+        headline={
             "batch_speedup": batch_speedup,
             "shard_scaleup": shard_scaleup,
             "max_n": float(max(o["n"] for o in scaling_outcomes)),
         },
-        "wall_latency": wall_latency_of(
-            *(point["scenario"] for point in batch_points + shard_points),
-            *scaling_scenarios,
-        ),
-        "latency": {
+        latency={
             "batch1_makespan": base["makespan"],
             "batch8_makespan": batched["makespan"],
-            "largest_n_last_decision": scaling_outcomes[-1]["last_decision_time"]
-            if scaling_outcomes
-            else 0.0,
+            "largest_n_last_decision": scaling_outcomes[-1]["last_decision_time"],
         },
-    }
+        time_bound=True,
+        batch_points=batch_points,
+        shard_points=shard_points,
+        scaling=scaling_outcomes,
+        batch_speedup=batch_speedup,
+        shard_scaleup=shard_scaleup,
+    )
 
 
-def _render(value: Any) -> str:
-    if isinstance(value, frozenset):
-        return "{" + ",".join(sorted(map(str, value))) + "}"
-    return repr(value)
-
-
-#: Registry used by the CLI example and by documentation generation.
-ALL_EXPERIMENTS: dict[str, Callable[..., dict[str, Any]]] = {
-    "E1": run_chain_experiment,
-    "E2": run_resilience_experiment,
-    "E3": run_wts_latency_experiment,
-    "E4": run_wts_messages_experiment,
-    "E5": run_sbs_experiment,
-    "E6": run_gwts_messages_experiment,
-    "E7": run_gwts_liveness_experiment,
-    "E8": run_rsm_experiment,
-    "E9": run_breadth_experiment,
-    "E10": run_baseline_comparison,
-    "E11": run_ablation_experiment,
-    "E12": run_partition_churn_experiment,
-    "E13": run_shard_scaling_experiment,
-}
+#: ``id -> runner``, for the CLI example and documentation generation.
+ALL_EXPERIMENTS: dict[str, Callable[..., dict[str, Any]]] = {entry.id: entry.runner for entry in EXPERIMENTS}

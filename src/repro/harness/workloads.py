@@ -1,6 +1,13 @@
-"""Scenario builders: assemble and run simulated clusters for every algorithm.
+"""The scenario path: a protocol registry, one build step, one run step.
 
-Every builder follows the same recipe:
+:data:`PROTOCOLS` records what distinguishes the algorithms (correct-core
+factory, how inputs are seeded, stop predicate, message cap, invariant
+family); :func:`build_scenario` assembles a cluster of any of them into a
+:class:`Scenario` and :meth:`Scenario.run` executes it — two steps, so a
+caller can time the run window alone.  The ``run_*_scenario`` functions are
+the per-algorithm entry points and delegate to that pair.
+
+The recipe, written once in :func:`build_scenario`:
 
 1. create the membership (``p0 .. p{n-1}``) and an engine backend resolved
    through the :mod:`repro.engine.backends` registry (``backend="kernel"``
@@ -10,15 +17,17 @@ Every builder follows the same recipe:
 2. instantiate correct protocol cores for the first ``n - b`` slots and
    Byzantine cores (produced by user-supplied factories) for the last ``b``
    slots;
-3. run the engine until the scenario's stop condition;
+3. (:meth:`Scenario.run`) run the engine until the protocol's stop condition;
 4. wrap everything in a :class:`ScenarioResult` that knows how to extract
    proposals, decisions and Byzantine-injected values and to run the
    specification checkers.
 
 Byzantine factories receive ``(pid, lattice, members, f)`` (plus the shared
 key registry for the signature algorithms) and return any
-:class:`~repro.engine.ProtocolCore`; the classes in :mod:`repro.byzantine`
-are directly usable via small lambdas, e.g.::
+:class:`~repro.engine.ProtocolCore`.  A class of :mod:`repro.byzantine`
+whose constructor takes exactly those arguments is a factory as it stands
+(``byzantine_factories=[AlwaysAckAcceptor]``); the others fit through a
+small lambda, e.g.::
 
     run_wts_scenario(n=4, f=1, byzantine_factories=[
         lambda pid, lat, members, f: SilentByzantine(pid)
@@ -26,6 +35,8 @@ are directly usable via small lambdas, e.g.::
 """
 
 from __future__ import annotations
+
+import functools
 from collections.abc import Callable, Hashable, Mapping, Sequence
 
 from dataclasses import dataclass, field
@@ -176,13 +187,76 @@ class ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
-# Internal assembly helpers
+# The protocol registry
 # ---------------------------------------------------------------------------
 
 
-def _split_members(
-    n: int, byzantine_factories: Sequence[ByzantineFactory]
-) -> tuple[list[str], list[str], list[str]]:
+def _has_decided(core: ProtocolCore) -> bool:
+    return getattr(core, "has_decided", False)
+
+
+def _has_halted(core: ProtocolCore) -> bool:
+    return getattr(core, "state", None) == "halted"
+
+
+def _has_completed(client: Any) -> bool:
+    return client.all_completed
+
+
+def _replica(pid: Hashable, lattice: JoinSemilattice, members: Sequence[Hashable], f: int, **kwargs: Any):
+    return Replica(pid, members, f, lattice=lattice, **kwargs)
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One registry row: everything that differs between two protocols."""
+
+    #: Invariant family the runs are judged by: ``la``, ``gla`` or ``rsm``.
+    kind: str
+    #: Correct-core factory ``(pid, lattice, members, f, **kwargs)``.
+    core: Callable[..., ProtocolCore]
+    #: How inputs reach the cluster: one ``proposal`` per core, values
+    #: ``queued`` through ``new_value`` before the run, or client ``scripts``.
+    seeding: str
+    #: Whether one participant is done — a correct core, or a client where
+    #: inputs are client ``scripts``; a run stops once every one of them is.
+    done: Callable[[Any], bool]
+    #: Default message cap of a run.
+    max_messages: int
+    #: Whether the cores and Byzantine factories share a :class:`KeyRegistry`.
+    signed: bool = False
+    #: Whether the core takes a per-round ``batch_size``.
+    batched: bool = False
+
+
+_LA = dict(kind="la", seeding="proposal", done=_has_decided, max_messages=400_000)
+_GLA = dict(kind="gla", seeding="queued", done=_has_halted, max_messages=1_500_000)
+
+#: Every protocol :func:`build_scenario` can assemble.
+PROTOCOLS: dict[str, Protocol] = {
+    "wts": Protocol(core=WTSProcess, **_LA),
+    "sbs": Protocol(core=SbSProcess, signed=True, **_LA),
+    "crash-la": Protocol(core=CrashLAProcess, **_LA),
+    "gwts": Protocol(core=GWTSProcess, batched=True, **_GLA),
+    "gsbs": Protocol(core=GSbSProcess, signed=True, batched=True, **_GLA),
+    "crash-gla": Protocol(core=CrashGLAProcess, **_GLA),
+    "rsm": Protocol(
+        kind="rsm", core=_replica, seeding="scripts", done=_has_completed, max_messages=2_000_000, batched=True
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Build -> run
+# ---------------------------------------------------------------------------
+
+
+def make_gla_inputs(pids: Sequence[Hashable], values_per_process: int) -> dict[Hashable, list[LatticeElement]]:
+    """Distinct singleton inputs per process, ``values_per_process`` each."""
+    return {pid: [frozenset({f"cmd-{pid}-{k}"}) for k in range(values_per_process)] for pid in pids}
+
+
+def _split_members(n: int, byzantine_factories: Sequence[ByzantineFactory]) -> tuple[list[str], list[str], list[str]]:
     pids = member_pids(n)
     b = len(byzantine_factories)
     if b > n:
@@ -216,39 +290,236 @@ def _build_engine(
         scheduler = parse_scheduler(scheduler, pids=pids, f=f)
     if scheduler is not None:
         return create_engine(backend, seed=seed, scheduler=scheduler, **engine_kwargs)
-    return create_engine(
-        backend, delay_model=delay_model or UniformDelay(), seed=seed, **engine_kwargs
+    return create_engine(backend, delay_model=delay_model or UniformDelay(), seed=seed, **engine_kwargs)
+
+
+def _client_views(clients: Mapping[Hashable, Any], shards: int | None) -> dict[str, Any]:
+    """Snapshots of the clients' operation histories, taken after the run."""
+    if shards is None:
+        return {"histories": {cid: list(client.history) for cid, client in clients.items()}}
+    return {
+        "histories": {
+            cid: [record for inner in client.clients for record in inner.history] for cid, client in clients.items()
+        },
+        # Per-shard histories for the invariant checkers: each shard is an
+        # independent RSM instance, so Read Consistency and friends hold *per
+        # shard* — reads of different shards are views of disjoint lattices and
+        # are legitimately incomparable.
+        "shard_histories": {
+            shard: {cid: list(client.clients[shard].history) for cid, client in clients.items()}
+            for shard in range(shards)
+        },
+        "cross_shard_reads": {cid: list(client.reads) for cid, client in clients.items()},
+    }
+
+
+@dataclass
+class Scenario:
+    """A built cluster that has not run yet; :meth:`run` executes it once."""
+
+    engine: Any
+    nodes: dict[Hashable, ProtocolCore]
+    correct_pids: list[Hashable]
+    byzantine_pids: list[Hashable]
+    lattice: JoinSemilattice
+    f: int
+    #: Stop predicate (``None`` runs to quiescence or the message cap).
+    stop: Callable[[], bool] | None
+    max_messages: int
+    fault_plan: FaultPlan | None = None
+    max_wall_s: float | None = None
+    extras: dict[str, Any] = field(default_factory=dict)
+    #: Extras that only exist once the run finished (client histories).
+    views: Callable[[], dict[str, Any]] | None = None
+
+    def run(self) -> ScenarioResult:
+        """Apply the fault plan, run the engine to the stop condition, wrap up."""
+        if self.fault_plan is not None:
+            self.engine.apply_fault_plan(self.fault_plan)
+        limits = {} if self.max_wall_s is None else {"max_wall_s": self.max_wall_s}
+        run = self.engine.run(stop_when=self.stop, max_messages=self.max_messages, **limits)
+        if self.views is not None:
+            self.extras.update(self.views())
+        return ScenarioResult(
+            engine=self.engine,
+            nodes=self.nodes,
+            correct_pids=self.correct_pids,
+            byzantine_pids=self.byzantine_pids,
+            lattice=self.lattice,
+            f=self.f,
+            run=run,
+            extras=self.extras,
+        )
+
+
+def build_scenario(
+    protocol: str,
+    n: int,
+    f: int,
+    *,
+    inputs: Mapping[Hashable, Any] | None = None,
+    values_per_process: int = 2,
+    rounds: int = 3,
+    lattice: JoinSemilattice | None = None,
+    byzantine_factories: Sequence[ByzantineFactory] = (),
+    byzantine_client_payloads: Mapping[Hashable, Sequence[Any]] | None = None,
+    delay_model: DelayModel | None = None,
+    seed: int = 0,
+    scheduler: SchedulerSpec = None,
+    fault_plan: FaultPlanSpec = None,
+    backend: str = "kernel",
+    max_messages: int | None = None,
+    run_to_quiescence: bool = False,
+    process_class: type | None = None,
+    registry_seed: int = 1234,
+    registry: KeyRegistry | None = None,
+    max_wall_s: float | None = None,
+    batch_size: int | None = None,
+    shards: int | None = None,
+    client_retry_timeout: float | None = 150.0,
+    client_pipeline: int = 1,
+    **engine_kwargs: Any,
+) -> Scenario:
+    """Assemble one cluster of any registered protocol, ready to run.
+
+    ``inputs`` is what the protocol's seeding consumes: ``pid -> proposal``
+    (single-shot LA; default one distinct singleton each), ``pid -> values``
+    queued before the run (generalized LA; default ``values_per_process``
+    distinct singletons each, spread over the first of ``rounds`` rounds so
+    the remaining rounds give in-flight values time to be included), or
+    ``client id -> operation script`` of ``("update", payload)`` /
+    ``("read",)`` steps (RSM).  Byzantine cores — built by
+    ``byzantine_factories`` — occupy the last membership slots; Byzantine
+    RSM clients (one per entry of ``byzantine_client_payloads``) flood
+    inadmissible/under-replicated updates as per Lemma 12.  The run stops at
+    the protocol's stop predicate (everyone decided / halted / every client
+    script finished) or the message cap, which tests treat as a liveness
+    failure; ``run_to_quiescence`` drops the predicate.
+
+    ``process_class`` substitutes the correct-core class (the deliberately
+    weakened variants of :mod:`repro.core.ablations`); ``registry``
+    substitutes the shared PKI of the signature protocols (the explorer's
+    :class:`~repro.core.ablations.BlindKeyRegistry`).  ``batch_size`` caps
+    how many queued values one round's proposal joins (``None`` = unbounded,
+    the paper's implicit behaviour); ``client_pipeline`` lets each RSM client
+    keep that many commutative updates in flight (reads always barrier).
+
+    ``shards`` splits an RSM's replicas into that many contiguous groups
+    (:func:`repro.rsm.sharding.partition_replicas`), each running its own
+    GWTS instance as an independent core-group of the same engine —
+    broadcasts stay inside a shard, so the per-round message complexity
+    scales with the group size, not the total replica count; ``f`` is then
+    the per-shard threshold.  Clients become
+    :class:`~repro.rsm.sharding.ShardedRSMClient` cores: an update hashes to
+    one shard by its routing key, a read fans out to every shard and
+    completes with the join of the per-shard confirmed views.
+
+    Extra keyword arguments go to the backend constructor (the async
+    backend's ``transport=`` / ``framing=`` / ``time_scale=`` /
+    ``wire_faults=``).
+    """
+    proto = PROTOCOLS.get(protocol)
+    if proto is None:
+        raise ValueError(f"unknown protocol {protocol!r}; known: {', '.join(PROTOCOLS)}")
+    lattice = lattice if lattice is not None else SetLattice()
+    pids, correct, byz = _split_members(n, byzantine_factories)
+    groups: Sequence[Sequence[Hashable]] = [pids]
+    if shards is not None:
+        if byz or byzantine_client_payloads:
+            raise ValueError("a sharded scenario drives correct replicas and clients only")
+        groups = partition_replicas(pids, shards)
+        for group in groups:
+            if len(group) < 3 * f + 1:
+                raise ValueError(f"shard group of {len(group)} replicas cannot tolerate f={f} (needs >= {3 * f + 1})")
+    engine = _build_engine(delay_model, seed, scheduler, backend, pids, f, **engine_kwargs)
+    extras: dict[str, Any] = {}
+    shared: dict[str, Any] = {}
+    if proto.signed:
+        if registry is None:
+            registry = KeyRegistry(seed=registry_seed)
+        shared["registry"] = extras["registry"] = registry
+    core_kwargs = dict(shared)
+    if proto.seeding != "proposal":
+        core_kwargs["max_rounds"] = rounds
+    if proto.batched:
+        core_kwargs["batch_size"] = batch_size
+    if inputs is None and proto.seeding == "proposal":
+        inputs = default_proposals(lattice, correct)  # type: ignore[arg-type]
+    elif inputs is None and proto.seeding == "queued":
+        inputs = make_gla_inputs(correct, values_per_process)
+    make_core = process_class or proto.core
+    byzantine = dict(zip(byz, byzantine_factories, strict=True))
+    nodes: dict[Hashable, ProtocolCore] = {}
+    for shard, group in enumerate(groups):
+        placement = {} if shards is None else {"group": f"shard{shard}"}
+        for pid in group:
+            if pid in byzantine:
+                core = byzantine[pid](pid, lattice, group, f, **shared)
+            elif proto.seeding == "proposal":
+                core = make_core(pid, lattice, group, f, proposal=inputs.get(pid, lattice.bottom()), **core_kwargs)
+            else:
+                core = make_core(pid, lattice, group, f, **core_kwargs)
+                if proto.seeding == "queued":
+                    for value in inputs.get(pid, []):
+                        core.new_value(value)
+            nodes[pid] = engine.add_core(core, **placement)
+
+    watched: list[Any] = [nodes[pid] for pid in correct]
+    views = None
+    if proto.seeding == "scripts":
+        clients: dict[Hashable, Any] = {}
+        extras["clients"] = clients
+        if shards is None:
+            client_class, replicas, placement = RSMClient, pids, {}
+            extras["replica_pids"] = list(pids)
+        else:
+            # Clients never Broadcast, but they get their own group so no
+            # shard's reliable-broadcast traffic is addressed to them.
+            client_class, replicas, placement = ShardedRSMClient, groups, {"group": "clients"}
+            extras["shard_groups"] = groups
+        for client_id, script in (inputs or {}).items():
+            client = client_class(
+                client_id, replicas, f, script=script, retry_timeout=client_retry_timeout, pipeline=client_pipeline
+            )
+            clients[client_id] = nodes[client_id] = engine.add_core(client, **placement)
+        for client_id, payloads in (byzantine_client_payloads or {}).items():
+            nodes[client_id] = engine.add_core(ByzantineClient(client_id, pids, f, payloads=payloads))
+            byz.append(client_id)
+        watched = list(clients.values())
+        views = functools.partial(_client_views, clients, shards)
+
+    if isinstance(fault_plan, str):
+        fault_plan = parse_fault_plan(fault_plan, pids=pids, correct=correct)
+    return Scenario(
+        engine=engine,
+        nodes=nodes,
+        correct_pids=correct,
+        byzantine_pids=byz,
+        lattice=lattice,
+        f=f,
+        stop=None if run_to_quiescence else lambda: all(map(proto.done, watched)),
+        max_messages=proto.max_messages if max_messages is None else max_messages,
+        fault_plan=fault_plan,
+        max_wall_s=max_wall_s,
+        extras=extras,
+        views=views,
     )
 
 
-def _resolve_fault_plan(
-    fault_plan: FaultPlanSpec,
-    pids: Sequence[Hashable],
-    correct: Sequence[Hashable],
-) -> FaultPlan | None:
-    """Resolve a fault-plan string spec against this scenario's membership."""
-    if isinstance(fault_plan, str):
-        return parse_fault_plan(fault_plan, pids=pids, correct=correct)
-    return fault_plan
-
-
-def _run(
-    engine,
-    stop_when: Callable[[], bool] | None,
-    max_messages: int,
-    fault_plan: FaultPlan | None = None,
-    max_wall_s: float | None = None,
-) -> RunResult:
-    if fault_plan is not None:
-        engine.apply_fault_plan(fault_plan)
-    if max_wall_s is not None:
-        return engine.run(stop_when=stop_when, max_messages=max_messages, max_wall_s=max_wall_s)
-    return engine.run(stop_when=stop_when, max_messages=max_messages)
-
-
 # ---------------------------------------------------------------------------
-# Single-shot LA scenarios
+# Per-algorithm entry points (thin delegations to build_scenario)
 # ---------------------------------------------------------------------------
+
+
+def _run_named(protocol: str, arguments: dict[str, Any], **renames: str) -> ScenarioResult:
+    """Build and run ``protocol`` from a named builder's ``locals()``.
+
+    ``renames`` maps the builder's historical parameter names onto
+    :func:`build_scenario`'s; everything else is forwarded unchanged.
+    """
+    arguments = {renames.get(name, name): value for name, value in arguments.items()}
+    arguments.update(arguments.pop("engine_kwargs", {}))
+    return build_scenario(protocol, **arguments).run()
 
 
 def run_wts_scenario(
@@ -272,33 +543,7 @@ def run_wts_scenario(
     weakened WTS variant (see :mod:`repro.core.ablations`) for the correct
     processes while keeping the rest of the scenario identical.
     """
-    lattice = lattice if lattice is not None else SetLattice()
-    pids, correct, byz = _split_members(n, byzantine_factories)
-    if proposals is None:
-        proposals = default_proposals(lattice, correct)  # type: ignore[arg-type]
-    engine = _build_engine(delay_model, seed, scheduler, backend, pids, f)
-    nodes: dict[Hashable, ProtocolCore] = {}
-    for pid in correct:
-        nodes[pid] = engine.add_core(
-            process_class(pid, lattice, pids, f, proposal=proposals.get(pid, lattice.bottom()))
-        )
-    for factory, pid in zip(byzantine_factories, byz, strict=True):
-        nodes[pid] = engine.add_core(factory(pid, lattice, pids, f))
-
-    def all_decided() -> bool:
-        return all(getattr(nodes[pid], "has_decided", False) for pid in correct)
-
-    stop = None if run_to_quiescence else all_decided
-    run = _run(engine, stop, max_messages, _resolve_fault_plan(fault_plan, pids, correct))
-    return ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(correct),
-        byzantine_pids=list(byz),
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
+    return _run_named("wts", locals(), proposals="inputs")
 
 
 def run_sbs_scenario(
@@ -325,49 +570,7 @@ def run_sbs_scenario(
     ablation); extra keyword arguments go to the backend constructor (the
     async backend's ``transport=`` / ``framing=`` / ``wire_faults=``).
     """
-    lattice = lattice if lattice is not None else SetLattice()
-    pids, correct, byz = _split_members(n, byzantine_factories)
-    if proposals is None:
-        proposals = default_proposals(lattice, correct)  # type: ignore[arg-type]
-    if registry is None:
-        registry = KeyRegistry(seed=registry_seed)
-    engine = _build_engine(delay_model, seed, scheduler, backend, pids, f, **engine_kwargs)
-    nodes: dict[Hashable, ProtocolCore] = {}
-    for pid in correct:
-        nodes[pid] = engine.add_core(
-            SbSProcess(
-                pid,
-                lattice,
-                pids,
-                f,
-                registry=registry,
-                proposal=proposals.get(pid, lattice.bottom()),
-            )
-        )
-    for factory, pid in zip(byzantine_factories, byz, strict=True):
-        nodes[pid] = engine.add_core(factory(pid, lattice, pids, f, registry=registry))
-
-    def all_decided() -> bool:
-        return all(getattr(nodes[pid], "has_decided", False) for pid in correct)
-
-    run = _run(
-        engine,
-        all_decided,
-        max_messages,
-        _resolve_fault_plan(fault_plan, pids, correct),
-        max_wall_s=max_wall_s,
-    )
-    result = ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(correct),
-        byzantine_pids=list(byz),
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
-    result.extras["registry"] = registry
-    return result
+    return _run_named("sbs", locals(), proposals="inputs")
 
 
 def run_crash_la_scenario(
@@ -384,47 +587,7 @@ def run_crash_la_scenario(
     max_messages: int = 400_000,
 ) -> ScenarioResult:
     """Build and run one crash-fault-baseline LA cluster."""
-    lattice = lattice if lattice is not None else SetLattice()
-    pids, correct, byz = _split_members(n, byzantine_factories)
-    if proposals is None:
-        proposals = default_proposals(lattice, correct)  # type: ignore[arg-type]
-    engine = _build_engine(delay_model, seed, scheduler, backend, pids, f)
-    nodes: dict[Hashable, ProtocolCore] = {}
-    for pid in correct:
-        nodes[pid] = engine.add_core(
-            CrashLAProcess(pid, lattice, pids, f, proposal=proposals.get(pid, lattice.bottom()))
-        )
-    for factory, pid in zip(byzantine_factories, byz, strict=True):
-        nodes[pid] = engine.add_core(factory(pid, lattice, pids, f))
-
-    def all_decided() -> bool:
-        return all(getattr(nodes[pid], "has_decided", False) for pid in correct)
-
-    run = _run(engine, all_decided, max_messages, _resolve_fault_plan(fault_plan, pids, correct))
-    return ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(correct),
-        byzantine_pids=list(byz),
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Generalized LA scenarios
-# ---------------------------------------------------------------------------
-
-
-def make_gla_inputs(
-    pids: Sequence[Hashable], values_per_process: int
-) -> dict[Hashable, list[LatticeElement]]:
-    """Distinct singleton inputs per process, ``values_per_process`` each."""
-    return {
-        pid: [frozenset({f"cmd-{pid}-{k}"}) for k in range(values_per_process)]
-        for pid in pids
-    }
+    return _run_named("crash-la", locals(), proposals="inputs")
 
 
 def run_gwts_scenario(
@@ -451,33 +614,7 @@ def run_gwts_scenario(
     ``batch_size`` caps how many queued values one round's proposal joins
     (``None`` = unbounded, the paper's implicit behaviour).
     """
-    lattice = lattice if lattice is not None else SetLattice()
-    pids, correct, byz = _split_members(n, byzantine_factories)
-    if inputs is None:
-        inputs = make_gla_inputs(correct, values_per_process)
-    engine = _build_engine(delay_model, seed, scheduler, backend, pids, f)
-    nodes: dict[Hashable, ProtocolCore] = {}
-    for pid in correct:
-        process = GWTSProcess(pid, lattice, pids, f, max_rounds=rounds, batch_size=batch_size)
-        for value in inputs.get(pid, []):
-            process.new_value(value)
-        nodes[pid] = engine.add_core(process)
-    for factory, pid in zip(byzantine_factories, byz, strict=True):
-        nodes[pid] = engine.add_core(factory(pid, lattice, pids, f))
-
-    def all_halted() -> bool:
-        return all(getattr(nodes[pid], "state", None) == "halted" for pid in correct)
-
-    run = _run(engine, all_halted, max_messages, _resolve_fault_plan(fault_plan, pids, correct))
-    return ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(correct),
-        byzantine_pids=list(byz),
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
+    return _run_named("gwts", locals())
 
 
 def run_gsbs_scenario(
@@ -505,45 +642,7 @@ def run_gsbs_scenario(
     ``registry``/``engine_kwargs`` as in :func:`run_sbs_scenario`;
     ``batch_size`` as in :func:`run_gwts_scenario`.
     """
-    lattice = lattice if lattice is not None else SetLattice()
-    pids, correct, byz = _split_members(n, byzantine_factories)
-    if inputs is None:
-        inputs = make_gla_inputs(correct, values_per_process)
-    if registry is None:
-        registry = KeyRegistry(seed=registry_seed)
-    engine = _build_engine(delay_model, seed, scheduler, backend, pids, f, **engine_kwargs)
-    nodes: dict[Hashable, ProtocolCore] = {}
-    for pid in correct:
-        process = GSbSProcess(
-            pid, lattice, pids, f, registry=registry, max_rounds=rounds, batch_size=batch_size
-        )
-        for value in inputs.get(pid, []):
-            process.new_value(value)
-        nodes[pid] = engine.add_core(process)
-    for factory, pid in zip(byzantine_factories, byz, strict=True):
-        nodes[pid] = engine.add_core(factory(pid, lattice, pids, f, registry=registry))
-
-    def all_halted() -> bool:
-        return all(getattr(nodes[pid], "state", None) == "halted" for pid in correct)
-
-    run = _run(
-        engine,
-        all_halted,
-        max_messages,
-        _resolve_fault_plan(fault_plan, pids, correct),
-        max_wall_s=max_wall_s,
-    )
-    result = ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(correct),
-        byzantine_pids=list(byz),
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
-    result.extras["registry"] = registry
-    return result
+    return _run_named("gsbs", locals())
 
 
 def run_crash_gla_scenario(
@@ -562,38 +661,10 @@ def run_crash_gla_scenario(
     max_messages: int = 1_500_000,
 ) -> ScenarioResult:
     """Build and run one crash-fault-baseline GLA cluster for ``rounds`` rounds."""
-    lattice = lattice if lattice is not None else SetLattice()
-    pids, correct, byz = _split_members(n, byzantine_factories)
-    if inputs is None:
-        inputs = make_gla_inputs(correct, values_per_process)
-    engine = _build_engine(delay_model, seed, scheduler, backend, pids, f)
-    nodes: dict[Hashable, ProtocolCore] = {}
-    for pid in correct:
-        process = CrashGLAProcess(pid, lattice, pids, f, max_rounds=rounds)
-        for value in inputs.get(pid, []):
-            process.new_value(value)
-        nodes[pid] = engine.add_core(process)
-    for factory, pid in zip(byzantine_factories, byz, strict=True):
-        nodes[pid] = engine.add_core(factory(pid, lattice, pids, f))
-
-    def all_halted() -> bool:
-        return all(getattr(nodes[pid], "state", None) == "halted" for pid in correct)
-
-    run = _run(engine, all_halted, max_messages, _resolve_fault_plan(fault_plan, pids, correct))
-    return ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(correct),
-        byzantine_pids=list(byz),
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
+    return _run_named("crash-gla", locals())
 
 
-# ---------------------------------------------------------------------------
-# RSM scenarios
-# ---------------------------------------------------------------------------
+_RSM_RENAMES = dict(n_replicas="n", client_scripts="inputs", byzantine_replica_factories="byzantine_factories")
 
 
 def run_rsm_scenario(
@@ -625,69 +696,7 @@ def run_rsm_scenario(
     batches; ``client_pipeline`` lets each client keep that many commutative
     updates in flight at once (reads always barrier).
     """
-    lattice = SetLattice()
-    replica_pids, correct_replicas, byz_replicas = _split_members(
-        n_replicas, byzantine_replica_factories
-    )
-    engine = _build_engine(delay_model, seed, scheduler, backend, replica_pids, f)
-    nodes: dict[Hashable, ProtocolCore] = {}
-    for pid in correct_replicas:
-        nodes[pid] = engine.add_core(
-            Replica(
-                pid,
-                replica_pids,
-                f,
-                max_rounds=rounds,
-                lattice=lattice,
-                batch_size=batch_size,
-            )
-        )
-    for factory, pid in zip(byzantine_replica_factories, byz_replicas, strict=True):
-        nodes[pid] = engine.add_core(factory(pid, lattice, replica_pids, f))
-
-    clients: dict[Hashable, RSMClient] = {}
-    for client_id, script in client_scripts.items():
-        client = RSMClient(
-            client_id,
-            replica_pids,
-            f,
-            script=script,
-            retry_timeout=client_retry_timeout,
-            pipeline=client_pipeline,
-        )
-        clients[client_id] = client
-        nodes[client_id] = engine.add_core(client)
-
-    byz_clients: list[Hashable] = []
-    for client_id, payloads in (byzantine_client_payloads or {}).items():
-        byz_client = ByzantineClient(client_id, replica_pids, f, payloads=payloads)
-        nodes[client_id] = engine.add_core(byz_client)
-        byz_clients.append(client_id)
-
-    def all_clients_done() -> bool:
-        return all(client.all_completed for client in clients.values())
-
-    run = _run(
-        engine,
-        all_clients_done,
-        max_messages,
-        _resolve_fault_plan(fault_plan, replica_pids, correct_replicas),
-    )
-    result = ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(correct_replicas),
-        byzantine_pids=list(byz_replicas) + byz_clients,
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
-    result.extras["clients"] = clients
-    result.extras["replica_pids"] = list(replica_pids)
-    result.extras["histories"] = {
-        client_id: list(client.history) for client_id, client in clients.items()
-    }
-    return result
+    return _run_named("rsm", locals(), **_RSM_RENAMES)
 
 
 def run_sharded_rsm_scenario(
@@ -719,89 +728,7 @@ def run_sharded_rsm_scenario(
     key; each ``("read",)`` fans out to every shard and completes with the
     join of the per-shard confirmed views.
     """
-    shard_groups = partition_replicas(member_pids(n_replicas), shards)
-    for group in shard_groups:
-        if len(group) < 3 * f + 1:
-            raise ValueError(
-                f"shard group of {len(group)} replicas cannot tolerate f={f} "
-                f"(needs >= {3 * f + 1})"
-            )
-    lattice = SetLattice()
-    all_replica_pids = [pid for group in shard_groups for pid in group]
-    engine = _build_engine(delay_model, seed, scheduler, backend, all_replica_pids, f)
-    nodes: dict[Hashable, ProtocolCore] = {}
-    for shard, group in enumerate(shard_groups):
-        for pid in group:
-            nodes[pid] = engine.add_core(
-                Replica(
-                    pid,
-                    group,
-                    f,
-                    max_rounds=rounds,
-                    lattice=lattice,
-                    batch_size=batch_size,
-                ),
-                group=f"shard{shard}",
-            )
-
-    clients: dict[Hashable, ShardedRSMClient] = {}
-    for client_id, script in client_scripts.items():
-        client = ShardedRSMClient(
-            client_id,
-            shard_groups,
-            f,
-            script=script,
-            retry_timeout=client_retry_timeout,
-            pipeline=client_pipeline,
-        )
-        clients[client_id] = client
-        # Clients never Broadcast, but they get their own group so no
-        # shard's reliable-broadcast traffic is addressed to them.
-        nodes[client_id] = engine.add_core(client, group="clients")
-
-    def all_clients_done() -> bool:
-        return all(client.all_completed for client in clients.values())
-
-    run = _run(
-        engine,
-        all_clients_done,
-        max_messages,
-        _resolve_fault_plan(fault_plan, all_replica_pids, all_replica_pids),
-    )
-    result = ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(all_replica_pids),
-        byzantine_pids=[],
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
-    result.extras["clients"] = clients
-    result.extras["shard_groups"] = shard_groups
-    result.extras["histories"] = {
-        client_id: [
-            record
-            for inner in client.clients
-            for record in inner.history
-        ]
-        for client_id, client in clients.items()
-    }
-    # Per-shard histories for the invariant checkers: each shard is an
-    # independent RSM instance, so Read Consistency and friends hold *per
-    # shard* — reads of different shards are views of disjoint lattices and
-    # are legitimately incomparable.
-    result.extras["shard_histories"] = {
-        shard: {
-            client_id: list(client.clients[shard].history)
-            for client_id, client in clients.items()
-        }
-        for shard in range(shards)
-    }
-    result.extras["cross_shard_reads"] = {
-        client_id: list(client.reads) for client_id, client in clients.items()
-    }
-    return result
+    return _run_named("rsm", locals(), **_RSM_RENAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -872,26 +799,22 @@ def run_open_loop_scenario(
         raise ValueError("need at least one value to offer")
     if interval <= 0:
         raise ValueError("the arrival interval must be positive")
-    lattice = lattice if lattice is not None else SetLattice()
-    pids = member_pids(n)
-    if rounds is None:
+    scenario = build_scenario(
+        "gwts",
+        n,
+        f,
+        inputs={},
         # Generous ceiling: every value gets its own round plus settle time.
-        rounds = values + 8
-    if engine_kwargs:
-        if isinstance(scheduler, str):
-            scheduler = parse_scheduler(scheduler, pids=pids, f=f)
-        if scheduler is not None:
-            engine = create_engine(backend, seed=seed, scheduler=scheduler, **engine_kwargs)
-        else:
-            engine = create_engine(
-                backend, delay_model=delay_model or UniformDelay(), seed=seed, **engine_kwargs
-            )
-    else:
-        engine = _build_engine(delay_model, seed, scheduler, backend, pids, f)
-    nodes: dict[Hashable, ProtocolCore] = {
-        pid: engine.add_core(GWTSProcess(pid, lattice, pids, f, max_rounds=rounds))
-        for pid in pids
-    }
+        rounds=values + 8 if rounds is None else rounds,
+        lattice=lattice,
+        delay_model=delay_model,
+        seed=seed,
+        scheduler=scheduler,
+        backend=backend,
+        max_messages=max_messages,
+        **engine_kwargs,
+    )
+    engine, lattice, pids = scenario.engine, scenario.lattice, scenario.correct_pids
 
     arrivals: dict[Any, tuple[Hashable, float]] = {}
 
@@ -908,14 +831,9 @@ def run_open_loop_scenario(
     for index in range(values):
         pid = pids[index % len(pids)]
         value = lattice.lift(f"load-{index}")
-        engine.inject(
-            _arrival(pid, value), at=(index + 1) * interval, label=f"arrive-{index}"
-        )
+        engine.inject(_arrival(pid, value), at=(index + 1) * interval, label=f"arrive-{index}")
 
-    def all_halted() -> bool:
-        return all(node.state == "halted" for node in nodes.values())
-
-    run = _run(engine, all_halted, max_messages)
+    result = scenario.run()
 
     # A value is decided when its proposer's first decision at-or-after the
     # arrival includes it; records are scanned in time order, so the latency
@@ -925,28 +843,14 @@ def run_open_loop_scenario(
     for value, (pid, arrived_at) in arrivals.items():
         element = lattice.lift(value) if not lattice.is_element(value) else value
         for record in records:
-            if (
-                record.pid == pid
-                and record.time >= arrived_at
-                and lattice.leq(element, record.value)
-            ):
+            if record.pid == pid and record.time >= arrived_at and lattice.leq(element, record.value):
                 latencies.append(record.time - arrived_at)
                 break
-    report = OpenLoopReport(
+    result.extras["open_loop"] = OpenLoopReport(
         offered=values,
         decided=len(latencies),
         interval=interval,
         latency=latency_summary(latencies),
         time_source=engine.clock.time_source,
     )
-    result = ScenarioResult(
-        engine=engine,
-        nodes=nodes,
-        correct_pids=list(pids),
-        byzantine_pids=[],
-        lattice=lattice,
-        f=f,
-        run=run,
-    )
-    result.extras["open_loop"] = report
     return result

@@ -516,21 +516,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _compare_shard(baseline: dict[str, Any], args: argparse.Namespace) -> int:
-    def jobs_from_shard(schema: str) -> Any:
+    def jobs_from_shard() -> Any:
         for record in iter_shard_records(args.current):
             if "key" not in record:
                 continue  # shard header
             payload = {k: v for k, v in record.items() if k != "index"}
-            problems = validate_job_payload(payload, schema, f"job {payload.get('key')!r}")
+            problems = validate_job_payload(payload, f"job {payload.get('key')!r}")
             if problems:
                 raise ValueError("; ".join(problems))
             yield payload
 
     try:
-        header = ShardIndex(args.current).header
-        schema = (header or {}).get("run_schema") or ""
         report = compare_job_stream(
-            baseline, jobs_from_shard(schema),
+            baseline, jobs_from_shard(),
             max_latency_regression=args.max_latency_regression / 100.0,
         )
     except (OSError, ValueError) as exc:

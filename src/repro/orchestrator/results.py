@@ -4,14 +4,14 @@ A sweep produces one artifact, ``results/run-<tag>.json``, with schema
 version :data:`RESULTS_SCHEMA_VERSION`.  The artifact records everything
 needed to reproduce and to diff the run: git SHA, Python version, the sweep
 config, wall times, and one entry per job carrying the experiment's verdict
-(``ok``), the engine ``backend`` it ran on (v2), the backend's
-``time_source`` (v3: ``"simulated"`` — deterministic units safe to gate
-latency regressions on — or ``"wall-clock"`` — real seconds, measurement
-only), the wall-clock decision-latency histogram ``wall_latency`` (v4: the
+(``ok``), the engine ``backend`` it ran on, the backend's ``time_source``
+(``"simulated"`` — deterministic units safe to gate latency regressions on
+— or ``"wall-clock"`` — real seconds, measurement only), the wall-clock
+decision-latency histogram ``wall_latency`` (the
 ``count``/``p50``/``p95``/``p99``/``max`` shape from
 ``repro.engine.services.latency_summary``, ``None`` on simulated backends),
-its data-plane shape (v5: ``shards`` — how many independent core-groups
-the job drove — and ``batch_size`` — the proposer batch size, ``0`` for
+its data-plane shape (``shards`` — how many independent core-groups the job
+drove — and ``batch_size`` — the proposer batch size, ``0`` for
 singly-proposed commands), its check outcome, headline metrics, latency
 metrics, and the structured rows the text tables are formatted from.
 v6 is the streamed pipeline: artifacts are rolled up from a per-job JSONL
@@ -19,10 +19,9 @@ shard (``results/run-<tag>.jobs.jsonl``) and carry a top-level ``resumed``
 count — how many job records were reused from a pre-existing shard via
 ``sweep --resume`` (0 for fresh runs; volatile, stripped from the
 canonical form so a resumed run stays byte-identical to an uninterrupted
-one).  Legacy v1 artifacts (pre-backend), v2 (pre-time-source), v3
-(pre-wall-latency), v4 (pre-sharding) and v5 (pre-streaming) stay
-readable for validation and baseline comparison; absent fields default to
-the only options those schemas had.
+one).  The reader accepts the current schema and the previous one (v5,
+pre-streaming: same job payloads, no ``resumed`` count); anything older or
+unknown is rejected.  The per-version history lives in CHANGES.md.
 
 :func:`validate_run_payload` is a hand-rolled structural validator (no
 third-party schema dependency) used by the CLI's ``validate`` command and by
@@ -56,64 +55,21 @@ from typing import Any
 
 RESULTS_SCHEMA_VERSION = "repro-results/v6"
 
-#: Older schema versions `validate` and `compare` still accept on *read*.
-#: v1 predates the engine-backend split: its job payloads lack the
-#: ``backend`` field (treated as the kernel backend, the only one v1 had).
-#: v2 predates the async backend: its job payloads lack ``time_source``
-#: (treated as simulated time, the only time source v2 backends had).
-#: v3 predates honest tail latencies: its job payloads lack ``wall_latency``
-#: (treated as "not measured", which is all v3 runs could say).
-#: v4 predates the sharded/batched data plane: its job payloads lack
-#: ``shards`` and ``batch_size`` (treated as one shard, unbatched — the
-#: only data-plane shape v4 jobs could drive).
-#: v5 predates the streamed results pipeline: its run payloads lack the
-#: top-level ``resumed`` count (treated as 0 — v5 runs could not resume).
-LEGACY_SCHEMA_VERSIONS = (
-    "repro-results/v5",
-    "repro-results/v4",
-    "repro-results/v3",
-    "repro-results/v2",
-    "repro-results/v1",
-)
+#: The previous schema version, still accepted on *read* by ``validate`` and
+#: ``compare``.  v5 predates the streamed results pipeline: its run payloads
+#: lack the top-level ``resumed`` count (v5 runs could not resume); its job
+#: payloads are the same as v6's.
+PREVIOUS_SCHEMA_VERSION = "repro-results/v5"
 
-#: Every schema version in chronological order; feature checks in the
-#: validator are "rank >= N" so adding v7 means appending here, not
-#: rewriting version tuples in every branch.
-_SCHEMA_ORDER = (
-    "repro-results/v1",
-    "repro-results/v2",
-    "repro-results/v3",
-    "repro-results/v4",
-    "repro-results/v5",
-    "repro-results/v6",
-)
-
-
-def _schema_rank(schema: Any) -> int:
-    """1-based position of a schema version; unknown reads as the latest."""
-    try:
-        return _SCHEMA_ORDER.index(schema) + 1
-    except ValueError:
-        return len(_SCHEMA_ORDER)
-
-#: ``time_source`` values a v3+ job payload may carry (mirrors
+#: ``time_source`` values a job payload may carry (mirrors
 #: :data:`repro.engine.services.TIME_SOURCES` without importing the engine —
 #: artifacts must stay checkable by tooling that has no engine installed).
 JOB_TIME_SOURCES = ("simulated", "wall-clock")
 
 
 def job_time_source(job: dict[str, Any]) -> str:
-    """The time semantics of one job payload, across schema versions."""
+    """The time semantics of one job payload (simulated when unstated)."""
     return job.get("time_source") or "simulated"
-
-
-def job_data_plane(job: dict[str, Any]) -> tuple[int, int]:
-    """``(shards, batch_size)`` of one job payload, across schema versions.
-
-    Pre-v5 jobs carry neither field: they could only drive one core-group
-    with singly-proposed commands, so they read as ``(1, 0)``.
-    """
-    return int(job.get("shards") or 1), int(job.get("batch_size") or 0)
 
 
 #: Top-level payload fields that carry timing or environment information and
@@ -221,8 +177,8 @@ def _expect(
     return value
 
 
-def validate_job_payload(job: Any, schema: str, where: str = "job") -> list[str]:
-    """Structural check of one job payload under ``schema``'s field set.
+def validate_job_payload(job: Any, where: str = "job") -> list[str]:
+    """Structural check of one job payload (the same in v5 and v6).
 
     Factored out of :func:`validate_run_payload` so streamed JSONL shard
     records can be validated one line at a time — the 10k-job shard never
@@ -231,37 +187,32 @@ def validate_job_payload(job: Any, schema: str, where: str = "job") -> list[str]
     problems: list[str] = []
     if not isinstance(job, dict):
         return [f"{where}: must be an object, got {type(job).__name__}"]
-    rank = _schema_rank(schema)
     expect = lambda mapping, key, types, at: _expect(problems, mapping, key, types, at)  # noqa: E731
     expect(job, "key", (str,), where)
     expect(job, "experiment", (str,), where)
     expect(job, "seed", (int,), where)
     expect(job, "params", (dict,), where)
     expect(job, "quick", (bool,), where)
-    if rank >= 2:
-        expect(job, "backend", (str,), where)
-    if rank >= 3:
-        time_source = expect(job, "time_source", (str,), where)
-        if time_source is not None and time_source not in JOB_TIME_SOURCES:
-            problems.append(
-                f"{where}: time_source {time_source!r} not one of {JOB_TIME_SOURCES}"
-            )
-    if rank >= 4:
-        wall_latency = expect(job, "wall_latency", (dict, type(None)), where)
-        if isinstance(wall_latency, dict):
-            for name, value in wall_latency.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    problems.append(
-                        f"{where}: wall_latency[{name!r}] must be numeric, "
-                        f"got {type(value).__name__}"
-                    )
-    if rank >= 5:
-        shards = expect(job, "shards", (int,), where)
-        if shards is not None and shards < 1:
-            problems.append(f"{where}: shards must be >= 1, got {shards}")
-        batch_size = expect(job, "batch_size", (int,), where)
-        if batch_size is not None and batch_size < 0:
-            problems.append(f"{where}: batch_size must be >= 0, got {batch_size}")
+    expect(job, "backend", (str,), where)
+    time_source = expect(job, "time_source", (str,), where)
+    if time_source is not None and time_source not in JOB_TIME_SOURCES:
+        problems.append(
+            f"{where}: time_source {time_source!r} not one of {JOB_TIME_SOURCES}"
+        )
+    wall_latency = expect(job, "wall_latency", (dict, type(None)), where)
+    if isinstance(wall_latency, dict):
+        for name, value in wall_latency.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                problems.append(
+                    f"{where}: wall_latency[{name!r}] must be numeric, "
+                    f"got {type(value).__name__}"
+                )
+    shards = expect(job, "shards", (int,), where)
+    if shards is not None and shards < 1:
+        problems.append(f"{where}: shards must be >= 1, got {shards}")
+    batch_size = expect(job, "batch_size", (int,), where)
+    if batch_size is not None and batch_size < 0:
+        problems.append(f"{where}: batch_size must be >= 0, got {batch_size}")
     status = expect(job, "status", (str,), where)
     if status is not None and status not in _JOB_STATUSES:
         problems.append(f"{where}: status {status!r} not one of {_JOB_STATUSES}")
@@ -300,9 +251,8 @@ def validate_run_payload(payload: Any) -> list[str]:
         return _expect(problems, mapping, key, types, where)
 
     schema = expect(payload, "schema", (str,), "run")
-    legacy = schema in LEGACY_SCHEMA_VERSIONS
-    if schema is not None and schema != RESULTS_SCHEMA_VERSION and not legacy:
-        supported = (RESULTS_SCHEMA_VERSION,) + LEGACY_SCHEMA_VERSIONS
+    supported = (RESULTS_SCHEMA_VERSION, PREVIOUS_SCHEMA_VERSION)
+    if schema is not None and schema not in supported:
         problems.append(f"run: unsupported schema {schema!r} (expected one of {supported})")
     expect(payload, "tag", (str,), "run")
     expect(payload, "created_unix", (int, float), "run")
@@ -310,7 +260,7 @@ def validate_run_payload(payload: Any) -> list[str]:
     expect(payload, "python", (str,), "run")
     expect(payload, "workers", (int,), "run")
     expect(payload, "wall_time_s", (int, float), "run")
-    if _schema_rank(schema) >= 6:
+    if schema != PREVIOUS_SCHEMA_VERSION:
         resumed = expect(payload, "resumed", (int,), "run")
         if resumed is not None and resumed < 0:
             problems.append(f"run: resumed must be >= 0, got {resumed}")
@@ -323,7 +273,7 @@ def validate_run_payload(payload: Any) -> list[str]:
         problems.append(f"run: totals.jobs={totals.get('jobs')!r} but {len(jobs)} job entries")
 
     for position, job in enumerate(jobs):
-        problems.extend(validate_job_payload(job, schema, f"jobs[{position}]"))
+        problems.extend(validate_job_payload(job, f"jobs[{position}]"))
     return problems
 
 
@@ -433,7 +383,7 @@ class ShardWriter:
 
     def append(self, index: int, payload: dict[str, Any]) -> None:
         """Persist one finished job payload under its deterministic index."""
-        problems = validate_job_payload(payload, RESULTS_SCHEMA_VERSION, f"jobs[{index}]")
+        problems = validate_job_payload(payload, f"jobs[{index}]")
         if problems:
             raise ValueError("refusing to write invalid job record: " + "; ".join(problems))
         self._write_line({_SHARD_INDEX_FIELD: index, **payload})
@@ -562,7 +512,7 @@ def validate_shard(path: pathlib.Path | str) -> tuple[list[str], int, bool]:
                 problems.append(f"record {jobs}: missing integer {_SHARD_INDEX_FIELD!r}")
                 continue
             payload = {k: v for k, v in record.items() if k != _SHARD_INDEX_FIELD}
-            problems.extend(validate_job_payload(payload, RESULTS_SCHEMA_VERSION, f"jobs[{index}]"))
+            problems.extend(validate_job_payload(payload, f"jobs[{index}]"))
             jobs += 1
     except (OSError, ValueError) as exc:
         return [str(exc)], jobs, False
@@ -623,9 +573,7 @@ class StreamingRunWriter:
         self._handle.write(text[: -len("\n}")] + ',\n  "jobs": [')
 
     def add_job(self, payload: dict[str, Any]) -> None:
-        problems = validate_job_payload(
-            payload, RESULTS_SCHEMA_VERSION, f"jobs[{self._count}]"
-        )
+        problems = validate_job_payload(payload, f"jobs[{self._count}]")
         if problems:
             self.abort()
             raise ValueError("refusing to write invalid job record: " + "; ".join(problems))

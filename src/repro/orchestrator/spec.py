@@ -156,183 +156,106 @@ def _blob_runner(kilobytes: int = 64, seed: int = 0, quick: bool = False) -> dic
     }
 
 
-_SIZES_HELP = "comma-separated cluster sizes for the sweep, e.g. 4,7,10"
+#: Parameter kind by the type of its declared default.  A ``None`` default
+#: marks a sweep list (``sizes``, ``breadths``): the runner picks its own
+#: quick/full range unless a comma-separated override is given.
+_KIND_OF_DEFAULT = {int: "int", float: "float", bool: "bool", str: "str", type(None): "ints"}
 
-#: Scenario axes shared by every E1-E12 experiment: which scheduler drives
-#: delivery and which fault plan scripts the environment (string specs, see
-#: :mod:`repro.sim.axes`).  Declared on every spec so a sweep can run the
-#: whole evaluation under adversarial schedules and crash/partition churn.
-AXIS_PARAMS: tuple[ParamSpec, ...] = (
-    ParamSpec(
-        "scheduler", "str", "",
-        "schedule override: delay | random[:spread=S] | "
-        "worst-case[:victims=p0+p1|quorum,starve=S,fast=F]",
-    ),
-    ParamSpec(
-        "fault_plan", "str", "",
-        "fault script: churn | partition@A-B and crash:IDX@A-B terms joined with +",
-    ),
-    # The backend menu and its help text come from the engine's backend
-    # registry — a new backend shows up here without touching this module.
-    ParamSpec("backend", "str", "kernel", backend_param_help()),
-)
+#: Help for the axes every experiment shares: which scheduler drives
+#: delivery, which fault plan scripts the environment (string specs, see
+#: :mod:`repro.sim.axes`) and which engine backend executes the run — so a
+#: sweep can run the whole evaluation under adversarial schedules and
+#: crash/partition churn.  The backend menu and its help text come from the
+#: engine's backend registry: a new backend shows up here without touching
+#: this module.
+_AXIS_HELP = {
+    "scheduler": "schedule override: delay | random[:spread=S] | "
+    "worst-case[:victims=p0+p1|quorum,starve=S,fast=F]",
+    "fault_plan": "fault script: churn | partition@A-B and crash:IDX@A-B terms joined with +",
+    "backend": backend_param_help(),
+}
 
-#: Registry of every experiment the orchestrator can run.
+_SCENARIO_HELP = {
+    "protocol": "wts | sbs | gwts | gsbs | rsm",
+    "n": "cluster size (>= 3f+1)",
+    "f": "failure threshold",
+    "byzantine": "behaviour names joined with +, e.g. silent+nack-spam",
+    "rounds": "rounds for generalized protocols",
+    "mutant": "known-bad variant for self-tests",
+    "wire": "wire-fault DSL for sbs/gsbs over real TCP, "
+    "e.g. flip:0.3+tamper-value:0.5 (see repro.engine.wire_faults)",
+    "batch": "proposer batch size for gwts/gsbs/rsm (0 = propose singly)",
+    "shards": "shard the RSM into this many core-groups (rsm only, n >= shards*(3f+1))",
+}
+
+
+def _declared_params(defaults: Mapping[str, Any], param_help: Mapping[str, str]) -> tuple[ParamSpec, ...]:
+    """One :class:`ParamSpec` per ``name -> default``, kind read off the default."""
+    param_help = {**_AXIS_HELP, **param_help}
+    return tuple(
+        ParamSpec(name, _KIND_OF_DEFAULT[type(default)], default, param_help.get(name, ""))
+        for name, default in defaults.items()
+    )
+
+
+def _spec(
+    experiment_id: str,
+    title: str,
+    runner: Callable[..., dict[str, Any]],
+    param_help: Mapping[str, str],
+    hidden: bool = False,
+) -> ExperimentSpec:
+    """The spec of a runner whose signature declares its parameters.
+
+    ``seed`` and ``quick`` are not parameters: every job carries them itself.
+    """
+    defaults = {
+        name: parameter.default
+        for name, parameter in inspect.signature(runner).parameters.items()
+        if name not in ("seed", "quick")
+    }
+    return ExperimentSpec(experiment_id, title, runner, _declared_params(defaults, param_help), hidden)
+
+
+#: Registry of every experiment the orchestrator can run: the harness's
+#: experiment list (E1..E13), the explorer's hidden ``SCENARIO`` experiment —
+#: whose parameters are the :class:`~repro.explore.scenarios.ScenarioSpec`
+#: fields — and the orchestrator's own self-test runners.
 EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
     spec.id: spec
     for spec in (
-        ExperimentSpec(
-            id="E1",
-            title="decisions form a chain in the power-set lattice (Figure 1)",
-            runner=_experiments.run_chain_experiment,
-            params=(
-                ParamSpec("n", "int", 4, "cluster size"),
-                ParamSpec("f", "int", 1, "failure threshold"),
-            ) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E2",
-            title="necessity of 3f+1 processes (Theorem 1)",
-            runner=_experiments.run_resilience_experiment,
-            params=(ParamSpec("f", "int", 1, "failure threshold"),) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E3",
-            title="WTS decides within 2f+5 message delays (Theorem 3)",
-            runner=_experiments.run_wts_latency_experiment,
-            params=(ParamSpec("max_f", "int", 3, "largest failure threshold swept"),) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E4",
-            title="WTS message complexity O(n^2) per process (Section 5.1.3)",
-            runner=_experiments.run_wts_messages_experiment,
-            params=(ParamSpec("sizes", "ints", None, _SIZES_HELP),) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E5",
-            title="SbS latency 5+4f and O(n) messages (Theorem 8)",
-            runner=_experiments.run_sbs_experiment,
-            params=(ParamSpec("sizes", "ints", None, _SIZES_HELP),) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E6",
-            title="GWTS messages per proposer per decision O(f n^2) (Section 6.4)",
-            runner=_experiments.run_gwts_messages_experiment,
-            params=(
-                ParamSpec("sizes", "ints", None, _SIZES_HELP),
-                ParamSpec("rounds", "int", 3, "GWTS rounds per run"),
-            ) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E7",
-            title="GWTS liveness and inclusivity under round clogging (Section 6.2/6.3)",
-            runner=_experiments.run_gwts_liveness_experiment,
-            params=(
-                ParamSpec("f", "int", 1, "failure threshold"),
-                ParamSpec("rounds", "int", 5, "GWTS rounds per run"),
-            ) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E8",
-            title="RSM linearizability and wait-freedom with Byzantine clients (Section 7)",
-            runner=_experiments.run_rsm_experiment,
-            params=(
-                ParamSpec("f", "int", 1, "failure threshold"),
-                ParamSpec("clients", "int", 3, "number of correct clients"),
-                ParamSpec("updates_per_client", "int", 2, "updates issued per client"),
-            ) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E9",
-            title="breadth argument against the restrictive specification (Section 2)",
-            runner=_experiments.run_breadth_experiment,
-            params=(
-                ParamSpec("n", "int", 4, "cluster size"),
-                ParamSpec("f", "int", 1, "failure threshold"),
-                ParamSpec("breadths", "ints", None, "lattice breadths to contrast"),
-            ) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E10",
-            title="Byzantine tolerance overhead vs the crash-fault baseline",
-            runner=_experiments.run_baseline_comparison,
-            params=(ParamSpec("sizes", "ints", None, _SIZES_HELP),) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E11",
-            title="ablation of the WTS design choices (extension)",
-            runner=_experiments.run_ablation_experiment,
-            params=AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E12",
-            title="GWTS under partition/crash churn (extension)",
-            runner=_experiments.run_partition_churn_experiment,
-            params=(
-                ParamSpec("f", "int", 1, "failure threshold"),
-                ParamSpec("rounds", "int", 4, "GWTS rounds per run"),
-            ) + AXIS_PARAMS,
-        ),
-        ExperimentSpec(
-            id="E13",
-            title="sharded + batched GLA data-plane scaling (extension)",
-            runner=_experiments.run_shard_scaling_experiment,
-            # The curves are a data-plane throughput study, so the runner
-            # defaults to the turbo backend (unlike E1-E12's kernel default);
-            # the declared default below must match the runner's signature.
-            params=(
-                ParamSpec(
-                    "scheduler", "str", "",
-                    "schedule override: delay | random[:spread=S] | "
-                    "worst-case[:victims=p0+p1|quorum,starve=S,fast=F]",
-                ),
-                ParamSpec(
-                    "fault_plan", "str", "",
-                    "fault script: churn | partition@A-B and crash:IDX@A-B terms joined with +",
-                ),
-                ParamSpec("backend", "str", "turbo", backend_param_help()),
-            ),
+        *(
+            _spec(entry.id, entry.title, entry.runner, entry.param_help)
+            for entry in _experiments.EXPERIMENTS
         ),
         ExperimentSpec(
             id="SCENARIO",
             title="one randomized-explorer scenario (see python -m repro explore)",
             runner=_scenarios.run_scenario_experiment,
-            params=(
-                ParamSpec("protocol", "str", "wts", "wts | sbs | gwts | gsbs | rsm"),
-                ParamSpec("n", "int", 4, "cluster size (>= 3f+1)"),
-                ParamSpec("f", "int", 1, "failure threshold"),
-                ParamSpec("byzantine", "str", "", "behaviour names joined with +, e.g. silent+nack-spam"),
-                ParamSpec("rounds", "int", 3, "rounds for generalized protocols"),
-                ParamSpec("mutant", "str", "", "known-bad variant for self-tests"),
-                ParamSpec("wire", "str", "",
-                          "wire-fault DSL for sbs/gsbs over real TCP, "
-                          "e.g. flip:0.3+tamper-value:0.5 (see repro.engine.wire_faults)"),
-                ParamSpec("batch", "int", 0,
-                          "proposer batch size for gwts/gsbs/rsm (0 = propose singly)"),
-                ParamSpec("shards", "int", 1,
-                          "shard the RSM into this many core-groups (rsm only, n >= shards*(3f+1))"),
-            ) + AXIS_PARAMS,
+            params=_declared_params(
+                _scenarios.ScenarioSpec().params() | {"backend": "kernel"}, _SCENARIO_HELP
+            ),
             hidden=True,
         ),
-        ExperimentSpec(
-            id="SLEEP",
-            title="orchestrator self-test: sleep for a configurable duration",
-            runner=_sleep_runner,
-            params=(ParamSpec("duration", "float", 5.0, "seconds to sleep"),),
+        _spec(
+            "SLEEP",
+            "orchestrator self-test: sleep for a configurable duration",
+            _sleep_runner,
+            {"duration": "seconds to sleep"},
             hidden=True,
         ),
-        ExperimentSpec(
-            id="CRASH",
-            title="orchestrator self-test: kill the worker process mid-job",
-            runner=_crash_runner,
-            params=(ParamSpec("exit_code", "int", 13, "exit code for os._exit"),),
+        _spec(
+            "CRASH",
+            "orchestrator self-test: kill the worker process mid-job",
+            _crash_runner,
+            {"exit_code": "exit code for os._exit"},
             hidden=True,
         ),
-        ExperimentSpec(
-            id="BLOB",
-            title="orchestrator self-test: return a payload of a configurable size",
-            runner=_blob_runner,
-            params=(ParamSpec("kilobytes", "int", 64, "payload size in KiB"),),
+        _spec(
+            "BLOB",
+            "orchestrator self-test: return a payload of a configurable size",
+            _blob_runner,
+            {"kilobytes": "payload size in KiB"},
             hidden=True,
         ),
     )

@@ -119,16 +119,15 @@ class TestValidateAndCompare:
         assert main(["compare", str(baseline_path), str(current_path)]) == 1
         assert "LATENCY REGRESSION" in capsys.readouterr().out
 
-    def test_compare_reads_legacy_v1_baselines(self, tmp_path, capsys):
-        """A v2 run still diffs cleanly against a committed v1 baseline."""
+    def test_compare_reads_previous_v5_baselines(self, tmp_path, capsys):
+        """A current run still diffs cleanly against a previous-schema (v5) baseline."""
         baseline_path = tmp_path / "baseline.json"
         current_path = tmp_path / "current.json"
         assert main(["sweep", "--quick", "--only", "E3", "--out", str(baseline_path)]) == 0
         assert main(["sweep", "--quick", "--only", "E3", "--out", str(current_path)]) == 0
         baseline = json.loads(baseline_path.read_text())
-        baseline["schema"] = "repro-results/v1"
-        for job in baseline["jobs"]:
-            del job["backend"]  # v1 artifacts predate the field
+        baseline["schema"] = "repro-results/v5"
+        del baseline["resumed"]  # v5 artifacts predate the field
         baseline_path.write_text(json.dumps(baseline))
         assert main(["validate", str(baseline_path)]) == 0
         assert main(["compare", str(baseline_path), str(current_path)]) == 0

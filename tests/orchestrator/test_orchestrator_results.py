@@ -54,9 +54,11 @@ class TestValidation:
     def test_fresh_payload_is_valid(self):
         assert validate_run_payload(_payload()) == []
 
-    def test_schema_version_is_enforced(self):
+    @pytest.mark.parametrize("schema", ["repro-results/v999", "repro-results/v4", "repro-results/v1"])
+    def test_schema_version_is_enforced(self, schema):
+        """Only the current and the previous (v5) schema are readable."""
         payload = _payload()
-        payload["schema"] = "repro-results/v999"
+        payload["schema"] = schema
         assert any("unsupported schema" in p for p in validate_run_payload(payload))
 
     def test_v2_jobs_record_their_backend(self):
@@ -148,53 +150,11 @@ class TestValidation:
         payload["resumed"] = -1
         assert any("resumed" in p for p in validate_run_payload(payload))
 
-    def test_legacy_v5_artifacts_still_validate(self):
-        """Pre-streaming baselines (repro-results/v5) stay readable."""
+    def test_previous_v5_artifacts_still_validate(self):
+        """Pre-streaming baselines (repro-results/v5, the previous schema) stay readable."""
         payload = _payload()
         payload["schema"] = "repro-results/v5"
         del payload["resumed"]  # v5 never had the field
-        assert validate_run_payload(payload) == []
-
-    def test_legacy_v4_artifacts_still_validate(self):
-        """Pre-sharding baselines (repro-results/v4) stay readable."""
-        payload = _payload()
-        payload["schema"] = "repro-results/v4"
-        for job in payload["jobs"]:
-            del job["shards"]  # v4 never had the data-plane fields
-            del job["batch_size"]
-        assert validate_run_payload(payload) == []
-
-    def test_legacy_v3_artifacts_still_validate(self):
-        """Pre-tail-latency baselines (repro-results/v3) stay readable."""
-        payload = _payload()
-        payload["schema"] = "repro-results/v3"
-        for job in payload["jobs"]:
-            del job["wall_latency"]  # v3 never had the field
-            del job["shards"]
-            del job["batch_size"]
-        assert validate_run_payload(payload) == []
-
-    def test_legacy_v2_artifacts_still_validate(self):
-        """Pre-time-source baselines (repro-results/v2) stay readable."""
-        payload = _payload()
-        payload["schema"] = "repro-results/v2"
-        for job in payload["jobs"]:
-            del job["time_source"]  # v2 never had the field
-            del job["wall_latency"]
-            del job["shards"]
-            del job["batch_size"]
-        assert validate_run_payload(payload) == []
-
-    def test_legacy_v1_artifacts_still_validate(self):
-        """Pre-backend baselines (repro-results/v1) stay readable."""
-        payload = _payload()
-        payload["schema"] = "repro-results/v1"
-        for job in payload["jobs"]:
-            del job["backend"]  # v1 never had the field
-            del job["time_source"]  # nor this one
-            del job["wall_latency"]
-            del job["shards"]
-            del job["batch_size"]
         assert validate_run_payload(payload) == []
 
     def test_missing_fields_are_reported(self):
@@ -265,7 +225,7 @@ class TestCanonicalForm:
 
 
 class TestValidatorNegativePaths:
-    """Malformed repro-results/v1 payloads are rejected field by field."""
+    """Malformed payloads are rejected field by field."""
 
     def test_job_entry_must_be_an_object(self):
         payload = _payload()
