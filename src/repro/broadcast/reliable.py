@@ -61,7 +61,17 @@ def is_rb_message(payload: Any) -> bool:
 
 
 class _InstanceState:
-    """Per-(origin, tag) protocol state at one process."""
+    """Per-(origin, tag) protocol state at one process.
+
+    A delivered instance stops working and lets go of its votes.  Delivery
+    takes ``2f + 1`` readies for one value, so ``sent_ready`` was already
+    set when that value reached ``f + 1``; every later echo or ready — for
+    this value or an equivocated one — can therefore satisfy no guard
+    (both ready guards need ``not sent_ready``, the delivery guard needs
+    ``not delivered``), and the vote tables would only pin memory for as
+    long as the process runs.  The three flags stay: ``sent_echo`` still
+    decides whether a late INIT is echoed.
+    """
 
     __slots__ = (
         "echo_senders",
@@ -84,6 +94,10 @@ class _InstanceState:
         self.sent_echo = False
         self.sent_ready = False
         self.delivered = False
+
+    def mark_delivered(self) -> None:
+        self.delivered = True
+        self.echo_senders = self.ready_senders = self.echo_votes = self.ready_votes = None
 
 
 class ReliableBroadcaster:
@@ -177,7 +191,7 @@ class ReliableBroadcaster:
 
     def _on_echo(self, sender: Hashable, msg: RBEcho) -> None:
         state = self._state((msg.origin, msg.tag))
-        if sender in state.echo_senders:
+        if state.delivered or sender in state.echo_senders:
             return
         state.echo_senders.add(sender)
         votes = state.echo_votes.setdefault(msg.value, set())
@@ -189,7 +203,7 @@ class ReliableBroadcaster:
 
     def _on_ready(self, sender: Hashable, msg: RBReady) -> None:
         state = self._state((msg.origin, msg.tag))
-        if sender in state.ready_senders:
+        if state.delivered or sender in state.ready_senders:
             return
         state.ready_senders.add(sender)
         votes = state.ready_votes.setdefault(msg.value, set())
@@ -200,8 +214,8 @@ class ReliableBroadcaster:
             state.sent_ready = True
             ready = RBReady(origin=msg.origin, tag=msg.tag, value=msg.value)
             self._node.broadcast(ready, include_self=True)
-        if len(votes) >= self.ready_quorum and not state.delivered:
-            state.delivered = True
+        if len(votes) >= self.ready_quorum:
+            state.mark_delivered()
             self._deliver(msg.origin, msg.tag, msg.value)
 
     # -- introspection (used by tests) ----------------------------------------------

@@ -25,6 +25,14 @@ Lifecycle:
 * **torn handshakes stay local** — a connection that sends garbage (wire
   errors, unknown frame kinds, missing fields) is dropped with a stderr
   note; the server and every other connection keep running.
+* **a connection speaks for one peer** — ``peer`` frames carry no sender;
+  the node stamps the one the connection's ``hello`` named, which must be a
+  peer from the seed list and must come first.  Breaking either rule drops
+  that connection the same way.
+* **each value is paid for once** — a ``Broadcast`` effect is one
+  ``encode_frame`` whose bytes go on every peer link, and a ``peer`` body
+  this node decoded a moment ago (the echo three peers relay) is looked up
+  in the :class:`~repro.cluster.protocol.FrameTable` instead of parsed.
 * **SIGTERM drains** — on SIGTERM/SIGINT the node keeps processing until
   its sockets have been quiet for ``spec.drain_idle_s`` seconds (in-flight
   decisions complete and their notices flush) or ``spec.drain_max_s``
@@ -44,14 +52,15 @@ import time
 from repro.cluster.protocol import (
     K_CLIENT,
     K_HELLO,
-    K_MSG,
+    K_PEER,
     K_STATUS,
     K_STATUS_REPLY,
     FrameLink,
+    FrameTable,
     frame_field,
     frame_kind,
     hello_frame,
-    msg_frame,
+    peer_frame,
     reply_frame,
 )
 from repro.cluster.runtime import CoreHost
@@ -70,10 +79,19 @@ class NodeServer:
         members = spec.member_names()
         self.core = Replica(name, members, spec.f, max_rounds=spec.max_rounds)
         self.host = CoreHost(
-            self.core, members=members, send=self._route, time_scale=spec.time_scale
+            self.core,
+            members=members,
+            send=self._route,
+            broadcast=self._broadcast,
+            time_scale=spec.time_scale,
         )
         #: Outbound links to every peer, by node name.
         self.peers: dict[str, FrameLink] = {}
+        #: Decoded peer frames by body, shared by every inbound connection.
+        self.frames = FrameTable()
+        #: Peer frames delivered to the core (``status``: with the table's
+        #: hits, the share of them that skipped the parse).
+        self.peer_frames_in = 0
         #: Peers whose hello we have seen on an inbound connection.
         self.inbound_peers: set[str] = set()
         #: Client id -> the connection to reply on (None after a disconnect).
@@ -176,7 +194,7 @@ class NodeServer:
         self._last_activity = time.monotonic()
         link = self.peers.get(dest)
         if link is not None:
-            link.send(msg_frame(self.me.name, payload))
+            link.send(peer_frame(payload))
             return
         # Anything that is not a member is a client the replica heard from.
         data = self.codec.encode_frame(reply_frame(dest, self.me.name, payload))
@@ -185,6 +203,13 @@ class NodeServer:
             writer.write(data)
         else:
             self._client_backlog.setdefault(dest, []).append(data)
+
+    def _broadcast(self, dests, payload) -> None:
+        """One ``Broadcast`` effect: encode once, queue the bytes on every link."""
+        self._last_activity = time.monotonic()
+        data = self.codec.encode_frame(peer_frame(payload))
+        for dest in dests:
+            self.peers[dest].send_encoded(data)
 
     # -- inbound connections (peers, clients, probes) ---------------------------------
 
@@ -202,29 +227,44 @@ class NodeServer:
             writer.close()
 
     async def _serve_frames(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        #: The peer this connection speaks for, stamped on its ``peer`` frames
+        #: (``None`` until its hello: clients and probes never say one).
+        sender: str | None = None
         try:
             while True:
                 try:
-                    frame = await self.codec.read_frame(reader)
+                    body = await self.codec.read_body(reader)
                 except asyncio.IncompleteReadError:
                     break  # clean close
                 self._last_activity = time.monotonic()
-                kind = frame_kind(frame)
-                if kind == K_MSG:
-                    self.host.deliver(frame_field(frame, "sender"), frame_field(frame, "payload"))
-                elif kind == K_CLIENT:
-                    self._handle_client_frame(frame, writer)
-                elif kind == K_HELLO:
-                    self.inbound_peers.add(frame_field(frame, "node"))
-                    # Answer with our incarnation token so the dialing link
-                    # can tell a restarted process from a reconnect.
-                    writer.write(self.codec.encode_frame(hello_frame(self.me.name, boot=self._boot)))
-                    await writer.drain()
-                elif kind == K_STATUS:
-                    writer.write(self.codec.encode_frame(self.status()))
-                    await writer.drain()
-                else:
-                    raise ClusterError(f"unexpected frame kind {kind!r} on a node socket")
+                # The body passed its CRC; a repeat of a peer frame some
+                # connection already decoded skips the parse.
+                payload = self.frames.get(body)
+                if payload is None:
+                    frame = self.codec.decode_body(body)
+                    kind = frame_kind(frame)
+                    if kind == K_CLIENT:
+                        self._handle_client_frame(frame, writer)
+                        continue
+                    if kind == K_HELLO:
+                        sender = self._accept_hello(frame, sender)
+                        # Answer with our incarnation token so the dialing link
+                        # can tell a restarted process from a reconnect.
+                        writer.write(self.codec.encode_frame(hello_frame(self.me.name, boot=self._boot)))
+                        await writer.drain()
+                        continue
+                    if kind == K_STATUS:
+                        writer.write(self.codec.encode_frame(self.status()))
+                        await writer.drain()
+                        continue
+                    if kind != K_PEER:
+                        raise ClusterError(f"unexpected frame kind {kind!r} on a node socket")
+                    payload = frame_field(frame, "payload")
+                    self.frames.remember(body, payload)
+                if sender is None:
+                    raise ClusterError("peer frame on a connection that has not said hello")
+                self.peer_frames_in += 1
+                self.host.deliver(sender, payload)
         except (WireError, ClusterError) as failure:
             # A torn or foreign handshake: drop this connection, keep serving.
             print(
@@ -234,6 +274,20 @@ class NodeServer:
             )
         except (ConnectionError, OSError):
             pass
+
+    def _accept_hello(self, frame: dict, sender: str | None) -> str:
+        """The peer a ``hello`` frame makes its connection speak for.
+
+        A connection speaks for one peer for as long as it lives, and only
+        the names in the seed list are peers — a node never dials itself.
+        """
+        node = frame_field(frame, "node")
+        if not isinstance(node, str) or node == self.me.name or node not in self.host.members:
+            raise ClusterError(f"hello from {node!r}, which is not a peer of {self.me.name}")
+        if sender is not None and node != sender:
+            raise ClusterError(f"connection of {sender!r} said hello again as {node!r}")
+        self.inbound_peers.add(node)
+        return node
 
     def _handle_client_frame(self, frame: dict, writer: asyncio.StreamWriter) -> None:
         client = frame_field(frame, "client")
@@ -263,6 +317,8 @@ class NodeServer:
             "clients": sorted(
                 client for client, writer in self.clients.items() if writer is not None
             ),
+            "peer_frames_in": self.peer_frames_in,
+            "frame_table_hits": self.frames.hits,
             "uptime_s": round(time.monotonic() - self._started, 3),
         }
 

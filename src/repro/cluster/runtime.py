@@ -12,9 +12,12 @@ interpreter of the effect vocabulary that makes this work:
   processes play their own acceptor role); any other destination goes out
   through the ``send`` callback the embedding supplies (a peer link or a
   client reply channel).
-* ``Broadcast`` fans out to the protocol *membership* — in a cluster the
+* ``Broadcast`` reaches the protocol *membership* — in a cluster the
   host does not know the whole "system" the in-process engines enumerate,
   and GWTS/reliable-broadcast traffic is only meaningful to members anyway.
+  The remote members are handed to the embedding's ``broadcast`` callback
+  as **one** operation, so a node can encode the payload once for all of
+  them; an embedding that gives only ``send`` gets one ``send`` per member.
 * ``SetTimer`` maps protocol time units onto wall-clock seconds via
   ``time_scale`` and arms ``loop.call_later``; cancellation stays lazy
   (the fire callback checks ``handle.cancelled``), exactly like the
@@ -49,13 +52,17 @@ class CoreHost:
         *,
         members: Iterable[Hashable] = (),
         send: Callable[[Hashable, Any], None] | None = None,
+        broadcast: Callable[[tuple[Hashable, ...], Any], None] | None = None,
         time_scale: float = 0.001,
         clock_origin: float | None = None,
         on_output: Callable[[str, Any], None] | None = None,
     ) -> None:
         self.core = core
         self.members = tuple(members)
+        #: The members a ``Broadcast`` leaves this process for.
+        self._remote_members = tuple(dest for dest in self.members if dest != core.pid)
         self._send = send
+        self._broadcast = broadcast
         self.time_scale = time_scale
         self.clock_origin = time.monotonic() if clock_origin is None else clock_origin
         self.on_output = on_output
@@ -117,10 +124,14 @@ class CoreHost:
             if cls is Send:
                 self._route(effect.dest, effect.payload)
             elif cls is Broadcast:
-                for dest in self.members:
-                    if dest == self.core.pid and not effect.include_self:
-                        continue
-                    self._route(dest, effect.payload)
+                payload = effect.payload
+                if effect.include_self and self.core.pid in self.members:
+                    self._route(self.core.pid, payload)
+                if self._broadcast is not None:
+                    self._broadcast(self._remote_members, payload)
+                else:
+                    for dest in self._remote_members:
+                        self._route(dest, payload)
             elif cls is SetTimer:
                 handle = effect.handle
                 timer = self._loop.call_later(

@@ -98,6 +98,10 @@ class GWTSProcess(AgreementProcess):
         #: Ack history shared by the proposer and acceptor roles:
         #: AckKey -> set of acceptors whose reliably-broadcast ack we saw.
         self.ack_history: dict[AckKey, set[Hashable]] = defaultdict(set)
+        #: The same record split by round (same keys in the same order, the
+        #: very same acceptor sets): the guards below ask about one round at
+        #: a time, many times per message, and must not rescan all history.
+        self._round_acks: dict[int, dict[AckKey, set[Hashable]]] = defaultdict(dict)
         self.waiting_msgs: list[tuple[Hashable, Any]] = []
         #: All values this process has received as inputs (for the checkers).
         self.received_inputs: list[LatticeElement] = []
@@ -185,9 +189,13 @@ class GWTSProcess(AgreementProcess):
             return
         self._store_ack(origin, value)
 
-    def _store_ack(self, origin: Hashable, ack: RoundAck) -> None:
+    def _store_ack(self, origin: Hashable, ack: RoundAck) -> set[Hashable]:
+        """Record one reliably-broadcast ack; the acceptors seen for it so far."""
         key: AckKey = (ack.accepted_set, ack.destination, ack.ts, ack.round)
-        self.ack_history[key].add(origin)
+        acceptors = self.ack_history[key]
+        acceptors.add(origin)
+        self._round_acks[ack.round][key] = acceptors
+        return acceptors
 
     # -- safety predicate ----------------------------------------------------------------------
 
@@ -262,18 +270,15 @@ class GWTSProcess(AgreementProcess):
     def _round_has_commit(self, round_no: int) -> bool:
         """Whether some proposal of ``round_no`` gathered an ack quorum."""
         return any(
-            key[3] == round_no and len(senders) >= self.quorum
-            for key, senders in self.ack_history.items()
+            len(senders) >= self.quorum for senders in self._round_acks.get(round_no, {}).values()
         )
 
     def _find_decidable_commit(self) -> LatticeElement | None:
         """A committed ``Accepted_set`` of the current round extending ``Decided_set``."""
         candidates = [
             key[0]
-            for key, senders in self.ack_history.items()
-            if key[3] == self.round
-            and len(senders) >= self.quorum
-            and self.lattice.leq(self.decided_set, key[0])
+            for key, senders in self._round_acks.get(self.round, {}).items()
+            if len(senders) >= self.quorum and self.lattice.leq(self.decided_set, key[0])
         ]
         if not candidates:
             return None

@@ -15,6 +15,16 @@ tags.  Two framings carry them, selected per engine via
       b"\\x01\\x02"              -> {"~": "bytes", "v": "0102"}
       Ack(accepted_set=..., ...) -> {"~": "dc:Ack", "v": {...fields...}}
 
+  One pass each way, one implementation each way: :func:`encode_frame`
+  writes that text directly (no intermediate tree; a dataclass's opening
+  text and field keys are cached per class, strings go through the JSON
+  module's C escaper) and :func:`decode_body` is a single
+  :func:`json.loads` whose object hook revives each tagged object as the C
+  scanner closes it, children first.  Set order rule: members travel
+  sorted by their own encoded text.  That text is a function of the value
+  alone, so equal sets give equal frames under any hash seed; the order
+  carries no meaning, and a decoder accepts members in any order.
+
 * ``"binary"`` — the compact wire-speed format: one type byte per value,
   varint/struct lengths, zigzag-varint ints, per-frame string interning
   (repeated node ids and field strings cost one varint after first use) and
@@ -171,51 +181,95 @@ def _ensure_builtin_payloads() -> None:
 # JSON framing (the readable reference format)
 # ---------------------------------------------------------------------------
 
+#: JSON string escaper (the C one when the accelerator is built) — the same
+#: ``ensure_ascii`` escaping :func:`json.dumps` applies, so bodies are ASCII.
+_escape = json.encoder.encode_basestring_ascii
 
-def encode_value(value: Any) -> Any:
-    """Convert ``value`` into JSON-ready data (tagging non-native types)."""
+
+def _open(tag: str) -> str:
+    """Opening text of one tagged container; all of them close with ``]}``."""
+    return f'{{"{_TAG}":"{tag}","v":['
+
+
+_OPEN_TUPLE, _OPEN_DICT = _open("tuple"), _open("dict")
+_OPEN_SET = {frozenset: _open("frozenset"), set: _open("set")}
+_OPEN_BYTES = f'{{"{_TAG}":"bytes","v":"'
+_INFINITY = float("inf")
+
+#: Per-class JSON encoding plan, filled on first use: the opening text
+#: ``{"~":"dc:Name","v":{`` and each field's name beside its ``"name":`` key.
+_JSON_PLANS: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {}
+
+#: Built-in types whose subclasses are encoded as the base type (what
+#: ``isinstance`` dispatch and :func:`json.dumps` always did with them).
+_JSON_BASES = (int, float, str, list, tuple, frozenset, set, bytes, dict)
+
+
+def _json_plan(cls: type) -> None:
+    """Cache the encoding plan of one wire-registered dataclass."""
     if not _builtins_registered:
         _ensure_builtin_payloads()
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [encode_value(item) for item in value]
-    if isinstance(value, tuple):
-        return {_TAG: "tuple", "v": [encode_value(item) for item in value]}
-    if isinstance(value, frozenset):
-        return {_TAG: "frozenset", "v": _encode_set_items(value)}
-    if isinstance(value, set):
-        return {_TAG: "set", "v": _encode_set_items(value)}
-    if isinstance(value, bytes):
-        return {_TAG: "bytes", "v": value.hex()}
-    if isinstance(value, dict):
-        if all(isinstance(key, str) for key in value) and _TAG not in value:
-            return {key: encode_value(item) for key, item in value.items()}
+    name = cls.__name__
+    if _DATACLASSES.get(name) is not cls:
+        raise WireError(
+            f"dataclass {cls.__module__}.{name} is not wire-registered; "
+            "call repro.engine.wire.register_wire_dataclass first"
+        )
+    head = f'{{"{_TAG}":{_escape("dc:" + name)},"v":{{'
+    _JSON_PLANS[cls] = (head, tuple((field, _escape(field) + ":") for field in _field_names(cls)))
+
+
+def _json_text(value: Any) -> str:
+    """The tagged-JSON text of ``value``, emitted in one pass (no tree).
+
+    Set members are sorted by their own text: a member's text is a pure
+    function of its value (nested sets sort the same way, dicts keep
+    insertion order), so frames do not depend on the hash seed.
+    """
+    cls = value.__class__
+    if cls is str:
+        return _escape(value)
+    if cls is int:
+        return int.__repr__(value)
+    plan = _JSON_PLANS.get(cls)
+    if plan is not None:
+        head, fields = plan
+        return head + ",".join([key + _json_text(getattr(value, name)) for name, key in fields]) + "}}"
+    if cls is frozenset or cls is set:
+        return _OPEN_SET[cls] + ",".join(sorted(map(_json_text, value))) + "]}"
+    if cls is tuple:
+        return _OPEN_TUPLE + ",".join(map(_json_text, value)) + "]}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if cls is list:
+        return "[" + ",".join(map(_json_text, value)) + "]"
+    if cls is bytes:
+        return _OPEN_BYTES + value.hex() + '"}'
+    if cls is dict:
+        if _TAG not in value and all(isinstance(key, str) for key in value):
+            return "{" + ",".join([_escape(key) + ":" + _json_text(item) for key, item in value.items()]) + "}"
         # Non-string keys (or a reserved-tag collision): pair list form.
-        return {
-            _TAG: "dict",
-            "v": [[encode_value(key), encode_value(item)] for key, item in value.items()],
-        }
+        pairs = ["[" + _json_text(key) + "," + _json_text(item) + "]" for key, item in value.items()]
+        return _OPEN_DICT + ",".join(pairs) + "]}"
+    if cls is float:
+        if value != value:
+            return "NaN"
+        if value in (_INFINITY, -_INFINITY):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    # The slow lane: a subclass of a built-in type, or the first sight of a
+    # dataclass (whose plan is cached for every later frame).
+    for base in _JSON_BASES:
+        if isinstance(value, base):
+            return _json_text(base(value))
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        if _DATACLASSES.get(name) is not type(value):
-            raise WireError(
-                f"dataclass {type(value).__module__}.{name} is not wire-registered; "
-                "call repro.engine.wire.register_wire_dataclass first"
-            )
-        fields = {
-            field.name: encode_value(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-        return {_TAG: f"dc:{name}", "v": fields}
+        _json_plan(cls)
+        return _json_text(value)
     raise WireError(f"value of type {type(value).__name__} is not wire-encodable: {value!r}")
-
-
-def _encode_set_items(items: Iterable[Any]) -> list:
-    """Encode set members in a stable order so frames are deterministic."""
-    encoded = [encode_value(item) for item in items]
-    encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
-    return encoded
 
 
 def _tag_body(data: dict, tag: str, expected: type) -> Any:
@@ -238,59 +292,52 @@ def _tag_body(data: dict, tag: str, expected: type) -> Any:
     return body
 
 
-def decode_value(data: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if not _builtins_registered:
-        _ensure_builtin_payloads()
-    if data is None or isinstance(data, (bool, int, float, str)):
+def _revive(data: dict) -> Any:
+    """``json.loads`` object hook: turn one tagged object back into its value.
+
+    The scanner calls this bottom-up, so everything inside ``data`` has been
+    revived already; an untagged object is a plain dict and passes through.
+    """
+    tag = data.get(_TAG)
+    if tag is None:
         return data
-    if isinstance(data, list):
-        return [decode_value(item) for item in data]
-    if isinstance(data, dict):
-        tag = data.get(_TAG)
-        if tag is None:
-            return {key: decode_value(item) for key, item in data.items()}
-        if not isinstance(tag, str):
-            raise WireError(f"non-string wire tag {tag!r}")
-        if tag == "tuple":
-            return tuple(decode_value(item) for item in _tag_body(data, tag, list))
-        if tag == "frozenset":
-            return frozenset(decode_value(item) for item in _tag_body(data, tag, list))
-        if tag == "set":
-            return {decode_value(item) for item in _tag_body(data, tag, list)}
-        if tag == "bytes":
-            body = _tag_body(data, tag, str)
-            try:
-                return bytes.fromhex(body)
-            except ValueError as failure:
-                raise WireError(f"invalid hex bytes body: {failure}") from None
-        if tag == "dict":
-            body = _tag_body(data, tag, list)
-            try:
-                return {decode_value(key): decode_value(item) for key, item in body}
-            except (TypeError, ValueError) as failure:
-                if isinstance(failure, WireError):
-                    raise
-                raise WireError(f"malformed dict pair body: {failure}") from None
-        if tag.startswith("dc:"):
-            name = tag[3:]
-            cls = _DATACLASSES.get(name)
-            if cls is None:
-                raise WireError(f"unknown wire dataclass {name!r}")
-            body = _tag_body(data, tag, dict)
-            try:
-                return cls(**{key: decode_value(item) for key, item in body.items()})
-            except TypeError as failure:
-                raise WireError(
-                    f"wire dataclass {name!r} body does not match its fields: {failure}"
-                ) from None
-        raise WireError(f"unknown wire tag {tag!r}")
-    raise WireError(f"undecodable wire data of type {type(data).__name__}")
+    if tag.__class__ is not str:
+        raise WireError(f"non-string wire tag {tag!r}")
+    if tag[:3] == "dc:":
+        name = tag[3:]
+        cls = _DATACLASSES.get(name)
+        if cls is None:
+            raise WireError(f"unknown wire dataclass {name!r}")
+        try:
+            return cls(**_tag_body(data, tag, dict))
+        except TypeError as failure:
+            raise WireError(
+                f"wire dataclass {name!r} body does not match its fields: {failure}"
+            ) from None
+    if tag == "frozenset":
+        return frozenset(_tag_body(data, tag, list))
+    if tag == "tuple":
+        return tuple(_tag_body(data, tag, list))
+    if tag == "set":
+        return set(_tag_body(data, tag, list))
+    if tag == "bytes":
+        body = _tag_body(data, tag, str)
+        try:
+            return bytes.fromhex(body)
+        except ValueError as failure:
+            raise WireError(f"invalid hex bytes body: {failure}") from None
+    if tag == "dict":
+        body = _tag_body(data, tag, list)
+        try:
+            return dict(body)
+        except (TypeError, ValueError) as failure:
+            raise WireError(f"malformed dict pair body: {failure}") from None
+    raise WireError(f"unknown wire tag {tag!r}")
 
 
 def encode_frame(message: Any) -> bytes:
     """Serialise one message into a length-prefixed JSON frame."""
-    body = json.dumps(encode_value(message), separators=(",", ":")).encode("utf-8")
+    body = _json_text(message).encode("ascii")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return pack_header(body) + body
@@ -299,17 +346,21 @@ def encode_frame(message: Any) -> bytes:
 def decode_body(body) -> Any:
     """Deserialise one JSON frame body (the part after the length prefix).
 
+    One :func:`json.loads` pass with :func:`_revive` as the object hook.
     Accepts any bytes-like object (a buffered transport hands in
     :class:`memoryview` slices); undecodable bytes raise :class:`WireError`
     instead of leaking :class:`json.JSONDecodeError`.
     """
+    if not _builtins_registered:
+        _ensure_builtin_payloads()
     if isinstance(body, memoryview):
         body = bytes(body)
     try:
-        data = json.loads(body)
-    except ValueError as failure:
+        return json.loads(body, object_hook=_revive)
+    except WireError:
+        raise
+    except (ValueError, RecursionError) as failure:
         raise WireError(f"undecodable JSON frame body: {failure}") from failure
-    return decode_value(data)
 
 
 async def read_frame(reader) -> Any:
@@ -592,14 +643,19 @@ class Codec:
     def decode_body(self, body) -> Any:
         raise NotImplementedError
 
-    async def read_frame(self, reader) -> Any:
-        """Read one frame from an :class:`asyncio.StreamReader` (or raise
-        ``asyncio.IncompleteReadError`` when the peer closed)."""
+    async def read_body(self, reader) -> bytes:
+        """Read one frame's CRC-checked body from an
+        :class:`asyncio.StreamReader` (or raise ``asyncio.IncompleteReadError``
+        when the peer closed) — for a receiver that may not need to decode it."""
         header = await reader.readexactly(HEADER_SIZE)
         length, crc = unpack_header(header)
         body = await reader.readexactly(length)
         check_crc(body, crc)
-        return self.decode_body(body)
+        return body
+
+    async def read_frame(self, reader) -> Any:
+        """Read and decode one frame (same failure modes as :meth:`read_body`)."""
+        return self.decode_body(await self.read_body(reader))
 
 
 class JsonCodec(Codec):

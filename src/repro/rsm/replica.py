@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.gwts import GWTSProcess
+from repro.core.messages import RoundAck
 from repro.lattice.base import JoinSemilattice
 from repro.lattice.set_lattice import SetLattice
 from repro.rsm.commands import Command
@@ -80,10 +81,15 @@ class Replica(GWTSProcess):
         super().__init__(
             pid, lattice, members, f, max_rounds=max_rounds, batch_size=batch_size
         )
-        #: Command -> set of clients to notify when it gets decided.
-        self._interested_clients: dict[Command, set[Hashable]] = {}
+        #: Command -> clients still to notify once it gets decided; a
+        #: command leaves the table when its clients have been told, so the
+        #: walk after every message covers work in flight, not all history.
+        self._unnotified: dict[Command, set[Hashable]] = {}
         #: Commands already notified (per client), to avoid duplicate notices.
         self._notified: set[tuple[Hashable, Command]] = set()
+        #: Every ``Accepted_set`` that gathered a Byzantine quorum of acks
+        #: here (acceptor sets only grow, so membership is for good).
+        self._committed_sets: set[frozenset[Command]] = set()
         #: Pending confirmation requests: (client, accepted_set) not yet answered.
         self._pending_conf: list[tuple[Hashable, frozenset[Command]]] = []
         #: Commands this replica has admitted (for tests / experiments).
@@ -115,7 +121,8 @@ class Replica(GWTSProcess):
             # Lemma 12: "if cmd is not an admissible command then correct
             # replicas filter out cmd".
             return
-        self._interested_clients.setdefault(command, set()).add(sender)
+        if (sender, command) not in self._notified:
+            self._unnotified.setdefault(command, set()).add(sender)
         self.admitted_commands.append(command)
         self.new_value(element)
 
@@ -135,17 +142,13 @@ class Replica(GWTSProcess):
         if not self.decisions:
             return
         latest: frozenset[Command] = self.decisions[-1]
-        for command, clients in self._interested_clients.items():
-            if command in latest:
-                for client in clients:
-                    key = (client, command)
-                    if key in self._notified:
-                        continue
-                    self._notified.add(key)
-                    self.send(
-                        client,
-                        DecideNotice(accepted_set=latest, replica=self.pid),
-                    )
+        for command in [command for command in self._unnotified if command in latest]:
+            for client in self._unnotified.pop(command):
+                self._notified.add((client, command))
+                self.send(
+                    client,
+                    DecideNotice(accepted_set=latest, replica=self.pid),
+                )
 
     def _answer_confirmations(self) -> None:
         """Algorithm 7: confirm values that have a quorum of acks in Ack_history."""
@@ -162,9 +165,12 @@ class Replica(GWTSProcess):
                 still_pending.append((client, accepted_set))
         self._pending_conf = still_pending
 
+    def _store_ack(self, origin: Hashable, ack: RoundAck) -> set[Hashable]:
+        acceptors = super()._store_ack(origin, ack)
+        if len(acceptors) >= self.quorum:
+            self._committed_sets.add(ack.accepted_set)
+        return acceptors
+
     def _is_committed(self, accepted_set: frozenset[Command]) -> bool:
         """Whether ``accepted_set`` gathered a Byzantine quorum of acks here."""
-        return any(
-            key[0] == accepted_set and len(senders) >= self.quorum
-            for key, senders in self.ack_history.items()
-        )
+        return accepted_set in self._committed_sets

@@ -167,3 +167,26 @@ class TestAgreementUnderEquivocation:
             network.submit("p1", "p0", RBReady(origin="p9", tag="t", value="v"))
         network.run_until_quiescent()
         assert host.delivered == []
+
+
+class TestDeliveredInstancesLetGo:
+    def test_delivery_drops_the_vote_tables_and_keeps_the_flags(self):
+        network, members, nodes = build(4, 1, hosts={"p0": [("t", "x")]})
+        network.run_until_quiescent()
+        for node in nodes:
+            state = node.rb._instances[("p0", "t")]
+            assert (state.sent_echo, state.sent_ready, state.delivered) == (True, True, True)
+            assert state.echo_votes is state.ready_votes is state.echo_senders is state.ready_senders is None
+
+    def test_late_and_equivocated_votes_for_a_delivered_instance_change_nothing(self):
+        network, members, nodes = build(4, 1, hosts={"p0": [("t", "x")]})
+        network.run_until_quiescent()
+        sent_before = sum(network.metrics.sent_by_process.values())
+        for cls in (RBEcho, RBReady):
+            for value in ("x", "equivocated"):
+                for sender in members:
+                    network.submit(sender, "p1", cls(origin="p0", tag="t", value=value))
+        network.run_until_quiescent()
+        assert nodes[1].delivered == [("p0", "t", "x")]
+        # Sixteen injected votes were delivered and answered by nothing.
+        assert sum(network.metrics.sent_by_process.values()) == sent_before + 16

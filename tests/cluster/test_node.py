@@ -1,0 +1,332 @@
+"""NodeServer on real sockets, in process: the node<->node path pays for each
+value once, and a node socket believes a connection only about itself.
+
+One :class:`~repro.cluster.node.NodeServer` runs on the test's event loop;
+the test plays its peers, clients and probes over raw connections, so every
+assertion is about bytes that crossed a socket.
+"""
+
+import asyncio
+import contextlib
+
+from repro.broadcast.reliable import RBEcho, RBReady
+from repro.cluster.node import NodeServer
+from repro.cluster.protocol import (
+    FRAME_TABLE_ENTRIES,
+    client_frame,
+    hello_frame,
+    msg_frame,
+    peer_frame,
+    status_frame,
+)
+from repro.cluster.spec import localhost_spec
+from repro.engine import wire
+from repro.rsm.commands import make_command
+from repro.rsm.replica import UpdateRequest
+
+
+class CountingCodec(wire.Codec):
+    """The spec's codec, remembering what it was asked to encode and decode."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.encoded = []
+        self.decoded = []
+
+    def encode_frame(self, message):
+        self.encoded.append(message)
+        return self.inner.encode_frame(message)
+
+    def decode_body(self, body):
+        self.decoded.append(bytes(body))
+        return self.inner.decode_body(body)
+
+
+class Conn:
+    """One raw connection to the node under test."""
+
+    def __init__(self, reader, writer, codec):
+        self.reader, self.writer, self.codec = reader, writer, codec
+
+    async def send(self, frame):
+        await self.send_bytes(self.codec.encode_frame(frame))
+
+    async def send_bytes(self, data):
+        self.writer.write(data)
+        await self.writer.drain()
+
+    async def recv(self):
+        return await asyncio.wait_for(self.codec.read_frame(self.reader), 10)
+
+    async def hello(self, name):
+        await self.send(hello_frame(name))
+        return await self.recv()
+
+    async def dropped(self):
+        """Whether the node hung up on us (EOF) instead of answering."""
+        return await asyncio.wait_for(self.reader.read(), 10) == b""
+
+    def close(self):
+        self.writer.close()
+
+
+class LiveNode:
+    """An in-process ``n0`` and the raw connections the test opened to it."""
+
+    def __init__(self, server):
+        self.server = server
+        #: ``(sender, payload)`` as the node hands what its sockets received
+        #: to its core host (the core itself still runs).
+        self.delivered = []
+        self.conns = []
+        deliver = server.host.deliver
+
+        def record(sender, payload):
+            if sender != "n0":  # the replica's own loopback is not socket traffic
+                self.delivered.append((sender, payload))
+            deliver(sender, payload)
+
+        server.host.deliver = record
+
+    async def connect(self, hello=None):
+        reader, writer = await asyncio.open_connection(self.server.me.host, self.server.me.port)
+        conn = Conn(reader, writer, self.server.codec.inner)
+        self.conns.append(conn)
+        if hello is not None:
+            await conn.hello(hello)
+        return conn
+
+    async def delivers(self, count):
+        await settle(lambda: len(self.delivered) >= count, f"{count} deliveries")
+
+    async def still_serving(self):
+        probe = await self.connect()
+        await probe.send(status_frame())
+        status = await probe.recv()
+        return status["kind"] == "status_reply" and status["node"] == "n0"
+
+
+def run_node(scenario, framing="json", n=4):
+    """Run ``scenario(node)`` against a :class:`LiveNode` on this test's loop."""
+
+    async def main():
+        spec = localhost_spec(n, framing=framing, drain_idle_s=0.02, drain_max_s=0.2)
+        server = NodeServer(spec, "n0")
+        server.codec = CountingCodec(server.codec)
+        node = LiveNode(server)
+        running = asyncio.ensure_future(server.run())
+        while server._server is None and not running.done():
+            await asyncio.sleep(0.005)
+        try:
+            return await scenario(node)
+        finally:
+            for conn in node.conns:
+                conn.close()
+            server._stopping.set()
+            assert await asyncio.wait_for(running, 10) == 0
+
+    return asyncio.run(main())
+
+
+async def settle(condition, what):
+    deadline = asyncio.get_running_loop().time() + 10
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, f"timed out waiting for {what}"
+        await asyncio.sleep(0.005)
+
+
+ECHO = RBEcho(origin="n3", tag=("ack", 0, 1, "n3"), value=frozenset({make_command("c0", 1, ("inc", 1))}))
+
+
+class TestEncodeOncePerBroadcast:
+    def test_one_broadcast_is_one_encode_and_equal_bytes_on_every_link(self):
+        async def scenario(node):
+            server, inner = node.server, node.server.codec.inner
+            received = {peer.name: [] for peer in server.spec.nodes[1:]}
+
+            def peer(name):
+                async def serve(reader, writer):
+                    assert (await inner.read_frame(reader))["kind"] == "hello"
+                    writer.write(inner.encode_frame(hello_frame(name, boot=f"{name}.boot")))
+                    await writer.drain()
+                    with contextlib.suppress(asyncio.IncompleteReadError):
+                        while True:
+                            header = await reader.readexactly(wire.HEADER_SIZE)
+                            length, _crc = wire.unpack_header(header)
+                            received[name].append(header + await reader.readexactly(length))
+                    writer.close()
+
+                return serve
+
+            def peer_frames_encoded():
+                return [frame for frame in server.codec.encoded if frame["kind"] == "peer"]
+
+            async with contextlib.AsyncExitStack() as stack:
+                for spec in server.spec.nodes[1:]:
+                    listener = await asyncio.start_server(peer(spec.name), spec.host, spec.port)
+                    await stack.enter_async_context(listener)
+                await settle(lambda: server.ready, "n0 to link up with its three peers")
+                server.host.call(lambda: server.core.broadcast(ECHO, include_self=False))
+                # The replica only ever broadcasts to its peers, so each of
+                # them is owed exactly one frame per encode.
+                await settle(
+                    lambda: all(len(frames) == len(peer_frames_encoded()) for frames in received.values()),
+                    "every peer to read one frame per encode",
+                )
+                for link in server.peers.values():
+                    await link.close()
+            return peer_frames_encoded(), received
+
+        encoded, received = run_node(scenario)
+        assert encoded.count(peer_frame(ECHO)) == 1  # one encode_frame for n - 1 peers
+        assert received["n1"] == received["n2"] == received["n3"]
+        assert wire.decode_body(received["n1"][-1][wire.HEADER_SIZE :]) == peer_frame(ECHO)
+
+
+class TestDecodeOncePerDistinctFrame:
+    def test_identical_bodies_from_two_peers_share_one_decoded_message(self):
+        async def scenario(node):
+            first, second = await node.connect(hello="n1"), await node.connect(hello="n2")
+            node.server.codec.decoded.clear()
+            await first.send(peer_frame(ECHO))
+            await second.send(peer_frame(ECHO))
+            await node.delivers(2)
+            return node.delivered, node.server.codec.decoded, node.server.status()
+
+        delivered, decoded, status = run_node(scenario)
+        assert delivered == [("n1", ECHO), ("n2", ECHO)]
+        assert delivered[0][1] is delivered[1][1]
+        assert len(decoded) == 1
+        assert (status["peer_frames_in"], status["frame_table_hits"]) == (2, 1)
+
+    def test_a_message_holding_a_list_is_decoded_afresh_for_every_peer(self):
+        mutable = RBReady(origin="n3", tag="t", value=[1, 2])
+
+        async def scenario(node):
+            first, second = await node.connect(hello="n1"), await node.connect(hello="n2")
+            await first.send(peer_frame(mutable))
+            await second.send(peer_frame(mutable))
+            await node.delivers(2)
+            return node.delivered, len(node.server.frames), node.server.frames.hits
+
+        delivered, remembered, hits = run_node(scenario)
+        assert delivered == [("n1", mutable), ("n2", mutable)]
+        assert delivered[0][1] is not delivered[1][1]
+        assert delivered[0][1].value is not delivered[1][1].value
+        assert (remembered, hits) == (0, 0)
+
+    def test_a_corrupted_repeat_dies_at_the_crc_before_the_table_is_asked(self, capsys):
+        async def scenario(node):
+            first, second = await node.connect(hello="n1"), await node.connect(hello="n2")
+            frame = node.server.codec.inner.encode_frame(peer_frame(ECHO))
+            await first.send_bytes(frame)
+            await node.delivers(1)
+            # The remembered body under a header whose CRC it does not match.
+            stale = bytearray(frame)
+            stale[wire.HEADER_SIZE - 1] ^= 0x01
+            await second.send_bytes(bytes(stale))
+            assert await second.dropped()
+            return node.delivered, node.server.frames.hits, await node.still_serving()
+
+        delivered, hits, serving = run_node(scenario)
+        assert delivered == [("n1", ECHO)]
+        assert hits == 0 and serving
+        assert "dropping connection: frame checksum mismatch" in capsys.readouterr().err
+
+    def test_the_table_stays_within_its_bound_on_a_live_node(self):
+        async def scenario(node):
+            conn = await node.connect(hello="n1")
+            total = 2 * FRAME_TABLE_ENTRIES + 5
+            for index in range(total):
+                await conn.send(peer_frame(RBEcho(origin="n3", tag=("t", index), value=index)))
+            await node.delivers(total)
+            return len(node.server.frames)
+
+        assert run_node(scenario, framing="binary") == FRAME_TABLE_ENTRIES
+
+
+class TestNodeSocketHardening:
+    def drops(self, frames, capsys, note, hello=None):
+        """Sending ``frames`` gets that connection dropped with ``note``; the node serves on."""
+
+        async def scenario(node):
+            conn = await node.connect(hello=hello)
+            for frame in frames:
+                await conn.send(frame)
+            return await conn.dropped(), node.delivered, await node.still_serving()
+
+        dropped, delivered, serving = run_node(scenario)
+        assert dropped and serving
+        assert delivered == []
+        err = capsys.readouterr().err
+        assert "cluster node n0: dropping connection:" in err and note in err
+
+    def test_protocol_frame_before_hello(self, capsys):
+        self.drops([peer_frame(ECHO)], capsys, "has not said hello")
+
+    def test_remembered_protocol_frame_before_hello(self, capsys):
+        """A table hit is still a peer frame: it needs a hello like any other."""
+
+        async def scenario(node):
+            peer, stranger = await node.connect(hello="n1"), await node.connect()
+            await peer.send(peer_frame(ECHO))
+            await node.delivers(1)
+            await stranger.send(peer_frame(ECHO))
+            return await stranger.dropped(), node.delivered
+
+        dropped, delivered = run_node(scenario)
+        assert dropped and delivered == [("n1", ECHO)]
+        assert "has not said hello" in capsys.readouterr().err
+
+    def test_hello_naming_a_non_member(self, capsys):
+        self.drops([hello_frame("mallory")], capsys, "not a peer of n0")
+
+    def test_hello_naming_the_node_itself(self, capsys):
+        self.drops([hello_frame("n0")], capsys, "not a peer of n0")
+
+    def test_hello_with_an_unhashable_name(self, capsys):
+        self.drops([{"kind": "hello", "node": ["n1"]}], capsys, "not a peer of n0")
+
+    def test_second_hello_under_another_name(self, capsys):
+        self.drops([hello_frame("n2")], capsys, "said hello again as 'n2'", hello="n1")
+
+    def test_frame_that_is_not_a_dict(self, capsys):
+        self.drops([["peer", "n1"]], capsys, "must be a dict", hello="n1")
+
+    def test_peer_frame_without_a_payload(self, capsys):
+        self.drops([{"kind": "peer"}], capsys, "missing 'payload'", hello="n1")
+
+    def test_the_old_self_declared_sender_shape(self, capsys):
+        self.drops([msg_frame("n2", ECHO)], capsys, "unexpected frame kind 'msg'", hello="n1")
+
+    def test_a_connection_speaks_only_for_the_peer_it_said_hello_as(self):
+        async def scenario(node):
+            conn = await node.connect()
+            answer = await conn.hello("n1")
+            # Whatever the body claims, the sender is the connection's.
+            await conn.send({**peer_frame(ECHO), "sender": "n2"})
+            await conn.hello("n1")  # repeating the same name is harmless
+            await conn.send(peer_frame("again"))
+            await node.delivers(2)
+            return answer, node.delivered, node.server.status()["peers_in"]
+
+        answer, delivered, peers_in = run_node(scenario)
+        assert answer["kind"] == "hello" and answer["node"] == "n0" and answer["boot"]
+        assert delivered == [("n1", ECHO), ("n1", "again")]
+        assert peers_in == ["n1"]
+
+    def test_client_and_status_frames_need_no_hello(self):
+        request = UpdateRequest(command=make_command("c9", 1, ("svc", "inc", 1)))
+
+        async def scenario(node):
+            conn = await node.connect()
+            await conn.send(client_frame("c9", request))
+            await node.delivers(1)
+            await conn.send(status_frame())
+            return node.delivered, await conn.recv()
+
+        delivered, status = run_node(scenario)
+        assert delivered == [("c9", request)]
+        assert status["clients"] == ["c9"] and status["admitted"] == 1
+        assert (status["peer_frames_in"], status["frame_table_hits"]) == (0, 0)

@@ -5,12 +5,15 @@ import asyncio
 import pytest
 
 from repro.cluster.protocol import (
+    FRAME_TABLE_ENTRIES,
+    FRAME_TABLE_MAX_BODY,
     FrameLink,
+    FrameTable,
     client_frame,
     frame_field,
     frame_kind,
     hello_frame,
-    msg_frame,
+    peer_frame,
     reply_frame,
     request_status,
 )
@@ -27,7 +30,7 @@ class TestFrames:
         command = make_command("c0", 1, ("counter", "inc", 1))
         frames = [
             hello_frame("n0"),
-            msg_frame("n1", UpdateRequest(command=command)),
+            peer_frame(UpdateRequest(command=command)),
             client_frame("c0", UpdateRequest(command=command)),
             reply_frame("c0", "n0", DecideNotice(accepted_set=frozenset({command}), replica="n0")),
         ]
@@ -45,11 +48,67 @@ class TestFrames:
             frame_kind({"node": "n0"})
 
     def test_frame_field_is_loud_on_torn_frames(self):
-        with pytest.raises(ClusterError, match="missing 'sender'"):
-            frame_field({"kind": "msg"}, "sender")
+        with pytest.raises(ClusterError, match="missing 'payload'"):
+            frame_field({"kind": "peer"}, "payload")
+
+
+class TestFrameTable:
+    def test_a_remembered_body_answers_with_the_very_same_payload(self):
+        table = FrameTable()
+        payload = DecideNotice(accepted_set=frozenset({"c"}), replica="n0")
+        assert table.get(b"body") is None
+        table.remember(b"body", payload)
+        assert table.get(b"body") is payload
+        assert table.get(b"body ") is None  # the key is the exact bytes
+        assert table.hits == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"k": 1},
+            {1, 2},
+            ("tuple", ["holding", "a list"]),
+            DecideNotice(accepted_set={"a", "mutable", "set"}, replica="n0"),
+            None,
+        ],
+    )
+    def test_a_payload_hash_refuses_is_never_shared(self, payload):
+        table = FrameTable()
+        table.remember(b"body", payload)
+        assert len(table) == 0 and table.get(b"body") is None
+
+    def test_an_oversized_body_is_not_remembered(self):
+        table = FrameTable()
+        table.remember(bytes(FRAME_TABLE_MAX_BODY + 1), "payload")
+        table.remember(bytes(FRAME_TABLE_MAX_BODY), "payload")
+        assert len(table) == 1
+
+    def test_the_table_never_exceeds_its_bound_and_forgets_the_oldest_first(self):
+        table = FrameTable()
+        for index in range(3 * FRAME_TABLE_ENTRIES):
+            table.remember(b"body-%d" % index, index + 1)
+            assert len(table) <= FRAME_TABLE_ENTRIES
+        assert len(table) == FRAME_TABLE_ENTRIES
+        assert table.get(b"body-%d" % (2 * FRAME_TABLE_ENTRIES - 1)) is None
+        assert table.get(b"body-%d" % (2 * FRAME_TABLE_ENTRIES)) == 2 * FRAME_TABLE_ENTRIES + 1
 
 
 class TestFrameLink:
+    def test_an_already_encoded_frame_is_queued_as_it_is(self):
+        async def main():
+            codec = get_codec("binary")
+            link = FrameLink("127.0.0.1", 1, codec)
+            data = codec.encode_frame(peer_frame("once"))
+            link.send_encoded(data)
+            link.send(peer_frame("once"))
+            assert bytes(link._buffer) == data + data
+            await link.close()
+            link.send_encoded(data)  # dropped like any send after close
+            assert link.pending_bytes == len(data) * 2
+
+        asyncio.run(main())
+
     def test_buffers_while_down_and_flushes_on_connect(self):
         """Frames sent before the peer exists arrive once it appears."""
 
@@ -75,8 +134,8 @@ class TestFrameLink:
 
             link = FrameLink("127.0.0.1", port, codec, hello=hello_frame("n0"))
             link.start()
-            link.send(msg_frame("n0", "early-1"))
-            link.send(msg_frame("n0", "early-2"))
+            link.send(peer_frame("early-1"))
+            link.send(peer_frame("early-2"))
             await asyncio.sleep(0.1)
             assert not link.connected
             assert link.pending_bytes > 0
@@ -91,7 +150,7 @@ class TestFrameLink:
         received = asyncio.run(main())
         # The hello goes first, then the backlog in order.
         assert received[0] == hello_frame("n0")
-        assert received[1:3] == [msg_frame("n0", "early-1"), msg_frame("n0", "early-2")]
+        assert received[1:3] == [peer_frame("early-1"), peer_frame("early-2")]
 
     def test_new_incarnation_drops_buffered_backlog(self):
         """Frames buffered for a dead peer die with it; a restarted peer
@@ -122,11 +181,11 @@ class TestFrameLink:
                 "127.0.0.1", port, codec, hello=hello_frame("n0", boot="me"), expect_hello=True
             )
             link.start()
-            link.send(msg_frame("n0", "for-first-incarnation"))
+            link.send(peer_frame("for-first-incarnation"))
             deadline = asyncio.get_running_loop().time() + 10
             while len(received) < 2 and asyncio.get_running_loop().time() < deadline:
                 await asyncio.sleep(0.01)
-            assert [f.get("payload") for _b, f in received if f.get("kind") == "msg"] == [
+            assert [f.get("payload") for _b, f in received if f.get("kind") == "peer"] == [
                 "for-first-incarnation"
             ]
 
@@ -137,7 +196,7 @@ class TestFrameLink:
             for conn in conns:
                 conn.close()
             await asyncio.sleep(0.05)
-            link.send(msg_frame("n0", "addressed-to-the-dead"))
+            link.send(peer_frame("addressed-to-the-dead"))
             deadline = asyncio.get_running_loop().time() + 10
             while link.pending_bytes == 0 and asyncio.get_running_loop().time() < deadline:
                 await asyncio.sleep(0.01)
@@ -152,16 +211,16 @@ class TestFrameLink:
             while not link.connected and asyncio.get_running_loop().time() < deadline:
                 await asyncio.sleep(0.01)
             assert link.connected
-            link.send(msg_frame("n0", "for-second-incarnation"))
+            link.send(peer_frame("for-second-incarnation"))
             while (
-                not any(b == "second" and f.get("kind") == "msg" for b, f in received)
+                not any(b == "second" and f.get("kind") == "peer" for b, f in received)
                 and asyncio.get_running_loop().time() < deadline
             ):
                 await asyncio.sleep(0.01)
             await link.close()
             server.close()
             await server.wait_closed()
-            second = [f.get("payload") for b, f in received if b == "second" and f.get("kind") == "msg"]
+            second = [f.get("payload") for b, f in received if b == "second" and f.get("kind") == "peer"]
             assert second == ["for-second-incarnation"], second
 
         asyncio.run(main())

@@ -24,6 +24,8 @@ class EchoCore(ProtocolCore):
         self.seen.append((sender, payload))
         if payload == "fan":
             self.broadcast("hello", include_self=False)
+        elif payload == "fan-self":
+            self.broadcast("hello-all", include_self=True)
         elif payload == "self":
             self.send(self.pid, "loopback")
         elif payload == "remote":
@@ -89,6 +91,31 @@ class TestCoreHost:
         _core, _host, sent = run_host(scenario)
         # include_self=False: self excluded; non-members never appear.
         assert sent == [("other", "hello"), ("third", "hello")]
+
+    def test_broadcast_is_one_operation_for_an_embedding_that_takes_it(self):
+        """A ``broadcast`` callback gets the remote members in one call (so a
+        node can encode once); ``send`` sees nothing, self still loops back."""
+
+        async def main():
+            sent, fanned = [], []
+            core = EchoCore("me", ("me", "other", "third"))
+            host = CoreHost(
+                core,
+                members=core.members,
+                send=lambda dest, payload: sent.append((dest, payload)),
+                broadcast=lambda dests, payload: fanned.append((dests, payload)),
+            )
+            host.start()
+            host.deliver("x", "fan")
+            host.deliver("x", "fan-self")
+            assert ("me", "hello-all") not in core.seen  # queued, never re-entrant
+            await asyncio.sleep(0)
+            return core, sent, fanned
+
+        core, sent, fanned = asyncio.run(main())
+        assert fanned == [(("other", "third"), "hello"), (("other", "third"), "hello-all")]
+        assert sent == []
+        assert ("me", "hello-all") in core.seen and ("me", "hello") not in core.seen
 
     def test_timer_fires_scaled_and_stamps_now(self):
         async def scenario(core, host):

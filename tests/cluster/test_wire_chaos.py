@@ -29,7 +29,7 @@ mid-frame.  The audit's pinned findings:
 import asyncio
 import socket
 
-from repro.cluster.protocol import FrameLink, hello_frame, msg_frame
+from repro.cluster.protocol import FrameLink, hello_frame, peer_frame
 from repro.engine.wire import get_codec
 from repro.engine.wire_faults import FaultySocket
 
@@ -58,7 +58,7 @@ def run_link_scenario(scenario):
             try:
                 while True:
                     frame = await codec.read_frame(reader)
-                    if frame.get("kind") == "msg":
+                    if frame.get("kind") == "peer":
                         received.append(frame["payload"])
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return
@@ -83,7 +83,7 @@ class TestTornFrames:
             link.start()
             expected = [f"payload-{i}" for i in range(25)]
             for payload in expected:
-                link.send(msg_frame("n0", payload))
+                link.send(peer_frame(payload))
             deadline = asyncio.get_running_loop().time() + 20.0
             while len(received) < len(expected):
                 assert asyncio.get_running_loop().time() < deadline, received
@@ -104,7 +104,7 @@ class TestTornFrames:
             link.start()
             expected = [f"payload-{i}" for i in range(5)]
             for payload in expected:
-                link.send(msg_frame("n0", payload))
+                link.send(peer_frame(payload))
             deadline = asyncio.get_running_loop().time() + 20.0
             while len(received) < len(expected):
                 assert asyncio.get_running_loop().time() < deadline, received
@@ -135,7 +135,7 @@ class TestReconnectChurn:
             while (len(set(received)) < target
                    and asyncio.get_running_loop().time() < deadline):
                 if sent < 400:
-                    link.send(msg_frame("n0", f"payload-{sent}"))
+                    link.send(peer_frame(f"payload-{sent}"))
                     sent += 1
                 await asyncio.sleep(0.01)
             await link.close()
@@ -181,7 +181,7 @@ class TestFlushLoopCancellation:
                 try:
                     while True:
                         frame = await codec.read_frame(reader)
-                        if frame.get("kind") == "msg":
+                        if frame.get("kind") == "peer":
                             received.append(frame["payload"])
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return
@@ -204,7 +204,7 @@ class TestFlushLoopCancellation:
                 await asyncio.sleep(0.005)
             # Make drain() block on any meaningful backlog.
             link._writer.transport.set_write_buffer_limits(high=1024, low=0)
-            link.send(msg_frame("n0", big))
+            link.send(peer_frame(big))
             # The flush loop has the chunk in hand once the link buffer is
             # empty; the kernel-side socket fills and drain() parks.
             deadline = asyncio.get_running_loop().time() + 10.0

@@ -2,8 +2,17 @@
 for every protocol payload, framing integrity, and loud corruption failures."""
 
 import dataclasses
+import json
+import math
+import os
+import subprocess
+import sys
+from enum import IntEnum
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast.reliable import RBEcho, RBInit, RBReady
 from repro.core.messages import (
@@ -31,6 +40,11 @@ def codec(request):
 def roundtrip(value, codec=None):
     codec = codec or wire.get_codec("json")
     return codec.decode_body(codec.encode_frame(value)[wire.HEADER_SIZE:])
+
+
+def decode_json(data):
+    """Decode hand-written tagged JSON data through the one JSON decoder."""
+    return wire.decode_body(json.dumps(data).encode("utf-8"))
 
 
 class TestPrimitivesAndContainers:
@@ -153,22 +167,22 @@ class TestNegativePaths:
             x: int
 
         with pytest.raises(wire.WireError, match="not wire-registered"):
-            wire.encode_value(Private(x=1))
+            wire.encode_frame(Private(x=1))
 
     def test_unencodable_object_rejected(self):
         class Opaque:
             pass
 
         with pytest.raises(wire.WireError, match="not wire-encodable"):
-            wire.encode_value(Opaque())
+            wire.encode_frame(Opaque())
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(wire.WireError, match="unknown wire tag"):
-            wire.decode_value({"~": "martian", "v": []})
+            decode_json({"~": "martian", "v": []})
 
     def test_unknown_dataclass_rejected(self):
         with pytest.raises(wire.WireError, match="unknown wire dataclass"):
-            wire.decode_value({"~": "dc:Martian", "v": {}})
+            decode_json({"~": "dc:Martian", "v": {}})
 
     def test_name_collisions_rejected(self):
         @dataclasses.dataclass(frozen=True)
@@ -190,7 +204,7 @@ class TestTaggedBodyValidation:
     @pytest.mark.parametrize("tag", ["tuple", "frozenset", "set", "dict", "bytes", "dc:Ack"])
     def test_missing_v_body_rejected(self, tag):
         with pytest.raises(wire.WireError, match="missing its 'v' body"):
-            wire.decode_value({"~": tag})
+            decode_json({"~": tag})
 
     @pytest.mark.parametrize(
         "data",
@@ -205,23 +219,23 @@ class TestTaggedBodyValidation:
     )
     def test_wrong_body_type_rejected(self, data):
         with pytest.raises(wire.WireError, match="expected"):
-            wire.decode_value(data)
+            decode_json(data)
 
     def test_non_string_tag_rejected(self):
         with pytest.raises(wire.WireError, match="non-string wire tag"):
-            wire.decode_value({"~": 7, "v": []})
+            decode_json({"~": 7, "v": []})
 
     def test_invalid_hex_bytes_rejected(self):
         with pytest.raises(wire.WireError, match="invalid hex"):
-            wire.decode_value({"~": "bytes", "v": "zz"})
+            decode_json({"~": "bytes", "v": "zz"})
 
     def test_malformed_dict_pairs_rejected(self):
         with pytest.raises(wire.WireError, match="malformed dict pair"):
-            wire.decode_value({"~": "dict", "v": [["lonely-key"]]})
+            decode_json({"~": "dict", "v": [["lonely-key"]]})
 
     def test_dataclass_field_mismatch_rejected(self):
         with pytest.raises(wire.WireError, match="does not match its fields"):
-            wire.decode_value({"~": "dc:Ack", "v": {"martian_field": 1}})
+            decode_json({"~": "dc:Ack", "v": {"martian_field": 1}})
 
 
 def read_one_frame(codec, data):
@@ -327,3 +341,157 @@ class TestBitFlipSweep:
         h_length, h_crc = wire.unpack_header(honest[: wire.HEADER_SIZE])
         wire.check_crc(honest[wire.HEADER_SIZE :], h_crc)
         assert codec.decode_body(honest[wire.HEADER_SIZE :]) == message
+
+
+# -- the single-pass JSON codec ---------------------------------------------------------
+
+#: Bodies the previous JSON encoder (tree + ``json.dumps``) produced for a
+#: cluster frame, a signed value and a pair-list dict: the grammar did not
+#: change, so they still decode — members of a set may now travel in another
+#: order, which no decoder can see.
+PARENT_ENCODER_BODIES = [
+    (
+        b'{"kind":"msg","sender":"n2","payload":{"~":"dc:RBEcho","v":{"origin":"n1","tag":{"~":"tuple",'
+        b'"v":["ack",2,5,"n0"]},"value":{"~":"dc:RoundAck","v":{"accepted_set":{"~":"frozenset","v":[{"~":'
+        b'"dc:Command","v":{"client":"c0","seq":1,"operation":{"~":"tuple","v":["svc","inc",1]}}},{"~":'
+        b'"dc:Command","v":{"client":"c1","seq":2,"operation":{"~":"tuple","v":["nop"]}}}]},"destination":'
+        b'"n0","sender":"n1","ts":5,"round":2,"mtype":"ack"}},"mtype":"rb_echo"}}}',
+        lambda: {
+            "kind": "msg",
+            "sender": "n2",
+            "payload": RBEcho(
+                origin="n1",
+                tag=("ack", 2, 5, "n0"),
+                value=RoundAck(
+                    accepted_set=frozenset(
+                        {make_command("c0", 1, ("svc", "inc", 1)), make_command("c1", 2, ("nop",))}
+                    ),
+                    destination="n0",
+                    sender="n1",
+                    ts=5,
+                    round=2,
+                ),
+            ),
+        },
+    ),
+    (
+        b'{"~":"dc:SignedValue","v":{"value":{"~":"tuple","v":["round",3,{"~":"frozenset","v":["a","b"]}]},'
+        b'"signer":"p0","tag":{"~":"bytes","v":"f0f9235f3807efff4779d6896e87e8bc2962063142fbaba1a83c76192326a62e"}}}',
+        lambda: KeyRegistry(seed=3).register("p0").sign(("round", 3, frozenset({"a", "b"}))),
+    ),
+    (
+        b'{"~":"dict","v":[[1,"int-key"],[{"~":"tuple","v":["t"]},[1.5,null,true]],["~",{"~":"set","v":["x"]}]]}',
+        lambda: {1: "int-key", ("t",): [1.5, None, True], "~": {"x"}},
+    ),
+]
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(),
+    st.binary(max_size=16),
+)
+_hashables = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(inner, max_size=4),
+        st.builds(RBEcho, origin=st.text(max_size=4), tag=inner, value=inner),
+    ),
+    max_leaves=12,
+)
+_values = st.recursive(
+    _hashables,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.sets(_hashables, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(_hashables, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def same_types(left, right):
+    """``left == right`` cannot tell ``1`` from ``True`` or ``1.0``; this can."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(map(same_types, left, right))
+    if isinstance(left, dict):
+        return all(same_types(left[key], right[key]) for key in left)
+    return True
+
+
+class TestSinglePassJsonCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(_values)
+    def test_roundtrip_over_the_supported_types(self, value):
+        for codec in map(wire.get_codec, wire.FRAMINGS):
+            decoded = roundtrip(value, codec)
+            assert decoded == value
+            assert same_types(decoded, value)
+
+    @pytest.mark.parametrize("body, expected", PARENT_ENCODER_BODIES)
+    def test_frames_of_the_previous_encoder_still_decode(self, body, expected):
+        assert wire.decode_body(body) == expected()
+
+    def test_set_bearing_frames_do_not_depend_on_the_hash_seed(self):
+        script = (
+            "from repro.engine import wire\n"
+            "from repro.core.messages import RoundAck\n"
+            "from repro.rsm.commands import make_command\n"
+            "cmds = frozenset(make_command(f'client-{i}', i, ('svc', 'inc', i)) for i in range(40))\n"
+            "ack = RoundAck(accepted_set=cmds, destination='n0', sender='n1', ts=1, round=0)\n"
+            "message = {'kind': 'peer', 'payload': (ack, frozenset({frozenset({'a', 'b'}), 'c', 3}))}\n"
+            "for framing in wire.FRAMINGS:\n"
+            "    print(wire.get_codec(framing).encode_frame(message).hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1] and len(outputs[0].split()) == len(wire.FRAMINGS)
+
+    def test_floats_keep_their_text_and_specials(self):
+        for value in (0.1, -0.0, 1e300, 5e-324, float("inf"), float("-inf")):
+            decoded = roundtrip(value)
+            assert decoded == value and math.copysign(1, decoded) == math.copysign(1, value)
+        assert math.isnan(roundtrip(float("nan")))
+
+    def test_subclasses_travel_as_their_base_type(self):
+        class Level(IntEnum):
+            HIGH = 3
+
+        class Name(str):
+            pass
+
+        decoded = roundtrip([Level.HIGH, Name("n0"), {Name("key"): Level.HIGH}])
+        assert decoded == [3, "n0", {"key": 3}]
+        assert [type(item) for item in decoded[:2]] == [int, str]
+
+    def test_awkward_dict_keys_roundtrip(self):
+        value = {"~": "reserved", 1: {"~": 2}, ("t", 1): {None: frozenset({1.5})}, "plain": {"k": b"\x00"}}
+        assert roundtrip(value) == value
+
+    def test_one_json_encoder_and_one_json_decoder(self):
+        """Structural: the tree-building pair did not survive beside the new one."""
+        assert not hasattr(wire, "encode_value") and not hasattr(wire, "decode_value")
+        assert wire.JsonCodec.encode_frame is wire.encode_frame
+        assert wire.JsonCodec.decode_body is wire.decode_body
+
+    def test_hook_rejections_are_wire_errors_not_json_errors(self):
+        with pytest.raises(wire.WireError, match="unknown wire tag"):
+            wire.decode_body(b'[1, {"k": {"~": "martian", "v": []}}]')
+        with pytest.raises(wire.WireError, match="undecodable JSON"):
+            wire.decode_body(b'{"~": "tuple", "v": [1, 2')

@@ -70,6 +70,44 @@ class TestReplica:
         assert all(p.accepted_set != bogus for p in replies)
 
 
+    def test_notified_commands_leave_the_pending_table_and_are_not_notified_twice(self):
+        """The per-message walk covers work in flight only: once a command's
+        clients were told, its entry is gone — and a retry of an already
+        notified ``(client, command)`` neither re-enters it nor re-notifies."""
+        network, replicas, client = build_cluster()
+        network.start()
+        commands = [make_command("client", seq, ("obj", "add", seq)) for seq in (1, 2)]
+        for command in commands:
+            network.submit("client", "r0", UpdateRequest(command=command))
+        network.run(max_messages=20000)
+        notices = [p for s, p in client.received if s == "r0" and isinstance(p, DecideNotice)]
+        assert len(notices) == 2
+        assert replicas[0]._unnotified == {}
+        network.submit("client", "r0", UpdateRequest(command=commands[0]))  # the client's retry
+        network.run(max_messages=20000)
+        assert replicas[0]._unnotified == {}
+        assert len([p for s, p in client.received if s == "r0" and isinstance(p, DecideNotice)]) == 2
+
+    def test_round_and_commit_views_agree_with_the_ack_history(self):
+        """``ack_history`` stays the record; the per-round view holds the same
+        keys in the same order with the same acceptor sets, and the committed
+        sets are exactly the quorum-backed ones."""
+        network, replicas, client = build_cluster()
+        network.start()
+        for seq in (1, 2, 3):
+            network.submit("client", "r0", UpdateRequest(command=make_command("client", seq, ("o", seq))))
+        network.run(max_messages=40000)
+        for replica in replicas:
+            history = replica.ack_history
+            assert history and any(key[3] > 0 for key in history)
+            regrouped = [key for round_no in sorted(replica._round_acks) for key in replica._round_acks[round_no]]
+            assert regrouped == sorted(history, key=lambda key: key[3])  # stable: order within a round kept
+            for acks in replica._round_acks.values():
+                assert all(acks[key] is history[key] for key in acks)
+            quorum_backed = {key[0] for key, acceptors in history.items() if len(acceptors) >= replica.quorum}
+            assert replica._committed_sets == quorum_backed and quorum_backed
+
+
 class TestClientUnit:
     def test_client_script_validation(self):
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
