@@ -8,8 +8,8 @@ core per OS process** and real TCP between them:
   (named nodes, endpoints, n/f membership, wire framing);
 * :mod:`repro.cluster.protocol` — the socket frame vocabulary and the
   buffered auto-reconnecting :class:`FrameLink`;
-* :mod:`repro.cluster.runtime` — :class:`CoreHost`, the per-process
-  interpreter of the effect vocabulary over asyncio;
+* :mod:`repro.cluster.runtime` — :class:`CoreHost`, the per-process sink
+  of the shared effect interpreter over asyncio;
 * :mod:`repro.cluster.node` — the node process (one
   :class:`~repro.rsm.replica.Replica` behind a TCP server);
 * :mod:`repro.cluster.client` — the socket client, CRDT workloads and the

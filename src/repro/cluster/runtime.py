@@ -6,29 +6,35 @@ inside one process.  Cluster service mode inverts that: every OS process
 hosts exactly **one** core (a :class:`~repro.rsm.replica.Replica` in a node
 process, an :class:`~repro.rsm.client.RSMClient` in the client process) and
 the network between cores is real TCP.  :class:`CoreHost` is the per-process
-interpreter of the effect vocabulary that makes this work:
+*sink* of the shared effect interpreter
+(:func:`repro.engine.effects.interpret`), which stamps the core as the
+sender, rejects invalid timer delays and non-effects exactly as it does for
+the engines, and hands the host the rest:
 
-* ``Send`` to *this* core loops back through ``loop.call_soon`` (the paper's
-  processes play their own acceptor role); any other destination goes out
-  through the ``send`` callback the embedding supplies (a peer link or a
-  client reply channel).
-* ``Broadcast`` reaches the protocol *membership* — in a cluster the
-  host does not know the whole "system" the in-process engines enumerate,
-  and GWTS/reliable-broadcast traffic is only meaningful to members anyway.
+* ``send`` — a message to *this* core loops back through
+  ``loop.call_soon`` (the paper's processes play their own acceptor role);
+  any other destination goes out through the ``send`` callback the
+  embedding supplies (a peer link or a client reply channel).  No callback,
+  no route: the host raises :class:`~repro.cluster.spec.ClusterError`.
+* ``broadcast`` — reaches the protocol *membership*: in a cluster the host
+  does not know the whole "system" the in-process engines enumerate, and
+  GWTS/reliable-broadcast traffic is only meaningful to members anyway.
   The remote members are handed to the embedding's ``broadcast`` callback
-  as **one** operation, so a node can encode the payload once for all of
-  them; an embedding that gives only ``send`` gets one ``send`` per member.
-* ``SetTimer`` maps protocol time units onto wall-clock seconds via
+  as **one** operation, so a node encodes the payload once for all of them.
+  An embedding without that callback (a client process, whose cores only
+  send) gets a loud ``ClusterError``, as for a send with no route.
+* ``arm_timer`` — maps protocol time units onto wall-clock seconds via
   ``time_scale`` and arms ``loop.call_later``; cancellation stays lazy
   (the fire callback checks ``handle.cancelled``), exactly like the
   engines' timer semantics.
-* ``Decide`` / ``Output`` are recorded locally and surfaced through
-  optional callbacks — the node's status probe and the client's completion
-  tracking read them.
+* ``decided`` / ``output`` — recorded locally (and outputs surfaced through
+  the optional ``on_output`` callback) — the node's status probe and the
+  client's completion tracking read them.
 
 ``core.now`` is stamped before every hook with wall seconds since the
 host's clock origin, so operation records taken by co-hosted client cores
-share one timeline (what the linearizability audit compares).
+share one timeline (what the linearizability audit compares); decisions and
+outputs carry that same stamp.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from typing import Any
 
 from repro.cluster.spec import ClusterError
 from repro.engine.core import ProtocolCore
-from repro.engine.effects import Broadcast, Cancel, Decide, Output, Send, SetTimer
+from repro.engine.effects import TimerHandle, interpret
 
 
 class CoreHost:
@@ -79,72 +85,57 @@ class CoreHost:
         self._loop = asyncio.get_running_loop()
         self._stamp()
         self.core.on_start()
-        self._apply()
+        interpret(self.core, self)
 
     def deliver(self, sender: Hashable, payload: Any) -> None:
         """Deliver one message to the core and apply the effects."""
         self._stamp()
         self.core.on_message(sender, payload)
-        self._apply()
+        interpret(self.core, self)
 
     def call(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` against the core with effect application (service
         mode's way to inject work, e.g. appending to a client's script)."""
         self._stamp()
         fn()
-        self._apply()
-
-    # -- internals -------------------------------------------------------------------
+        interpret(self.core, self)
 
     def _stamp(self) -> None:
         self.core.now = time.monotonic() - self.clock_origin
 
-    def _fire_timer(self, handle) -> None:
+    def _fire_timer(self, handle: TimerHandle) -> None:
         if handle.cancelled:
             return
         self._stamp()
         self.core.on_timer(handle.tag, handle.payload)
-        self._apply()
+        interpret(self.core, self)
 
-    def _route(self, dest: Hashable, payload: Any) -> None:
-        if dest == self.core.pid:
+    # -- the effect sink (see repro.engine.effects.interpret) -------------------------
+
+    def send(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> None:
+        if dest == sender:
             # Self-delivery is queued, not recursive: the engines' calendars
             # never re-enter a handler from inside itself.
-            self._loop.call_soon(self.deliver, self.core.pid, payload)
+            self._loop.call_soon(self.deliver, sender, payload)
         elif self._send is not None:
             self._send(dest, payload)
         else:
-            raise ClusterError(f"core {self.core.pid!r} has no route to {dest!r}")
+            raise ClusterError(f"core {sender!r} has no route to {dest!r}")
 
-    def _apply(self) -> None:
-        effects: list = []
-        self.core.drain_into(effects)
-        for effect in effects:
-            cls = effect.__class__
-            if cls is Send:
-                self._route(effect.dest, effect.payload)
-            elif cls is Broadcast:
-                payload = effect.payload
-                if effect.include_self and self.core.pid in self.members:
-                    self._route(self.core.pid, payload)
-                if self._broadcast is not None:
-                    self._broadcast(self._remote_members, payload)
-                else:
-                    for dest in self._remote_members:
-                        self._route(dest, payload)
-            elif cls is SetTimer:
-                handle = effect.handle
-                timer = self._loop.call_later(
-                    effect.delay * self.time_scale, self._fire_timer, handle
-                )
-                handle.bind(timer)
-            elif cls is Cancel:
-                effect.handle.cancel()
-            elif cls is Decide:
-                self.decisions.append((self.core.now, effect.value, effect.round))
-            elif cls is Output:
-                self.outputs.append((self.core.now, effect.label, effect.data))
-                if self.on_output is not None:
-                    self.on_output(effect.label, effect.data)
-            else:
-                raise ClusterError(f"core {self.core.pid!r} emitted unknown effect {effect!r}")
+    def broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
+        if self._broadcast is None:
+            raise ClusterError(f"core {sender!r} has no broadcast route")
+        if include_self and sender in self.members:
+            self._loop.call_soon(self.deliver, sender, payload)
+        self._broadcast(self._remote_members, payload)
+
+    def arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
+        handle.bind(self._loop.call_later(delay * self.time_scale, self._fire_timer, handle))
+
+    def decided(self, pid: Hashable, value: Any, round: Any, causal_depth: int) -> None:
+        self.decisions.append((self.core.now, value, round))
+
+    def output(self, pid: Hashable, label: str, data: Any) -> None:
+        self.outputs.append((self.core.now, label, data))
+        if self.on_output is not None:
+            self.on_output(label, data)

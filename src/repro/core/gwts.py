@@ -20,7 +20,9 @@ end* (Definitions 3-5).  This stops Byzantine proposers from racing ahead and
 starving correct processes (Lemma 7).
 
 A finite ``max_rounds`` horizon is configurable so simulations terminate; it
-is a truncation of the paper's infinite execution (see DESIGN.md §2).
+is a truncation of the paper's infinite execution, and a process that
+reaches it halts.  Cluster service mode sets it per replica from
+``ClusterSpec.max_rounds`` (docs/operations.md, "max_rounds").
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ This package realises that model in two decoupled halves:
   network or a clock; they emit :mod:`~repro.engine.effects` (send /
   broadcast / set_timer / decide / output) and are handed
   :mod:`~repro.engine.events` (start / deliver / timer / crash / recover).
-* **Backends** — interpreters for those effects, described as data in the
-  :mod:`~repro.engine.backends` registry:
+* **Backends** — sinks of the one effect interpreter
+  (:func:`~repro.engine.effects.interpret`), built on the shared
+  :class:`~repro.engine.services.EngineBase` skeleton and described as data
+  in the :mod:`~repro.engine.backends` registry:
 
   - :class:`KernelEngine` — the reference backend on the deterministic
     discrete-event :class:`~repro.sim.SimKernel`: schedulers, fault plans,

@@ -37,12 +37,16 @@ transports:
 
 Both transports preserve the model's channel guarantees: messages are never
 lost (crashes and partitions *hold* traffic; it is handed over on
-recovery/heal) and the backend stamps the true sender, so channels stay
-authenticated.  The run driver stops on the stop predicate, on quiescence
-(no messages in flight anywhere), on the ``max_messages``/``max_events``
-valves, or on the optional ``max_wall_s`` hard timeout — a hung event loop
-fails fast instead of wedging CI.  Every run reports a wall-clock
-decision-latency summary (:attr:`RunResult.decision_latency`).
+recovery/heal) and the shared interpreter
+(:func:`repro.engine.effects.interpret`, with the engine as its sink) stamps
+the true sender, so channels stay authenticated.  Registration, fault
+scripting and the ``run_until_*`` helpers come from
+:class:`~repro.engine.services.EngineBase`.  The run loop stops on the
+stop predicate, on quiescence (no messages in flight anywhere), on the
+``max_messages``/``max_events`` valves, or on the optional ``max_wall_s``
+hard timeout — a hung event loop fails fast instead of wedging CI.  Every
+run reports a wall-clock decision-latency summary
+(:attr:`RunResult.decision_latency`).
 
 The multi-process sibling of the TCP transport is cluster service mode
 (:mod:`repro.cluster`): same sans-I/O cores, same wire codecs, but one OS
@@ -56,41 +60,41 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable
 from heapq import heappop, heappush
 from random import Random
 from typing import Any
 
 from repro.engine import wire
 from repro.engine.core import ProtocolCore
-from repro.engine.delays import DelayModel, UniformDelay
-from repro.engine.effects import Broadcast, Cancel, Decide, Output, Send, SetTimer, TimerHandle
+from repro.engine.delays import DelayModel
+from repro.engine.effects import TimerHandle, interpret, invalid_time
 from repro.engine.envelope import Envelope
 from repro.engine.services import (
+    CRASH,
+    HEAL,
+    PARTITION,
+    RECOVER,
     TIME_WALL_CLOCK,
-    Clock,
+    EngineBase,
     RunResult,
     WallClock,
     latency_summary,
 )
 from repro.metrics.collector import MetricsCollector
-from repro.sim.faults import validate_partition_groups
-from repro.sim.kernel import invalid_time
-from repro.sim.scheduler import DelayModelScheduler, Scheduler
+from repro.sim.scheduler import Scheduler
 
 #: Calendar-entry kinds (memory transport; mirrors the turbo backend).
+#: Scripted controls use the shared kinds of :mod:`repro.engine.services`.
 _MESSAGE = 0
 _TIMER = 1
-_CRASH = 2
-_RECOVER = 3
-_PARTITION = 4
-_HEAL = 5
-_INJECT = 6
 
 #: Inbox event kinds handed to node tasks (tcp transport).
 _EV_START = "start"
 _EV_MSG = "msg"
 _EV_TIMER = "timer"
+
+_INF = float("inf")
 
 #: How often the TCP driver polls the stop predicate / quiescence state.
 _TCP_POLL_S = 0.002
@@ -103,8 +107,6 @@ _TCP_HIGH_WATER = 256 * 1024
 #: Initial size of each connection's preallocated receive buffer (grows
 #: geometrically if a frame outgrows it).
 _RECV_BUFFER_BYTES = 64 * 1024
-
-_INF = float("inf")
 
 
 class _TcpLink:
@@ -211,7 +213,7 @@ class _TcpReceiver(asyncio.BufferedProtocol):
             self._filled = remaining
 
 
-class AsyncEngine:
+class AsyncEngine(EngineBase):
     """Asyncio backend: wall-clock time, memory and TCP transports."""
 
     name = "async"
@@ -229,15 +231,9 @@ class AsyncEngine:
         framing: str = "json",
         wire_faults: Any = None,
     ) -> None:
-        if delay_model is not None and scheduler is not None:
-            raise ValueError(
-                "pass either delay_model or scheduler, not both (a scheduler "
-                "fully determines delays; wrap a DelayModel in "
-                "DelayModelScheduler if you want to combine them)"
-            )
+        super().__init__(delay_model, metrics, scheduler)
         if transport not in ("memory", "tcp"):
             raise ValueError(f"unknown transport {transport!r}; known: memory, tcp")
-        self._scheduler = scheduler or DelayModelScheduler(delay_model or UniformDelay())
         self.rng = Random(seed)
         self._transport = transport
         #: Wire codec of the TCP transport (the memory transport moves
@@ -268,17 +264,7 @@ class AsyncEngine:
         if self.time_scale < 0:
             raise ValueError(f"time_scale must be non-negative, got {self.time_scale!r}")
         self._host = host
-        self._cores: list[ProtocolCore] = []
-        self._index: dict[Hashable, int] = {}
-        self._pids: tuple[Hashable, ...] = ()
-        # Core-groups (shards): broadcast scope per pid; single-group runs
-        # keep every pid in group 0, where the group tuple equals ``_pids``.
-        self._groups: dict[Any, tuple[Hashable, ...]] = {}
-        self._group_of: dict[Hashable, Any] = {}
         self._clock = WallClock()
-        self.metrics = metrics or MetricsCollector()
-        self.outputs: list[tuple[float, Hashable, str, Any]] = []
-        self._started = False
         self.pending_messages = 0
         self.events_processed = 0
         # -- memory-transport calendar (virtual-time heap, turbo semantics) --
@@ -311,67 +297,6 @@ class AsyncEngine:
         self._live_timer_count = 0
         self._pending_controls = 0
 
-    # -- topology ---------------------------------------------------------------
-
-    def add_core(self, core: ProtocolCore, group: Any = 0) -> ProtocolCore:
-        """Register ``core`` under its pid (before the run starts).
-
-        ``group`` names the core-group (shard) the core belongs to; a
-        ``Broadcast`` effect reaches exactly the emitting core's group.
-        """
-        if self._started:
-            raise RuntimeError("cannot add cores after the run started")
-        if core.pid in self._index:
-            raise ValueError(f"duplicate process id {core.pid!r}")
-        self._index[core.pid] = len(self._cores)
-        self._cores.append(core)
-        self._pids = self._pids + (core.pid,)
-        self._group_of[core.pid] = group
-        self._groups[group] = self._groups.get(group, ()) + (core.pid,)
-        return core
-
-    add_node = add_core
-
-    def add_cores(
-        self, cores: Iterable[ProtocolCore], group: Any = 0
-    ) -> list[ProtocolCore]:
-        """Register several cores at once (in the given order)."""
-        return [self.add_core(core, group=group) for core in cores]
-
-    @property
-    def pids(self) -> tuple[Hashable, ...]:
-        return self._pids
-
-    @property
-    def groups(self) -> dict[Any, tuple[Hashable, ...]]:
-        """Core-group key -> member pids, in registration order."""
-        return dict(self._groups)
-
-    def group_of(self, pid: Hashable) -> Any:
-        """The core-group (shard) key ``pid`` was registered under."""
-        return self._group_of[pid]
-
-    @property
-    def nodes(self) -> dict[Hashable, ProtocolCore]:
-        return {core.pid: core for core in self._cores}
-
-    def node(self, pid: Hashable) -> ProtocolCore:
-        return self._cores[self._index[pid]]
-
-    @property
-    def now(self) -> float:
-        """Wall-clock seconds since the run started (0.0 before it)."""
-        return self._clock.now()
-
-    @property
-    def clock(self) -> Clock:
-        """The engine's time service (wall-clock on this backend)."""
-        return self._clock
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._scheduler
-
     @property
     def transport(self) -> str:
         return self._transport
@@ -381,57 +306,9 @@ class AsyncEngine:
         """Wire framing of the TCP transport (``"json"`` or ``"binary"``)."""
         return self._codec.name
 
-    def pending(self) -> int:
-        """Messages currently in flight (including held ones)."""
-        return self.pending_messages
+    # -- the effect sink -----------------------------------------------------------
 
-    # -- effect application -------------------------------------------------------
-
-    def _apply_effects(self, core: ProtocolCore) -> None:
-        """Apply (and drain) everything ``core`` emitted, in emission order."""
-        buffer = core._out
-        if not buffer:
-            return
-        pid = core.pid
-        depth = core.causal_depth + 1
-        submit = self._submit
-        for effect in buffer:
-            cls = effect.__class__
-            if cls is Send:
-                submit(pid, effect.dest, effect.payload, depth)
-            elif cls is Broadcast:
-                payload = effect.payload
-                include_self = effect.include_self
-                # Broadcast scope is the emitting core's group: the whole
-                # system in the (default) single-group case.
-                for dest in self._groups[self._group_of[pid]]:
-                    if dest == pid and not include_self:
-                        continue
-                    submit(pid, dest, payload, depth)
-            elif cls is SetTimer:
-                if invalid_time(effect.delay):
-                    raise ValueError(f"invalid timer delay {effect.delay!r}")
-                self._arm_timer(self._index[pid], effect.delay, effect.handle)
-            elif cls is Decide:
-                self.metrics.record_decision(
-                    pid=pid,
-                    value=effect.value,
-                    time=self._clock.now(),
-                    causal_depth=core.causal_depth,
-                    round=effect.round,
-                )
-            elif cls is Output:
-                self.outputs.append((self._clock.now(), pid, effect.label, effect.data))
-            elif cls is Cancel:
-                effect.handle.cancel()
-            else:
-                raise TypeError(
-                    f"core {pid!r} emitted a non-effect {effect!r}; the engine "
-                    "only understands the repro.engine.effects vocabulary"
-                )
-        buffer.clear()
-
-    def _submit(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> None:
+    def send(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> None:
         """Queue one message (authenticated: ``sender`` is the emitting core)."""
         dest_index = self._index.get(dest)
         if dest_index is None:
@@ -447,6 +324,7 @@ class AsyncEngine:
             shard=self._group_of.get(sender, 0),
         )
         delay = self._scheduler.delay(envelope, self.rng)
+        # Inline invalid_time(): this runs once per send, the hottest path.
         if delay < 0 or delay != delay or delay == _INF:
             raise ValueError(f"scheduler produced invalid delay {delay!r}")
         self.pending_messages += 1
@@ -457,7 +335,8 @@ class AsyncEngine:
         else:
             self._tcp_schedule_send(envelope, delay)
 
-    def _arm_timer(self, index: int, delay: float, handle: TimerHandle) -> None:
+    def arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
+        index = self._index[pid]
         if self._transport == "memory":
             self._seq += 1
             heappush(self._queue, (self._vnow + delay, self._seq, _TIMER, index, handle))
@@ -471,21 +350,6 @@ class AsyncEngine:
             self._live_timer_count += 1
             loop.call_later(delay * self.time_scale, self._tcp_fire_timer, index, handle)
 
-    def schedule_timer(
-        self, pid: Hashable, delay: float, tag: str, payload: Any = None
-    ) -> TimerHandle:
-        """Arm a timer firing ``pid``'s ``on_timer`` after ``delay`` (harness API)."""
-        index = self._index.get(pid)
-        if index is None:
-            raise ValueError(f"unknown process {pid!r}")
-        if invalid_time(delay):
-            raise ValueError(f"invalid timer delay {delay!r}")
-        handle = TimerHandle(tag, payload)
-        self._arm_timer(index, delay, handle)
-        return handle
-
-    # -- faults (same semantics as the simulated backends) --------------------------
-
     def _push_control(self, at: float | None, kind: int, arg: Any) -> None:
         if self._transport == "memory":
             due = self._vnow if at is None else at
@@ -498,56 +362,6 @@ class AsyncEngine:
             if invalid_time(due):
                 raise ValueError(f"invalid event time {due!r}")
             self._scripted_controls.append((due, kind, arg))
-
-    def crash_node(self, pid: Hashable, at: float | None = None) -> None:
-        """Schedule ``pid``'s crash at virtual time ``at`` (default: now)."""
-        if pid not in self._index:
-            raise ValueError(f"unknown process {pid!r}")
-        self._push_control(at, _CRASH, self._index[pid])
-
-    def recover_node(self, pid: Hashable, at: float | None = None) -> None:
-        """Schedule ``pid``'s recovery at virtual time ``at`` (default: now)."""
-        if pid not in self._index:
-            raise ValueError(f"unknown process {pid!r}")
-        self._push_control(at, _RECOVER, self._index[pid])
-
-    def start_partition(
-        self, *groups: Iterable[Hashable], at: float | None = None
-    ) -> None:
-        """Schedule a partition into ``groups`` at ``at`` (default: now)."""
-        frozen = tuple(frozenset(group) for group in groups)
-        validate_partition_groups(frozen)
-        for group in frozen:
-            for pid in group:
-                if pid not in self._index:
-                    raise ValueError(f"unknown process {pid!r} in partition group")
-        self._push_control(at, _PARTITION, frozen)
-
-    def heal_partition(self, at: float | None = None) -> None:
-        """Schedule the partition heal at ``at`` (default: now)."""
-        self._push_control(at, _HEAL, None)
-
-    def inject(
-        self,
-        fn: Callable[["AsyncEngine"], Any],
-        at: float | None = None,
-        label: str = "inject",
-    ) -> None:
-        """Schedule ``fn(engine)`` at ``at`` — arbitrary scripted action."""
-        self._push_control(at, _INJECT, fn)
-
-    def apply_fault_plan(self, plan) -> None:
-        """Schedule every action of a :class:`~repro.sim.faults.FaultPlan`."""
-        plan.apply(self)
-
-    def _link_blocked(self, sender: Hashable, dest: Hashable) -> bool:
-        group_a = group_b = -1
-        for index, group in enumerate(self._partition_groups):
-            if sender in group:
-                group_a = index
-            if dest in group:
-                group_b = index
-        return group_a >= 0 and group_b >= 0 and group_a != group_b
 
     # -- running (shared driver) -----------------------------------------------------
 
@@ -573,22 +387,6 @@ class AsyncEngine:
         else:
             runner = self._run_tcp(stop_when, max_messages, max_events, max_wall_s)
         return asyncio.run(runner)
-
-    def run_until_quiescent(self, max_messages: int = 200_000) -> RunResult:
-        """Deliver every message currently in the system (and those they spawn)."""
-        return self.run(stop_when=None, max_messages=max_messages)
-
-    def run_until_decided(
-        self, pids: list[Hashable], max_messages: int = 200_000
-    ) -> RunResult:
-        """Run until every process in ``pids`` has recorded a decision."""
-        targets = set(pids)
-        decided = self.metrics.decided
-
-        def all_decided() -> bool:
-            return targets <= decided
-
-        return self.run(stop_when=all_decided, max_messages=max_messages)
 
     def _decision_latency(self, start_decisions: int, origin: float) -> dict | None:
         """Wall-clock latency summary of decisions recorded during this run."""
@@ -618,7 +416,7 @@ class AsyncEngine:
         elif kind is _EV_START:
             core.on_start()
         if core._out:
-            self._apply_effects(core)
+            interpret(core, self)
 
     async def _node_loop(self, index: int) -> None:
         """One task per node: drain the inbox and run the core."""
@@ -711,19 +509,10 @@ class AsyncEngine:
         cores = self._cores
         clock_now = self._clock.now
         record_delivery = self.metrics.record_delivery
-        apply_effects = self._apply_effects
         try:
             # Start events run inline, in registration order — the same
             # sequential semantics the kernel backend gives on_start.
-            if not self._started:
-                self._started = True
-                for index, core in enumerate(cores):
-                    if index in crashed:
-                        continue
-                    core.now = clock_now()
-                    core.on_start()
-                    if core._out:
-                        apply_effects(core)
+            self.start()
             while delivered < max_messages and events < max_events:
                 if stop_when is not None and stop_when():
                     stopped = True
@@ -772,7 +561,7 @@ class AsyncEngine:
                     record_delivery(envelope.sender, core.pid, envelope.mtype)
                     core.on_message(envelope.sender, envelope.payload)
                     if core._out:
-                        apply_effects(core)
+                        interpret(core, self)
                     delivered += 1
                 elif kind == _TIMER:
                     dest_index = entry[3]
@@ -784,18 +573,18 @@ class AsyncEngine:
                     core.now = clock_now()
                     core.on_timer(handle.tag, handle.payload)
                     if core._out:
-                        apply_effects(core)
-                elif kind == _CRASH:
-                    index = entry[3]
+                        interpret(core, self)
+                elif kind == CRASH:
+                    index = self._index[entry[3]]
                     if index not in crashed:
                         crashed.add(index)
                         core = cores[index]
                         core.now = clock_now()
                         core.on_crash()
                         if core._out:
-                            apply_effects(core)
-                elif kind == _RECOVER:
-                    index = entry[3]
+                            interpret(core, self)
+                elif kind == RECOVER:
+                    index = self._index[entry[3]]
                     if index in crashed:
                         crashed.discard(index)
                         # Held traffic is re-queued before the recovery hook
@@ -807,16 +596,16 @@ class AsyncEngine:
                         core.now = clock_now()
                         core.on_recover()
                         if core._out:
-                            apply_effects(core)
-                elif kind == _PARTITION:
+                            interpret(core, self)
+                elif kind == PARTITION:
                     self._partition_groups = entry[3]
                     held, self._held_for_partition = self._held_for_partition, []
                     self._release(held)
-                elif kind == _HEAL:
+                elif kind == HEAL:
                     self._partition_groups = ()
                     held, self._held_for_partition = self._held_for_partition, []
                     self._release(held)
-                else:  # _INJECT
+                else:  # INJECT
                     entry[3](self)
         finally:
             await self._teardown()
@@ -986,42 +775,44 @@ class AsyncEngine:
 
     def _tcp_apply_control(self, kind: int, arg: Any) -> None:
         self._pending_controls -= 1
-        if kind == _CRASH:
-            if arg not in self._crashed:
-                self._crashed.add(arg)
-                task = self._tasks[arg]
+        if kind == CRASH:
+            index = self._index[arg]
+            if index not in self._crashed:
+                self._crashed.add(index)
+                task = self._tasks[index]
                 if task is not None:
                     task.cancel()
-                    self._tasks[arg] = None
-                core = self._cores[arg]
+                    self._tasks[index] = None
+                core = self._cores[index]
                 core.now = self._clock.now()
                 core.on_crash()
                 if core._out:
-                    self._apply_effects(core)
-        elif kind == _RECOVER:
-            if arg in self._crashed:
-                self._crashed.discard(arg)
+                    interpret(core, self)
+        elif kind == RECOVER:
+            index = self._index[arg]
+            if index in self._crashed:
+                self._crashed.discard(index)
                 self._tcp_release_held()
-                self._spawn_node(arg)
-                held_timers = self._held_timers.pop(arg, ())
+                self._spawn_node(index)
+                held_timers = self._held_timers.pop(index, ())
                 self._live_timer_count += len(held_timers)  # re-fire decrements
                 for handle in held_timers:
-                    self._tcp_fire_timer(arg, handle)
-                core = self._cores[arg]
+                    self._tcp_fire_timer(index, handle)
+                core = self._cores[index]
                 core.now = self._clock.now()
                 core.on_recover()
                 if core._out:
-                    self._apply_effects(core)
-        elif kind == _PARTITION:
+                    interpret(core, self)
+        elif kind == PARTITION:
             self._partition_groups = arg
             # Re-evaluate parked traffic against the new groups: a link that
             # was blocked may now be internal to one side (the simulated
             # backends release-and-refilter on repartition too).
             self._tcp_release_held()
-        elif kind == _HEAL:
+        elif kind == HEAL:
             self._partition_groups = ()
             self._tcp_release_held()
-        else:  # _INJECT
+        else:  # INJECT
             arg(self)
 
     async def _run_tcp(

@@ -21,9 +21,10 @@ would on a classic callback node (``on_message`` mutates state and calls
 ``self.send(...)``); the emit helpers append to a per-core *preallocated
 effect buffer* which ``handle`` drains.  That keeps the pseudocode-shaped
 "upon event" handlers readable while the observable interface stays purely
-functional.  Backends are allowed to use the buffer protocol directly
-(:meth:`ProtocolCore.drain_into` documents it) to avoid one list allocation
-per event on the hot path — semantically identical to calling ``handle``.
+functional.  Substrates call the ``on_*`` hooks and then drain the buffer
+through the shared interpreter (:func:`repro.engine.effects.interpret`),
+which skips ``handle``'s event object and result list on the hot path —
+semantically identical to calling ``handle`` and applying what it returns.
 """
 
 from __future__ import annotations
@@ -80,13 +81,6 @@ class ProtocolCore:
         effects = list(out)
         out.clear()
         return effects
-
-    def drain_into(self, sink: list[Effect]) -> None:
-        """Move all buffered effects into ``sink`` (backend fast path)."""
-        out = self._out
-        if out:
-            sink.extend(out)
-            out.clear()
 
     # -- lifecycle hooks (overridden by algorithm implementations) ----------------
 

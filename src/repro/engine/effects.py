@@ -6,11 +6,13 @@ descriptions of intent — which the driving backend interprets:
 
 =================  =========================================================
 :class:`Send`      deliver ``payload`` to ``dest`` over the authenticated
-                   point-to-point channel (the backend stamps the true
-                   sender, so channels stay unforgeable)
-:class:`Broadcast` one :class:`Send` per process in the *system* (not just
-                   the protocol membership — RSM clients share the wire),
-                   in registration order
+                   point-to-point channel (the interpreter stamps the
+                   true sender, so channels stay unforgeable)
+:class:`Broadcast` one :class:`Send` per process in the emitting core's
+                   broadcast scope, in registration order: its core-group
+                   on the engines (the whole system by default — RSM
+                   clients share the wire), the membership on a cluster
+                   node
 :class:`SetTimer`  arm a process-local alarm; the paired
                    :class:`TimerHandle` doubles as the cancellation token
 :class:`Cancel`    cancel a previously armed timer (equivalent to calling
@@ -26,14 +28,41 @@ descriptions of intent — which the driving backend interprets:
 Effects are deliberately tiny ``__slots__`` classes — the hot loop of the
 turbo backend pushes hundreds of thousands of them through per second — and
 are *inert*: constructing one does nothing until a backend applies it.
-Backends must reject objects outside this vocabulary loudly (a typo'd
-effect must fail the run, not silently drop a message).
+
+:func:`interpret` is the one place effects are applied.  It stamps the
+emitting core as the sender (so channels stay authenticated), computes the
+causal depth a message carries, rejects invalid timer delays and objects
+outside this vocabulary (a typo'd effect must fail the run, not silently
+drop a message), and hands everything else to a *sink* — the substrate: the
+kernel, turbo and async engines, or the cluster's ``CoreHost``.  A sink has
+five methods::
+
+    send(sender, dest, payload, depth)
+    broadcast(sender, payload, include_self, depth)
+    arm_timer(pid, delay, handle)
+    decided(pid, value, round, causal_depth)
+    output(pid, label, data)
+
+and owns everything substrate-specific: where time comes from, what a
+``Broadcast`` reaches, how a message or a timer is queued.
 """
 
 from __future__ import annotations
 from collections.abc import Hashable
 
 from typing import Any
+
+_INF = float("inf")
+
+
+def invalid_time(value: float) -> bool:
+    """True for negative, NaN or infinite time/delay values.
+
+    The single definition of temporal validity, shared by the interpreter,
+    the engines' scheduling entry points and
+    :class:`~repro.sim.faults.FaultPlan`, so they cannot drift apart.
+    """
+    return value < 0.0 or value != value or value == _INF
 
 
 class Effect:
@@ -56,7 +85,7 @@ class Send(Effect):
 
 
 class Broadcast(Effect):
-    """One :class:`Send` to every process in the system, in registration order.
+    """One :class:`Send` per process in the broadcast scope, in registration order.
 
     ``include_self`` defaults to ``True`` because the paper's "send to all"
     includes the sender playing its own acceptor role.
@@ -157,3 +186,41 @@ class Output(Effect):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Output(label={self.label!r}, data={self.data!r})"
+
+
+def interpret(core: Any, sink: Any) -> None:
+    """Apply (and drain) everything ``core`` emitted to ``sink``, in emission order.
+
+    The buffer is emptied before the first effect is applied, so a sink
+    whose routing re-enters the same core (and makes it emit again) applies
+    every effect exactly once: the nested batch is interpreted by the nested
+    call, the rest of this batch by this one.
+    """
+    out = core._out
+    if not out:
+        return
+    effects = out.copy()
+    out.clear()
+    pid = core.pid
+    depth = core.causal_depth + 1
+    for effect in effects:
+        cls = effect.__class__
+        if cls is Send:
+            sink.send(pid, effect.dest, effect.payload, depth)
+        elif cls is Broadcast:
+            sink.broadcast(pid, effect.payload, effect.include_self, depth)
+        elif cls is SetTimer:
+            if invalid_time(effect.delay):
+                raise ValueError(f"invalid timer delay {effect.delay!r}")
+            sink.arm_timer(pid, effect.delay, effect.handle)
+        elif cls is Decide:
+            sink.decided(pid, effect.value, effect.round, depth - 1)
+        elif cls is Output:
+            sink.output(pid, effect.label, effect.data)
+        elif cls is Cancel:
+            effect.handle.cancel()
+        else:
+            raise TypeError(
+                f"core {pid!r} emitted a non-effect {effect!r}; substrates "
+                "only understand the repro.engine.effects vocabulary"
+            )

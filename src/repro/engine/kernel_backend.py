@@ -6,16 +6,18 @@ reliable channels, causal-depth accounting, metrics, the delivery log — and
 delegates the event queue, the clock, the seeded RNG and the fault state to
 :class:`repro.sim.SimKernel`.  It replaces the retired ``Network`` +
 ``SimulationRuntime`` shim pair with a single dispatch layer: one kernel
-event pop, one core handler call, one effect-application pass.
+event pop, one core handler call, one :func:`~repro.engine.effects.interpret`
+pass with the engine as the effect sink.  Registration, fault scripting and
+the ``run_until_*`` helpers come from :class:`~repro.engine.services.EngineBase`.
 
 Guarantees provided (matching the model):
 
 * **Reliable channels** — every ``Send`` effect is eventually delivered
   exactly once; crashes and partitions only *hold* traffic (released on
   recovery / heal), so a fault is indistinguishable from a long delay.
-* **Authenticated channels** — the receiver learns the true sender; effects
-  are applied under the identity of the core that emitted them, so a
-  Byzantine core cannot forge the sender field.
+* **Authenticated channels** — the receiver learns the true sender: the
+  interpreter applies effects under the identity of the core that emitted
+  them, so a Byzantine core cannot forge the sender field.
 * **Deterministic replay** — delivery order and timing come from a pluggable
   :class:`~repro.sim.scheduler.Scheduler` driven by the kernel's seeded RNG;
   a run is a pure function of (cores, seed, scheduler, fault plan).  Seed
@@ -25,14 +27,23 @@ Guarantees provided (matching the model):
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable
 from typing import Any
 
-from repro.engine.core import ProtocolCore
-from repro.engine.delays import DelayModel, UniformDelay
-from repro.engine.effects import Broadcast, Cancel, Decide, Output, Send, SetTimer
+from repro.engine.delays import DelayModel
+from repro.engine.effects import TimerHandle, interpret
 from repro.engine.envelope import Envelope
-from repro.engine.services import TIME_SIMULATED, Clock, RunResult, SimulatedClock
+from repro.engine.services import (
+    CRASH,
+    HEAL,
+    INJECT,
+    PARTITION,
+    RECOVER,
+    TIME_SIMULATED,
+    EngineBase,
+    RunResult,
+    SimulatedClock,
+)
 from repro.metrics.collector import MetricsCollector
 from repro.sim.events import (
     Event,
@@ -44,20 +55,26 @@ from repro.sim.events import (
     PartitionStart,
     Timer,
 )
-from repro.sim.faults import validate_partition_groups
-from repro.sim.kernel import SimKernel, invalid_time
-from repro.sim.scheduler import DelayModelScheduler, Scheduler
+from repro.sim.kernel import SimKernel
+from repro.sim.scheduler import Scheduler
 
 
 __all__ = ["KernelEngine", "RunResult"]
 
+#: Scripted control kind -> the kernel event that carries it.
+_CONTROL_EVENTS = {
+    CRASH: NodeCrash,
+    RECOVER: NodeRecover,
+    PARTITION: PartitionStart,
+    HEAL: lambda _arg: PartitionHeal(),
+    INJECT: Inject,
+}
 
-class KernelEngine:
+
+class KernelEngine(EngineBase):
     """Reference backend: protocol cores on the deterministic sim kernel."""
 
-    #: Name under which scenario results report this backend.
     name = "kernel"
-    #: Time semantics of this backend (see :mod:`repro.engine.services`).
     time_source = TIME_SIMULATED
 
     def __init__(
@@ -67,93 +84,11 @@ class KernelEngine:
         metrics: MetricsCollector | None = None,
         scheduler: Scheduler | None = None,
     ) -> None:
-        if delay_model is not None and scheduler is not None:
-            raise ValueError(
-                "pass either delay_model or scheduler, not both (a scheduler "
-                "fully determines delays; wrap a DelayModel in "
-                "DelayModelScheduler if you want to combine them)"
-            )
-        self._nodes: dict[Hashable, ProtocolCore] = {}
-        self._pids: tuple[Hashable, ...] = ()
-        # Core-groups (shards): broadcast scope per pid.  A single-group run
-        # keeps every pid in group 0, so the group tuple *is* ``_pids`` and
-        # iteration (hence RNG draw order and seq numbering) is unchanged.
-        self._groups: dict[Any, tuple[Hashable, ...]] = {}
-        self._group_of: dict[Hashable, Any] = {}
+        super().__init__(delay_model, metrics, scheduler)
         self._seq = 0
-        self._scheduler = scheduler or DelayModelScheduler(delay_model or UniformDelay())
         self._kernel = SimKernel(seed=seed)
         self._clock = SimulatedClock(lambda: self._kernel.now)
-        self.metrics = metrics or MetricsCollector()
         self._delivery_log: list[Envelope] = []
-        #: ``(time, pid, label, data)`` tuples from cores' ``Output`` effects.
-        self.outputs: list[tuple[float, Hashable, str, Any]] = []
-        self._started = False
-
-    # -- topology ---------------------------------------------------------------
-
-    def add_core(self, core: ProtocolCore, group: Any = 0) -> ProtocolCore:
-        """Register ``core`` under its pid (before the run starts).
-
-        ``group`` names the core-group (shard) the core belongs to.  A
-        ``Broadcast`` effect reaches exactly the emitting core's group; with
-        the default single group that is the whole system, byte-identical to
-        the pre-sharding engine.
-        """
-        if self._started:
-            raise RuntimeError("cannot add cores after the simulation started")
-        if core.pid in self._nodes:
-            raise ValueError(f"duplicate process id {core.pid!r}")
-        self._nodes[core.pid] = core
-        self._pids = tuple(self._nodes.keys())
-        self._group_of[core.pid] = group
-        self._groups[group] = self._groups.get(group, ()) + (core.pid,)
-        return core
-
-    # ``add_node`` reads better at call sites that think in cluster terms.
-    add_node = add_core
-
-    def add_cores(
-        self, cores: Iterable[ProtocolCore], group: Any = 0
-    ) -> list[ProtocolCore]:
-        """Register several cores at once (in the given order)."""
-        registered = []
-        for core in cores:
-            registered.append(self.add_core(core, group=group))
-        return registered
-
-    @property
-    def pids(self) -> tuple[Hashable, ...]:
-        """All registered process identifiers."""
-        return self._pids
-
-    @property
-    def groups(self) -> dict[Any, tuple[Hashable, ...]]:
-        """Core-group key -> member pids, in registration order."""
-        return dict(self._groups)
-
-    def group_of(self, pid: Hashable) -> Any:
-        """The core-group (shard) key ``pid`` was registered under."""
-        return self._group_of[pid]
-
-    @property
-    def nodes(self) -> dict[Hashable, ProtocolCore]:
-        """Mapping from pid to core (read-only by convention)."""
-        return self._nodes
-
-    def node(self, pid: Hashable) -> ProtocolCore:
-        """Return the core registered under ``pid``."""
-        return self._nodes[pid]
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._kernel.now
-
-    @property
-    def clock(self) -> Clock:
-        """The engine's time service (simulated time on this backend)."""
-        return self._clock
 
     @property
     def rng(self):
@@ -166,26 +101,19 @@ class KernelEngine:
         return self._kernel
 
     @property
-    def scheduler(self) -> Scheduler:
-        """The active scheduling policy."""
-        return self._scheduler
-
-    @property
     def delivery_log(self) -> list[Envelope]:
         """Every delivered envelope, in delivery order (for trace tests)."""
         return self._delivery_log
 
-    # -- effect application -------------------------------------------------------
+    @property
+    def _partition_groups(self) -> tuple[frozenset, ...]:
+        return self._kernel.partition_groups
 
-    def submit(self, sender: Hashable, dest: Hashable, payload: Any) -> Envelope:
-        """Queue one message from ``sender`` to ``dest``.
+    # -- the effect sink -----------------------------------------------------------
 
-        The sender identity comes from the core whose effect is being
-        applied, never from the payload — that is what makes the channels
-        authenticated.
-        """
-        nodes = self._nodes
-        if dest not in nodes:
+    def send(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> Envelope:
+        """Queue one message from ``sender`` to ``dest`` carrying causal ``depth``."""
+        if dest not in self._nodes:
             raise ValueError(f"unknown destination {dest!r}")
         kernel = self._kernel
         self._seq += 1
@@ -194,7 +122,7 @@ class KernelEngine:
             dest=dest,
             payload=payload,
             send_time=kernel.now,
-            depth=nodes[sender].causal_depth + 1,
+            depth=depth,
             seq=self._seq,
             shard=self._group_of.get(sender, 0),
         )
@@ -207,123 +135,24 @@ class KernelEngine:
         self.metrics.record_send(sender, dest, envelope.mtype, envelope)
         return envelope
 
-    def _apply_effects(self, core: ProtocolCore) -> None:
-        """Apply (and drain) everything ``core`` emitted, in emission order."""
-        buffer = core._out
-        if not buffer:
-            return
-        pid = core.pid
-        submit = self.submit
-        for effect in buffer:
-            cls = effect.__class__
-            if cls is Send:
-                submit(pid, effect.dest, effect.payload)
-            elif cls is Broadcast:
-                payload = effect.payload
-                include_self = effect.include_self
-                # Broadcast scope is the emitting core's group: the whole
-                # system in the (default) single-group case.
-                for dest in self._groups[self._group_of[pid]]:
-                    if dest == pid and not include_self:
-                        continue
-                    submit(pid, dest, payload)
-            elif cls is SetTimer:
-                if invalid_time(effect.delay):
-                    raise ValueError(f"invalid timer delay {effect.delay!r}")
-                handle = effect.handle
-                timer = Timer(pid, handle.tag, handle.payload)
-                handle.bind(timer)
-                self._kernel.schedule(timer, effect.delay)
-            elif cls is Decide:
-                self.metrics.record_decision(
-                    pid=pid,
-                    value=effect.value,
-                    time=self._kernel.now,
-                    causal_depth=core.causal_depth,
-                    round=effect.round,
-                )
-            elif cls is Output:
-                self.outputs.append((self._kernel.now, pid, effect.label, effect.data))
-            elif cls is Cancel:
-                effect.handle.cancel()
-            else:
-                raise TypeError(
-                    f"core {pid!r} emitted a non-effect {effect!r}; the engine "
-                    "only understands the repro.engine.effects vocabulary"
-                )
-        buffer.clear()
+    def submit(self, sender: Hashable, dest: Hashable, payload: Any) -> Envelope:
+        """Queue one message from ``sender`` to ``dest`` (harness API).
 
-    # -- timers & faults ------------------------------------------------------------
-
-    def schedule_timer(
-        self, pid: Hashable, delay: float, tag: str, payload: Any = None
-    ) -> Timer:
-        """Arm a timer firing ``pid``'s ``on_timer`` after ``delay`` (harness API).
-
-        Cores arm their own timers through ``SetTimer`` effects; this entry
-        point exists for experiments that script external alarms.
+        The message carries ``sender``'s causal depth plus one, exactly as
+        if ``sender``'s core had emitted the ``Send``.
         """
-        if pid not in self._nodes:
-            raise ValueError(f"unknown process {pid!r}")
-        if invalid_time(delay):
-            raise ValueError(f"invalid timer delay {delay!r}")
-        timer = Timer(pid, tag, payload)
+        return self.send(sender, dest, payload, self._nodes[sender].causal_depth + 1)
+
+    def arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
+        timer = Timer(pid, handle.tag, handle.payload)
+        handle.bind(timer)
         self._kernel.schedule(timer, delay)
-        return timer
 
-    def crash_node(self, pid: Hashable, at: float | None = None) -> Event:
-        """Schedule ``pid``'s crash at absolute time ``at`` (default: now)."""
-        if pid not in self._nodes:
-            raise ValueError(f"unknown process {pid!r}")
-        return self._kernel.schedule_at(NodeCrash(pid), self.now if at is None else at)
-
-    def recover_node(self, pid: Hashable, at: float | None = None) -> Event:
-        """Schedule ``pid``'s recovery at absolute time ``at`` (default: now)."""
-        if pid not in self._nodes:
-            raise ValueError(f"unknown process {pid!r}")
-        return self._kernel.schedule_at(NodeRecover(pid), self.now if at is None else at)
-
-    def start_partition(
-        self, *groups: Iterable[Hashable], at: float | None = None
-    ) -> Event:
-        """Schedule a partition into ``groups`` at ``at`` (default: now)."""
-        frozen = tuple(frozenset(group) for group in groups)
-        validate_partition_groups(frozen)
-        for group in frozen:
-            for pid in group:
-                if pid not in self._nodes:
-                    raise ValueError(f"unknown process {pid!r} in partition group")
-        return self._kernel.schedule_at(
-            PartitionStart(frozen), self.now if at is None else at
-        )
-
-    def heal_partition(self, at: float | None = None) -> Event:
-        """Schedule the partition heal at ``at`` (default: now)."""
-        return self._kernel.schedule_at(PartitionHeal(), self.now if at is None else at)
-
-    def inject(
-        self,
-        fn: Callable[["KernelEngine"], Any],
-        at: float | None = None,
-        label: str = "inject",
-    ) -> Event:
-        """Schedule ``fn(engine)`` at ``at`` — arbitrary scripted action."""
-        return self._kernel.schedule_at(Inject(fn, label), self.now if at is None else at)
-
-    def apply_fault_plan(self, plan) -> None:
-        """Schedule every action of a :class:`~repro.sim.faults.FaultPlan`."""
-        plan.apply(self)
+    def _push_control(self, at: float | None, kind: int, arg: Any) -> Event:
+        event = _CONTROL_EVENTS[kind](arg)
+        return self._kernel.schedule_at(event, self._kernel.now if at is None else at)
 
     # -- running -------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Hand every core its ``Start`` event (once, in registration order)."""
-        if self._started:
-            return
-        self._started = True
-        for core in self._nodes.values():
-            core.on_start()
-            self._apply_effects(core)
 
     def pending(self) -> int:
         """Number of messages currently in flight (including held ones)."""
@@ -426,25 +255,6 @@ class KernelEngine:
             metrics=self.metrics,
         )
 
-    def run_until_quiescent(self, max_messages: int = 200_000) -> RunResult:
-        """Deliver every message currently in the system (and those they spawn)."""
-        return self.run(stop_when=None, max_messages=max_messages)
-
-    def run_until_decided(
-        self, pids: list[Hashable], max_messages: int = 200_000
-    ) -> RunResult:
-        """Run until every process in ``pids`` has recorded a decision."""
-        targets = set(pids)
-        # The collector maintains the decided-pid set incrementally, so this
-        # predicate is O(|targets|) per event instead of an O(messages x
-        # processes) rebuild per delivered message.
-        decided = self.metrics.decided
-
-        def all_decided() -> bool:
-            return targets <= decided
-
-        return self.run(stop_when=all_decided, max_messages=max_messages)
-
     # -- event dispatch ---------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> Envelope | None:
@@ -456,7 +266,7 @@ class KernelEngine:
             if dest in kernel.crashed:
                 kernel.hold_for_node(dest, event)
                 return None
-            if kernel.partition_groups and kernel.link_blocked(envelope.sender, dest):
+            if kernel.partition_groups and self._link_blocked(envelope.sender, dest):
                 kernel.hold_for_partition(event)
                 return None
             envelope.deliver_time = kernel.now
@@ -469,7 +279,7 @@ class KernelEngine:
             receiver.now = kernel.now
             receiver.on_message(envelope.sender, envelope.payload)
             if receiver._out:
-                self._apply_effects(receiver)
+                interpret(receiver, self)
             return envelope
         if cls is Timer:
             pid = event.pid
@@ -480,7 +290,7 @@ class KernelEngine:
             core.now = kernel.now
             core.on_timer(event.tag, event.payload)
             if core._out:
-                self._apply_effects(core)
+                interpret(core, self)
             return None
         if cls is NodeCrash:
             if event.pid not in kernel.crashed:
@@ -489,7 +299,7 @@ class KernelEngine:
                 core.now = kernel.now
                 core.on_crash()
                 if core._out:
-                    self._apply_effects(core)
+                    interpret(core, self)
             return None
         if cls is NodeRecover:
             if event.pid in kernel.crashed:
@@ -498,7 +308,7 @@ class KernelEngine:
                 core.now = kernel.now
                 core.on_recover()
                 if core._out:
-                    self._apply_effects(core)
+                    interpret(core, self)
             return None
         if cls is PartitionStart:
             kernel.apply_partition(event.groups)

@@ -12,6 +12,12 @@ they agree on a small service surface the layers above consume:
   units or wall-clock measurements.
 * :class:`RunResult` — the uniform outcome record of one engine run,
   whatever the backend.
+* :class:`EngineBase` — the skeleton every in-process backend shares: core
+  registration and core-groups, fault scripting, the ``decided``/``output``
+  half of the effect sink (:func:`repro.engine.effects.interpret`) and the
+  ``run_until_*`` helpers.  A backend adds only its calendar, its
+  ``_push_control``, its ``send``/``arm_timer`` sink methods and its run
+  loop.
 
 Keeping these here (instead of inside one backend module) is what lets a new
 backend be added without the harness, orchestrator or explorer learning
@@ -21,10 +27,16 @@ anything new — they already speak clocks and run results.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
+from typing import Any
 
+from repro.engine.core import ProtocolCore
+from repro.engine.delays import DelayModel, UniformDelay
+from repro.engine.effects import TimerHandle, interpret, invalid_time
 from repro.metrics.collector import MetricsCollector
+from repro.sim.faults import validate_partition_groups
+from repro.sim.scheduler import DelayModelScheduler, Scheduler
 
 #: ``time_source`` label of the deterministic discrete-event backends.
 TIME_SIMULATED = "simulated"
@@ -178,3 +190,250 @@ class RunResult:
         message queue — the scenario was still generating events.
         """
         return self.pending_messages == 0 and not self.events_capped
+
+
+#: Kinds of scripted control events, shared with the turbo and async
+#: calendars (slot 2 of a queue entry, after their message and timer kinds).
+CRASH, RECOVER, PARTITION, HEAL, INJECT = range(2, 7)
+
+
+class EngineBase:
+    """The skeleton the kernel, turbo and async backends share.
+
+    It validates the shared constructor arguments, registers cores and their
+    core-groups, scripts faults and external timers, records decisions and
+    outputs, and owns the ``run_until_*`` helpers.  A backend supplies:
+
+    * ``_clock`` — its :class:`Clock`, and ``_partition_groups`` — the
+      active partition (a tuple of frozensets of pids, ``()`` when
+      connected);
+    * ``_push_control(at, kind, arg)`` — queue one scripted :data:`CRASH` /
+      :data:`RECOVER` (``arg`` is the pid), :data:`PARTITION` (the frozen
+      groups), :data:`HEAL` or :data:`INJECT` (the callback) at ``at``
+      (``None`` meaning now);
+    * the ``send`` and ``arm_timer`` sink methods (and ``broadcast`` when the
+      per-destination loop below is not fast enough);
+    * ``run`` — its event loop.
+    """
+
+    #: Name under which scenario results report this backend.
+    name = ""
+    #: Time semantics of this backend (one of :data:`TIME_SOURCES`).
+    time_source = TIME_SIMULATED
+
+    def __init__(
+        self,
+        delay_model: DelayModel | None = None,
+        metrics: MetricsCollector | None = None,
+        scheduler: Scheduler | None = None,
+    ) -> None:
+        if delay_model is not None and scheduler is not None:
+            raise ValueError(
+                "pass either delay_model or scheduler, not both (a scheduler "
+                "fully determines delays; wrap a DelayModel in "
+                "DelayModelScheduler if you want to combine them)"
+            )
+        self._scheduler = scheduler or DelayModelScheduler(delay_model or UniformDelay())
+        self.metrics = metrics or MetricsCollector()
+        #: ``(time, pid, label, data)`` tuples from cores' ``Output`` effects.
+        self.outputs: list[tuple[float, Hashable, str, Any]] = []
+        self._nodes: dict[Hashable, ProtocolCore] = {}
+        self._cores: list[ProtocolCore] = []
+        self._index: dict[Hashable, int] = {}
+        self._pids: tuple[Hashable, ...] = ()
+        # Core-groups (shards): broadcast scope per pid.  A single-group run
+        # keeps every pid in group 0, so the group tuple *is* ``_pids`` and
+        # iteration (hence RNG draw order and seq numbering) is unchanged.
+        self._groups: dict[Any, tuple[Hashable, ...]] = {}
+        self._group_of: dict[Hashable, Any] = {}
+        self._started = False
+
+    # -- topology ---------------------------------------------------------------
+
+    def add_core(self, core: ProtocolCore, group: Any = 0) -> ProtocolCore:
+        """Register ``core`` under its pid (before the run starts).
+
+        ``group`` names the core-group (shard) the core belongs to.  A
+        ``Broadcast`` effect reaches exactly the emitting core's group; with
+        the default single group that is the whole system.
+        """
+        if self._started:
+            raise RuntimeError("cannot add cores after the run started")
+        pid = core.pid
+        if pid in self._nodes:
+            raise ValueError(f"duplicate process id {pid!r}")
+        self._nodes[pid] = core
+        self._index[pid] = len(self._cores)
+        self._cores.append(core)
+        self._pids += (pid,)
+        self._group_of[pid] = group
+        self._groups[group] = self._groups.get(group, ()) + (pid,)
+        return core
+
+    # ``add_node`` reads better at call sites that think in cluster terms.
+    add_node = add_core
+
+    def add_cores(self, cores: Iterable[ProtocolCore], group: Any = 0) -> list[ProtocolCore]:
+        """Register several cores at once (in the given order)."""
+        return [self.add_core(core, group=group) for core in cores]
+
+    @property
+    def pids(self) -> tuple[Hashable, ...]:
+        """All registered process identifiers, in registration order."""
+        return self._pids
+
+    @property
+    def groups(self) -> dict[Any, tuple[Hashable, ...]]:
+        """Core-group key -> member pids, in registration order."""
+        return dict(self._groups)
+
+    def group_of(self, pid: Hashable) -> Any:
+        """The core-group (shard) key ``pid`` was registered under."""
+        return self._group_of[pid]
+
+    @property
+    def nodes(self) -> dict[Hashable, ProtocolCore]:
+        """Mapping from pid to core (read-only by convention)."""
+        return self._nodes
+
+    def node(self, pid: Hashable) -> ProtocolCore:
+        """Return the core registered under ``pid``."""
+        return self._nodes[pid]
+
+    @property
+    def clock(self) -> Clock:
+        """The engine's time service (simulated or wall-clock)."""
+        return self._clock
+
+    @property
+    def now(self) -> float:
+        """Current engine time, read off :attr:`clock`."""
+        return self._clock.now()
+
+    @property
+    def scheduler(self) -> Scheduler:
+        """The active scheduling policy."""
+        return self._scheduler
+
+    def _check_pid(self, pid: Hashable) -> None:
+        if pid not in self._nodes:
+            raise ValueError(f"unknown process {pid!r}")
+
+    # -- the sink half every backend shares (see repro.engine.effects) ----------
+
+    def broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
+        """One ``send`` per member of ``sender``'s core-group, in order."""
+        send = self.send
+        for dest in self._groups[self._group_of[sender]]:
+            if include_self or dest != sender:
+                send(sender, dest, payload, depth)
+
+    def decided(self, pid: Hashable, value: Any, round: Any, causal_depth: int) -> None:
+        self.metrics.record_decision(
+            pid=pid, value=value, time=self.now, causal_depth=causal_depth, round=round
+        )
+
+    def output(self, pid: Hashable, label: str, data: Any) -> None:
+        self.outputs.append((self.now, pid, label, data))
+
+    # -- timers & faults --------------------------------------------------------
+
+    def schedule_timer(
+        self, pid: Hashable, delay: float, tag: str, payload: Any = None
+    ) -> TimerHandle:
+        """Arm a timer firing ``pid``'s ``on_timer`` after ``delay`` (harness API).
+
+        Cores arm their own timers through ``SetTimer`` effects; this entry
+        point exists for experiments that script external alarms.  Returns
+        the cancellation handle.
+        """
+        self._check_pid(pid)
+        if invalid_time(delay):
+            raise ValueError(f"invalid timer delay {delay!r}")
+        handle = TimerHandle(tag, payload)
+        self.arm_timer(pid, delay, handle)
+        return handle
+
+    def crash_node(self, pid: Hashable, at: float | None = None) -> Any:
+        """Schedule ``pid``'s crash at time ``at`` (default: now)."""
+        self._check_pid(pid)
+        return self._push_control(at, CRASH, pid)
+
+    def recover_node(self, pid: Hashable, at: float | None = None) -> Any:
+        """Schedule ``pid``'s recovery at time ``at`` (default: now)."""
+        self._check_pid(pid)
+        return self._push_control(at, RECOVER, pid)
+
+    def start_partition(self, *groups: Iterable[Hashable], at: float | None = None) -> Any:
+        """Schedule a partition into ``groups`` at ``at`` (default: now)."""
+        frozen = tuple(frozenset(group) for group in groups)
+        validate_partition_groups(frozen)
+        for group in frozen:
+            for pid in group:
+                if pid not in self._nodes:
+                    raise ValueError(f"unknown process {pid!r} in partition group")
+        return self._push_control(at, PARTITION, frozen)
+
+    def heal_partition(self, at: float | None = None) -> Any:
+        """Schedule the partition heal at ``at`` (default: now)."""
+        return self._push_control(at, HEAL, None)
+
+    def inject(
+        self, fn: Callable[[Any], Any], at: float | None = None, label: str = "inject"
+    ) -> Any:
+        """Schedule ``fn(engine)`` at ``at`` — arbitrary scripted action.
+
+        ``label`` names the action for call-site readability (fault plans
+        carry one per action); the engine does not interpret it.
+        """
+        return self._push_control(at, INJECT, fn)
+
+    def apply_fault_plan(self, plan) -> None:
+        """Schedule every action of a :class:`~repro.sim.faults.FaultPlan`."""
+        plan.apply(self)
+
+    def _link_blocked(self, sender: Hashable, dest: Hashable) -> bool:
+        """Whether the active partition separates ``sender`` and ``dest``.
+
+        Blocked iff both endpoints belong to (different) partition groups; a
+        pid not listed in any group keeps full connectivity.
+        """
+        group_a = group_b = -1
+        for index, group in enumerate(self._partition_groups):
+            if sender in group:
+                group_a = index
+            if dest in group:
+                group_b = index
+        return group_a >= 0 and group_b >= 0 and group_a != group_b
+
+    # -- running ----------------------------------------------------------------
+
+    def start(self) -> None:
+        """Hand every core its start event (once, in registration order)."""
+        if self._started:
+            return
+        self._started = True
+        for core in self._cores:
+            core.now = self.now
+            core.on_start()
+            interpret(core, self)
+
+    def pending(self) -> int:
+        """Messages currently in flight (including held ones)."""
+        return self.pending_messages
+
+    def run_until_quiescent(self, max_messages: int = 200_000) -> RunResult:
+        """Deliver every message currently in the system (and those they spawn)."""
+        return self.run(stop_when=None, max_messages=max_messages)
+
+    def run_until_decided(self, pids: list[Hashable], max_messages: int = 200_000) -> RunResult:
+        """Run until every process in ``pids`` has recorded a decision."""
+        targets = set(pids)
+        # The collector maintains the decided-pid set incrementally, so this
+        # predicate is O(|targets|) per event.
+        decided = self.metrics.decided
+
+        def all_decided() -> bool:
+            return targets <= decided
+
+        return self.run(stop_when=all_decided, max_messages=max_messages)

@@ -20,6 +20,14 @@ per-message object the reference path carries:
   decisions/outputs are recorded as they happen, so stop predicates and
   invariant checks keep working.
 
+Effects reach the calendar through the one shared interpreter
+(:func:`repro.engine.effects.interpret`), with the engine as its sink: the
+per-event work turbo sheds is objects, not a second effect path.  Its
+``send`` and ``broadcast`` sink methods write calendar tuples directly, and
+the broadcast scope of every core is interned once at start as
+``(dest_index, pid)`` pairs.  Registration, fault scripting and the
+``run_until_*`` helpers come from :class:`~repro.engine.services.EngineBase`.
+
 Because the schedule is reproduced exactly, a turbo run reaches the same
 decision values and output lattices as the kernel backend for the same
 (cores, seed, scheduler, fault plan) — the cross-backend golden test pins
@@ -32,38 +40,37 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable
 from heapq import heappop, heappush
 from random import Random
 from typing import Any
 
-from repro.engine.core import ProtocolCore
 from repro.engine.delays import DelayModel, FixedDelay, UniformDelay
-from repro.engine.effects import Broadcast, Cancel, Decide, Output, Send, SetTimer, TimerHandle
+from repro.engine.effects import TimerHandle, interpret, invalid_time
 from repro.engine.envelope import Envelope
-from repro.engine.services import TIME_SIMULATED, Clock, RunResult, SimulatedClock
+from repro.engine.services import (
+    CRASH,
+    HEAL,
+    PARTITION,
+    RECOVER,
+    TIME_SIMULATED,
+    EngineBase,
+    RunResult,
+    SimulatedClock,
+)
 from repro.metrics.collector import MetricsCollector
-from repro.sim.faults import validate_partition_groups
-from repro.sim.kernel import invalid_time
 from repro.sim.scheduler import DelayModelScheduler, Scheduler
 
-#: Heap-entry kinds (slot 2 of every queue tuple).
+#: Heap-entry kinds (slot 2 of every queue tuple); scripted controls use
+#: the shared kinds of :mod:`repro.engine.services`.
 _MESSAGE = 0
 _TIMER = 1
-_CRASH = 2
-_RECOVER = 3
-_PARTITION = 4
-_HEAL = 5
-_INJECT = 6
-
-_INF = float("inf")
 
 
-class TurboEngine:
+class TurboEngine(EngineBase):
     """Fast-path backend: one fused event loop, no per-message shim objects."""
 
     name = "turbo"
-    #: Time semantics of this backend (see :mod:`repro.engine.services`).
     time_source = TIME_SIMULATED
 
     def __init__(
@@ -73,24 +80,8 @@ class TurboEngine:
         metrics: MetricsCollector | None = None,
         scheduler: Scheduler | None = None,
     ) -> None:
-        if delay_model is not None and scheduler is not None:
-            raise ValueError(
-                "pass either delay_model or scheduler, not both (a scheduler "
-                "fully determines delays; wrap a DelayModel in "
-                "DelayModelScheduler if you want to combine them)"
-            )
-        self._scheduler = scheduler or DelayModelScheduler(delay_model or UniformDelay())
+        super().__init__(delay_model, metrics, scheduler)
         self.rng = Random(seed)
-        self._cores: list[ProtocolCore] = []
-        self._index: dict[Hashable, int] = {}
-        self._pids: tuple[Hashable, ...] = ()
-        # Core-groups (shards): broadcast scope per pid, interned as
-        # ``(dest_index, pid)`` pairs so the broadcast loop needs no lookups.
-        # Single-group runs keep every core in group 0, where the pair tuple
-        # equals ``enumerate(self._pids)`` — identical iteration, RNG draws
-        # and seq numbering as the pre-sharding engine.
-        self._groups: dict[Any, tuple[tuple[int, Hashable], ...]] = {}
-        self._group_of: dict[Hashable, Any] = {}
         #: Calendar queue: a heap of *distinct due times* plus one FIFO
         #: bucket of ``(time, seq, kind, ...)`` entries per time.  Same-time
         #: entries pop in append order, which equals seq order (``seq`` is
@@ -103,24 +94,25 @@ class TurboEngine:
         self._seq = 0
         self._now = 0.0
         self._clock = SimulatedClock(lambda: self._now)
-        self._started = False
         #: Indices of processes currently down.
         self._crashed: set = set()
-        #: Active partition (tuple of frozensets of pids), or ().
         self._partition_groups: tuple[frozenset, ...] = ()
         self._held_for_node: dict[int, list[tuple]] = {}
         self._held_for_partition: list[tuple] = []
         self.pending_messages = 0
         self.events_processed = 0
-        #: Decisions and per-process send *counts* are recorded here, so
-        #: stop predicates, latency invariants and the message-complexity
-        #: experiments work; per-type, per-delivery and size accounting are
-        #: skipped by design (use the kernel backend for those).
-        self.metrics = metrics or MetricsCollector()
-        #: Index-addressed send counters (one int increment per send — no
-        #: hashing on the hot path); flushed into ``metrics`` after a run.
-        self._send_counts: list[int] = []
-        self.outputs: list[tuple[float, Hashable, str, Any]] = []
+        #: Per-sender send *counts* (one int increment per send — no
+        #: per-message accounting objects), flushed into ``metrics`` after a
+        #: run; decisions are recorded as they happen, so stop predicates,
+        #: latency invariants and the message-complexity experiments work.
+        #: Per-type, per-delivery and size accounting are skipped by design
+        #: (use the kernel backend for those).
+        self._sent: dict[Hashable, int] = {}
+        #: Broadcast scope per sender as ``(dest_index, pid)`` pairs, interned
+        #: at start.  Single-group runs give every sender
+        #: ``enumerate(self._pids)`` — identical iteration, RNG draws and seq
+        #: numbering to the pre-sharding engine.
+        self._scopes: dict[Hashable, tuple[tuple[int, Hashable], ...]] = {}
         #: The one reusable envelope handed to scheduler strategies: its
         #: fields are overwritten per send and its lazy caches reset, so no
         #: per-message envelope is ever allocated.
@@ -136,69 +128,6 @@ class TurboEngine:
         self._fixed_delay = model._value if isinstance(model, FixedDelay) else None
         self._uniform_bounds = (model._low, model._high) if isinstance(model, UniformDelay) else None
 
-    # -- topology ---------------------------------------------------------------
-
-    def add_core(self, core: ProtocolCore, group: Any = 0) -> ProtocolCore:
-        """Register ``core`` and intern its pid (before the run starts).
-
-        ``group`` names the core-group (shard) the core belongs to; a
-        ``Broadcast`` effect reaches exactly the emitting core's group.
-        """
-        if self._started:
-            raise RuntimeError("cannot add cores after the simulation started")
-        if core.pid in self._index:
-            raise ValueError(f"duplicate process id {core.pid!r}")
-        index = len(self._cores)
-        self._index[core.pid] = index
-        self._cores.append(core)
-        self._send_counts.append(0)
-        self._pids = self._pids + (core.pid,)
-        self._group_of[core.pid] = group
-        self._groups[group] = self._groups.get(group, ()) + ((index, core.pid),)
-        return core
-
-    add_node = add_core
-
-    def add_cores(
-        self, cores: Iterable[ProtocolCore], group: Any = 0
-    ) -> list[ProtocolCore]:
-        """Register several cores at once (in the given order)."""
-        return [self.add_core(core, group=group) for core in cores]
-
-    @property
-    def pids(self) -> tuple[Hashable, ...]:
-        return self._pids
-
-    @property
-    def groups(self) -> dict[Any, tuple[Hashable, ...]]:
-        """Core-group key -> member pids, in registration order."""
-        return {key: tuple(pid for _, pid in pairs) for key, pairs in self._groups.items()}
-
-    def group_of(self, pid: Hashable) -> Any:
-        """The core-group (shard) key ``pid`` was registered under."""
-        return self._group_of[pid]
-
-    @property
-    def nodes(self) -> dict[Hashable, ProtocolCore]:
-        """Mapping from pid to core (built on demand; not on the hot path)."""
-        return {core.pid: core for core in self._cores}
-
-    def node(self, pid: Hashable) -> ProtocolCore:
-        return self._cores[self._index[pid]]
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def clock(self) -> Clock:
-        """The engine's time service (simulated time on this backend)."""
-        return self._clock
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._scheduler
-
     # -- the calendar queue -------------------------------------------------------
 
     def _enqueue(self, entry: tuple) -> None:
@@ -209,8 +138,6 @@ class TurboEngine:
             self._buckets[due] = bucket = deque()
             heappush(self._times, due)
         bucket.append(entry)
-
-    # -- effect application -------------------------------------------------------
 
     def _delay_for(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> float:
         """One scheduler consultation via the reusable probe envelope.
@@ -234,124 +161,69 @@ class TurboEngine:
         probe._size = None
         probe._mtype = None
         delay = self._scheduler.delay(probe, self.rng)
-        if delay < 0 or delay != delay or delay == _INF:
+        if invalid_time(delay):
             raise ValueError(f"scheduler produced invalid delay {delay!r}")
         return delay
 
-    def _apply_effects(self, core: ProtocolCore) -> None:
-        buffer = core._out
-        if not buffer:
-            return
-        pid = core.pid
-        depth = core.causal_depth + 1
-        # Hot path hoists: one send is by far the most common effect, and the
-        # stock delay models resolve without touching the probe envelope.
-        index_get = self._index.get
+    # -- the effect sink ------------------------------------------------------------
+
+    def send(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> None:
+        dest_index = self._index.get(dest)
+        if dest_index is None:
+            raise ValueError(f"unknown destination {dest!r}")
+        delay = self._fixed_delay
+        if delay is None:
+            bounds = self._uniform_bounds
+            if bounds is not None:
+                delay = self.rng.uniform(bounds[0], bounds[1])
+            else:
+                delay = self._delay_for(sender, dest, payload, depth)
+        self._seq = seq = self._seq + 1
+        due = self._now + delay
+        bucket = self._buckets.get(due)
+        if bucket is None:
+            self._buckets[due] = bucket = deque()
+            heappush(self._times, due)
+        bucket.append((due, seq, _MESSAGE, dest_index, sender, payload, depth))
+        self.pending_messages += 1
+        self._sent[sender] += 1
+
+    def broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
+        # The hot fan-out: every hoisted local below is read once per
+        # destination, and the stock delay models never touch the probe.
+        fixed = self._fixed_delay
+        uniform = self._uniform_bounds
+        rng_uniform = self.rng.uniform
         times = self._times
         buckets = self._buckets
         buckets_get = buckets.get
         now = self._now
-        fixed = self._fixed_delay
-        uniform = self._uniform_bounds
-        rng_uniform = self.rng.uniform
         seq = self._seq
-        pending = 0
-        sender_index = self._index[pid]
-        send_counts = self._send_counts
-        for effect in buffer:
-            cls = effect.__class__
-            if cls is Send:
-                dest = effect.dest
-                dest_index = index_get(dest)
-                if dest_index is None:
-                    raise ValueError(f"unknown destination {dest!r}")
-                payload = effect.payload
-                if fixed is not None:
-                    delay = fixed
-                elif uniform is not None:
-                    delay = rng_uniform(uniform[0], uniform[1])
-                else:
-                    delay = self._delay_for(pid, dest, payload, depth)
-                seq += 1
-                due = now + delay
-                bucket = buckets_get(due)
-                if bucket is None:
-                    buckets[due] = bucket = deque()
-                    heappush(times, due)
-                bucket.append((due, seq, _MESSAGE, dest_index, pid, payload, depth))
-                pending += 1
-                send_counts[sender_index] += 1
-            elif cls is Broadcast:
-                payload = effect.payload
-                include_self = effect.include_self
-                # Broadcast scope is the emitting core's group; the interned
-                # pair tuple equals ``enumerate(self._pids)`` when the run
-                # hosts a single group.
-                for dest_index, dest in self._groups[self._group_of[pid]]:
-                    if dest == pid and not include_self:
-                        continue
-                    if fixed is not None:
-                        delay = fixed
-                    elif uniform is not None:
-                        delay = rng_uniform(uniform[0], uniform[1])
-                    else:
-                        self._seq = seq
-                        delay = self._delay_for(pid, dest, payload, depth)
-                    seq += 1
-                    due = now + delay
-                    bucket = buckets_get(due)
-                    if bucket is None:
-                        buckets[due] = bucket = deque()
-                        heappush(times, due)
-                    bucket.append((due, seq, _MESSAGE, dest_index, pid, payload, depth))
-                    pending += 1
-                    send_counts[sender_index] += 1
-            elif cls is SetTimer:
-                if invalid_time(effect.delay):
-                    raise ValueError(f"invalid timer delay {effect.delay!r}")
-                seq += 1
-                self._enqueue((now + effect.delay, seq, _TIMER, self._index[pid], effect.handle))
-            elif cls is Decide:
-                self.metrics.record_decision(
-                    pid=pid,
-                    value=effect.value,
-                    time=now,
-                    causal_depth=core.causal_depth,
-                    round=effect.round,
-                )
-            elif cls is Output:
-                self.outputs.append((now, pid, effect.label, effect.data))
-            elif cls is Cancel:
-                effect.handle.cancel()
+        sent = 0
+        for dest_index, dest in self._scopes[sender]:
+            if not include_self and dest == sender:
+                continue
+            if fixed is not None:
+                delay = fixed
+            elif uniform is not None:
+                delay = rng_uniform(uniform[0], uniform[1])
             else:
-                self._seq = seq
-                self.pending_messages += pending
-                raise TypeError(
-                    f"core {pid!r} emitted a non-effect {effect!r}; the engine "
-                    "only understands the repro.engine.effects vocabulary"
-                )
+                delay = self._delay_for(sender, dest, payload, depth)
+            seq += 1
+            due = now + delay
+            bucket = buckets_get(due)
+            if bucket is None:
+                buckets[due] = bucket = deque()
+                heappush(times, due)
+            bucket.append((due, seq, _MESSAGE, dest_index, sender, payload, depth))
+            sent += 1
         self._seq = seq
-        self.pending_messages += pending
-        buffer.clear()
+        self.pending_messages += sent
+        self._sent[sender] += sent
 
-    def schedule_timer(
-        self, pid: Hashable, delay: float, tag: str, payload: Any = None
-    ) -> TimerHandle:
-        """Arm a timer firing ``pid``'s ``on_timer`` after ``delay`` (harness API).
-
-        Mirrors :meth:`KernelEngine.schedule_timer` so experiments and
-        ``FaultPlan`` inject callbacks that script external alarms run on
-        either backend; returns the cancellation handle.
-        """
-        index = self._index.get(pid)
-        if index is None:
-            raise ValueError(f"unknown process {pid!r}")
-        if invalid_time(delay):
-            raise ValueError(f"invalid timer delay {delay!r}")
-        handle = TimerHandle(tag, payload)
+    def arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
         self._seq += 1
-        self._enqueue((self._now + delay, self._seq, _TIMER, index, handle))
-        return handle
+        self._enqueue((self._now + delay, self._seq, _TIMER, self._index[pid], handle))
 
     # -- faults (same semantics as the kernel backend) ------------------------------
 
@@ -361,56 +233,6 @@ class TurboEngine:
             raise ValueError(f"invalid event time {due!r} (now={self._now!r})")
         self._seq += 1
         self._enqueue((due, self._seq, kind, arg))
-
-    def crash_node(self, pid: Hashable, at: float | None = None) -> None:
-        """Schedule ``pid``'s crash at absolute time ``at`` (default: now)."""
-        if pid not in self._index:
-            raise ValueError(f"unknown process {pid!r}")
-        self._push_control(at, _CRASH, self._index[pid])
-
-    def recover_node(self, pid: Hashable, at: float | None = None) -> None:
-        """Schedule ``pid``'s recovery at absolute time ``at`` (default: now)."""
-        if pid not in self._index:
-            raise ValueError(f"unknown process {pid!r}")
-        self._push_control(at, _RECOVER, self._index[pid])
-
-    def start_partition(
-        self, *groups: Iterable[Hashable], at: float | None = None
-    ) -> None:
-        """Schedule a partition into ``groups`` at ``at`` (default: now)."""
-        frozen = tuple(frozenset(group) for group in groups)
-        validate_partition_groups(frozen)
-        for group in frozen:
-            for pid in group:
-                if pid not in self._index:
-                    raise ValueError(f"unknown process {pid!r} in partition group")
-        self._push_control(at, _PARTITION, frozen)
-
-    def heal_partition(self, at: float | None = None) -> None:
-        """Schedule the partition heal at ``at`` (default: now)."""
-        self._push_control(at, _HEAL, None)
-
-    def inject(
-        self,
-        fn: Callable[["TurboEngine"], Any],
-        at: float | None = None,
-        label: str = "inject",
-    ) -> None:
-        """Schedule ``fn(engine)`` at ``at`` — arbitrary scripted action."""
-        self._push_control(at, _INJECT, fn)
-
-    def apply_fault_plan(self, plan) -> None:
-        """Schedule every action of a :class:`~repro.sim.faults.FaultPlan`."""
-        plan.apply(self)
-
-    def _link_blocked(self, sender: Hashable, dest: Hashable) -> bool:
-        group_a = group_b = -1
-        for index, group in enumerate(self._partition_groups):
-            if sender in group:
-                group_a = index
-            if dest in group:
-                group_b = index
-        return group_a >= 0 and group_b >= 0 and group_a != group_b
 
     def _release(self, entries: list[tuple]) -> None:
         """Re-queue held entries in hold order at the current time."""
@@ -423,18 +245,15 @@ class TurboEngine:
     # -- running -------------------------------------------------------------------
 
     def start(self) -> None:
-        """Hand every core its start event (once, in registration order)."""
-        if self._started:
-            return
-        self._started = True
-        for core in self._cores:
-            core.on_start()
-            if core._out:
-                self._apply_effects(core)
-
-    def pending(self) -> int:
-        """Messages currently in flight (including held ones)."""
-        return self.pending_messages
+        """Intern the broadcast scopes, then hand every core its start event."""
+        if not self._started:
+            index = self._index
+            self._scopes = {
+                pid: tuple((index[dest], dest) for dest in self._groups[self._group_of[pid]])
+                for pid in self._pids
+            }
+            self._sent = dict.fromkeys(self._pids, 0)
+        super().start()
 
     def run(
         self,
@@ -500,7 +319,7 @@ class TurboEngine:
                 core.now = time
                 core.on_message(sender, entry[5])
                 if core._out:
-                    self._apply_effects(core)
+                    interpret(core, self)
                 delivered += 1
             elif kind == _TIMER:
                 dest_index = entry[3]
@@ -512,18 +331,18 @@ class TurboEngine:
                 core.now = time
                 core.on_timer(handle.tag, handle.payload)
                 if core._out:
-                    self._apply_effects(core)
-            elif kind == _CRASH:
-                index = entry[3]
+                    interpret(core, self)
+            elif kind == CRASH:
+                index = self._index[entry[3]]
                 if index not in crashed:
                     crashed.add(index)
                     core = cores[index]
                     core.now = time
                     core.on_crash()
                     if core._out:
-                        self._apply_effects(core)
-            elif kind == _RECOVER:
-                index = entry[3]
+                        interpret(core, self)
+            elif kind == RECOVER:
+                index = self._index[entry[3]]
                 if index in crashed:
                     crashed.discard(index)
                     # Held traffic is re-queued before the recovery hook runs,
@@ -536,16 +355,16 @@ class TurboEngine:
                     core.now = time
                     core.on_recover()
                     if core._out:
-                        self._apply_effects(core)
-            elif kind == _PARTITION:
+                        interpret(core, self)
+            elif kind == PARTITION:
                 self._partition_groups = entry[3]
                 held, self._held_for_partition = self._held_for_partition, []
                 self._release(held)
-            elif kind == _HEAL:
+            elif kind == HEAL:
                 self._partition_groups = ()
                 held, self._held_for_partition = self._held_for_partition, []
                 self._release(held)
-            else:  # _INJECT
+            else:  # INJECT
                 entry[3](self)
         self._flush_send_counts()
         return RunResult(
@@ -560,31 +379,15 @@ class TurboEngine:
         )
 
     def _flush_send_counts(self) -> None:
-        """Fold the index-addressed send counters into the metrics collector.
+        """Fold the per-sender send counters into the metrics collector.
 
         Counters are zeroed after folding, so successive ``run`` calls
         accumulate instead of double-counting.
         """
         sent_by_process = self.metrics.sent_by_process
-        counts = self._send_counts
-        for index, count in enumerate(counts):
+        sent = self._sent
+        for pid, count in sent.items():
             if count:
-                sent_by_process[self._pids[index]] += count
+                sent_by_process[pid] += count
                 self.metrics.total_sent += count
-                counts[index] = 0
-
-    def run_until_quiescent(self, max_messages: int = 200_000) -> RunResult:
-        """Deliver every message currently in the system (and those they spawn)."""
-        return self.run(stop_when=None, max_messages=max_messages)
-
-    def run_until_decided(
-        self, pids: list[Hashable], max_messages: int = 200_000
-    ) -> RunResult:
-        """Run until every process in ``pids`` has recorded a decision."""
-        targets = set(pids)
-        decided = self.metrics.decided
-
-        def all_decided() -> bool:
-            return targets <= decided
-
-        return self.run(stop_when=all_decided, max_messages=max_messages)
+                sent[pid] = 0

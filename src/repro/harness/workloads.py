@@ -53,6 +53,7 @@ from repro.crypto.signatures import KeyRegistry
 from repro.engine import RunResult, create_engine, latency_summary
 from repro.engine.core import ProtocolCore
 from repro.engine.delays import DelayModel, UniformDelay
+from repro.engine.effects import interpret
 from repro.lattice.base import JoinSemilattice, LatticeElement
 from repro.lattice.set_lattice import SetLattice
 from repro.metrics.collector import MetricsCollector
@@ -824,7 +825,7 @@ def run_open_loop_scenario(
             arrivals[value] = (pid, live_engine.now)
             core.new_value(value)
             core.recheck()
-            live_engine._apply_effects(core)
+            interpret(core, live_engine)
 
         return arrive
 

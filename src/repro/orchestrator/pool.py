@@ -157,12 +157,17 @@ def _crash_payload(job: JobSpec, elapsed_s: float, exitcode: int | None) -> dict
     )
 
 
-def _worker_main(connection) -> None:
+def _worker_main(connection, supervisor_end) -> None:
     """Loop of one persistent worker process (top-level so it survives spawn).
 
     Receives ``(position, JobSpec)`` tasks over its dedicated pipe, replies
     ``(position, payload)``, and exits on the ``None`` sentinel or EOF.
+
+    ``supervisor_end`` is the other end of that pipe, inherited by a forked
+    child.  It is closed first thing: while the worker holds it, a dead
+    supervisor never reads as EOF and the orphaned worker waits forever.
     """
+    supervisor_end.close()
     try:
         while True:
             try:
@@ -176,7 +181,10 @@ def _worker_main(connection) -> None:
                 payload = execute_job(job)
             except BaseException:  # never let a worker die silently
                 payload = _base_payload(job, "error", 0.0, traceback.format_exc())
-            connection.send((position, payload))
+            try:
+                connection.send((position, payload))
+            except OSError:  # the supervisor died mid-job
+                break
     finally:
         connection.close()
 
@@ -254,7 +262,7 @@ def _iter_pool_results(
 
     def spawn() -> _Worker:
         parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(target=_worker_main, args=(child_conn,), daemon=True)
+        process = context.Process(target=_worker_main, args=(child_conn, parent_conn), daemon=True)
         process.start()
         child_conn.close()  # parent keeps only its end
         stats.workers_spawned += 1

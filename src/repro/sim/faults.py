@@ -30,7 +30,7 @@ from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.kernel import invalid_time
+from repro.engine.effects import invalid_time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.engine.kernel_backend import KernelEngine

@@ -7,7 +7,7 @@ popped event may take effect now or must be *held*.
 
 The kernel is engine-agnostic: it never looks inside an envelope and never
 calls protocol code.  :class:`repro.engine.KernelEngine` drives it (pop an
-event, dispatch by type, consult ``is_crashed`` / ``link_blocked``) and
+event, dispatch by type, consult ``crashed`` / ``partition_groups``) and
 applies the resulting core effects.
 
 Determinism: the heap is ordered by ``(time, seq)`` where ``seq`` is a
@@ -23,17 +23,8 @@ import heapq
 import random
 from collections.abc import Hashable
 
+from repro.engine.effects import invalid_time
 from repro.sim.events import Event, MessageDelivery
-
-
-def invalid_time(value: float) -> bool:
-    """True for negative, NaN or infinite time/delay values.
-
-    The single definition of temporal validity, shared by the kernel, the
-    network's submit/timer paths and :class:`~repro.sim.faults.FaultPlan` so
-    the entry points cannot drift apart.
-    """
-    return value < 0.0 or value != value or value == float("inf")
 
 
 class SimKernel:
@@ -122,27 +113,6 @@ class SimKernel:
         return None
 
     # -- fault state --------------------------------------------------------------
-
-    def is_crashed(self, pid: Hashable) -> bool:
-        """Whether ``pid`` is currently down."""
-        return pid in self.crashed
-
-    def link_blocked(self, a: Hashable, b: Hashable) -> bool:
-        """Whether the active partition separates ``a`` and ``b``.
-
-        Blocked iff both endpoints belong to (different) partition groups; a
-        pid not listed in any group keeps full connectivity.
-        """
-        groups = self.partition_groups
-        if not groups:
-            return False
-        group_a = group_b = -1
-        for index, group in enumerate(groups):
-            if a in group:
-                group_a = index
-            if b in group:
-                group_b = index
-        return group_a >= 0 and group_b >= 0 and group_a != group_b
 
     def hold_for_node(self, pid: Hashable, event: Event) -> None:
         """Park ``event`` until ``pid`` recovers (reliable redelivery)."""

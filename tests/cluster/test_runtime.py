@@ -84,13 +84,16 @@ class TestCoreHost:
 
         run_host(scenario)
 
-    def test_broadcast_fans_to_members_only(self):
+    def test_broadcast_without_a_broadcast_route_is_loud(self):
+        """``send`` is not a fallback for ``Broadcast``: an embedding that
+        gives no ``broadcast`` callback fails the broadcast outright."""
+
         async def scenario(core, host):
-            host.deliver("x", "fan")
+            with pytest.raises(ClusterError, match="no broadcast route"):
+                host.deliver("x", "fan")
 
         _core, _host, sent = run_host(scenario)
-        # include_self=False: self excluded; non-members never appear.
-        assert sent == [("other", "hello"), ("third", "hello")]
+        assert sent == []
 
     def test_broadcast_is_one_operation_for_an_embedding_that_takes_it(self):
         """A ``broadcast`` callback gets the remote members in one call (so a
@@ -149,3 +152,34 @@ class TestCoreHost:
                 host.deliver("x", "remote")
 
         asyncio.run(main())
+
+    def test_reentrant_route_applies_each_effect_once(self):
+        """A route that re-enters the host (an in-process embedding delivering
+        synchronously) must not re-apply or drop the outer batch's effects."""
+
+        class Chatty(ProtocolCore):
+            def on_message(self, sender, payload):
+                if payload == "go":
+                    self.send("peer", "a")
+                    self.send("peer", "b")
+                elif payload == "ping":
+                    self.send("peer", "c")
+
+        async def main():
+            sent = []
+            host = None
+
+            def route(dest, payload):
+                sent.append(payload)
+                if payload == "a":
+                    host.deliver("peer", "ping")  # re-enters mid-batch
+
+            host = CoreHost(Chatty("me"), members=("me", "peer"), send=route)
+            host.start()
+            host.deliver("x", "go")
+            return sent
+
+        sent = asyncio.run(main())
+        # Each effect applied once; the outer batch keeps its emission order
+        # and the nested batch is applied where its route re-entered.
+        assert sent == ["a", "c", "b"]

@@ -48,8 +48,7 @@ class TestMembership:
     def test_send_to_members_emits_one_send_per_member(self):
         _, process = make()
         process.send_to_members("hi")
-        effects = []
-        process.drain_into(effects)
+        effects = process._out
         assert [effect.dest for effect in effects] == ["p0", "p1", "p2", "p3"]
         assert all(effect.payload == "hi" for effect in effects)
 
@@ -62,9 +61,7 @@ class TestDecisions:
         process.record_decision(frozenset({1}), round=2)
         assert process.has_decided
         assert process.decision == frozenset({1})
-        effects = []
-        process.drain_into(effects)
-        (decide,) = effects
+        (decide,) = process._out
         assert decide.value == frozenset({1}) and decide.round == 2
 
     def test_decision_none_before_deciding(self):

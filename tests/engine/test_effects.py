@@ -1,7 +1,11 @@
 """The sans-I/O contract: ``handle(event) -> effects`` and its negative paths."""
 
+import asyncio
+from functools import partial
+
 import pytest
 
+from repro.cluster.runtime import CoreHost
 from repro.engine import (
     AsyncEngine,
     Broadcast,
@@ -104,28 +108,64 @@ class BadTimer(ProtocolCore):
         self.set_timer(self.delay, "t")
 
 
-@pytest.mark.parametrize("engine_class", [KernelEngine, TurboEngine, AsyncEngine])
-class TestMalformedEffects:
-    def test_non_effect_object_fails_loudly(self, engine_class):
-        engine = engine_class(seed=0)
-        engine.add_core(Misbehaving("p0"))
-        with pytest.raises(TypeError, match="non-effect"):
-            engine.run_until_quiescent()
+def run_on_engine(engine_class, *cores):
+    engine = engine_class(seed=0)
+    for core in cores:
+        engine.add_core(core)
+    engine.run_until_quiescent()
 
-    def test_send_to_unknown_destination_fails(self, engine_class):
-        engine = engine_class(seed=0)
-        engine.add_core(BadDest("p0"))
+
+def run_on_core_hosts(*cores):
+    """One ``CoreHost`` per core on a live loop, routed in-process by pid (the
+    embedding rejects a pid it has no host for, as the engines do)."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        members = tuple(core.pid for core in cores)
+        hosts = {}
+
+        def route_from(sender):
+            def route(dest, payload):
+                if dest not in hosts:
+                    raise ValueError(f"unknown destination {dest!r}")
+                loop.call_soon(hosts[dest].deliver, sender, payload)
+
+            return route
+
+        for core in cores:
+            hosts[core.pid] = CoreHost(core, members=members, send=route_from(core.pid))
+        for host in hosts.values():
+            host.start()
+        await asyncio.sleep(0)  # one loop turn runs the deliveries queued at start
+
+    asyncio.run(main())
+
+
+#: Every sink of the shared effect interpreter, as "run these cores" callables.
+SUBSTRATES = {
+    "KernelEngine": partial(run_on_engine, KernelEngine),
+    "TurboEngine": partial(run_on_engine, TurboEngine),
+    "AsyncEngine": partial(run_on_engine, AsyncEngine),
+    "CoreHost": run_on_core_hosts,
+}
+
+
+@pytest.mark.parametrize("substrate", list(SUBSTRATES))
+class TestMalformedEffects:
+    def test_non_effect_object_fails_loudly(self, substrate):
+        with pytest.raises(TypeError, match="non-effect"):
+            SUBSTRATES[substrate](Misbehaving("p0"))
+
+    def test_send_to_unknown_destination_fails(self, substrate):
         with pytest.raises(ValueError, match="unknown destination"):
-            engine.run_until_quiescent()
+            SUBSTRATES[substrate](BadDest("p0"))
 
     @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")])
-    def test_invalid_timer_delay_fails(self, engine_class, delay):
-        engine = engine_class(seed=0)
-        engine.add_core(BadTimer("p0", delay))
+    def test_invalid_timer_delay_fails(self, substrate, delay):
         with pytest.raises(ValueError, match="invalid timer delay"):
-            engine.run_until_quiescent()
+            SUBSTRATES[substrate](BadTimer("p0", delay))
 
-    def test_effects_apply_under_emitters_identity(self, engine_class):
+    def test_effects_apply_under_emitters_identity(self, substrate):
         """A core cannot spoof the sender: the backend stamps its own pid."""
 
         class Spoofer(ProtocolCore):
@@ -140,8 +180,6 @@ class TestMalformedEffects:
             def on_message(self, sender, payload):
                 self.senders.append(sender)
 
-        engine = engine_class(seed=0)
-        engine.add_core(Spoofer("liar"))
-        victim = engine.add_core(Victim("victim"))
-        engine.run_until_quiescent()
+        victim = Victim("victim")
+        SUBSTRATES[substrate](Spoofer("liar"), victim)
         assert victim.senders == ["liar"]

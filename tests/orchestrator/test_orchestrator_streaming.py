@@ -284,20 +284,22 @@ class TestSweepKillThenResume:
             **kwargs,
         )
 
-    def test_sigkill_then_resume_is_canonically_identical(self, tmp_path):
-        full = tmp_path / "run-full.json"
-        assert self._run(full, "full", capture_output=True).returncode == 0
+    def _kill_mid_sweep(self, out, tag):
+        """Start a sweep in its own session, SIGKILL it once a record landed.
 
-        partial = tmp_path / "run-part.json"
+        Returns the killed supervisor's pid, which is also the process group
+        of every pool worker it forked.
+        """
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", *self.ARGS, "--tag", "part",
-             "--out", str(partial)],
+            [sys.executable, "-m", "repro", *self.ARGS, "--tag", tag,
+             "--out", str(out)],
             cwd=REPO_ROOT,
             env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
-        shard = shard_path_for(partial)
+        shard = shard_path_for(out)
         # SLEEP quick sleeps duration/10 = 0.2s per job; kill once at least
         # one record (beyond the header) hit the shard.
         deadline = time.monotonic() + 30.0
@@ -306,10 +308,20 @@ class TestSweepKillThenResume:
                 break
             time.sleep(0.05)
         else:  # pragma: no cover - only on a pathologically slow box
+            process.kill()
             pytest.fail("shard never gained a job record")
         process.send_signal(signal.SIGKILL)
-        process.wait()
-        assert not partial.exists()  # the kill beat the rollup
+        process.wait(timeout=30)
+        assert not out.exists()  # the kill beat the rollup
+        return process.pid
+
+    def test_sigkill_then_resume_is_canonically_identical(self, tmp_path):
+        full = tmp_path / "run-full.json"
+        assert self._run(full, "full", capture_output=True).returncode == 0
+
+        partial = tmp_path / "run-part.json"
+        self._kill_mid_sweep(partial, "part")
+        shard = shard_path_for(partial)
 
         # The partial shard is a valid, resumable artifact of the crash.
         assert main(["validate", str(shard)]) == 0
@@ -318,6 +330,33 @@ class TestSweepKillThenResume:
         assert resumed.returncode == 0
         assert _canonical(partial) == _canonical(full)
         assert load_payload(partial)["resumed"] >= 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_sigkill_leaves_no_pool_worker_behind(self, tmp_path):
+        """Pool workers of a SIGKILLed supervisor notice it and exit."""
+        group = self._kill_mid_sweep(tmp_path / "run-orphan.json", "orphan")
+        deadline = time.monotonic() + 5.0
+        while _live_members(group) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_members(group) == []
+
+
+def _live_members(group):
+    """Pids of the non-zombie processes in process group ``group``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:  # exited while we looked
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == group and state != "Z":
+            members.append(int(entry))
+    return members
 
 
 class TestSupervisorMemory:
