@@ -6,8 +6,10 @@ core per OS process** and real TCP between them:
 
 * :mod:`repro.cluster.spec` — :class:`ClusterSpec`, the shared config
   (named nodes, endpoints, n/f membership, wire framing);
-* :mod:`repro.cluster.protocol` — the socket frame vocabulary and the
-  buffered auto-reconnecting :class:`FrameLink`;
+* :mod:`repro.cluster.protocol` — the client/reply/status frame kinds
+  (the peer link itself — ``hello``/``peer`` frames, the buffered
+  auto-reconnecting ``FrameLink`` and the sender-stamping reader — is
+  :mod:`repro.engine.wire`'s, shared with the async engine);
 * :mod:`repro.cluster.runtime` — :class:`CoreHost`, the per-process sink
   of the shared effect interpreter over asyncio;
 * :mod:`repro.cluster.node` — the node process (one

@@ -1,7 +1,7 @@
 """The cluster's socket client: real CRDT traffic plus the sampled audit.
 
 A :class:`ServiceClient` speaks to a running cluster the only way anything
-can — over TCP, one :class:`~repro.cluster.protocol.FrameLink` per replica
+can — over TCP, one :class:`~repro.engine.wire.FrameLink` per replica
 — and hosts any number of *virtual clients*, each an unmodified
 :class:`~repro.rsm.client.RSMClient` core on a
 :class:`~repro.cluster.runtime.CoreHost`.  The protocol logic (submit to
@@ -34,17 +34,10 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.cluster.protocol import (
-    K_REPLY,
-    FrameLink,
-    client_frame,
-    frame_field,
-    frame_kind,
-    request_status,
-)
+from repro.cluster.protocol import K_REPLY, client_frame, request_status
 from repro.cluster.runtime import CoreHost
 from repro.cluster.spec import ClusterError, ClusterSpec
-from repro.engine.wire import get_codec
+from repro.engine.wire import FrameLink, WireError, frame_field, frame_kind, get_codec
 from repro.rsm.checker import RSMCheckResult, check_rsm_history, collect_admissible_commands
 from repro.rsm.client import RSMClient
 from repro.rsm.crdt import GCounterObject
@@ -322,7 +315,7 @@ async def probe_cluster(spec: ClusterSpec, timeout: float = 2.0) -> dict[str, di
     async def probe(node) -> dict | None:
         try:
             return await request_status(node.host, node.port, codec, timeout)
-        except (OSError, ClusterError, asyncio.TimeoutError):
+        except (OSError, ClusterError, WireError, asyncio.TimeoutError):
             return None
 
     results = await asyncio.gather(*(probe(node) for node in spec.nodes))

@@ -2,7 +2,7 @@
 
 ``python -m repro cluster node --spec <file> --name <node>`` runs exactly
 this module: it binds the node's configured TCP endpoint, dials a
-persistent :class:`~repro.cluster.protocol.FrameLink` to every peer in the
+persistent :class:`~repro.engine.wire.FrameLink` to every peer in the
 spec's static seed list (connect-with-backoff, so start order never
 matters), and hosts one :class:`~repro.rsm.replica.Replica` core on a
 :class:`~repro.cluster.runtime.CoreHost`.  Everything the replica *does*
@@ -32,7 +32,7 @@ Lifecycle:
 * **each value is paid for once** — a ``Broadcast`` effect is one
   ``encode_frame`` whose bytes go on every peer link, and a ``peer`` body
   this node decoded a moment ago (the echo three peers relay) is looked up
-  in the :class:`~repro.cluster.protocol.FrameTable` instead of parsed.
+  in the :class:`~repro.engine.wire.FrameTable` instead of parsed.
 * **SIGTERM drains** — on SIGTERM/SIGINT the node keeps processing until
   its sockets have been quiet for ``spec.drain_idle_s`` seconds (in-flight
   decisions complete and their notices flush) or ``spec.drain_max_s``
@@ -49,23 +49,20 @@ import signal
 import sys
 import time
 
-from repro.cluster.protocol import (
-    K_CLIENT,
-    K_HELLO,
-    K_PEER,
-    K_STATUS,
-    K_STATUS_REPLY,
-    FrameLink,
-    FrameTable,
-    frame_field,
-    frame_kind,
-    hello_frame,
-    peer_frame,
-    reply_frame,
-)
+from repro.cluster.protocol import K_CLIENT, K_STATUS, K_STATUS_REPLY, reply_frame
 from repro.cluster.runtime import CoreHost
 from repro.cluster.spec import ClusterError, ClusterSpec
-from repro.engine.wire import WireError, get_codec
+from repro.engine.wire import (
+    K_HELLO,
+    FrameLink,
+    FrameTable,
+    WireError,
+    frame_field,
+    get_codec,
+    hello_frame,
+    peer_frame,
+    read_peer_frames,
+)
 from repro.rsm.replica import Replica
 
 
@@ -214,57 +211,19 @@ class NodeServer:
     # -- inbound connections (peers, clients, probes) ---------------------------------
 
     async def _serve_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """One inbound connection: the shared peer-frame reader, plus the
+        frames only a node serves — its answer to a ``hello`` (with our
+        incarnation token, so the dialing link can tell a restarted process
+        from a reconnect), ``client`` requests and ``status`` probes."""
+        controls = {
+            K_HELLO: lambda frame: self._answer_hello(frame, writer),
+            K_CLIENT: lambda frame: self._handle_client_frame(frame, writer),
+            K_STATUS: lambda _frame: writer.write(self.codec.encode_frame(self.status())),
+        }
         try:
-            await self._serve_frames(reader, writer)
-        except asyncio.CancelledError:
-            # Loop teardown after drain: exit cleanly instead of letting the
-            # cancellation surface through the stream protocol's callback.
-            pass
-        finally:
-            for client, registered in list(self.clients.items()):
-                if registered is writer:
-                    self.clients[client] = None
-            writer.close()
-
-    async def _serve_frames(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        #: The peer this connection speaks for, stamped on its ``peer`` frames
-        #: (``None`` until its hello: clients and probes never say one).
-        sender: str | None = None
-        try:
-            while True:
-                try:
-                    body = await self.codec.read_body(reader)
-                except asyncio.IncompleteReadError:
-                    break  # clean close
-                self._last_activity = time.monotonic()
-                # The body passed its CRC; a repeat of a peer frame some
-                # connection already decoded skips the parse.
-                payload = self.frames.get(body)
-                if payload is None:
-                    frame = self.codec.decode_body(body)
-                    kind = frame_kind(frame)
-                    if kind == K_CLIENT:
-                        self._handle_client_frame(frame, writer)
-                        continue
-                    if kind == K_HELLO:
-                        sender = self._accept_hello(frame, sender)
-                        # Answer with our incarnation token so the dialing link
-                        # can tell a restarted process from a reconnect.
-                        writer.write(self.codec.encode_frame(hello_frame(self.me.name, boot=self._boot)))
-                        await writer.drain()
-                        continue
-                    if kind == K_STATUS:
-                        writer.write(self.codec.encode_frame(self.status()))
-                        await writer.drain()
-                        continue
-                    if kind != K_PEER:
-                        raise ClusterError(f"unexpected frame kind {kind!r} on a node socket")
-                    payload = frame_field(frame, "payload")
-                    self.frames.remember(body, payload)
-                if sender is None:
-                    raise ClusterError("peer frame on a connection that has not said hello")
-                self.peer_frames_in += 1
-                self.host.deliver(sender, payload)
+            await read_peer_frames(
+                reader, self.codec, self.frames, self.me.name, self.host.members, self._deliver_peer, controls
+            )
         except (WireError, ClusterError) as failure:
             # A torn or foreign handshake: drop this connection, keep serving.
             print(
@@ -272,24 +231,27 @@ class NodeServer:
                 file=sys.stderr,
                 flush=True,
             )
-        except (ConnectionError, OSError):
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            # A reset, or loop teardown after drain: exit cleanly instead of
+            # letting the cancellation surface through the stream callback.
             pass
+        finally:
+            for client, registered in list(self.clients.items()):
+                if registered is writer:
+                    self.clients[client] = None
+            writer.close()
 
-    def _accept_hello(self, frame: dict, sender: str | None) -> str:
-        """The peer a ``hello`` frame makes its connection speak for.
+    def _answer_hello(self, frame: dict, writer: asyncio.StreamWriter) -> None:
+        self.inbound_peers.add(frame["node"])
+        writer.write(self.codec.encode_frame(hello_frame(self.me.name, boot=self._boot)))
 
-        A connection speaks for one peer for as long as it lives, and only
-        the names in the seed list are peers — a node never dials itself.
-        """
-        node = frame_field(frame, "node")
-        if not isinstance(node, str) or node == self.me.name or node not in self.host.members:
-            raise ClusterError(f"hello from {node!r}, which is not a peer of {self.me.name}")
-        if sender is not None and node != sender:
-            raise ClusterError(f"connection of {sender!r} said hello again as {node!r}")
-        self.inbound_peers.add(node)
-        return node
+    def _deliver_peer(self, sender: str, frame: dict) -> None:
+        self._last_activity = time.monotonic()
+        self.peer_frames_in += 1
+        self.host.deliver(sender, frame["payload"])
 
     def _handle_client_frame(self, frame: dict, writer: asyncio.StreamWriter) -> None:
+        self._last_activity = time.monotonic()
         client = frame_field(frame, "client")
         if self.clients.get(client) is not writer:
             # (Re)registration: this connection is now the reply channel.

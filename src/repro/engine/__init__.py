@@ -24,9 +24,10 @@ This package realises that model in two decoupled halves:
     per-message shim objects (see :mod:`repro.engine.turbo_backend`).
   - :class:`AsyncEngine` — real asyncio I/O with wall-clock time and
     decision-latency histograms: inline virtual-time dispatch in-process
-    (CI determinism-lite) or coalesced length-prefixed frames — JSON or
-    compact binary (``framing=``) — over localhost TCP with zero-copy reads
-    and write backpressure (see :mod:`repro.engine.async_backend`).
+    (CI determinism-lite) or length-prefixed frames — JSON or compact
+    binary (``framing=``) — over localhost TCP, on the cluster's link layer
+    (:class:`~repro.engine.wire.FrameLink` out, the shared sender-stamping
+    reader in; see :mod:`repro.engine.async_backend`).
 
 Engine *services* shared by every backend — the :class:`~repro.engine.
 services.Clock` abstraction (simulated vs wall-clock time sources) and the

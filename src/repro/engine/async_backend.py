@@ -20,24 +20,31 @@ transports:
   calendar is already a total order, so a dispatcher task added context
   switches without adding semantics.)
 
-* ``transport="tcp"`` — the real network path: every node listens on an
-  ephemeral localhost port and runs one asyncio task draining its inbox.
-  Outbound frames are *coalesced*: each (sender, dest) link owns a write
-  buffer plus a single writer task that flushes everything accumulated since
-  its last wakeup in **one** ``writer.write`` call, then ``await
-  writer.drain()`` — so a burst of effects costs one syscall, and a slow
-  peer exerts backpressure through the transport's high-water mark instead
-  of ballooning memory.  Inbound frames are parsed zero-copy by a buffered
-  :class:`asyncio.BufferedProtocol` receiver: the OS writes into a
-  preallocated buffer and the codec decodes ``memoryview`` slices in place.
-  ``SetTimer``/``Cancel`` map to ``loop.call_later`` handles, and delivery
-  order is whatever the OS and the loop produce.  Safety properties must
-  still hold (they are schedule-independent); latency metrics are wall-clock
-  measurements.
+* ``transport="tcp"`` — the real network path, on the cluster's link layer
+  (:mod:`repro.engine.wire`): every node listens on an ephemeral localhost
+  port and runs one asyncio task draining its inbox, and every (sender,
+  dest) pair gets one :class:`~repro.engine.wire.FrameLink` that says
+  ``hello`` as the sender before anything else.  The listener runs the
+  shared peer-frame reader (:func:`~repro.engine.wire.read_peer_frames`),
+  which stamps the sender from that hello: a frame carries its payload and
+  causal depth, no sender and no destination, so a connection speaks only
+  for the node that dialed it and delivers only to the node that listens.
+  A ``Broadcast`` is encoded once and the same bytes are queued on every
+  destination's link, and a body another listener decoded a moment ago is
+  looked up in the engine's :class:`~repro.engine.wire.FrameTable` instead
+  of parsed.  Each link flushes whatever accumulated since its last wakeup
+  in one ``write`` and then awaits ``drain()``, so a burst of effects costs
+  one syscall and a slow peer exerts backpressure instead of ballooning
+  memory; reads are plain :class:`asyncio.StreamReader` reads (no
+  ``BufferedProtocol``).  A message to oneself skips the wire: a node has
+  no link to itself.  ``SetTimer``/``Cancel`` map to ``loop.call_later``
+  handles, and delivery order is whatever the OS and the loop produce.
+  Safety properties must still hold (they are schedule-independent);
+  latency metrics are wall-clock measurements.
 
 Both transports preserve the model's channel guarantees: messages are never
-lost (crashes and partitions *hold* traffic; it is handed over on
-recovery/heal) and the shared interpreter
+lost (crashes and partitions *hold* traffic before it reaches a link; it is
+handed over on recovery/heal) and the shared interpreter
 (:func:`repro.engine.effects.interpret`, with the engine as its sink) stamps
 the true sender, so channels stay authenticated.  Registration, fault
 scripting and the ``run_until_*`` helpers come from
@@ -49,8 +56,8 @@ run reports a wall-clock decision-latency summary
 (:attr:`RunResult.decision_latency`).
 
 The multi-process sibling of the TCP transport is cluster service mode
-(:mod:`repro.cluster`): same sans-I/O cores, same wire codecs, but one OS
-process per node (``python -m repro cluster up``) instead of one engine
+(:mod:`repro.cluster`): same sans-I/O cores, same codecs and links, but one
+OS process per node (``python -m repro cluster up``) instead of one engine
 hosting every core.  This backend stays the right tool for measured,
 single-process experiments (it owns the run driver, fault plan and metrics);
 the cluster is the deployment story.
@@ -60,7 +67,8 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterable
+from functools import partial
 from heapq import heappop, heappush
 from random import Random
 from typing import Any
@@ -99,119 +107,6 @@ _INF = float("inf")
 #: How often the TCP driver polls the stop predicate / quiescence state.
 _TCP_POLL_S = 0.002
 
-#: Per-link write high-water mark: once the transport buffers this many
-#: bytes, ``drain()`` blocks the link's writer task until the peer catches
-#: up — bounded memory per connection, however slow the other side reads.
-_TCP_HIGH_WATER = 256 * 1024
-
-#: Initial size of each connection's preallocated receive buffer (grows
-#: geometrically if a frame outgrows it).
-_RECV_BUFFER_BYTES = 64 * 1024
-
-
-class _TcpLink:
-    """One buffered outbound connection of the (sender, dest) pair.
-
-    Frames are appended to :attr:`buffer` by the send path; the single
-    writer task flushes whatever accumulated since its last wakeup in one
-    ``writer.write`` call (frame coalescing), then awaits ``drain()`` so the
-    transport's high-water mark backpressures the producer side.
-    """
-
-    __slots__ = ("buffer", "wake", "task", "writer")
-
-    def __init__(self) -> None:
-        self.buffer = bytearray()
-        self.wake = asyncio.Event()
-        self.task: asyncio.Task | None = None
-        self.writer: asyncio.StreamWriter | None = None
-
-
-class _TcpReceiver(asyncio.BufferedProtocol):
-    """Server-side connection: zero-copy frame parsing.
-
-    The event loop writes received bytes directly into a preallocated
-    ``bytearray`` (no per-read ``bytes`` object); complete frames are decoded
-    from ``memoryview`` slices in place and handed to the engine, and the
-    incomplete tail is compacted to the front of the buffer.
-    """
-
-    __slots__ = ("_engine", "_buffer", "_view", "_filled", "transport")
-
-    def __init__(self, engine: AsyncEngine) -> None:
-        self._engine = engine
-        self._buffer = bytearray(_RECV_BUFFER_BYTES)
-        self._view = memoryview(self._buffer)
-        self._filled = 0
-        self.transport: asyncio.BaseTransport | None = None
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport
-        self._engine._receivers.add(self)
-
-    def connection_lost(self, exc: BaseException | None) -> None:
-        self._engine._receivers.discard(self)
-
-    def eof_received(self) -> bool:
-        return False  # close when the peer does
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        if self._filled >= len(self._buffer):
-            self._grow(max(sizehint, len(self._buffer)))
-        return self._view[self._filled :]
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self._filled += nbytes
-        try:
-            self._parse()
-        except BaseException as failure:
-            engine = self._engine
-            if engine._node_failure is None:
-                engine._node_failure = failure
-            if self.transport is not None:
-                self.transport.close()
-
-    def _grow(self, extra: int) -> None:
-        old, filled = self._buffer, self._filled
-        self._view.release()
-        grown = bytearray(len(old) + extra)
-        grown[:filled] = old[:filled]
-        self._buffer = grown
-        self._view = memoryview(grown)
-
-    def _parse(self) -> None:
-        engine = self._engine
-        view = self._view
-        filled = self._filled
-        offset = 0
-        header = wire.HEADER_SIZE
-        while filled - offset >= header:
-            length, crc = wire.unpack_header(view[offset : offset + header])
-            start = offset + header
-            if filled - start < length:
-                break
-            body = view[start : start + length]
-            try:
-                wire.check_crc(body, crc)
-            except wire.WireError:
-                # A checksum mismatch is survivable only when faults are
-                # being injected on purpose: count the rejection and skip
-                # the frame (framing stays aligned — the header length is
-                # still trusted).  On a clean wire it fails the run.
-                if not engine._tolerates_wire_faults():
-                    raise
-                engine._count_wire_rejection("crc")
-            else:
-                engine._tcp_deliver(body)
-            offset = start + length
-        if offset:
-            remaining = filled - offset
-            if remaining:
-                # Equal-length slice assignment: no resize, so the exported
-                # memoryview stays valid.
-                self._buffer[:remaining] = self._buffer[offset:filled]
-            self._filled = remaining
-
 
 class AsyncEngine(EngineBase):
     """Asyncio backend: wall-clock time, memory and TCP transports."""
@@ -240,11 +135,10 @@ class AsyncEngine(EngineBase):
         #: Python objects and never serialises).
         self._codec = wire.get_codec(framing)
         #: Wire-fault injection (tcp only): a WireFaultPlan or DSL string
-        #: (see repro.engine.wire_faults).  The send path encodes through a
-        #: FaultyCodec that forges frames ahead of honest ones; the receive
-        #: path counts rejections instead of failing the run.
-        self._wire_faults = None
-        self._send_codec: wire.Codec = self._codec
+        #: (see repro.engine.wire_faults).  The send path puts a FaultyCodec's
+        #: forgeries ahead of the honest bytes on each link; the receive path
+        #: counts rejections instead of failing the run.
+        self._forger = None
         self.wire_stats: dict[str, int] = {}
         if wire_faults:
             from repro.engine.wire_faults import FaultyCodec, coerce_wire_faults
@@ -254,8 +148,7 @@ class AsyncEngine(EngineBase):
             plan = coerce_wire_faults(wire_faults)
             if plan.framing:
                 self._codec = wire.get_codec(plan.framing)
-            self._wire_faults = plan
-            self._send_codec = FaultyCodec(self._codec, plan, seed=seed)
+            self._forger = FaultyCodec(self._codec, plan, seed=seed)
         #: Wall seconds per simulated delay unit, used to pace deliveries,
         #: timers and fault scripts.  The memory transport defaults to 0
         #: (virtual ordering only, full speed); the TCP transport defaults to
@@ -285,11 +178,17 @@ class AsyncEngine(EngineBase):
         self._node_failure: BaseException | None = None
         self._delivered_total = 0
         # -- tcp-transport state --
-        self._servers: list[Any] = []
+        self._servers: list[asyncio.Server] = []
         self._ports: dict[Hashable, int] = {}
-        self._links: dict[tuple[Hashable, Hashable], _TcpLink] = {}
-        self._receivers: set[_TcpReceiver] = set()
-        self._held_frames: list[tuple[Hashable, Hashable, bytes]] = []
+        #: One outbound link per (sender, dest) pair, dialed on first use.
+        self._links: dict[tuple[Hashable, Hashable], wire.FrameLink] = {}
+        #: Accepted inbound connections, closed before the servers at teardown.
+        self._conns: set[asyncio.StreamWriter] = set()
+        #: Decoded peer frames by body, shared by every node's listener.
+        self._frames = wire.FrameTable()
+        #: Messages held before any link (crashed or partitioned destination):
+        #: ``(sender, dest, item)`` with ``item`` as :meth:`_tcp_enqueue` takes it.
+        self._held_frames: list[tuple[Hashable, Hashable, Any]] = []
         self._held_timers: dict[int, list[TimerHandle]] = {}
         #: Armed (not yet fired or parked) TCP timers and not-yet-applied
         #: scripted controls — the stall detector needs to know whether any
@@ -308,10 +207,9 @@ class AsyncEngine(EngineBase):
 
     # -- the effect sink -----------------------------------------------------------
 
-    def send(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> None:
-        """Queue one message (authenticated: ``sender`` is the emitting core)."""
-        dest_index = self._index.get(dest)
-        if dest_index is None:
+    def _admit(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> tuple[Envelope, float]:
+        """Count one message to ``dest`` as sent and draw its scheduler delay."""
+        if dest not in self._index:
             raise ValueError(f"unknown destination {dest!r}")
         self._msg_seq += 1
         envelope = Envelope(
@@ -329,11 +227,27 @@ class AsyncEngine(EngineBase):
             raise ValueError(f"scheduler produced invalid delay {delay!r}")
         self.pending_messages += 1
         self.metrics.record_send(sender, dest, envelope.mtype, envelope)
+        return envelope, delay
+
+    def send(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> None:
+        """Queue one message (authenticated: ``sender`` is the emitting core)."""
+        if self._transport == "tcp":
+            self._tcp_fanout(sender, (dest,), payload, depth)
+            return
+        envelope, delay = self._admit(sender, dest, payload, depth)
+        self._seq += 1
+        heappush(self._queue, (self._vnow + delay, self._seq, _MESSAGE, self._index[dest], envelope))
+
+    def broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
+        """One message per member of ``sender``'s core-group; on tcp, one
+        frame for every link."""
         if self._transport == "memory":
-            self._seq += 1
-            heappush(self._queue, (self._vnow + delay, self._seq, _MESSAGE, dest_index, envelope))
-        else:
-            self._tcp_schedule_send(envelope, delay)
+            super().broadcast(sender, payload, include_self, depth)
+            return
+        scope = self._groups[self._group_of[sender]]
+        if not include_self:
+            scope = [dest for dest in scope if dest != sender]
+        self._tcp_fanout(sender, scope, payload, depth)
 
     def arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
         index = self._index[pid]
@@ -455,24 +369,19 @@ class AsyncEngine(EngineBase):
     async def _teardown(self) -> None:
         for index in range(len(self._tasks)):
             await self._cancel_node(index)
+        # Both ends of every connection close before the servers do: from
+        # Python 3.12.1, Server.wait_closed() waits for every connection the
+        # server accepted.
         for link in self._links.values():
-            if link.task is not None:
-                link.task.cancel()
-                try:
-                    await link.task
-                except (asyncio.CancelledError, Exception):
-                    pass
-            if link.writer is not None:
-                link.writer.close()
+            await link.close()
         self._links = {}
+        for writer in self._conns:
+            writer.close()
+        self._conns = set()
         for server in self._servers:
             server.close()
             await server.wait_closed()
         self._servers = []
-        for receiver in list(self._receivers):
-            if receiver.transport is not None:
-                receiver.transport.close()
-        self._receivers = set()
         self._ports = {}
         # Inboxes are kept: a crashed node's queued frames must survive into
         # a follow-up run (the run drivers swap in fresh loop-bound queues).
@@ -513,7 +422,14 @@ class AsyncEngine(EngineBase):
             # Start events run inline, in registration order — the same
             # sequential semantics the kernel backend gives on_start.
             self.start()
-            while delivered < max_messages and events < max_events:
+            # ``while True`` on purpose: CPython 3.11 warms a function up for
+            # specialization on entry and on unconditional backward jumps
+            # only, and a ``while cond:`` loop ends in a conditional one —
+            # this coroutine, entered once per run, would run its hot loop
+            # unspecialized (~15% slower) for a process's first seven runs.
+            while True:
+                if delivered >= max_messages or events >= max_events:
+                    break
                 if stop_when is not None and stop_when():
                     stopped = True
                     break
@@ -630,85 +546,111 @@ class AsyncEngine(EngineBase):
             self._seq += 1
             heappush(self._queue, (self._vnow, self._seq) + entry[2:])
 
-    # -- tcp transport: coalesced length-prefixed frames over localhost ----------------
+    # -- tcp transport: peer frames on FrameLinks over localhost -----------------------
 
-    def _tcp_schedule_send(self, envelope: Envelope, delay: float) -> None:
-        """Pace one frame onto the wire after the scheduler's delay."""
+    def _tcp_fanout(self, sender: Hashable, dests: Iterable[Hashable], payload: Any, depth: int) -> None:
+        """One message per destination, each paced by its own scheduler delay.
+
+        The frame is encoded once and the same bytes go on every link; a
+        message to the sender itself is handed over as its inbox event.
+        Under ``wire_faults`` each link's forgeries are drawn for that link,
+        so a replay re-sends an earlier frame of the same link (the receiver
+        stamps the link's sender on it).
+        """
         loop = self._loop
         if loop is None:
             raise RuntimeError("tcp sends require a running engine loop")
-        frame = self._send_codec.encode_frame(
-            {
-                "sender": envelope.sender,
-                "dest": envelope.dest,
-                "depth": envelope.depth,
-                "seq": envelope.seq,
-                "payload": envelope.payload,
-            }
-        )
-        wall_delay = delay * self.time_scale
-        if wall_delay <= 0.0:
-            # Unpaced: straight into the link buffer, so every frame emitted
-            # in this task step rides the writer task's next single write.
-            self._tcp_enqueue(envelope.sender, envelope.dest, frame)
-        else:
-            loop.call_later(
-                wall_delay, self._tcp_enqueue, envelope.sender, envelope.dest, frame
-            )
+        data = None
+        for dest in dests:
+            envelope, delay = self._admit(sender, dest, payload, depth)
+            if dest == sender:
+                item = (_EV_MSG, envelope)
+            else:
+                if data is None:
+                    frame = wire.peer_frame(payload)
+                    frame["depth"] = depth
+                    data = self._codec.encode_frame(frame)
+                item = data if self._forger is None else self._forger.forge(frame, data, (sender, dest)) + data
+            wall_delay = delay * self.time_scale
+            if wall_delay <= 0.0:
+                # Unpaced: straight into the link buffer, so every frame
+                # emitted in this task step rides the link's next write.
+                self._tcp_enqueue(sender, dest, item)
+            else:
+                loop.call_later(wall_delay, self._tcp_enqueue, sender, dest, item)
 
-    def _tcp_enqueue(self, sender: Hashable, dest: Hashable, frame: bytes) -> None:
-        """Append one frame to the (sender, dest) link buffer (or hold it)."""
-        if self._loop is None or self._index[dest] in self._crashed or (
+    def _tcp_enqueue(self, sender: Hashable, dest: Hashable, item: Any) -> None:
+        """Queue one message on the (sender, dest) link, or hold it.
+
+        ``item`` is the encoded frame, or for a message to oneself (a node
+        has no link to itself) the inbox event.
+        """
+        index = self._index[dest]
+        if self._loop is None or index in self._crashed or (
             self._partition_groups and self._link_blocked(sender, dest)
         ):
             # Channels are reliable: hold the frame, release on recover/heal.
             # (A paced frame whose call_later fires after the run tore down
             # lands here too — it stays pending instead of vanishing.)
-            self._held_frames.append((sender, dest, frame))
+            self._held_frames.append((sender, dest, item))
+            return
+        if dest == sender:
+            self._inboxes[index].put_nowait(item)
             return
         link = self._links.get((sender, dest))
         if link is None:
-            link = _TcpLink()
-            self._links[(sender, dest)] = link
-            link.task = self._loop.create_task(
-                self._tcp_link_writer(link, dest),
-                name=f"repro-link-{sender}-{dest}",
+            link = self._links[sender, dest] = wire.FrameLink(
+                self._host, self._ports[dest], self._codec, hello=wire.hello_frame(sender)
             )
-        link.buffer += frame
-        link.wake.set()
+            link.start()
+        link.send_encoded(item)
 
-    async def _tcp_link_writer(self, link: _TcpLink, dest: Hashable) -> None:
-        """Flush one link: everything accumulated per wakeup in one write.
+    async def _serve_link(self, index: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """One connection to node ``index``'s listener, read by the shared
+        peer-frame reader with the engine's pids as the membership.
 
-        Frames keep landing in ``link.buffer`` while ``drain()`` awaits a
-        slow peer, so backpressure automatically widens the batches instead
-        of growing the kernel-side socket buffer without bound.
+        On a clean wire a checksum, decode or protocol violation fails the
+        run; under ``wire_faults`` it is counted in :attr:`wire_fault_stats`
+        and the frame skipped.
         """
+        self._conns.add(writer)
         try:
-            _reader, writer = await asyncio.open_connection(self._host, self._ports[dest])
-            writer.transport.set_write_buffer_limits(high=_TCP_HIGH_WATER)
-            link.writer = writer
-            buffer = link.buffer
-            wake = link.wake
-            while True:
-                if not buffer:
-                    wake.clear()
-                    await wake.wait()
-                chunk = bytes(buffer)
-                buffer.clear()
-                writer.write(chunk)  # one write per batch, not per frame
-                await writer.drain()  # blocks above the high-water mark
-        except asyncio.CancelledError:
-            raise  # engine teardown, not a node failure
-        except BaseException as failure:
+            await wire.read_peer_frames(
+                reader,
+                self._codec,
+                self._frames,
+                self._pids[index],
+                self._index,
+                partial(self._receive, index),
+                on_reject=None if self._forger is None else self._count_wire_rejection,
+            )
+        except (OSError, asyncio.CancelledError):
+            # A reset, or loop shutdown after teardown: end quietly instead of
+            # surfacing the cancellation through the stream server's callback.
+            pass
+        except Exception as failure:
             if self._node_failure is None:
                 self._node_failure = failure
+        finally:
+            self._conns.discard(writer)
+            writer.close()
+
+    def _receive(self, index: int, sender: Hashable, frame: dict) -> None:
+        """Queue one peer frame, stamped with its connection's sender."""
+        if "wf" in frame:
+            # An injected duplicate/replay/tamper frame (marked with
+            # wire_faults.INJECTED_KEY) was never counted as a send; balance
+            # the decrement its delivery will apply.
+            self.pending_messages += 1
+            self._count_wire_rejection("injected_delivered")
+        envelope = Envelope(sender, self._pids[index], frame["payload"], 0.0, depth=frame["depth"])
+        self._inboxes[index].put_nowait((_EV_MSG, envelope))
 
     def _tcp_release_held(self) -> None:
         held, self._held_frames = self._held_frames, []
-        for sender, dest, frame in held:
+        for sender, dest, item in held:
             # Re-enqueue (and re-filter: still-blocked links hold again).
-            self._tcp_enqueue(sender, dest, frame)
+            self._tcp_enqueue(sender, dest, item)
 
     def _tcp_fire_timer(self, index: int, handle: TimerHandle) -> None:
         self._live_timer_count -= 1
@@ -722,46 +664,6 @@ class AsyncEngine(EngineBase):
             return
         self._inboxes[index].put_nowait((_EV_TIMER, handle))
 
-    def _tcp_deliver(self, body) -> None:
-        """Decode one received frame body into the destination's inbox.
-
-        ``body`` is a ``memoryview`` into the receiver's buffer, valid only
-        for the duration of this call — the codec materialises every decoded
-        object, so nothing retains a reference into the buffer.
-        """
-        try:
-            message = self._codec.decode_body(body)
-            dest_index = self._index[message["dest"]]
-            envelope = Envelope(
-                sender=message["sender"],
-                dest=message["dest"],
-                payload=message["payload"],
-                send_time=0.0,
-                depth=message["depth"],
-                seq=message["seq"],
-            )
-        except (wire.WireError, KeyError, TypeError) as failure:
-            # A frame that passed the checksum but will not decode into an
-            # envelope: survivable only under deliberate fault injection
-            # (e.g. a re-headered truncation forged by FaultyCodec).
-            if self._wire_faults is None:
-                raise
-            if not isinstance(failure, wire.WireError):
-                self._count_wire_rejection("envelope")
-            else:
-                self._count_wire_rejection("decode")
-            return
-        if isinstance(message, dict) and "wf" in message:
-            # An injected duplicate/replay/tamper frame was never counted as
-            # a send; balance the decrement its delivery will apply.
-            self.pending_messages += 1
-            self._count_wire_rejection("injected_delivered")
-        self._inboxes[dest_index].put_nowait((_EV_MSG, envelope))
-
-    def _tolerates_wire_faults(self) -> bool:
-        """Whether receive-path corruption is expected (injection active)."""
-        return self._wire_faults is not None
-
     def _count_wire_rejection(self, kind: str) -> None:
         self.wire_stats[kind] = self.wire_stats.get(kind, 0) + 1
 
@@ -769,8 +671,9 @@ class AsyncEngine(EngineBase):
     def wire_fault_stats(self) -> dict[str, int]:
         """Receive-side rejection counts plus send-side injection counts."""
         stats = dict(self.wire_stats)
-        for mode, count in getattr(self._send_codec, "stats", {}).items():
-            stats[f"sent_{mode}"] = count
+        if self._forger is not None:
+            for mode, count in self._forger.stats.items():
+                stats[f"sent_{mode}"] = count
         return stats
 
     def _tcp_apply_control(self, kind: int, arg: Any) -> None:
@@ -845,13 +748,9 @@ class AsyncEngine(EngineBase):
         timed_out = False
         stalled = False
         try:
-            # One listening socket per node; ports are ephemeral.  The
-            # receiver is a BufferedProtocol so reads land in a preallocated
-            # buffer and frames decode from memoryview slices in place.
-            for pid in self._pids:
-                server = await loop.create_server(
-                    lambda: _TcpReceiver(self), host=self._host, port=0
-                )
+            # One listening socket per node; ports are ephemeral.
+            for index, pid in enumerate(self._pids):
+                server = await asyncio.start_server(partial(self._serve_link, index), self._host, 0)
                 self._servers.append(server)
                 self._ports[pid] = server.sockets[0].getsockname()[1]
             for index in range(len(self._cores)):

@@ -19,13 +19,14 @@ sockets.  Two injection points:
     influences a decision.
 
 :class:`FaultySocket`
-    A localhost TCP proxy for the cluster's :class:`~repro.cluster.
-    protocol.FrameLink`: torn writes (frames chopped into tiny chunks),
-    slow-socket pacing, and periodic mid-stream disconnects that force the
-    link's reconnect path while a frame is torn in half on the wire.
+    A localhost TCP proxy for a :class:`~repro.engine.wire.FrameLink` (the
+    one link layer under the async engine's tcp transport and the cluster):
+    torn writes (frames chopped into tiny chunks), slow-socket pacing, and
+    periodic mid-stream disconnects that force the link's reconnect path
+    while a frame is torn in half on the wire.
 
 Injected duplicate/replay/tamper frames carry a ``"wf"`` marker key in the
-engine's frame dict so :class:`~repro.engine.async_backend.AsyncEngine` can
+``peer`` frame dict so :class:`~repro.engine.async_backend.AsyncEngine` can
 keep its pending-message accounting exact (an injected extra was never
 counted as a send).
 
@@ -245,8 +246,10 @@ class FaultyCodec(wire.Codec):
 
     ``encode_frame`` returns the honest frame *preceded by* zero or more
     forgeries, each drawn independently per term of the plan from a seeded
-    RNG.  Decoding is delegated untouched — the receiver under test stays
-    honest.  ``stats`` counts injections by mode.
+    RNG; :meth:`forge` draws the forgeries alone, for a sender that encodes
+    the honest frame once and forges per link.  Decoding is delegated
+    untouched — the receiver under test stays honest.  ``stats`` counts
+    injections by mode.
     """
 
     def __init__(self, inner: wire.Codec, plan: WireFaultPlan, seed: int = 0) -> None:
@@ -257,7 +260,9 @@ class FaultyCodec(wire.Codec):
         self._terms = plan.codec_terms()
         self._needs_history = plan.has("replay")
         self._needs_tags = plan.has("tamper-sig")
-        self._history: list[Any] = []
+        #: Replay candidates per link: a replay re-sends an earlier frame of
+        #: the same link, because the receiver stamps the link's sender on it.
+        self._history: dict[Any, list[Any]] = {}
         self._tag_pool: list[bytes] = []
 
     @property
@@ -267,28 +272,30 @@ class FaultyCodec(wire.Codec):
     def decode_body(self, body) -> Any:
         return self.inner.decode_body(body)
 
-    async def read_frame(self, reader) -> Any:
-        return await self.inner.read_frame(reader)
-
     def encode_frame(self, message: Any) -> bytes:
         honest = self.inner.encode_frame(message)
+        return self.forge(message, honest) + honest
+
+    def forge(self, message: Any, honest: bytes, link: Any = None) -> bytes:
+        """The forged frames to send ahead of ``honest`` (the encoding of
+        ``message``) on ``link``."""
         if not self._terms:
-            return honest
+            return b""
+        history = self._history.setdefault(link, [])
         out = bytearray()
         for mode, rate in self._terms:
             if self.rng.random() >= rate:
                 continue
-            forged = self._forge(mode, message, honest)
+            forged = self._forge(mode, message, honest, history)
             if forged:
                 out += forged
                 self.stats[mode] = self.stats.get(mode, 0) + 1
-        self._remember(message)
-        out += honest
+        self._remember(message, history)
         return bytes(out)
 
     # -- forgeries ---------------------------------------------------------------
 
-    def _forge(self, mode: str, message: Any, honest: bytes) -> bytes:
+    def _forge(self, mode: str, message: Any, honest: bytes, history: list[Any]) -> bytes:
         if mode == "flip":
             return self._forge_flip(honest)
         if mode == "trunc":
@@ -296,9 +303,9 @@ class FaultyCodec(wire.Codec):
         if mode == "dup":
             return self.inner.encode_frame(self._marked(message))
         if mode == "replay":
-            if not self._history:
+            if not history:
                 return b""
-            return self.inner.encode_frame(self._marked(self.rng.choice(self._history)))
+            return self.inner.encode_frame(self._marked(self.rng.choice(history)))
         if mode == "tamper-value":
             return self._forge_tamper(
                 message, lambda sv: dataclasses.replace(sv, value=poison_value(sv.value))
@@ -349,11 +356,11 @@ class FaultyCodec(wire.Codec):
             return marked
         return message
 
-    def _remember(self, message: Any) -> None:
+    def _remember(self, message: Any, history: list[Any]) -> None:
         if self._needs_history:
-            self._history.append(message)
-            if len(self._history) > _HISTORY_CAP:
-                del self._history[0]
+            history.append(message)
+            if len(history) > _HISTORY_CAP:
+                del history[0]
         if self._needs_tags:
             collect_tags(message, self._tag_pool)
 
@@ -366,8 +373,8 @@ class FaultyCodec(wire.Codec):
 class FaultySocket:
     """A localhost TCP proxy that mangles the *stream*, not the frames.
 
-    Sits between a :class:`~repro.cluster.protocol.FrameLink` (or any
-    client) and a backend server: forwards bytes in both directions while
+    Sits between a :class:`~repro.engine.wire.FrameLink` (or any client)
+    and a backend server: forwards bytes in both directions while
     tearing writes into tiny chunks (``torn``), pacing them (``pace_s``)
     and periodically dropping the connection mid-stream
     (``disconnect_after`` forwarded chunks) to force the reconnect path

@@ -9,18 +9,14 @@ assertion is about bytes that crossed a socket.
 import asyncio
 import contextlib
 
+import pytest
+
 from repro.broadcast.reliable import RBEcho, RBReady
 from repro.cluster.node import NodeServer
-from repro.cluster.protocol import (
-    FRAME_TABLE_ENTRIES,
-    client_frame,
-    hello_frame,
-    msg_frame,
-    peer_frame,
-    status_frame,
-)
+from repro.cluster.protocol import client_frame, msg_frame, status_frame
 from repro.cluster.spec import localhost_spec
-from repro.engine import wire
+from repro.engine import AsyncEngine, ProtocolCore, wire
+from repro.engine.wire import FRAME_TABLE_ENTRIES, hello_frame, peer_frame
 from repro.rsm.commands import make_command
 from repro.rsm.replica import UpdateRequest
 
@@ -183,6 +179,30 @@ class TestEncodeOncePerBroadcast:
         assert received["n1"] == received["n2"] == received["n3"]
         assert wire.decode_body(received["n1"][-1][wire.HEADER_SIZE :]) == peer_frame(ECHO)
 
+    def test_one_broadcast_on_the_engine_is_one_encode_for_every_link(self):
+        class Announcer(ProtocolCore):
+            def __init__(self, pid):
+                super().__init__(pid)
+                self.heard = []
+
+            def on_start(self):
+                if self.pid == "n0":
+                    self.broadcast(ECHO)
+
+            def on_message(self, sender, payload):
+                self.heard.append((sender, payload))
+
+        engine = AsyncEngine(transport="tcp", time_scale=0.0)
+        engine._codec = codec = CountingCodec(engine._codec)
+        cores = [engine.add_core(Announcer(f"n{index}")) for index in range(4)]
+        result = engine.run(max_wall_s=30.0)
+        assert [frame for frame in codec.encoded if frame["kind"] == "peer"] == [engine_frame(ECHO)]
+        assert engine.metrics.total_sent == 4  # still one send per member, n0 itself included
+        assert result.quiescent and result.delivered == 4
+        assert [core.heard for core in cores] == [[("n0", ECHO)]] * 4
+        # The three listeners share one table: one parse, two lookups.
+        assert engine._frames.hits == 2
+
 
 class TestDecodeOncePerDistinctFrame:
     def test_identical_bodies_from_two_peers_share_one_decoded_message(self):
@@ -246,9 +266,25 @@ class TestDecodeOncePerDistinctFrame:
         assert run_node(scenario, framing="binary") == FRAME_TABLE_ENTRIES
 
 
+#: Every way one connection breaks the hello rule on its own: the name it
+#: says hello as first (if any), what it sends next, and the note the
+#: violation carries.  A node drops the connection; the engine fails its run.
+HELLO_RULE_CASES = {
+    "protocol_frame_before_hello": (None, [peer_frame(ECHO)], "has not said hello"),
+    "hello_naming_a_non_member": (None, [hello_frame("mallory")], "not a peer of n0"),
+    "hello_naming_the_node_itself": (None, [hello_frame("n0")], "not a peer of n0"),
+    "hello_with_an_unhashable_name": (None, [{"kind": "hello", "node": ["n1"]}], "not a peer of n0"),
+    "second_hello_under_another_name": ("n1", [hello_frame("n2")], "said hello again as 'n2'"),
+    "frame_that_is_not_a_dict": ("n1", [["peer", "n1"]], "must be a dict"),
+    "peer_frame_without_a_payload": ("n1", [{"kind": "peer"}], "missing 'payload'"),
+    "the_old_self_declared_sender_shape": ("n1", [msg_frame("n2", ECHO)], "unexpected frame kind 'msg'"),
+}
+
+
 class TestNodeSocketHardening:
-    def drops(self, frames, capsys, note, hello=None):
-        """Sending ``frames`` gets that connection dropped with ``note``; the node serves on."""
+    def drops(self, case, capsys):
+        """The case's frames get that connection dropped with its note; the node serves on."""
+        hello, frames, note = HELLO_RULE_CASES[case]
 
         async def scenario(node):
             conn = await node.connect(hello=hello)
@@ -263,7 +299,7 @@ class TestNodeSocketHardening:
         assert "cluster node n0: dropping connection:" in err and note in err
 
     def test_protocol_frame_before_hello(self, capsys):
-        self.drops([peer_frame(ECHO)], capsys, "has not said hello")
+        self.drops("protocol_frame_before_hello", capsys)
 
     def test_remembered_protocol_frame_before_hello(self, capsys):
         """A table hit is still a peer frame: it needs a hello like any other."""
@@ -280,25 +316,25 @@ class TestNodeSocketHardening:
         assert "has not said hello" in capsys.readouterr().err
 
     def test_hello_naming_a_non_member(self, capsys):
-        self.drops([hello_frame("mallory")], capsys, "not a peer of n0")
+        self.drops("hello_naming_a_non_member", capsys)
 
     def test_hello_naming_the_node_itself(self, capsys):
-        self.drops([hello_frame("n0")], capsys, "not a peer of n0")
+        self.drops("hello_naming_the_node_itself", capsys)
 
     def test_hello_with_an_unhashable_name(self, capsys):
-        self.drops([{"kind": "hello", "node": ["n1"]}], capsys, "not a peer of n0")
+        self.drops("hello_with_an_unhashable_name", capsys)
 
     def test_second_hello_under_another_name(self, capsys):
-        self.drops([hello_frame("n2")], capsys, "said hello again as 'n2'", hello="n1")
+        self.drops("second_hello_under_another_name", capsys)
 
     def test_frame_that_is_not_a_dict(self, capsys):
-        self.drops([["peer", "n1"]], capsys, "must be a dict", hello="n1")
+        self.drops("frame_that_is_not_a_dict", capsys)
 
     def test_peer_frame_without_a_payload(self, capsys):
-        self.drops([{"kind": "peer"}], capsys, "missing 'payload'", hello="n1")
+        self.drops("peer_frame_without_a_payload", capsys)
 
     def test_the_old_self_declared_sender_shape(self, capsys):
-        self.drops([msg_frame("n2", ECHO)], capsys, "unexpected frame kind 'msg'", hello="n1")
+        self.drops("the_old_self_declared_sender_shape", capsys)
 
     def test_a_connection_speaks_only_for_the_peer_it_said_hello_as(self):
         async def scenario(node):
@@ -330,3 +366,88 @@ class TestNodeSocketHardening:
         assert delivered == [("c9", request)]
         assert status["clients"] == ["c9"] and status["admitted"] == 1
         assert (status["peer_frames_in"], status["frame_table_hits"]) == (0, 0)
+
+
+def engine_frame(payload):
+    """A peer frame as the async engine's links carry it: payload and causal depth."""
+    return {**peer_frame(payload), "depth": 1}
+
+
+class Hangup:
+    """The accepted connection's writer, for a reader fed with no socket behind it."""
+
+    def close(self):
+        pass
+
+
+def read_by_engine(connections, **engine_kwargs):
+    """Feed each ``(hello, frames)`` connection in turn to listener n0 of a tcp
+    AsyncEngine on n0..n3: the shared reader exactly as the engine configures
+    it, fed from a StreamReader.  A frame given as bytes goes in as it is.
+
+    Returns the engine and ``(dest, sender, payload)`` for every message that
+    reached an inbox.
+    """
+    engine = AsyncEngine(transport="tcp", **engine_kwargs)
+    for name in ("n0", "n1", "n2", "n3"):
+        engine.add_core(ProtocolCore(name))
+    codec = wire.get_codec("json")
+
+    async def main():
+        engine._inboxes = [asyncio.Queue() for _pid in engine.pids]
+        for hello, frames in connections:
+            reader = asyncio.StreamReader()
+            for frame in ([hello_frame(hello)] if hello else []) + frames:
+                reader.feed_data(frame if isinstance(frame, bytes) else codec.encode_frame(frame))
+            reader.feed_eof()
+            await engine._serve_link(0, reader, Hangup())
+        delivered = []
+        for pid, inbox in zip(engine.pids, engine._inboxes):
+            while not inbox.empty():
+                _kind, envelope = inbox.get_nowait()
+                delivered.append((pid, envelope.sender, envelope.payload))
+        return delivered
+
+    return engine, asyncio.run(main())
+
+
+class TestTheEngineReadsByTheSameRule:
+    """``AsyncEngine(transport="tcp")`` runs the node's peer-frame reader on
+    every listener.  On a clean wire a violation becomes the run's failure
+    (what ``run()`` raises), never a delivery."""
+
+    @pytest.mark.parametrize("case", list(HELLO_RULE_CASES))
+    def test_a_violation_fails_the_run(self, case):
+        hello, frames, note = HELLO_RULE_CASES[case]
+        engine, delivered = read_by_engine([(hello, frames)])
+        assert isinstance(engine._node_failure, wire.WireError)
+        assert note in str(engine._node_failure)
+        assert delivered == []
+
+    def test_a_remembered_frame_before_hello_fails_the_run(self):
+        frame = engine_frame(ECHO)
+        engine, delivered = read_by_engine([("n1", [frame]), (None, [frame])])
+        assert "has not said hello" in str(engine._node_failure)
+        assert delivered == [("n0", "n1", ECHO)]
+        assert engine._frames.hits == 1
+
+    def test_a_frame_cannot_name_its_way_into_a_foreign_inbox(self):
+        claims = {**engine_frame(ECHO), "sender": "n2", "dest": "n3", "seq": 9}
+        engine, delivered = read_by_engine([("n1", [claims])])
+        assert engine._node_failure is None
+        assert delivered == [("n0", "n1", ECHO)]
+        old_shape = {"sender": "n2", "dest": "n3", "depth": 1, "seq": 9, "payload": ECHO}
+        engine, delivered = read_by_engine([("n1", [old_shape])])
+        assert "missing a string 'kind'" in str(engine._node_failure)
+        assert delivered == []
+
+    def test_under_wire_faults_a_violation_is_counted_and_skipped(self):
+        codec = wire.get_codec("json")
+        stale = bytearray(codec.encode_frame(engine_frame("flipped")))
+        stale[-2] ^= 0x01
+        undecodable = wire.pack_header(b"{") + b"{"
+        frames = [bytes(stale), undecodable, ["peer", "n1"], hello_frame("n2"), engine_frame(ECHO)]
+        engine, delivered = read_by_engine([("n1", frames)], wire_faults="dup")
+        assert engine._node_failure is None
+        assert delivered == [("n0", "n1", ECHO)]
+        assert engine.wire_fault_stats == {"crc": 1, "decode": 1, "protocol": 2}

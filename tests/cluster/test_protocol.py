@@ -4,21 +4,20 @@ import asyncio
 
 import pytest
 
-from repro.cluster.protocol import (
+from repro.cluster.protocol import client_frame, reply_frame, request_status
+from repro.engine.wire import (
     FRAME_TABLE_ENTRIES,
     FRAME_TABLE_MAX_BODY,
+    HEADER_SIZE,
     FrameLink,
     FrameTable,
-    client_frame,
+    ProtocolError,
     frame_field,
     frame_kind,
+    get_codec,
     hello_frame,
     peer_frame,
-    reply_frame,
-    request_status,
 )
-from repro.cluster.spec import ClusterError
-from repro.engine.wire import HEADER_SIZE, get_codec
 from repro.rsm.commands import make_command
 from repro.rsm.replica import DecideNotice, UpdateRequest
 
@@ -40,25 +39,25 @@ class TestFrames:
             assert decoded == frame
 
     def test_frame_kind_rejects_non_dicts(self):
-        with pytest.raises(ClusterError, match="must be a dict"):
+        with pytest.raises(ProtocolError, match="must be a dict"):
             frame_kind(["not", "a", "frame"])
 
     def test_frame_kind_rejects_missing_kind(self):
-        with pytest.raises(ClusterError, match="missing a string 'kind'"):
+        with pytest.raises(ProtocolError, match="missing a string 'kind'"):
             frame_kind({"node": "n0"})
 
     def test_frame_field_is_loud_on_torn_frames(self):
-        with pytest.raises(ClusterError, match="missing 'payload'"):
+        with pytest.raises(ProtocolError, match="missing 'payload'"):
             frame_field({"kind": "peer"}, "payload")
 
 
 class TestFrameTable:
     def test_a_remembered_body_answers_with_the_very_same_payload(self):
         table = FrameTable()
-        payload = DecideNotice(accepted_set=frozenset({"c"}), replica="n0")
+        frame = {**peer_frame(DecideNotice(accepted_set=frozenset({"c"}), replica="n0")), "depth": 3, "wf": 1}
         assert table.get(b"body") is None
-        table.remember(b"body", payload)
-        assert table.get(b"body") is payload
+        table.remember(b"body", frame)
+        assert table.get(b"body") is frame  # every field, not just the payload
         assert table.get(b"body ") is None  # the key is the exact bytes
         assert table.hits == 1
 
@@ -70,28 +69,28 @@ class TestFrameTable:
             {1, 2},
             ("tuple", ["holding", "a list"]),
             DecideNotice(accepted_set={"a", "mutable", "set"}, replica="n0"),
-            None,
+            bytearray(b"mutable bytes"),
         ],
     )
     def test_a_payload_hash_refuses_is_never_shared(self, payload):
         table = FrameTable()
-        table.remember(b"body", payload)
+        table.remember(b"body", peer_frame(payload))
         assert len(table) == 0 and table.get(b"body") is None
 
     def test_an_oversized_body_is_not_remembered(self):
         table = FrameTable()
-        table.remember(bytes(FRAME_TABLE_MAX_BODY + 1), "payload")
-        table.remember(bytes(FRAME_TABLE_MAX_BODY), "payload")
+        table.remember(bytes(FRAME_TABLE_MAX_BODY + 1), peer_frame("payload"))
+        table.remember(bytes(FRAME_TABLE_MAX_BODY), peer_frame("payload"))
         assert len(table) == 1
 
     def test_the_table_never_exceeds_its_bound_and_forgets_the_oldest_first(self):
         table = FrameTable()
         for index in range(3 * FRAME_TABLE_ENTRIES):
-            table.remember(b"body-%d" % index, index + 1)
+            table.remember(b"body-%d" % index, peer_frame(index))
             assert len(table) <= FRAME_TABLE_ENTRIES
         assert len(table) == FRAME_TABLE_ENTRIES
         assert table.get(b"body-%d" % (2 * FRAME_TABLE_ENTRIES - 1)) is None
-        assert table.get(b"body-%d" % (2 * FRAME_TABLE_ENTRIES)) == 2 * FRAME_TABLE_ENTRIES + 1
+        assert table.get(b"body-%d" % (2 * FRAME_TABLE_ENTRIES)) == peer_frame(2 * FRAME_TABLE_ENTRIES)
 
 
 class TestFrameLink:

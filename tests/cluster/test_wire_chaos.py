@@ -29,8 +29,7 @@ mid-frame.  The audit's pinned findings:
 import asyncio
 import socket
 
-from repro.cluster.protocol import FrameLink, hello_frame, peer_frame
-from repro.engine.wire import get_codec
+from repro.engine.wire import FrameLink, get_codec, hello_frame, peer_frame
 from repro.engine.wire_faults import FaultySocket
 
 

@@ -297,3 +297,66 @@ class TestTcpTransport:
         assert witness.lifecycle == ["crash", "recover"]
         assert witness.received == ["hello"]
         assert result.pending_messages == 0
+
+    def test_duplicated_broadcasts_keep_the_pending_count_exact(self):
+        """Every frame on every link is preceded by an injected duplicate.  A
+        broadcast's duplicate reaches each listener as the same bytes, so
+        most are frame-table hits: a hit that lost the injected marker would
+        leave the count unbalanced and the run never quiescent."""
+        from repro.core.wts import WTSProcess
+        from repro.lattice.set_lattice import SetLattice
+
+        lattice = SetLattice()
+        pids = ["p0", "p1", "p2", "p3"]
+        engine = AsyncEngine(
+            delay_model=FixedDelay(1.0), seed=0, transport="tcp", time_scale=0.0, wire_faults="dup:1.0"
+        )
+        for pid in pids:
+            engine.add_core(WTSProcess(pid, lattice, pids, 1, proposal=frozenset({f"v-{pid}"})))
+        result = engine.run(max_wall_s=30.0)
+        assert result.quiescent and result.pending_messages == 0
+        stats = engine.wire_fault_stats
+        assert stats["injected_delivered"] == stats["sent_dup"] > 0
+        assert engine._frames.hits > 0
+
+    def test_two_runs_tear_down_every_link_and_connection(self, monkeypatch, caplog):
+        """Both ends of every connection close before the servers do (from
+        Python 3.12.1 ``Server.wait_closed()`` waits for them), so each run
+        returns within its cap and leaves no link task or socket behind."""
+        import gc
+        import time
+        import warnings
+
+        from repro.engine import wire
+
+        links = []
+        start = wire.FrameLink.start
+
+        def recording_start(link):
+            links.append(link)
+            start(link)
+
+        monkeypatch.setattr(wire.FrameLink, "start", recording_start)
+        engine, nodes = _cluster(transport="tcp", time_scale=0.0)
+        # Run 1 holds p2's pong until the heal that run 2 opens with, so
+        # both runs dial links.
+        engine.start_partition(["p0", "p1"], ["p2"], at=0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            results = []
+            for run in range(2):
+                if run:
+                    engine.heal_partition()
+                dialed = len(links)
+                started = time.perf_counter()
+                results.append(engine.run(max_wall_s=10.0))
+                assert time.perf_counter() - started < 10.0
+                assert len(links) > dialed
+                assert all(link.closed and link._task is None for link in links)
+            gc.collect()
+        assert sum(result.delivered for result in results) == 4
+        assert results[0].pending_messages == 1 and results[1].quiescent
+        assert sorted(p for _s, p in nodes[0].seen) == [("pong", "p1"), ("pong", "p2")]
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+        # A connection handler cancelled at loop shutdown must end quietly.
+        assert [record.getMessage() for record in caplog.records if record.name == "asyncio"] == []

@@ -188,6 +188,20 @@ class TestFaultyCodec:
             assert injected[INJECTED_KEY] == 1
         assert {d["payload"] for d in decoded[:-1]} == {"one", "two"}
 
+    def test_a_replay_repeats_an_earlier_frame_of_its_own_link(self, codec):
+        """The receiver stamps the link's sender on whatever arrives, so a
+        replay drawn from another link would impersonate that link's sender."""
+        faulty = FaultyCodec(codec, parse_wire_faults("replay:1"), seed=5)
+        for index in range(4):
+            frame = wire.peer_frame(f"a-{index}")
+            faulty.forge(frame, codec.encode_frame(frame), link=("p0", "p1"))
+        # p0's four frames are no replay candidates on p2's link.
+        frame = wire.peer_frame("b-0")
+        assert faulty.forge(frame, codec.encode_frame(frame), link=("p2", "p1")) == b""
+        frame = wire.peer_frame("b-1")
+        [replayed] = split_frames(faulty.forge(frame, codec.encode_frame(frame), link=("p2", "p1")))
+        assert decode(codec, replayed) == {**wire.peer_frame("b-0"), INJECTED_KEY: 1}
+
     def test_tamper_value_poisons_signed_payloads_and_breaks_verification(self, codec):
         registry = KeyRegistry(seed=6)
         message, original = signed_envelope(registry)
