@@ -24,10 +24,11 @@ Package layout
 
 ============================  ====================================================
 ``repro.lattice``             join semilattices (sets, counters, maps, clocks)
-``repro.sim``                 discrete-event kernel: typed events, schedulers,
-                              fault plans (crashes, partitions, timers)
+``repro.sim``                 simulation policy: schedulers and fault plans
+                              (crashes, partitions, injections)
 ``repro.engine``              sans-I/O protocol cores + execution backends
-                              (deterministic kernel engine, turbo fast path)
+                              (one simulated-time loop: turbo, and kernel =
+                              turbo + delivery log; asyncio)
 ``repro.crypto``              simulated PKI (Section 8's signatures)
 ``repro.broadcast``           Byzantine reliable broadcast (Bracha)
 ``repro.core``                WTS, GWTS, SbS, GSbS + problem specifications
@@ -87,7 +88,7 @@ from repro.rsm import (
     RSMClient,
     check_rsm_history,
 )
-from repro.sim import FaultPlan, RandomScheduler, SimKernel, WorstCaseScheduler
+from repro.sim import FaultPlan, RandomScheduler, WorstCaseScheduler
 
 _CLUSTER_EXPORTS = {
     "ClusterSpec": "repro.cluster.spec",
@@ -135,14 +136,13 @@ __all__ = [
     "MapLattice",
     "VectorClockLattice",
     "ProductLattice",
-    # engine & simulation kernel
+    # engine & simulation policy
     "ProtocolCore",
     "KernelEngine",
     "TurboEngine",
     "create_engine",
     "FixedDelay",
     "UniformDelay",
-    "SimKernel",
     "FaultPlan",
     "RandomScheduler",
     "WorstCaseScheduler",

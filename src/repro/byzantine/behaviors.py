@@ -76,10 +76,10 @@ class CrashByzantine(_ByzantineMixin, ProtocolCore):
 
     The crash point is either a delivery count (``crash_after_deliveries``,
     the seed behaviour) or a simulated *time* (``crash_at_time``), the latter
-    armed through the kernel's timer events — which makes the crash instant
-    independent of how chatty the run happens to be.  Note this class models
-    a *permanently* silent process from the crash point on; scripted
-    crash/recovery churn of correct processes is the kernel's job (see
+    armed as an engine timer — which makes the crash instant independent of
+    how chatty the run happens to be.  Note this class models a
+    *permanently* silent process from the crash point on; scripted
+    crash/recovery churn of correct processes is the engine's job (see
     :class:`repro.sim.FaultPlan`).
     """
 

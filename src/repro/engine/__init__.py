@@ -17,11 +17,12 @@ This package realises that model in two decoupled halves:
   :class:`~repro.engine.services.EngineBase` skeleton and described as data
   in the :mod:`~repro.engine.backends` registry:
 
-  - :class:`KernelEngine` — the reference backend on the deterministic
-    discrete-event :class:`~repro.sim.SimKernel`: schedulers, fault plans,
-    metrics, causal-depth accounting, delivery log, golden-trace replay.
-  - :class:`TurboEngine` — the benchmark fast path: same schedule, no
-    per-message shim objects (see :mod:`repro.engine.turbo_backend`).
+  - :class:`TurboEngine` — the simulated-time event loop: schedulers,
+    fault plans, causal-depth accounting, no per-message objects (see
+    :mod:`repro.engine.turbo_backend`).
+  - :class:`KernelEngine` — the reference backend: turbo's loop plus an
+    envelope per message, per-type/size metrics and the delivery log the
+    golden traces are read from.
   - :class:`AsyncEngine` — real asyncio I/O with wall-clock time and
     decision-latency histograms: inline virtual-time dispatch in-process
     (CI determinism-lite) or length-prefixed frames — JSON or compact

@@ -11,7 +11,7 @@ transports:
   benchmarks**: deliveries are processed inline off a virtual-time calendar
   driven by the *same* seeded scheduler draws, sequence numbering and
   crash/partition hold semantics as the turbo backend.  Deliveries are
-  therefore processed in exactly the kernel schedule's order, so decided
+  therefore processed in exactly the simulated schedule's order, so decided
   values and outputs match the kernel backend for the same (cores, seed,
   scheduler, fault plan) — pinned by ``tests/engine/test_cross_backend.py``.
   Timestamps are still wall-clock: only the *order* is reproduced, not the
@@ -288,7 +288,7 @@ class AsyncEngine(EngineBase):
     ) -> RunResult:
         """Run the cluster on a fresh event loop until a stop condition.
 
-        Semantics mirror :meth:`KernelEngine.run`: stop on the predicate, on
+        Semantics mirror :meth:`TurboEngine.run`: stop on the predicate, on
         quiescence, or on the ``max_messages``/``max_events`` valves.
         ``max_wall_s`` additionally bounds real elapsed time (reported as an
         event-cap truncation), so a hung loop fails fast instead of wedging
@@ -420,7 +420,7 @@ class AsyncEngine(EngineBase):
         record_delivery = self.metrics.record_delivery
         try:
             # Start events run inline, in registration order — the same
-            # sequential semantics the kernel backend gives on_start.
+            # sequential semantics the simulated backends give on_start.
             self.start()
             # ``while True`` on purpose: CPython 3.11 warms a function up for
             # specialization on entry and on unconditional backward jumps

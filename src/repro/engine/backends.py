@@ -142,7 +142,7 @@ def _register_builtin_backends() -> None:
             factory=KernelEngine,
             time_source=KernelEngine.time_source,
             deterministic=True,
-            summary="reference: deterministic sim kernel, delivery log + full metrics",
+            summary="reference: turbo's schedule plus delivery log + full metrics",
         )
     )
     register_backend(

@@ -105,10 +105,10 @@ class TimerHandle:
     """Cancellation token for an armed timer.
 
     Created by the core when it emits a :class:`SetTimer`; both the core and
-    the backend hold a reference.  ``cancel()`` flags the handle and lazily
-    cancels whatever backend event the handle was bound to — cancellation
-    survives crash/recovery parking, exactly like the kernel's lazy event
-    deletion.
+    the backend hold a reference.  ``cancel()`` flags the handle; the
+    engines check ``cancelled`` when the timer comes due (and when it is
+    released from crash/partition parking), so cancellation survives
+    parking.  A substrate whose own timer must be cancelled eagerly binds it.
     """
 
     __slots__ = ("tag", "payload", "cancelled", "_bound")
@@ -117,9 +117,8 @@ class TimerHandle:
         self.tag = tag
         self.payload = payload
         self.cancelled = False
-        #: Backend-side object this handle controls (a kernel ``Timer`` event
-        #: on the kernel backend; unused by the turbo backend, which checks
-        #: ``cancelled`` directly at fire time).
+        #: Substrate-side timer this handle cancels eagerly: the cluster
+        #: ``CoreHost``'s asyncio handle (the engines never bind one).
         self._bound: Any = None
 
     def cancel(self) -> None:
@@ -130,7 +129,7 @@ class TimerHandle:
             bound.cancel()
 
     def bind(self, event: Any) -> None:
-        """Called by the backend to link its scheduled event to this handle."""
+        """Link a substrate timer (``CoreHost``'s asyncio handle) to this handle."""
         self._bound = event
         if self.cancelled:
             event.cancel()

@@ -50,7 +50,7 @@ TIME_SOURCES = (TIME_SIMULATED, TIME_WALL_CLOCK)
 class Clock:
     """Uniform read surface for an engine's time.
 
-    Engines own time *advancement* (the kernel pops events, the async
+    Engines own time *advancement* (turbo's loop pops events, the async
     backend lets the OS run); a clock only answers "what time is it" and
     names the semantics of the answer via :attr:`time_source`.
     """
@@ -69,7 +69,7 @@ class SimulatedClock(Clock):
     """Deterministic simulated time, read off the owning engine.
 
     The engine advances its own time field on every event pop; the clock is
-    a read adapter (``read`` is e.g. ``lambda: kernel.now``), so there is
+    a read adapter (``read`` is e.g. ``lambda: self._now``), so there is
     exactly one source of truth and no second counter to keep in sync.
     """
 
@@ -378,14 +378,8 @@ class EngineBase:
         """Schedule the partition heal at ``at`` (default: now)."""
         return self._push_control(at, HEAL, None)
 
-    def inject(
-        self, fn: Callable[[Any], Any], at: float | None = None, label: str = "inject"
-    ) -> Any:
-        """Schedule ``fn(engine)`` at ``at`` — arbitrary scripted action.
-
-        ``label`` names the action for call-site readability (fault plans
-        carry one per action); the engine does not interpret it.
-        """
+    def inject(self, fn: Callable[[Any], Any], at: float | None = None) -> Any:
+        """Schedule ``fn(engine)`` at ``at`` — arbitrary scripted action."""
         return self._push_control(at, INJECT, fn)
 
     def apply_fault_plan(self, plan) -> None:

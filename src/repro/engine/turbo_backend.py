@@ -1,16 +1,18 @@
-"""Turbo backend: the benchmark / large-n fast path for protocol cores.
+"""Turbo backend: the simulated-time event loop for protocol cores.
 
-:class:`TurboEngine` executes the *same* schedule as the kernel backend —
-same seeded RNG, same scheduler delay draws, same ``(time, seq)``
-tie-breaking, same crash/partition hold semantics — while shedding every
-per-message object the reference path carries:
+:class:`TurboEngine` owns the only simulated-time event loop in the repo:
+a seeded RNG, scheduler delay draws, ``(time, seq)`` tie-breaking and the
+crash/partition hold semantics of the paper's model (faults only hold
+traffic).  The kernel backend is this loop plus recording
+(:mod:`repro.engine.kernel_backend`).  Turbo itself carries no per-message
+object:
 
-* **no envelopes** — a message in flight is one heap tuple
+* **no envelopes** — a message in flight is one calendar tuple
   ``(time, seq, kind, dest_index, sender, payload, depth)``; a single
   preallocated probe envelope is reused (fields overwritten per send) to
   interrogate :class:`~repro.sim.scheduler.Scheduler` strategies;
-* **no kernel event objects** — timers, crashes, partitions and injections
-  are heap tuples too, discriminated by an integer kind;
+* **no event objects** — timers, crashes, partitions and injections are
+  calendar tuples too, discriminated by an integer kind;
 * **interned node ids** — destinations resolve to list indices once at send
   time; the dispatch loop indexes a flat core list;
 * **no per-message accounting objects** — no delivery log, no per-type or
@@ -28,12 +30,13 @@ the broadcast scope of every core is interned once at start as
 ``(dest_index, pid)`` pairs.  Registration, fault scripting and the
 ``run_until_*`` helpers come from :class:`~repro.engine.services.EngineBase`.
 
-Because the schedule is reproduced exactly, a turbo run reaches the same
-decision values and output lattices as the kernel backend for the same
-(cores, seed, scheduler, fault plan) — the cross-backend golden test pins
-this for the E1/E6/E8 workloads.  What turbo does *not* provide: a delivery
-log, per-type/size metrics, or single-stepping; use the kernel backend for
-trace-level debugging and message-type or payload-size analysis.
+What turbo does *not* keep is a delivery log or per-type/size metrics.  The
+kernel backend keeps both through one delivery hook (:attr:`TurboEngine.
+_record_delivery`, ``None`` here) and an envelope in an eighth calendar slot;
+recording draws no random number and takes no sequence number, so a kernel
+run and a turbo run of the same (cores, seed, scheduler, fault plan) follow
+one schedule.  Use the kernel backend for trace-level debugging and
+message-type or payload-size analysis.
 """
 
 from __future__ import annotations
@@ -68,10 +71,13 @@ _TIMER = 1
 
 
 class TurboEngine(EngineBase):
-    """Fast-path backend: one fused event loop, no per-message shim objects."""
+    """The simulated-time backend: one fused event loop, no per-message objects."""
 
     name = "turbo"
     time_source = TIME_SIMULATED
+    #: Delivery hook ``(entry, time)``, called before ``on_message``; ``None``
+    #: here, the kernel backend's recording otherwise.
+    _record_delivery: Callable[[tuple, float], None] | None = None
 
     def __init__(
         self,
@@ -106,7 +112,7 @@ class TurboEngine(EngineBase):
         #: run; decisions are recorded as they happen, so stop predicates,
         #: latency invariants and the message-complexity experiments work.
         #: Per-type, per-delivery and size accounting are skipped by design
-        #: (use the kernel backend for those).
+        #: (the kernel backend records those).
         self._sent: dict[Hashable, int] = {}
         #: Broadcast scope per sender as ``(dest_index, pid)`` pairs, interned
         #: at start.  Single-group runs give every sender
@@ -117,8 +123,9 @@ class TurboEngine(EngineBase):
         #: fields are overwritten per send and its lazy caches reset, so no
         #: per-message envelope is ever allocated.
         self._probe = Envelope(sender=None, dest=None, payload=None, send_time=0.0)
-        #: Message-only counter mirroring the kernel backend's envelope
-        #: numbering, so seq-reading delay models see identical values.
+        #: Message-only ``Envelope.seq`` counter (the kernel backend numbers
+        #: its envelopes with it too), so seq-reading delay models see
+        #: identical values on both.
         self._msg_seq = 0
         # Envelope-free fast paths for the two stock delay models: neither
         # reads the envelope, so the probe round-trip can be skipped without
@@ -143,7 +150,7 @@ class TurboEngine(EngineBase):
         """One scheduler consultation via the reusable probe envelope.
 
         The probe carries the same field values (including the message-only
-        ``seq``) the kernel backend's envelope would, so even a scheduler
+        ``seq``) the kernel backend's envelope does, so even a scheduler
         that reads every envelope field sees an identical schedule.  The
         counter lives here — every send consults the scheduler exactly once
         on this path — and is skipped entirely by the envelope-free
@@ -225,7 +232,7 @@ class TurboEngine(EngineBase):
         self._seq += 1
         self._enqueue((self._now + delay, self._seq, _TIMER, self._index[pid], handle))
 
-    # -- faults (same semantics as the kernel backend) ------------------------------
+    # -- faults (held traffic is delayed, never lost) --------------------------------
 
     def _push_control(self, at: float | None, kind: int, arg: Any) -> None:
         due = self._now if at is None else at
@@ -263,8 +270,12 @@ class TurboEngine(EngineBase):
     ) -> RunResult:
         """Process events until the stop condition, quiescence or a cap.
 
-        Semantics mirror :meth:`KernelEngine.run` exactly; only the
-        per-event bookkeeping differs.
+        Stops when the predicate returns ``True`` (e.g. "all correct
+        proposers have decided"), when the calendar is exhausted, or when the
+        ``max_messages`` / ``max_events`` safety valves trip (which tests
+        treat as a liveness failure).  Because event order is entirely
+        determined by the seeded scheduler, a run is a pure function of
+        (cores, seed, scheduler, fault plan).
         """
         self.start()
         if max_events is None:
@@ -273,6 +284,7 @@ class TurboEngine(EngineBase):
         buckets = self._buckets
         cores = self._cores
         crashed = self._crashed
+        record_delivery = self._record_delivery
         delivered = 0
         events = 0
         stopped = False
@@ -316,6 +328,8 @@ class TurboEngine(EngineBase):
                 if core.causal_depth < depth:
                     core.causal_depth = depth
                 self.pending_messages -= 1
+                if record_delivery is not None:
+                    record_delivery(entry, time)
                 core.now = time
                 core.on_message(sender, entry[5])
                 if core._out:
@@ -345,9 +359,8 @@ class TurboEngine(EngineBase):
                 index = self._index[entry[3]]
                 if index in crashed:
                     crashed.discard(index)
-                    # Held traffic is re-queued before the recovery hook runs,
-                    # mirroring the kernel backend's ordering exactly (seq
-                    # parity is what keeps the two schedules identical).
+                    # Held traffic is re-queued before the recovery hook
+                    # runs, so it takes the lower seq numbers.
                     held = self._held_for_node.pop(index, None)
                     if held:
                         self._release(held)

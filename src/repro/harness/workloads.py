@@ -832,7 +832,7 @@ def run_open_loop_scenario(
     for index in range(values):
         pid = pids[index % len(pids)]
         value = lattice.lift(f"load-{index}")
-        engine.inject(_arrival(pid, value), at=(index + 1) * interval, label=f"arrive-{index}")
+        engine.inject(_arrival(pid, value), at=(index + 1) * interval)
 
     result = scenario.run()
 

@@ -81,7 +81,7 @@ class RSMClient(ProtocolCore):
         Timeout (in simulated time) after which an operation still in flight
         is retried — the update/confirm messages are re-sent, escalating
         from the initial ``f + 1`` replicas to *all* replicas.  Retries use
-        the kernel's timer events, so a client stuck behind a crash or a
+        engine timers, so a client stuck behind a crash or a
         partition recovers on its own instead of relying on ad-hoc message
         re-injection by the harness.  ``None`` disables retries.  Replicas
         treat re-submitted commands idempotently, so retries never violate

@@ -1,39 +1,18 @@
-"""Discrete-event simulation kernel: typed events, schedulers, fault plans.
+"""Simulation policy: schedulers, fault plans and their string axes.
 
-This package is the machinery under :class:`repro.engine.KernelEngine`: a
-single time-ordered queue of typed events (:mod:`repro.sim.events`), a
+This package says *what* a simulated run does, not how it is executed: a
 pluggable scheduling policy deciding message delays
-(:mod:`repro.sim.scheduler`), and a declarative fault-script API
-(:mod:`repro.sim.faults`).  The kernel never calls protocol code — the
-engine backends pop its events, dispatch them to sans-I/O protocol cores
-and apply the resulting effects.
+(:mod:`repro.sim.scheduler`), a declarative fault-script API
+(:mod:`repro.sim.faults`) and the string DSL both are parsed from
+(:mod:`repro.sim.axes`).  The event loop that applies them is
+:meth:`repro.engine.TurboEngine.run`, which the kernel backend shares.
 """
 
 from repro.sim.axes import describe_axes, parse_fault_plan, parse_scheduler
-from repro.sim.events import (
-    Event,
-    Inject,
-    MessageDelivery,
-    NodeCrash,
-    NodeRecover,
-    PartitionHeal,
-    PartitionStart,
-    Timer,
-)
 from repro.sim.faults import FaultAction, FaultPlan
-from repro.sim.kernel import SimKernel
 from repro.sim.scheduler import DelayModelScheduler, RandomScheduler, Scheduler, WorstCaseScheduler
 
 __all__ = [
-    "Event",
-    "MessageDelivery",
-    "Timer",
-    "NodeCrash",
-    "NodeRecover",
-    "PartitionStart",
-    "PartitionHeal",
-    "Inject",
-    "SimKernel",
     "Scheduler",
     "DelayModelScheduler",
     "RandomScheduler",

@@ -1,7 +1,7 @@
 """String-encoded scenario axes: schedulers and fault plans as data.
 
 The orchestrator persists every job spec as JSON and re-executes it in a
-worker process, so the adversarial knobs of the kernel — which
+worker process, so the adversarial knobs of a simulated run — which
 :class:`~repro.sim.scheduler.Scheduler` drives delivery and which
 :class:`~repro.sim.faults.FaultPlan` scripts the environment — must be
 expressible as plain strings.  This module is the single parser for those

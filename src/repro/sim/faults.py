@@ -8,7 +8,7 @@ an experiment's fault script lives next to its workload description instead
 of being smeared across hand-rolled delay models.
 
 Plans are built fluently and are order-independent (every action carries its
-absolute time; the kernel orders them)::
+absolute time; the engine orders them)::
 
     plan = (
         FaultPlan()
@@ -66,7 +66,6 @@ class FaultAction:
     pid: Hashable | None = None
     groups: tuple[frozenset, ...] = ()
     fn: Callable[..., Any] | None = None
-    label: str = ""
 
 
 class FaultPlan:
@@ -126,12 +125,10 @@ class FaultPlan:
         self.actions.append(FaultAction(at=at, kind="heal"))
         return self
 
-    def inject(
-        self, at: float, fn: Callable[..., Any], label: str = "inject"
-    ) -> FaultPlan:
-        """Run ``fn(network)`` at ``at`` — the escape hatch for custom scripts."""
+    def inject(self, at: float, fn: Callable[..., Any]) -> FaultPlan:
+        """Run ``fn(engine)`` at ``at`` — the escape hatch for custom scripts."""
         self._check_time(at)
-        self.actions.append(FaultAction(at=at, kind="inject", fn=fn, label=label))
+        self.actions.append(FaultAction(at=at, kind="inject", fn=fn))
         return self
 
     # -- application ---------------------------------------------------------------
@@ -154,7 +151,7 @@ class FaultPlan:
             elif action.kind == "heal":
                 engine.heal_partition(at=action.at)
             elif action.kind == "inject":
-                engine.inject(action.fn, at=action.at, label=action.label)
+                engine.inject(action.fn, at=action.at)
             else:  # pragma: no cover - builder methods prevent this
                 raise ValueError(f"unknown fault action {action.kind!r}")
         return self

@@ -3,9 +3,9 @@
 In the asynchronous model the adversary owns the schedule: it may hold any
 message for an arbitrary *finite* time.  A :class:`Scheduler` is that
 adversary as a strategy object — given an envelope at submit time it decides
-the in-flight delay (the kernel then orders deliveries by time).
+the in-flight delay (the engine then orders deliveries by time).
 
-Three policies ship with the kernel:
+Three policies ship here:
 
 * :class:`DelayModelScheduler` — the default; delegates to the seed's
   :class:`~repro.engine.delays.DelayModel` hierarchy, which is what keeps
@@ -46,7 +46,7 @@ class Scheduler(abc.ABC):
 
 
 class DelayModelScheduler(Scheduler):
-    """Adapter: drive the kernel with a seed-era :class:`DelayModel`."""
+    """Adapter: drive the engine with a seed-era :class:`DelayModel`."""
 
     def __init__(self, model: DelayModel | None = None) -> None:
         if model is None:
@@ -118,7 +118,7 @@ class WorstCaseScheduler(Scheduler):
 
         A proposer needs a Byzantine ack quorum ``q = floor((n + f) / 2) + 1``
         (the same formula as :func:`repro.core.quorum.byzantine_quorum`,
-        restated locally to keep the kernel layer import-free of the protocol
+        restated locally to keep the sim layer import-free of the protocol
         layer).  A fixed victim list starves all links touching a hand-picked
         pid — but whenever fewer than ``n - q + 1`` processes are starved, the
         remaining fast processes still form a whole quorum and every other

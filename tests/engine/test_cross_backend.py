@@ -1,9 +1,14 @@
 """Backend equivalence: kernel, turbo and async execute the *same* schedule.
 
-The turbo backend sheds per-message objects, not semantics: for the same
-(cores, seed, scheduler, fault plan) both backends must reach identical
-decision values and output lattices.  Pinned here on the E1 (WTS chain),
-E6 (GWTS) and E8 (RSM) workload shapes across several seeds.
+The kernel backend is turbo's event loop plus recording (envelopes,
+per-type/size metrics, the delivery log), so kernel == turbo here pins that
+recording consumes no RNG draw and no sequence number: for the same (cores,
+seed, scheduler, fault plan) both must reach identical decision values and
+output lattices.  Pinned on the E1 (WTS chain), E6 (GWTS) and E8 (RSM)
+workload shapes across several seeds.  The external reference for the
+schedule itself is the frozen seed-implementation JSON under
+``tests/golden/`` (``tests/transport/test_golden_trace.py``,
+``tests/sim/test_scheduler_golden.py``), not either backend's code.
 
 The async backend's default in-process transport (determinism-lite mode)
 paces deliveries off the same seeded scheduler draws and sequence numbering,

@@ -141,10 +141,7 @@ class TestDelivery:
         engine.start()
         engine.submit("a", "b", "ping")
         times = []
-        while True:
-            env = engine.step()
-            if env is None:
-                break
+        while engine.run(max_messages=1).delivered:
             times.append(engine.now)
         assert times == sorted(times)
         assert times[0] == pytest.approx(2.0)

@@ -13,7 +13,7 @@ class TestBuilder:
             FaultPlan()
             .partition(["p0", "p1"], ["p2", "p3"], at=1.0, heal_at=5.0)
             .crash("p1", at=6.0, recover_at=8.0)
-            .inject(9.0, lambda net: None, label="probe")
+            .inject(9.0, lambda net: None)
         )
         assert len(plan) == 5  # partition, heal, crash, recover, inject
         assert "crash" in plan.describe() and "partition" in plan.describe()

@@ -1,9 +1,8 @@
-"""Unit tests for the discrete-event kernel: events, timers, crashes, partitions."""
+"""Unit tests for the simulated-time event loop: calendar, timers, crashes, partitions."""
 
 import pytest
 
-from repro.engine import FixedDelay, KernelEngine, ProtocolCore
-from repro.sim import SimKernel, Timer
+from repro.engine import FixedDelay, KernelEngine, ProtocolCore, create_engine
 
 
 class Recorder(ProtocolCore):
@@ -35,32 +34,38 @@ def build(n=3, delay=1.0, seed=0):
     return network, nodes
 
 
-class TestKernelQueue:
-    def test_events_pop_in_time_order_with_schedule_tiebreak(self):
-        kernel = SimKernel()
-        first = kernel.schedule_at(Timer("a", "t1"), 5.0)
-        second = kernel.schedule_at(Timer("a", "t2"), 3.0)
-        third = kernel.schedule_at(Timer("a", "t3"), 5.0)
-        assert kernel.pop() is second
-        assert kernel.pop() is first  # same time as third, scheduled earlier
-        assert kernel.pop() is third
-        assert kernel.pop() is None
-        assert kernel.now == pytest.approx(5.0)
+@pytest.mark.parametrize("backend", ["kernel", "turbo"])
+class TestCalendar:
+    def _engine(self, backend):
+        engine = create_engine(backend, delay_model=FixedDelay(1.0), seed=0)
+        core = engine.add_core(Recorder("a"))
+        engine.start()
+        return engine, core
 
-    def test_cancelled_events_are_skipped(self):
-        kernel = SimKernel()
-        timer = kernel.schedule_at(Timer("a", "t"), 1.0)
-        keeper = kernel.schedule_at(Timer("a", "k"), 2.0)
-        timer.cancel()
-        assert kernel.pop() is keeper
-        assert kernel.pop() is None
+    def test_timers_fire_in_time_order_and_same_time_timers_in_arm_order(self, backend):
+        engine, core = self._engine(backend)
+        engine.schedule_timer("a", 5.0, "t1")
+        engine.schedule_timer("a", 3.0, "t2")
+        engine.schedule_timer("a", 5.0, "t3")  # same time as t1, armed later
+        result = engine.run_until_quiescent()
+        assert core.timers == [(3.0, "t2", None), (5.0, "t1", None), (5.0, "t3", None)]
+        assert result.events == 3 and engine.now == pytest.approx(5.0)
 
-    def test_scheduling_in_the_past_rejected(self):
-        kernel = SimKernel()
-        kernel.schedule_at(Timer("a", "t"), 5.0)
-        kernel.pop()
-        with pytest.raises(ValueError):
-            kernel.schedule_at(Timer("a", "late"), 1.0)
+    def test_cancelled_timer_is_skipped(self, backend):
+        engine, core = self._engine(backend)
+        handle = engine.schedule_timer("a", 1.0, "t")
+        engine.schedule_timer("a", 2.0, "k")
+        handle.cancel()
+        result = engine.run_until_quiescent()
+        assert core.timers == [(2.0, "k", None)]
+        assert result.events == 1  # the cancelled entry is not an event
+
+    def test_crash_scheduled_in_the_past_rejected(self, backend):
+        engine, _ = self._engine(backend)
+        engine.schedule_timer("a", 5.0, "t")
+        engine.run_until_quiescent()
+        with pytest.raises(ValueError, match="invalid event time"):
+            engine.crash_node("a", at=1.0)
 
 
 class TestTimers:
@@ -128,12 +133,11 @@ class TestCrashRecover:
         network.start()
         network.submit("p0", "p1", "x")
         # Drain: crash event + held delivery; no recovery scheduled.
-        while True:
-            event, _ = network.process_next_event()
-            if event is None:
-                break
+        result = network.run_until_quiescent()
+        assert result.events == 2 and result.delivered == 0
+        assert not result.quiescent
         assert network.pending() == 1  # still in flight, waiting for recovery
-        assert network.kernel.held_count() == 1
+        assert nodes[1].received == []
 
     def test_timer_cancelled_while_held_does_not_fire_after_recovery(self):
         network, nodes = build()
@@ -196,7 +200,7 @@ class TestStepSafetyValve:
         with pytest.raises(ValueError, match="overlap"):
             network.start_partition(["p0", "p1"], ["p1", "p2"], at=0.0)
 
-    def test_step_raises_instead_of_spinning_on_timer_only_scenarios(self):
+    def test_single_message_run_stops_on_event_cap_in_timer_only_scenarios(self):
         class Rearming(Recorder):
             def on_start(self):
                 self.set_timer(1.0, "tick")
@@ -207,8 +211,11 @@ class TestStepSafetyValve:
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
         network.add_node(Rearming("p0"))
         network.start()
-        with pytest.raises(RuntimeError, match="no message delivered"):
-            network.step()
+        # "Advance by one delivery" returns after max_messages * 8 events
+        # instead of spinning, and says so.
+        result = network.run(max_messages=1)
+        assert result.events_capped and result.events == 8
+        assert result.delivered == 0 and not result.quiescent
 
     def test_runtime_reports_event_cap_instead_of_fake_quiescence(self):
         class Rearming(Recorder):
