@@ -10,7 +10,7 @@ honest p50/p95/p99/max decision latencies at each offered rate.
 
 One curve per configuration:
 
-* ``async`` — in-process transport (inline virtual-time dispatch);
+* ``async`` — in-process transport (the kernel's loop on a wall clock);
 * ``async-tcp-json`` — localhost TCP, tagged-JSON frames;
 * ``async-tcp-binary`` — localhost TCP, compact binary frames.
 

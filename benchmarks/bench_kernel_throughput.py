@@ -15,11 +15,10 @@ the messaging substrate:
   TurboEngine`): no per-message objects, interned node ids, calendar-
   bucketed event queue (same-timestamp bursts cost one heap sift instead
   of one per message);
-* **async** — the asyncio backend (:class:`repro.engine.AsyncEngine`,
-  in-process transport): the network-path row — the virtual-time calendar
-  is dispatched inline on the event loop (no per-delivery task/queue
-  hand-off), so this tracks what the asyncio machinery costs once the
-  per-message overhead is gone.
+* **async** — the wall-clock backend (:class:`repro.engine.AsyncEngine`,
+  in-process transport): the kernel's loop with a wall-clock stamp per
+  event, so this row tracks what wall-clock time costs on top of the
+  kernel's recording.
 
 A fifth row, **shim** (the retired ``Network``/``NodeContext`` path over
 the typed-event sim kernel), was the yardstick until both it and that
@@ -274,14 +273,13 @@ def run_turbo(n: int, hops: int) -> tuple:
 
 
 def run_async(n: int, hops: int) -> tuple:
-    """The asyncio backend's in-process transport (the network-path row).
+    """The async backend's in-process transport (the wall-clock row).
 
-    Timing includes the start events (the async run driver owns them); they
-    are ``n`` sends against ``n * hops`` deliveries, i.e. noise.  Deliveries
-    are dispatched inline off the virtual-time calendar on a live event
-    loop — no per-message task or queue hand-off — so this row tracks the
-    residual cost of the asyncio machinery (loop entry, calendar heap,
-    wall-clock pacing hooks) rather than raw simulation speed.
+    Timing includes the start events (the async run owns them); they are
+    ``n`` sends against ``n * hops`` deliveries, i.e. noise.  Deliveries run
+    on the kernel's loop — envelopes, full metrics, the delivery log — with
+    one wall-clock reading per event, so this row tracks the kernel plus
+    wall-clock stamping rather than raw simulation speed.
     """
     engine = AsyncEngine(delay_model=FixedDelay(1.0), seed=0)
     for pid in range(n):

@@ -96,7 +96,7 @@ def test_turbo_engine_delivery_throughput(benchmark):
 
 
 def test_async_engine_delivery_throughput(benchmark):
-    """The asyncio backend's in-process transport (event-loop overhead row)."""
+    """The async backend's in-process transport (the kernel plus wall-clock stamps)."""
     delivered = benchmark(_engine_throughput, AsyncEngine)
     assert delivered == 10 * 10 * 20
 

@@ -23,9 +23,9 @@ This package realises that model in two decoupled halves:
   - :class:`KernelEngine` — the reference backend: turbo's loop plus an
     envelope per message, per-type/size metrics and the delivery log the
     golden traces are read from.
-  - :class:`AsyncEngine` — real asyncio I/O with wall-clock time and
-    decision-latency histograms: inline virtual-time dispatch in-process
-    (CI determinism-lite) or length-prefixed frames — JSON or compact
+  - :class:`AsyncEngine` — wall-clock time and decision-latency
+    histograms: in-process, the kernel's loop on a wall clock (CI
+    determinism-lite), or length-prefixed frames — JSON or compact
     binary (``framing=``) — over localhost TCP, on the cluster's link layer
     (:class:`~repro.engine.wire.FrameLink` out, the shared sender-stamping
     reader in; see :mod:`repro.engine.async_backend`).

@@ -1,24 +1,29 @@
-"""Asyncio backend: protocol cores on real event-loop I/O.
+"""Wall-clock backend: protocol cores on real elapsed time, in memory or over TCP.
 
 :class:`AsyncEngine` executes the same sans-I/O cores as the kernel and
-turbo backends, but on a live :mod:`asyncio` event loop with wall-clock time
-(see :class:`~repro.engine.services.WallClock`) and — in TCP mode — real
-localhost sockets carrying length-prefixed frames in either wire framing
-(:mod:`repro.engine.wire`, ``framing="json"`` or ``"binary"``).  Two
-transports:
+turbo backends, but with wall-clock time (see
+:class:`~repro.engine.services.WallClock`) and — in TCP mode — a live
+:mod:`asyncio` event loop with real localhost sockets carrying
+length-prefixed frames in either wire framing (:mod:`repro.engine.wire`,
+``framing="json"`` or ``"binary"``).  Two transports:
 
 * ``transport="memory"`` (default) — **determinism-lite mode for CI and
-  benchmarks**: deliveries are processed inline off a virtual-time calendar
-  driven by the *same* seeded scheduler draws, sequence numbering and
-  crash/partition hold semantics as the turbo backend.  Deliveries are
-  therefore processed in exactly the simulated schedule's order, so decided
-  values and outputs match the kernel backend for the same (cores, seed,
-  scheduler, fault plan) — pinned by ``tests/engine/test_cross_backend.py``.
-  Timestamps are still wall-clock: only the *order* is reproduced, not the
-  simulated clock.  (Processing inline — no per-event task/queue hand-off —
-  is what makes this the wire-speed row in ``BENCH_kernel.json``; the
-  calendar is already a total order, so a dispatcher task added context
-  switches without adding semantics.)
+  benchmarks**: the kernel backend on a wall clock.  :class:`AsyncEngine`
+  subclasses :class:`~repro.engine.kernel_backend.KernelEngine` and, on this
+  transport, runs its sink methods, calendar and event loop
+  (:meth:`TurboEngine.run`) unchanged: the same seeded scheduler draws,
+  sequence numbers and crash/partition holds, so the schedule is the
+  kernel's by construction.  Decided values, outputs and the order of the
+  :attr:`delivery_log` match the kernel's for the same (cores, seed,
+  scheduler, fault plan) — pinned by ``tests/engine/test_cross_backend.py``
+  and ``tests/transport/test_golden_trace.py``.  Only time differs: the
+  loop's stamp hook (:attr:`TurboEngine._stamp`) is the wall clock, so every
+  ``core.now``, decision time and ``deliver_time`` is real elapsed seconds
+  (``send_time`` stays the schedule's simulated time).  ``time_scale > 0``
+  paces the run: an event due at simulated time ``t`` runs no earlier than
+  ``t * time_scale`` wall seconds after the run's anchor.  The default 0 runs
+  at full speed.  No event loop is involved, so this transport may also run
+  from inside one.
 
 * ``transport="tcp"`` — the real network path, on the cluster's link layer
   (:mod:`repro.engine.wire`): every node listens on an ephemeral localhost
@@ -40,7 +45,10 @@ transports:
   no link to itself.  ``SetTimer``/``Cancel`` map to ``loop.call_later``
   handles, and delivery order is whatever the OS and the loop produce.
   Safety properties must still hold (they are schedule-independent);
-  latency metrics are wall-clock measurements.
+  latency metrics are wall-clock measurements.  A run owns a fresh event
+  loop, so it must not be called from inside a running one.  The kernel's
+  :attr:`delivery_log` and :meth:`submit` belong to the memory transport:
+  on this one the attribute does not exist and ``submit`` raises.
 
 Both transports preserve the model's channel guarantees: messages are never
 lost (crashes and partitions *hold* traffic before it reaches a link; it is
@@ -51,7 +59,7 @@ scripting and the ``run_until_*`` helpers come from
 :class:`~repro.engine.services.EngineBase`.  The run loop stops on the
 stop predicate, on quiescence (no messages in flight anywhere), on the
 ``max_messages``/``max_events`` valves, or on the optional ``max_wall_s``
-hard timeout — a hung event loop fails fast instead of wedging CI.  Every
+hard timeout — a hung run fails fast instead of wedging CI.  Every
 run reports a wall-clock decision-latency summary
 (:attr:`RunResult.decision_latency`).
 
@@ -69,8 +77,6 @@ import asyncio
 import time as _time
 from collections.abc import Callable, Hashable, Iterable
 from functools import partial
-from heapq import heappop, heappush
-from random import Random
 from typing import Any
 
 from repro.engine import wire
@@ -78,38 +84,32 @@ from repro.engine.core import ProtocolCore
 from repro.engine.delays import DelayModel
 from repro.engine.effects import TimerHandle, interpret, invalid_time
 from repro.engine.envelope import Envelope
+from repro.engine.kernel_backend import KernelEngine
 from repro.engine.services import (
     CRASH,
     HEAL,
     PARTITION,
     RECOVER,
     TIME_WALL_CLOCK,
-    EngineBase,
     RunResult,
     WallClock,
     latency_summary,
 )
+from repro.engine.turbo_backend import _TIMER
 from repro.metrics.collector import MetricsCollector
 from repro.sim.scheduler import Scheduler
-
-#: Calendar-entry kinds (memory transport; mirrors the turbo backend).
-#: Scripted controls use the shared kinds of :mod:`repro.engine.services`.
-_MESSAGE = 0
-_TIMER = 1
 
 #: Inbox event kinds handed to node tasks (tcp transport).
 _EV_START = "start"
 _EV_MSG = "msg"
 _EV_TIMER = "timer"
 
-_INF = float("inf")
-
 #: How often the TCP driver polls the stop predicate / quiescence state.
 _TCP_POLL_S = 0.002
 
 
-class AsyncEngine(EngineBase):
-    """Asyncio backend: wall-clock time, memory and TCP transports."""
+class AsyncEngine(KernelEngine):
+    """Wall-clock backend: the kernel's loop in memory, asyncio over TCP."""
 
     name = "async"
     time_source = TIME_WALL_CLOCK
@@ -126,10 +126,9 @@ class AsyncEngine(EngineBase):
         framing: str = "json",
         wire_faults: Any = None,
     ) -> None:
-        super().__init__(delay_model, metrics, scheduler)
+        super().__init__(delay_model, seed, metrics, scheduler)
         if transport not in ("memory", "tcp"):
             raise ValueError(f"unknown transport {transport!r}; known: memory, tcp")
-        self.rng = Random(seed)
         self._transport = transport
         #: Wire codec of the TCP transport (the memory transport moves
         #: Python objects and never serialises).
@@ -158,20 +157,22 @@ class AsyncEngine(EngineBase):
             raise ValueError(f"time_scale must be non-negative, got {self.time_scale!r}")
         self._host = host
         self._clock = WallClock()
-        self.pending_messages = 0
-        self.events_processed = 0
-        # -- memory-transport calendar (virtual-time heap, turbo semantics) --
-        self._queue: list[tuple] = []
-        self._seq = 0
-        self._msg_seq = 0
-        self._vnow = 0.0
-        self._crashed: set = set()
-        self._partition_groups: tuple[frozenset, ...] = ()
-        self._held_for_node: dict[int, list[tuple]] = {}
-        self._held_for_partition: list[tuple] = []
+        #: The loop's stamp hook: cores, decisions and deliveries see wall time.
+        self._stamp = self._clock.now
+        if transport == "tcp":
+            # The tcp sinks, bound once here: the memory transport runs the
+            # kernel's sink methods with no per-call transport test.
+            self.send = self._tcp_send
+            self.broadcast = self._tcp_broadcast
+            self.arm_timer = self._tcp_arm_timer
+            self._push_control = self._tcp_push_control
+            # Kernel recording the tcp transport does not honour fails loudly
+            # instead of reading as a run with no traffic.
+            self.submit = self._tcp_submit
+            del self.delivery_log
         #: Fault scripts registered before the loop exists (tcp transport).
         self._scripted_controls: list[tuple[float, int, Any]] = []
-        # -- live-loop state (valid only inside one run) --
+        # -- live-loop state (tcp transport, valid only inside one run) --
         self._loop: asyncio.AbstractEventLoop | None = None
         self._inboxes: list[asyncio.Queue | None] = []
         self._tasks: list[asyncio.Task | None] = []
@@ -205,79 +206,7 @@ class AsyncEngine(EngineBase):
         """Wire framing of the TCP transport (``"json"`` or ``"binary"``)."""
         return self._codec.name
 
-    # -- the effect sink -----------------------------------------------------------
-
-    def _admit(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> tuple[Envelope, float]:
-        """Count one message to ``dest`` as sent and draw its scheduler delay."""
-        if dest not in self._index:
-            raise ValueError(f"unknown destination {dest!r}")
-        self._msg_seq += 1
-        envelope = Envelope(
-            sender=sender,
-            dest=dest,
-            payload=payload,
-            send_time=self._vnow if self._transport == "memory" else self._clock.now(),
-            depth=depth,
-            seq=self._msg_seq,
-            shard=self._group_of.get(sender, 0),
-        )
-        delay = self._scheduler.delay(envelope, self.rng)
-        # Inline invalid_time(): this runs once per send, the hottest path.
-        if delay < 0 or delay != delay or delay == _INF:
-            raise ValueError(f"scheduler produced invalid delay {delay!r}")
-        self.pending_messages += 1
-        self.metrics.record_send(sender, dest, envelope.mtype, envelope)
-        return envelope, delay
-
-    def send(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> None:
-        """Queue one message (authenticated: ``sender`` is the emitting core)."""
-        if self._transport == "tcp":
-            self._tcp_fanout(sender, (dest,), payload, depth)
-            return
-        envelope, delay = self._admit(sender, dest, payload, depth)
-        self._seq += 1
-        heappush(self._queue, (self._vnow + delay, self._seq, _MESSAGE, self._index[dest], envelope))
-
-    def broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
-        """One message per member of ``sender``'s core-group; on tcp, one
-        frame for every link."""
-        if self._transport == "memory":
-            super().broadcast(sender, payload, include_self, depth)
-            return
-        scope = self._groups[self._group_of[sender]]
-        if not include_self:
-            scope = [dest for dest in scope if dest != sender]
-        self._tcp_fanout(sender, scope, payload, depth)
-
-    def arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
-        index = self._index[pid]
-        if self._transport == "memory":
-            self._seq += 1
-            heappush(self._queue, (self._vnow + delay, self._seq, _TIMER, index, handle))
-        else:
-            loop = self._loop
-            if loop is None:
-                raise RuntimeError("tcp timers can only be armed while the loop runs")
-            # Cancellation is lazy (checked at fire time, like the simulated
-            # backends) so the callback always runs and the live-timer count
-            # stays exact — the stall detector depends on it.
-            self._live_timer_count += 1
-            loop.call_later(delay * self.time_scale, self._tcp_fire_timer, index, handle)
-
-    def _push_control(self, at: float | None, kind: int, arg: Any) -> None:
-        if self._transport == "memory":
-            due = self._vnow if at is None else at
-            if due < self._vnow or invalid_time(due):
-                raise ValueError(f"invalid event time {due!r} (now={self._vnow!r})")
-            self._seq += 1
-            heappush(self._queue, (due, self._seq, kind, arg))
-        else:
-            due = 0.0 if at is None else at
-            if invalid_time(due):
-                raise ValueError(f"invalid event time {due!r}")
-            self._scripted_controls.append((due, kind, arg))
-
-    # -- running (shared driver) -----------------------------------------------------
+    # -- running ---------------------------------------------------------------------
 
     def run(
         self,
@@ -286,21 +215,63 @@ class AsyncEngine(EngineBase):
         max_events: int | None = None,
         max_wall_s: float | None = None,
     ) -> RunResult:
-        """Run the cluster on a fresh event loop until a stop condition.
+        """Run until a stop condition, with wall-clock times.
 
-        Semantics mirror :meth:`TurboEngine.run`: stop on the predicate, on
+        Semantics are :meth:`TurboEngine.run`'s: stop on the predicate, on
         quiescence, or on the ``max_messages``/``max_events`` valves.
         ``max_wall_s`` additionally bounds real elapsed time (reported as an
-        event-cap truncation), so a hung loop fails fast instead of wedging
-        the caller.  Must not be called from inside a running event loop.
+        event-cap truncation), so a hung run fails fast instead of wedging
+        the caller.  The memory transport runs the kernel's loop inline; the
+        tcp transport runs a fresh event loop and must not be called from
+        inside a running one.
         """
-        if max_events is None:
-            max_events = max_messages * 8
-        if self._transport == "memory":
-            runner = self._run_memory(stop_when, max_messages, max_events, max_wall_s)
-        else:
-            runner = self._run_tcp(stop_when, max_messages, max_events, max_wall_s)
-        return asyncio.run(runner)
+        if self._transport == "tcp":
+            if max_events is None:
+                max_events = max_messages * 8
+            return asyncio.run(self._run_tcp(stop_when, max_messages, max_events, max_wall_s))
+        self._clock.start()
+        started_wall = _time.perf_counter()
+        start_decisions = len(self.metrics.decisions)
+        latency_origin = self._clock.now()
+        timed_out = False
+        until = stop_when
+        if self.time_scale > 0 or max_wall_s is not None:
+            # Pacing and the wall budget ride on the stop predicate, which the
+            # loop consults before every pop.  Pace against the absolute wall
+            # schedule (anchor + time * scale), not per-gap sleeps: sleep
+            # granularity would otherwise accumulate across thousands of
+            # events, and a run behind schedule catches up by not sleeping.
+            scale = self.time_scale
+            times = self._times
+            buckets = self._buckets
+            anchor = started_wall - self._now * scale
+            deadline = None if max_wall_s is None else started_wall + max_wall_s
+
+            def until() -> bool:
+                nonlocal timed_out
+                if stop_when is not None and stop_when():
+                    return True
+                wall = _time.perf_counter()
+                if deadline is not None and wall > deadline:
+                    timed_out = True
+                    return True
+                if scale and times:
+                    head = buckets[times[0]][0]
+                    if head[2] == _TIMER and head[4].cancelled:
+                        return False  # the loop skips it: nothing to wait for
+                    remaining = anchor + times[0] * scale - wall
+                    if remaining > 0.0:
+                        _time.sleep(remaining)
+                return False
+
+        result = super().run(until, max_messages, max_events)
+        result.end_time = self._clock.now()
+        result.wall_time_s = _time.perf_counter() - started_wall
+        result.decision_latency = self._decision_latency(start_decisions, latency_origin)
+        if timed_out:
+            result.stopped_by_predicate = False
+            result.events_capped = True
+        return result
 
     def _decision_latency(self, start_decisions: int, origin: float) -> dict | None:
         """Wall-clock latency summary of decisions recorded during this run."""
@@ -387,166 +358,58 @@ class AsyncEngine(EngineBase):
         # a follow-up run (the run drivers swap in fresh loop-bound queues).
         self._loop = None
 
-    # -- memory transport: deterministic virtual-time dispatch -----------------------
-
-    async def _run_memory(
-        self,
-        stop_when: Callable[[], bool] | None,
-        max_messages: int,
-        max_events: int,
-        max_wall_s: float | None,
-    ) -> RunResult:
-        self._loop = asyncio.get_running_loop()
-        self._clock.start()
-        started_wall = _time.perf_counter()
-        start_decisions = len(self.metrics.decisions)
-        latency_origin = self._clock.now()
-        deadline = None if max_wall_s is None else started_wall + max_wall_s
-        delivered = 0
-        events = 0
-        stopped = False
-        exhausted = False
-        timed_out = False
-        scale = self.time_scale
-        # Pace against the absolute wall schedule (anchor + vtime * scale),
-        # not per-gap sleeps: event-loop timer granularity would otherwise
-        # accumulate across thousands of calendar entries, and a run that
-        # falls behind schedule must catch up by not sleeping at all.
-        wall_anchor = started_wall - self._vnow * scale
-        queue = self._queue
-        crashed = self._crashed
-        cores = self._cores
-        clock_now = self._clock.now
-        record_delivery = self.metrics.record_delivery
-        try:
-            # Start events run inline, in registration order — the same
-            # sequential semantics the simulated backends give on_start.
-            self.start()
-            # ``while True`` on purpose: CPython 3.11 warms a function up for
-            # specialization on entry and on unconditional backward jumps
-            # only, and a ``while cond:`` loop ends in a conditional one —
-            # this coroutine, entered once per run, would run its hot loop
-            # unspecialized (~15% slower) for a process's first seven runs.
-            while True:
-                if delivered >= max_messages or events >= max_events:
-                    break
-                if stop_when is not None and stop_when():
-                    stopped = True
-                    break
-                if deadline is not None and _time.perf_counter() > deadline:
-                    timed_out = True
-                    break
-                if not queue:
-                    exhausted = True
-                    break
-                entry = heappop(queue)
-                vtime = entry[0]
-                kind = entry[2]
-                if kind == _TIMER and entry[4].cancelled:
-                    continue
-                if vtime > self._vnow:
-                    if scale:
-                        remaining = wall_anchor + vtime * scale - _time.perf_counter()
-                        if remaining > 0.0:
-                            await asyncio.sleep(remaining)
-                    self._vnow = vtime
-                events += 1
-                self.events_processed += 1
-                if kind == _MESSAGE:
-                    dest_index = entry[3]
-                    envelope = entry[4]
-                    if dest_index in crashed:
-                        self._held_for_node.setdefault(dest_index, []).append(entry)
-                        continue
-                    if self._partition_groups and self._link_blocked(
-                        envelope.sender, envelope.dest
-                    ):
-                        self._held_for_partition.append(entry)
-                        continue
-                    # Inline delivery: the calendar already serialises every
-                    # event, so the core runs right here in the driver — no
-                    # task hand-off, no queue, no done-event round trip.
-                    core = cores[dest_index]
-                    now = clock_now()
-                    core.now = now
-                    if core.causal_depth < envelope.depth:
-                        core.causal_depth = envelope.depth
-                    self.pending_messages -= 1
-                    self._delivered_total += 1
-                    envelope.deliver_time = now
-                    record_delivery(envelope.sender, core.pid, envelope.mtype)
-                    core.on_message(envelope.sender, envelope.payload)
-                    if core._out:
-                        interpret(core, self)
-                    delivered += 1
-                elif kind == _TIMER:
-                    dest_index = entry[3]
-                    if dest_index in crashed:
-                        self._held_for_node.setdefault(dest_index, []).append(entry)
-                        continue
-                    handle = entry[4]
-                    core = cores[dest_index]
-                    core.now = clock_now()
-                    core.on_timer(handle.tag, handle.payload)
-                    if core._out:
-                        interpret(core, self)
-                elif kind == CRASH:
-                    index = self._index[entry[3]]
-                    if index not in crashed:
-                        crashed.add(index)
-                        core = cores[index]
-                        core.now = clock_now()
-                        core.on_crash()
-                        if core._out:
-                            interpret(core, self)
-                elif kind == RECOVER:
-                    index = self._index[entry[3]]
-                    if index in crashed:
-                        crashed.discard(index)
-                        # Held traffic is re-queued before the recovery hook
-                        # runs, mirroring the simulated backends' ordering.
-                        held = self._held_for_node.pop(index, None)
-                        if held:
-                            self._release(held)
-                        core = cores[index]
-                        core.now = clock_now()
-                        core.on_recover()
-                        if core._out:
-                            interpret(core, self)
-                elif kind == PARTITION:
-                    self._partition_groups = entry[3]
-                    held, self._held_for_partition = self._held_for_partition, []
-                    self._release(held)
-                elif kind == HEAL:
-                    self._partition_groups = ()
-                    held, self._held_for_partition = self._held_for_partition, []
-                    self._release(held)
-                else:  # INJECT
-                    entry[3](self)
-        finally:
-            await self._teardown()
-        return RunResult(
-            delivered=delivered,
-            end_time=self._clock.now(),
-            stopped_by_predicate=stopped,
-            pending_messages=self.pending_messages,
-            events=events,
-            events_capped=timed_out
-            or (not stopped and not exhausted and events >= max_events),
-            wall_time_s=_time.perf_counter() - started_wall,
-            metrics=self.metrics,
-            decision_latency=self._decision_latency(start_decisions, latency_origin),
-        )
-
-    def _release(self, entries: list[tuple]) -> None:
-        """Re-queue held calendar entries in hold order at the current time."""
-        for entry in entries:
-            if entry[2] == _TIMER and entry[4].cancelled:
-                continue
-            self._seq += 1
-            heappush(self._queue, (self._vnow, self._seq) + entry[2:])
-
     # -- tcp transport: peer frames on FrameLinks over localhost -----------------------
+
+    def _tcp_send(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> None:
+        """Queue one message (authenticated: ``sender`` is the emitting core)."""
+        self._tcp_fanout(sender, (dest,), payload, depth)
+
+    def _tcp_broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
+        """One message per member of ``sender``'s core-group, one frame for every link."""
+        scope = self._groups[self._group_of[sender]]
+        if not include_self:
+            scope = [dest for dest in scope if dest != sender]
+        self._tcp_fanout(sender, scope, payload, depth)
+
+    def _tcp_submit(self, sender: Hashable, dest: Hashable, payload: Any) -> None:
+        raise RuntimeError("submit() belongs to the memory transport; tcp traffic comes from the cores")
+
+    def _tcp_arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
+        loop = self._loop
+        if loop is None:
+            raise RuntimeError("tcp timers can only be armed while the loop runs")
+        # Cancellation is lazy (checked at fire time, like the simulated
+        # backends) so the callback always runs and the live-timer count
+        # stays exact — the stall detector depends on it.
+        self._live_timer_count += 1
+        loop.call_later(delay * self.time_scale, self._tcp_fire_timer, self._index[pid], handle)
+
+    def _tcp_push_control(self, at: float | None, kind: int, arg: Any) -> None:
+        due = 0.0 if at is None else at
+        if invalid_time(due):
+            raise ValueError(f"invalid event time {due!r}")
+        self._scripted_controls.append((due, kind, arg))
+
+    def _admit(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> tuple[Envelope, float]:
+        """Count one message to ``dest`` as sent and draw its scheduler delay."""
+        if dest not in self._index:
+            raise ValueError(f"unknown destination {dest!r}")
+        self._msg_seq += 1
+        envelope = Envelope(
+            sender=sender,
+            dest=dest,
+            payload=payload,
+            send_time=self._clock.now(),
+            depth=depth,
+            seq=self._msg_seq,
+            shard=self._group_of.get(sender, 0),
+        )
+        delay = self._scheduler.delay(envelope, self.rng)
+        if invalid_time(delay):
+            raise ValueError(f"scheduler produced invalid delay {delay!r}")
+        self.pending_messages += 1
+        self.metrics.record_send(sender, dest, envelope.mtype, envelope)
+        return envelope, delay
 
     def _tcp_fanout(self, sender: Hashable, dests: Iterable[Hashable], payload: Any, depth: int) -> None:
         """One message per destination, each paced by its own scheduler delay.

@@ -160,8 +160,8 @@ def _register_builtin_backends() -> None:
             factory=AsyncEngine,
             time_source=AsyncEngine.time_source,
             deterministic=False,
-            summary="asyncio I/O: wall-clock time + tail latencies, "
-            "coalesced TCP frames (framing=json|binary)",
+            summary="wall-clock time + tail latencies: the kernel's loop in memory, "
+            "or asyncio with coalesced TCP frames (framing=json|binary)",
         )
     )
 

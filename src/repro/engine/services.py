@@ -5,7 +5,7 @@ they agree on a small service surface the layers above consume:
 
 * :class:`Clock` — where an engine's notion of time comes from.  The
   simulated backends advance a :class:`SimulatedClock` event by event and
-  report deterministic simulated time; the asyncio backend anchors a
+  report deterministic simulated time; the async backend anchors a
   :class:`WallClock` at run start and reports real elapsed seconds.  The
   ``time_source`` label travels into result artifacts (``repro-results/v3``)
   so consumers know whether latency metrics are deterministic simulated
@@ -50,8 +50,8 @@ TIME_SOURCES = (TIME_SIMULATED, TIME_WALL_CLOCK)
 class Clock:
     """Uniform read surface for an engine's time.
 
-    Engines own time *advancement* (turbo's loop pops events, the async
-    backend lets the OS run); a clock only answers "what time is it" and
+    Engines own time *advancement* (turbo's loop pops events; the async
+    backend's tcp transport lets the OS run); a clock only answers "what time is it" and
     names the semantics of the answer via :attr:`time_source`.
     """
 
@@ -85,7 +85,7 @@ class SimulatedClock(Clock):
 class WallClock(Clock):
     """Real elapsed seconds since :meth:`start` (monotonic, never negative).
 
-    Used by the asyncio backend: ``now()`` before the run starts is 0.0, and
+    Used by the async backend: ``now()`` before the run starts is 0.0, and
     afterwards it is the wall-clock duration since the run began — the same
     zero point simulated runs use, so per-run timestamps stay comparable in
     shape (decision times, operation histories) even though their *units*
@@ -192,8 +192,8 @@ class RunResult:
         return self.pending_messages == 0 and not self.events_capped
 
 
-#: Kinds of scripted control events, shared with the turbo and async
-#: calendars (slot 2 of a queue entry, after their message and timer kinds).
+#: Kinds of scripted control events: slot 2 of a turbo calendar entry (after
+#: its message and timer kinds), and the async tcp transport's scripted controls.
 CRASH, RECOVER, PARTITION, HEAL, INJECT = range(2, 7)
 
 

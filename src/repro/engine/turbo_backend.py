@@ -1,11 +1,12 @@
 """Turbo backend: the simulated-time event loop for protocol cores.
 
-:class:`TurboEngine` owns the only simulated-time event loop in the repo:
-a seeded RNG, scheduler delay draws, ``(time, seq)`` tie-breaking and the
+:class:`TurboEngine` owns the only deterministic event loop in the repo: a
+seeded RNG, scheduler delay draws, ``(time, seq)`` tie-breaking and the
 crash/partition hold semantics of the paper's model (faults only hold
 traffic).  The kernel backend is this loop plus recording
-(:mod:`repro.engine.kernel_backend`).  Turbo itself carries no per-message
-object:
+(:mod:`repro.engine.kernel_backend`), and the async backend's memory
+transport is the kernel on a wall clock (:mod:`repro.engine.async_backend`).
+Turbo itself carries no per-message object:
 
 * **no envelopes** — a message in flight is one calendar tuple
   ``(time, seq, kind, dest_index, sender, payload, depth)``; a single
@@ -36,7 +37,11 @@ _record_delivery`, ``None`` here) and an envelope in an eighth calendar slot;
 recording draws no random number and takes no sequence number, so a kernel
 run and a turbo run of the same (cores, seed, scheduler, fault plan) follow
 one schedule.  Use the kernel backend for trace-level debugging and
-message-type or payload-size analysis.
+message-type or payload-size analysis.  A second hook
+(:attr:`TurboEngine._stamp`, ``None`` here) replaces the event's simulated
+time with a clock reading in every handler's ``core.now`` and in the
+delivery hook: the async memory transport sets it to its wall clock, so it
+replays this schedule while reporting wall-clock times.
 """
 
 from __future__ import annotations
@@ -78,6 +83,10 @@ class TurboEngine(EngineBase):
     #: Delivery hook ``(entry, time)``, called before ``on_message``; ``None``
     #: here, the kernel backend's recording otherwise.
     _record_delivery: Callable[[tuple, float], None] | None = None
+    #: Time-stamp hook: when set, every handler's ``core.now`` (and the time
+    #: handed to the delivery hook) is its reading instead of the event's
+    #: simulated time.  ``None`` here; the async memory transport's wall clock.
+    _stamp: Callable[[], float] | None = None
 
     def __init__(
         self,
@@ -285,6 +294,7 @@ class TurboEngine(EngineBase):
         cores = self._cores
         crashed = self._crashed
         record_delivery = self._record_delivery
+        stamp = self._stamp
         delivered = 0
         events = 0
         stopped = False
@@ -312,6 +322,8 @@ class TurboEngine(EngineBase):
                 continue
             if time > self._now:
                 self._now = time
+            if stamp is not None:
+                time = stamp()
             events += 1
             self.events_processed += 1
             if kind == _MESSAGE:

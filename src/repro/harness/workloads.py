@@ -284,8 +284,8 @@ def _build_engine(
     special-case the combination.  Membership-dependent specs
     (``worst-case:victims=quorum``) resolve against ``pids``/``f``.
     ``backend`` picks the execution engine via the registry; the simulated
-    backends (and the async backend's in-process determinism-lite transport)
-    reproduce the same schedule, so decided values are backend-independent.
+    backends and the async backend's in-process transport run the same loop
+    on the same schedule, so decided values are backend-independent.
     """
     if isinstance(scheduler, str):
         scheduler = parse_scheduler(scheduler, pids=pids, f=f)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import AsyncEngine, FixedDelay, ProtocolCore, UniformDelay
+from repro.engine import AsyncEngine, FixedDelay, ProtocolCore, UniformDelay, create_engine
 from repro.sim.faults import FaultPlan
 
 
@@ -24,6 +24,26 @@ class Echoer(ProtocolCore):
         self.seen.append((sender, payload))
         if payload[0] == "ping":
             self.send(sender, ("pong", self.pid))
+
+
+class Relay(ProtocolCore):
+    """Passes a token around the ring ``pids`` for ``hops`` deliveries."""
+
+    def __init__(self, pid, pids, hops):
+        super().__init__(pid)
+        self.pids = pids
+        self.hops = hops
+
+    def _forward(self, hops_left):
+        self.send(self.pids[(self.pids.index(self.pid) + 1) % len(self.pids)], hops_left)
+
+    def on_start(self):
+        if self.pid == self.pids[0]:
+            self._forward(self.hops - 1)
+
+    def on_message(self, sender, hops_left):
+        if hops_left:
+            self._forward(hops_left - 1)
 
 
 class TimerCore(ProtocolCore):
@@ -87,6 +107,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate process id"):
             engine.add_core(ProtocolCore("p0"))
 
+    def test_tcp_has_no_kernel_recording(self):
+        engine = AsyncEngine(transport="tcp")
+        engine.add_core(ProtocolCore("p0"))
+        assert not hasattr(engine, "delivery_log")
+        with pytest.raises(RuntimeError, match="memory transport"):
+            engine.submit("p0", "p0", "x")
+
     def test_unknown_framing_rejected(self):
         with pytest.raises(ValueError, match="unknown framing"):
             AsyncEngine(framing="morse")  # WireError is a ValueError
@@ -144,7 +171,8 @@ class TestMemoryTransport:
         # Everything still delivers after recovery (hold, not loss).
         assert result.quiescent and result.delivered == 4
 
-    def test_max_wall_s_fails_fast(self):
+    @pytest.mark.parametrize("stop_when", [None, lambda: False], ids=["no-predicate", "never-true"])
+    def test_max_wall_s_fails_fast(self, stop_when):
         class Rearming(ProtocolCore):
             def on_start(self):
                 self.set_timer(1.0, "tick")
@@ -154,8 +182,39 @@ class TestMemoryTransport:
 
         engine = AsyncEngine(delay_model=FixedDelay(1.0), seed=0)
         engine.add_core(Rearming("p0"))
-        result = engine.run(max_wall_s=0.05)
+        result = engine.run(stop_when=stop_when, max_wall_s=0.05)
+        # A wall timeout is an event-cap truncation, not the predicate firing...
         assert result.events_capped and not result.quiescent
+        assert not result.stopped_by_predicate
+        # ...and it trips long before the default valve (8 x 200_000 events).
+        assert result.events < 1_600_000 // 10
+
+    def test_time_scale_paces_a_forwarding_chain_in_the_kernel_order(self):
+        hops, scale = 10, 0.01
+
+        def chain(backend, **kwargs):
+            engine = create_engine(backend, delay_model=FixedDelay(1.0), seed=0, **kwargs)
+            pids = ["p0", "p1", "p2"]
+            for pid in pids:
+                engine.add_core(Relay(pid, pids, hops))
+            # The calendar's tail: a far-off timer, cancelled before it is due.
+            engine.schedule_timer("p0", 1000.0, "far").cancel()
+            return engine, engine.run_until_quiescent()
+
+        kernel, kernel_result = chain("kernel")
+        paced, result = chain("async", time_scale=scale)
+        assert result.quiescent and result.delivered == hops
+        assert result.events == kernel_result.events
+        # Delivery k is due at simulated time k, so no earlier than k * scale
+        # wall seconds after the run's anchor, and is stamped with that wall time.
+        assert result.wall_time_s >= (hops - 1) * scale
+        # ...but the cancelled timer is not waited for (that would take 10 s).
+        assert result.wall_time_s < 2.0
+        for k, env in enumerate(paced.delivery_log, start=1):
+            assert k * scale - 1e-6 <= env.deliver_time <= result.end_time
+        assert [(env.sender, env.dest, env.seq) for env in paced.delivery_log] == [
+            (env.sender, env.dest, env.seq) for env in kernel.delivery_log
+        ]
 
     def test_run_until_decided(self):
         class Decider(ProtocolCore):

@@ -11,9 +11,10 @@ schedule itself is the frozen seed-implementation JSON under
 ``tests/sim/test_scheduler_golden.py``), not either backend's code.
 
 The async backend's default in-process transport (determinism-lite mode)
-paces deliveries off the same seeded scheduler draws and sequence numbering,
-so its decided values and outputs must equal the kernel's too — its
-*timestamps* are wall-clock and are deliberately excluded from these
+is the kernel backend on a wall clock: it runs the kernel's sink methods,
+calendar and turbo's loop unchanged, so it replays the kernel's schedule by
+construction, and its decided values and outputs equal the kernel's too.
+Its *timestamps* are wall-clock and are deliberately excluded from these
 comparisons (repro-results/v3 marks them as such).
 """
 
@@ -93,7 +94,7 @@ class TestCrossBackendGolden:
 
     def test_probe_envelope_exposes_every_field_to_delay_models(self):
         """A delay model reading seq/sender/dest off the envelope must see
-        identical values on both backends (turbo reuses one probe envelope —
+        identical values on every backend (turbo reuses one probe envelope —
         a stale field here silently forks the schedule)."""
 
         def chooser(envelope, rng):
@@ -110,10 +111,14 @@ class TestCrossBackendGolden:
                 delay_model=AdversarialTargetedDelay(chooser, base=FixedDelay(1.0)),
             )
 
-        kernel, turbo = build("kernel"), build("turbo")
-        assert decisions_of(kernel) == decisions_of(turbo)
+        kernel, turbo, run_async = build("kernel"), build("turbo"), build("async")
+        assert decisions_of(kernel) == decisions_of(turbo) == decisions_of(run_async)
         assert kernel.run.end_time == pytest.approx(turbo.run.end_time)
-        assert kernel.run.delivered == turbo.run.delivered
+        assert kernel.run.delivered == turbo.run.delivered == run_async.run.delivered
+        # The async envelopes carry the kernel's seq numbers and send times.
+        assert [(env.seq, env.send_time) for env in run_async.engine.delivery_log] == [
+            (env.seq, env.send_time) for env in kernel.engine.delivery_log
+        ]
 
     def test_turbo_send_counts_match_kernel(self):
         kernel = run_wts_scenario(n=4, f=1, seed=11, backend="kernel")
@@ -131,8 +136,9 @@ class TestAsyncBackendGolden:
     """AsyncEngine (memory transport) reproduces the kernel's decisions.
 
     Safety is schedule-independent, but these tests pin something stronger:
-    the determinism-lite transport replays the exact kernel schedule, so
-    decided *values* (not just their joins) match per process.  Wall-clock
+    the determinism-lite transport is the kernel's loop with a wall-clock
+    stamp, so it replays the kernel's schedule by construction and decided
+    *values* (not just their joins) match per process.  Wall-clock
     timestamps are excluded — they are measurements, not schedule state.
     """
 
