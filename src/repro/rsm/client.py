@@ -58,12 +58,34 @@ class _InFlightOp:
     dec_receipts: dict[Hashable, frozenset[Command]]
     #: Confirmation receipts per candidate value: value -> set of replicas.
     conf_receipts: dict[frozenset[Command], set[Hashable]]
+    #: The replicas the command was first submitted to.
+    targets: tuple[Hashable, ...]
     confirm_phase: bool = False
     retry_timer: Any = None
 
 
 class RSMClient(ProtocolCore):
     """A correct RSM client executing a script of operations.
+
+    Algorithms 5 and 6 submit each command to ``f + 1`` replicas without
+    saying which.  This client keeps a preference order over the membership,
+    initially ``replicas`` itself, and submits to its first ``f + 1``
+    entries.  When a submission times out, the contacted replicas that sent
+    no decide notice move to the back of the order, so a crashed replica
+    stops being contacted first.  The choice does not touch the paper's
+    guarantees:
+
+    * *Safety* never depended on which replicas are contacted: every
+      completion still needs ``f + 1`` decide receipts (Algorithm 5 line 4)
+      or ``f + 1`` confirmations (Algorithm 6 lines 11-12), so Lemma 12's
+      cases are unchanged.
+    * *Liveness* is unchanged too: each attempt still contacts ``f + 1``
+      distinct replicas, and a timeout still escalates to all ``n``, of
+      which ``n - f >= f + 1`` are correct.
+    * A demotion happens only when a replica this client contacted stays
+      silent.  Channels are authenticated, so no other party can make a
+      correct replica look silent; the worst an adversarial schedule can do
+      is rotate the order, which costs no more than a fixed order does.
 
     Parameters
     ----------
@@ -80,12 +102,15 @@ class RSMClient(ProtocolCore):
     retry_timeout:
         Timeout (in simulated time) after which an operation still in flight
         is retried — the update/confirm messages are re-sent, escalating
-        from the initial ``f + 1`` replicas to *all* replicas.  Retries use
+        from the initial ``f + 1`` replicas to *all* replicas.  A submission
+        timeout also moves the contacted replicas that sent no decide notice
+        to the back of the client's preference order, so after a crash only
+        the operation in flight at the crash pays this timer.  Retries use
         engine timers, so a client stuck behind a crash or a
         partition recovers on its own instead of relying on ad-hoc message
-        re-injection by the harness.  ``None`` disables retries.  Replicas
-        treat re-submitted commands idempotently, so retries never violate
-        the RSM specification.
+        re-injection by the harness.  ``None`` disables retries (and so the
+        reordering).  Replicas treat re-submitted commands idempotently, so
+        retries never violate the RSM specification.
     pipeline:
         Maximum number of update operations in flight at once (default 1 =
         strictly sequential, the paper's client).  Commutative updates need
@@ -120,6 +145,8 @@ class RSMClient(ProtocolCore):
         #: Operations currently in flight, keyed by their command ``seq``
         #: (insertion order = invocation order; at most ``pipeline`` entries).
         self._inflight: dict[int, _InFlightOp] = {}
+        #: Preference order for submissions: the first ``f + 1`` are contacted.
+        self._order: list[Hashable] = list(self.replicas)
 
     # -- script driving ---------------------------------------------------------------
 
@@ -143,11 +170,13 @@ class RSMClient(ProtocolCore):
             record = OperationRecord(
                 client=self.pid, kind=kind, command=command, start_time=self.now
             )
-            op = _InFlightOp(record=record, dec_receipts={}, conf_receipts={})
+            # Algorithm 5 line 3 / Algorithm 6 line 3: submit to (f + 1)
+            # replicas, the first ones in the preference order.
+            targets = tuple(self._order[: self.f + 1])
+            op = _InFlightOp(record=record, dec_receipts={}, conf_receipts={}, targets=targets)
             self._inflight[self._seq] = op
             self.history.append(record)
-            # Algorithm 5 line 3 / Algorithm 6 line 3: submit to (f + 1) replicas.
-            for replica in self.replicas[: self.f + 1]:
+            for replica in targets:
                 self.send(replica, UpdateRequest(command=command))
             self._arm_retry(op)
             if kind == "read":
@@ -192,6 +221,11 @@ class RSMClient(ProtocolCore):
                 for replica in self.replicas:
                     self.send(replica, ConfirmRequest(accepted_set=accepted_set))
         else:
+            # A target that let the submission time out without a decide
+            # notice goes to the back of the order, so later operations try
+            # the replicas that have answered first.
+            silent = [r for r in op.targets if r not in op.dec_receipts]
+            self._order = [r for r in self._order if r not in silent] + silent
             # Escalate the submission from (f + 1) replicas to all of them:
             # some of the original targets may be crashed or cut off.
             for replica in self.replicas:

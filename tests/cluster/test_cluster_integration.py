@@ -150,3 +150,15 @@ class TestGracefulShutdown:
             # The restarted incarnation drains cleanly; the killed process's
             # non-zero exit died with it when restart_node replaced it.
             assert cluster.stop() == 0
+
+    def test_killed_contacted_replica_is_not_waited_on_again(self, tmp_path):
+        """Killing n0, which a client contacts first, costs a retry, not one per op."""
+        spec, cluster = make_cluster(tmp_path, n=4)
+        with cluster:  # reaps the survivors (and the killed n0) on exit
+            cluster.start(wait_ready=True, timeout=30)
+            cluster.kill_node("n0")
+            report = asyncio.run(run_service_traffic(spec, commands=6, clients=1, timeout=30))
+            assert report.ok, report.summary()
+            # The first timeout demotes n0; later operations go to live
+            # replicas instead of each waiting out the retry timer.
+            assert report.retries < 6, report.summary()
