@@ -42,7 +42,12 @@ from repro.core.messages import (
     ProvenValue,
 )
 from repro.core.process import AgreementProcess
-from repro.core.sbs import remove_conflicts, return_conflicts, verify_conflict_pair
+from repro.core.sbs import (
+    conflicted_values,
+    remove_conflicts,
+    return_conflicts,
+    verify_conflict_pair,
+)
 from repro.crypto.signatures import KeyRegistry, SignedValue, Signer
 from repro.lattice.base import JoinSemilattice, LatticeElement
 
@@ -89,19 +94,29 @@ def gsbs_ack_body(
 def verify_gsbs_safe_ack(
     registry: KeyRegistry, ack: GSbSSafeAck, expected_sender: Hashable
 ) -> bool:
-    """Signature + body check for a round-stamped safe_ack."""
+    """Signature + body check for a round-stamped safe_ack (memoised per ack)."""
     if not isinstance(ack, GSbSSafeAck) or not isinstance(ack.signature, SignedValue):
         return False
     if ack.signature.signer != expected_sender:
         return False
+    return registry.memo_check(
+        "gsbs_safe_ack", ack, expected_sender, _gsbs_safe_ack_signed, registry, ack
+    )
+
+
+def _gsbs_safe_ack_signed(registry: KeyRegistry, ack: GSbSSafeAck) -> bool:
     expected = gsbs_safe_ack_body(ack.rcvd_set, ack.conflicts, ack.request_id, ack.round)
     return ack.signature.value == expected and registry.verify(ack.signature)
 
 
 def verify_gsbs_ack(registry: KeyRegistry, ack: GSbSAck) -> bool:
-    """Signature + body check for a round-stamped signed ack."""
+    """Signature + body check for a round-stamped signed ack (memoised per ack)."""
     if not isinstance(ack, GSbSAck) or not isinstance(ack.signature, SignedValue):
         return False
+    return registry.memo_check("gsbs_ack", ack, None, _gsbs_ack_signed, registry, ack)
+
+
+def _gsbs_ack_signed(registry: KeyRegistry, ack: GSbSAck) -> bool:
     expected = gsbs_ack_body(ack.accepted_set, ack.destination, ack.ts, ack.round)
     return ack.signature.value == expected and registry.verify(ack.signature)
 
@@ -143,39 +158,59 @@ def gsbs_all_safe(
     proven_values: Any,
     quorum: int,
 ) -> bool:
-    """``AllSafe`` adapted to round-stamped proofs of safety."""
+    """``AllSafe`` adapted to round-stamped proofs of safety.
+
+    Memoised per carrier frozenset and per ``ProvenValue``, like SbS's
+    :func:`~repro.core.sbs.all_safe` (whose docstring argues why that is sound).
+    """
     if not isinstance(proven_values, frozenset):
         return False
-    for proven in proven_values:
-        if not isinstance(proven, ProvenValue):
+    return registry.memo_check(
+        "gsbs_all_safe", proven_values, quorum,
+        _gsbs_all_proven_safe, registry, lattice, proven_values, quorum,
+    )
+
+
+def _gsbs_all_proven_safe(
+    registry: KeyRegistry, lattice: JoinSemilattice, proven_values: frozenset, quorum: int
+) -> bool:
+    return all(
+        isinstance(proven, ProvenValue)
+        and registry.memo_check(
+            "gsbs_proven", proven, quorum,
+            _gsbs_proven_value_safe, registry, lattice, proven, quorum,
+        )
+        for proven in proven_values
+    )
+
+
+def _gsbs_proven_value_safe(
+    registry: KeyRegistry, lattice: JoinSemilattice, proven: ProvenValue, quorum: int
+) -> bool:
+    value = proven.value
+    if not isinstance(value, SignedValue) or not registry.verify(value):
+        return False
+    # GSbS signs (round, batch_element) pairs; the lattice check applies
+    # to the batch element, the round tag must be a non-negative int.
+    payload = value.value
+    if (
+        not isinstance(payload, tuple)
+        or len(payload) != 2
+        or not isinstance(payload[0], int)
+        or payload[0] < 0
+        or not lattice.is_element(payload[1])
+    ):
+        return False
+    senders: set[Hashable] = set()
+    for ack in proven.safe_acks:
+        if not isinstance(ack, GSbSSafeAck):
             return False
-        value = proven.value
-        if not isinstance(value, SignedValue) or not registry.verify(value):
+        if not verify_gsbs_safe_ack(registry, ack, ack.signature.signer):
             return False
-        # GSbS signs (round, batch_element) pairs; the lattice check applies
-        # to the batch element, the round tag must be a non-negative int.
-        payload = value.value
-        if (
-            not isinstance(payload, tuple)
-            or len(payload) != 2
-            or not isinstance(payload[0], int)
-            or payload[0] < 0
-            or not lattice.is_element(payload[1])
-        ):
+        if value not in ack.rcvd_set or gsbs_value_conflicted_in(ack, value):
             return False
-        acks = list(proven.safe_acks)
-        senders: set[Hashable] = set()
-        for ack in acks:
-            if not isinstance(ack, GSbSSafeAck):
-                return False
-            if not verify_gsbs_safe_ack(registry, ack, ack.signature.signer):
-                return False
-            if value not in ack.rcvd_set or gsbs_value_conflicted_in(ack, value):
-                return False
-            senders.add(ack.signature.signer)
-        if len(senders) < quorum:
-            return False
-    return True
+        senders.add(ack.signature.signer)
+    return len(senders) >= quorum
 
 
 class GSbSProcess(AgreementProcess):
@@ -303,7 +338,7 @@ class GSbSProcess(AgreementProcess):
             for v in values
         ):
             return
-        combined = set(values) | set(self.safe_candidates[msg.round])
+        combined = values | self.safe_candidates[msg.round]
         conflicts = return_conflicts(self.registry, combined)
         body = gsbs_safe_ack_body(values, conflicts, msg.request_id, msg.round)
         self.send_to(
@@ -318,10 +353,7 @@ class GSbSProcess(AgreementProcess):
         )
         # Keep previously vetted candidates (Algorithm 9 line 6's outer union)
         # so equivocations keep being reported for the rest of the round.
-        self.safe_candidates[msg.round] = frozenset(
-            set(self.safe_candidates[msg.round])
-            | set(remove_conflicts(self.registry, combined))
-        )
+        self.safe_candidates[msg.round] |= combined - conflicted_values(conflicts)
 
     def _handle_safe_ack(self, sender: Hashable, msg: GSbSSafeAck) -> None:
         if self.state != SAFETYING or msg.round != self.round:

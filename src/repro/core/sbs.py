@@ -61,17 +61,33 @@ def verify_conflict_pair(
 def return_conflicts(
     registry: KeyRegistry, values: Iterable[SignedValue]
 ) -> frozenset[tuple[SignedValue, SignedValue]]:
-    """``ReturnConflicts(Set)``: all verifiable conflicting pairs in ``values``."""
-    values = list(values)
+    """``ReturnConflicts(Set)``: all verifiable conflicting pairs in ``values``.
+
+    A conflict is two validly signed values from one signer, so only values
+    sharing a signer are compared: each value is verified once and the work is
+    linear in ``values`` plus the equivocators' pairs.  The result equals the
+    all-pairs :func:`verify_conflict_pair` scan of Algorithm 10.
+    """
+    by_signer: dict[Hashable, list[SignedValue]] = {}
+    for x in values:
+        if registry.verify(x):
+            by_signer.setdefault(x.signer, []).append(x)
     conflicts: set[tuple[SignedValue, SignedValue]] = set()
-    for i, x in enumerate(values):
-        for y in values[i + 1 :]:
-            if verify_conflict_pair(registry, (x, y)):
-                # Store in a canonical orientation so the same logical pair is
-                # never counted twice.
-                pair = (x, y) if repr(x) <= repr(y) else (y, x)
-                conflicts.add(pair)
+    for group in by_signer.values():
+        for i, x in enumerate(group):
+            for y in group[i + 1 :]:
+                if x.value != y.value:
+                    # Store in a canonical orientation so the same logical
+                    # pair is never counted twice.
+                    conflicts.add((x, y) if repr(x) <= repr(y) else (y, x))
     return frozenset(conflicts)
+
+
+def conflicted_values(
+    conflicts: Iterable[tuple[SignedValue, SignedValue]],
+) -> set[SignedValue]:
+    """Every value that appears in one of ``conflicts``' pairs."""
+    return {value for pair in conflicts for value in pair}
 
 
 def remove_conflicts(
@@ -79,11 +95,7 @@ def remove_conflicts(
 ) -> frozenset[SignedValue]:
     """``RemoveConflicts(Set)``: drop every value involved in a conflict."""
     values = set(values)
-    conflicted: set[SignedValue] = set()
-    for x, y in return_conflicts(registry, values):
-        conflicted.add(x)
-        conflicted.add(y)
-    return frozenset(values - conflicted)
+    return frozenset(values - conflicted_values(return_conflicts(registry, values)))
 
 
 def safe_ack_body(
@@ -108,17 +120,14 @@ def verify_safe_ack(registry: KeyRegistry, ack: SafeAck, expected_sender: Hashab
         return False
     # Reconstructing the canonical body is linear in the safety set; the same
     # ack object is re-checked for every value it vouches for, so memoise by
-    # identity (immutable objects, passed by reference inside a run).
-    memo_key = ("safe_ack", id(ack), expected_sender)
-    memo = registry.validation_memo.get(memo_key)
-    if memo is not None and memo[0] is ack:
-        return memo[1]
-    result = (
-        ack.signature.value == safe_ack_body(ack.rcvd_set, ack.conflicts, ack.request_id)
-        and registry.verify(ack.signature)
-    )
-    registry.validation_memo[memo_key] = (ack, result)
-    return result
+    # identity (see :meth:`KeyRegistry.memo_check`).
+    return registry.memo_check("safe_ack", ack, expected_sender, _safe_ack_signed, registry, ack)
+
+
+def _safe_ack_signed(registry: KeyRegistry, ack: SafeAck) -> bool:
+    return ack.signature.value == safe_ack_body(
+        ack.rcvd_set, ack.conflicts, ack.request_id
+    ) and registry.verify(ack.signature)
 
 
 def value_conflicted_in(ack: SafeAck, value: SignedValue) -> bool:
@@ -138,21 +147,41 @@ def all_safe(
     safe_acks that (a) all contain ``v`` in their received set and (b) never
     list ``v`` as a conflict; ``v`` itself must be a validly signed lattice
     point.
+
+    One carrier set reaches an acceptor in every ack request and nack that
+    shares it, and one ``ProvenValue`` rides in many carriers, so verdicts are
+    memoised per object in ``registry.validation_memo``: per carrier frozenset
+    and per ``ProvenValue``.  The key is ``(tag, id(obj), quorum)`` and the
+    entry ``(obj, verdict)`` holds the object itself; a hit requires that very
+    object.  This is sound because frozensets and the frozen message
+    dataclasses are immutable, and the anchor keeps the object alive so its
+    ``id`` cannot be reused by another object.  A different object with equal
+    content is checked afresh, and a list (mutable) carrier is never
+    memoised.  Every check therefore still runs once per distinct object.
     """
-    for proven in proven_values:
-        if not isinstance(proven, ProvenValue):
-            return False
-        memo_key = ("proven", id(proven), quorum)
-        memo = registry.validation_memo.get(memo_key)
-        if memo is not None and memo[0] is proven:
-            if memo[1]:
-                continue
-            return False
-        ok = _proven_value_safe(registry, lattice, proven, quorum)
-        registry.validation_memo[memo_key] = (proven, ok)
-        if not ok:
-            return False
-    return True
+    if isinstance(proven_values, frozenset):
+        return registry.memo_check(
+            "all_safe", proven_values, quorum,
+            _all_proven_safe, registry, lattice, proven_values, quorum,
+        )
+    return _all_proven_safe(registry, lattice, proven_values, quorum)
+
+
+def _all_proven_safe(
+    registry: KeyRegistry,
+    lattice: JoinSemilattice,
+    proven_values: Iterable[ProvenValue],
+    quorum: int,
+) -> bool:
+    """Per-value walk behind :func:`all_safe`, memoised per ``ProvenValue``."""
+    return all(
+        isinstance(proven, ProvenValue)
+        and registry.memo_check(
+            "proven", proven, quorum,
+            _proven_value_safe, registry, lattice, proven, quorum,
+        )
+        for proven in proven_values
+    )
 
 
 def _proven_value_safe(
@@ -289,7 +318,7 @@ class SbSProcess(AgreementProcess):
             for v in values
         ):
             return
-        combined = set(values) | set(self.safe_candidates)
+        combined = values | self.safe_candidates
         conflicts = return_conflicts(self.registry, combined)
         signature = self.signer.sign(safe_ack_body(values, conflicts, msg.request_id))
         self.send_to(
@@ -301,12 +330,13 @@ class SbSProcess(AgreementProcess):
                 signature=signature,
             ),
         )
-        # Algorithm 9 line 6: SafeCandidates ∪ RemoveConflicts(...).  The
-        # outer union matters: a value that already reached the candidate set
-        # is never forgotten, so an equivocating signer keeps being reported
-        # as a conflict forever (this is what makes Lemma 13 hold).
-        self.safe_candidates = frozenset(
-            set(self.safe_candidates) | set(remove_conflicts(self.registry, combined))
+        # Algorithm 9 line 6: SafeCandidates ∪ RemoveConflicts(...), with
+        # RemoveConflicts read off the conflicts just computed.  The outer
+        # union matters: a value that already reached the candidate set is
+        # never forgotten, so an equivocating signer keeps being reported as a
+        # conflict forever (this is what makes Lemma 13 hold).
+        self.safe_candidates = self.safe_candidates | (
+            combined - conflicted_values(conflicts)
         )
 
     def _handle_safe_ack(self, sender: Hashable, msg: SafeAck) -> None:

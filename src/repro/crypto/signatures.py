@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from typing import Any
 
@@ -132,12 +132,28 @@ class KeyRegistry:
         # from dominating large-n runs.  The dict holds a strong reference to
         # the object so an id() is never reused while the entry is alive.
         self._verify_memo: dict[int, tuple] = {}
-        #: Scratch memoisation space for higher-level validators (e.g. the
-        #: SbS ``AllSafe`` checks).  Keyed by caller-chosen tuples; values are
-        #: ``(anchor_object, result)`` pairs where the anchor keeps the id()
-        #: of the validated object stable.  Scoped to this registry, i.e. to
-        #: one simulation run.
+        #: Verdicts of higher-level validators (the SbS/GSbS ``AllSafe`` and
+        #: ack checks), filled by :meth:`memo_check`.  Scoped to this
+        #: registry, i.e. to one simulation run.
         self.validation_memo: dict[tuple, tuple] = {}
+
+    def memo_check(
+        self, tag: str, obj: Any, extra: Hashable, check: Callable[..., bool], *args: Any
+    ) -> bool:
+        """``check(*args)``, run once per ``obj`` and remembered by identity.
+
+        The entry is ``validation_memo[(tag, id(obj), extra)] = (obj, verdict)``
+        and a hit requires ``memo[0] is obj``: the anchored object cannot be
+        freed, so its ``id`` is never reused while the entry lives.  Callers
+        pass only immutable objects, whose verdict cannot change.
+        """
+        key = (tag, id(obj), extra)
+        memo = self.validation_memo.get(key)
+        if memo is not None and memo[0] is obj:
+            return memo[1]
+        verdict = check(*args)
+        self.validation_memo[key] = (obj, verdict)
+        return verdict
 
     def register(self, identity: Hashable) -> Signer:
         """Issue (or re-issue) the signer for ``identity``."""

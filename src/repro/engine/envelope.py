@@ -21,10 +21,11 @@ runs that never read size metrics never pay for the recursive payload walk.
 from __future__ import annotations
 from collections.abc import Hashable
 
+from itertools import chain
 from typing import Any
 
 
-def estimate_size(payload: Any) -> int:
+def estimate_size(payload: Any, memo: dict[int, tuple[Any, int]] | None = None) -> int:
     """Rough structural size estimate (in abstract units) of a payload.
 
     Used by the metrics layer to confirm the message-size trade-off the paper
@@ -32,24 +33,50 @@ def estimate_size(payload: Any) -> int:
     Section 8).  The estimate counts contained items recursively rather than
     serialised bytes, which is enough to observe the asymptotic shape.
     Strings and bytes count one unit per 16 characters (minimum one unit).
+
+    The payload is sized as a tree: a container reached twice counts twice.
+    Payloads are often DAGs, though (every proof in an SbS ack request shares
+    one safe_ack set), so the walk is post-order and each container's size is
+    kept in ``memo`` (``id -> (container, size)``; the container is held so its
+    ``id`` cannot be reused).  Pass one ``memo`` to size several payloads that
+    share objects; by default each call gets its own.
     """
-    seen = 0
-    stack = [payload]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (str, bytes)):
-            length = len(item) // 16
-            seen += length if length > 1 else 1
-            continue
-        seen += 1
-        if isinstance(item, (list, tuple, set, frozenset)):
-            stack.extend(item)
-        elif isinstance(item, dict):
-            stack.extend(item.keys())
-            stack.extend(item.values())
-        elif hasattr(item, "__dataclass_fields__"):
-            stack.extend(getattr(item, name) for name in item.__dataclass_fields__)
-    return seen
+    if memo is None:
+        memo = {}
+    # The open container, its unsized children and their size so far; the
+    # containers above it wait on ``stack``.  The outermost level is a
+    # stand-in (``None``) whose only child is the payload.
+    container, items, size = None, iter((payload,)), 0
+    stack: list[tuple[Any, Any, int]] = []
+    while True:
+        for item in items:
+            if isinstance(item, (str, bytes)):
+                length = len(item) // 16
+                size += length if length > 1 else 1
+                continue
+            if isinstance(item, (list, tuple, set, frozenset)):
+                children = iter(item)
+            elif isinstance(item, dict):
+                children = chain(item.keys(), item.values())
+            elif hasattr(item, "__dataclass_fields__"):
+                children = iter([getattr(item, name) for name in item.__dataclass_fields__])
+            else:
+                size += 1
+                continue
+            hit = memo.get(id(item))
+            if hit is not None and hit[0] is item:
+                size += hit[1]
+                continue
+            stack.append((container, items, size))
+            container, items, size = item, children, 1
+            break
+        else:
+            # Every child of ``container`` is sized: close it.
+            if not stack:
+                return size
+            memo[id(container)] = (container, size)
+            container, items, outer = stack.pop()
+            size += outer
 
 
 class Envelope:
@@ -105,12 +132,17 @@ class Envelope:
         self._size = size
         self._mtype: str | None = None
 
-    @property
-    def size(self) -> int:
-        """Structural size estimate of the payload (computed lazily, cached)."""
+    def measure(self, memo: dict[int, tuple[Any, int]] | None = None) -> int:
+        """Structural size estimate of the payload (computed lazily, cached).
+
+        ``memo`` is :func:`estimate_size`'s: one memo shared across many
+        envelopes sizes each payload object they share once.
+        """
         if self._size is None:
-            self._size = estimate_size(self.payload)
+            self._size = estimate_size(self.payload, memo)
         return self._size
+
+    size = property(measure)
 
     def delivered_at(self, time: float) -> Envelope:
         """Return a copy of the envelope stamped with its delivery time.

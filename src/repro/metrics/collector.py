@@ -77,8 +77,11 @@ class MetricsCollector:
         if self._pending_sizes:
             bytes_by_process = self._bytes_by_process
             max_size = self._max_payload_size
+            # One memo for the whole flush: payloads sent to many members (a
+            # broadcast, an SbS proof set) are sized once, not per envelope.
+            memo: dict = {}
             for envelope in self._pending_sizes:
-                size = envelope.size
+                size = envelope.measure(memo)
                 bytes_by_process[envelope.sender] += size
                 if size > max_size:
                     max_size = size

@@ -1,7 +1,10 @@
 """Tests for the SbS signature-based algorithm (Algorithms 8-10)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.ablations import BlindKeyRegistry
 from repro.core.messages import ProvenValue, SafeAck
 from repro.core.sbs import (
     SbSProcess,
@@ -12,7 +15,7 @@ from repro.core.sbs import (
     verify_conflict_pair,
     verify_safe_ack,
 )
-from repro.crypto import SignedValue
+from repro.crypto import KeyRegistry, SignedValue
 from repro.engine import FixedDelay
 from repro.harness import run_sbs_scenario
 from repro.lattice import SetLattice
@@ -107,6 +110,49 @@ class TestHelpers:
         assert not all_safe(registry, lattice, [proven], quorum=1)
 
 
+def pairwise_conflicts(registry, values):
+    """Algorithm 10's all-pairs ``ReturnConflicts``, the reference for the helpers."""
+    values = list(values)
+    pairs = set()
+    for i, x in enumerate(values):
+        for y in values[i + 1 :]:
+            if verify_conflict_pair(registry, (x, y)):
+                pairs.add((x, y) if repr(x) <= repr(y) else (y, x))
+    return frozenset(pairs)
+
+
+#: (signer, value, forged): "ghost" is never registered, so its values never
+#: verify; up to three distinct values per signer makes equivocators with
+#: two or three values each.
+signed_entries = st.lists(
+    st.tuples(
+        st.sampled_from(["p0", "p1", "p2", "ghost"]),
+        st.sampled_from([frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})]),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+class TestConflictHelpersMatchPairwiseReference:
+    @settings(max_examples=150, deadline=None)
+    @given(entries=signed_entries, blind=st.booleans())
+    def test_return_and_remove_conflicts(self, entries, blind):
+        registry = BlindKeyRegistry(seed=1) if blind else KeyRegistry(seed=1)
+        for name in ("p0", "p1", "p2"):
+            registry.register(name)
+        values = []
+        for signer, value, forged in entries:
+            if forged or signer == "ghost":
+                values.append(SignedValue(value=value, signer=signer, tag=b"forged"))
+            else:
+                values.append(registry.signer_for(signer).sign(value))
+        expected = pairwise_conflicts(registry, values)
+        assert return_conflicts(registry, values) == expected
+        conflicted = {value for pair in expected for value in pair}
+        assert remove_conflicts(registry, values) == frozenset(values) - conflicted
+
+
 class TestFailureFreeRuns:
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_all_decide_and_properties_hold(self, n):
@@ -145,6 +191,12 @@ class TestFailureFreeRuns:
         small = run_sbs_scenario(n=4, f=1, seed=60)
         large = run_sbs_scenario(n=10, f=1, seed=61)
         assert large.metrics.max_payload_size > small.metrics.max_payload_size
+        # Exact sizes: payloads share proof objects, and each is still
+        # counted wherever it is reached.
+        assert small.metrics.max_payload_size == 1900
+        assert large.metrics.max_payload_size == 66604
+        assert sum(small.metrics.bytes_by_process.values()) == 105880
+        assert sum(large.metrics.bytes_by_process.values()) == 26095100
 
     def test_decision_joins_only_proven_values(self):
         scenario = run_sbs_scenario(n=4, f=1, seed=62)

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.core.gsbs import gsbs_ack_body, verify_gsbs_ack
+from repro.core.messages import GSbSAck, ProvenValue, SafeAck
+from repro.core.sbs import all_safe, safe_ack_body
 from repro.crypto import KeyRegistry, SignatureError, SignedValue, canonical_bytes
+from repro.harness import run_gsbs_scenario, run_sbs_scenario
+from repro.lattice import SetLattice
 
 
 class TestCanonicalBytes:
@@ -111,3 +116,71 @@ class TestDeterminism:
         assert not registry.verify(forged)
         # And the original still verifies after the failed attempt.
         assert registry.verify(signed)
+
+
+class TestValidationMemo:
+    """The identity-anchored verdict memos of SbS ``AllSafe`` and GSbS acks."""
+
+    def _carrier(self, registry, quorum=3):
+        value = registry.register("p1").sign(frozenset({"v"}))
+        acks = []
+        for name in ("a1", "a2", "a3")[:quorum]:
+            body = safe_ack_body(frozenset({value}), frozenset(), 0)
+            acks.append(SafeAck(rcvd_set=frozenset({value}), conflicts=frozenset(),
+                                request_id=0, signature=registry.register(name).sign(body)))
+        return value, acks, frozenset({ProvenValue(value=value, safe_acks=frozenset(acks))})
+
+    def test_rejected_carrier_stays_rejected(self, registry):
+        _, _, carrier = self._carrier(registry, quorum=2)
+        assert not all_safe(registry, SetLattice(), carrier, quorum=3)
+        assert not all_safe(registry, SetLattice(), carrier, quorum=3)
+        assert all_safe(registry, SetLattice(), carrier, quorum=2)
+
+    def test_equal_looking_carrier_is_rechecked(self, registry):
+        value, acks, carrier = self._carrier(registry)
+        assert all_safe(registry, SetLattice(), carrier, quorum=3)
+        # Same value, same bodies, same reprs (a tag is not in the repr): only
+        # one ack's tag is tampered with.
+        bad = acks[0].signature
+        tampered = SafeAck(rcvd_set=acks[0].rcvd_set, conflicts=acks[0].conflicts, request_id=0,
+                           signature=SignedValue(value=bad.value, signer=bad.signer, tag=b"x" * 32))
+        forged_acks = frozenset([tampered, *acks[1:]])
+        assert set(map(repr, forged_acks)) == set(map(repr, acks))
+        forged = frozenset({ProvenValue(value=value, safe_acks=forged_acks)})
+        assert not all_safe(registry, SetLattice(), forged, quorum=3)
+        assert all_safe(registry, SetLattice(), carrier, quorum=3)
+
+    def test_list_carrier_is_never_memoised(self, registry):
+        value, acks, carrier = self._carrier(registry)
+        carrier_list = list(carrier)
+        assert all_safe(registry, SetLattice(), carrier_list, quorum=3)
+        carrier_list.append(ProvenValue(value=value, safe_acks=frozenset(acks[:1])))
+        assert not all_safe(registry, SetLattice(), carrier_list, quorum=3)
+        assert not any(key[0] == "all_safe" for key in registry.validation_memo)
+
+    def test_gsbs_ack_memo_is_identity_safe(self, registry):
+        body = gsbs_ack_body(frozenset(), "p0", 1, 0)
+        signed = registry.register("acc").sign(body)
+        ack = GSbSAck(accepted_set=frozenset(), destination="p0", ts=1, round=0, signature=signed)
+        assert verify_gsbs_ack(registry, ack)
+        tampered = GSbSAck(accepted_set=frozenset(), destination="p0", ts=1, round=0,
+                           signature=SignedValue(value=body, signer="acc", tag=b"x" * 32))
+        assert repr(tampered) == repr(ack)
+        assert not verify_gsbs_ack(registry, tampered)
+        assert verify_gsbs_ack(registry, ack)
+
+
+class TestMemoisedRunsDoNotMove:
+    """Exact counts of seeded kernel runs: memoised checks change no verdict."""
+
+    def test_sbs_n10(self):
+        scenario = run_sbs_scenario(n=10, f=3, seed=3)
+        assert scenario.metrics.total_delivered == 895
+        assert len(scenario.metrics.decisions) == 10
+        assert scenario.check_la().ok
+
+    def test_gsbs_n7(self):
+        scenario = run_gsbs_scenario(n=7, f=2, seed=3, rounds=3, values_per_process=2)
+        assert scenario.metrics.total_delivered == 1407
+        assert len(scenario.metrics.decisions) == 21
+        assert scenario.check_gla().ok

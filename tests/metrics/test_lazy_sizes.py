@@ -28,9 +28,9 @@ class TestLazySizes:
 
         original = envelope_module.estimate_size
 
-        def counting(payload):
+        def counting(payload, *args):
             calls.append(1)
-            return original(payload)
+            return original(payload, *args)
 
         monkeypatch.setattr(envelope_module, "estimate_size", counting)
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
