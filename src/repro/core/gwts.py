@@ -138,8 +138,6 @@ class GWTSProcess(AgreementProcess):
 
     def on_message(self, sender: Hashable, payload: Any) -> None:
         if self._rb is not None and self._rb.handle(sender, payload):
-            self._drain_waiting()
-            self.recheck()
             return
         if isinstance(payload, (RoundAckRequest, RoundNack)):
             self.waiting_msgs.append((sender, payload))
@@ -158,6 +156,11 @@ class GWTSProcess(AgreementProcess):
             self._on_rb_ack(origin, value)
         self._drain_waiting()
         self.recheck()
+        # The recheck may have advanced ``safe_round``, which admits requests
+        # buffered for the next round: serve them now, not at the next
+        # delivery.  Serving a request changes no guard input, so no second
+        # recheck is needed.
+        self._drain_waiting()
 
     def _on_disclosure(self, origin: Hashable, round_no: Any, value: Any) -> None:
         """Algorithm 3 lines 16-20 (``RBcastDelivery`` of a disclosure)."""

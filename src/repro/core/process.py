@@ -15,7 +15,11 @@ sans-I/O :class:`~repro.engine.ProtocolCore`:
 * the "upon event" re-evaluation loop: handlers enqueue no callbacks, they
   just mutate state and call :meth:`recheck`, which keeps invoking
   :meth:`try_progress` until the process state stops changing — exactly the
-  guard-driven semantics of the pseudocode.
+  guard-driven semantics of the pseudocode.  In WTS and GWTS only the events
+  that can enable a guard reach it: a reliable-broadcast delivery, a direct
+  protocol message, the start event (and, on a replica, a client update).
+  Broadcast-internal traffic that delivers nothing — most echoes and
+  readies — returns before it (see :meth:`AgreementProcess.recheck`).
 """
 
 from __future__ import annotations
@@ -102,6 +106,40 @@ class AgreementProcess(ProtocolCore):
         against accidental livelock in a handler; real runs never get close
         to it because each iteration either changes the protocol state or
         stops.
+
+        **Which events call it (WTS, GWTS).**  Each run of a core's guards
+        and of its buffered-message drain must follow every change to what
+        they read, and need follow nothing else:
+
+        * WTS's guards read ``state``, ``init_counter`` and ``ack_senders``.
+          ``init_counter`` grows only in ``_on_rb_deliver``, ``ack_senders``
+          only when a drain handles an ``Ack``, ``state`` only in
+          :meth:`try_progress` itself.
+        * GWTS's guards read ``state``, ``round``, ``counter``, the per-round
+          ack record, ``safe_round`` and ``decided_set``.  ``counter`` grows
+          only on a disclosure delivery, the ack record only when an ack is
+          stored (on its delivery, or when a drain handles it once it is
+          safe); the rest changes only in :meth:`try_progress`.
+        * A buffered message stays buffered only while it is not safe —
+          the safe bound grows only on a disclosure delivery — or, in GWTS,
+          while its round is above ``safe_round``, which only
+          :meth:`try_progress` advances.
+
+        So the delivery handler (``_on_rb_deliver``) drains and rechecks,
+        and GWTS's drains once more, because its recheck may have admitted
+        requests buffered for the next round.  A direct
+        protocol message is buffered, drained and rechecked.  A broadcast
+        echo or ready that delivers nothing changes only the broadcaster's
+        per-instance votes and queues echo/ready sends; no guard and no
+        buffer gate reads those.  Such a message returns at once:
+        re-running the drain and the guards would find exactly the fixpoint
+        the previous event left.
+
+        The one thing an event can leave unfinished is a chain cut by
+        ``budget``.  Any later message used to resume it, usually the next
+        echo.  Now the next delivery or direct message to this process
+        resumes it.  An instrumented run of the whole test suite never
+        exhausted the budget outside the unit test that sets it to 5.
         """
         for _ in range(budget):
             if not self.try_progress():

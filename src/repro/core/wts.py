@@ -79,6 +79,10 @@ class WTSProcess(AgreementProcess):
         #: Safe-values set: the disclosed values delivered by reliable
         #: broadcast, one slot per origin (Observation 1).
         self.svs: dict[Hashable, LatticeElement] = {}
+        #: Running join of every value in ``svs``, kept as deliveries add
+        #: them (as GWTS keeps ``W_r``), so ``is_safe`` does not re-join
+        #: ``SvS`` on every check.
+        self._safe_bound: LatticeElement = lattice.bottom()
         self.waiting_msgs: list[tuple[Hashable, Any]] = []
         #: Number of proposal refinements performed (Lemma 3 bounds it by f).
         self.refinements = 0
@@ -104,8 +108,6 @@ class WTSProcess(AgreementProcess):
 
     def on_message(self, sender: Hashable, payload: Any) -> None:
         if self._rb is not None and self._rb.handle(sender, payload):
-            self._drain_waiting()
-            self.recheck()
             return
         if isinstance(payload, (AckRequest, Ack, Nack)):
             # Algorithm 1 lines 19-20 / Algorithm 2 lines 3-4: buffer, then
@@ -128,6 +130,7 @@ class WTSProcess(AgreementProcess):
             # is unreachable for correct peers; guard anyway (Observation 1).
             return
         self.svs[origin] = value
+        self._safe_bound = self.lattice.join(self._safe_bound, value)
         self.init_counter += 1
         if self.state == DISCLOSING:
             self.proposed_set = self.lattice.join(self.proposed_set, value)
@@ -138,7 +141,7 @@ class WTSProcess(AgreementProcess):
 
     def safe_upper_bound(self) -> LatticeElement:
         """Join of every value currently in ``SvS``."""
-        return self.lattice.join_all(self.svs.values())
+        return self._safe_bound
 
     def is_safe(self, element: LatticeElement) -> bool:
         """``SAFE(m)``: the lattice content of ``m`` is covered by ``SvS``."""

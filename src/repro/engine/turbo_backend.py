@@ -139,10 +139,13 @@ class TurboEngine(EngineBase):
         # Envelope-free fast paths for the two stock delay models: neither
         # reads the envelope, so the probe round-trip can be skipped without
         # changing a single RNG draw (FixedDelay draws nothing; UniformDelay
-        # draws exactly one uniform per send on both paths).
+        # draws exactly one ``random()`` per send on both paths).  The
+        # uniform path keeps ``(low, high - low)`` and computes
+        # ``low + span * random()``, which is ``Random.uniform``'s own
+        # formula: the same float, minus a method call per send.
         model = self._scheduler.model if isinstance(self._scheduler, DelayModelScheduler) else None
         self._fixed_delay = model._value if isinstance(model, FixedDelay) else None
-        self._uniform_bounds = (model._low, model._high) if isinstance(model, UniformDelay) else None
+        self._uniform_bounds = (model._low, model._high - model._low) if isinstance(model, UniformDelay) else None
 
     # -- the calendar queue -------------------------------------------------------
 
@@ -191,7 +194,7 @@ class TurboEngine(EngineBase):
         if delay is None:
             bounds = self._uniform_bounds
             if bounds is not None:
-                delay = self.rng.uniform(bounds[0], bounds[1])
+                delay = bounds[0] + bounds[1] * self.rng.random()
             else:
                 delay = self._delay_for(sender, dest, payload, depth)
         self._seq = seq = self._seq + 1
@@ -209,7 +212,9 @@ class TurboEngine(EngineBase):
         # destination, and the stock delay models never touch the probe.
         fixed = self._fixed_delay
         uniform = self._uniform_bounds
-        rng_uniform = self.rng.uniform
+        if uniform is not None:
+            low, span = uniform
+        rng_random = self.rng.random
         times = self._times
         buckets = self._buckets
         buckets_get = buckets.get
@@ -222,7 +227,7 @@ class TurboEngine(EngineBase):
             if fixed is not None:
                 delay = fixed
             elif uniform is not None:
-                delay = rng_uniform(uniform[0], uniform[1])
+                delay = low + span * rng_random()
             else:
                 delay = self._delay_for(sender, dest, payload, depth)
             seq += 1
@@ -300,7 +305,13 @@ class TurboEngine(EngineBase):
         stopped = False
         exhausted = False
         started_wall = _time.perf_counter()
-        while delivered < max_messages and events < max_events:
+        # ``while True`` with the caps tested inside: CPython 3.11 counts an
+        # unconditional back edge toward specializing the loop, so a
+        # process's first run is as fast as its eighth (``while cond:`` is
+        # only warmed up by re-entering the function).
+        while True:
+            if delivered >= max_messages or events >= max_events:
+                break
             if stop_when is not None and stop_when():
                 stopped = True
                 break

@@ -107,10 +107,14 @@ class Replica(GWTSProcess):
             self._handle_confirm_request(sender, payload)
             self._flush_client_work()
             return
+        decided, committed = len(self.decisions), len(self._committed_sets)
         super().on_message(sender, payload)
-        # GWTS progress may have produced new decisions or new ack history
-        # entries; serve clients that were waiting on them.
-        self._flush_client_work()
+        # Serve clients waiting on a new decision or a new commit.  Both only
+        # grow, and the client work itself (``_unnotified``, ``_pending_conf``)
+        # only grows on the two paths above, so a GWTS message that grew
+        # neither leaves nothing new to send.
+        if len(self.decisions) != decided or len(self._committed_sets) != committed:
+            self._flush_client_work()
 
     def _handle_update_request(self, sender: Hashable, msg: UpdateRequest) -> None:
         command = msg.command

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.broadcast.reliable import RBEcho, RBInit, RBReady
 from repro.core.gwts import HALTED, GWTSProcess
-from repro.engine import FixedDelay
+from repro.core.messages import RoundAck, RoundAckRequest
+from repro.engine import Deliver, FixedDelay, Start
 from repro.harness import run_gwts_scenario
 from repro.lattice import SetLattice
 
@@ -111,3 +113,70 @@ class TestProcessInternals:
             initial_values=[frozenset({"x"})],
         )
         assert process.received_inputs == [frozenset({"x"})]
+
+
+class CountingGWTS(GWTSProcess):
+    """Counts guard evaluations (``try_progress`` calls)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.progress_calls = 0
+
+    def try_progress(self):
+        self.progress_calls += 1
+        return super().try_progress()
+
+
+def deliver_reliably(process, origin, tag, value, senders=("p1", "p2", "p3")):
+    """The ``2f + 1`` readies that make ``process`` deliver ``(origin, tag)``; the last call's effects."""
+    effects = []
+    for sender in senders:
+        effects = process.handle(Deliver(sender, RBReady(origin=origin, tag=tag, value=value)))
+    return effects
+
+
+class TestUponEvent:
+    """Guards run only when a delivery or a direct message can change them."""
+
+    MEMBERS = ["p0", "p1", "p2", "p3"]
+    FUTURE_REQUEST = RoundAckRequest(proposed_set=frozenset(), ts=1, round=1)
+
+    def started(self):
+        process = CountingGWTS("p0", SetLattice(), self.MEMBERS, 1, max_rounds=3)
+        process.handle(Start())
+        assert process.round == 0
+        # A request for round 1 waits until round 0 has a committed proposal.
+        process.handle(Deliver("p1", self.FUTURE_REQUEST))
+        assert process.waiting_msgs == [("p1", self.FUTURE_REQUEST)]
+        process.progress_calls = 0
+        return process
+
+    def test_broadcast_traffic_that_delivers_nothing_runs_no_guard(self):
+        process = self.started()
+        waiting = process.waiting_msgs
+        tag, value = ("disclosure", 0), frozenset({"b"})
+        process.handle(Deliver("p1", RBInit(origin="p1", tag=tag, value=value)))
+        for sender in ("p1", "p2", "p3"):
+            process.handle(Deliver(sender, RBEcho(origin="p1", tag=tag, value=value)))
+        for sender in ("p1", "p2"):
+            process.handle(Deliver(sender, RBReady(origin="p1", tag=tag, value=value)))
+        assert process.counter[0] == 0
+        assert process.progress_calls == 0
+        assert process.waiting_msgs is waiting
+
+    def test_the_message_that_completes_a_delivery_runs_the_guards(self):
+        process = self.started()
+        deliver_reliably(process, "p1", ("disclosure", 0), frozenset({"b"}))
+        assert process.svs[0] == {"p1": frozenset({"b"})}
+        assert process.progress_calls > 0
+        assert process.waiting_msgs == [("p1", self.FUTURE_REQUEST)]
+
+    def test_the_delivery_that_commits_a_round_serves_requests_buffered_for_the_next(self):
+        process = self.started()
+        for origin in ("p1", "p2", "p3"):
+            ack = RoundAck(accepted_set=frozenset(), destination="p1", sender=origin, ts=1, round=0)
+            effects = deliver_reliably(process, origin, ("ack", 0, 1, "p1"), ack)
+        assert process.safe_round == 1
+        assert process.waiting_msgs == []
+        acks = [effect.payload for effect in effects if isinstance(effect.payload, RBInit)]
+        assert [init.tag for init in acks] == [("ack", 1, 1, "p1")]

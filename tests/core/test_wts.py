@@ -1,10 +1,15 @@
 """Tests for the WTS algorithm (Algorithms 1 and 2) without Byzantine faults."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.wts import DECIDED, WTSProcess
-from repro.engine import FixedDelay, UniformDelay
-from repro.harness import run_wts_scenario
+from repro.broadcast.reliable import RBEcho, RBInit, RBReady
+from repro.byzantine import EquivocatingProposer, GarbageProposer
+from repro.core.messages import AckRequest
+from repro.core.wts import DECIDED, DISCLOSURE_TAG, WTSProcess
+from repro.engine import Deliver, FixedDelay, Start, UniformDelay
+from repro.harness import build_scenario, run_wts_scenario
 from repro.lattice import GCounterLattice, MaxIntLattice, SetLattice
 
 
@@ -98,7 +103,7 @@ class TestProcessInternals:
         process = WTSProcess("p0", lattice, ["p0", "p1", "p2", "p3"], 1,
                              proposal=frozenset({"a"}))
         assert not process.is_safe(frozenset({"a"}))
-        process.svs["p0"] = frozenset({"a"})
+        process._on_rb_deliver("p0", DISCLOSURE_TAG, frozenset({"a"}))
         assert process.is_safe(frozenset({"a"}))
         assert not process.is_safe(frozenset({"a", "b"}))
 
@@ -107,3 +112,106 @@ class TestProcessInternals:
         assert process.state == "disclosing"
         assert process.ts == 0
         assert process.init_counter == 0
+
+
+class CountingWTS(WTSProcess):
+    """Counts guard evaluations (``try_progress`` calls)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.progress_calls = 0
+
+    def try_progress(self):
+        self.progress_calls += 1
+        return super().try_progress()
+
+
+class TestUponEvent:
+    """Guards run only when a delivery or a direct message can change them."""
+
+    MEMBERS = ["p0", "p1", "p2", "p3"]
+
+    def started(self):
+        process = CountingWTS("p0", SetLattice(), self.MEMBERS, 1, proposal=frozenset({"a"}))
+        process.handle(Start())
+        # An ack request for a value nobody disclosed yet waits in the buffer.
+        process.handle(Deliver("p1", AckRequest(proposed_set=frozenset({"b"}), ts=0)))
+        assert process.waiting_msgs == [("p1", AckRequest(proposed_set=frozenset({"b"}), ts=0))]
+        process.progress_calls = 0
+        return process
+
+    def test_broadcast_traffic_that_delivers_nothing_runs_no_guard(self):
+        process = self.started()
+        waiting = process.waiting_msgs
+        value = frozenset({"b"})
+        process.handle(Deliver("p1", RBInit(origin="p1", tag=DISCLOSURE_TAG, value=value)))
+        for sender in ("p1", "p2", "p3"):
+            process.handle(Deliver(sender, RBEcho(origin="p1", tag=DISCLOSURE_TAG, value=value)))
+        # f + 1 = 2 readies make p0 send its own ready, but delivery needs 2f + 1 = 3.
+        for sender in ("p1", "p2"):
+            process.handle(Deliver(sender, RBReady(origin="p1", tag=DISCLOSURE_TAG, value=value)))
+        assert process.svs == {}
+        assert process.progress_calls == 0
+        assert process.waiting_msgs is waiting
+
+    def test_the_message_that_completes_a_delivery_runs_the_guards(self):
+        process = self.started()
+        value = frozenset({"b"})
+        for sender in ("p1", "p2", "p3"):
+            process.handle(Deliver(sender, RBReady(origin="p1", tag=DISCLOSURE_TAG, value=value)))
+        assert process.svs == {"p1": value}
+        assert process.progress_calls > 0
+        # The delivery made the buffered request safe, and it was served.
+        assert process.waiting_msgs == []
+        assert process.accepted_set == value
+
+
+class BoundCheckingWTS(WTSProcess):
+    """Compares the incremental safe bound with a fresh join of ``SvS`` after every delivery."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bound_checks: list[bool] = []
+
+    def _on_rb_deliver(self, origin, tag, value):
+        super()._on_rb_deliver(origin, tag, value)
+        self.bound_checks.append(self.safe_upper_bound() == self.lattice.join_all(self.svs.values()))
+
+
+class TestIncrementalSafeBound:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([7, 8, 10]),
+        counter=st.booleans(),
+        amounts=st.lists(st.integers(0, 5), min_size=10, max_size=10),
+    )
+    def test_bound_equals_join_of_svs_after_every_delivery(self, seed, n, counter, amounts):
+        f = (n - 1) // 3
+        lattice = GCounterLattice() if counter else SetLattice()
+
+        def value(pid, k):
+            return lattice.lift({pid: k}) if counter else frozenset({f"{pid}-{k}"})
+
+        def equivocator(pid, lat, members, f):
+            return EquivocatingProposer(pid, lat, members, f, value_a=value(pid, 1), value_b=value(pid, 2))
+
+        def garbage(pid, lat, members, f):
+            return GarbageProposer(pid, lat, members, f, garbage="not-a-lattice-element")
+
+        inputs = {f"p{index}": value(f"p{index}", amounts[index]) for index in range(n - 2)}
+        scenario = build_scenario(
+            "wts",
+            n,
+            f,
+            inputs=inputs,
+            lattice=lattice,
+            byzantine_factories=[equivocator, garbage],
+            process_class=BoundCheckingWTS,
+            seed=seed,
+        )
+        result = scenario.run()
+        assert result.check_la().ok
+        for pid in scenario.correct_pids:
+            checks = scenario.nodes[pid].bound_checks
+            assert checks and all(checks)

@@ -1,9 +1,10 @@
 """Unit tests for replica/client message handling details."""
 
+from repro.core.gwts import HALTED
 from repro.engine import FixedDelay, KernelEngine
 from repro.engine import ProtocolCore
 from repro.rsm import Replica, RSMClient, make_command
-from repro.rsm.replica import ConfirmRequest, DecideNotice, UpdateRequest
+from repro.rsm.replica import ConfirmReply, ConfirmRequest, DecideNotice, UpdateRequest
 
 
 class _Sink(ProtocolCore):
@@ -64,10 +65,52 @@ class TestReplica:
         bogus = frozenset({make_command("client", 99, ("obj", "add", "zzz"))})
         network.submit("client", "r0", ConfirmRequest(accepted_set=bogus))
         network.run(max_messages=8000)
-        from repro.rsm.replica import ConfirmReply
-
         replies = [p for _, p in client.received if isinstance(p, ConfirmReply)]
         assert all(p.accepted_set != bogus for p in replies)
+
+    def test_confirmation_of_a_later_commit_is_answered_once_when_it_commits(self):
+        network, replicas, client = build_cluster()
+        commit_times = {}
+        original = replicas[0]._store_ack
+
+        def store_ack(origin, ack):
+            acceptors = original(origin, ack)
+            if ack.accepted_set in replicas[0]._committed_sets:
+                commit_times.setdefault(ack.accepted_set, replicas[0].now)
+            return acceptors
+
+        replicas[0]._store_ack = store_ack
+        network.start()
+        command = make_command("client", 1, ("obj", "add", "x"))
+        value = frozenset({command})
+        network.submit("client", "r0", UpdateRequest(command=command))
+        network.submit("client", "r0", ConfirmRequest(accepted_set=value))
+        network.run(max_messages=20000)
+        replies = [
+            envelope for envelope in network.delivery_log
+            if envelope.dest == "client" and isinstance(envelope.payload, ConfirmReply)
+        ]
+        assert len(replies) == 1 and replies[0].payload.accepted_set == value
+        request = next(e for e in network.delivery_log if isinstance(e.payload, ConfirmRequest))
+        # Pending when it arrived, answered by the delivery that committed it.
+        assert request.deliver_time < commit_times[value] == replies[0].send_time
+
+    def test_late_update_for_a_decided_command_is_notified_at_once(self):
+        network, replicas, client = build_cluster()
+        network.start()
+        command = make_command("client", 1, ("obj", "add", "x"))
+        network.submit("client", "r1", UpdateRequest(command=command))
+        network.run(max_messages=20000)
+        assert all(command in replica.decisions[-1] for replica in replicas)
+        assert all(replica.state == HALTED for replica in replicas)
+        before = len(network.delivery_log)
+        # The client's retry reaches r0, which never heard from it.
+        network.submit("client", "r0", UpdateRequest(command=command))
+        network.run(max_messages=20000)
+        late = network.delivery_log[before:]
+        assert [(e.dest, type(e.payload)) for e in late] == [("r0", UpdateRequest), ("client", DecideNotice)]
+        assert late[1].send_time == late[0].deliver_time
+        assert command in late[1].payload.accepted_set
 
 
     def test_notified_commands_leave_the_pending_table_and_are_not_notified_twice(self):
