@@ -48,7 +48,7 @@ from repro.core.sbs import (
     return_conflicts,
     verify_conflict_pair,
 )
-from repro.crypto.signatures import KeyRegistry, SignedValue, Signer
+from repro.crypto.signatures import KeyRegistry, SignedValue, Signer, canonical_bytes
 from repro.lattice.base import JoinSemilattice, LatticeElement
 
 #: Proposer phases.
@@ -68,8 +68,8 @@ def gsbs_safe_ack_body(
     """Canonical signable body of a round-stamped ``safe_ack``."""
     return (
         "gsbs_safe_ack",
-        tuple(sorted(rcvd_set, key=repr)),
-        tuple(sorted(conflicts, key=repr)),
+        tuple(sorted(rcvd_set, key=canonical_bytes)),
+        tuple(sorted(conflicts, key=canonical_bytes)),
         request_id,
         round_no,
     )
@@ -84,7 +84,7 @@ def gsbs_ack_body(
     """Canonical signable body of a round-stamped signed ack (Section 8.2)."""
     return (
         "gsbs_ack",
-        tuple(sorted(accepted_set, key=repr)),
+        tuple(sorted(accepted_set, key=canonical_bytes)),
         destination,
         ts,
         round_no,
@@ -160,8 +160,10 @@ def gsbs_all_safe(
 ) -> bool:
     """``AllSafe`` adapted to round-stamped proofs of safety.
 
-    Memoised per carrier frozenset and per ``ProvenValue``, like SbS's
-    :func:`~repro.core.sbs.all_safe` (whose docstring argues why that is sound).
+    Checks each proof once per distinct content, in its own
+    ``registry.known_safe`` set, and remembers each carrier's verdict by
+    identity, like SbS's :func:`~repro.core.sbs.all_safe` (whose docstring
+    argues why both are sound).
     """
     if not isinstance(proven_values, frozenset):
         return False
@@ -174,14 +176,15 @@ def gsbs_all_safe(
 def _gsbs_all_proven_safe(
     registry: KeyRegistry, lattice: JoinSemilattice, proven_values: frozenset, quorum: int
 ) -> bool:
-    return all(
-        isinstance(proven, ProvenValue)
-        and registry.memo_check(
-            "gsbs_proven", proven, quorum,
-            _gsbs_proven_value_safe, registry, lattice, proven, quorum,
-        )
-        for proven in proven_values
-    )
+    known = registry.known_safe.setdefault(("gsbs", quorum), set())
+    for proven in proven_values - known:
+        if not (
+            isinstance(proven, ProvenValue)
+            and _gsbs_proven_value_safe(registry, lattice, proven, quorum)
+        ):
+            return False
+        known.add(proven)
+    return True
 
 
 def _gsbs_proven_value_safe(
@@ -394,7 +397,9 @@ class GSbSProcess(AgreementProcess):
                 sender,
                 GSbSNack(accepted_set=self.accepted_set, ts=msg.ts, round=msg.round),
             )
-            self.accepted_set = frozenset(self.accepted_set | msg.proposed_set)
+            # A stale request inside Accepted_set: the join would only copy it.
+            if not msg.proposed_set <= self.accepted_set:
+                self.accepted_set = frozenset(self.accepted_set | msg.proposed_set)
         return True
 
     def _handle_ack(self, sender: Hashable, msg: GSbSAck) -> None:
@@ -474,11 +479,11 @@ class GSbSProcess(AgreementProcess):
             and len(self.safe_acks[self.round]) >= self.quorum
         ):
             proof = frozenset(self.safe_acks[self.round].values())
+            pairs = [pair for ack in proof for pair in ack.conflicts]
             proven: set[ProvenValue] = set(self.proposed_set)
             for value in self.safety_sets[self.round]:
-                if any(gsbs_value_conflicted_in(ack, value) for ack in proof):
-                    continue
-                proven.add(ProvenValue(value=value, safe_acks=proof))
+                if not any(value in pair for pair in pairs):
+                    proven.add(ProvenValue(value=value, safe_acks=proof))
             self.proposed_set = frozenset(proven)
             self.state = PROPOSING
             self.ack_records = {}

@@ -107,7 +107,7 @@ class AgreementProcess(ProtocolCore):
         to it because each iteration either changes the protocol state or
         stops.
 
-        **Which events call it (WTS, GWTS).**  Each run of a core's guards
+        **Which events call it (WTS, GWTS, SbS).**  Each run of a core's guards
         and of its buffered-message drain must follow every change to what
         they read, and need follow nothing else:
 
@@ -120,6 +120,14 @@ class AgreementProcess(ProtocolCore):
           only on a disclosure delivery, the ack record only when an ack is
           stored (on its delivery, or when a drain handles it once it is
           safe); the rest changes only in :meth:`try_progress`.
+        * SbS's guards read ``state``, ``safety_set``, ``safe_acks``,
+          ``ack_senders`` and ``proposed_set``: proposer state, changed only
+          in ``on_start`` (which sends this process its own ``InitPhase``),
+          by an ``InitPhase``, ``SafeAck``, ``SbSAck`` or ``SbSNack``, and by
+          :meth:`try_progress`.  A ``SafeRequest`` or ``SbSAckRequest``
+          changes only acceptor state (``safe_candidates``,
+          ``accepted_set``), which no guard reads, so it returns without a
+          recheck.
         * A buffered message stays buffered only while it is not safe —
           the safe bound grows only on a disclosure delivery — or, in GWTS,
           while its round is above ``safe_round``, which only

@@ -29,7 +29,7 @@ from typing import Any
 
 from repro.core.messages import InitPhase, ProvenValue, SafeAck, SafeRequest, SbSAck, SbSAckRequest, SbSNack
 from repro.core.process import AgreementProcess
-from repro.crypto.signatures import KeyRegistry, SignedValue, Signer
+from repro.crypto.signatures import KeyRegistry, SignedValue, Signer, canonical_bytes
 from repro.lattice.base import JoinSemilattice, LatticeElement
 
 #: Proposer phases (Algorithm 8's ``state`` variable).
@@ -79,7 +79,7 @@ def return_conflicts(
                 if x.value != y.value:
                     # Store in a canonical orientation so the same logical
                     # pair is never counted twice.
-                    conflicts.add((x, y) if repr(x) <= repr(y) else (y, x))
+                    conflicts.add((x, y) if canonical_bytes(x) <= canonical_bytes(y) else (y, x))
     return frozenset(conflicts)
 
 
@@ -103,11 +103,15 @@ def safe_ack_body(
     conflicts: frozenset[tuple[SignedValue, SignedValue]],
     request_id: int,
 ) -> tuple[str, tuple[SignedValue, ...], tuple[tuple[SignedValue, SignedValue], ...], int]:
-    """Canonical signable body of a ``safe_ack`` message."""
+    """Canonical signable body of a ``safe_ack`` message.
+
+    Members are sorted by :func:`~repro.crypto.signatures.canonical_bytes`,
+    so the body, and the tag over it, is the same in every interpreter.
+    """
     return (
         "safe_ack",
-        tuple(sorted(rcvd_set, key=repr)),
-        tuple(sorted(conflicts, key=repr)),
+        tuple(sorted(rcvd_set, key=canonical_bytes)),
+        tuple(sorted(conflicts, key=canonical_bytes)),
         request_id,
     )
 
@@ -148,40 +152,48 @@ def all_safe(
     list ``v`` as a conflict; ``v`` itself must be a validly signed lattice
     point.
 
-    One carrier set reaches an acceptor in every ack request and nack that
-    shares it, and one ``ProvenValue`` rides in many carriers, so verdicts are
-    memoised per object in ``registry.validation_memo``: per carrier frozenset
-    and per ``ProvenValue``.  The key is ``(tag, id(obj), quorum)`` and the
-    entry ``(obj, verdict)`` holds the object itself; a hit requires that very
-    object.  This is sound because frozensets and the frozen message
-    dataclasses are immutable, and the anchor keeps the object alive so its
-    ``id`` cannot be reused by another object.  A different object with equal
-    content is checked afresh, and a list (mutable) carrier is never
-    memoised.  Every check therefore still runs once per distinct object.
+    Each proof is checked once per distinct content.  A frozenset carrier
+    checks only ``carrier - known``, where ``known`` (``registry.known_safe``,
+    one set per quorum) holds every ``ProvenValue`` that passed.  This is
+    sound because the verdict depends only on the value's content, the
+    registry's keys and the lattice, which one registry's run fixes, and
+    frozen dataclasses compare by content: a value equal to one that passed
+    passes, and any other value (one tampered tag, say) is checked.  The
+    difference uses the hashes a frozenset keeps, so it rehashes nothing.
+    One carrier object reaches an acceptor in every ack request and nack
+    that shares it, so its verdict is also kept by identity
+    (:meth:`~repro.crypto.signatures.KeyRegistry.memo_check`), which is
+    cheaper than the difference over hundreds of proofs.  Any other
+    iterable is walked in full and remembers nothing.
     """
-    if isinstance(proven_values, frozenset):
-        return registry.memo_check(
-            "all_safe", proven_values, quorum,
-            _all_proven_safe, registry, lattice, proven_values, quorum,
+    if not isinstance(proven_values, frozenset):
+        return all(
+            isinstance(proven, ProvenValue)
+            and _proven_value_safe(registry, lattice, proven, quorum)
+            for proven in proven_values
         )
-    return _all_proven_safe(registry, lattice, proven_values, quorum)
+    return registry.memo_check(
+        "all_safe", proven_values, quorum,
+        _all_proven_safe, registry, lattice, proven_values, quorum,
+    )
 
 
 def _all_proven_safe(
     registry: KeyRegistry,
     lattice: JoinSemilattice,
-    proven_values: Iterable[ProvenValue],
+    proven_values: frozenset,
     quorum: int,
 ) -> bool:
-    """Per-value walk behind :func:`all_safe`, memoised per ``ProvenValue``."""
-    return all(
-        isinstance(proven, ProvenValue)
-        and registry.memo_check(
-            "proven", proven, quorum,
-            _proven_value_safe, registry, lattice, proven, quorum,
-        )
-        for proven in proven_values
-    )
+    """Check the members of a carrier not yet in ``known``; remember those that pass."""
+    known = registry.known_safe.setdefault(("sbs", quorum), set())
+    for proven in proven_values - known:
+        if not (
+            isinstance(proven, ProvenValue)
+            and _proven_value_safe(registry, lattice, proven, quorum)
+        ):
+            return False
+        known.add(proven)
+    return True
 
 
 def _proven_value_safe(
@@ -276,14 +288,18 @@ class SbSProcess(AgreementProcess):
         self.send_to_members(InitPhase(payload=self.own_signed))
 
     def on_message(self, sender: Hashable, payload: Any) -> None:
+        # Requests change only acceptor state, which no guard reads
+        # (see AgreementProcess.recheck): they return without a recheck.
+        if isinstance(payload, SafeRequest):
+            self._handle_safe_request(sender, payload)
+            return
+        if isinstance(payload, SbSAckRequest):
+            self._handle_ack_request(sender, payload)
+            return
         if isinstance(payload, InitPhase):
             self._handle_init(sender, payload)
-        elif isinstance(payload, SafeRequest):
-            self._handle_safe_request(sender, payload)
         elif isinstance(payload, SafeAck):
             self._handle_safe_ack(sender, payload)
-        elif isinstance(payload, SbSAckRequest):
-            self._handle_ack_request(sender, payload)
         elif isinstance(payload, SbSAck):
             self._handle_ack(sender, payload)
         elif isinstance(payload, SbSNack):
@@ -368,7 +384,10 @@ class SbSProcess(AgreementProcess):
             self.send_to(sender, SbSAck(accepted_set=self.accepted_set, ts=msg.ts))
         else:
             self.send_to(sender, SbSNack(accepted_set=self.accepted_set, ts=msg.ts))
-            self.accepted_set = frozenset(self.accepted_set | msg.proposed_set)
+            # Most nacked requests are stale, already inside Accepted_set:
+            # the join would only copy it.
+            if not msg.proposed_set <= self.accepted_set:
+                self.accepted_set = frozenset(self.accepted_set | msg.proposed_set)
 
     def _handle_ack(self, sender: Hashable, msg: SbSAck) -> None:
         """Proposer side (Algorithm 8 lines 32-37)."""
@@ -418,11 +437,11 @@ class SbSProcess(AgreementProcess):
         # proofs of safety and start proposing.
         if self.state == SAFETYING and len(self.safe_acks) >= self.quorum:
             proof = frozenset(self.safe_acks.values())
+            pairs = [pair for ack in proof for pair in ack.conflicts]
             proven: set[ProvenValue] = set(self.proposed_set)
             for value in self.safety_set:
-                if any(value_conflicted_in(ack, value) for ack in proof):
-                    continue
-                proven.add(ProvenValue(value=value, safe_acks=proof))
+                if not any(value in pair for pair in pairs):
+                    proven.add(ProvenValue(value=value, safe_acks=proof))
             self.proposed_set = frozenset(proven)
             self.state = PROPOSING
             self.ack_senders = set()

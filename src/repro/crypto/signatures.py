@@ -22,7 +22,7 @@ import hashlib
 import hmac
 import os
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any
 
 
@@ -33,29 +33,59 @@ class SignatureError(Exception):
 def canonical_bytes(value: Any) -> bytes:
     """Serialise ``value`` into a canonical byte string for MAC computation.
 
-    The encoding is deterministic for the value types used by the algorithms
-    (nested tuples, frozensets, strings, ints, ``None`` and dataclass-free
-    plain values): logically equal values map to equal byte strings, so a
-    signature made on one replica verifies on another.
+    Logically equal values map to equal byte strings in every interpreter:
+    no part of the encoding depends on the string hash seed, so a signature
+    made in one process verifies in any other (after a wire round trip too).
+
+    * ``None``, bools, ints, floats, strings and bytes encode as a type
+      letter plus their text.  Frozensets and sets sort their members'
+      encodings, tuples and lists keep their order, and dicts sort their
+      ``key:value`` encodings.
+    * A dataclass instance encodes as ``H`` plus the SHA-256 digest of its
+      class name and its fields' encodings in declaration order.  A parent
+      embeds each child dataclass's digest, not the child's text, so a proof
+      nested in a proof (``ProvenValue`` -> ``SafeAck`` -> ``SignedValue``)
+      costs one digest per reference.  Forging a body therefore needs a
+      SHA-256 collision, which HMAC-SHA-256 already assumes cannot be found.
+    * A frozen dataclass keeps its digest in its instance ``__dict__`` once
+      computed, provided the encoding met no list, set, dict or non-frozen
+      dataclass below it.  Such a value could still change, so its digest is
+      recomputed on every call.  Nothing may mutate a frozen dataclass
+      behind ``object.__setattr__`` once it has been encoded.
+    * Any other value encodes as its ``repr``, which must therefore not
+      depend on the hash seed (no set iteration order inside it) and, below
+      a frozen dataclass, must not change.
     """
     return _encode(value).encode("utf-8")
 
 
+#: Instance ``__dict__`` key of a frozen dataclass's cached digest.
+_DIGEST_KEY = "_canonical_digest"
+
+#: Per dataclass: ``(header, field names, frozen)``.
+_LAYOUTS: dict[type, tuple[str, tuple[str, ...], bool]] = {}
+
+
 def _encode(value: Any) -> str:
+    # Strings and dataclasses (signed values in a body) are tested first:
+    # they are what a hot signing path meets most.
     if value is None:
         return "N"
+    if isinstance(value, str):
+        return f"S{len(value)}:{value}"
+    layout = _LAYOUTS.get(type(value))
+    if layout is not None:
+        return _digest(value, layout)
     if isinstance(value, bool):
         return f"B{int(value)}"
     if isinstance(value, int):
         return f"I{value}"
     if isinstance(value, float):
         return f"F{value!r}"
-    if isinstance(value, str):
-        return f"S{len(value)}:{value}"
     if isinstance(value, bytes):
         return f"Y{value.hex()}"
     if isinstance(value, (frozenset, set)):
-        inner = sorted(_encode(item) for item in value)
+        inner = sorted([_encode(item) for item in value])
         return "{" + ",".join(inner) + "}"
     if isinstance(value, (tuple, list)):
         inner = [_encode(item) for item in value]
@@ -63,10 +93,51 @@ def _encode(value: Any) -> str:
     if isinstance(value, dict):
         inner = sorted(f"{_encode(k)}:{_encode(v)}" for k, v in value.items())
         return "<" + ",".join(inner) + ">"
-    # Fall back to repr for exotic-but-hashable values; repr of such values is
-    # required to be stable within a single simulation run, which is all the
-    # algorithms rely on.
+    layout = _layout(type(value))
+    if layout is not None:
+        return _digest(value, layout)
     return f"R{value!r}"
+
+
+def _layout(cls: type) -> tuple[str, tuple[str, ...], bool] | None:
+    """Record and return ``cls``'s layout, or ``None`` if it is not a dataclass."""
+    if not is_dataclass(cls):
+        return None
+    name = cls.__name__
+    names = tuple(field.name for field in fields(cls))
+    layout = _LAYOUTS[cls] = (f"D{len(name)}:{name}(", names, cls.__dataclass_params__.frozen)
+    return layout
+
+
+def _digest(value: Any, layout: tuple[str, tuple[str, ...], bool]) -> str:
+    """A dataclass's ``H`` + SHA-256 token, read from or stored in its cache."""
+    attrs = getattr(value, "__dict__", None)
+    token = attrs.get(_DIGEST_KEY) if attrs is not None else None
+    if token is not None:
+        return token
+    header, names, frozen = layout
+    parts = [getattr(value, name) for name in names]
+    token = "H" + hashlib.sha256(
+        (header + ",".join([_encode(part) for part in parts]) + ")").encode("utf-8")
+    ).hexdigest()
+    if frozen and attrs is not None and all(map(_settled, parts)):
+        attrs[_DIGEST_KEY] = token
+    return token
+
+
+def _settled(value: Any) -> bool:
+    """Whether ``value``'s encoding can never change.
+
+    Run after ``value`` was encoded, so a dataclass below it is settled iff
+    it holds a cached digest.
+    """
+    if isinstance(value, (set, list, dict)):
+        return False
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_settled, value))
+    if type(value) in _LAYOUTS:
+        return _DIGEST_KEY in getattr(value, "__dict__", ())
+    return True
 
 
 @dataclass(frozen=True)
@@ -136,6 +207,12 @@ class KeyRegistry:
         #: ack checks), filled by :meth:`memo_check`.  Scoped to this
         #: registry, i.e. to one simulation run.
         self.validation_memo: dict[tuple, tuple] = {}
+        #: Values a content-pure validator has accepted, one set per scope
+        #: (SbS/GSbS ``AllSafe`` use ``(algorithm, quorum)``).  Membership is
+        #: by equality, so a value equal to an accepted one is accepted too:
+        #: only validators whose verdict depends on nothing but the value and
+        #: this registry (one run) may use it.
+        self.known_safe: dict[Hashable, set[Any]] = {}
 
     def memo_check(
         self, tag: str, obj: Any, extra: Hashable, check: Callable[..., bool], *args: Any

@@ -43,6 +43,16 @@ class TestFailureFreeRuns:
         for node in scenario.correct_nodes():
             assert set(node.certificates) >= {0, 1}
 
+    def test_n7_three_rounds_on_turbo(self):
+        """A size whose signing bodies used to take seconds: GLA holds, every certificate checks out."""
+        scenario = run_gsbs_scenario(n=7, f=2, values_per_process=2, rounds=3, seed=7, backend="turbo")
+        check = scenario.check_gla()
+        assert check.ok, str(check)
+        for node in scenario.correct_nodes():
+            assert sorted(node.certificates) == [0, 1, 2]
+            for certificate in node.certificates.values():
+                assert verify_certificate(node.registry, certificate, node.quorum)
+
     def test_trusted_round_advances(self):
         scenario = run_gsbs_scenario(n=4, f=1, values_per_process=1, rounds=3, seed=6)
         for node in scenario.correct_nodes():

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ablations import BlindKeyRegistry
-from repro.core.messages import ProvenValue, SafeAck
+from repro.core.messages import InitPhase, ProvenValue, SafeAck, SafeRequest, SbSAck, SbSAckRequest
 from repro.core.sbs import (
+    INIT,
+    PROPOSING,
+    SAFETYING,
     SbSProcess,
     all_safe,
     remove_conflicts,
@@ -15,8 +18,8 @@ from repro.core.sbs import (
     verify_conflict_pair,
     verify_safe_ack,
 )
-from repro.crypto import KeyRegistry, SignedValue
-from repro.engine import FixedDelay
+from repro.crypto import KeyRegistry, SignedValue, canonical_bytes
+from repro.engine import Deliver, FixedDelay, Start
 from repro.harness import run_sbs_scenario
 from repro.lattice import SetLattice
 
@@ -109,6 +112,35 @@ class TestHelpers:
         proven = ProvenValue(value=x, safe_acks=frozenset({ack}))
         assert not all_safe(registry, lattice, [proven], quorum=1)
 
+    def test_all_safe_checks_the_one_new_proof_of_a_known_carrier(self, registry):
+        lattice = SetLattice()
+        proven = [proven_value(registry, f"p{i}", frozenset({f"v{i}"})) for i in range(3)]
+        assert all_safe(registry, lattice, frozenset(proven), quorum=3)
+        assert registry.known_safe[("sbs", 3)] == set(proven)
+        # The new value's acks were signed over a body that does not hold it.
+        unproven = registry.register("p9").sign(frozenset({"v9"}))
+        body = safe_ack_body(frozenset(), frozenset(), 0)
+        acks = frozenset(
+            SafeAck(rcvd_set=frozenset({unproven}), conflicts=frozenset(), request_id=0,
+                    signature=registry.register(name).sign(body))
+            for name in ("a1", "a2", "a3")
+        )
+        carrier = frozenset([*proven, ProvenValue(value=unproven, safe_acks=acks)])
+        assert not all_safe(registry, lattice, carrier, quorum=3)
+        assert registry.known_safe[("sbs", 3)] == set(proven)
+
+
+def proven_value(registry, signer, value, acceptors=("a1", "a2", "a3")):
+    """``value`` signed by ``signer`` with one honest safe_ack per acceptor."""
+    signed = registry.register(signer).sign(value)
+    body = safe_ack_body(frozenset({signed}), frozenset(), 0)
+    acks = frozenset(
+        SafeAck(rcvd_set=frozenset({signed}), conflicts=frozenset(), request_id=0,
+                signature=registry.register(name).sign(body))
+        for name in acceptors
+    )
+    return ProvenValue(value=signed, safe_acks=acks)
+
 
 def pairwise_conflicts(registry, values):
     """Algorithm 10's all-pairs ``ReturnConflicts``, the reference for the helpers."""
@@ -117,7 +149,7 @@ def pairwise_conflicts(registry, values):
     for i, x in enumerate(values):
         for y in values[i + 1 :]:
             if verify_conflict_pair(registry, (x, y)):
-                pairs.add((x, y) if repr(x) <= repr(y) else (y, x))
+                pairs.add((x, y) if canonical_bytes(x) <= canonical_bytes(y) else (y, x))
     return frozenset(pairs)
 
 
@@ -216,3 +248,55 @@ class TestProcessInternals:
         assert process.state == "init"
         assert process.ts == 0
         assert process.safety_set == frozenset()
+
+
+class CountingSbS(SbSProcess):
+    """Counts guard evaluations (``try_progress`` calls)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.progress_calls = 0
+
+    def try_progress(self):
+        self.progress_calls += 1
+        return super().try_progress()
+
+
+class TestUponEvent:
+    """Requests change only acceptor state: they run no guard."""
+
+    MEMBERS = ["p0", "p1", "p2", "p3"]
+
+    def started(self, registry):
+        process = CountingSbS("p0", SetLattice(), self.MEMBERS, 1, registry=registry,
+                              proposal=frozenset({"a"}))
+        process.handle(Start())
+        process.progress_calls = 0
+        return process
+
+    def test_requests_run_no_guard(self, registry):
+        process = self.started(registry)
+        value = registry.register("p1").sign(frozenset({"b"}))
+        sent = process.handle(Deliver("p1", SafeRequest(safety_set=frozenset({value}), request_id=0)))
+        assert [type(effect.payload) for effect in sent] == [SafeAck]
+        proposed = frozenset({proven_value(registry, "p2", frozenset({"c"}))})
+        sent = process.handle(Deliver("p1", SbSAckRequest(proposed_set=proposed, ts=1)))
+        assert [type(effect.payload) for effect in sent] == [SbSAck]
+        assert process.accepted_set == proposed
+        assert process.progress_calls == 0
+        assert process.state == INIT
+
+    def test_the_safe_ack_that_completes_the_quorum_runs_the_guards(self, registry):
+        process = self.started(registry)
+        for sender in ("p1", "p2"):
+            value = registry.register(sender).sign(frozenset({sender}))
+            process.handle(Deliver(sender, InitPhase(payload=value)))
+        assert process.state == SAFETYING
+        body = safe_ack_body(process.safety_set, frozenset(), 0)
+        for count, sender in enumerate(("p1", "p2", "p3"), start=1):
+            process.progress_calls = 0
+            ack = SafeAck(rcvd_set=process.safety_set, conflicts=frozenset(), request_id=0,
+                          signature=registry.register(sender).sign(body))
+            process.handle(Deliver(sender, ack))
+            assert process.progress_calls > 0
+            assert process.state == (PROPOSING if count == process.quorum else SAFETYING)

@@ -1,11 +1,18 @@
 """Unit tests for the simulated PKI (Section 8's Sign/Verify interface)."""
 
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any
+
 import pytest
 
 from repro.core.gsbs import gsbs_ack_body, verify_gsbs_ack
 from repro.core.messages import GSbSAck, ProvenValue, SafeAck
 from repro.core.sbs import all_safe, safe_ack_body
-from repro.crypto import KeyRegistry, SignatureError, SignedValue, canonical_bytes
+from repro.crypto import KeyRegistry, SignatureError, SignedValue, canonical_bytes, signatures
 from repro.harness import run_gsbs_scenario, run_sbs_scenario
 from repro.lattice import SetLattice
 
@@ -27,6 +34,133 @@ class TestCanonicalBytes:
 
     def test_different_values_differ(self):
         assert canonical_bytes({1, 2}) != canonical_bytes({1, 3})
+
+    def test_plain_values_keep_their_encoding(self):
+        value = ("p0", frozenset({"b", "a"}), 1, None, b"\x01", True, 1.5, [2], {"k": 3})
+        assert canonical_bytes(value) == b"(S2:p0,{S1:a,S1:b},I1,N,Y01,B1,F1.5,(I2),<S1:k:I3>)"
+
+    def test_dataclasses_encode_by_class_and_fields_not_repr(self):
+        signed = SignedValue(value=frozenset({"a"}), signer="p0", tag=b"t")
+        assert canonical_bytes(signed) == canonical_bytes(SignedValue(frozenset({"a"}), "p0", b"t"))
+        # The tag is not in the repr, but it is in the encoding.
+        assert canonical_bytes(signed) != canonical_bytes(SignedValue(frozenset({"a"}), "p0", b"u"))
+        assert canonical_bytes(Box(items=("p0", b"t"))) != canonical_bytes(Pair(items=("p0", b"t")))
+        assert canonical_bytes(signed) != canonical_bytes((frozenset({"a"}), "p0", b"t"))
+
+    def test_a_frozen_dataclass_caches_its_digest(self):
+        signed = SignedValue(value=frozenset({"a"}), signer="p0", tag=b"t")
+        encoded = canonical_bytes(signed)
+        assert signatures._DIGEST_KEY in vars(signed)
+        assert canonical_bytes(signed) == encoded
+        assert canonical_bytes(ProvenValue(value=signed, safe_acks=frozenset())) == canonical_bytes(
+            ProvenValue(value=SignedValue(frozenset({"a"}), "p0", b"t"), safe_acks=frozenset())
+        )
+
+    def test_a_frozen_dataclass_over_a_list_is_encoded_afresh(self):
+        box = Box(items=[1, 2])
+        outer = Box(items=(box, "tail"))
+        before, outer_before = canonical_bytes(box), canonical_bytes(outer)
+        box.items.append(3)
+        assert canonical_bytes(box) != before
+        assert canonical_bytes(box) == canonical_bytes(Box(items=[1, 2, 3]))
+        assert canonical_bytes(outer) != outer_before
+        assert canonical_bytes(outer) == canonical_bytes(Box(items=(Box(items=[1, 2, 3]), "tail")))
+
+    def test_a_mutable_dataclass_is_encoded_afresh(self):
+        cell = Cell(value=1)
+        box = Box(items=(cell,))
+        before = canonical_bytes(box)
+        cell.value = 2
+        assert canonical_bytes(box) != before
+        assert canonical_bytes(box) == canonical_bytes(Box(items=(Cell(value=2),)))
+
+
+@dataclass(frozen=True)
+class Box:
+    items: Any
+
+
+@dataclass(frozen=True)
+class Pair:
+    items: Any
+
+
+@dataclass
+class Cell:
+    value: Any
+
+
+#: Signs hash-seed-sensitive bodies (frozensets of strings inside signed
+#: values) and prints the tags, then a SafeAck's frames in both framings.
+SIGN_SCRIPT = """
+from repro.core.gsbs import gsbs_ack_body
+from repro.core.messages import ProvenValue, SafeAck
+from repro.core.sbs import return_conflicts, safe_ack_body
+from repro.crypto import KeyRegistry
+from repro.engine import wire
+
+registry = KeyRegistry(seed=1)
+signers = [registry.register(name) for name in ("p0", "p1", "p2", "acc", "a2", "a3")]
+value = signers[0].sign(frozenset({"a", "b", "c", "d"}))
+print(signers[3].sign(safe_ack_body(frozenset({value}), frozenset(), 0)).tag.hex())
+acks = frozenset(
+    SafeAck(rcvd_set=frozenset({value}), conflicts=frozenset(), request_id=0,
+            signature=signer.sign(safe_ack_body(frozenset({value}), frozenset(), 0)))
+    for signer in signers[3:]
+)
+proven = ProvenValue(value=value, safe_acks=acks)
+print(signers[3].sign(gsbs_ack_body(frozenset({proven}), "p0", 1, 0)).tag.hex())
+equivocation = {signers[2].sign(frozenset({"x", "y"})), signers[2].sign(frozenset({"z", "w", "v"}))}
+rcvd = frozenset({value, signers[1].sign(frozenset({"e", "f", "g"}))})
+conflicts = return_conflicts(registry, rcvd | equivocation)
+ack = SafeAck(rcvd_set=rcvd, conflicts=conflicts, request_id=0,
+              signature=signers[3].sign(safe_ack_body(rcvd, conflicts, 0)))
+for framing in wire.FRAMINGS:
+    print(framing, wire.get_codec(framing).encode_frame(ack)[wire.HEADER_SIZE:].hex())
+"""
+
+#: Reads the SIGN_SCRIPT's frames from stdin and verifies each decoded SafeAck.
+VERIFY_SCRIPT = """
+import sys
+from repro.core.sbs import verify_safe_ack
+from repro.crypto import KeyRegistry
+from repro.engine import wire
+
+registry = KeyRegistry(seed=1)
+for name in ("p0", "p1", "p2", "acc", "a2", "a3"):
+    registry.register(name)
+for line in sys.stdin.read().split("\\n")[2:]:
+    if line:
+        framing, body = line.split()
+        ack = wire.get_codec(framing).decode_body(bytes.fromhex(body))
+        print(framing, len(ack.conflicts), verify_safe_ack(registry, ack, "acc"))
+"""
+
+
+def run_with_hash_seed(script, seed, stdin=""):
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        input=stdin,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+
+
+class TestHashSeedIndependence:
+    """A signature made in one interpreter verifies in any other."""
+
+    def test_signed_bodies_do_not_depend_on_the_hash_seed(self):
+        outputs = [run_with_hash_seed(SIGN_SCRIPT, seed).split("\n")[:2] for seed in ("1", "2")]
+        assert outputs[0] == outputs[1] and all(len(tag) == 64 for tag in outputs[0])
+
+    def test_a_safe_ack_verifies_after_a_wire_trip_to_another_seed(self):
+        frames = run_with_hash_seed(SIGN_SCRIPT, "1")
+        verdicts = run_with_hash_seed(VERIFY_SCRIPT, "2", stdin=frames).split()
+        assert verdicts == ["json", "1", "True", "binary", "1", "True"]
 
 
 class TestSigning:
