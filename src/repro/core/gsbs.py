@@ -23,6 +23,15 @@ already decided — the same rule GWTS uses.  The per-round disclosure of GWTS
 (reliable broadcast of the batch) is replaced by the SbS init + safetying
 phases run per round, which is what keeps the per-decision message count at
 ``O(f * n)`` per proposer instead of ``O(f * n^2)``.
+
+Those phases are SbS's own code in :mod:`repro.core.sbs`, called with this
+core's round stamp: the signed init value is ``(round, element)``, the
+safe_ack is a :class:`~repro.core.messages.GSbSSafeAck` signed over
+``("gsbs_safe_ack", rcvd, conflicts, request_id, round)``, and the vetting of
+a safety set, the proposer's safe_ack check, proof building and ``AllSafe``
+are shared (``ack_class=GSbSSafeAck``).  What stays here is GSbS's own: the
+per-round state, the signed acks (:func:`gsbs_ack_body`,
+:func:`verify_gsbs_ack`), decided certificates and trusted-round gating.
 """
 
 from __future__ import annotations
@@ -43,10 +52,12 @@ from repro.core.messages import (
 )
 from repro.core.process import AgreementProcess
 from repro.core.sbs import (
-    conflicted_values,
+    all_safe,
+    answer_safe_request,
+    build_proofs,
+    is_signed_element,
     remove_conflicts,
-    return_conflicts,
-    verify_conflict_pair,
+    safe_ack_valid,
 )
 from repro.crypto.signatures import KeyRegistry, SignedValue, Signer, canonical_bytes
 from repro.lattice.base import JoinSemilattice, LatticeElement
@@ -57,22 +68,6 @@ INIT = "init"
 SAFETYING = "safetying"
 PROPOSING = "proposing"
 HALTED = "halted"
-
-
-def gsbs_safe_ack_body(
-    rcvd_set: frozenset[SignedValue],
-    conflicts: frozenset[tuple[SignedValue, SignedValue]],
-    request_id: int,
-    round_no: int,
-) -> tuple[str, tuple[SignedValue, ...], tuple[tuple[SignedValue, SignedValue], ...], int, int]:
-    """Canonical signable body of a round-stamped ``safe_ack``."""
-    return (
-        "gsbs_safe_ack",
-        tuple(sorted(rcvd_set, key=canonical_bytes)),
-        tuple(sorted(conflicts, key=canonical_bytes)),
-        request_id,
-        round_no,
-    )
 
 
 def gsbs_ack_body(
@@ -91,32 +86,19 @@ def gsbs_ack_body(
     )
 
 
-def verify_gsbs_safe_ack(
-    registry: KeyRegistry, ack: GSbSSafeAck, expected_sender: Hashable
-) -> bool:
-    """Signature + body check for a round-stamped safe_ack (memoised per ack)."""
-    if not isinstance(ack, GSbSSafeAck) or not isinstance(ack.signature, SignedValue):
-        return False
-    if ack.signature.signer != expected_sender:
-        return False
-    return registry.memo_check(
-        "gsbs_safe_ack", ack, expected_sender, _gsbs_safe_ack_signed, registry, ack
-    )
-
-
-def _gsbs_safe_ack_signed(registry: KeyRegistry, ack: GSbSSafeAck) -> bool:
-    expected = gsbs_safe_ack_body(ack.rcvd_set, ack.conflicts, ack.request_id, ack.round)
-    return ack.signature.value == expected and registry.verify(ack.signature)
-
-
 def verify_gsbs_ack(registry: KeyRegistry, ack: GSbSAck) -> bool:
-    """Signature + body check for a round-stamped signed ack (memoised per ack)."""
+    """Signature + body check for a round-stamped signed ack (memoised per ack).
+
+    A non-frozenset ``accepted_set`` is rejected, not raised on.
+    """
     if not isinstance(ack, GSbSAck) or not isinstance(ack.signature, SignedValue):
         return False
     return registry.memo_check("gsbs_ack", ack, None, _gsbs_ack_signed, registry, ack)
 
 
 def _gsbs_ack_signed(registry: KeyRegistry, ack: GSbSAck) -> bool:
+    if not isinstance(ack.accepted_set, frozenset):
+        return False
     expected = gsbs_ack_body(ack.accepted_set, ack.destination, ack.ts, ack.round)
     return ack.signature.value == expected and registry.verify(ack.signature)
 
@@ -126,11 +108,11 @@ def verify_certificate(
 ) -> bool:
     """Well-formedness of a decided certificate (Section 8.2).
 
-    The certificate must carry at least ``quorum`` validly signed acks from
-    *distinct* acceptors, all acknowledging exactly the certified
-    ``(accepted_set, destination, ts, round)``.
+    The certificate must carry a frozenset of at least ``quorum`` validly
+    signed acks from *distinct* acceptors, all acknowledging exactly the
+    certified ``(accepted_set, destination, ts, round)``.
     """
-    if not isinstance(certificate, DecidedCertificate):
+    if not isinstance(certificate, DecidedCertificate) or not isinstance(certificate.acks, frozenset):
         return False
     signers: set[Hashable] = set()
     for ack in certificate.acks:
@@ -145,75 +127,6 @@ def verify_certificate(
             return False
         signers.add(ack.signature.signer)
     return len(signers) >= quorum
-
-
-def gsbs_value_conflicted_in(ack: GSbSSafeAck, value: SignedValue) -> bool:
-    """Whether ``value`` appears in one of ``ack``'s conflict pairs."""
-    return any(value == x or value == y for x, y in ack.conflicts)
-
-
-def gsbs_all_safe(
-    registry: KeyRegistry,
-    lattice: JoinSemilattice,
-    proven_values: Any,
-    quorum: int,
-) -> bool:
-    """``AllSafe`` adapted to round-stamped proofs of safety.
-
-    Checks each proof once per distinct content, in its own
-    ``registry.known_safe`` set, and remembers each carrier's verdict by
-    identity, like SbS's :func:`~repro.core.sbs.all_safe` (whose docstring
-    argues why both are sound).
-    """
-    if not isinstance(proven_values, frozenset):
-        return False
-    return registry.memo_check(
-        "gsbs_all_safe", proven_values, quorum,
-        _gsbs_all_proven_safe, registry, lattice, proven_values, quorum,
-    )
-
-
-def _gsbs_all_proven_safe(
-    registry: KeyRegistry, lattice: JoinSemilattice, proven_values: frozenset, quorum: int
-) -> bool:
-    known = registry.known_safe.setdefault(("gsbs", quorum), set())
-    for proven in proven_values - known:
-        if not (
-            isinstance(proven, ProvenValue)
-            and _gsbs_proven_value_safe(registry, lattice, proven, quorum)
-        ):
-            return False
-        known.add(proven)
-    return True
-
-
-def _gsbs_proven_value_safe(
-    registry: KeyRegistry, lattice: JoinSemilattice, proven: ProvenValue, quorum: int
-) -> bool:
-    value = proven.value
-    if not isinstance(value, SignedValue) or not registry.verify(value):
-        return False
-    # GSbS signs (round, batch_element) pairs; the lattice check applies
-    # to the batch element, the round tag must be a non-negative int.
-    payload = value.value
-    if (
-        not isinstance(payload, tuple)
-        or len(payload) != 2
-        or not isinstance(payload[0], int)
-        or payload[0] < 0
-        or not lattice.is_element(payload[1])
-    ):
-        return False
-    senders: set[Hashable] = set()
-    for ack in proven.safe_acks:
-        if not isinstance(ack, GSbSSafeAck):
-            return False
-        if not verify_gsbs_safe_ack(registry, ack, ack.signature.signer):
-            return False
-        if value not in ack.rcvd_set or gsbs_value_conflicted_in(ack, value):
-            return False
-        senders.add(ack.signature.signer)
-    return len(senders) >= quorum
 
 
 class GSbSProcess(AgreementProcess):
@@ -263,7 +176,6 @@ class GSbSProcess(AgreementProcess):
         self.accepted_set: frozenset[ProvenValue] = frozenset()
         self.safe_candidates: dict[int, frozenset[SignedValue]] = defaultdict(frozenset)
         self.trusted_round = 0
-        self.waiting_msgs: list[tuple[Hashable, Any]] = []
 
         for value in initial_values:
             self.new_value(value)
@@ -304,17 +216,8 @@ class GSbSProcess(AgreementProcess):
 
     def _handle_init(self, sender: Hashable, msg: GSbSInit) -> None:
         value = msg.payload
-        if not isinstance(value, SignedValue) or not self.registry.verify(value):
-            return
-        if not isinstance(msg.round, int) or msg.round < 0:
-            return
         # The signed payload is (round, batch-element); both parts are checked.
-        if not (
-            isinstance(value.value, tuple)
-            and len(value.value) == 2
-            and value.value[0] == msg.round
-            and self.lattice.is_element(value.value[1])
-        ):
+        if not is_signed_element(self.registry, self.lattice, value, GSbSSafeAck, msg.round):
             return
         # The per-round safety set freezes once this process has sent its
         # safe_req for that round (mirrors SbS's ``state = init`` guard);
@@ -328,58 +231,36 @@ class GSbSProcess(AgreementProcess):
     # -- safetying phase (per round) ---------------------------------------------------------------
 
     def _handle_safe_request(self, sender: Hashable, msg: GSbSSafeRequest) -> None:
-        if not isinstance(msg.safety_set, frozenset) or not isinstance(msg.round, int):
+        if not isinstance(msg.round, int):
             return
-        values = msg.safety_set
-        if not all(
-            isinstance(v, SignedValue)
-            and self.registry.verify(v)
-            and isinstance(v.value, tuple)
-            and len(v.value) == 2
-            and v.value[0] == msg.round
-            and self.lattice.is_element(v.value[1])
-            for v in values
-        ):
-            return
-        combined = values | self.safe_candidates[msg.round]
-        conflicts = return_conflicts(self.registry, combined)
-        body = gsbs_safe_ack_body(values, conflicts, msg.request_id, msg.round)
-        self.send_to(
-            sender,
-            GSbSSafeAck(
-                rcvd_set=values,
-                conflicts=conflicts,
-                request_id=msg.request_id,
-                round=msg.round,
-                signature=self.signer.sign(body),
-            ),
+        answer = answer_safe_request(
+            self.registry, self.lattice, self.signer, GSbSSafeAck,
+            msg.safety_set, self.safe_candidates[msg.round], msg.request_id, msg.round,
         )
-        # Keep previously vetted candidates (Algorithm 9 line 6's outer union)
-        # so equivocations keep being reported for the rest of the round.
-        self.safe_candidates[msg.round] |= combined - conflicted_values(conflicts)
+        if answer is not None:
+            ack, self.safe_candidates[msg.round] = answer
+            self.send_to(sender, ack)
 
     def _handle_safe_ack(self, sender: Hashable, msg: GSbSSafeAck) -> None:
-        if self.state != SAFETYING or msg.round != self.round:
-            return
-        valid = (
-            verify_gsbs_safe_ack(self.registry, msg, sender)
-            and msg.rcvd_set == self.safety_sets[self.round]
-            and all(
-                verify_conflict_pair(self.registry, pair) for pair in msg.conflicts
-            )
-        )
-        if valid:
+        if (
+            self.state == SAFETYING
+            and msg.round == self.round
+            and safe_ack_valid(self.registry, msg, sender, GSbSSafeAck, self.safety_sets[self.round])
+        ):
             self.safe_acks[self.round][sender] = msg
 
     # -- proposing phase ---------------------------------------------------------------------------------
 
-    def _handle_ack_request(self, sender: Hashable, msg: GSbSAckRequest) -> bool:
-        """Acceptor side; returns ``True`` when consumed, ``False`` to re-buffer."""
+    def _try_handle(self, sender: Hashable, msg: GSbSAckRequest) -> bool:
+        """Acceptor side of an ack request, the one message GSbS buffers.
+
+        Returns ``True`` when consumed, ``False`` to keep it buffered.
+        """
         if not isinstance(msg.round, int) or msg.round < 0:
             return True
         if msg.round > self.trusted_round:
             return False  # round gating: not yet trusted (Section 8.2)
-        if not gsbs_all_safe(self.registry, self.lattice, msg.proposed_set, self.quorum):
+        if not self._proven(msg.proposed_set):
             return True
         if self.accepted_set <= msg.proposed_set:
             self.accepted_set = msg.proposed_set
@@ -416,7 +297,7 @@ class GSbSProcess(AgreementProcess):
     def _handle_nack(self, sender: Hashable, msg: GSbSNack) -> None:
         if self.state != PROPOSING or msg.ts != self.ts or msg.round != self.round:
             return
-        if not gsbs_all_safe(self.registry, self.lattice, msg.accepted_set, self.quorum):
+        if not self._proven(msg.accepted_set):
             return
         merged = frozenset(msg.accepted_set | self.proposed_set)
         if merged != self.proposed_set:
@@ -435,11 +316,14 @@ class GSbSProcess(AgreementProcess):
             return
         if msg.round in self.certificates:
             return
-        if not verify_certificate(self.registry, msg, self.quorum):
-            return
-        if not gsbs_all_safe(self.registry, self.lattice, msg.accepted_set, self.quorum):
-            return
-        self.certificates[msg.round] = msg
+        if verify_certificate(self.registry, msg, self.quorum) and self._proven(msg.accepted_set):
+            self.certificates[msg.round] = msg
+
+    def _proven(self, carrier: Any) -> bool:
+        """``AllSafe`` over a frozenset carrier; any other carrier is dropped."""
+        return isinstance(carrier, frozenset) and all_safe(
+            self.registry, self.lattice, carrier, self.quorum, GSbSSafeAck
+        )
 
     # -- guard evaluation ------------------------------------------------------------------------------------
 
@@ -478,13 +362,9 @@ class GSbSProcess(AgreementProcess):
             self.state == SAFETYING
             and len(self.safe_acks[self.round]) >= self.quorum
         ):
-            proof = frozenset(self.safe_acks[self.round].values())
-            pairs = [pair for ack in proof for pair in ack.conflicts]
-            proven: set[ProvenValue] = set(self.proposed_set)
-            for value in self.safety_sets[self.round]:
-                if not any(value in pair for pair in pairs):
-                    proven.add(ProvenValue(value=value, safe_acks=proof))
-            self.proposed_set = frozenset(proven)
+            self.proposed_set = build_proofs(
+                self.proposed_set, self.safety_sets[self.round], self.safe_acks[self.round].values()
+            )
             self.state = PROPOSING
             self.ack_records = {}
             self.ts += 1
@@ -537,21 +417,3 @@ class GSbSProcess(AgreementProcess):
         )
         self.record_decision(decision, round=self.round)
         self.state = NEWROUND
-
-    # -- buffered messages -------------------------------------------------------------------------------------
-
-    def _drain_waiting(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            remaining: list[tuple[Hashable, Any]] = []
-            for sender, payload in self.waiting_msgs:
-                if isinstance(payload, GSbSAckRequest):
-                    consumed = self._handle_ack_request(sender, payload)
-                else:
-                    consumed = True
-                if consumed:
-                    progress = True
-                else:
-                    remaining.append((sender, payload))
-            self.waiting_msgs = remaining

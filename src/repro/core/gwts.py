@@ -104,7 +104,6 @@ class GWTSProcess(AgreementProcess):
         #: very same acceptor sets): the guards below ask about one round at
         #: a time, many times per message, and must not rescan all history.
         self._round_acks: dict[int, dict[AckKey, set[Hashable]]] = defaultdict(dict)
-        self.waiting_msgs: list[tuple[Hashable, Any]] = []
         #: All values this process has received as inputs (for the checkers).
         self.received_inputs: list[LatticeElement] = []
         #: Refinements performed per round (Lemma 10 bounds each by f).
@@ -297,18 +296,6 @@ class GWTSProcess(AgreementProcess):
         return best
 
     # -- buffered message processing ----------------------------------------------------------------
-
-    def _drain_waiting(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            remaining: list[tuple[Hashable, Any]] = []
-            for sender, payload in self.waiting_msgs:
-                if self._try_handle(sender, payload):
-                    progress = True
-                else:
-                    remaining.append((sender, payload))
-            self.waiting_msgs = remaining
 
     def _try_handle(self, sender: Hashable, payload: Any) -> bool:
         if isinstance(payload, RoundAckRequest):

@@ -51,6 +51,9 @@ class AgreementProcess(ProtocolCore):
         #: Decisions made by this process, in order (one entry for LA, many
         #: for GLA).  Checkers read this; the metrics collector gets a copy.
         self.decisions: list[LatticeElement] = []
+        #: Messages received but not handled yet (the paper's
+        #: ``Waiting_msgs``), re-examined by :meth:`_drain_waiting`.
+        self.waiting_msgs: list[tuple[Hashable, Any]] = []
 
     # -- membership helpers ------------------------------------------------------
 
@@ -161,3 +164,29 @@ class AgreementProcess(ProtocolCore):
         implementation does nothing.
         """
         return False
+
+    # -- buffered messages ----------------------------------------------------------
+
+    def _drain_waiting(self) -> None:
+        """Re-examine buffered messages; handle all that :meth:`_try_handle` consumes.
+
+        Each pass rebinds ``waiting_msgs`` to what is left, and passes repeat
+        while one consumes something: handling a message can admit another.
+        """
+        progress = True
+        while progress:
+            progress = False
+            remaining: list[tuple[Hashable, Any]] = []
+            for sender, payload in self.waiting_msgs:
+                if self._try_handle(sender, payload):
+                    progress = True
+                else:
+                    remaining.append((sender, payload))
+            self.waiting_msgs = remaining
+
+    def _try_handle(self, sender: Hashable, payload: Any) -> bool:
+        """Handle ``payload`` if its guard is satisfied; return ``True`` if consumed.
+
+        The default consumes (and drops) everything.
+        """
+        return True

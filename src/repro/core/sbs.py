@@ -27,7 +27,16 @@ from collections.abc import Hashable, Iterable, Sequence
 
 from typing import Any
 
-from repro.core.messages import InitPhase, ProvenValue, SafeAck, SafeRequest, SbSAck, SbSAckRequest, SbSNack
+from repro.core.messages import (
+    GSbSSafeAck,
+    InitPhase,
+    ProvenValue,
+    SafeAck,
+    SafeRequest,
+    SbSAck,
+    SbSAckRequest,
+    SbSNack,
+)
 from repro.core.process import AgreementProcess
 from repro.crypto.signatures import KeyRegistry, SignedValue, Signer, canonical_bytes
 from repro.lattice.base import JoinSemilattice, LatticeElement
@@ -102,23 +111,100 @@ def safe_ack_body(
     rcvd_set: frozenset[SignedValue],
     conflicts: frozenset[tuple[SignedValue, SignedValue]],
     request_id: int,
-) -> tuple[str, tuple[SignedValue, ...], tuple[tuple[SignedValue, SignedValue], ...], int]:
+    round_no: int | None = None,
+) -> tuple:
     """Canonical signable body of a ``safe_ack`` message.
 
-    Members are sorted by :func:`~repro.crypto.signatures.canonical_bytes`,
-    so the body, and the tag over it, is the same in every interpreter.
+    SbS signs ``("safe_ack", rcvd, conflicts, request_id)``; GSbS passes its
+    ``round_no`` and signs ``("gsbs_safe_ack", rcvd, conflicts, request_id,
+    round_no)``.  Members are sorted by
+    :func:`~repro.crypto.signatures.canonical_bytes`, so the body, and the tag
+    over it, is the same in every interpreter.
     """
+    rcvd = tuple(sorted(rcvd_set, key=canonical_bytes))
+    pairs = tuple(sorted(conflicts, key=canonical_bytes))
+    if round_no is None:
+        return ("safe_ack", rcvd, pairs, request_id)
+    return ("gsbs_safe_ack", rcvd, pairs, request_id, round_no)
+
+
+def is_signed_element(
+    registry: KeyRegistry,
+    lattice: JoinSemilattice,
+    value: Any,
+    ack_class: type,
+    round_no: int | None = None,
+) -> bool:
+    """Whether ``value`` is a validly signed init value (Algorithm 8 line 13).
+
+    SbS (``ack_class`` :class:`SafeAck`) signs a lattice element.  GSbS
+    (:class:`GSbSSafeAck`) signs a ``(round, element)`` pair whose round is an
+    int ``>= 0``, equal to ``round_no`` when one is given.
+    """
+    if not isinstance(value, SignedValue) or not registry.verify(value):
+        return False
+    if ack_class is SafeAck:
+        return lattice.is_element(value.value)
+    payload = value.value
     return (
-        "safe_ack",
-        tuple(sorted(rcvd_set, key=canonical_bytes)),
-        tuple(sorted(conflicts, key=canonical_bytes)),
-        request_id,
+        isinstance(payload, tuple)
+        and len(payload) == 2
+        and isinstance(payload[0], int)
+        and payload[0] >= 0
+        and (round_no is None or payload[0] == round_no)
+        and lattice.is_element(payload[1])
     )
 
 
-def verify_safe_ack(registry: KeyRegistry, ack: SafeAck, expected_sender: Hashable) -> bool:
-    """``Verify(m)`` for safe_ack messages: signature matches body and sender."""
-    if not isinstance(ack, SafeAck) or not isinstance(ack.signature, SignedValue):
+def answer_safe_request(
+    registry: KeyRegistry,
+    lattice: JoinSemilattice,
+    signer: Signer,
+    ack_class: type,
+    values: Any,
+    candidates: frozenset[SignedValue],
+    request_id: int,
+    round_no: int | None = None,
+) -> tuple[SafeAck | GSbSSafeAck, frozenset[SignedValue]] | None:
+    """Acceptor side of the safetying phase (Algorithm 9 lines 3-6).
+
+    Returns the signed ``ack_class`` answering ``values`` and the acceptor's
+    new ``SafeCandidates``, or ``None`` when ``values`` is not a frozenset of
+    validly signed values (:func:`is_signed_element`).  GSbS passes the
+    request's ``round_no``, which stamps the values, the body and the ack.
+    """
+    if not isinstance(values, frozenset) or not all(
+        is_signed_element(registry, lattice, v, ack_class, round_no) for v in values
+    ):
+        return None
+    combined = values | candidates
+    conflicts = return_conflicts(registry, combined)
+    stamp = {} if round_no is None else {"round": round_no}
+    ack = ack_class(
+        rcvd_set=values,
+        conflicts=conflicts,
+        request_id=request_id,
+        signature=signer.sign(safe_ack_body(values, conflicts, request_id, round_no)),
+        **stamp,
+    )
+    # Algorithm 9 line 6: SafeCandidates ∪ RemoveConflicts(...), with
+    # RemoveConflicts read off the conflicts just computed.  The outer union
+    # matters: a value that already reached the candidate set is never
+    # forgotten, so an equivocating signer keeps being reported as a conflict
+    # forever (this is what makes Lemma 13 hold).
+    return ack, candidates | (combined - conflicted_values(conflicts))
+
+
+def verify_safe_ack(
+    registry: KeyRegistry, ack: Any, expected_sender: Hashable, ack_class: type = SafeAck
+) -> bool:
+    """``Verify(m)`` for safe_ack messages: signature matches body and sender.
+
+    ``ack`` must be an ``ack_class`` (the calling core's safe_ack message)
+    and well formed: frozenset ``rcvd_set`` and ``conflicts``, every conflict
+    a pair.  Anything else a Byzantine sender signs is rejected, not raised on.
+    """
+    if not isinstance(ack, ack_class) or not isinstance(ack.signature, SignedValue):
         return False
     if ack.signature.signer != expected_sender:
         return False
@@ -128,15 +214,53 @@ def verify_safe_ack(registry: KeyRegistry, ack: SafeAck, expected_sender: Hashab
     return registry.memo_check("safe_ack", ack, expected_sender, _safe_ack_signed, registry, ack)
 
 
-def _safe_ack_signed(registry: KeyRegistry, ack: SafeAck) -> bool:
-    return ack.signature.value == safe_ack_body(
-        ack.rcvd_set, ack.conflicts, ack.request_id
-    ) and registry.verify(ack.signature)
+def _safe_ack_signed(registry: KeyRegistry, ack: SafeAck | GSbSSafeAck) -> bool:
+    if not (
+        isinstance(ack.rcvd_set, frozenset)
+        and isinstance(ack.conflicts, frozenset)
+        and all(isinstance(pair, tuple) and len(pair) == 2 for pair in ack.conflicts)
+    ):
+        return False
+    body = safe_ack_body(ack.rcvd_set, ack.conflicts, ack.request_id, getattr(ack, "round", None))
+    return ack.signature.value == body and registry.verify(ack.signature)
 
 
-def value_conflicted_in(ack: SafeAck, value: SignedValue) -> bool:
+def safe_ack_valid(
+    registry: KeyRegistry, ack: Any, sender: Hashable, ack_class: type, safety_set: frozenset[SignedValue]
+) -> bool:
+    """Proposer side (Algorithm 8 lines 19-23): ``sender``'s signed ack of
+    ``safety_set`` whose every reported conflict verifies."""
+    return (
+        verify_safe_ack(registry, ack, sender, ack_class)
+        and ack.rcvd_set == safety_set
+        and all(verify_conflict_pair(registry, pair) for pair in ack.conflicts)
+    )
+
+
+def build_proofs(
+    proposed_set: frozenset[ProvenValue],
+    safety_set: frozenset[SignedValue],
+    safe_acks: Iterable[SafeAck | GSbSSafeAck],
+) -> frozenset[ProvenValue]:
+    """Algorithm 8 lines 25-28: ``proposed_set`` plus every value of
+    ``safety_set`` that no ack lists as a conflict, each proven by the quorum
+    ``safe_acks``."""
+    proof = frozenset(safe_acks)
+    pairs = [pair for ack in proof for pair in ack.conflicts]
+    proven: set[ProvenValue] = set(proposed_set)
+    for value in safety_set:
+        if not any(value in pair for pair in pairs):
+            proven.add(ProvenValue(value=value, safe_acks=proof))
+    return frozenset(proven)
+
+
+def value_conflicted_in(ack: SafeAck | GSbSSafeAck, value: SignedValue) -> bool:
     """Whether ``value`` appears in one of ``ack``'s conflict pairs."""
     return any(value == x or value == y for x, y in ack.conflicts)
+
+
+#: ``registry.known_safe`` scope name per core, keyed by its safe_ack class.
+_SCOPES = {SafeAck: "sbs", GSbSSafeAck: "gsbs"}
 
 
 def all_safe(
@@ -144,19 +268,22 @@ def all_safe(
     lattice: JoinSemilattice,
     proven_values: Iterable[ProvenValue],
     quorum: int,
+    ack_class: type = SafeAck,
 ) -> bool:
-    """``AllSafe(Set)`` (Algorithm 10 lines 13-20).
+    """``AllSafe(Set)`` (Algorithm 10 lines 13-20), for SbS and GSbS.
 
     Every ``<v, Acks>`` pair must carry a Byzantine quorum of valid, distinct
     safe_acks that (a) all contain ``v`` in their received set and (b) never
     list ``v`` as a conflict; ``v`` itself must be a validly signed lattice
-    point.
+    point (:func:`is_signed_element`).  The acks must be of the calling
+    core's ``ack_class``: a GSbS proof holding an SbS ack fails, and the
+    reverse.
 
     Each proof is checked once per distinct content.  A frozenset carrier
     checks only ``carrier - known``, where ``known`` (``registry.known_safe``,
-    one set per quorum) holds every ``ProvenValue`` that passed.  This is
-    sound because the verdict depends only on the value's content, the
-    registry's keys and the lattice, which one registry's run fixes, and
+    one set per core and quorum) holds every ``ProvenValue`` that passed.
+    This is sound because the verdict depends only on the value's content,
+    the registry's keys and the lattice, which one registry's run fixes, and
     frozen dataclasses compare by content: a value equal to one that passed
     passes, and any other value (one tampered tag, say) is checked.  The
     difference uses the hashes a frozenset keeps, so it rehashes nothing.
@@ -168,13 +295,13 @@ def all_safe(
     """
     if not isinstance(proven_values, frozenset):
         return all(
-            isinstance(proven, ProvenValue)
-            and _proven_value_safe(registry, lattice, proven, quorum)
+            _proven_value_safe(registry, lattice, proven, quorum, ack_class)
             for proven in proven_values
         )
+    scope = (_SCOPES[ack_class], quorum)
     return registry.memo_check(
-        "all_safe", proven_values, quorum,
-        _all_proven_safe, registry, lattice, proven_values, quorum,
+        "all_safe", proven_values, scope,
+        _all_proven_safe, registry, lattice, proven_values, scope, ack_class,
     )
 
 
@@ -182,15 +309,13 @@ def _all_proven_safe(
     registry: KeyRegistry,
     lattice: JoinSemilattice,
     proven_values: frozenset,
-    quorum: int,
+    scope: tuple[str, int],
+    ack_class: type,
 ) -> bool:
     """Check the members of a carrier not yet in ``known``; remember those that pass."""
-    known = registry.known_safe.setdefault(("sbs", quorum), set())
+    known = registry.known_safe.setdefault(scope, set())
     for proven in proven_values - known:
-        if not (
-            isinstance(proven, ProvenValue)
-            and _proven_value_safe(registry, lattice, proven, quorum)
-        ):
+        if not _proven_value_safe(registry, lattice, proven, scope[1], ack_class):
             return False
         known.add(proven)
     return True
@@ -199,31 +324,31 @@ def _all_proven_safe(
 def _proven_value_safe(
     registry: KeyRegistry,
     lattice: JoinSemilattice,
-    proven: ProvenValue,
+    proven: Any,
     quorum: int,
+    ack_class: type,
 ) -> bool:
-    """Uncached per-value check behind :func:`all_safe`."""
-    value = proven.value
-    if not isinstance(value, SignedValue) or not registry.verify(value):
+    """Uncached per-value check behind :func:`all_safe`.
+
+    The ack count comes first, then the distinct signers, and only then is
+    any ack verified.
+    """
+    if not isinstance(proven, ProvenValue):
         return False
-    if not lattice.is_element(value.value):
+    value, acks = proven.value, proven.safe_acks
+    if not is_signed_element(registry, lattice, value, ack_class):
         return False
-    acks = list(proven.safe_acks)
-    if len(acks) < quorum:
+    if not isinstance(acks, frozenset) or len(acks) < quorum:
         return False
-    senders = {ack.signature.signer for ack in acks if isinstance(ack, SafeAck)}
-    if len(senders) < quorum:
+    signed = [ack for ack in acks if isinstance(ack, ack_class) and isinstance(ack.signature, SignedValue)]
+    if len(signed) < len(acks) or len({ack.signature.signer for ack in signed}) < quorum:
         return False
-    for ack in acks:
-        if not isinstance(ack, SafeAck):
-            return False
-        if not verify_safe_ack(registry, ack, ack.signature.signer):
-            return False
-        if value not in ack.rcvd_set:
-            return False
-        if value_conflicted_in(ack, value):
-            return False
-    return True
+    return all(
+        verify_safe_ack(registry, ack, ack.signature.signer, ack_class)
+        and value in ack.rcvd_set
+        and not value_conflicted_in(ack, value)
+        for ack in signed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,63 +435,26 @@ class SbSProcess(AgreementProcess):
 
     def _handle_init(self, sender: Hashable, msg: InitPhase) -> None:
         value = msg.payload
-        if not isinstance(value, SignedValue) or not self.registry.verify(value):
-            return
-        if not self.lattice.is_element(value.value):
-            return
-        if self.state != INIT:
-            return
-        self.safety_set = remove_conflicts(
-            self.registry, set(self.safety_set) | {value}
-        )
+        if is_signed_element(self.registry, self.lattice, value, SafeAck) and self.state == INIT:
+            self.safety_set = remove_conflicts(self.registry, set(self.safety_set) | {value})
 
     # -- safetying phase -------------------------------------------------------------------
 
     def _handle_safe_request(self, sender: Hashable, msg: SafeRequest) -> None:
         """Acceptor side (Algorithm 9 lines 3-6)."""
-        if not isinstance(msg.safety_set, frozenset):
-            return
-        values = msg.safety_set
-        if not all(
-            isinstance(v, SignedValue)
-            and self.registry.verify(v)
-            and self.lattice.is_element(v.value)
-            for v in values
-        ):
-            return
-        combined = values | self.safe_candidates
-        conflicts = return_conflicts(self.registry, combined)
-        signature = self.signer.sign(safe_ack_body(values, conflicts, msg.request_id))
-        self.send_to(
-            sender,
-            SafeAck(
-                rcvd_set=values,
-                conflicts=conflicts,
-                request_id=msg.request_id,
-                signature=signature,
-            ),
+        answer = answer_safe_request(
+            self.registry, self.lattice, self.signer, SafeAck,
+            msg.safety_set, self.safe_candidates, msg.request_id,
         )
-        # Algorithm 9 line 6: SafeCandidates ∪ RemoveConflicts(...), with
-        # RemoveConflicts read off the conflicts just computed.  The outer
-        # union matters: a value that already reached the candidate set is
-        # never forgotten, so an equivocating signer keeps being reported as a
-        # conflict forever (this is what makes Lemma 13 hold).
-        self.safe_candidates = self.safe_candidates | (
-            combined - conflicted_values(conflicts)
-        )
+        if answer is not None:
+            ack, self.safe_candidates = answer
+            self.send_to(sender, ack)
 
     def _handle_safe_ack(self, sender: Hashable, msg: SafeAck) -> None:
         """Proposer side (Algorithm 8 lines 19-23)."""
         if self.state != SAFETYING:
             return
-        valid = (
-            verify_safe_ack(self.registry, msg, sender)
-            and msg.rcvd_set == self.safety_set
-            and all(
-                verify_conflict_pair(self.registry, pair) for pair in msg.conflicts
-            )
-        )
-        if valid:
+        if safe_ack_valid(self.registry, msg, sender, SafeAck, self.safety_set):
             self.safe_acks[sender] = msg
         else:
             self.byz.add(sender)
@@ -377,7 +465,7 @@ class SbSProcess(AgreementProcess):
         """Acceptor side (Algorithm 9 lines 7-14)."""
         if not isinstance(msg.proposed_set, frozenset):
             return
-        if not all_safe(self.registry, self.lattice, msg.proposed_set, self.quorum):
+        if not all_safe(self.registry, self.lattice, msg.proposed_set, self.quorum, SafeAck):
             return
         if self.accepted_set <= msg.proposed_set:
             self.accepted_set = msg.proposed_set
@@ -409,7 +497,7 @@ class SbSProcess(AgreementProcess):
         if (
             merged != self.proposed_set
             and sender not in self.byz
-            and all_safe(self.registry, self.lattice, msg.accepted_set, self.quorum)
+            and all_safe(self.registry, self.lattice, msg.accepted_set, self.quorum, SafeAck)
         ):
             self.proposed_set = merged
             self.ack_senders = set()
@@ -436,13 +524,9 @@ class SbSProcess(AgreementProcess):
         # Algorithm 8 lines 25-31: a Byzantine quorum of safe_acks; build the
         # proofs of safety and start proposing.
         if self.state == SAFETYING and len(self.safe_acks) >= self.quorum:
-            proof = frozenset(self.safe_acks.values())
-            pairs = [pair for ack in proof for pair in ack.conflicts]
-            proven: set[ProvenValue] = set(self.proposed_set)
-            for value in self.safety_set:
-                if not any(value in pair for pair in pairs):
-                    proven.add(ProvenValue(value=value, safe_acks=proof))
-            self.proposed_set = frozenset(proven)
+            self.proposed_set = build_proofs(
+                self.proposed_set, self.safety_set, self.safe_acks.values()
+            )
             self.state = PROPOSING
             self.ack_senders = set()
             self.ts += 1

@@ -83,7 +83,6 @@ class WTSProcess(AgreementProcess):
         #: them (as GWTS keeps ``W_r``), so ``is_safe`` does not re-join
         #: ``SvS`` on every check.
         self._safe_bound: LatticeElement = lattice.bottom()
-        self.waiting_msgs: list[tuple[Hashable, Any]] = []
         #: Number of proposal refinements performed (Lemma 3 bounds it by f).
         self.refinements = 0
 
@@ -168,19 +167,6 @@ class WTSProcess(AgreementProcess):
     def _broadcast_ack_request(self) -> None:
         request = AckRequest(proposed_set=self.proposed_set, ts=self.ts)
         self.send_to_members(request)
-
-    def _drain_waiting(self) -> None:
-        """Re-examine buffered messages; handle all that have become safe."""
-        progress = True
-        while progress:
-            progress = False
-            remaining: list[tuple[Hashable, Any]] = []
-            for sender, payload in self.waiting_msgs:
-                if self._try_handle(sender, payload):
-                    progress = True
-                else:
-                    remaining.append((sender, payload))
-            self.waiting_msgs = remaining
 
     def _try_handle(self, sender: Hashable, payload: Any) -> bool:
         """Handle ``payload`` if its guard is satisfied; return ``True`` if consumed."""

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.gsbs import GSbSProcess, gsbs_ack_body, verify_certificate, verify_gsbs_ack
-from repro.core.messages import DecidedCertificate, GSbSAck
+from repro.core.gsbs import PROPOSING, SAFETYING, GSbSProcess, gsbs_ack_body, verify_certificate, verify_gsbs_ack
+from repro.core.messages import DecidedCertificate, GSbSAck, GSbSAckRequest, GSbSInit, GSbSSafeRequest
 from repro.crypto import SignedValue
+from repro.engine import Deliver, Start
 from repro.harness import run_gsbs_scenario
 from repro.lattice import SetLattice
 
@@ -110,3 +111,57 @@ class TestProcessInternals:
             process.new_value("junk")
         process.new_value(frozenset({"ok"}))
         assert process.batches[0] == [frozenset({"ok"})]
+
+
+
+class TestMalformedByzantineMessages:
+    """A Byzantine ``p3`` sends wrongly shaped fields, signed with its own valid key.
+
+    Honest processes reject such messages like any invalid proof; they never
+    raise.
+    """
+
+    MEMBERS = ["p0", "p1", "p2", "p3"]
+
+    def started(self, registry):
+        process = GSbSProcess("p0", SetLattice(), self.MEMBERS, 1, registry=registry,
+                              initial_values=[frozenset({"a"})])
+        process.handle(Start())
+        return process
+
+    def proposing(self, registry):
+        """``p0`` in round 0's proposing phase, its safety set vetted by real acceptors."""
+        process = self.started(registry)
+        effects = []
+        for sender in ("p1", "p2"):
+            value = registry.register(sender).sign((0, frozenset({sender})))
+            effects += process.handle(Deliver(sender, GSbSInit(payload=value, round=0)))
+        assert process.state == SAFETYING
+        request = next(effect.payload for effect in effects if isinstance(effect.payload, GSbSSafeRequest))
+        for pid in ("p1", "p2", "p3"):
+            acceptor = GSbSProcess(pid, SetLattice(), self.MEMBERS, 1, registry=registry)
+            for effect in acceptor.handle(Deliver("p0", request)):
+                process.handle(Deliver(pid, effect.payload))
+        assert process.state == PROPOSING
+        return process
+
+    def test_signed_ack_whose_accepted_set_is_not_a_set(self, registry):
+        process = self.proposing(registry)
+        signature = registry.register("p3").sign(("gsbs_ack", 5, "p0", process.ts, 0))
+        ack = GSbSAck(accepted_set=5, destination="p0", ts=process.ts, round=0, signature=signature)
+        process.handle(Deliver("p3", ack))
+        assert "p3" not in process.ack_records
+        assert process.state == PROPOSING
+
+    def test_certificate_whose_acks_are_not_a_set(self, registry):
+        process = self.started(registry)
+        certificate = DecidedCertificate(accepted_set=frozenset(), destination="p3", ts=1, round=0, acks=5)
+        process.handle(Deliver("p3", certificate))
+        assert process.certificates == {}
+
+    def test_acceptor_drops_a_tuple_proposed_set(self, registry):
+        process = self.started(registry)
+        sent = process.handle(Deliver("p3", GSbSAckRequest(proposed_set=(), ts=1, round=0)))
+        assert sent == []
+        assert process.accepted_set == frozenset()
+        assert process.waiting_msgs == []

@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ablations import BlindKeyRegistry
-from repro.core.messages import InitPhase, ProvenValue, SafeAck, SafeRequest, SbSAck, SbSAckRequest
+from repro.core.messages import (
+    GSbSSafeAck,
+    InitPhase,
+    ProvenValue,
+    SafeAck,
+    SafeRequest,
+    SbSAck,
+    SbSAckRequest,
+    SbSNack,
+)
 from repro.core.sbs import (
     INIT,
     PROPOSING,
@@ -22,6 +31,32 @@ from repro.crypto import KeyRegistry, SignedValue, canonical_bytes
 from repro.engine import Deliver, FixedDelay, Start
 from repro.harness import run_sbs_scenario
 from repro.lattice import SetLattice
+
+#: The shared checker serves both signature cores, named by their safe_ack class.
+ACK_CLASSES = pytest.mark.parametrize("ack_class", [SafeAck, GSbSSafeAck], ids=["sbs", "gsbs"])
+
+
+def stamped(ack_class, element):
+    """``element`` as ``ack_class``'s core signs it: bare for SbS, ``(0, element)`` for GSbS."""
+    return element if ack_class is SafeAck else (0, element)
+
+
+def ack_body(ack_class, rcvd, conflicts=frozenset()):
+    """The body ``ack_class``'s core signs for a round-0 safe_ack."""
+    if ack_class is SafeAck:
+        return safe_ack_body(rcvd, conflicts, 0)
+    return safe_ack_body(rcvd, conflicts, 0, 0)
+
+
+def make_safe_ack(ack_class, rcvd, signature, conflicts=frozenset()):
+    """A round-0 safe_ack of ``rcvd`` carrying ``signature``."""
+    stamp = {} if ack_class is SafeAck else {"round": 0}
+    return ack_class(rcvd_set=rcvd, conflicts=conflicts, request_id=0, signature=signature, **stamp)
+
+
+def honest_ack(ack_class, signer, rcvd, conflicts=frozenset()):
+    """``signer``'s round-0 safe_ack of ``rcvd``, signed over its own body."""
+    return make_safe_ack(ack_class, rcvd, signer.sign(ack_body(ack_class, rcvd, conflicts)), conflicts)
 
 
 class TestHelpers:
@@ -58,86 +93,91 @@ class TestHelpers:
         cleaned = remove_conflicts(registry, {honest, x, y})
         assert cleaned == frozenset({honest})
 
-    def test_verify_safe_ack_roundtrip(self, registry):
+    @ACK_CLASSES
+    def test_verify_safe_ack_roundtrip(self, registry, ack_class):
         acceptor = registry.register("acc")
-        rcvd = frozenset({registry.register("p1").sign(frozenset({"v"}))})
-        body = safe_ack_body(rcvd, frozenset(), 0)
-        ack = SafeAck(rcvd_set=rcvd, conflicts=frozenset(), request_id=0,
-                      signature=acceptor.sign(body))
-        assert verify_safe_ack(registry, ack, "acc")
-        assert not verify_safe_ack(registry, ack, "someone-else")
+        rcvd = frozenset({registry.register("p1").sign(stamped(ack_class, frozenset({"v"})))})
+        ack = honest_ack(ack_class, acceptor, rcvd)
+        assert verify_safe_ack(registry, ack, "acc", ack_class)
+        assert not verify_safe_ack(registry, ack, "someone-else", ack_class)
 
-    def test_verify_safe_ack_rejects_tampered_body(self, registry):
+    @ACK_CLASSES
+    def test_verify_safe_ack_rejects_tampered_body(self, registry, ack_class):
         acceptor = registry.register("acc")
-        value = registry.register("p1").sign(frozenset({"v"}))
-        rcvd = frozenset({value})
-        ack = SafeAck(rcvd_set=rcvd, conflicts=frozenset(), request_id=0,
-                      signature=acceptor.sign(("wrong", "body")))
-        assert not verify_safe_ack(registry, ack, "acc")
+        value = registry.register("p1").sign(stamped(ack_class, frozenset({"v"})))
+        ack = make_safe_ack(ack_class, frozenset({value}), acceptor.sign(("wrong", "body")))
+        assert not verify_safe_ack(registry, ack, "acc", ack_class)
 
-    def test_all_safe_requires_quorum_of_valid_acks(self, registry):
+    @ACK_CLASSES
+    def test_all_safe_requires_quorum_of_valid_acks(self, registry, ack_class):
         lattice = SetLattice()
-        value = registry.register("p1").sign(frozenset({"v"}))
-        acks = []
-        for name in ("a1", "a2", "a3"):
-            acceptor = registry.register(name)
-            body = safe_ack_body(frozenset({value}), frozenset(), 0)
-            acks.append(SafeAck(rcvd_set=frozenset({value}), conflicts=frozenset(),
-                                request_id=0, signature=acceptor.sign(body)))
-        proven = ProvenValue(value=value, safe_acks=frozenset(acks))
-        assert all_safe(registry, lattice, [proven], quorum=3)
-        assert not all_safe(registry, lattice, [proven], quorum=4)
+        proven = proven_value(registry, "p1", frozenset({"v"}), ack_class=ack_class)
+        assert all_safe(registry, lattice, [proven], 3, ack_class)
+        assert not all_safe(registry, lattice, [proven], 4, ack_class)
 
-    def test_all_safe_rejects_fabricated_proof(self, registry):
+    @ACK_CLASSES
+    def test_all_safe_rejects_fabricated_proof(self, registry, ack_class):
         lattice = SetLattice()
         registry.register("victim")
-        forged_value = SignedValue(value=frozenset({"evil"}), signer="victim", tag=b"x")
-        forged_ack = SafeAck(
-            rcvd_set=frozenset({forged_value}), conflicts=frozenset(), request_id=0,
-            signature=SignedValue(value=("junk",), signer="victim", tag=b"y"),
+        forged_value = SignedValue(value=stamped(ack_class, frozenset({"evil"})), signer="victim", tag=b"x")
+        forged_ack = make_safe_ack(
+            ack_class, frozenset({forged_value}), SignedValue(value=("junk",), signer="victim", tag=b"y")
         )
         proven = ProvenValue(value=forged_value, safe_acks=frozenset({forged_ack}))
-        assert not all_safe(registry, lattice, [proven], quorum=1)
+        assert not all_safe(registry, lattice, [proven], 1, ack_class)
 
-    def test_all_safe_rejects_conflicted_value(self, registry):
+    @ACK_CLASSES
+    def test_all_safe_rejects_conflicted_value(self, registry, ack_class):
         lattice = SetLattice()
         equivocator = registry.register("p0")
-        x = equivocator.sign(frozenset({"a"}))
-        y = equivocator.sign(frozenset({"b"}))
-        acceptor = registry.register("acc")
-        conflicts = frozenset({(x, y)})
-        body = safe_ack_body(frozenset({x}), conflicts, 0)
-        ack = SafeAck(rcvd_set=frozenset({x}), conflicts=conflicts, request_id=0,
-                      signature=acceptor.sign(body))
+        x = equivocator.sign(stamped(ack_class, frozenset({"a"})))
+        y = equivocator.sign(stamped(ack_class, frozenset({"b"})))
+        ack = honest_ack(ack_class, registry.register("acc"), frozenset({x}), frozenset({(x, y)}))
         proven = ProvenValue(value=x, safe_acks=frozenset({ack}))
-        assert not all_safe(registry, lattice, [proven], quorum=1)
+        assert not all_safe(registry, lattice, [proven], 1, ack_class)
 
-    def test_all_safe_checks_the_one_new_proof_of_a_known_carrier(self, registry):
+    @pytest.mark.parametrize("ack_class, scope", [(SafeAck, "sbs"), (GSbSSafeAck, "gsbs")], ids=["sbs", "gsbs"])
+    def test_all_safe_checks_the_one_new_proof_of_a_known_carrier(self, registry, ack_class, scope):
         lattice = SetLattice()
-        proven = [proven_value(registry, f"p{i}", frozenset({f"v{i}"})) for i in range(3)]
-        assert all_safe(registry, lattice, frozenset(proven), quorum=3)
-        assert registry.known_safe[("sbs", 3)] == set(proven)
+        proven = [proven_value(registry, f"p{i}", frozenset({f"v{i}"}), ack_class=ack_class) for i in range(3)]
+        assert all_safe(registry, lattice, frozenset(proven), 3, ack_class)
+        assert registry.known_safe[(scope, 3)] == set(proven)
         # The new value's acks were signed over a body that does not hold it.
-        unproven = registry.register("p9").sign(frozenset({"v9"}))
-        body = safe_ack_body(frozenset(), frozenset(), 0)
+        unproven = registry.register("p9").sign(stamped(ack_class, frozenset({"v9"})))
+        body = ack_body(ack_class, frozenset())
         acks = frozenset(
-            SafeAck(rcvd_set=frozenset({unproven}), conflicts=frozenset(), request_id=0,
-                    signature=registry.register(name).sign(body))
+            make_safe_ack(ack_class, frozenset({unproven}), registry.register(name).sign(body))
             for name in ("a1", "a2", "a3")
         )
         carrier = frozenset([*proven, ProvenValue(value=unproven, safe_acks=acks)])
-        assert not all_safe(registry, lattice, carrier, quorum=3)
-        assert registry.known_safe[("sbs", 3)] == set(proven)
+        assert not all_safe(registry, lattice, carrier, 3, ack_class)
+        assert registry.known_safe[(scope, 3)] == set(proven)
+
+    def test_a_proof_holding_the_other_cores_acks_is_rejected(self, registry):
+        lattice = SetLattice()
+        sbs = proven_value(registry, "p1", frozenset({"v"}))
+        gsbs = proven_value(registry, "p1", frozenset({"v"}), ack_class=GSbSSafeAck)
+        assert all_safe(registry, lattice, [sbs], 3, SafeAck)
+        assert not all_safe(registry, lattice, [sbs], 3, GSbSSafeAck)
+        assert all_safe(registry, lattice, [gsbs], 3, GSbSSafeAck)
+        assert not all_safe(registry, lattice, [gsbs], 3, SafeAck)
+
+    @pytest.mark.parametrize("payload", [(-1, frozenset({"v"})), frozenset({"v"}), (0, frozenset({"v"}), 0)],
+                             ids=["round-minus-one", "bare-element", "triple"])
+    def test_gsbs_proof_needs_a_round_stamped_pair(self, registry, payload):
+        signed = registry.register("p1").sign(payload)
+        acks = frozenset(
+            honest_ack(GSbSSafeAck, registry.register(name), frozenset({signed})) for name in ("a1", "a2", "a3")
+        )
+        proven = ProvenValue(value=signed, safe_acks=acks)
+        assert not all_safe(registry, SetLattice(), [proven], 3, GSbSSafeAck)
 
 
-def proven_value(registry, signer, value, acceptors=("a1", "a2", "a3")):
+def proven_value(registry, signer, value, acceptors=("a1", "a2", "a3"), ack_class=SafeAck):
     """``value`` signed by ``signer`` with one honest safe_ack per acceptor."""
-    signed = registry.register(signer).sign(value)
-    body = safe_ack_body(frozenset({signed}), frozenset(), 0)
+    signed = registry.register(signer).sign(stamped(ack_class, value))
     acks = frozenset(
-        SafeAck(rcvd_set=frozenset({signed}), conflicts=frozenset(), request_id=0,
-                signature=registry.register(name).sign(body))
-        for name in acceptors
+        honest_ack(ack_class, registry.register(name), frozenset({signed})) for name in acceptors
     )
     return ProvenValue(value=signed, safe_acks=acks)
 
@@ -300,3 +340,55 @@ class TestUponEvent:
             process.handle(Deliver(sender, ack))
             assert process.progress_calls > 0
             assert process.state == (PROPOSING if count == process.quorum else SAFETYING)
+
+
+class TestMalformedByzantineMessages:
+    """A Byzantine ``p3`` signs wrongly shaped fields with its own valid key.
+
+    Honest processes reject such messages like any invalid proof, and mark
+    ``p3`` Byzantine where SbS does so; they never raise.
+    """
+
+    MEMBERS = ["p0", "p1", "p2", "p3"]
+
+    def safetying(self, registry):
+        process = SbSProcess("p0", SetLattice(), self.MEMBERS, 1, registry=registry, proposal=frozenset({"a"}))
+        process.handle(Start())
+        for sender in ("p1", "p2"):
+            value = registry.register(sender).sign(frozenset({sender}))
+            process.handle(Deliver(sender, InitPhase(payload=value)))
+        assert process.state == SAFETYING
+        return process
+
+    def proposing(self, registry):
+        process = self.safetying(registry)
+        for sender in ("p1", "p2", "p3"):
+            process.handle(Deliver(sender, honest_ack(SafeAck, registry.register(sender), process.safety_set)))
+        assert process.state == PROPOSING
+        return process
+
+    def unshaped_proof(self, registry):
+        signed = registry.register("p3").sign(frozenset({"z"}))
+        return frozenset({ProvenValue(value=signed, safe_acks=5)})
+
+    def test_safe_ack_whose_conflict_is_not_a_pair(self, registry):
+        process = self.safetying(registry)
+        conflicts = frozenset({1})
+        signature = registry.register("p3").sign(safe_ack_body(process.safety_set, conflicts, 0))
+        ack = SafeAck(rcvd_set=process.safety_set, conflicts=conflicts, request_id=0, signature=signature)
+        process.handle(Deliver("p3", ack))
+        assert "p3" in process.byz
+        assert "p3" not in process.safe_acks
+
+    def test_ack_request_whose_proof_is_not_a_set(self, registry):
+        process = self.safetying(registry)
+        sent = process.handle(Deliver("p3", SbSAckRequest(proposed_set=self.unshaped_proof(registry), ts=1)))
+        assert sent == []
+        assert process.accepted_set == frozenset()
+
+    def test_nack_whose_proof_is_not_a_set(self, registry):
+        process = self.proposing(registry)
+        proposed = process.proposed_set
+        process.handle(Deliver("p3", SbSNack(accepted_set=self.unshaped_proof(registry), ts=process.ts)))
+        assert "p3" in process.byz
+        assert process.proposed_set == proposed
