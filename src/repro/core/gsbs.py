@@ -55,9 +55,9 @@ from repro.core.sbs import (
     all_safe,
     answer_safe_request,
     build_proofs,
-    is_signed_element,
     remove_conflicts,
     safe_ack_valid,
+    signs_elements,
 )
 from repro.crypto.signatures import KeyRegistry, SignedValue, Signer, canonical_bytes
 from repro.lattice.base import JoinSemilattice, LatticeElement
@@ -217,7 +217,7 @@ class GSbSProcess(AgreementProcess):
     def _handle_init(self, sender: Hashable, msg: GSbSInit) -> None:
         value = msg.payload
         # The signed payload is (round, batch-element); both parts are checked.
-        if not is_signed_element(self.registry, self.lattice, value, GSbSSafeAck, msg.round):
+        if not signs_elements(self.registry, self.lattice, (value,), GSbSSafeAck, msg.round):
             return
         # The per-round safety set freezes once this process has sent its
         # safe_req for that round (mirrors SbS's ``state = init`` guard);

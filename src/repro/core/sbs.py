@@ -128,32 +128,38 @@ def safe_ack_body(
     return ("gsbs_safe_ack", rcvd, pairs, request_id, round_no)
 
 
-def is_signed_element(
+def signs_elements(
     registry: KeyRegistry,
     lattice: JoinSemilattice,
-    value: Any,
+    values: Iterable[Any],
     ack_class: type,
     round_no: int | None = None,
 ) -> bool:
-    """Whether ``value`` is a validly signed init value (Algorithm 8 line 13).
+    """Whether every one of ``values`` is a validly signed init value
+    (Algorithm 8 line 13).
 
     SbS (``ack_class`` :class:`SafeAck`) signs a lattice element.  GSbS
     (:class:`GSbSSafeAck`) signs a ``(round, element)`` pair whose round is an
-    int ``>= 0``, equal to ``round_no`` when one is given.
+    int ``>= 0``, equal to ``round_no`` when one is given.  One call walks a
+    whole safety set: this runs for every value every acceptor vets.
     """
-    if not isinstance(value, SignedValue) or not registry.verify(value):
-        return False
-    if ack_class is SafeAck:
-        return lattice.is_element(value.value)
-    payload = value.value
-    return (
-        isinstance(payload, tuple)
-        and len(payload) == 2
-        and isinstance(payload[0], int)
-        and payload[0] >= 0
-        and (round_no is None or payload[0] == round_no)
-        and lattice.is_element(payload[1])
-    )
+    for value in values:
+        if not isinstance(value, SignedValue) or not registry.verify(value):
+            return False
+        payload = value.value
+        if ack_class is not SafeAck:
+            if not (
+                isinstance(payload, tuple)
+                and len(payload) == 2
+                and isinstance(payload[0], int)
+                and payload[0] >= 0
+                and (round_no is None or payload[0] == round_no)
+            ):
+                return False
+            payload = payload[1]
+        if not lattice.is_element(payload):
+            return False
+    return True
 
 
 def answer_safe_request(
@@ -170,12 +176,10 @@ def answer_safe_request(
 
     Returns the signed ``ack_class`` answering ``values`` and the acceptor's
     new ``SafeCandidates``, or ``None`` when ``values`` is not a frozenset of
-    validly signed values (:func:`is_signed_element`).  GSbS passes the
+    validly signed values (:func:`signs_elements`).  GSbS passes the
     request's ``round_no``, which stamps the values, the body and the ack.
     """
-    if not isinstance(values, frozenset) or not all(
-        is_signed_element(registry, lattice, v, ack_class, round_no) for v in values
-    ):
+    if not isinstance(values, frozenset) or not signs_elements(registry, lattice, values, ack_class, round_no):
         return None
     combined = values | candidates
     conflicts = return_conflicts(registry, combined)
@@ -275,7 +279,7 @@ def all_safe(
     Every ``<v, Acks>`` pair must carry a Byzantine quorum of valid, distinct
     safe_acks that (a) all contain ``v`` in their received set and (b) never
     list ``v`` as a conflict; ``v`` itself must be a validly signed lattice
-    point (:func:`is_signed_element`).  The acks must be of the calling
+    point (:func:`signs_elements`).  The acks must be of the calling
     core's ``ack_class``: a GSbS proof holding an SbS ack fails, and the
     reverse.
 
@@ -336,19 +340,19 @@ def _proven_value_safe(
     if not isinstance(proven, ProvenValue):
         return False
     value, acks = proven.value, proven.safe_acks
-    if not is_signed_element(registry, lattice, value, ack_class):
+    if not signs_elements(registry, lattice, (value,), ack_class):
         return False
     if not isinstance(acks, frozenset) or len(acks) < quorum:
         return False
     signed = [ack for ack in acks if isinstance(ack, ack_class) and isinstance(ack.signature, SignedValue)]
     if len(signed) < len(acks) or len({ack.signature.signer for ack in signed}) < quorum:
         return False
-    return all(
-        verify_safe_ack(registry, ack, ack.signature.signer, ack_class)
-        and value in ack.rcvd_set
-        and not value_conflicted_in(ack, value)
-        for ack in signed
-    )
+    for ack in signed:
+        if not verify_safe_ack(registry, ack, ack.signature.signer, ack_class):
+            return False
+        if value not in ack.rcvd_set or value_conflicted_in(ack, value):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +439,7 @@ class SbSProcess(AgreementProcess):
 
     def _handle_init(self, sender: Hashable, msg: InitPhase) -> None:
         value = msg.payload
-        if is_signed_element(self.registry, self.lattice, value, SafeAck) and self.state == INIT:
+        if signs_elements(self.registry, self.lattice, (value,), SafeAck) and self.state == INIT:
             self.safety_set = remove_conflicts(self.registry, set(self.safety_set) | {value})
 
     # -- safetying phase -------------------------------------------------------------------
