@@ -12,6 +12,8 @@ sans-I/O :class:`~repro.engine.ProtocolCore`:
 * decision bookkeeping (``decisions`` list + a ``Decide`` effect carrying
   the causal message-delay of the paper's latency theorems to the backend's
   metrics);
+* the paper's ``Waiting_msgs`` buffer and its drain, shared by WTS, GWTS
+  and GSbS, which each supply only :meth:`AgreementProcess._try_handle`;
 * the "upon event" re-evaluation loop: handlers enqueue no callbacks, they
   just mutate state and call :meth:`recheck`, which keeps invoking
   :meth:`try_progress` until the process state stops changing — exactly the
