@@ -1,10 +1,12 @@
-"""Byte-level pins of seeded SbS and GSbS runs.
+"""Byte-level pins of seeded runs no golden covers.
 
-Each digest covers one kernel run: every delivery-log row (sender, dest,
+The SbS and GSbS runs, the crash-fault baselines, GWTS with a per-round
+batch cap, and WTS, its ablations and GWTS against their impostors.  Each
+digest covers one kernel run: every delivery-log row (sender, dest,
 message type, send and deliver time, causal depth, and the SHA-256 of the
 payload's JSON frame, which holds every signature tag byte) followed by each
-correct process's decisions.  A refactor of the signature cores must leave
-every message, schedule, verdict and tag unchanged, so these digests must
+correct process's decisions.  A refactor of these cores must leave every
+message, schedule, verdict and tag unchanged, so these digests must
 not move.  Nothing in them depends on the string hash seed: the same digest
 reads under any ``PYTHONHASHSEED``.
 """
@@ -13,10 +15,31 @@ import hashlib
 
 import pytest
 
-from repro.byzantine import ForgedSafetyByzantine, SbSEquivocatingProposer
+from repro.baselines.crash_gla import BatchDisclosure
+from repro.byzantine import (
+    AlwaysAckAcceptor,
+    EquivocatingGWTSProposer,
+    EquivocatingProposer,
+    ForgedSafetyByzantine,
+    GarbageProposer,
+    SbSEquivocatingProposer,
+)
+from repro.core.ablations import NoDefencesWTSProcess, NoSafetyWTSProcess, PlainDisclosureWTSProcess
 from repro.crypto import canonical_bytes
-from repro.engine.wire import get_codec
-from repro.harness import run_gsbs_scenario, run_sbs_scenario
+from repro.engine import FixedDelay, SkewedPairDelay, UniformDelay
+from repro.engine.wire import get_codec, register_wire_dataclass
+from repro.harness import (
+    run_crash_gla_scenario,
+    run_crash_la_scenario,
+    run_gsbs_scenario,
+    run_gwts_scenario,
+    run_sbs_scenario,
+    run_wts_scenario,
+)
+
+# The crash-GLA baseline's plain disclosure is outside the built-in wire
+# vocabulary; registering it lets its frames be digested like any other.
+register_wire_dataclass(BatchDisclosure)
 
 
 def sig_equivocator(pid, lat, members, f, registry):
@@ -29,6 +52,29 @@ def sig_equivocator(pid, lat, members, f, registry):
 def forger(pid, lat, members, f, registry):
     return ForgedSafetyByzantine(
         pid, lat, members, victim=members[0], injected=frozenset({"forged-value"})
+    )
+
+
+def equivocator(pid, lat, members, f):
+    return EquivocatingProposer(pid, lat, members, f, value_a=frozenset({"eq-a"}), value_b=frozenset({"eq-b"}))
+
+
+def garbage(pid, lat, members, f):
+    return GarbageProposer(pid, lat, members, f)
+
+
+def gwts_equivocator(pid, lat, members, f):
+    return EquivocatingGWTSProposer(
+        pid, lat, members, f, max_rounds=3,
+        equivocation_pool=[frozenset({f"eq-{pid}-a"}), frozenset({f"eq-{pid}-b"})],
+    )
+
+
+def ablated(process_class):
+    """WTS with one defence removed against the equivocator, as in experiment E11."""
+    return lambda: run_wts_scenario(
+        n=4, f=1, seed=31, byzantine_factories=[equivocator], delay_model=UniformDelay(0.5, 2.0),
+        process_class=process_class, run_to_quiescence=True, max_messages=30_000,
     )
 
 
@@ -46,6 +92,24 @@ SCENARIOS = {
     "gsbs_n4_batch1": lambda: run_gsbs_scenario(
         n=4, f=1, values_per_process=2, rounds=3, seed=0, batch_size=1
     ),
+    "crash_la_n4_seed0": lambda: run_crash_la_scenario(n=4, f=1, seed=0),
+    "crash_la_n7_seed1": lambda: run_crash_la_scenario(n=7, f=2, seed=1),
+    # Experiment E2's negative control: n = 3f, an always-acking Byzantine
+    # and slow links between the two correct processes.
+    "crash_la_n3_always_ack_partition": lambda: run_crash_la_scenario(
+        n=3, f=1, seed=7, byzantine_factories=[AlwaysAckAcceptor], max_messages=20_000,
+        delay_model=SkewedPairDelay([("p0", "p1")], base=FixedDelay(1.0), slow_delay=10_000.0),
+    ),
+    "crash_gla_n4_seed0": lambda: run_crash_gla_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=0),
+    "gwts_n4_batch1": lambda: run_gwts_scenario(n=4, f=1, values_per_process=3, rounds=4, seed=0, batch_size=1),
+    "wts_n4_equivocator": lambda: run_wts_scenario(n=4, f=1, seed=0, byzantine_factories=[equivocator]),
+    "wts_n4_garbage": lambda: run_wts_scenario(n=4, f=1, seed=0, byzantine_factories=[garbage]),
+    "ablation_no_safety": ablated(NoSafetyWTSProcess),
+    "ablation_plain_disclosure": ablated(PlainDisclosureWTSProcess),
+    "ablation_no_defences": ablated(NoDefencesWTSProcess),
+    "gwts_n4_equivocator": lambda: run_gwts_scenario(
+        n=4, f=1, values_per_process=2, rounds=3, seed=0, byzantine_factories=[gwts_equivocator]
+    ),
 }
 
 DIGESTS = {
@@ -60,6 +124,17 @@ DIGESTS = {
     "gsbs_n4_seed2": "d33181e53eca25344d3720c641e08dd13e1e4cc49a9f9a401248129d6531d11e",
     "gsbs_n7_seed3": "6592b680a88e3f846b577355fe70da3c5bd2518bb5328acdd59e1749b2a271a6",
     "gsbs_n4_batch1": "3e9c975daa6e721bb22d0ac386f952535b7bb4a706a7fcf5c5872f7660182eec",
+    "crash_la_n4_seed0": "2e4d1686e5d5763a3a9c645eb0f5a88741d5500f918d6f68b4bcb9f743ec1b74",
+    "crash_la_n7_seed1": "4e4e9d23632fd0281854752be9a37048327e9f0c6e9f89014fa8e63088b9df70",
+    "crash_la_n3_always_ack_partition": "717a396f3f831cfb13c1ead75f156fd8eb2da6fb57cab47725f4ace2c7b17818",
+    "crash_gla_n4_seed0": "fba962cf0cc8a19d2e7aa9c2a2c38eb7b3179ff36a1f1bb215a13b4903ba4402",
+    "gwts_n4_batch1": "72fb78f73405ce8b0a64940404ebf8fa8bfb85ec65c5b3bc269f4e77ea8f7d6c",
+    "wts_n4_equivocator": "5b3f2acf2590c40fd44d42d78c10ff8ec96c781008e9fd776360024937a662e3",
+    "wts_n4_garbage": "c47879e8b7cc6b6c36521be3dd241e7f9ac3cff6c7cd65fbeeb6e8c9fa3dc6ff",
+    "ablation_no_safety": "69b6d51ef8c41a419e235117cfd97d5ab33bdb1db1ceb60b5f17f40f15b09365",
+    "ablation_plain_disclosure": "6c65447e0a02b56f935671dcde9b316e0493c5ac918936f377fcfe4f72a88c64",
+    "ablation_no_defences": "5ef9e168aa3f07c030db23cee88a1ea05c9d00196b8d01df67eceac5ffd278e0",
+    "gwts_n4_equivocator": "a09ca7cf37cd6ac8f1bc1eed0b13ca0666957b5c4e82b443254c25ac153597b2",
 }
 
 
