@@ -1,11 +1,17 @@
 """Crash-fault-only Generalized Lattice Agreement baseline.
 
-The round/batching structure of GWTS without any Byzantine defence: no
-reliable broadcast (plain best-effort disclosure messages), no safe-value
-filtering, no acceptor round gating, and a simple majority quorum.  This is
-the GLA construction of Faleiro et al. [2] reduced to the features GWTS
-shares with it, which makes the E10 comparison an apples-to-apples measure of
-the price of Byzantine tolerance.
+GWTS's round loop without any Byzantine defence: no reliable broadcast
+(plain best-effort disclosure messages), no safe-value filtering, no
+acceptor round gating, and a simple majority quorum.  This is the GLA
+construction of Faleiro et al. [2] reduced to the features GWTS shares with
+it, which makes the E10 comparison an apples-to-apples measure of the price
+of Byzantine tolerance.
+
+The round loop is the very one GWTS and GSbS run
+(:class:`~repro.core.process.GeneralizedProcess`: per-round input queues and
+the ``max_rounds`` horizon), with no ``batch_size`` cap, so every round
+proposes everything queued for it.  This module supplies the round's plain
+disclosure (``_start_round``) and the crash-fault deciding phase.
 """
 
 from __future__ import annotations
@@ -15,14 +21,10 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.gwts import DISCLOSING, PROPOSING
 from repro.core.messages import RoundAck, RoundAckRequest, RoundNack
-from repro.core.process import AgreementProcess
+from repro.core.process import NEWROUND, GeneralizedProcess
 from repro.lattice.base import JoinSemilattice, LatticeElement
-
-NEWROUND = "newround"
-DISCLOSING = "disclosing"
-PROPOSING = "proposing"
-HALTED = "halted"
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class BatchDisclosure:
     mtype: str = "disclosure"
 
 
-class CrashGLAProcess(AgreementProcess):
+class CrashGLAProcess(GeneralizedProcess):
     """Crash-tolerant Generalized Lattice Agreement participant (both roles)."""
 
     def __init__(
@@ -46,34 +48,17 @@ class CrashGLAProcess(AgreementProcess):
         max_rounds: int = 3,
         initial_values: Sequence[LatticeElement] = (),
     ) -> None:
-        super().__init__(pid, lattice, members, f)
-        self.max_rounds = max_rounds
-        self.state = NEWROUND
-        self.round = -1
-        self.ts = 0
-        self.batches: dict[int, list[LatticeElement]] = defaultdict(list)
-        self.received_inputs: list[LatticeElement] = []
+        super().__init__(pid, lattice, members, f, max_rounds, initial_values)
         self.proposed_set: LatticeElement = lattice.bottom()
         self.decided_set: LatticeElement = lattice.bottom()
         self.counter: dict[int, set[Hashable]] = defaultdict(set)
         self.ack_senders: set[Hashable] = set()
         self.accepted_set: LatticeElement = lattice.bottom()
-        for value in initial_values:
-            self.new_value(value)
 
     @property
     def majority(self) -> int:
         """Crash-fault quorum: a simple majority of the membership."""
         return self.n // 2 + 1
-
-    # -- input interface ------------------------------------------------------------
-
-    def new_value(self, value: LatticeElement) -> None:
-        """Queue ``value`` for the next round's batch."""
-        if not self.lattice.is_element(value):
-            raise ValueError(f"{value!r} is not a lattice element")
-        self.batches[self.round + 1].append(value)
-        self.received_inputs.append(value)
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -151,14 +136,7 @@ class CrashGLAProcess(AgreementProcess):
 
     def try_progress(self) -> bool:
         if self.state == NEWROUND:
-            if self.round + 1 >= self.max_rounds:
-                self.state = HALTED
-                return True
-            self.state = DISCLOSING
-            self.round += 1
-            batch_value = self.lattice.join_all(self.batches.get(self.round, []))
-            self.proposed_set = self.lattice.join(self.proposed_set, batch_value)
-            self.send_to_members(BatchDisclosure(value=batch_value, round=self.round))
+            self._new_round()
             return True
 
         if (
@@ -179,3 +157,9 @@ class CrashGLAProcess(AgreementProcess):
             self.state = NEWROUND
             return True
         return False
+
+    def _start_round(self) -> None:
+        self.state = DISCLOSING
+        batch_value = self._next_batch()
+        self.proposed_set = self.lattice.join(self.proposed_set, batch_value)
+        self.send_to_members(BatchDisclosure(value=batch_value, round=self.round))

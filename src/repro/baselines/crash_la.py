@@ -3,13 +3,19 @@
 The paper builds WTS by hardening exactly this algorithm: "The Deciding Phase
 is an extension of the algorithm described in [2] with a Byzantine quorum and
 additional checks used to thwart Byzantine attacks" (Section 5).  The
-baseline therefore looks like WTS with every Byzantine defence removed:
+baseline is therefore WTS's own Deciding Phase
+(:class:`~repro.core.wts.WTSProcess`) with every Byzantine defence removed:
 
-* no Values Disclosure Phase / reliable broadcast — the proposer goes
-  straight to proposing its own input;
-* no safe-value filtering — whatever arrives is merged;
+* no Values Disclosure Phase / reliable broadcast — the process starts in
+  ``proposing`` and sends its first ack request on start;
+* no safe-value filtering — ``SAFE(m)`` is always true, so whatever arrives
+  is merged;
 * a simple majority quorum ``floor(n/2) + 1`` (tolerates ``f < n/2`` crash
   faults) instead of the Byzantine quorum.
+
+What it keeps are WTS's structural checks: acks, nacks and requests whose
+sets are not lattice elements are dropped, so the comparison with WTS is
+about Byzantine *protocol* attacks, not about trivially broken payload types.
 
 It is used by experiment E10 (message/latency overhead of Byzantine
 tolerance) and, as a negative control, by failure-injection tests that show
@@ -18,19 +24,14 @@ tolerates.
 """
 
 from __future__ import annotations
+
 from collections.abc import Hashable, Sequence
 
-from typing import Any
-
-from repro.core.messages import Ack, AckRequest, Nack
-from repro.core.process import AgreementProcess
+from repro.core.wts import PROPOSING, WTSProcess
 from repro.lattice.base import JoinSemilattice, LatticeElement
 
-PROPOSING = "proposing"
-DECIDED = "decided"
 
-
-class CrashLAProcess(AgreementProcess):
+class CrashLAProcess(WTSProcess):
     """Crash-tolerant single-shot Lattice Agreement participant (both roles)."""
 
     def __init__(
@@ -41,75 +42,19 @@ class CrashLAProcess(AgreementProcess):
         f: int,
         proposal: LatticeElement | None = None,
     ) -> None:
-        super().__init__(pid, lattice, members, f)
-        self.proposal: LatticeElement = (
-            proposal if proposal is not None else lattice.bottom()
-        )
+        super().__init__(pid, lattice, members, f, proposal)
         self.state = PROPOSING
-        self.ts = 0
-        self.proposed_set: LatticeElement = lattice.join(lattice.bottom(), self.proposal)
-        self.ack_senders: set[Hashable] = set()
-        self.refinements = 0
-        # Acceptor state.
-        self.accepted_set: LatticeElement = lattice.bottom()
+        self.proposed_set = lattice.join(self.proposed_set, self.proposal)
 
     @property
-    def majority(self) -> int:
+    def quorum(self) -> int:
         """Crash-fault quorum: a simple majority of the membership."""
         return self.n // 2 + 1
 
-    # -- lifecycle -----------------------------------------------------------------
-
     def on_start(self) -> None:
-        self.send_to_members(AckRequest(proposed_set=self.proposed_set, ts=self.ts))
+        """No disclosure: propose the input straight away."""
+        self._broadcast_ack_request()
 
-    def on_message(self, sender: Hashable, payload: Any) -> None:
-        if isinstance(payload, AckRequest):
-            self._handle_ack_request(sender, payload)
-        elif isinstance(payload, Ack):
-            self._handle_ack(sender, payload)
-        elif isinstance(payload, Nack):
-            self._handle_nack(sender, payload)
-        self.recheck()
-
-    # -- acceptor role -----------------------------------------------------------------
-
-    def _handle_ack_request(self, sender: Hashable, msg: AckRequest) -> None:
-        if not self.lattice.is_element(msg.proposed_set):
-            # Even the baseline rejects structurally malformed values, so the
-            # comparison with WTS is about Byzantine *protocol* attacks, not
-            # about trivially broken payload types.
-            return
-        if self.lattice.leq(self.accepted_set, msg.proposed_set):
-            self.accepted_set = msg.proposed_set
-            self.send_to(sender, Ack(accepted_set=self.accepted_set, ts=msg.ts))
-        else:
-            self.send_to(sender, Nack(accepted_set=self.accepted_set, ts=msg.ts))
-            self.accepted_set = self.lattice.join(self.accepted_set, msg.proposed_set)
-
-    # -- proposer role -----------------------------------------------------------------
-
-    def _handle_ack(self, sender: Hashable, msg: Ack) -> None:
-        if self.state != PROPOSING or msg.ts != self.ts:
-            return
-        self.ack_senders.add(sender)
-
-    def _handle_nack(self, sender: Hashable, msg: Nack) -> None:
-        if self.state != PROPOSING or msg.ts != self.ts:
-            return
-        if not self.lattice.is_element(msg.accepted_set):
-            return
-        merged = self.lattice.join(msg.accepted_set, self.proposed_set)
-        if merged != self.proposed_set:
-            self.proposed_set = merged
-            self.ack_senders = set()
-            self.ts += 1
-            self.refinements += 1
-            self.send_to_members(AckRequest(proposed_set=self.proposed_set, ts=self.ts))
-
-    def try_progress(self) -> bool:
-        if self.state == PROPOSING and len(self.ack_senders) >= self.majority:
-            self.state = DECIDED
-            self.record_decision(self.proposed_set)
-            return True
-        return False
+    def is_safe(self, element: LatticeElement) -> bool:
+        """Every message is handled as it arrives."""
+        return True

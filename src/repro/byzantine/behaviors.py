@@ -20,7 +20,7 @@ from collections.abc import Hashable, Sequence
 from typing import Any
 
 from repro.broadcast.reliable import RBInit
-from repro.core.gwts import GWTSProcess
+from repro.core.gwts import DISCLOSING, GWTSProcess
 from repro.core.messages import (
     Ack,
     AckRequest,
@@ -162,22 +162,14 @@ class EquivocatingProposer(_ByzantineMixin, WTSProcess):
         self.value_a = value_a
         self.value_b = value_b
 
-    def on_start(self) -> None:
-        # Set up the honest machinery (reliable-broadcast endpoint, local
-        # proposal bookkeeping) but *do not* perform the honest disclosure;
-        # instead hand-craft per-destination INIT messages so half the system
-        # first sees value_a and the other half first sees value_b.
-        from repro.broadcast.reliable import ReliableBroadcaster
-
-        self._rb = ReliableBroadcaster(
-            node=self, n=self.n, f=self.f, deliver=self._on_rb_deliver
-        )
-        self.proposed_set = self.lattice.join(self.proposed_set, self.proposal)
+    def _disclose(self) -> None:
+        # Instead of the honest reliable broadcast, hand-craft per-destination
+        # INIT messages so half the system first sees value_a and the other
+        # half first sees value_b.
         half = len(self.members) // 2
         for index, dest in enumerate(self.members):
             value = self.value_a if index < half else self.value_b
-            init = RBInit(origin=self.pid, tag=DISCLOSURE_TAG, value=value)
-            self.send_to(dest, init)
+            self.send_to(dest, RBInit(origin=self.pid, tag=DISCLOSURE_TAG, value=value))
 
 
 class GarbageProposer(_ByzantineMixin, WTSProcess):
@@ -198,17 +190,10 @@ class GarbageProposer(_ByzantineMixin, WTSProcess):
         super().__init__(pid, lattice, members, f, proposal=lattice.bottom())
         self.garbage = garbage
 
-    def on_start(self) -> None:
-        # Honest machinery without the honest disclosure: the only thing this
-        # process ever discloses is garbage, which correct processes filter at
-        # Algorithm 1 line 10.
-        from repro.broadcast.reliable import ReliableBroadcaster
-
-        self._rb = ReliableBroadcaster(
-            node=self, n=self.n, f=self.f, deliver=self._on_rb_deliver
-        )
-        init = RBInit(origin=self.pid, tag=DISCLOSURE_TAG, value=self.garbage)
-        self.broadcast(init, include_self=False)
+    def _disclose(self) -> None:
+        # The only thing this process ever discloses is garbage, which
+        # correct processes filter at Algorithm 1 line 10.
+        self.broadcast(RBInit(origin=self.pid, tag=DISCLOSURE_TAG, value=self.garbage), include_self=False)
 
 
 class ValueInjectorProposer(_ByzantineMixin, WTSProcess):
@@ -324,8 +309,8 @@ class EquivocatingGWTSProposer(_ByzantineMixin, GWTSProcess):
         self.equivocation_pool = list(equivocation_pool)
 
     def _start_round(self) -> None:
-        self.state = "disclosing"
-        self.round += 1
+        self.state = DISCLOSING
+        self._next_batch()
         pool = self.equivocation_pool or [self.lattice.bottom()]
         value_a = pool[self.round % len(pool)]
         value_b = pool[(self.round + 1) % len(pool)]

@@ -59,15 +59,7 @@ class PlainDisclosureWTSProcess(WTSProcess):
     equivocating origin can feed different values to different processes.
     """
 
-    def on_start(self) -> None:
-        # Keep the proposer bookkeeping of the honest implementation but skip
-        # the reliable broadcast: a single plain fan-out of the proposal.
-        from repro.broadcast.reliable import ReliableBroadcaster
-
-        self._rb = ReliableBroadcaster(
-            node=self, n=self.n, f=self.f, deliver=self._on_rb_deliver
-        )
-        self.proposed_set = self.lattice.join(self.proposed_set, self.proposal)
+    def _disclose(self) -> None:
         self.broadcast(RBInit(origin=self.pid, tag=DISCLOSURE_TAG, value=self.proposal))
 
     def on_message(self, sender: Hashable, payload: Any) -> None:

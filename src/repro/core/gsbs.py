@@ -29,7 +29,10 @@ core's round stamp: the signed init value is ``(round, element)``, the
 safe_ack is a :class:`~repro.core.messages.GSbSSafeAck` signed over
 ``("gsbs_safe_ack", rcvd, conflicts, request_id, round)``, and the vetting of
 a safety set, the proposer's safe_ack check, proof building and ``AllSafe``
-are shared (``ack_class=GSbSSafeAck``).  What stays here is GSbS's own: the
+are shared (``ack_class=GSbSSafeAck``).  The round loop (per-round input
+queues, the ``batch_size`` cap and the ``max_rounds`` horizon) is
+:class:`~repro.core.process.GeneralizedProcess`'s, shared with GWTS.  What
+stays here is GSbS's own: the round's init phase (``_start_round``), the
 per-round state, the signed acks (:func:`gsbs_ack_body`,
 :func:`verify_gsbs_ack`), decided certificates and trusted-round gating.
 """
@@ -50,7 +53,7 @@ from repro.core.messages import (
     GSbSSafeRequest,
     ProvenValue,
 )
-from repro.core.process import AgreementProcess
+from repro.core.process import NEWROUND, GeneralizedProcess
 from repro.core.sbs import (
     all_safe,
     answer_safe_request,
@@ -62,12 +65,11 @@ from repro.core.sbs import (
 from repro.crypto.signatures import KeyRegistry, SignedValue, Signer, canonical_bytes
 from repro.lattice.base import JoinSemilattice, LatticeElement
 
-#: Proposer phases.
-NEWROUND = "newround"
+#: Proposer phases within a round (the round driver adds ``NEWROUND`` and
+#: ``HALTED``).
 INIT = "init"
 SAFETYING = "safetying"
 PROPOSING = "proposing"
-HALTED = "halted"
 
 
 def gsbs_ack_body(
@@ -129,8 +131,12 @@ def verify_certificate(
     return len(signers) >= quorum
 
 
-class GSbSProcess(AgreementProcess):
-    """One GSbS participant playing both the proposer and the acceptor role."""
+class GSbSProcess(GeneralizedProcess):
+    """One GSbS participant playing both the proposer and the acceptor role.
+
+    ``registry`` is the shared PKI; the other parameters are
+    :class:`~repro.core.process.GeneralizedProcess`'s.
+    """
 
     def __init__(
         self,
@@ -143,24 +149,11 @@ class GSbSProcess(AgreementProcess):
         initial_values: Sequence[LatticeElement] = (),
         batch_size: int | None = None,
     ) -> None:
-        super().__init__(pid, lattice, members, f)
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be at least 1 (or None for unbounded)")
+        super().__init__(pid, lattice, members, f, max_rounds, initial_values, batch_size)
         self.registry = registry
         self.signer: Signer = registry.register(pid)
-        self.max_rounds = max_rounds
-        #: Cap on how many queued values one round's proposal may join
-        #: (``None`` = unbounded); overflow carries to the next round FIFO.
-        self.batch_size = batch_size
 
         # --- proposer state ---
-        self.state = NEWROUND
-        self.round = -1
-        self.ts = 0
-        self.batches: dict[int, list[LatticeElement]] = defaultdict(list)
-        self.received_inputs: list[LatticeElement] = []
         #: Per-round collections of signed round-batches (the init phase).
         self.safety_sets: dict[int, frozenset[SignedValue]] = defaultdict(frozenset)
         #: Per-round collected safe_acks, keyed by acceptor.
@@ -176,18 +169,6 @@ class GSbSProcess(AgreementProcess):
         self.accepted_set: frozenset[ProvenValue] = frozenset()
         self.safe_candidates: dict[int, frozenset[SignedValue]] = defaultdict(frozenset)
         self.trusted_round = 0
-
-        for value in initial_values:
-            self.new_value(value)
-
-    # -- input interface -------------------------------------------------------------------
-
-    def new_value(self, value: LatticeElement) -> None:
-        """Queue ``value`` for the next round's batch."""
-        if not self.lattice.is_element(value):
-            raise ValueError(f"{value!r} is not a lattice element")
-        self.batches[self.round + 1].append(value)
-        self.received_inputs.append(value)
 
     # -- lifecycle --------------------------------------------------------------------------
 
@@ -336,10 +317,7 @@ class GSbSProcess(AgreementProcess):
 
         # Start the next round.
         if self.state == NEWROUND:
-            if self.round + 1 >= self.max_rounds:
-                self.state = HALTED
-                return True
-            self._start_round()
+            self._new_round()
             return True
 
         # Init phase complete: enough signed round-batches collected.
@@ -397,13 +375,7 @@ class GSbSProcess(AgreementProcess):
 
     def _start_round(self) -> None:
         self.state = INIT
-        self.round += 1
-        pending = self.batches.get(self.round, [])
-        if self.batch_size is not None and len(pending) > self.batch_size:
-            carried = pending[self.batch_size :]
-            self.batches[self.round] = pending = pending[: self.batch_size]
-            self.batches[self.round + 1] = carried + self.batches[self.round + 1]
-        batch_value = self.lattice.join_all(pending)
+        batch_value = self._next_batch()
         signed = self.signer.sign((self.round, batch_value))
         current = set(self.safety_sets[self.round])
         current.add(signed)

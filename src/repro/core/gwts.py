@@ -19,10 +19,14 @@ broadcast acks for round ``r-1`` — i.e. after round ``r-1`` had a *legitimate
 end* (Definitions 3-5).  This stops Byzantine proposers from racing ahead and
 starving correct processes (Lemma 7).
 
-A finite ``max_rounds`` horizon is configurable so simulations terminate; it
-is a truncation of the paper's infinite execution, and a process that
-reaches it halts.  Cluster service mode sets it per replica from
-``ClusterSpec.max_rounds`` (docs/operations.md, "max_rounds").
+The round loop itself (Algorithm 3 lines 1-15: per-round input queues, the
+``batch_size`` cap with its FIFO carry, and the finite ``max_rounds``
+horizon at which a process halts) is
+:class:`~repro.core.process.GeneralizedProcess`'s, shared with GSbS and the
+crash-GLA baseline; this module supplies the round's disclosure
+(``_start_round``) and everything after it.  Cluster service mode sets the
+horizon per replica from ``ClusterSpec.max_rounds`` (docs/operations.md,
+"max_rounds").
 """
 
 from __future__ import annotations
@@ -33,31 +37,24 @@ from typing import Any
 
 from repro.broadcast.reliable import ReliableBroadcaster
 from repro.core.messages import RoundAck, RoundAckRequest, RoundNack
-from repro.core.process import AgreementProcess
+from repro.core.process import NEWROUND, GeneralizedProcess
 from repro.lattice.base import JoinSemilattice, LatticeElement
 
-#: Proposer phases (Algorithm 3's ``state`` variable).
-NEWROUND = "newround"
+#: Proposer phases within a round (Algorithm 3's ``state`` variable; the
+#: round driver adds ``NEWROUND`` and ``HALTED``).
 DISCLOSING = "disclosing"
 PROPOSING = "proposing"
-HALTED = "halted"
 
 #: Key identifying one acknowledged proposal in ``Ack_history``:
 #: (accepted_set, destination proposer, timestamp, round).
 AckKey = tuple[Any, Hashable, int, int]
 
 
-class GWTSProcess(AgreementProcess):
+class GWTSProcess(GeneralizedProcess):
     """One GWTS participant playing both the proposer and the acceptor role.
 
-    Parameters
-    ----------
-    max_rounds:
-        Number of rounds to execute before halting (the finite prefix of the
-        paper's infinite run).
-    initial_values:
-        Values already queued for round 0 (``new_value`` can add more at any
-        time, including while the simulation runs).
+    The constructor takes :class:`~repro.core.process.GeneralizedProcess`'s
+    parameters (``max_rounds``, ``initial_values``, ``batch_size``).
     """
 
     def __init__(
@@ -70,23 +67,9 @@ class GWTSProcess(AgreementProcess):
         initial_values: Sequence[LatticeElement] = (),
         batch_size: int | None = None,
     ) -> None:
-        super().__init__(pid, lattice, members, f)
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be at least 1 (or None for unbounded)")
-        self.max_rounds = max_rounds
-        #: Cap on how many queued values one round's proposal may join
-        #: (``None`` = unbounded, the paper's implicit behaviour: a round
-        #: carries *everything* queued since the last one).  Values beyond
-        #: the cap are carried to the next round, oldest first.
-        self.batch_size = batch_size
+        super().__init__(pid, lattice, members, f, max_rounds, initial_values, batch_size)
 
         # --- proposer state (Algorithm 3 lines 1-7) ---
-        self.state = NEWROUND
-        self.round = -1
-        self.ts = 0
-        self.batches: dict[int, list[LatticeElement]] = defaultdict(list)
         self.proposed_set: LatticeElement = lattice.bottom()
         self.decided_set: LatticeElement = lattice.bottom()
         #: Per-round safe-values sets: round -> origin -> disclosed element.
@@ -104,8 +87,6 @@ class GWTSProcess(AgreementProcess):
         #: very same acceptor sets): the guards below ask about one round at
         #: a time, many times per message, and must not rescan all history.
         self._round_acks: dict[int, dict[AckKey, set[Hashable]]] = defaultdict(dict)
-        #: All values this process has received as inputs (for the checkers).
-        self.received_inputs: list[LatticeElement] = []
         #: Refinements performed per round (Lemma 10 bounds each by f).
         self.refinements_by_round: dict[int, int] = defaultdict(int)
 
@@ -114,18 +95,6 @@ class GWTSProcess(AgreementProcess):
         self.safe_round = 0
 
         self._rb: ReliableBroadcaster | None = None
-
-        for value in initial_values:
-            self.new_value(value)
-
-    # -- input interface (Algorithm 3 lines 8-9) --------------------------------------
-
-    def new_value(self, value: LatticeElement) -> None:
-        """Queue ``value`` for the next round's batch (``Batch[r + 1]``)."""
-        if not self.lattice.is_element(value):
-            raise ValueError(f"{value!r} is not a lattice element")
-        self.batches[self.round + 1].append(value)
-        self.received_inputs.append(value)
 
     # -- lifecycle -----------------------------------------------------------------------
 
@@ -216,10 +185,7 @@ class GWTSProcess(AgreementProcess):
     def try_progress(self) -> bool:
         # Algorithm 3 lines 11-15: upon state = newround, start the next round.
         if self.state == NEWROUND:
-            if self.round + 1 >= self.max_rounds:
-                self.state = HALTED
-                return True
-            self._start_round()
+            self._new_round()
             return True
 
         # Algorithm 3 lines 22-25: disclosure quorum reached, start proposing.
@@ -252,16 +218,7 @@ class GWTSProcess(AgreementProcess):
     def _start_round(self) -> None:
         """Algorithm 3 lines 11-15."""
         self.state = DISCLOSING
-        self.round += 1
-        pending = self.batches.get(self.round, [])
-        if self.batch_size is not None and len(pending) > self.batch_size:
-            # Propose the oldest ``batch_size`` values; everything else is
-            # carried ahead of whatever the next round has queued so far
-            # (FIFO across rounds).
-            carried = pending[self.batch_size :]
-            self.batches[self.round] = pending = pending[: self.batch_size]
-            self.batches[self.round + 1] = carried + self.batches[self.round + 1]
-        batch_value = self.lattice.join_all(pending)
+        batch_value = self._next_batch()
         self.proposed_set = self.lattice.join(self.proposed_set, batch_value)
         self._rb.broadcast(("disclosure", self.round), batch_value)
 

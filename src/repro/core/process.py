@@ -22,9 +22,18 @@ sans-I/O :class:`~repro.engine.ProtocolCore`:
   protocol message, the start event (and, on a replica, a client update).
   Broadcast-internal traffic that delivers nothing — most echoes and
   readies — returns before it (see :meth:`AgreementProcess.recheck`).
+
+The generalized cores (GWTS, GSbS and the crash-GLA baseline) extend
+:class:`GeneralizedProcess`, which adds the round and batch policy of
+Algorithm 3 lines 1-15 that all three run unchanged: inputs queued per round,
+the oldest ``batch_size`` of them proposed, the rest carried ahead of the next
+round's queue, and a halt at the ``max_rounds`` horizon.  Each core supplies
+only how a round starts (``_start_round``).
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 from collections.abc import Hashable, Sequence
 
 from typing import Any
@@ -32,6 +41,11 @@ from typing import Any
 from repro.core.quorum import byzantine_quorum
 from repro.engine.core import ProtocolCore
 from repro.lattice.base import JoinSemilattice, LatticeElement
+
+#: Round-driver states of a generalized core: between two rounds (Algorithm
+#: 3's ``newround``) and past the ``max_rounds`` horizon.
+NEWROUND = "newround"
+HALTED = "halted"
 
 
 class AgreementProcess(ProtocolCore):
@@ -192,3 +206,89 @@ class AgreementProcess(ProtocolCore):
         The default consumes (and drops) everything.
         """
         return True
+
+
+class GeneralizedProcess(AgreementProcess):
+    """The round loop of Generalized Lattice Agreement (Algorithm 3 lines 1-15).
+
+    A subclass keeps the ``state == NEWROUND`` test inline in its
+    :meth:`try_progress` and calls :meth:`_new_round` there; it supplies
+    :meth:`_start_round`, which takes the round's value from
+    :meth:`_next_batch` and runs the round's first phase.
+
+    Parameters
+    ----------
+    pid, lattice, members, f:
+        See :class:`AgreementProcess`.
+    max_rounds:
+        Number of rounds to execute before halting: a finite prefix of the
+        paper's infinite run, so simulations terminate.
+    initial_values:
+        Values already queued for round 0 (``new_value`` can add more at any
+        time, including while the simulation runs).
+    batch_size:
+        Cap on how many queued values one round's proposal may join
+        (``None`` = unbounded, the paper's implicit behaviour: a round
+        carries *everything* queued since the last one).  Values beyond the
+        cap are carried to the next round, oldest first.
+    """
+
+    def __init__(
+        self,
+        pid: Hashable,
+        lattice: JoinSemilattice,
+        members: Sequence[Hashable],
+        f: int,
+        max_rounds: int = 3,
+        initial_values: Sequence[LatticeElement] = (),
+        batch_size: int | None = None,
+    ) -> None:
+        super().__init__(pid, lattice, members, f)
+        if max_rounds < 1:
+            raise ValueError("max_rounds must be at least 1")
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be at least 1 (or None for unbounded)")
+        self.max_rounds = max_rounds
+        self.batch_size = batch_size
+        self.state = NEWROUND
+        self.round = -1
+        self.ts = 0
+        #: Queued inputs per round (``Batch[r]``).
+        self.batches: dict[int, list[LatticeElement]] = defaultdict(list)
+        #: All values this process has received as inputs (for the checkers).
+        self.received_inputs: list[LatticeElement] = []
+        for value in initial_values:
+            self.new_value(value)
+
+    def new_value(self, value: LatticeElement) -> None:
+        """Queue ``value`` for the next round's batch (Algorithm 3 lines 8-9)."""
+        if not self.lattice.is_element(value):
+            raise ValueError(f"{value!r} is not a lattice element")
+        self.batches[self.round + 1].append(value)
+        self.received_inputs.append(value)
+
+    def _new_round(self) -> None:
+        """Algorithm 3 lines 11-15: start the next round, or halt at the horizon."""
+        if self.round + 1 >= self.max_rounds:
+            self.state = HALTED
+        else:
+            self._start_round()
+
+    def _start_round(self) -> None:
+        """Enter the next round: call :meth:`_next_batch` and disclose its value."""
+        raise NotImplementedError
+
+    def _next_batch(self) -> LatticeElement:
+        """Advance ``round`` and return the join of the values it proposes.
+
+        The oldest ``batch_size`` queued values are proposed; the rest are
+        carried ahead of whatever the next round has queued so far (FIFO
+        across rounds).
+        """
+        self.round += 1
+        pending = self.batches.get(self.round, [])
+        if self.batch_size is not None and len(pending) > self.batch_size:
+            carried = pending[self.batch_size :]
+            self.batches[self.round] = pending = pending[: self.batch_size]
+            self.batches[self.round + 1] = carried + self.batches[self.round + 1]
+        return self.lattice.join_all(pending)

@@ -84,10 +84,11 @@ class LACheckResult:
         return prop in self.violations
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
+        name = type(self).__name__
         if self.ok:
-            return "LACheckResult(ok)"
+            return f"{name}(ok)"
         parts = [f"{prop}: {msgs}" for prop, msgs in self.violations.items()]
-        return "LACheckResult(violations=" + "; ".join(parts) + ")"
+        return f"{name}(violations=" + "; ".join(parts) + ")"
 
 
 def check_la_run(

@@ -101,6 +101,10 @@ class WTSProcess(AgreementProcess):
         # Algorithm 1 lines 6-8: Proposed_set ∪= proposed_value; reliable
         # broadcast of the proposed value to every member.
         self.proposed_set = self.lattice.join(self.proposed_set, self.proposal)
+        self._disclose()
+
+    def _disclose(self) -> None:
+        """Send this process's disclosure: a reliable broadcast of ``proposal``."""
         self._rb.broadcast(DISCLOSURE_TAG, self.proposal)
 
     # -- message handling --------------------------------------------------------------

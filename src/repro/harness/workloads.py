@@ -46,6 +46,7 @@ from repro.baselines.crash_gla import CrashGLAProcess
 from repro.baselines.crash_la import CrashLAProcess
 from repro.core.gsbs import GSbSProcess
 from repro.core.gwts import GWTSProcess
+from repro.core.process import HALTED
 from repro.core.sbs import SbSProcess
 from repro.core.spec import LACheckResult, check_gla_run, check_la_run
 from repro.core.wts import WTSProcess
@@ -197,7 +198,7 @@ def _has_decided(core: ProtocolCore) -> bool:
 
 
 def _has_halted(core: ProtocolCore) -> bool:
-    return getattr(core, "state", None) == "halted"
+    return getattr(core, "state", None) == HALTED
 
 
 def _has_completed(client: Any) -> bool:

@@ -113,7 +113,16 @@ class MetricsCollector:
         causal_depth: int,
         round: int | None = None,
     ) -> DecisionRecord:
-        """Record a decision together with its causal message-delay depth."""
+        """Record a decision together with its causal depth.
+
+        ``causal_depth`` is the length of the longest chain of messages that
+        causally precedes the decision, each message one hop.  It counts
+        message delays only when every message takes the same time
+        (``FixedDelay``).  Under any other delay model it also counts chains
+        the decision never waited on, such as reliable-broadcast echo/ready
+        chains, so it can exceed the paper's message-delay bounds while the
+        decision time, in units of the largest delay, stays within them.
+        """
         record = DecisionRecord(
             pid=pid, value=value, time=time, causal_depth=causal_depth, round=round
         )
@@ -167,7 +176,11 @@ class MetricsCollector:
         return sum(self.sent_by_process[pid] for pid in pids) / len(pids)
 
     def max_decision_depth(self, pids: list[Hashable] | None = None) -> int:
-        """Largest causal message-delay depth among recorded decisions."""
+        """Largest causal depth among recorded decisions (over ``pids`` or everyone).
+
+        A count of message delays only under ``FixedDelay``; see
+        :meth:`record_decision`.
+        """
         records = self.decisions
         if pids is not None:
             allowed = set(pids)

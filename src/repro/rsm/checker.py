@@ -20,11 +20,11 @@ commutativity of updates they give linearizability (Theorem 6).
 """
 
 from __future__ import annotations
-from collections.abc import Iterable, Sequence
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from typing import Any
 
+from repro.core.spec import LACheckResult
 from repro.rsm.client import OperationRecord
 from repro.rsm.commands import Command
 
@@ -51,26 +51,8 @@ def collect_admissible_commands(
     return admissible
 
 
-@dataclass
-class RSMCheckResult:
+class RSMCheckResult(LACheckResult):
     """Outcome of the RSM property check."""
-
-    ok: bool
-    violations: dict[str, list[str]] = field(default_factory=dict)
-
-    def add(self, prop: str, message: str) -> None:
-        self.violations.setdefault(prop, []).append(message)
-        self.ok = False
-
-    def violated(self, prop: str) -> bool:
-        """Whether property ``prop`` has at least one recorded violation."""
-        return prop in self.violations
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        if self.ok:
-            return "RSMCheckResult(ok)"
-        parts = [f"{prop}: {msgs}" for prop, msgs in self.violations.items()]
-        return "RSMCheckResult(violations=" + "; ".join(parts) + ")"
 
 
 def check_rsm_history(

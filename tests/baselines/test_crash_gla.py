@@ -34,11 +34,3 @@ class TestCrashGLA:
             crash.metrics.mean_messages_per_process(crash.correct_pids)
             < gwts.metrics.mean_messages_per_process(gwts.correct_pids)
         )
-
-    def test_new_value_validation(self):
-        from repro.baselines import CrashGLAProcess
-        from repro.lattice import SetLattice
-
-        process = CrashGLAProcess("p0", SetLattice(), ["p0", "p1"], 0)
-        with pytest.raises(ValueError):
-            process.new_value(123)

@@ -100,20 +100,6 @@ class TestCertificates:
         assert not verify_gsbs_ack(registry, forged)
 
 
-class TestProcessInternals:
-    def test_max_rounds_validation(self, registry):
-        with pytest.raises(ValueError):
-            GSbSProcess("p0", SetLattice(), ["p0"], 0, registry=registry, max_rounds=0)
-
-    def test_new_value_validation(self, registry):
-        process = GSbSProcess("p0", SetLattice(), ["p0", "p1", "p2", "p3"], 1, registry=registry)
-        with pytest.raises(ValueError):
-            process.new_value("junk")
-        process.new_value(frozenset({"ok"}))
-        assert process.batches[0] == [frozenset({"ok"})]
-
-
-
 class TestMalformedByzantineMessages:
     """A Byzantine ``p3`` sends wrongly shaped fields, signed with its own valid key.
 

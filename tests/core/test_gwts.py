@@ -3,8 +3,9 @@
 import pytest
 
 from repro.broadcast.reliable import RBEcho, RBInit, RBReady
-from repro.core.gwts import HALTED, GWTSProcess
+from repro.core.gwts import GWTSProcess
 from repro.core.messages import RoundAck, RoundAckRequest
+from repro.core.process import HALTED
 from repro.engine import Deliver, FixedDelay, Start
 from repro.harness import run_gwts_scenario
 from repro.lattice import SetLattice
@@ -90,11 +91,6 @@ class TestFailureFreeRuns:
 
 
 class TestProcessInternals:
-    def test_new_value_validation(self):
-        process = GWTSProcess("p0", SetLattice(), ["p0", "p1", "p2", "p3"], 1)
-        with pytest.raises(ValueError):
-            process.new_value("not-an-element")
-
     def test_new_value_goes_to_next_batch(self):
         process = GWTSProcess("p0", SetLattice(), ["p0", "p1", "p2", "p3"], 1)
         process.new_value(frozenset({"a"}))
@@ -102,10 +98,6 @@ class TestProcessInternals:
         process.round = 2
         process.new_value(frozenset({"b"}))
         assert process.batches[3] == [frozenset({"b"})]
-
-    def test_max_rounds_validation(self):
-        with pytest.raises(ValueError):
-            GWTSProcess("p0", SetLattice(), ["p0"], 0, max_rounds=0)
 
     def test_initial_values_constructor_argument(self):
         process = GWTSProcess(

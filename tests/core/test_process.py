@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.baselines import CrashGLAProcess
+from repro.core.gsbs import GSbSProcess
+from repro.core.gwts import GWTSProcess
 from repro.core.process import AgreementProcess
-from repro.engine import FixedDelay, KernelEngine
+from repro.crypto import KeyRegistry
+from repro.engine import FixedDelay, KernelEngine, Start
 from repro.lattice import SetLattice
 
 
@@ -84,3 +88,55 @@ class TestRecheckLoop:
     def test_default_try_progress_is_noop(self):
         _, process = make()
         assert process.try_progress() is False
+
+
+MEMBERS = ["p0", "p1", "p2", "p3"]
+
+
+def gwts(**kwargs):
+    return GWTSProcess("p0", SetLattice(), MEMBERS, 1, **kwargs)
+
+
+def gsbs(**kwargs):
+    return GSbSProcess("p0", SetLattice(), MEMBERS, 1, registry=KeyRegistry(seed=1), **kwargs)
+
+
+def crash_gla(**kwargs):
+    return CrashGLAProcess("p0", SetLattice(), MEMBERS, 1, **kwargs)
+
+
+#: Every generalized core, with how to read the value a round-0 start
+#: discloses from one of its sends (batched cores only).
+GENERALIZED = {"gwts": gwts, "gsbs": gsbs, "crash-gla": crash_gla}
+DISCLOSED = {"gwts": lambda payload: payload.value, "gsbs": lambda payload: payload.payload.value[1]}
+
+
+class TestRoundDriver:
+    """The round and batch policy GWTS, GSbS and crash-GLA share."""
+
+    @pytest.mark.parametrize("core", sorted(GENERALIZED))
+    def test_max_rounds_and_new_value_validation(self, core):
+        with pytest.raises(ValueError, match="max_rounds"):
+            GENERALIZED[core](max_rounds=0)
+        process = GENERALIZED[core]()
+        with pytest.raises(ValueError):
+            process.new_value("not-an-element")
+        process.new_value(frozenset({"ok"}))
+        assert process.batches[0] == [frozenset({"ok"})]
+        assert process.received_inputs == [frozenset({"ok"})]
+
+    @pytest.mark.parametrize("core", sorted(DISCLOSED))
+    def test_batch_size_below_one_is_rejected(self, core):
+        with pytest.raises(ValueError, match="batch_size"):
+            GENERALIZED[core](batch_size=0)
+
+    @pytest.mark.parametrize("core", sorted(DISCLOSED))
+    def test_batch_overflow_goes_ahead_of_the_next_rounds_queue(self, core):
+        values = [frozenset({f"v{k}"}) for k in range(5)]
+        process = GENERALIZED[core](batch_size=2, initial_values=values)
+        sends = process.handle(Start())
+        assert process.round == 0
+        assert {DISCLOSED[core](effect.payload) for effect in sends} == {frozenset({"v0", "v1"})}
+        process.new_value(frozenset({"late"}))
+        assert process.batches[0] == values[:2]
+        assert process.batches[1] == values[2:] + [frozenset({"late"})]

@@ -1,6 +1,6 @@
 """Unit tests for replica/client message handling details."""
 
-from repro.core.gwts import HALTED
+from repro.core.process import HALTED
 from repro.engine import FixedDelay, KernelEngine
 from repro.engine import ProtocolCore
 from repro.rsm import Replica, RSMClient, make_command
