@@ -310,7 +310,7 @@ class EquivocatingGWTSProposer(_ByzantineMixin, GWTSProcess):
 
     def _start_round(self) -> None:
         self.state = DISCLOSING
-        self._next_batch()
+        self._next_batch()  # advances the round; the honest batch is never disclosed
         pool = self.equivocation_pool or [self.lattice.bottom()]
         value_a = pool[self.round % len(pool)]
         value_b = pool[(self.round + 1) % len(pool)]

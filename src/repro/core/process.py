@@ -27,8 +27,8 @@ The generalized cores (GWTS, GSbS and the crash-GLA baseline) extend
 :class:`GeneralizedProcess`, which adds the round and batch policy of
 Algorithm 3 lines 1-15 that all three run unchanged: inputs queued per round,
 the oldest ``batch_size`` of them proposed, the rest carried ahead of the next
-round's queue, and a halt at the ``max_rounds`` horizon.  Each core supplies
-only how a round starts (``_start_round``).
+round's queue, and a halt at the ``max_rounds`` horizon.  Of the round loop,
+each core supplies only how a round starts (``_start_round``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import CrashLAProcess
 from repro.byzantine import AlwaysAckAcceptor, SilentByzantine
-from repro.core.messages import Ack, AckRequest
+from repro.core.messages import Ack
 from repro.engine import Deliver, FixedDelay, SkewedPairDelay, Start
 from repro.harness import run_crash_la_scenario, run_wts_scenario
 from repro.lattice import SetLattice
@@ -66,22 +66,12 @@ class TestStructuralChecks:
     def make(self):
         return CrashLAProcess("p0", SetLattice(), ["p0", "p1", "p2"], 1, proposal=frozenset({"v"}))
 
-    def test_start_sends_the_first_ack_request(self):
-        process = self.make()
-        sends = process.handle(Start())
-        assert [effect.dest for effect in sends] == ["p0", "p1", "p2"]
-        assert all(effect.payload == AckRequest(proposed_set=frozenset({"v"}), ts=0) for effect in sends)
-
     def test_malformed_acks_do_not_count_toward_the_majority(self):
         process = self.make()
         process.handle(Start())
         process.handle(Deliver("p1", Ack(accepted_set=["junk"], ts=0)))
         process.handle(Deliver("p2", Ack(accepted_set=["junk"], ts=0)))
         assert not process.has_decided
-
-    def test_well_formed_majority_decides(self):
-        process = self.make()
-        process.handle(Start())
         process.handle(Deliver("p1", Ack(accepted_set=frozenset({"v"}), ts=0)))
         process.handle(Deliver("p2", Ack(accepted_set=frozenset({"v"}), ts=0)))
         assert process.decisions == [frozenset({"v"})]
