@@ -73,6 +73,8 @@ class _Sink(ProtocolCore):
 class _Chirper(_Sink):
     """Broadcasts 20 rounds of pings at start (engine throughput driver)."""
 
+    members = tuple(f"p{i}" for i in range(10))
+
     def on_start(self):
         for _ in range(20):
             self.broadcast(("ping", self.pid))
@@ -128,6 +130,7 @@ class _RBHost(ProtocolCore):
 
     def __init__(self, pid, n, f):
         super().__init__(pid)
+        self.members = tuple(f"p{i}" for i in range(n))
         self.n = n
         self.f = f
         self.delivered = []

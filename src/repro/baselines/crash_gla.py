@@ -128,7 +128,7 @@ class CrashGLAProcess(GeneralizedProcess):
             self.proposed_set = merged
             self.ack_senders = set()
             self.ts += 1
-            self.send_to_members(
+            self.broadcast(
                 RoundAckRequest(proposed_set=self.proposed_set, ts=self.ts, round=self.round)
             )
 
@@ -146,7 +146,7 @@ class CrashGLAProcess(GeneralizedProcess):
             self.state = PROPOSING
             self.ts += 1
             self.ack_senders = set()
-            self.send_to_members(
+            self.broadcast(
                 RoundAckRequest(proposed_set=self.proposed_set, ts=self.ts, round=self.round)
             )
             return True
@@ -162,4 +162,4 @@ class CrashGLAProcess(GeneralizedProcess):
         self.state = DISCLOSING
         batch_value = self._next_batch()
         self.proposed_set = self.lattice.join(self.proposed_set, batch_value)
-        self.send_to_members(BatchDisclosure(value=batch_value, round=self.round))
+        self.broadcast(BatchDisclosure(value=batch_value, round=self.round))

@@ -106,8 +106,8 @@ class ReliableBroadcaster:
     Parameters
     ----------
     node:
-        The host core; protocol messages are emitted through its effect
-        buffer (``node.broadcast``).
+        The host core; protocol messages are broadcast to its ``members``
+        through its effect buffer (``node.broadcast``).
     n, f:
         System size and Byzantine tolerance threshold.  The thresholds are the
         classic ones: echo quorum ``floor((n + f) / 2) + 1``, ready
@@ -146,7 +146,7 @@ class ReliableBroadcaster:
     def broadcast(self, tag: Hashable, value: Any) -> None:
         """Reliably broadcast ``value`` under ``tag`` (origin = host node)."""
         init = RBInit(origin=self._node.pid, tag=tag, value=value)
-        self._node.broadcast(init, include_self=True)
+        self._node.broadcast(init)
 
     def handle(self, sender: Hashable, payload: Any) -> bool:
         """Process a potentially broadcast-internal message.
@@ -187,7 +187,7 @@ class ReliableBroadcaster:
             return
         state.sent_echo = True
         echo = RBEcho(origin=msg.origin, tag=msg.tag, value=msg.value)
-        self._node.broadcast(echo, include_self=True)
+        self._node.broadcast(echo)
 
     def _on_echo(self, sender: Hashable, msg: RBEcho) -> None:
         state = self._state((msg.origin, msg.tag))
@@ -199,7 +199,7 @@ class ReliableBroadcaster:
         if len(votes) >= self.echo_quorum and not state.sent_ready:
             state.sent_ready = True
             ready = RBReady(origin=msg.origin, tag=msg.tag, value=msg.value)
-            self._node.broadcast(ready, include_self=True)
+            self._node.broadcast(ready)
 
     def _on_ready(self, sender: Hashable, msg: RBReady) -> None:
         state = self._state((msg.origin, msg.tag))
@@ -213,7 +213,7 @@ class ReliableBroadcaster:
             # process saw an echo quorum, so it is safe to join.
             state.sent_ready = True
             ready = RBReady(origin=msg.origin, tag=msg.tag, value=msg.value)
-            self._node.broadcast(ready, include_self=True)
+            self._node.broadcast(ready)
         if len(votes) >= self.ready_quorum:
             state.mark_delivered()
             self._deliver(msg.origin, msg.tag, msg.value)

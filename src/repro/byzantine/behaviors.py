@@ -105,6 +105,11 @@ class CrashByzantine(_ByzantineMixin, ProtocolCore):
         self._delivered = 0
         self.crashed = False
 
+    @property
+    def members(self) -> tuple[Hashable, ...]:
+        """The wrapped core's membership: what its broadcasts reach."""
+        return self.inner.members
+
     def on_start(self) -> None:
         if self.crash_at_time is not None:
             self.set_timer(self.crash_at_time, self._CRASH_TAG)
@@ -192,8 +197,12 @@ class GarbageProposer(_ByzantineMixin, WTSProcess):
 
     def _disclose(self) -> None:
         # The only thing this process ever discloses is garbage, which
-        # correct processes filter at Algorithm 1 line 10.
-        self.broadcast(RBInit(origin=self.pid, tag=DISCLOSURE_TAG, value=self.garbage), include_self=False)
+        # correct processes filter at Algorithm 1 line 10.  It sends the
+        # INIT to the other members only, never echoing its own garbage.
+        init = RBInit(origin=self.pid, tag=DISCLOSURE_TAG, value=self.garbage)
+        for dest in self.members:
+            if dest != self.pid:
+                self.send(dest, init)
 
 
 class ValueInjectorProposer(_ByzantineMixin, WTSProcess):

@@ -101,7 +101,6 @@ class ServiceClient:
             core = RSMClient(client_id, members, spec.f, script=(), retry_timeout=spec.client_retry)
             self.hosts[client_id] = CoreHost(
                 core,
-                members=members,
                 send=lambda dest, payload, cid=client_id: self._send(cid, dest, payload),
                 time_scale=spec.time_scale,
                 clock_origin=self._origin,
@@ -225,14 +224,6 @@ class ServiceClient:
             ]
             for history in self.histories()
         ]
-        admissible = collect_admissible_commands([], histories)
-        return check_rsm_history(
-            histories, admissible_commands=admissible, require_liveness=require_liveness
-        )
-
-    def _audit_unprojected(self, require_liveness: bool) -> RSMCheckResult:
-        """The audit without the foreign-command projection (tests only)."""
-        histories = self.histories()
         admissible = collect_admissible_commands([], histories)
         return check_rsm_history(
             histories, admissible_commands=admissible, require_liveness=require_liveness

@@ -73,11 +73,9 @@ class NodeServer:
         self.spec = spec
         self.me = spec.node(name)
         self.codec = get_codec(spec.framing)
-        members = spec.member_names()
-        self.core = Replica(name, members, spec.f, max_rounds=spec.max_rounds)
+        self.core = Replica(name, spec.member_names(), spec.f, max_rounds=spec.max_rounds)
         self.host = CoreHost(
             self.core,
-            members=members,
             send=self._route,
             broadcast=self._broadcast,
             time_scale=spec.time_scale,
@@ -222,7 +220,7 @@ class NodeServer:
         }
         try:
             await read_peer_frames(
-                reader, self.codec, self.frames, self.me.name, self.host.members, self._deliver_peer, controls
+                reader, self.codec, self.frames, self.me.name, self.core.members, self._deliver_peer, controls
             )
         except (WireError, ClusterError) as failure:
             # A torn or foreign handshake: drop this connection, keep serving.

@@ -16,12 +16,11 @@ the engines, and hands the host the rest:
   any other destination goes out through the ``send`` callback the
   embedding supplies (a peer link or a client reply channel).  No callback,
   no route: the host raises :class:`~repro.cluster.spec.ClusterError`.
-* ``broadcast`` — reaches the protocol *membership*: in a cluster the host
-  does not know the whole "system" the in-process engines enumerate, and
-  GWTS/reliable-broadcast traffic is only meaningful to members anyway.
-  The remote members are handed to the embedding's ``broadcast`` callback
-  as **one** operation, so a node encodes the payload once for all of them.
-  An embedding without that callback (a client process, whose cores only
+* ``broadcast`` — reaches the core's ``members``, as on every substrate:
+  a member that is this core loops back like a self-send, and the remote
+  members are handed to the embedding's ``broadcast`` callback as **one**
+  operation, so a node encodes the payload once for all of them.  An
+  embedding without that callback (a client process, whose cores only
   send) gets a loud ``ClusterError``, as for a send with no route.
 * ``arm_timer`` — maps protocol time units onto wall-clock seconds via
   ``time_scale`` and arms ``loop.call_later``; cancellation stays lazy
@@ -41,12 +40,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable
 from typing import Any
 
 from repro.cluster.spec import ClusterError
 from repro.engine.core import ProtocolCore
-from repro.engine.effects import TimerHandle, interpret
+from repro.engine.effects import TimerHandle, interpret, members_of
 
 
 class CoreHost:
@@ -56,7 +55,6 @@ class CoreHost:
         self,
         core: ProtocolCore,
         *,
-        members: Iterable[Hashable] = (),
         send: Callable[[Hashable, Any], None] | None = None,
         broadcast: Callable[[tuple[Hashable, ...], Any], None] | None = None,
         time_scale: float = 0.001,
@@ -64,9 +62,6 @@ class CoreHost:
         on_output: Callable[[str, Any], None] | None = None,
     ) -> None:
         self.core = core
-        self.members = tuple(members)
-        #: The members a ``Broadcast`` leaves this process for.
-        self._remote_members = tuple(dest for dest in self.members if dest != core.pid)
         self._send = send
         self._broadcast = broadcast
         self.time_scale = time_scale
@@ -122,12 +117,13 @@ class CoreHost:
         else:
             raise ClusterError(f"core {sender!r} has no route to {dest!r}")
 
-    def broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
+    def broadcast(self, sender: Hashable, payload: Any, depth: int) -> None:
         if self._broadcast is None:
             raise ClusterError(f"core {sender!r} has no broadcast route")
-        if include_self and sender in self.members:
+        members = members_of(self.core)
+        if sender in members:
             self._loop.call_soon(self.deliver, sender, payload)
-        self._broadcast(self._remote_members, payload)
+        self._broadcast(tuple(dest for dest in members if dest != sender), payload)
 
     def arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
         handle.bind(self._loop.call_later(delay * self.time_scale, self._fire_timer, handle))

@@ -286,7 +286,7 @@ class GSbSProcess(GeneralizedProcess):
             self.ack_records = {}
             self.ts += 1
             self.refinements_by_round[self.round] += 1
-            self.send_to_members(
+            self.broadcast(
                 GSbSAckRequest(proposed_set=self.proposed_set, ts=self.ts, round=self.round)
             )
 
@@ -326,7 +326,7 @@ class GSbSProcess(GeneralizedProcess):
             and len(self.safety_sets[self.round]) >= self.disclosure_threshold
         ):
             self.state = SAFETYING
-            self.send_to_members(
+            self.broadcast(
                 GSbSSafeRequest(
                     safety_set=self.safety_sets[self.round],
                     request_id=self.round,
@@ -346,7 +346,7 @@ class GSbSProcess(GeneralizedProcess):
             self.state = PROPOSING
             self.ack_records = {}
             self.ts += 1
-            self.send_to_members(
+            self.broadcast(
                 GSbSAckRequest(proposed_set=self.proposed_set, ts=self.ts, round=self.round)
             )
             return True
@@ -362,7 +362,7 @@ class GSbSProcess(GeneralizedProcess):
                     acks=frozenset(self.ack_records.values()),
                 )
                 self.certificates.setdefault(self.round, certificate)
-                self.send_to_members(certificate)
+                self.broadcast(certificate)
                 self._decide(self.proposed_set)
                 return True
             # Or adopt another proposer's certificate for this round, provided
@@ -380,7 +380,7 @@ class GSbSProcess(GeneralizedProcess):
         current = set(self.safety_sets[self.round])
         current.add(signed)
         self.safety_sets[self.round] = remove_conflicts(self.registry, current)
-        self.send_to_members(GSbSInit(payload=signed, round=self.round))
+        self.broadcast(GSbSInit(payload=signed, round=self.round))
 
     def _decide(self, proven_set: frozenset[ProvenValue]) -> None:
         self.decided_proven = frozenset(self.decided_proven | proven_set)

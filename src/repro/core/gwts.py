@@ -226,7 +226,7 @@ class GWTSProcess(GeneralizedProcess):
         request = RoundAckRequest(
             proposed_set=self.proposed_set, ts=self.ts, round=self.round
         )
-        self.send_to_members(request)
+        self.broadcast(request)
 
     def _round_has_commit(self, round_no: int) -> bool:
         """Whether some proposal of ``round_no`` gathered an ack quorum."""

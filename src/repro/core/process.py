@@ -5,9 +5,9 @@ Byzantine impostors) extends :class:`AgreementProcess`, which adds to the
 sans-I/O :class:`~repro.engine.ProtocolCore`:
 
 * the agreement *membership* — the fixed set of process ids running the
-  protocol (the paper's ``P``); the RSM adds client cores to the system that
-  are **not** members, so membership must be explicit rather than inferred
-  from the engine;
+  protocol (the paper's ``P``), and what every ``Broadcast`` of the core
+  reaches on every substrate; the RSM adds client cores to the system that
+  are **not** members and so hear no broadcast;
 * the lattice, ``n``, ``f`` and quorum sizes;
 * decision bookkeeping (``decisions`` list + a ``Decide`` effect carrying
   the causal message-delay of the paper's latency theorems to the backend's
@@ -87,10 +87,6 @@ class AgreementProcess(ProtocolCore):
     def disclosure_threshold(self) -> int:
         """``n - f`` — the number of disclosures awaited before proposing."""
         return self.n - self.f
-
-    def send_to_members(self, payload: Any) -> None:
-        """Broadcast ``payload`` to every protocol member (including self)."""
-        self.multicast(self.members, payload)
 
     def send_to(self, dest: Hashable, payload: Any) -> None:
         """Point-to-point send to one member (or any process in the system)."""

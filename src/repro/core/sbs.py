@@ -414,7 +414,7 @@ class SbSProcess(AgreementProcess):
         self.safety_set = remove_conflicts(
             self.registry, set(self.safety_set) | {self.own_signed}
         )
-        self.send_to_members(InitPhase(payload=self.own_signed))
+        self.broadcast(InitPhase(payload=self.own_signed))
 
     def on_message(self, sender: Hashable, payload: Any) -> None:
         # Requests change only acceptor state, which no guard reads
@@ -507,7 +507,7 @@ class SbSProcess(AgreementProcess):
             self.ack_senders = set()
             self.ts += 1
             self.refinements += 1
-            self.send_to_members(
+            self.broadcast(
                 SbSAckRequest(proposed_set=self.proposed_set, ts=self.ts)
             )
         else:
@@ -520,7 +520,7 @@ class SbSProcess(AgreementProcess):
         # acceptors to vet them.
         if self.state == INIT and len(self.safety_set) >= self.disclosure_threshold:
             self.state = SAFETYING
-            self.send_to_members(
+            self.broadcast(
                 SafeRequest(safety_set=self.safety_set, request_id=0)
             )
             return True
@@ -534,7 +534,7 @@ class SbSProcess(AgreementProcess):
             self.state = PROPOSING
             self.ack_senders = set()
             self.ts += 1
-            self.send_to_members(
+            self.broadcast(
                 SbSAckRequest(proposed_set=self.proposed_set, ts=self.ts)
             )
             return True

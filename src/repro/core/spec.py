@@ -245,7 +245,3 @@ def check_gla_run(
                     f"decision {render_element(dec)} of {pid!r} exceeds join of all proposed values {render_element(upper)}",
                 )
     return result
-
-
-def _distinct_count(values: Iterable[Any]) -> int:
-    return len({repr(v) for v in values})

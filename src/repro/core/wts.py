@@ -170,7 +170,7 @@ class WTSProcess(AgreementProcess):
 
     def _broadcast_ack_request(self) -> None:
         request = AckRequest(proposed_set=self.proposed_set, ts=self.ts)
-        self.send_to_members(request)
+        self.broadcast(request)
 
     def _try_handle(self, sender: Hashable, payload: Any) -> bool:
         """Handle ``payload`` if its guard is satisfied; return ``True`` if consumed."""

@@ -82,7 +82,7 @@ from typing import Any
 from repro.engine import wire
 from repro.engine.core import ProtocolCore
 from repro.engine.delays import DelayModel
-from repro.engine.effects import TimerHandle, interpret, invalid_time
+from repro.engine.effects import TimerHandle, interpret, invalid_time, members_of
 from repro.engine.envelope import Envelope
 from repro.engine.kernel_backend import KernelEngine
 from repro.engine.services import (
@@ -364,12 +364,9 @@ class AsyncEngine(KernelEngine):
         """Queue one message (authenticated: ``sender`` is the emitting core)."""
         self._tcp_fanout(sender, (dest,), payload, depth)
 
-    def _tcp_broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
-        """One message per member of ``sender``'s core-group, one frame for every link."""
-        scope = self._groups[self._group_of[sender]]
-        if not include_self:
-            scope = [dest for dest in scope if dest != sender]
-        self._tcp_fanout(sender, scope, payload, depth)
+    def _tcp_broadcast(self, sender: Hashable, payload: Any, depth: int) -> None:
+        """One message per member of ``sender``'s core, one frame for every link."""
+        self._tcp_fanout(sender, members_of(self._nodes[sender]), payload, depth)
 
     def _tcp_submit(self, sender: Hashable, dest: Hashable, payload: Any) -> None:
         raise RuntimeError("submit() belongs to the memory transport; tcp traffic comes from the cores")
@@ -402,7 +399,6 @@ class AsyncEngine(KernelEngine):
             send_time=self._clock.now(),
             depth=depth,
             seq=self._msg_seq,
-            shard=self._group_of.get(sender, 0),
         )
         delay = self._scheduler.delay(envelope, self.rng)
         if invalid_time(delay):

@@ -28,7 +28,7 @@ semantically identical to calling ``handle`` and applying what it returns.
 """
 
 from __future__ import annotations
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 
 from typing import Any
 
@@ -110,23 +110,20 @@ class ProtocolCore:
         """Emit a point-to-point send over the authenticated channel."""
         self._out.append(Send(dest, payload))
 
-    def broadcast(self, payload: Any, include_self: bool = True) -> None:
-        """Emit a best-effort broadcast: one send per process in the
-        emitting core's core-group — the whole system when the engine hosts
-        a single group (the default), or just the local shard when several
-        core-groups are multiplexed over one engine.
+    def broadcast(self, payload: Any) -> None:
+        """Emit a best-effort broadcast: one send per process in ``members``.
+
+        Every substrate reads the emitting core's ``members`` (the paper's
+        ``Π``; a subclass that broadcasts defines it) and sends to each in
+        order, the core itself included when it is a member.  Several
+        disjoint memberships on one engine are so many independent systems
+        sharing a transport.
 
         This is the plain ``Broadcast`` of the pseudocode — *not* the
         Byzantine reliable broadcast, which lives in :mod:`repro.broadcast`
         and is built on top of this primitive.
         """
-        self._out.append(Broadcast(payload, include_self))
-
-    def multicast(self, dests: Iterable[Hashable], payload: Any) -> None:
-        """Emit one send per destination in ``dests`` (in order)."""
-        out = self._out
-        for dest in dests:
-            out.append(Send(dest, payload))
+        self._out.append(Broadcast(payload))
 
     def set_timer(self, delay: float, tag: str, payload: Any = None) -> TimerHandle:
         """Emit a timer arming; returns the handle (``handle.cancel()``).

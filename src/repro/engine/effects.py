@@ -9,10 +9,7 @@ descriptions of intent — which the driving backend interprets:
                    point-to-point channel (the interpreter stamps the
                    true sender, so channels stay unforgeable)
 :class:`Broadcast` one :class:`Send` per process in the emitting core's
-                   broadcast scope, in registration order: its core-group
-                   on the engines (the whole system by default — RSM
-                   clients share the wire), the membership on a cluster
-                   node
+                   ``members``, in that order, on every substrate
 :class:`SetTimer`  arm a process-local alarm; the paired
                    :class:`TimerHandle` doubles as the cancellation token
 :class:`Cancel`    cancel a previously armed timer (equivalent to calling
@@ -38,13 +35,16 @@ kernel, turbo and async engines, or the cluster's ``CoreHost``.  A sink has
 five methods::
 
     send(sender, dest, payload, depth)
-    broadcast(sender, payload, include_self, depth)
+    broadcast(sender, payload, depth)
     arm_timer(pid, delay, handle)
     decided(pid, value, round, causal_depth)
     output(pid, label, data)
 
-and owns everything substrate-specific: where time comes from, what a
-``Broadcast`` reaches, how a message or a timer is queued.
+and owns everything substrate-specific: where time comes from, how a
+message or a timer is queued.  What a ``Broadcast`` reaches is not one of
+them: every sink sends it to :func:`members_of` the emitting core, and a
+core with no ``members`` (or a member the substrate does not know) fails
+the run, as a ``Send`` to an unknown process does.
 """
 
 from __future__ import annotations
@@ -85,20 +85,19 @@ class Send(Effect):
 
 
 class Broadcast(Effect):
-    """One :class:`Send` per process in the broadcast scope, in registration order.
+    """One :class:`Send` per member of the emitting core, in ``members`` order.
 
-    ``include_self`` defaults to ``True`` because the paper's "send to all"
-    includes the sender playing its own acceptor role.
+    The paper's "send to all" goes to the ``n`` processes of ``Π``, the
+    sender among them (it plays its own acceptor role).
     """
 
-    __slots__ = ("payload", "include_self")
+    __slots__ = ("payload",)
 
-    def __init__(self, payload: Any, include_self: bool = True) -> None:
+    def __init__(self, payload: Any) -> None:
         self.payload = payload
-        self.include_self = include_self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Broadcast(payload={self.payload!r}, include_self={self.include_self})"
+        return f"Broadcast(payload={self.payload!r})"
 
 
 class TimerHandle:
@@ -187,6 +186,18 @@ class Output(Effect):
         return f"Output(label={self.label!r}, data={self.data!r})"
 
 
+def members_of(core: Any) -> tuple[Hashable, ...]:
+    """What ``core``'s ``Broadcast`` reaches, on every sink: its ``members``.
+
+    There is no default: a core that broadcasts without ``members`` fails
+    the run instead of reaching nobody.
+    """
+    try:
+        return core.members
+    except AttributeError:
+        raise ValueError(f"core {core.pid!r} broadcast but has no members") from None
+
+
 def interpret(core: Any, sink: Any) -> None:
     """Apply (and drain) everything ``core`` emitted to ``sink``, in emission order.
 
@@ -207,7 +218,7 @@ def interpret(core: Any, sink: Any) -> None:
         if cls is Send:
             sink.send(pid, effect.dest, effect.payload, depth)
         elif cls is Broadcast:
-            sink.broadcast(pid, effect.payload, effect.include_self, depth)
+            sink.broadcast(pid, effect.payload, depth)
         elif cls is SetTimer:
             if invalid_time(effect.delay):
                 raise ValueError(f"invalid timer delay {effect.delay!r}")

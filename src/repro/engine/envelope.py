@@ -90,7 +90,6 @@ class Envelope:
         "deliver_time",
         "depth",
         "seq",
-        "shard",
         "_size",
         "_mtype",
     )
@@ -105,7 +104,6 @@ class Envelope:
         depth: int = 1,
         seq: int = 0,
         size: int | None = None,
-        shard: Any = 0,
     ) -> None:
         #: True sender process id (stamped by the network — unforgeable).
         self.sender = sender
@@ -124,11 +122,6 @@ class Envelope:
         self.depth = depth
         #: Monotonic sequence number (tie-breaker for deterministic ordering).
         self.seq = seq
-        #: Core-group (shard) tag of the *sender*.  Engines hosting several
-        #: independent core-groups over one transport stamp the sender's group
-        #: key here so traces and metrics can attribute traffic per shard.
-        #: Single-group runs always carry the default ``0``.
-        self.shard = shard
         self._size = size
         self._mtype: str | None = None
 
@@ -159,7 +152,6 @@ class Envelope:
             depth=self.depth,
             seq=self.seq,
             size=self._size,
-            shard=self.shard,
         )
 
     @property

@@ -72,7 +72,6 @@ class KernelEngine(TurboEngine):
             send_time=now,
             depth=depth,
             seq=self._msg_seq,
-            shard=self._group_of.get(sender, 0),
         )
         delay = self._scheduler.delay(envelope, self.rng)
         if invalid_time(delay):

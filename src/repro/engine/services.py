@@ -13,7 +13,7 @@ they agree on a small service surface the layers above consume:
 * :class:`RunResult` — the uniform outcome record of one engine run,
   whatever the backend.
 * :class:`EngineBase` — the skeleton every in-process backend shares: core
-  registration and core-groups, fault scripting, the ``decided``/``output``
+  registration, fault scripting, the ``broadcast``/``decided``/``output``
   half of the effect sink (:func:`repro.engine.effects.interpret`) and the
   ``run_until_*`` helpers.  A backend adds only its calendar, its
   ``_push_control``, its ``send``/``arm_timer`` sink methods and its run
@@ -33,7 +33,7 @@ from typing import Any
 
 from repro.engine.core import ProtocolCore
 from repro.engine.delays import DelayModel, UniformDelay
-from repro.engine.effects import TimerHandle, interpret, invalid_time
+from repro.engine.effects import TimerHandle, interpret, invalid_time, members_of
 from repro.metrics.collector import MetricsCollector
 from repro.sim.faults import validate_partition_groups
 from repro.sim.scheduler import DelayModelScheduler, Scheduler
@@ -200,9 +200,13 @@ CRASH, RECOVER, PARTITION, HEAL, INJECT = range(2, 7)
 class EngineBase:
     """The skeleton the kernel, turbo and async backends share.
 
-    It validates the shared constructor arguments, registers cores and their
-    core-groups, scripts faults and external timers, records decisions and
-    outputs, and owns the ``run_until_*`` helpers.  A backend supplies:
+    It validates the shared constructor arguments, registers cores, scripts
+    faults and external timers, fans a ``Broadcast`` out to the emitting
+    core's ``members``, records decisions and outputs, and owns the
+    ``run_until_*`` helpers.  Registration says nothing about who hears a
+    broadcast: a registered core outside every membership (an RSM client)
+    hears none, and several disjoint memberships on one engine (a sharded
+    RSM) never hear each other's.  A backend supplies:
 
     * ``_clock`` — its :class:`Clock`, and ``_partition_groups`` — the
       active partition (a tuple of frozensets of pids, ``()`` when
@@ -241,22 +245,12 @@ class EngineBase:
         self._cores: list[ProtocolCore] = []
         self._index: dict[Hashable, int] = {}
         self._pids: tuple[Hashable, ...] = ()
-        # Core-groups (shards): broadcast scope per pid.  A single-group run
-        # keeps every pid in group 0, so the group tuple *is* ``_pids`` and
-        # iteration (hence RNG draw order and seq numbering) is unchanged.
-        self._groups: dict[Any, tuple[Hashable, ...]] = {}
-        self._group_of: dict[Hashable, Any] = {}
         self._started = False
 
     # -- topology ---------------------------------------------------------------
 
-    def add_core(self, core: ProtocolCore, group: Any = 0) -> ProtocolCore:
-        """Register ``core`` under its pid (before the run starts).
-
-        ``group`` names the core-group (shard) the core belongs to.  A
-        ``Broadcast`` effect reaches exactly the emitting core's group; with
-        the default single group that is the whole system.
-        """
+    def add_core(self, core: ProtocolCore) -> ProtocolCore:
+        """Register ``core`` under its pid (before the run starts)."""
         if self._started:
             raise RuntimeError("cannot add cores after the run started")
         pid = core.pid
@@ -266,30 +260,15 @@ class EngineBase:
         self._index[pid] = len(self._cores)
         self._cores.append(core)
         self._pids += (pid,)
-        self._group_of[pid] = group
-        self._groups[group] = self._groups.get(group, ()) + (pid,)
         return core
 
     # ``add_node`` reads better at call sites that think in cluster terms.
     add_node = add_core
 
-    def add_cores(self, cores: Iterable[ProtocolCore], group: Any = 0) -> list[ProtocolCore]:
-        """Register several cores at once (in the given order)."""
-        return [self.add_core(core, group=group) for core in cores]
-
     @property
     def pids(self) -> tuple[Hashable, ...]:
         """All registered process identifiers, in registration order."""
         return self._pids
-
-    @property
-    def groups(self) -> dict[Any, tuple[Hashable, ...]]:
-        """Core-group key -> member pids, in registration order."""
-        return dict(self._groups)
-
-    def group_of(self, pid: Hashable) -> Any:
-        """The core-group (shard) key ``pid`` was registered under."""
-        return self._group_of[pid]
 
     @property
     def nodes(self) -> dict[Hashable, ProtocolCore]:
@@ -321,12 +300,11 @@ class EngineBase:
 
     # -- the sink half every backend shares (see repro.engine.effects) ----------
 
-    def broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
-        """One ``send`` per member of ``sender``'s core-group, in order."""
+    def broadcast(self, sender: Hashable, payload: Any, depth: int) -> None:
+        """One ``send`` per member of ``sender``'s core, in ``members`` order."""
         send = self.send
-        for dest in self._groups[self._group_of[sender]]:
-            if include_self or dest != sender:
-                send(sender, dest, payload, depth)
+        for dest in members_of(self._nodes[sender]):
+            send(sender, dest, payload, depth)
 
     def decided(self, pid: Hashable, value: Any, round: Any, causal_depth: int) -> None:
         self.metrics.record_decision(

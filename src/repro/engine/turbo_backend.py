@@ -27,7 +27,7 @@ Effects reach the calendar through the one shared interpreter
 (:func:`repro.engine.effects.interpret`), with the engine as its sink: the
 per-event work turbo sheds is objects, not a second effect path.  Its
 ``send`` and ``broadcast`` sink methods write calendar tuples directly, and
-the broadcast scope of every core is interned once at start as
+a core's ``members`` are interned on its first broadcast as
 ``(dest_index, pid)`` pairs.  Registration, fault scripting and the
 ``run_until_*`` helpers come from :class:`~repro.engine.services.EngineBase`.
 
@@ -54,7 +54,7 @@ from random import Random
 from typing import Any
 
 from repro.engine.delays import DelayModel, FixedDelay, UniformDelay
-from repro.engine.effects import TimerHandle, interpret, invalid_time
+from repro.engine.effects import TimerHandle, interpret, invalid_time, members_of
 from repro.engine.envelope import Envelope
 from repro.engine.services import (
     CRASH,
@@ -123,10 +123,10 @@ class TurboEngine(EngineBase):
         #: Per-type, per-delivery and size accounting are skipped by design
         #: (the kernel backend records those).
         self._sent: dict[Hashable, int] = {}
-        #: Broadcast scope per sender as ``(dest_index, pid)`` pairs, interned
-        #: at start.  Single-group runs give every sender
-        #: ``enumerate(self._pids)`` — identical iteration, RNG draws and seq
-        #: numbering to the pre-sharding engine.
+        #: Each broadcasting core's ``members`` as ``(dest_index, pid)``
+        #: pairs, interned on its first broadcast.  A broadcast draws the
+        #: same delays and seq numbers, in the same order, as one ``send``
+        #: per member would.
         self._scopes: dict[Hashable, tuple[tuple[int, Hashable], ...]] = {}
         #: The one reusable envelope handed to scheduler strategies: its
         #: fields are overwritten per send and its lazy caches reset, so no
@@ -176,7 +176,6 @@ class TurboEngine(EngineBase):
         probe.send_time = self._now
         probe.depth = depth
         probe.seq = self._msg_seq
-        probe.shard = self._group_of.get(sender, 0)
         probe._size = None
         probe._mtype = None
         delay = self._scheduler.delay(probe, self.rng)
@@ -207,9 +206,19 @@ class TurboEngine(EngineBase):
         self.pending_messages += 1
         self._sent[sender] += 1
 
-    def broadcast(self, sender: Hashable, payload: Any, include_self: bool, depth: int) -> None:
+    def _scope(self, sender: Hashable) -> tuple[tuple[int, Hashable], ...]:
+        """Intern ``sender``'s members as ``(dest_index, pid)`` pairs."""
+        index = self._index
+        try:
+            scope = self._scopes[sender] = tuple((index[dest], dest) for dest in members_of(self._nodes[sender]))
+        except KeyError as unknown:
+            raise ValueError(f"unknown destination {unknown.args[0]!r}") from None
+        return scope
+
+    def broadcast(self, sender: Hashable, payload: Any, depth: int) -> None:
         # The hot fan-out: every hoisted local below is read once per
         # destination, and the stock delay models never touch the probe.
+        scope = self._scopes.get(sender) or self._scope(sender)
         fixed = self._fixed_delay
         uniform = self._uniform_bounds
         if uniform is not None:
@@ -220,10 +229,7 @@ class TurboEngine(EngineBase):
         buckets_get = buckets.get
         now = self._now
         seq = self._seq
-        sent = 0
-        for dest_index, dest in self._scopes[sender]:
-            if not include_self and dest == sender:
-                continue
+        for dest_index, dest in scope:
             if fixed is not None:
                 delay = fixed
             elif uniform is not None:
@@ -237,10 +243,9 @@ class TurboEngine(EngineBase):
                 buckets[due] = bucket = deque()
                 heappush(times, due)
             bucket.append((due, seq, _MESSAGE, dest_index, sender, payload, depth))
-            sent += 1
         self._seq = seq
-        self.pending_messages += sent
-        self._sent[sender] += sent
+        self.pending_messages += len(scope)
+        self._sent[sender] += len(scope)
 
     def arm_timer(self, pid: Hashable, delay: float, handle: TimerHandle) -> None:
         self._seq += 1
@@ -266,13 +271,8 @@ class TurboEngine(EngineBase):
     # -- running -------------------------------------------------------------------
 
     def start(self) -> None:
-        """Intern the broadcast scopes, then hand every core its start event."""
+        """Zero the send counters, then hand every core its start event."""
         if not self._started:
-            index = self._index
-            self._scopes = {
-                pid: tuple((index[dest], dest) for dest in self._groups[self._group_of[pid]])
-                for pid in self._pids
-            }
             self._sent = dict.fromkeys(self._pids, 0)
         super().start()
 

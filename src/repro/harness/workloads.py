@@ -408,8 +408,8 @@ def build_scenario(
 
     ``shards`` splits an RSM's replicas into that many contiguous groups
     (:func:`repro.rsm.sharding.partition_replicas`), each running its own
-    GWTS instance as an independent core-group of the same engine —
-    broadcasts stay inside a shard, so the per-round message complexity
+    GWTS instance over a disjoint membership on the same engine — a
+    broadcast reaches its sender's members only, so the per-round message complexity
     scales with the group size, not the total replica count; ``f`` is then
     the per-shard threshold.  Clients become
     :class:`~repro.rsm.sharding.ShardedRSMClient` cores: an update hashes to
@@ -452,8 +452,7 @@ def build_scenario(
     make_core = process_class or proto.core
     byzantine = dict(zip(byz, byzantine_factories, strict=True))
     nodes: dict[Hashable, ProtocolCore] = {}
-    for shard, group in enumerate(groups):
-        placement = {} if shards is None else {"group": f"shard{shard}"}
+    for group in groups:
         for pid in group:
             if pid in byzantine:
                 core = byzantine[pid](pid, lattice, group, f, **shared)
@@ -464,7 +463,7 @@ def build_scenario(
                 if proto.seeding == "queued":
                     for value in inputs.get(pid, []):
                         core.new_value(value)
-            nodes[pid] = engine.add_core(core, **placement)
+            nodes[pid] = engine.add_core(core)
 
     watched: list[Any] = [nodes[pid] for pid in correct]
     views = None
@@ -472,18 +471,16 @@ def build_scenario(
         clients: dict[Hashable, Any] = {}
         extras["clients"] = clients
         if shards is None:
-            client_class, replicas, placement = RSMClient, pids, {}
+            client_class, replicas = RSMClient, pids
             extras["replica_pids"] = list(pids)
         else:
-            # Clients never Broadcast, but they get their own group so no
-            # shard's reliable-broadcast traffic is addressed to them.
-            client_class, replicas, placement = ShardedRSMClient, groups, {"group": "clients"}
+            client_class, replicas = ShardedRSMClient, groups
             extras["shard_groups"] = groups
         for client_id, script in (inputs or {}).items():
             client = client_class(
                 client_id, replicas, f, script=script, retry_timeout=client_retry_timeout, pipeline=client_pipeline
             )
-            clients[client_id] = nodes[client_id] = engine.add_core(client, **placement)
+            clients[client_id] = nodes[client_id] = engine.add_core(client)
         for client_id, payloads in (byzantine_client_payloads or {}).items():
             nodes[client_id] = engine.add_core(ByzantineClient(client_id, pids, f, payloads=payloads))
             byz.append(client_id)
@@ -721,8 +718,8 @@ def run_sharded_rsm_scenario(
 
     The ``n_replicas`` replica pids are split into ``shards`` contiguous
     groups (:func:`repro.rsm.sharding.partition_replicas`), each running its
-    own GWTS instance as an independent core-group of the same engine —
-    broadcasts stay inside a shard, so the per-round message complexity
+    own GWTS instance over a disjoint membership on the same engine — a
+    broadcast reaches its sender's members only, so the per-round message complexity
     scales with the group size, not the total replica count.  ``f`` is the
     per-shard resilience threshold (every group needs ``>= 3f + 1``
     members).  Clients are :class:`~repro.rsm.sharding.ShardedRSMClient`

@@ -102,7 +102,7 @@ def _base_payload(job: JobSpec, status: str, wall_time_s: float, error: str | No
         "wall_latency": None,
         # repro-results/v5: the data-plane shape the job drove.  Both are
         # declared axis/scenario params; unset means the pre-sharding
-        # default of one core-group and singly-proposed commands.
+        # default of one replica group and singly-proposed commands.
         "shards": int(job.params_dict.get("shards") or 1),
         "batch_size": int(job.params_dict.get("batch") or job.params_dict.get("batch_size") or 0),
         "status": status,

@@ -10,7 +10,7 @@ config, wall times, and one entry per job carrying the experiment's verdict
 decision-latency histogram ``wall_latency`` (the
 ``count``/``p50``/``p95``/``p99``/``max`` shape from
 ``repro.engine.services.latency_summary``, ``None`` on simulated backends),
-its data-plane shape (``shards`` — how many independent core-groups the job
+its data-plane shape (``shards`` — how many disjoint replica groups the job
 drove — and ``batch_size`` — the proposer batch size, ``0`` for
 singly-proposed commands), its check outcome, headline metrics, latency
 metrics, and the structured rows the text tables are formatted from.

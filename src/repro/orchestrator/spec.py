@@ -185,7 +185,7 @@ _SCENARIO_HELP = {
     "wire": "wire-fault DSL for sbs/gsbs over real TCP, "
     "e.g. flip:0.3+tamper-value:0.5 (see repro.engine.wire_faults)",
     "batch": "proposer batch size for gwts/gsbs/rsm (0 = propose singly)",
-    "shards": "shard the RSM into this many core-groups (rsm only, n >= shards*(3f+1))",
+    "shards": "shard the RSM into this many replica groups (rsm only, n >= shards*(3f+1))",
 }
 
 

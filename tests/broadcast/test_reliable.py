@@ -7,10 +7,14 @@ from repro.engine import FixedDelay, KernelEngine, ProtocolCore, UniformDelay
 
 
 class RBHost(ProtocolCore):
-    """Honest host embedding one reliable-broadcast endpoint."""
+    """Honest host embedding one reliable-broadcast endpoint.
+
+    Its members, which its broadcasts reach, are ``p0`` .. ``p{n-1}``.
+    """
 
     def __init__(self, pid, n, f, to_broadcast=None):
         super().__init__(pid)
+        self.members = tuple(f"p{i}" for i in range(n))
         self.n = n
         self.f = f
         self.to_broadcast = to_broadcast or []

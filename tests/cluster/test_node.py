@@ -163,9 +163,9 @@ class TestEncodeOncePerBroadcast:
                     listener = await asyncio.start_server(peer(spec.name), spec.host, spec.port)
                     await stack.enter_async_context(listener)
                 await settle(lambda: server.ready, "n0 to link up with its three peers")
-                server.host.call(lambda: server.core.broadcast(ECHO, include_self=False))
-                # The replica only ever broadcasts to its peers, so each of
-                # them is owed exactly one frame per encode.
+                server.host.call(lambda: server.core.broadcast(ECHO))
+                # The replica's own copy loops back off the wire, so each
+                # peer is owed exactly one frame per encode.
                 await settle(
                     lambda: all(len(frames) == len(peer_frames_encoded()) for frames in received.values()),
                     "every peer to read one frame per encode",
@@ -181,6 +181,8 @@ class TestEncodeOncePerBroadcast:
 
     def test_one_broadcast_on_the_engine_is_one_encode_for_every_link(self):
         class Announcer(ProtocolCore):
+            members = ("n0", "n1", "n2", "n3")
+
             def __init__(self, pid):
                 super().__init__(pid)
                 self.heard = []

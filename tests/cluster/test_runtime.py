@@ -23,9 +23,7 @@ class EchoCore(ProtocolCore):
     def on_message(self, sender, payload):
         self.seen.append((sender, payload))
         if payload == "fan":
-            self.broadcast("hello", include_self=False)
-        elif payload == "fan-self":
-            self.broadcast("hello-all", include_self=True)
+            self.broadcast("hello")
         elif payload == "self":
             self.send(self.pid, "loopback")
         elif payload == "remote":
@@ -48,7 +46,6 @@ def run_host(scenario):
         core = EchoCore("me", ("me", "other", "third"))
         host = CoreHost(
             core,
-            members=core.members,
             send=lambda dest, payload: sent.append((dest, payload)),
             time_scale=0.001,
         )
@@ -96,29 +93,28 @@ class TestCoreHost:
         assert sent == []
 
     def test_broadcast_is_one_operation_for_an_embedding_that_takes_it(self):
-        """A ``broadcast`` callback gets the remote members in one call (so a
-        node can encode once); ``send`` sees nothing, self still loops back."""
+        """A ``broadcast`` callback gets the core's remote members in one call
+        (so a node can encode once); ``send`` sees nothing, and the core, a
+        member itself, gets its copy through the loop."""
 
         async def main():
             sent, fanned = [], []
             core = EchoCore("me", ("me", "other", "third"))
             host = CoreHost(
                 core,
-                members=core.members,
                 send=lambda dest, payload: sent.append((dest, payload)),
                 broadcast=lambda dests, payload: fanned.append((dests, payload)),
             )
             host.start()
             host.deliver("x", "fan")
-            host.deliver("x", "fan-self")
-            assert ("me", "hello-all") not in core.seen  # queued, never re-entrant
+            assert ("me", "hello") not in core.seen  # queued, never re-entrant
             await asyncio.sleep(0)
             return core, sent, fanned
 
         core, sent, fanned = asyncio.run(main())
-        assert fanned == [(("other", "third"), "hello"), (("other", "third"), "hello-all")]
+        assert fanned == [(("other", "third"), "hello")]
         assert sent == []
-        assert ("me", "hello-all") in core.seen and ("me", "hello") not in core.seen
+        assert ("me", "hello") in core.seen
 
     def test_timer_fires_scaled_and_stamps_now(self):
         async def scenario(core, host):
@@ -146,7 +142,7 @@ class TestCoreHost:
     def test_missing_route_is_loud(self):
         async def main():
             core = EchoCore("me", ("me", "other"))
-            host = CoreHost(core, members=core.members, send=None)
+            host = CoreHost(core, send=None)
             host.start()
             with pytest.raises(ClusterError, match="no route"):
                 host.deliver("x", "remote")
@@ -174,7 +170,7 @@ class TestCoreHost:
                 if payload == "a":
                     host.deliver("peer", "ping")  # re-enters mid-batch
 
-            host = CoreHost(Chatty("me"), members=("me", "peer"), send=route)
+            host = CoreHost(Chatty("me"), send=route)
             host.start()
             host.deliver("x", "go")
             return sent

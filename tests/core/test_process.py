@@ -7,7 +7,7 @@ from repro.core.gsbs import GSbSProcess
 from repro.core.gwts import GWTSProcess
 from repro.core.process import AgreementProcess
 from repro.crypto import KeyRegistry
-from repro.engine import FixedDelay, KernelEngine, Start
+from repro.engine import Broadcast, FixedDelay, KernelEngine, Start
 from repro.lattice import SetLattice
 
 
@@ -49,12 +49,12 @@ class TestMembership:
         with pytest.raises(ValueError):
             AgreementProcess("outsider", SetLattice(), ["p0", "p1"], 0)
 
-    def test_send_to_members_emits_one_send_per_member(self):
+    def test_broadcast_is_one_effect_for_the_membership(self):
         _, process = make()
-        process.send_to_members("hi")
-        effects = process._out
-        assert [effect.dest for effect in effects] == ["p0", "p1", "p2", "p3"]
-        assert all(effect.payload == "hi" for effect in effects)
+        process.broadcast("hi")
+        (effect,) = process._out
+        assert isinstance(effect, Broadcast) and effect.payload == "hi"
+        assert process.members == ("p0", "p1", "p2", "p3")
 
 
 class TestDecisions:

@@ -27,7 +27,7 @@ class Pinger(ProtocolCore):
 
     def on_start(self):
         self.send("peer", "ping")
-        self.broadcast("hello", include_self=False)
+        self.broadcast("hello")
         self.set_timer(5.0, "wake", {"k": 1})
 
     def on_message(self, sender, payload):
@@ -45,7 +45,7 @@ class TestHandleInterface:
         assert [type(e) for e in effects] == [Send, Broadcast, SetTimer]
         send, broadcast, set_timer = effects
         assert send.dest == "peer" and send.payload == "ping"
-        assert broadcast.payload == "hello" and broadcast.include_self is False
+        assert broadcast.payload == "hello"
         assert set_timer.delay == 5.0 and set_timer.handle.tag == "wake"
         assert set_timer.handle.payload == {"k": 1}
 
@@ -121,7 +121,6 @@ def run_on_core_hosts(*cores):
 
     async def main():
         loop = asyncio.get_running_loop()
-        members = tuple(core.pid for core in cores)
         hosts = {}
 
         def route_from(sender):
@@ -133,7 +132,7 @@ def run_on_core_hosts(*cores):
             return route
 
         for core in cores:
-            hosts[core.pid] = CoreHost(core, members=members, send=route_from(core.pid))
+            hosts[core.pid] = CoreHost(core, send=route_from(core.pid))
         for host in hosts.values():
             host.start()
         await asyncio.sleep(0)  # one loop turn runs the deliveries queued at start

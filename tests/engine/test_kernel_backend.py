@@ -19,17 +19,10 @@ class Echo(ProtocolCore):
 
 
 class Greeter(ProtocolCore):
-    def on_start(self):
-        self.broadcast("hello", include_self=False)
-
-
-class Multicaster(ProtocolCore):
-    def __init__(self, pid, dests):
-        super().__init__(pid)
-        self.dests = dests
+    members = ("g", "s")
 
     def on_start(self):
-        self.multicast(self.dests, "sel")
+        self.broadcast("hello")
 
 
 class Chatter(ProtocolCore):
@@ -104,11 +97,13 @@ class TestDelivery:
         engine.run_until_quiescent()
         assert victim.received[0][0] == "liar"
 
-    def test_broadcast_effect_includes_self_by_default(self):
+    def test_broadcast_effect_reaches_every_member_self_included(self):
         engine = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
         nodes = [engine.add_core(Echo(f"p{i}")) for i in range(3)]
 
         class Noter(Echo):
+            members = ("p0", "p1", "p2", "n")
+
             def on_start(self):
                 self.broadcast("note")
 
@@ -116,14 +111,6 @@ class TestDelivery:
         engine.run_until_quiescent()
         assert sum(len(n.received) for n in nodes) == 3
         assert len(noter.received) == 1  # its own copy
-
-    def test_multicast_effect(self):
-        engine = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
-        nodes = [engine.add_core(Echo(f"p{i}")) for i in range(4)]
-        engine.add_core(Multicaster("m", ["p1", "p3"]))
-        engine.run_until_quiescent()
-        assert len(nodes[1].received) == 1 and len(nodes[3].received) == 1
-        assert len(nodes[2].received) == 0
 
     def test_on_start_hook_runs_once(self):
         engine = KernelEngine(delay_model=FixedDelay(1.0), seed=0)

@@ -113,7 +113,7 @@ class TestValidation:
     def test_v5_jobs_record_their_data_plane_shape(self):
         payload = _payload()
         job = payload["jobs"][0]
-        assert job["shards"] == 1  # E1 drives one core-group, unbatched
+        assert job["shards"] == 1  # E1 drives one replica group, unbatched
         assert job["batch_size"] == 0
         del job["shards"]
         del job["batch_size"]

@@ -168,7 +168,7 @@ class TestCrashedTarget:
 
     @pytest.mark.parametrize(
         "fault_plan, deliveries",
-        [(None, 24_418), ("crash:0@0-100000", 14_402), ("crash:1@0-100000", 14_373)],
+        [(None, 16_400), ("crash:0@0-100000", 8_782), ("crash:1@0-100000", 8_784)],
     )
     def test_only_the_first_operation_pays_the_timer(self, fault_plan, deliveries):
         counter = GCounterObject("hits")

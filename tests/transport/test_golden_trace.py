@@ -7,6 +7,14 @@ cores through the effect vocabulary, with the transport shims retired —
 must still reproduce every delivery — sender, destination, message type,
 send/deliver times and causal depth — bit for bit.
 
+One fixture is no longer the seed's: ``rsm_n4_f1_seed5`` was regenerated
+once, when a ``Broadcast`` came to reach the sender's ``members`` only.  The
+seed implementation also sent reliable-broadcast traffic
+(``rb_init``/``rb_echo``/``rb_ready``) to the RSM clients, which dropped
+it.  Now client ``c0`` receives just its ``rsm_decide`` and
+``rsm_cnf_rep`` replies (3 781 rows became 3 097).  The WTS and GWTS fixtures, where every
+registered core is a member, are still the seed's, byte for byte.
+
 The async backend's memory transport is the kernel's loop on a wall clock,
 so its delivery log must match the same fixtures in every field except
 ``deliver_time``, which there is a wall-clock reading.
