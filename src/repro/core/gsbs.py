@@ -29,8 +29,11 @@ core's round stamp: the signed init value is ``(round, element)``, the
 safe_ack is a :class:`~repro.core.messages.GSbSSafeAck` signed over
 ``("gsbs_safe_ack", rcvd, conflicts, request_id, round)``, and the vetting of
 a safety set, the proposer's safe_ack check, proof building and ``AllSafe``
-are shared (``ack_class=GSbSSafeAck``).  The round loop (per-round input
-queues, the ``batch_size`` cap and the ``max_rounds`` horizon) is
+are shared (``ack_class=GSbSSafeAck``), and so is the value order on
+carriers (one proof per signed value, ordered by ``{pv.value}``; see
+:mod:`repro.core.sbs`), which the certificate test and ``_decide`` use too.
+The round loop (per-round input queues, the ``batch_size`` cap and the
+``max_rounds`` horizon) is
 :class:`~repro.core.process.GeneralizedProcess`'s, shared with GWTS.  What
 stays here is GSbS's own: the round's init phase (``_start_round``), the
 per-round state, the signed acks (:func:`gsbs_ack_body`,
@@ -55,11 +58,14 @@ from repro.core.messages import (
 )
 from repro.core.process import NEWROUND, GeneralizedProcess
 from repro.core.sbs import (
+    accept,
     all_safe,
     answer_safe_request,
     build_proofs,
+    join_values,
     remove_conflicts,
     safe_ack_valid,
+    signed_values,
     signs_elements,
 )
 from repro.crypto.signatures import KeyRegistry, SignedValue, Signer, canonical_bytes
@@ -159,7 +165,9 @@ class GSbSProcess(GeneralizedProcess):
         #: Per-round collected safe_acks, keyed by acceptor.
         self.safe_acks: dict[int, dict[Hashable, GSbSSafeAck]] = defaultdict(dict)
         self.proposed_set: frozenset[ProvenValue] = frozenset()
+        self.proposed_values: frozenset[SignedValue] = frozenset()
         self.decided_proven: frozenset[ProvenValue] = frozenset()
+        self.decided_values: frozenset[SignedValue] = frozenset()
         self.ack_records: dict[Hashable, GSbSAck] = {}
         self.refinements_by_round: dict[int, int] = defaultdict(int)
         #: Certificates observed, keyed by round.
@@ -167,6 +175,7 @@ class GSbSProcess(GeneralizedProcess):
 
         # --- acceptor state ---
         self.accepted_set: frozenset[ProvenValue] = frozenset()
+        self.accepted_values: frozenset[SignedValue] = frozenset()
         self.safe_candidates: dict[int, frozenset[SignedValue]] = defaultdict(frozenset)
         self.trusted_round = 0
 
@@ -243,11 +252,13 @@ class GSbSProcess(GeneralizedProcess):
             return False  # round gating: not yet trusted (Section 8.2)
         if not self._proven(msg.proposed_set):
             return True
-        if self.accepted_set <= msg.proposed_set:
-            self.accepted_set = msg.proposed_set
-            body = gsbs_ack_body(self.accepted_set, sender, msg.ts, msg.round)
+        acked, accepted_set, self.accepted_values = accept(
+            self.accepted_set, self.accepted_values, msg.proposed_set
+        )
+        if acked:
+            body = gsbs_ack_body(accepted_set, sender, msg.ts, msg.round)
             ack = GSbSAck(
-                accepted_set=self.accepted_set,
+                accepted_set=accepted_set,
                 destination=sender,
                 ts=msg.ts,
                 round=msg.round,
@@ -259,9 +270,7 @@ class GSbSProcess(GeneralizedProcess):
                 sender,
                 GSbSNack(accepted_set=self.accepted_set, ts=msg.ts, round=msg.round),
             )
-            # A stale request inside Accepted_set: the join would only copy it.
-            if not msg.proposed_set <= self.accepted_set:
-                self.accepted_set = frozenset(self.accepted_set | msg.proposed_set)
+        self.accepted_set = accepted_set
         return True
 
     def _handle_ack(self, sender: Hashable, msg: GSbSAck) -> None:
@@ -280,9 +289,9 @@ class GSbSProcess(GeneralizedProcess):
             return
         if not self._proven(msg.accepted_set):
             return
-        merged = frozenset(msg.accepted_set | self.proposed_set)
-        if merged != self.proposed_set:
-            self.proposed_set = merged
+        proposed_set, proposed_values = join_values(self.proposed_set, self.proposed_values, msg.accepted_set)
+        if len(proposed_values) > len(self.proposed_values):
+            self.proposed_set, self.proposed_values = proposed_set, proposed_values
             self.ack_records = {}
             self.ts += 1
             self.refinements_by_round[self.round] += 1
@@ -343,6 +352,7 @@ class GSbSProcess(GeneralizedProcess):
             self.proposed_set = build_proofs(
                 self.proposed_set, self.safety_sets[self.round], self.safe_acks[self.round].values()
             )
+            self.proposed_values = signed_values(self.proposed_set)
             self.state = PROPOSING
             self.ack_records = {}
             self.ts += 1
@@ -368,7 +378,7 @@ class GSbSProcess(GeneralizedProcess):
             # Or adopt another proposer's certificate for this round, provided
             # it extends everything we already decided.
             certificate = self.certificates.get(self.round)
-            if certificate is not None and self.decided_proven <= certificate.accepted_set:
+            if certificate is not None and self.decided_values <= signed_values(certificate.accepted_set):
                 self._decide(certificate.accepted_set)
                 return True
         return False
@@ -383,7 +393,7 @@ class GSbSProcess(GeneralizedProcess):
         self.broadcast(GSbSInit(payload=signed, round=self.round))
 
     def _decide(self, proven_set: frozenset[ProvenValue]) -> None:
-        self.decided_proven = frozenset(self.decided_proven | proven_set)
+        self.decided_proven, self.decided_values = join_values(self.decided_proven, self.decided_values, proven_set)
         decision = self.lattice.join_all(
             proven.value.value[1] for proven in self.decided_proven
         )

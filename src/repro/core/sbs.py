@@ -20,6 +20,33 @@ phases, at the price of larger messages:
 
 Message complexity is ``O(n)`` per process when ``f = O(1)`` (Section 8.1)
 and the decision latency is at most ``5 + 4f`` message delays (Theorem 8).
+
+**One proof per signed value.**  A carrier — ``Proposed_set``,
+``Accepted_set``, and the set an ack request, ack, nack or GSbS decided
+certificate carries — is a frozenset of :class:`ProvenValue` holding at most
+one proof per signed value, and carriers are ordered by their signed-value
+sets ``{pv.value}`` (:func:`signed_values`).  Every order test compares those
+sets: the acceptor's ``Accepted_set ⊆ Proposed_set`` and its nack join
+(:func:`accept`), the proposer's "did the nack grow me" test, and GSbS's
+"does the certificate extend my decisions".  A new value enters a carrier
+with the proof it arrived with (:func:`join_values`); a second proof of a
+known value never grows a carrier, so it never causes a refinement, and
+``AllSafe`` rejects a carrier holding two proofs of one value.  This is
+sound for three reasons:
+
+1. A correct acceptor's accepted *value* set only grows: it either adopts a
+   proposal whose values include all it accepted, or joins in the new
+   values.  The proofs it keeps may change, the values never shrink, so the
+   proof that any two acked proposals are comparable, and hence that
+   decisions are, is WTS's argument over value sets.
+2. Lemma 13 is about values: once one valid proof of safety exists for a
+   signed value, no other value by the same signer can get one.  Nothing in
+   it depends on which proof is shown.
+3. A kept proof is as good as any other: ``AllSafe`` checked it, and a proof
+   is transferable evidence (Definition 7) whose verdict depends only on its
+   content, so any process re-checking it gets the same answer.  The
+   decision is the join of the values' raw elements, which the proof never
+   touches.
 """
 
 from __future__ import annotations
@@ -248,14 +275,52 @@ def build_proofs(
 ) -> frozenset[ProvenValue]:
     """Algorithm 8 lines 25-28: ``proposed_set`` plus every value of
     ``safety_set`` that no ack lists as a conflict, each proven by the quorum
-    ``safe_acks``."""
+    ``safe_acks``.  A value ``proposed_set`` already holds keeps its proof."""
     proof = frozenset(safe_acks)
     pairs = [pair for ack in proof for pair in ack.conflicts]
+    known = signed_values(proposed_set)
     proven: set[ProvenValue] = set(proposed_set)
     for value in safety_set:
-        if not any(value in pair for pair in pairs):
+        if value not in known and not any(value in pair for pair in pairs):
             proven.add(ProvenValue(value=value, safe_acks=proof))
     return frozenset(proven)
+
+
+def signed_values(carrier: Iterable[ProvenValue]) -> frozenset[SignedValue]:
+    """``{pv.value}``: the signed values a vetted carrier holds, by which
+    carriers are ordered."""
+    return frozenset(proven.value for proven in carrier)
+
+
+def join_values(
+    carrier: frozenset[ProvenValue], values: frozenset[SignedValue], other: Iterable[ProvenValue]
+) -> tuple[frozenset[ProvenValue], frozenset[SignedValue]]:
+    """``carrier`` (whose signed values are ``values``) joined with ``other``
+    in the value order, and the join's values.  A member of ``other`` enters
+    with its proof only if its value is new; a known value keeps its proof."""
+    fresh = [proven for proven in other if proven.value not in values]
+    if not fresh:
+        return carrier, values
+    return carrier.union(fresh), values.union(proven.value for proven in fresh)
+
+
+def accept(
+    accepted_set: frozenset[ProvenValue],
+    accepted_values: frozenset[SignedValue],
+    proposed_set: frozenset[ProvenValue],
+) -> tuple[bool, frozenset[ProvenValue], frozenset[SignedValue]]:
+    """Algorithm 9 lines 7-14 in the value order: ``(ack?, Accepted_set', its values)``.
+
+    ``proposed_set`` must have passed :func:`all_safe`, so it holds one proof
+    per value: the joined values number ``len(proposed_set)`` exactly when
+    every accepted value is among the proposal's.  Then the acceptor acks
+    and adopts ``proposed_set`` itself; otherwise it nacks and keeps the
+    join, each new value with the proof it arrived with.
+    """
+    joined, values = join_values(accepted_set, accepted_values, proposed_set)
+    if len(values) == len(proposed_set):
+        return True, proposed_set, values
+    return False, joined, values
 
 
 def value_conflicted_in(ack: SafeAck | GSbSSafeAck, value: SignedValue) -> bool:
@@ -281,7 +346,9 @@ def all_safe(
     list ``v`` as a conflict; ``v`` itself must be a validly signed lattice
     point (:func:`signs_elements`).  The acks must be of the calling
     core's ``ack_class``: a GSbS proof holding an SbS ack fails, and the
-    reverse.
+    reverse.  The set must hold at most one proof per signed value (see the
+    module docstring); that test runs only once every member has passed, so
+    it never reads ``.value`` off anything but a ``ProvenValue``.
 
     Each proof is checked once per distinct content.  A frozenset carrier
     checks only ``carrier - known``, where ``known`` (``registry.known_safe``,
@@ -298,10 +365,11 @@ def all_safe(
     iterable is walked in full and remembers nothing.
     """
     if not isinstance(proven_values, frozenset):
+        members = list(proven_values)
         return all(
             _proven_value_safe(registry, lattice, proven, quorum, ack_class)
-            for proven in proven_values
-        )
+            for proven in members
+        ) and len(signed_values(members)) == len(set(members))
     scope = (_SCOPES[ack_class], quorum)
     return registry.memo_check(
         "all_safe", proven_values, scope,
@@ -316,13 +384,14 @@ def _all_proven_safe(
     scope: tuple[str, int],
     ack_class: type,
 ) -> bool:
-    """Check the members of a carrier not yet in ``known``; remember those that pass."""
+    """Check the members of a carrier not yet in ``known``, remembering those
+    that pass, then that no two members share a signed value."""
     known = registry.known_safe.setdefault(scope, set())
     for proven in proven_values - known:
         if not _proven_value_safe(registry, lattice, proven, scope[1], ack_class):
             return False
         known.add(proven)
-    return True
+    return len(signed_values(proven_values)) == len(proven_values)
 
 
 def _proven_value_safe(
@@ -396,6 +465,8 @@ class SbSProcess(AgreementProcess):
         self.safety_set: frozenset[SignedValue] = frozenset()
         self.safe_acks: dict[Hashable, SafeAck] = {}
         self.proposed_set: frozenset[ProvenValue] = frozenset()
+        #: ``signed_values(proposed_set)``, kept alongside it.
+        self.proposed_values: frozenset[SignedValue] = frozenset()
         self.ack_senders: set[Hashable] = set()
         self.byz: set[Hashable] = set()
         self.refinements = 0
@@ -405,6 +476,8 @@ class SbSProcess(AgreementProcess):
         # --- acceptor state (Algorithm 9 lines 1-2) ---
         self.safe_candidates: frozenset[SignedValue] = frozenset()
         self.accepted_set: frozenset[ProvenValue] = frozenset()
+        #: ``signed_values(accepted_set)``, kept alongside it.
+        self.accepted_values: frozenset[SignedValue] = frozenset()
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -471,15 +544,14 @@ class SbSProcess(AgreementProcess):
             return
         if not all_safe(self.registry, self.lattice, msg.proposed_set, self.quorum, SafeAck):
             return
-        if self.accepted_set <= msg.proposed_set:
-            self.accepted_set = msg.proposed_set
-            self.send_to(sender, SbSAck(accepted_set=self.accepted_set, ts=msg.ts))
+        acked, accepted_set, self.accepted_values = accept(
+            self.accepted_set, self.accepted_values, msg.proposed_set
+        )
+        if acked:
+            self.send_to(sender, SbSAck(accepted_set=accepted_set, ts=msg.ts))
         else:
             self.send_to(sender, SbSNack(accepted_set=self.accepted_set, ts=msg.ts))
-            # Most nacked requests are stale, already inside Accepted_set:
-            # the join would only copy it.
-            if not msg.proposed_set <= self.accepted_set:
-                self.accepted_set = frozenset(self.accepted_set | msg.proposed_set)
+        self.accepted_set = accepted_set
 
     def _handle_ack(self, sender: Hashable, msg: SbSAck) -> None:
         """Proposer side (Algorithm 8 lines 32-37)."""
@@ -494,16 +566,17 @@ class SbSProcess(AgreementProcess):
         """Proposer side (Algorithm 8 lines 38-46)."""
         if self.state != PROPOSING or msg.ts != self.ts:
             return
-        if not isinstance(msg.accepted_set, frozenset):
-            self.byz.add(sender)
-            return
-        merged = frozenset(msg.accepted_set | self.proposed_set)
-        if (
-            merged != self.proposed_set
+        # A correct acceptor nacks the current ts only when it accepted a
+        # value this proposal lacks, so a nack that brings no new value (a
+        # new proof of a known one, say) is Byzantine.
+        joined = (
+            isinstance(msg.accepted_set, frozenset)
             and sender not in self.byz
             and all_safe(self.registry, self.lattice, msg.accepted_set, self.quorum, SafeAck)
-        ):
-            self.proposed_set = merged
+            and join_values(self.proposed_set, self.proposed_values, msg.accepted_set)
+        )
+        if joined and len(joined[1]) > len(self.proposed_values):
+            self.proposed_set, self.proposed_values = joined
             self.ack_senders = set()
             self.ts += 1
             self.refinements += 1
@@ -531,6 +604,7 @@ class SbSProcess(AgreementProcess):
             self.proposed_set = build_proofs(
                 self.proposed_set, self.safety_set, self.safe_acks.values()
             )
+            self.proposed_values = signed_values(self.proposed_set)
             self.state = PROPOSING
             self.ack_senders = set()
             self.ts += 1

@@ -31,6 +31,7 @@ from repro.explore.invariants import (
     check_scenario_invariants,
     gla_invariants,
     la_invariants,
+    proof_invariants,
     rsm_invariants,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "check_scenario_invariants",
     "gla_invariants",
     "la_invariants",
+    "proof_invariants",
     "rsm_invariants",
     "ScenarioSpec",
     "generate_scenarios",

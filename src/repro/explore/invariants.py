@@ -26,7 +26,11 @@ run is clean.  The names are stable identifiers:
   half of Non-Triviality that Observation 1 enforces);
 * ``read_validity`` / ``read_consistency`` / ``read_monotonicity`` /
   ``update_stability`` / ``update_visibility`` — the RSM read/update
-  properties of Section 7.1 (read comparability is ``read_consistency``).
+  properties of Section 7.1 (read comparability is ``read_consistency``);
+* ``one_proof_per_value`` — no correct SbS/GSbS process's proposed,
+  accepted or decided carrier holds two proofs of one signed value
+  (:func:`proof_invariants`, run on the ``sbs`` and ``gsbs`` scenarios and
+  reported only when violated).
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ RSM_INVARIANTS = (
 
 #: Scenario kinds :func:`check_scenario_invariants` understands.
 SCENARIO_KINDS = ("la", "gla", "rsm")
+
+#: The protocols whose carriers hold proofs of safety, judged by :func:`proof_invariants`.
+PROOF_PROTOCOLS = ("sbs", "gsbs")
 
 
 def byzantine_value_bound_violations(scenario: ScenarioResult) -> list[str]:
@@ -90,6 +97,18 @@ def byzantine_value_bound_violations(scenario: ScenarioResult) -> list[str]:
     return [
         f"{len(injected)} distinct Byzantine values decided with f={scenario.f}: {rendered}"
     ]
+
+
+def proof_invariants(scenario: ScenarioResult) -> Violations:
+    """``one_proof_per_value``: every correct SbS/GSbS process's proposed,
+    accepted and decided carriers hold at most one proof per signed value."""
+    messages = []
+    for node in scenario.correct_nodes():
+        for name in ("proposed_set", "accepted_set", "decided_proven"):
+            values = [proven.value for proven in getattr(node, name, ())]
+            if len(set(values)) < len(values):
+                messages.append(f"{node.pid}.{name} holds {len(values)} proofs of {len(set(values))} signed values")
+    return {"one_proof_per_value": messages} if messages else {}
 
 
 def la_invariants(scenario: ScenarioResult, require_liveness: bool = True) -> Violations:

@@ -57,7 +57,7 @@ from repro.byzantine.behaviors import (
 from repro.core.wts import WTSProcess
 from repro.engine.wire import WireError
 from repro.engine.wire_faults import parse_wire_faults
-from repro.explore.invariants import check_scenario_invariants
+from repro.explore.invariants import PROOF_PROTOCOLS, check_scenario_invariants, proof_invariants
 from repro.harness.workloads import PROTOCOLS, build_scenario
 from repro.metrics.report import format_table
 from repro.rsm.crdt import GCounterObject, GSetObject
@@ -676,6 +676,8 @@ def run_scenario_spec(
         require_liveness=strict if kind == "rsm" else True,
         require_inclusivity=strict,
     )
+    if spec.protocol in PROOF_PROTOCOLS:
+        violations.update(proof_invariants(scenario))
     ok = not violations
     rows = [
         (invariant, len(messages), messages[0])

@@ -155,10 +155,6 @@ class MetricsCollector:
         """Identifiers of processes that recorded at least one decision."""
         return list(self._decision_index.keys())
 
-    def messages_sent(self, pid: Hashable) -> int:
-        """Messages sent by ``pid`` over the whole run."""
-        return self.sent_by_process[pid]
-
     def max_messages_per_process(self, pids: list[Hashable] | None = None) -> int:
         """Worst-case per-process send count (over ``pids`` or everyone)."""
         if pids is None:

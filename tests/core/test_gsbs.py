@@ -3,7 +3,17 @@
 import pytest
 
 from repro.core.gsbs import PROPOSING, SAFETYING, GSbSProcess, gsbs_ack_body, verify_certificate, verify_gsbs_ack
-from repro.core.messages import DecidedCertificate, GSbSAck, GSbSAckRequest, GSbSInit, GSbSSafeRequest
+from repro.core.messages import (
+    DecidedCertificate,
+    GSbSAck,
+    GSbSAckRequest,
+    GSbSInit,
+    GSbSNack,
+    GSbSSafeAck,
+    GSbSSafeRequest,
+    ProvenValue,
+)
+from repro.core.sbs import safe_ack_body
 from repro.crypto import SignedValue
 from repro.engine import Deliver, Start
 from repro.harness import run_gsbs_scenario
@@ -151,3 +161,75 @@ class TestMalformedByzantineMessages:
         assert sent == []
         assert process.accepted_set == frozenset()
         assert process.waiting_msgs == []
+
+
+def gsbs_proof(registry, signed, acceptors):
+    """A valid round-0 proof of safety for ``signed``: one honest safe_ack per acceptor."""
+    body = safe_ack_body(frozenset({signed}), frozenset(), 0, 0)
+    return ProvenValue(value=signed, safe_acks=frozenset(
+        GSbSSafeAck(rcvd_set=frozenset({signed}), conflicts=frozenset(), request_id=0, round=0,
+                    signature=registry.register(name).sign(body))
+        for name in acceptors
+    ))
+
+
+class TestMalformedCarriers:
+    """Carriers that break one proof per signed value, or hold a member that
+    is not a proof: every member validly signed, the carrier still dropped."""
+
+    MEMBERS = TestMalformedByzantineMessages.MEMBERS
+    started = TestMalformedByzantineMessages.started
+    proposing = TestMalformedByzantineMessages.proposing
+
+    def two_proofs(self, registry):
+        signed = registry.register("p3").sign((0, frozenset({"z"})))
+        return frozenset({
+            gsbs_proof(registry, signed, ("p1", "p2", "p3")),
+            gsbs_proof(registry, signed, ("p0", "p1", "p2")),
+        })
+
+    def not_a_proof(self, registry):
+        signed = registry.register("p3").sign((0, frozenset({"z"})))
+        return frozenset({gsbs_proof(registry, signed, ("p1", "p2", "p3")), signed})
+
+    CARRIERS = pytest.mark.parametrize("carrier", ["two_proofs", "not_a_proof"])
+
+    @CARRIERS
+    def test_ack_request_gets_no_answer(self, registry, carrier):
+        process = self.started(registry)
+        request = GSbSAckRequest(proposed_set=getattr(self, carrier)(registry), ts=1, round=0)
+        sent = process.handle(Deliver("p3", request))
+        assert sent == []
+        assert process.accepted_set == frozenset()
+        assert process.waiting_msgs == []
+
+    @CARRIERS
+    def test_nack_causes_no_refinement(self, registry, carrier):
+        process = self.proposing(registry)
+        proposed, ts = process.proposed_set, process.ts
+        nack = GSbSNack(accepted_set=getattr(self, carrier)(registry), ts=ts, round=0)
+        assert process.handle(Deliver("p3", nack)) == []
+        assert (process.proposed_set, process.ts) == (proposed, ts)
+        assert process.refinements_by_round[0] == 0
+
+    def test_nack_with_only_a_new_proof_of_a_known_value_causes_no_refinement(self, registry):
+        process = self.proposing(registry)
+        proposed, ts = process.proposed_set, process.ts
+        other = frozenset({gsbs_proof(registry, next(iter(proposed)).value, ("p0", "p2", "p3"))})
+        assert not other <= proposed
+        assert process.handle(Deliver("p3", GSbSNack(accepted_set=other, ts=ts, round=0))) == []
+        assert (process.proposed_set, process.ts) == (proposed, ts)
+
+    @CARRIERS
+    def test_certificate_is_not_kept(self, registry, carrier):
+        process = self.started(registry)
+        accepted = getattr(self, carrier)(registry)
+        acks = frozenset(
+            GSbSAck(accepted_set=accepted, destination="p3", ts=1, round=0,
+                    signature=registry.register(name).sign(gsbs_ack_body(accepted, "p3", 1, 0)))
+            for name in ("p1", "p2", "p3")
+        )
+        certificate = DecidedCertificate(accepted_set=accepted, destination="p3", ts=1, round=0, acks=acks)
+        assert verify_certificate(registry, certificate, quorum=3)
+        process.handle(Deliver("p3", certificate))
+        assert process.certificates == {}

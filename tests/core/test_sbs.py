@@ -253,10 +253,28 @@ class TestFailureFreeRuns:
 
     def test_refinements_bounded_by_2f(self):
         """Lemma 16: at most 2f refinements per correct proposer."""
-        for seed in range(3):
+        for seed in range(20):
             scenario = run_sbs_scenario(n=7, f=2, seed=seed)
             for node in scenario.correct_nodes():
                 assert node.refinements <= 4
+
+    def test_lemma16_seed9_refines_at_most_2f(self):
+        """Lemma 16 on the run where a proof-only nack once caused a third refinement."""
+        scenario = run_sbs_scenario(n=4, f=1, seed=9)
+        refinements = {node.pid: node.refinements for node in scenario.correct_nodes()}
+        assert max(refinements.values()) <= 2, refinements
+
+    @pytest.mark.parametrize("scheduler", [None, "random"], ids=["default", "random"])
+    def test_lemma16_holds_over_200_seeds(self, scheduler):
+        """No correct proposer refines more than 2f times, over seeds 0-199 on turbo."""
+        over = [
+            seed for seed in range(200)
+            if any(
+                node.refinements > 2
+                for node in run_sbs_scenario(n=4, f=1, seed=seed, backend="turbo", scheduler=scheduler).correct_nodes()
+            )
+        ]
+        assert over == []
 
     def test_message_size_grows_with_n(self):
         """The SbS trade-off: fewer messages but larger payloads (Section 8)."""
@@ -264,11 +282,12 @@ class TestFailureFreeRuns:
         large = run_sbs_scenario(n=10, f=1, seed=61)
         assert large.metrics.max_payload_size > small.metrics.max_payload_size
         # Exact sizes: payloads share proof objects, and each is still
-        # counted wherever it is reached.
-        assert small.metrics.max_payload_size == 1900
-        assert large.metrics.max_payload_size == 66604
-        assert sum(small.metrics.bytes_by_process.values()) == 105880
-        assert sum(large.metrics.bytes_by_process.values()) == 26095100
+        # counted wherever it is reached.  A carrier holds one proof per
+        # signed value.
+        assert small.metrics.max_payload_size == 636
+        assert large.metrics.max_payload_size == 7404
+        assert sum(small.metrics.bytes_by_process.values()) == 33104
+        assert sum(large.metrics.bytes_by_process.values()) == 2890120
 
     def test_decision_joins_only_proven_values(self):
         scenario = run_sbs_scenario(n=4, f=1, seed=62)
@@ -392,3 +411,35 @@ class TestMalformedByzantineMessages:
         process.handle(Deliver("p3", SbSNack(accepted_set=self.unshaped_proof(registry), ts=process.ts)))
         assert "p3" in process.byz
         assert process.proposed_set == proposed
+
+
+class TestOneProofPerValue:
+    """Carriers hold one proof per signed value and are ordered by their values."""
+
+    MEMBERS = ["p0", "p1", "p2", "p3"]
+
+    def acceptor(self, registry):
+        return SbSProcess("p0", SetLattice(), self.MEMBERS, 1, registry=registry, proposal=frozenset({"a"}))
+
+    def test_a_second_proof_of_an_accepted_value_is_acked_not_nacked(self, registry):
+        process = self.acceptor(registry)
+        first = proven_value(registry, "p1", frozenset({"v"}), acceptors=("p1", "p2", "p3"))
+        process.handle(Deliver("p1", SbSAckRequest(proposed_set=frozenset({first}), ts=1)))
+        second = proven_value(registry, "p1", frozenset({"v"}), acceptors=("p0", "p1", "p2"))
+        assert second.value == first.value and second != first
+        sent = process.handle(Deliver("p2", SbSAckRequest(proposed_set=frozenset({second}), ts=1)))
+        assert [type(effect.payload) for effect in sent] == [SbSAck]
+        assert process.accepted_set == frozenset({second})
+
+    def test_nack_join_keeps_the_accepted_proof_and_adds_new_values(self, registry):
+        process = self.acceptor(registry)
+        v = proven_value(registry, "p1", frozenset({"v"}), acceptors=("p1", "p2", "p3"))
+        u = proven_value(registry, "p2", frozenset({"u"}), acceptors=("p1", "p2", "p3"))
+        process.handle(Deliver("p1", SbSAckRequest(proposed_set=frozenset({v, u}), ts=1)))
+        v_again = proven_value(registry, "p1", frozenset({"v"}), acceptors=("p0", "p1", "p2"))
+        w = proven_value(registry, "p3", frozenset({"w"}), acceptors=("p1", "p2", "p3"))
+        sent = process.handle(Deliver("p3", SbSAckRequest(proposed_set=frozenset({v_again, w}), ts=1)))
+        assert [type(effect.payload) for effect in sent] == [SbSNack]
+        assert sent[0].payload.accepted_set == frozenset({v, u})
+        assert process.accepted_set == frozenset({v, u, w})
+        assert process.accepted_values == frozenset({v.value, u.value, w.value})

@@ -112,18 +112,21 @@ SCENARIOS = {
     ),
 }
 
+# The SbS and GSbS digests were regenerated once, when their carriers went
+# to one proof per signed value: a nack bringing only a new proof of a known
+# value no longer refines, and payloads shrink.
 DIGESTS = {
-    "sbs_n4_seed0": "0d48342d58560ae5d80d89765cd7ee72b501fdee85847a5656a60bdeb4adc872",
-    "sbs_n4_seed1": "feaeaa622421f3075d5c27c40d588155a15fc3dacd09ecd84854936d99a09b75",
-    "sbs_n4_seed2": "392f8edbedd51bf5b0f7f35b4dc2bee52148adb9d154e62fb5deafeaa90786b2",
-    "sbs_n7_seed2": "d9a5b11daca5469c15517f33c3df4b6affd6478d4bd1628b157b7e8ca7d20d57",
-    "sbs_n4_sig_equivocator": "b40d16a2892cdb01f7490bbb21bbae5d971eae21d532b911e9aca765177f9261",
+    "sbs_n4_seed0": "8dfdefdd22fed5b26c64fdde527e1820441e33021bdbf0c400c24ef7843804a4",
+    "sbs_n4_seed1": "74f7f436d3fa2b2aaf1044132bd38514fc20bb136ef027ce4b8322308b0409b4",
+    "sbs_n4_seed2": "a026a1d017abb6d929b87523a29642d80757e00da5eef7f33016190d636adf18",
+    "sbs_n7_seed2": "a73633bc03bec5fb9678ce9cc44e50b17d130bb1c25810fdf4d4ed6d5123d8e0",
+    "sbs_n4_sig_equivocator": "b75a5ce92cde8670ea37ffdabe8ca05d787429d3d1e9ed4eca3b0c754860812e",
     "sbs_n4_forger": "a0ff779c745bfc548705d43fd15ceae16a49bd0f54a614dd2fbb691561dea28a",
-    "gsbs_n4_seed0": "3dcdc7990488fcb9d7ad0e8f8842c0b8d5a5d8d60f65ff05ef7ae03836241b8f",
-    "gsbs_n4_seed1": "6e65ad413229a05e14e9ab800990978b12e4aedd8d71b60f971ae9f24611a08f",
-    "gsbs_n4_seed2": "d33181e53eca25344d3720c641e08dd13e1e4cc49a9f9a401248129d6531d11e",
-    "gsbs_n7_seed3": "6592b680a88e3f846b577355fe70da3c5bd2518bb5328acdd59e1749b2a271a6",
-    "gsbs_n4_batch1": "3e9c975daa6e721bb22d0ac386f952535b7bb4a706a7fcf5c5872f7660182eec",
+    "gsbs_n4_seed0": "f258c027a00351d8cb5907cae5992ac8f1201445e8ad4cbffe238af1d12dd8e6",
+    "gsbs_n4_seed1": "53c92022225c8b62677bcbd92de0cdb722ffd92acdec0183e6b6030f8d396f4d",
+    "gsbs_n4_seed2": "b5fe84e825584f1faeb8f1493faff3c278b198f3ba7291a6c1a0a4ba8919d477",
+    "gsbs_n7_seed3": "1282cc31309700e5ec8360cd6f6058e2e87081e81acec11b7d1200262ef33cfb",
+    "gsbs_n4_batch1": "e7d26e4981361bceb310f0a7021681f2f1e929266d074bbcb9b20123d083d128",
     "crash_la_n4_seed0": "2e4d1686e5d5763a3a9c645eb0f5a88741d5500f918d6f68b4bcb9f743ec1b74",
     "crash_la_n7_seed1": "4e4e9d23632fd0281854752be9a37048327e9f0c6e9f89014fa8e63088b9df70",
     "crash_la_n3_always_ack_partition": "717a396f3f831cfb13c1ead75f156fd8eb2da6fb57cab47725f4ace2c7b17818",

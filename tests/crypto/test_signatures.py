@@ -309,12 +309,12 @@ class TestMemoisedRunsDoNotMove:
 
     def test_sbs_n10(self):
         scenario = run_sbs_scenario(n=10, f=3, seed=3)
-        assert scenario.metrics.total_delivered == 895
+        assert scenario.metrics.total_delivered == 773
         assert len(scenario.metrics.decisions) == 10
         assert scenario.check_la().ok
 
     def test_gsbs_n7(self):
         scenario = run_gsbs_scenario(n=7, f=2, seed=3, rounds=3, values_per_process=2)
-        assert scenario.metrics.total_delivered == 1407
+        assert scenario.metrics.total_delivered == 1157
         assert len(scenario.metrics.decisions) == 21
         assert scenario.check_gla().ok

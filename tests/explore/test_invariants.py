@@ -4,14 +4,16 @@ import pytest
 
 from repro.byzantine.behaviors import EquivocatingProposer, NackSpamAcceptor, SilentByzantine
 from repro.core.ablations import NoDefencesWTSProcess, NoSafetyWTSProcess
+from repro.core.messages import ProvenValue
 from repro.explore.invariants import (
     byzantine_value_bound_violations,
     check_scenario_invariants,
     gla_invariants,
     la_invariants,
+    proof_invariants,
     rsm_invariants,
 )
-from repro.harness import run_gwts_scenario, run_rsm_scenario, run_wts_scenario
+from repro.harness import run_gsbs_scenario, run_gwts_scenario, run_rsm_scenario, run_sbs_scenario, run_wts_scenario
 from repro.rsm.crdt import GCounterObject
 
 
@@ -129,3 +131,24 @@ class TestDispatch:
         assert check_scenario_invariants(scenario, "la") == {}
         with pytest.raises(ValueError):
             check_scenario_invariants(scenario, "bogus")
+
+
+class TestOneProofPerValue:
+    @pytest.mark.parametrize("run", [
+        lambda: run_sbs_scenario(n=4, f=1, seed=9),
+        lambda: run_gsbs_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=0),
+    ], ids=["sbs", "gsbs"])
+    def test_clean_run_reports_nothing(self, run):
+        assert proof_invariants(run()) == {}
+
+    def test_a_doctored_carrier_is_reported(self):
+        scenario = run_sbs_scenario(n=4, f=1, seed=9)
+        node = scenario.correct_nodes()[0]
+        kept = next(iter(node.accepted_set))
+        node.accepted_set = node.accepted_set | {ProvenValue(value=kept.value, safe_acks=frozenset())}
+        violations = proof_invariants(scenario)
+        assert list(violations) == ["one_proof_per_value"]
+        assert violations["one_proof_per_value"] == [
+            f"{node.pid}.accepted_set holds {len(node.accepted_set)} proofs of "
+            f"{len(node.accepted_set) - 1} signed values"
+        ]
