@@ -116,6 +116,12 @@ class ReliableBroadcaster:
         Callback ``deliver(origin, tag, value)`` invoked exactly once per
         delivered instance — this is the pseudocode's ``RBcastDelivery``
         event.
+
+    Instances and votes are keyed by a message's ``origin``, ``tag`` and
+    ``value``.  No correct process originates a message with an unhashable
+    field, so one that has it (a Byzantine peer's ``list`` or ``dict``) is
+    dropped where the broadcaster would look the field up.  An INIT's value is not looked
+    up: an unhashable one is echoed, and every receiver drops the echoes.
     """
 
     def __init__(
@@ -180,7 +186,10 @@ class ReliableBroadcaster:
         # somebody else is ignored here.
         if sender != msg.origin:
             return
-        state = self._state((msg.origin, msg.tag))
+        try:
+            state = self._state((msg.origin, msg.tag))
+        except TypeError:
+            return  # unhashable origin or tag: a malformed message, dropped
         if state.sent_echo:
             # Echo only the *first* value received from the origin; an
             # equivocating origin cannot make us echo two values.
@@ -190,11 +199,14 @@ class ReliableBroadcaster:
         self._node.broadcast(echo)
 
     def _on_echo(self, sender: Hashable, msg: RBEcho) -> None:
-        state = self._state((msg.origin, msg.tag))
-        if state.delivered or sender in state.echo_senders:
-            return
+        try:
+            state = self._state((msg.origin, msg.tag))
+            if state.delivered or sender in state.echo_senders:
+                return
+            votes = state.echo_votes.setdefault(msg.value, set())
+        except TypeError:
+            return  # unhashable origin, tag or value: dropped, no vote taken
         state.echo_senders.add(sender)
-        votes = state.echo_votes.setdefault(msg.value, set())
         votes.add(sender)
         if len(votes) >= self.echo_quorum and not state.sent_ready:
             state.sent_ready = True
@@ -202,11 +214,14 @@ class ReliableBroadcaster:
             self._node.broadcast(ready)
 
     def _on_ready(self, sender: Hashable, msg: RBReady) -> None:
-        state = self._state((msg.origin, msg.tag))
-        if state.delivered or sender in state.ready_senders:
-            return
+        try:
+            state = self._state((msg.origin, msg.tag))
+            if state.delivered or sender in state.ready_senders:
+                return
+            votes = state.ready_votes.setdefault(msg.value, set())
+        except TypeError:
+            return  # unhashable origin, tag or value: dropped, no vote taken
         state.ready_senders.add(sender)
-        votes = state.ready_votes.setdefault(msg.value, set())
         votes.add(sender)
         if len(votes) >= self.ready_amplify and not state.sent_ready:
             # Amplification step: f+1 readys prove at least one correct

@@ -243,7 +243,6 @@ class AsyncEngine(KernelEngine):
             # events, and a run behind schedule catches up by not sleeping.
             scale = self.time_scale
             times = self._times
-            buckets = self._buckets
             anchor = started_wall - self._now * scale
             deadline = None if max_wall_s is None else started_wall + max_wall_s
 
@@ -256,10 +255,10 @@ class AsyncEngine(KernelEngine):
                     timed_out = True
                     return True
                 if scale and times:
-                    head = buckets[times[0]][0]
+                    head = self._head()
                     if head[2] == _TIMER and head[4].cancelled:
                         return False  # the loop skips it: nothing to wait for
-                    remaining = anchor + times[0] * scale - wall
+                    remaining = anchor + head[0] * scale - wall
                     if remaining > 0.0:
                         _time.sleep(remaining)
                 return False

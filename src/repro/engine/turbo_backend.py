@@ -12,6 +12,14 @@ Turbo itself carries no per-message object:
   ``(time, seq, kind, dest_index, sender, payload, depth)``; a single
   preallocated probe envelope is reused (fields overwritten per send) to
   interrogate :class:`~repro.sim.scheduler.Scheduler` strategies;
+* **no per-message bucket** — the calendar (after Brown's calendar queue,
+  CACM 1988) is a heap of distinct due times plus one slot per time.  An
+  entry alone on its time is stored bare, as the calendar tuple itself; a
+  FIFO deque exists only for a time that a second entry lands on, as a
+  fixed delay's broadcast burst does.  Under a random delay almost every
+  time is distinct, so a message in flight costs its tuple, its due time
+  and a dict slot, not a deque besides.  Pops follow ``(time, seq)``
+  exactly, whichever shape a slot has;
 * **no event objects** — timers, crashes, partitions and injections are
   calendar tuples too, discriminated by an integer kind;
 * **interned node ids** — destinations resolve to list indices once at send
@@ -97,15 +105,18 @@ class TurboEngine(EngineBase):
     ) -> None:
         super().__init__(delay_model, metrics, scheduler)
         self.rng = Random(seed)
-        #: Calendar queue: a heap of *distinct due times* plus one FIFO
-        #: bucket of ``(time, seq, kind, ...)`` entries per time.  Same-time
-        #: entries pop in append order, which equals seq order (``seq`` is
-        #: monotonic), so the schedule is identical to a flat
-        #: ``(time, seq)`` heap — but a large-n broadcast burst under a
-        #: fixed delay costs one sift plus n-1 plain appends instead of n
-        #: sifts, and the heap compares bare floats instead of tuples.
+        #: Calendar queue: a heap of *distinct due times* plus one slot per
+        #: time in ``_buckets``.  A time holding one ``(time, seq, kind, ...)``
+        #: entry stores that tuple itself; a second entry on the same time
+        #: turns the slot into a FIFO deque.  Same-time entries pop in
+        #: append order, which equals seq order (``seq`` is monotonic), so
+        #: the schedule is identical to a flat ``(time, seq)`` heap — but a
+        #: large-n broadcast burst under a fixed delay costs one sift plus
+        #: n-1 plain appends instead of n sifts, the heap compares bare
+        #: floats instead of tuples, and a message alone on its time (the
+        #: common case under a random delay) pays for no deque.
         self._times: list[float] = []
-        self._buckets: dict[float, deque] = {}
+        self._buckets: dict[float, tuple | deque] = {}
         self._seq = 0
         self._now = 0.0
         self._clock = SimulatedClock(lambda: self._now)
@@ -115,7 +126,6 @@ class TurboEngine(EngineBase):
         self._held_for_node: dict[int, list[tuple]] = {}
         self._held_for_partition: list[tuple] = []
         self.pending_messages = 0
-        self.events_processed = 0
         #: Per-sender send *counts* (one int increment per send — no
         #: per-message accounting objects), flushed into ``metrics`` after a
         #: run; decisions are recorded as they happen, so stop predicates,
@@ -150,13 +160,20 @@ class TurboEngine(EngineBase):
     # -- the calendar queue -------------------------------------------------------
 
     def _enqueue(self, entry: tuple) -> None:
-        """Append ``entry`` to its time bucket (creating it on first use)."""
+        """File ``entry`` under its due time: bare if alone, else in a deque."""
         due = entry[0]
-        bucket = self._buckets.get(due)
-        if bucket is None:
-            self._buckets[due] = bucket = deque()
+        slot = self._buckets.setdefault(due, entry)
+        if slot is entry:
             heappush(self._times, due)
-        bucket.append(entry)
+        elif slot.__class__ is tuple:
+            self._buckets[due] = deque((slot, entry))
+        else:
+            slot.append(entry)
+
+    def _head(self) -> tuple:
+        """The calendar's earliest entry, left in place (the calendar must not be empty)."""
+        head = self._buckets[self._times[0]]
+        return head if head.__class__ is tuple else head[0]
 
     def _delay_for(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> float:
         """One scheduler consultation via the reusable probe envelope.
@@ -197,12 +214,7 @@ class TurboEngine(EngineBase):
             else:
                 delay = self._delay_for(sender, dest, payload, depth)
         self._seq = seq = self._seq + 1
-        due = self._now + delay
-        bucket = self._buckets.get(due)
-        if bucket is None:
-            self._buckets[due] = bucket = deque()
-            heappush(self._times, due)
-        bucket.append((due, seq, _MESSAGE, dest_index, sender, payload, depth))
+        self._enqueue((self._now + delay, seq, _MESSAGE, dest_index, sender, payload, depth))
         self.pending_messages += 1
         self._sent[sender] += 1
 
@@ -226,7 +238,7 @@ class TurboEngine(EngineBase):
         rng_random = self.rng.random
         times = self._times
         buckets = self._buckets
-        buckets_get = buckets.get
+        file_under = buckets.setdefault
         now = self._now
         seq = self._seq
         for dest_index, dest in scope:
@@ -238,11 +250,15 @@ class TurboEngine(EngineBase):
                 delay = self._delay_for(sender, dest, payload, depth)
             seq += 1
             due = now + delay
-            bucket = buckets_get(due)
-            if bucket is None:
-                buckets[due] = bucket = deque()
+            entry = (due, seq, _MESSAGE, dest_index, sender, payload, depth)
+            # ``_enqueue``, inlined.
+            slot = file_under(due, entry)
+            if slot is entry:
                 heappush(times, due)
-            bucket.append((due, seq, _MESSAGE, dest_index, sender, payload, depth))
+            elif slot.__class__ is tuple:
+                buckets[due] = deque((slot, entry))
+            else:
+                slot.append(entry)
         self._seq = seq
         self.pending_messages += len(scope)
         self._sent[sender] += len(scope)
@@ -300,6 +316,7 @@ class TurboEngine(EngineBase):
         crashed = self._crashed
         record_delivery = self._record_delivery
         stamp = self._stamp
+        bucket = None
         delivered = 0
         events = 0
         stopped = False
@@ -318,16 +335,22 @@ class TurboEngine(EngineBase):
             if not times:
                 exhausted = True
                 break
-            # Batch-pop: drain the earliest time's FIFO bucket entry by
-            # entry; the heap is only touched when a bucket empties, so a
-            # same-timestamp run costs one sift for the whole run.
-            due = times[0]
-            bucket = buckets[due]
-            entry = bucket.popleft()
+            # A bare entry retires its time at once.  A shared time's deque
+            # drains entry by entry from ``bucket``, touching the dict and
+            # the heap only when it empties (a same-timestamp run costs one
+            # sift in all).  While it holds entries its time is still the
+            # calendar's head: nothing is ever filed before ``_now``.
+            if bucket:
+                entry = bucket.popleft()
+            else:
+                entry = buckets[times[0]]
+                if entry.__class__ is not tuple:
+                    bucket = entry
+                    entry = bucket.popleft()
+            time = entry[0]
             if not bucket:
                 heappop(times)
-                del buckets[due]
-            time = entry[0]
+                del buckets[time]
             kind = entry[2]
             if kind == _TIMER and entry[4].cancelled:
                 continue
@@ -336,7 +359,6 @@ class TurboEngine(EngineBase):
             if stamp is not None:
                 time = stamp()
             events += 1
-            self.events_processed += 1
             if kind == _MESSAGE:
                 dest_index = entry[3]
                 if dest_index in crashed:

@@ -216,6 +216,36 @@ class TestMemoryTransport:
             (env.sender, env.dest, env.seq) for env in kernel.delivery_log
         ]
 
+    def test_time_scale_paces_a_random_delay_chain_past_cancelled_head_timers(self):
+        # Under a random delay every due time is distinct, so the pacing
+        # peek reads lone entries, stored bare in the calendar.
+        hops, scale = 10, 0.01
+
+        def chain(backend, **kwargs):
+            engine = create_engine(backend, delay_model=UniformDelay(0.5, 1.5), seed=4, **kwargs)
+            pids = ["p0", "p1", "p2"]
+            for pid in pids:
+                engine.add_core(Relay(pid, pids, hops))
+            # The calendar's head at the first pop, and its last entry (the
+            # head once the chain is done): both cancelled before they are due.
+            engine.schedule_timer("p1", 0.1, "near").cancel()
+            engine.schedule_timer("p0", 1000.0, "far").cancel()
+            return engine, engine.run_until_quiescent()
+
+        kernel, kernel_result = chain("kernel")
+        paced, result = chain("async", time_scale=scale)
+        assert result.quiescent and result.delivered == hops
+        assert result.events == kernel_result.events
+        assert [(env.sender, env.dest, env.seq) for env in paced.delivery_log] == [
+            (env.sender, env.dest, env.seq) for env in kernel.delivery_log
+        ]
+        # Each delivery waits for its simulated due time, scaled...
+        for env, reference in zip(paced.delivery_log, kernel.delivery_log):
+            assert reference.deliver_time * scale - 1e-6 <= env.deliver_time <= result.end_time
+        assert result.wall_time_s >= kernel.delivery_log[-1].deliver_time * scale
+        # ...but no cancelled timer is waited for (the far one would take 10 s).
+        assert result.wall_time_s < 2.0
+
     def test_run_until_decided(self):
         class Decider(ProtocolCore):
             def on_message(self, sender, payload):
