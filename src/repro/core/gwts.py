@@ -163,9 +163,13 @@ class GWTSProcess(GeneralizedProcess):
         self._store_ack(origin, value)
 
     def _store_ack(self, origin: Hashable, ack: RoundAck) -> set[Hashable]:
-        """Record one reliably-broadcast ack; the acceptors seen for it so far."""
+        """Record one reliably-broadcast ack; the acceptors seen for it so far
+        (none for a malformed ack, which is dropped)."""
         key: AckKey = (ack.accepted_set, ack.destination, ack.ts, ack.round)
-        acceptors = self.ack_history[key]
+        try:
+            acceptors = self.ack_history[key]
+        except TypeError:
+            return set()  # an unhashable key field: a malformed ack, dropped
         acceptors.add(origin)
         self._round_acks[ack.round][key] = acceptors
         return acceptors

@@ -42,8 +42,14 @@ length-prefixed frames in either wire framing (:mod:`repro.engine.wire`,
   one syscall and a slow peer exerts backpressure instead of ballooning
   memory; reads are plain :class:`asyncio.StreamReader` reads (no
   ``BufferedProtocol``).  A message to oneself skips the wire: a node has
-  no link to itself.  ``SetTimer``/``Cancel`` map to ``loop.call_later``
-  handles, and delivery order is whatever the OS and the loop produce.
+  no link to itself.  Paced messages, ``SetTimer`` timers and scripted
+  controls wait on the calendar the engine inherits from
+  :class:`~repro.engine.turbo_backend.TurboEngine`, due at ``loop.time()``
+  seconds; one ``loop.call_at`` is armed for its head and hands each due
+  entry over in ``(time, seq)`` order.  The calendar belongs to the engine,
+  not to the run's event loop, so what a run leaves on it is due in the
+  next run.  ``Cancel`` is lazy, as on the simulated backends.  Delivery
+  order is whatever the OS and the loop produce.
   Safety properties must still hold (they are schedule-independent);
   latency metrics are wall-clock measurements.  A run owns a fresh event
   loop, so it must not be called from inside a running one.  The kernel's
@@ -95,7 +101,7 @@ from repro.engine.services import (
     WallClock,
     latency_summary,
 )
-from repro.engine.turbo_backend import _TIMER
+from repro.engine.turbo_backend import _MESSAGE, _TIMER
 from repro.metrics.collector import MetricsCollector
 from repro.sim.scheduler import Scheduler
 
@@ -106,6 +112,8 @@ _EV_TIMER = "timer"
 
 #: How often the TCP driver polls the stop predicate / quiescence state.
 _TCP_POLL_S = 0.002
+
+_INFINITY = float("inf")
 
 
 class AsyncEngine(KernelEngine):
@@ -191,11 +199,10 @@ class AsyncEngine(KernelEngine):
         #: ``(sender, dest, item)`` with ``item`` as :meth:`_tcp_enqueue` takes it.
         self._held_frames: list[tuple[Hashable, Hashable, Any]] = []
         self._held_timers: dict[int, list[TimerHandle]] = {}
-        #: Armed (not yet fired or parked) TCP timers and not-yet-applied
-        #: scripted controls — the stall detector needs to know whether any
-        #: future event could still release held traffic.
-        self._live_timer_count = 0
-        self._pending_controls = 0
+        #: The one asyncio timer of the tcp transport, armed for the calendar's
+        #: head (at ``_wake_at``, in ``loop.time()`` seconds) by :meth:`_tcp_file`.
+        self._wake: asyncio.TimerHandle | None = None
+        self._wake_at = _INFINITY
 
     @property
     def transport(self) -> str:
@@ -337,6 +344,12 @@ class AsyncEngine(KernelEngine):
         self._tasks[index] = None
 
     async def _teardown(self) -> None:
+        # The calendar outlives the loop: what is left on it is due in the
+        # next run.
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
+        self._wake_at = _INFINITY
         for index in range(len(self._tasks)):
             await self._cancel_node(index)
         # Both ends of every connection close before the servers do: from
@@ -375,10 +388,9 @@ class AsyncEngine(KernelEngine):
         if loop is None:
             raise RuntimeError("tcp timers can only be armed while the loop runs")
         # Cancellation is lazy (checked at fire time, like the simulated
-        # backends) so the callback always runs and the live-timer count
-        # stays exact — the stall detector depends on it.
-        self._live_timer_count += 1
-        loop.call_later(delay * self.time_scale, self._tcp_fire_timer, self._index[pid], handle)
+        # backends): a cancelled timer stays on the calendar until its time.
+        self._seq += 1
+        self._tcp_file((loop.time() + delay * self.time_scale, self._seq, _TIMER, self._index[pid], handle))
 
     def _tcp_push_control(self, at: float | None, kind: int, arg: Any) -> None:
         due = 0.0 if at is None else at
@@ -435,7 +447,57 @@ class AsyncEngine(KernelEngine):
                 # emitted in this task step rides the link's next write.
                 self._tcp_enqueue(sender, dest, item)
             else:
-                loop.call_later(wall_delay, self._tcp_enqueue, sender, dest, item)
+                self._seq += 1
+                self._tcp_file((loop.time() + wall_delay, self._seq, _MESSAGE, sender, dest, item))
+
+    # -- tcp transport: the calendar ------------------------------------------------------
+
+    def _tcp_file(self, entry: tuple) -> None:
+        """File one paced message or timer on the engine's calendar, and
+        re-arm the wake-up if it is now the head.
+
+        Due times are ``loop.time()`` seconds, the monotonic clock every
+        event loop reads, so an entry left over when a run's loop closes is
+        still due at the right moment in the next run.
+        """
+        self._enqueue(entry)
+        if entry[0] < self._wake_at:
+            self._tcp_arm(entry[0])
+
+    def _tcp_arm(self, due: float) -> None:
+        """Point the one asyncio timer at ``due``."""
+        if self._wake is not None:
+            self._wake.cancel()
+        self._wake_at = due
+        self._wake = self._loop.call_at(due, self._tcp_due)
+
+    def _tcp_due(self) -> None:
+        """Hand every calendar entry now due to its handler, in ``(time, seq)``
+        order, then re-arm for the new head."""
+        self._wake = None
+        # Entries filed by the handlers below wait for the re-arm at the end.
+        self._wake_at = -_INFINITY
+        times = self._times
+        now = self._loop.time()
+        try:
+            while times and times[0] <= now:
+                entry = self._pop()
+                kind = entry[2]
+                if kind == _MESSAGE:
+                    self._tcp_enqueue(entry[3], entry[4], entry[5])
+                elif kind == _TIMER:
+                    self._tcp_fire_timer(entry[3], entry[4])
+                else:
+                    self._tcp_apply_control(kind, entry[3])
+        except Exception as failure:
+            # A core's crash/recover hook or an injection raised: fail the
+            # run, as a failing message handler does.
+            if self._node_failure is None:
+                self._node_failure = failure
+        finally:
+            self._wake_at = _INFINITY
+            if times:
+                self._tcp_arm(times[0])
 
     def _tcp_enqueue(self, sender: Hashable, dest: Hashable, item: Any) -> None:
         """Queue one message on the (sender, dest) link, or hold it.
@@ -448,8 +510,6 @@ class AsyncEngine(KernelEngine):
             self._partition_groups and self._link_blocked(sender, dest)
         ):
             # Channels are reliable: hold the frame, release on recover/heal.
-            # (A paced frame whose call_later fires after the run tore down
-            # lands here too — it stays pending instead of vanishing.)
             self._held_frames.append((sender, dest, item))
             return
         if dest == sender:
@@ -511,13 +571,11 @@ class AsyncEngine(KernelEngine):
             self._tcp_enqueue(sender, dest, item)
 
     def _tcp_fire_timer(self, index: int, handle: TimerHandle) -> None:
-        self._live_timer_count -= 1
         if handle.cancelled:
             return
         if index in self._crashed:
-            # Timers are held for a crashed process, not lost.  Parked
-            # handles leave the live count; the recovery path re-adds them
-            # before re-firing, so the stall detector stays exact.
+            # Timers are held for a crashed process, not lost: the recovery
+            # path fires them.
             self._held_timers.setdefault(index, []).append(handle)
             return
         self._inboxes[index].put_nowait((_EV_TIMER, handle))
@@ -535,7 +593,6 @@ class AsyncEngine(KernelEngine):
         return stats
 
     def _tcp_apply_control(self, kind: int, arg: Any) -> None:
-        self._pending_controls -= 1
         if kind == CRASH:
             index = self._index[arg]
             if index not in self._crashed:
@@ -555,9 +612,7 @@ class AsyncEngine(KernelEngine):
                 self._crashed.discard(index)
                 self._tcp_release_held()
                 self._spawn_node(index)
-                held_timers = self._held_timers.pop(index, ())
-                self._live_timer_count += len(held_timers)  # re-fire decrements
-                for handle in held_timers:
+                for handle in self._held_timers.pop(index, ()):
                     self._tcp_fire_timer(index, handle)
                 core = self._cores[index]
                 core.now = self._clock.now()
@@ -614,14 +669,16 @@ class AsyncEngine(KernelEngine):
             for index in range(len(self._cores)):
                 if index not in self._crashed:
                     self._spawn_node(index)
-            # Fault scripts registered before the loop existed fire now,
-            # paced by the same time scale as message delays.
-            self._pending_controls += len(self._scripted_controls)
+            # Fault scripts registered before the loop existed join the
+            # calendar, due on this run's clock at the time scale of message
+            # delays; entries an earlier run left there are due as filed.
+            started = loop.time()
             for due, kind, arg in self._scripted_controls:
-                loop.call_later(
-                    due * self.time_scale, self._tcp_apply_control, kind, arg
-                )
+                self._seq += 1
+                self._enqueue((started + due * self.time_scale, self._seq, kind, arg))
             self._scripted_controls = []
+            if self._times:
+                self._tcp_arm(self._times[0])
             if not self._started:
                 self._started = True
                 for index in range(len(self._cores)):
@@ -684,13 +741,13 @@ class AsyncEngine(KernelEngine):
     def _tcp_stalled(self) -> bool:
         """Whether every pending message is held with no future release.
 
-        True when all pending traffic sits in the held-frame list or in a
-        crashed node's inbox while no scripted control, armed timer or live
-        inbox event remains that could ever release it.  ``stalled`` is the
+        True when the calendar is empty (no paced message, timer or scripted
+        control is still to come) and all pending traffic sits in the
+        held-frame list or in a crashed node's inbox.  ``stalled`` is the
         TCP analogue of the simulated backends' queue-exhaustion exit: the
         run ends non-quiescent rather than polling forever.
         """
-        if self._pending_controls > 0 or self._live_timer_count > 0:
+        if self._times:
             return False
         held = len(self._held_frames)
         for index in self._crashed:

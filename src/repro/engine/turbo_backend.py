@@ -175,6 +175,23 @@ class TurboEngine(EngineBase):
         head = self._buckets[self._times[0]]
         return head if head.__class__ is tuple else head[0]
 
+    def _pop(self) -> tuple:
+        """Remove and return the calendar's earliest entry (the calendar must not be empty).
+
+        :meth:`run` inlines this; the async backend's TCP transport pops here.
+        """
+        due = self._times[0]
+        slot = self._buckets[due]
+        if slot.__class__ is tuple:
+            entry = slot
+        else:
+            entry = slot.popleft()
+            if slot:
+                return entry
+        heappop(self._times)
+        del self._buckets[due]
+        return entry
+
     def _delay_for(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> float:
         """One scheduler consultation via the reusable probe envelope.
 

@@ -413,17 +413,140 @@ def _write_varint(out: bytearray, n: int) -> None:
     out.append(n)
 
 
-def _write_str(out: bytearray, text: str, interned: dict[str, int]) -> None:
-    index = interned.get(text)
-    if index is not None:
+#: A type byte and a one-byte varint, ready-made for every value below 128:
+#: the short string, string reference and int cases of the binary encoder.
+_SHORT_STR = [bytes((_B_STR, n)) for n in range(0x80)]
+_SHORT_REF = [bytes((_B_REF, n)) for n in range(0x80)]
+_SHORT_INT = [bytes((_B_INT, n)) for n in range(0x80)]
+
+# Every binary writer takes ``(value, out, interned, probes)``: the value,
+# the frame buffer, the frame's string intern table and its set-member
+# probes (see :func:`_binary_set_order`).
+
+
+def _write_str(value: str, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+    index = interned.get(value)
+    if index is None:
+        interned[value] = len(interned)
+        raw = value.encode()
+        if len(raw) < 0x80:
+            out += _SHORT_STR[len(raw)]
+        else:
+            out.append(_B_STR)
+            _write_varint(out, len(raw))
+        out += raw
+    elif index < 0x80:
+        out += _SHORT_REF[index]
+    else:
         out.append(_B_REF)
         _write_varint(out, index)
-        return
-    interned[text] = len(interned)
-    raw = text.encode("utf-8")
-    out.append(_B_STR)
-    _write_varint(out, len(raw))
-    out += raw
+
+
+def _write_int(value: int, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+    zigzag = (value << 1) if value >= 0 else ((-value) << 1) - 1
+    if zigzag < 0x80:
+        out += _SHORT_INT[zigzag]
+    else:
+        out.append(_B_INT)
+        _write_varint(out, zigzag)
+
+
+def _write_none(value: None, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+    out.append(_B_NONE)
+
+
+def _write_bool(value: bool, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+    out.append(_B_TRUE if value else _B_FALSE)
+
+
+def _write_float(value: float, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+    out.append(_B_FLOAT)
+    out += _DOUBLE.pack(value)
+
+
+def _write_bytes(value: bytes, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+    out.append(_B_BYTES)
+    _write_varint(out, len(value))
+    out += value
+
+
+def _sequence_writer(marker: int, ordered: bool = False) -> Callable[..., None]:
+    """The writer of one container type: its count, then its items (a set's
+    in :func:`_binary_set_order`)."""
+
+    def write(value: Any, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+        out.append(marker)
+        _write_varint(out, len(value))
+        writer_of = _BINARY_WRITERS.get
+        for item in _binary_set_order(value, probes) if ordered else value:
+            (writer_of(item.__class__) or _binary_writer(item))(item, out, interned, probes)
+
+    return write
+
+
+def _write_dict(value: dict, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+    out.append(_B_DICT)
+    _write_varint(out, len(value))
+    writer_of = _BINARY_WRITERS.get
+    for key, item in value.items():
+        (writer_of(key.__class__) or _binary_writer(key))(key, out, interned, probes)
+        (writer_of(item.__class__) or _binary_writer(item))(item, out, interned, probes)
+
+
+def _dataclass_writer(name: str, fields: tuple[str, ...]) -> Callable[..., None]:
+    """The writer of one wire-registered dataclass: its interned name, then
+    its field values in order."""
+
+    def write(value: Any, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+        out.append(_B_DATACLASS)
+        _write_str(name, out, interned, probes)
+        writer_of = _BINARY_WRITERS.get
+        for field in fields:
+            item = getattr(value, field)
+            (writer_of(item.__class__) or _binary_writer(item))(item, out, interned, probes)
+
+    return write
+
+
+#: Binary writer by exact class: the built-in types, plus each wire-registered
+#: dataclass from its first encode on (its name and field tuple are checked
+#: and cached then, as :data:`_JSON_PLANS` caches the JSON text).
+_BINARY_WRITERS: dict[type, Callable[[Any, bytearray, dict[str, int], dict[int, bytes]], None]] = {
+    type(None): _write_none,
+    bool: _write_bool,
+    int: _write_int,
+    float: _write_float,
+    str: _write_str,
+    bytes: _write_bytes,
+    list: _sequence_writer(_B_LIST),
+    tuple: _sequence_writer(_B_TUPLE),
+    frozenset: _sequence_writer(_B_FROZENSET, ordered=True),
+    set: _sequence_writer(_B_SET, ordered=True),
+    dict: _write_dict,
+}
+
+#: Built-in types whose subclasses are written as the base type, tested in
+#: this order (the order of the ``isinstance`` chain the format was defined by).
+_BINARY_BASES = (int, float, str, bytes, list, tuple, frozenset, set, dict)
+
+
+def _binary_writer(value: Any) -> Callable[[Any, bytearray, dict[str, int], dict[int, bytes]], None]:
+    """The slow lane: a subclass of a built-in type, or the first sight of a
+    dataclass (whose writer is cached for every later frame)."""
+    for base in _BINARY_BASES:
+        if isinstance(value, base):
+            return _BINARY_WRITERS[base]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        cls = value.__class__
+        name = cls.__name__
+        if _DATACLASSES.get(name) is not cls:
+            raise WireError(
+                f"dataclass {cls.__module__}.{name} is not wire-registered; "
+                "call repro.engine.wire.register_wire_dataclass first"
+            )
+        writer = _BINARY_WRITERS[cls] = _dataclass_writer(name, _field_names(cls))
+        return writer
+    raise WireError(f"value of type {type(value).__name__} is not wire-encodable: {value!r}")
 
 
 def _binary_set_order(items: Iterable[Any], probes: dict[int, bytes]) -> list:
@@ -432,7 +555,8 @@ def _binary_set_order(items: Iterable[Any], probes: dict[int, bytes]) -> list:
     Each member is keyed by its *standalone* encoding (fresh intern table):
     interning state depends on traversal order, so keying by the in-stream
     encoding would make the order depend on itself.  Standalone encodings
-    are pure functions of the value, hence hash-seed independent.
+    are pure functions of the value, hence hash-seed independent.  A short
+    ``str`` or small ``int`` member's key is built directly.
 
     ``probes`` memoizes standalone encodings by object identity for the
     duration of one frame encode (every value is kept alive by the message
@@ -443,6 +567,15 @@ def _binary_set_order(items: Iterable[Any], probes: dict[int, bytes]) -> list:
     """
     keyed = []
     for item in items:
+        cls = item.__class__
+        if cls is str:
+            raw = item.encode()
+            if len(raw) < 0x80:
+                keyed.append((_SHORT_STR[len(raw)] + raw, item))
+                continue
+        elif cls is int and -0x40 <= item < 0x40:
+            keyed.append((_SHORT_INT[(item << 1) if item >= 0 else ((-item) << 1) - 1], item))
+            continue
         probe = probes.get(id(item))
         if probe is None:
             out = bytearray()
@@ -453,69 +586,8 @@ def _binary_set_order(items: Iterable[Any], probes: dict[int, bytes]) -> list:
     return [item for _probe, item in keyed]
 
 
-def _encode_binary(
-    value: Any, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]
-) -> None:
-    if value is None:
-        out.append(_B_NONE)
-    elif value is True:
-        out.append(_B_TRUE)
-    elif value is False:
-        out.append(_B_FALSE)
-    elif isinstance(value, int):
-        out.append(_B_INT)
-        _write_varint(out, (value << 1) if value >= 0 else ((-value) << 1) - 1)
-    elif isinstance(value, float):
-        out.append(_B_FLOAT)
-        out += _DOUBLE.pack(value)
-    elif isinstance(value, str):
-        _write_str(out, value, interned)
-    elif isinstance(value, bytes):
-        out.append(_B_BYTES)
-        _write_varint(out, len(value))
-        out += value
-    elif isinstance(value, list):
-        out.append(_B_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            _encode_binary(item, out, interned, probes)
-    elif isinstance(value, tuple):
-        out.append(_B_TUPLE)
-        _write_varint(out, len(value))
-        for item in value:
-            _encode_binary(item, out, interned, probes)
-    elif isinstance(value, frozenset):
-        out.append(_B_FROZENSET)
-        _write_varint(out, len(value))
-        for item in _binary_set_order(value, probes):
-            _encode_binary(item, out, interned, probes)
-    elif isinstance(value, set):
-        out.append(_B_SET)
-        _write_varint(out, len(value))
-        for item in _binary_set_order(value, probes):
-            _encode_binary(item, out, interned, probes)
-    elif isinstance(value, dict):
-        out.append(_B_DICT)
-        _write_varint(out, len(value))
-        for key, item in value.items():
-            _encode_binary(key, out, interned, probes)
-            _encode_binary(item, out, interned, probes)
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        name = cls.__name__
-        if _DATACLASSES.get(name) is not cls:
-            raise WireError(
-                f"dataclass {cls.__module__}.{name} is not wire-registered; "
-                "call repro.engine.wire.register_wire_dataclass first"
-            )
-        out.append(_B_DATACLASS)
-        _write_str(out, name, interned)
-        for field_name in _field_names(cls):
-            _encode_binary(getattr(value, field_name), out, interned, probes)
-    else:
-        raise WireError(
-            f"value of type {type(value).__name__} is not wire-encodable: {value!r}"
-        )
+def _encode_binary(value: Any, out: bytearray, interned: dict[str, int], probes: dict[int, bytes]) -> None:
+    (_BINARY_WRITERS.get(value.__class__) or _binary_writer(value))(value, out, interned, probes)
 
 
 def _read_varint(buf, offset: int, end: int) -> tuple[int, int]:

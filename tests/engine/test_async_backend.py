@@ -1,5 +1,9 @@
 """AsyncEngine: asyncio node tasks, wall-clock time, memory and TCP transports."""
 
+import asyncio
+import time
+from collections import defaultdict
+
 import pytest
 
 from repro.engine import AsyncEngine, FixedDelay, ProtocolCore, UniformDelay, create_engine
@@ -75,6 +79,19 @@ class CrashWitness(ProtocolCore):
 
     def on_message(self, sender, payload):
         self.received.append(payload)
+
+
+def _wts_cluster(engine, n):
+    """``n`` WTS cores (f = (n - 1) // 3) on ``engine``, each proposing its own value."""
+    from repro.core.wts import WTSProcess
+    from repro.lattice.set_lattice import SetLattice
+
+    lattice = SetLattice()
+    pids = [f"p{i}" for i in range(n)]
+    return [
+        engine.add_core(WTSProcess(pid, lattice, pids, (n - 1) // 3, proposal=frozenset({f"v-{pid}"})))
+        for pid in pids
+    ]
 
 
 def _cluster(transport="memory", **kwargs):
@@ -449,3 +466,83 @@ class TestTcpTransport:
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
         # A connection handler cancelled at loop shutdown must end quietly.
         assert [record.getMessage() for record in caplog.records if record.name == "asyncio"] == []
+
+    # -- pacing on the engine's calendar --------------------------------------------------
+
+    def test_paced_frames_in_flight_when_a_run_ends_arrive_in_the_next_run(self):
+        """The calendar lives on the engine, not on the run's event loop: a
+        frame still waiting out its delay when ``asyncio.run`` closes the loop
+        is delivered by the next run."""
+        engine = AsyncEngine(
+            delay_model=FixedDelay(1.0), seed=0, transport="tcp", time_scale=0.05, framing="json"
+        )
+        nodes = _wts_cluster(engine, 4)
+        first = engine.run(stop_when=lambda: engine.pending_messages > 0, max_wall_s=10.0)
+        # Every core's first reliable broadcast (4 x 4 messages) is in flight.
+        assert first.stopped_by_predicate and first.pending_messages == 16 and first.delivered == 0
+        second = engine.run(max_wall_s=10.0)
+        assert second.quiescent and second.pending_messages == 0
+        assert not second.events_capped
+        assert all(node.has_decided for node in nodes)
+
+    def test_no_paced_frame_reaches_its_link_before_it_is_due(self):
+        """A message sent at wall time t with delay d is handed over no
+        earlier than t + d * time_scale.  With random delays a link's
+        messages may overtake each other, so the check counts: by the
+        moment of a link's k-th handover, at least k of its messages must
+        have been due."""
+        engine = AsyncEngine(delay_model=UniformDelay(0.5, 2.0), seed=3, transport="tcp", time_scale=0.002)
+        nodes = _wts_cluster(engine, 4)
+        due = defaultdict(list)
+        handed = defaultdict(list)
+        admit, enqueue = engine._admit, engine._tcp_enqueue
+
+        def timed_admit(sender, dest, payload, depth):
+            sent = time.monotonic()
+            envelope, delay = admit(sender, dest, payload, depth)
+            due[sender, dest].append(sent + delay * engine.time_scale)
+            return envelope, delay
+
+        def timed_enqueue(sender, dest, item):
+            handed[sender, dest].append(time.monotonic())
+            enqueue(sender, dest, item)
+
+        engine._admit = timed_admit
+        engine._tcp_enqueue = timed_enqueue
+        result = engine.run(stop_when=lambda: all(node.has_decided for node in nodes), max_wall_s=30.0)
+        assert result.stopped_by_predicate
+        assert sum(map(len, handed.values())) >= result.delivered > 0
+        for link, moments in handed.items():
+            for count, moment in enumerate(moments, start=1):
+                assert sum(1 for when in due[link] if when <= moment) >= count, link
+
+    def test_a_timer_due_after_its_run_fires_in_the_next_run(self):
+        engine = AsyncEngine(delay_model=FixedDelay(1.0), seed=0, transport="tcp", time_scale=0.01)
+        core = engine.add_core(TimerCore("p0"))
+        # Nothing is in flight, so the run is quiescent long before the
+        # 50 ms timer is due.
+        first = engine.run(max_wall_s=10.0)
+        assert first.quiescent and core.fired == []
+        time.sleep(0.06)
+        engine.run(stop_when=lambda: bool(core.fired), max_wall_s=10.0)
+        # The cancelled timer stays cancelled.
+        assert core.fired == [("keep", {"x": 1})]
+
+    def test_pacing_takes_far_fewer_asyncio_timers_than_messages(self, monkeypatch):
+        """One asyncio timer serves the calendar's head, not one per paced
+        message.  ``call_later`` arms through ``call_at``, so wrapping
+        ``call_at`` counts both (the driver's poll sleeps included)."""
+        handles = 0
+        call_at = asyncio.BaseEventLoop.call_at
+
+        def counting_call_at(loop, *args, **kwargs):
+            nonlocal handles
+            handles += 1
+            return call_at(loop, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_at", counting_call_at)
+        engine = AsyncEngine(seed=0, transport="tcp")
+        nodes = _wts_cluster(engine, 7)
+        result = engine.run(stop_when=lambda: all(node.has_decided for node in nodes), max_wall_s=60.0)
+        assert result.stopped_by_predicate
+        assert 0 < handles < result.delivered / 10

@@ -1,0 +1,96 @@
+"""Byte-level pin of the binary framing over seeded kernel runs.
+
+Every payload a seeded kernel run of WTS, GWTS, SbS, GSbS and the RSM
+delivers is framed as the TCP transport frames it (``peer_frame`` plus its
+causal depth) and encoded with :class:`~repro.engine.wire.BinaryCodec`; one
+SHA-256 covers every frame in delivery-log order.  The SbS and GSbS runs put
+nested sets of ``SignedValue``s on the wire, whose member order comes from
+their standalone encodings.  A few hand-made values cover what the
+protocols never send: floats, negative ints, bytes, mutable sets, dicts with
+non-string keys, and subclasses of built-in types.  A rewrite of the encoder
+must leave every byte unchanged, so the digest must not move; it reads the
+same under any ``PYTHONHASHSEED``.
+"""
+
+import hashlib
+from collections import namedtuple
+from enum import IntEnum
+
+from repro.engine import wire
+from repro.harness import (
+    run_gsbs_scenario,
+    run_gwts_scenario,
+    run_rsm_scenario,
+    run_sbs_scenario,
+    run_wts_scenario,
+)
+from repro.rsm import GCounterObject
+
+COUNTER = GCounterObject("hits")
+
+
+class Color(IntEnum):
+    RED = 3
+
+
+class Name(str):
+    pass
+
+
+Pair = namedtuple("Pair", "left right")
+
+EXTRAS = [
+    {"depth": -7, "ratio": 0.25, "raw": b"\x00\xff", "none": None, "flags": [True, False]},
+    {1: "one", (2, "two"): frozenset({3, "three"}), "mutable": {4, 5, 6}},
+    {"subclasses": [Color.RED, Name("named"), Pair(1, "x"), float("inf")]},
+    {"nested": frozenset({frozenset({1, 2}), frozenset({"a"}), frozenset()})},
+]
+
+CORPUS_RUNS = {
+    "wts": lambda: run_wts_scenario(n=4, f=1, seed=3),
+    "gwts": lambda: run_gwts_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=3),
+    "sbs": lambda: run_sbs_scenario(n=4, f=1, seed=3),
+    "gsbs": lambda: run_gsbs_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=3),
+    "rsm": lambda: run_rsm_scenario(
+        n_replicas=4,
+        f=1,
+        client_scripts={"c": [("update", COUNTER.op_inc(k)) for k in (1, 2, 3)] + [("read",)]},
+        rounds=9,
+        seed=3,
+    ),
+}
+
+DIGEST = "fc1931ede51449d0f6ad4eeb6e0d42af24ca885bbd11b570f59818483acec7ca"
+
+
+def corpus_frames():
+    """Every distinct (payload, depth) frame of the corpus runs, in delivery order."""
+    frames = []
+    for name in sorted(CORPUS_RUNS):
+        seen = set()
+        for env in CORPUS_RUNS[name]().engine.delivery_log:
+            key = (id(env.payload), env.depth)
+            if key not in seen:
+                seen.add(key)
+                frame = wire.peer_frame(env.payload)
+                frame["depth"] = env.depth
+                frames.append(frame)
+    return frames + EXTRAS
+
+
+def test_binary_frames_of_the_seeded_corpus_are_byte_identical():
+    codec = wire.get_codec("binary")
+    digest = hashlib.sha256()
+    frames = corpus_frames()
+    for frame in frames:
+        digest.update(codec.encode_frame(frame))
+    assert len(frames) > 1000
+    assert digest.hexdigest() == DIGEST
+
+
+def test_the_corpus_round_trips():
+    codec = wire.get_codec("binary")
+    frames = corpus_frames()
+    decoded = [codec.decode_body(codec.encode_frame(frame)[wire.HEADER_SIZE :]) for frame in frames]
+    # Subclasses of built-in types come back as their base type.
+    assert decoded[: -len(EXTRAS)] == frames[: -len(EXTRAS)]
