@@ -135,7 +135,7 @@ class CrashGLAProcess(GeneralizedProcess):
     # -- guard evaluation ------------------------------------------------------------------------
 
     def try_progress(self) -> bool:
-        if self.state == NEWROUND:
+        if self.state == NEWROUND and self._round_wanted():
             self._new_round()
             return True
 

@@ -308,4 +308,11 @@ def run_node(spec: ClusterSpec, name: str) -> int:
     # Operational escape hatch: `kill -USR1 <node pid>` dumps every thread's
     # Python stack to stderr (the node's log file) without stopping it.
     faulthandler.register(signal.SIGUSR1, all_threads=True)
-    return asyncio.run(NodeServer(spec, name).run())
+    code = asyncio.run(NodeServer(spec, name).run())
+    # Closing the loop restored the default handlers.  A node drains in
+    # about ``drain_idle_s``, so a second SIGTERM or SIGINT (the
+    # supervisor's, after a process-group signal started the drain) can
+    # arrive while this process exits; it must not turn the exit into a kill.
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.SIG_IGN)
+    return code

@@ -325,7 +325,7 @@ class GSbSProcess(GeneralizedProcess):
             return True
 
         # Start the next round.
-        if self.state == NEWROUND:
+        if self.state == NEWROUND and self._round_wanted():
             self._new_round()
             return True
 

@@ -188,7 +188,7 @@ class GWTSProcess(GeneralizedProcess):
 
     def try_progress(self) -> bool:
         # Algorithm 3 lines 11-15: upon state = newround, start the next round.
-        if self.state == NEWROUND:
+        if self.state == NEWROUND and self._round_wanted():
             self._new_round()
             return True
 

@@ -208,7 +208,8 @@ class GeneralizedProcess(AgreementProcess):
     """The round loop of Generalized Lattice Agreement (Algorithm 3 lines 1-15).
 
     A subclass keeps the ``state == NEWROUND`` test inline in its
-    :meth:`try_progress` and calls :meth:`_new_round` there; it supplies
+    :meth:`try_progress`, asks :meth:`_round_wanted` there and calls
+    :meth:`_new_round` when it answers yes; it supplies
     :meth:`_start_round`, which takes the round's value from
     :meth:`_next_batch` and runs the round's first phase.
 
@@ -262,6 +263,16 @@ class GeneralizedProcess(AgreementProcess):
             raise ValueError(f"{value!r} is not a lattice element")
         self.batches[self.round + 1].append(value)
         self.received_inputs.append(value)
+
+    def _round_wanted(self) -> bool:
+        """Whether a process in ``NEWROUND`` opens its next round now.
+
+        Algorithm 3 opens it as soon as the previous round decides, whether
+        or not a value is waiting, and so does this default.  The RSM
+        replica (:class:`repro.rsm.replica.Replica`) opens a round only when
+        it carries a command.
+        """
+        return True
 
     def _new_round(self) -> None:
         """Algorithm 3 lines 11-15: start the next round, or halt at the horizon."""

@@ -63,7 +63,8 @@ handed over on recovery/heal) and the shared interpreter
 the true sender, so channels stay authenticated.  Registration, fault
 scripting and the ``run_until_*`` helpers come from
 :class:`~repro.engine.services.EngineBase`.  The run loop stops on the
-stop predicate, on quiescence (no messages in flight anywhere), on the
+stop predicate, on quiescence (no messages in flight anywhere and no
+live timer or scripted control still to come), on the
 ``max_messages``/``max_events`` valves, or on the optional ``max_wall_s``
 hard timeout — a hung run fails fast instead of wedging CI.  Every
 run reports a wall-clock decision-latency summary
@@ -687,7 +688,8 @@ class AsyncEngine(KernelEngine):
             deadline = None if max_wall_s is None else started_wall + max_wall_s
             # Quiescence: nothing in flight (scheduler-paced sends, held
             # frames, queued-but-unprocessed inbox events all count) after at
-            # least one settle poll.
+            # least one settle poll, and no timer or scripted control still
+            # to run, as on the simulated backends.
             while True:
                 if self._node_failure is not None:
                     raise self._node_failure
@@ -710,6 +712,7 @@ class AsyncEngine(KernelEngine):
                         self.pending_messages == 0
                         and self._node_failure is None
                         and (stop_when is None or not stop_when())
+                        and not self._tcp_timers_live()
                     ):
                         break
                     continue
@@ -736,6 +739,19 @@ class AsyncEngine(KernelEngine):
             wall_time_s=_time.perf_counter() - started_wall,
             metrics=self.metrics,
             decision_latency=self._decision_latency(start_decisions, latency_origin),
+        )
+
+    def _tcp_timers_live(self) -> bool:
+        """Whether a timer or scripted control is still to run: on the
+        calendar and not cancelled, or come due and queued in a live node's
+        inbox.  Read only when no message is pending, so no paced message
+        is on the calendar and a live inbox holds no message."""
+        for slot in self._buckets.values():
+            for entry in (slot,) if slot.__class__ is tuple else slot:
+                if entry[2] != _TIMER or not entry[4].cancelled:
+                    return True
+        return any(
+            inbox.qsize() for index, inbox in enumerate(self._inboxes) if index not in self._crashed
         )
 
     def _tcp_stalled(self) -> bool:

@@ -7,8 +7,11 @@ that linearizability is checked against).  Because the paper's updates are
 *commutative* — any set of concurrent updates joins into one decision —
 independent updates need not wait on each other: ``pipeline=k`` keeps up to
 ``k`` updates in flight at once, which is what makes the replicas'
-``batch_size`` knob reachable from the client side (a strictly sequential
-client hands GWTS one value per round, so nothing ever batches).  Reads are
+``batch_size`` knob reachable from one client (a strictly sequential client
+hands GWTS one value per round; the commands of several sequential clients
+still share a round, since a replica waits
+:data:`~repro.rsm.replica.ROUND_HOLD` before opening a round for its own
+command).  Reads are
 always barriers: a read starts only once every earlier operation completed,
 and nothing starts behind an in-flight read — the read/confirm protocol of
 Algorithm 6 is what anchors real-time order, so it is never reordered.
@@ -114,9 +117,10 @@ class RSMClient(ProtocolCore):
     pipeline:
         Maximum number of update operations in flight at once (default 1 =
         strictly sequential, the paper's client).  Commutative updates need
-        not wait for each other's decisions, so a pipelined client keeps
-        GWTS rounds full and makes the replicas' ``batch_size`` knob
-        effective.  Reads are always barriers regardless of this setting.
+        not wait for each other's decisions, so a pipelined client fills
+        GWTS rounds on its own and makes the replicas' ``batch_size`` knob
+        effective; sequential clients fill a round together.  Reads are
+        always barriers regardless of this setting.
     """
 
     RETRY_TAG = "rsm_retry"

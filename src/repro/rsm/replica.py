@@ -16,6 +16,42 @@ play the role of both proposers and acceptors", Section 7.2) extended with:
   is answered once that value has a Byzantine quorum of acks in the
   replica's ``Ack_history``, proving it "has effectively been decided in
   GWTS".
+
+**Rounds open on demand.**  Algorithm 3 opens round ``r + 1`` as soon as
+round ``r`` decides, so an RSM built on it runs rounds whether or not a
+command is waiting.  A replica in ``NEWROUND`` after round ``r`` opens round
+``r + 1`` only:
+
+* at once, when a member sent it the INIT of that member's own round-``r + 1``
+  disclosure, or it delivered such a disclosure;
+* at once, when its queued values already fill ``batch_size``;
+* after :data:`ROUND_HOLD` simulated time units, when it holds a value not
+  below ``Decided_set`` (queued, or left in ``Proposed_set`` by a round
+  that decided a smaller commit).  One timer waits; opening the round for
+  either reason above cancels it.
+
+Otherwise it stays idle: it sends nothing, and its acceptor role (ack
+requests, ``Safe_r``) runs as before.  The hold is two message delays, the
+decide notice out and the client's next request back, so closed-loop
+clients that learned of the same decision land in the same next round.
+
+*Safety* is untouched: no message, guard or check changes, and a replica
+that opens a round later is a slow process, which every GWTS lemma already
+allows.  *Liveness*: a correct client's command reaches ``f + 1`` replicas,
+one of them correct, which queues it and opens a round within
+:data:`ROUND_HOLD`.  Its INIT reaches every correct replica, which opens that
+round on arrival, or on deciding the round before when it is behind, so
+``n - f`` correct disclosures arrive and the round proceeds as in GWTS.  A
+value left out of a decision stays held and opens the next round.
+*Round clogging* (Lemma 7) is unchanged: an acceptor still serves
+round-``r + 1`` requests only once round ``r`` had a legitimate end.  A
+Byzantine member's INITs can force at most one round per decided round,
+which is Algorithm 3's own rate.
+
+GWTS, GSbS and the crash-GLA baseline keep Algorithm 3's eager rounds
+(:meth:`~repro.core.process.GeneralizedProcess._round_wanted`'s default):
+their scenarios queue every input before the run and stop when every core
+halts at ``max_rounds``, and experiments E6/E7 count the cost per round.
 """
 
 from __future__ import annotations
@@ -24,11 +60,21 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.broadcast.reliable import RBInit
 from repro.core.gwts import GWTSProcess
 from repro.core.messages import RoundAck
+from repro.core.process import NEWROUND
+from repro.engine.effects import TimerHandle
 from repro.lattice.base import JoinSemilattice
 from repro.lattice.set_lattice import SetLattice
 from repro.rsm.commands import Command
+
+#: Simulated time units a replica holding a command waits for a peer to open
+#: the next round before it opens the round itself.
+ROUND_HOLD = 2.0
+
+#: Tag of the hold timer.
+HOLD_TAG = "rsm_round_hold"
 
 
 @dataclass(frozen=True)
@@ -94,6 +140,12 @@ class Replica(GWTSProcess):
         self._pending_conf: list[tuple[Hashable, frozenset[Command]]] = []
         #: Commands this replica has admitted (for tests / experiments).
         self.admitted_commands: list[Command] = []
+        #: Rounds above the current one for which a member sent us the INIT
+        #: of its own disclosure.
+        self._announced: set[int] = set()
+        #: The armed hold timer, and whether it has fired.
+        self._hold: TimerHandle | None = None
+        self._hold_over = False
 
     # -- client-facing message handling ---------------------------------------------
 
@@ -107,6 +159,10 @@ class Replica(GWTSProcess):
             self._handle_confirm_request(sender, payload)
             self._flush_client_work()
             return
+        if isinstance(payload, RBInit) and self._note_announcement(sender, payload):
+            # A member opened the round this replica would open next: open
+            # it too, before echoing the INIT.
+            self.recheck()
         decided, committed = len(self.decisions), len(self._committed_sets)
         super().on_message(sender, payload)
         # Serve clients waiting on a new decision or a new commit.  Both only
@@ -115,6 +171,51 @@ class Replica(GWTSProcess):
         # neither leaves nothing new to send.
         if len(self.decisions) != decided or len(self._committed_sets) != committed:
             self._flush_client_work()
+
+    def on_timer(self, tag: str, payload: Any = None) -> None:
+        if tag == HOLD_TAG and self._hold is not None:
+            self._hold_over = True
+            self.recheck()
+
+    def _note_announcement(self, sender: Hashable, init: RBInit) -> bool:
+        """Record a member's INIT of its own disclosure for a later round;
+        whether it announces the round this idle replica would open next."""
+        tag = init.tag
+        if not (
+            sender == init.origin
+            and sender in self.members
+            and isinstance(tag, tuple)
+            and len(tag) == 2
+            and tag[0] == "disclosure"
+            and isinstance(tag[1], int)
+            and tag[1] > self.round
+        ):
+            return False
+        self._announced.add(tag[1])
+        return self.state == NEWROUND and tag[1] == self.round + 1
+
+    # -- when to open the next round ------------------------------------------------------
+
+    def _round_wanted(self) -> bool:
+        following = self.round + 1
+        if following in self._announced or self.svs.get(following):
+            return True
+        queued = self.batches.get(following, ())
+        if self.batch_size is not None and len(queued) >= self.batch_size:
+            return True
+        if self._hold is None:
+            leq, decided = self.lattice.leq, self.decided_set
+            if not leq(self.proposed_set, decided) or not all(leq(value, decided) for value in queued):
+                self._hold = self.set_timer(ROUND_HOLD, HOLD_TAG)
+        return self._hold_over
+
+    def _start_round(self) -> None:
+        if self._hold is not None:
+            self._hold.cancel()
+            self._hold = None
+        self._hold_over = False
+        super()._start_round()
+        self._announced.discard(self.round)
 
     def _handle_update_request(self, sender: Hashable, msg: UpdateRequest) -> None:
         command = msg.command

@@ -519,14 +519,39 @@ class TestTcpTransport:
     def test_a_timer_due_after_its_run_fires_in_the_next_run(self):
         engine = AsyncEngine(delay_model=FixedDelay(1.0), seed=0, transport="tcp", time_scale=0.01)
         core = engine.add_core(TimerCore("p0"))
-        # Nothing is in flight, so the run is quiescent long before the
+        # The run stops once the core armed its timers, long before the
         # 50 ms timer is due.
-        first = engine.run(max_wall_s=10.0)
-        assert first.quiescent and core.fired == []
+        first = engine.run(stop_when=lambda: core.cancelled_handle is not None, max_wall_s=10.0)
+        assert first.stopped_by_predicate and core.fired == []
         time.sleep(0.06)
         engine.run(stop_when=lambda: bool(core.fired), max_wall_s=10.0)
         # The cancelled timer stays cancelled.
         assert core.fired == [("keep", {"x": 1})]
+
+    def test_an_armed_timer_keeps_the_run_from_being_quiescent(self):
+        """With nothing in flight, a run still waits for an armed timer to
+        fire, as the simulated backends do."""
+        engine = AsyncEngine(delay_model=FixedDelay(1.0), seed=0, transport="tcp", time_scale=0.01)
+        core = engine.add_core(TimerCore("p0"))
+        result = engine.run(max_wall_s=10.0)
+        assert result.quiescent and core.fired == [("keep", {"x": 1})]
+        assert 0.05 <= result.wall_time_s < 5.0
+
+    def test_an_rsm_run_waits_for_its_replicas_hold_timers(self):
+        """A replica holding a command opens its round on a timer, with no
+        message in flight: the run must not end there."""
+        from repro.harness import build_scenario
+        from repro.rsm.crdt import GCounterObject
+
+        counter = GCounterObject("hits")
+        scripts = {f"c{i}": [("update", counter.op_inc(k + 1)) for k in range(3)] for i in range(2)}
+        scenario = build_scenario(
+            "rsm", 4, 1, inputs=scripts, rounds=20, seed=3, backend="async", transport="tcp",
+            time_scale=0.01, max_wall_s=60.0,
+        )
+        result = scenario.run()
+        assert result.run.stopped_by_predicate
+        assert sum(len(client.completed_operations()) for client in scenario.extras["clients"].values()) == 6
 
     def test_pacing_takes_far_fewer_asyncio_timers_than_messages(self, monkeypatch):
         """One asyncio timer serves the calendar's head, not one per paced

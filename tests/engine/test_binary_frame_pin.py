@@ -60,7 +60,10 @@ CORPUS_RUNS = {
     ),
 }
 
-DIGEST = "fc1931ede51449d0f6ad4eeb6e0d42af24ca885bbd11b570f59818483acec7ca"
+#: Moved once with ``repro.engine.wire`` untouched: the corpus's RSM run
+#: carries fewer frames since replicas open a round only when it carries a
+#: command.
+DIGEST = "ec5e76fd7a7f8a0c57eb18789d89ed7cfefb8ec5fab652eab5db69825536b33a"
 
 
 def corpus_frames():

@@ -168,7 +168,7 @@ class TestCrashedTarget:
 
     @pytest.mark.parametrize(
         "fault_plan, deliveries",
-        [(None, 16_400), ("crash:0@0-100000", 8_782), ("crash:1@0-100000", 8_784)],
+        [(None, 8_197), ("crash:0@0-100000", 2_976), ("crash:1@0-100000", 2_976)],
     )
     def test_only_the_first_operation_pays_the_timer(self, fault_plan, deliveries):
         counter = GCounterObject("hits")

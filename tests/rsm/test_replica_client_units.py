@@ -1,6 +1,6 @@
 """Unit tests for replica/client message handling details."""
 
-from repro.core.process import HALTED
+from repro.core.process import NEWROUND
 from repro.engine import FixedDelay, KernelEngine
 from repro.engine import ProtocolCore
 from repro.rsm import Replica, RSMClient, make_command
@@ -102,7 +102,9 @@ class TestReplica:
         network.submit("client", "r1", UpdateRequest(command=command))
         network.run(max_messages=20000)
         assert all(command in replica.decisions[-1] for replica in replicas)
-        assert all(replica.state == HALTED for replica in replicas)
+        # Idle: between rounds, with nothing in flight.
+        assert all(replica.state == NEWROUND for replica in replicas)
+        assert network.pending_messages == 0
         before = len(network.delivery_log)
         # The client's retry reaches r0, which never heard from it.
         network.submit("client", "r0", UpdateRequest(command=command))
@@ -137,9 +139,10 @@ class TestReplica:
         sets are exactly the quorum-backed ones."""
         network, replicas, client = build_cluster()
         network.start()
+        # One command at a time, each run to quiescence, so they span rounds.
         for seq in (1, 2, 3):
             network.submit("client", "r0", UpdateRequest(command=make_command("client", seq, ("o", seq))))
-        network.run(max_messages=40000)
+            network.run(max_messages=40000)
         for replica in replicas:
             history = replica.ack_history
             assert history and any(key[3] > 0 for key in history)

@@ -8,11 +8,14 @@ must still reproduce every delivery — sender, destination, message type,
 send/deliver times and causal depth — bit for bit.
 
 One fixture is no longer the seed's: ``rsm_n4_f1_seed5`` was regenerated
-once, when a ``Broadcast`` came to reach the sender's ``members`` only.  The
-seed implementation also sent reliable-broadcast traffic
+twice.  First, when a ``Broadcast`` came to reach the sender's ``members``
+only.  The seed implementation also sent reliable-broadcast traffic
 (``rb_init``/``rb_echo``/``rb_ready``) to the RSM clients, which dropped
 it.  Now client ``c0`` receives just its ``rsm_decide`` and
-``rsm_cnf_rep`` replies (3 781 rows became 3 097).  The WTS and GWTS fixtures, where every
+``rsm_cnf_rep`` replies (3 781 rows became 3 097).  Second, when replicas
+came to open a round only when it carries a command: the update and the
+read's ``nop`` run in rounds 0 and 1, where the replicas used to run rounds
+0-4 back to back (3 097 rows became 1 486).  The WTS and GWTS fixtures, where every
 registered core is a member, are still the seed's, byte for byte.
 
 The async backend's memory transport is the kernel's loop on a wall clock,
