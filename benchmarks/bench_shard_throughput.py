@@ -51,11 +51,7 @@ import sys
 import time
 
 from repro.core.quorum import max_faults
-from repro.harness.workloads import (
-    run_crash_gla_scenario,
-    run_sharded_rsm_scenario,
-    run_wts_scenario,
-)
+from repro.harness.workloads import build_scenario
 from repro.lattice.set_lattice import SetLattice
 
 BENCH_SCHEMA = "repro-bench-shard/v1"
@@ -90,18 +86,17 @@ def _scripts(total_commands: int) -> dict:
 def run_point(n_replicas: int, shards: int, batch_size: int, total_commands: int) -> tuple:
     """One sharded-RSM run; returns (commands completed, elapsed wall seconds)."""
     start = time.perf_counter()
-    scenario = run_sharded_rsm_scenario(
-        n_replicas=n_replicas,
-        f=1,
+    scenario = build_scenario(
+        "rsm", n_replicas, 1,
         shards=shards,
-        client_scripts=_scripts(total_commands),
+        inputs=_scripts(total_commands),
         rounds=total_commands + 10,
         seed=7,
         backend="turbo",
         batch_size=batch_size,
         client_pipeline=16,
         max_messages=8_000_000,
-    )
+    ).run()
     elapsed = time.perf_counter() - start
     completed = sum(
         client.completed_updates() for client in scenario.extras["clients"].values()
@@ -173,20 +168,20 @@ def run_scaling_rows(smoke: bool) -> list[dict]:
     for n in sizes:
         f = max_faults(n)
         start = time.perf_counter()
-        crash = run_crash_gla_scenario(
-            n=n, f=f, values_per_process=1, rounds=2, seed=141 + n,
+        crash = build_scenario(
+            "crash-gla", n, f, values_per_process=1, rounds=2, seed=141 + n,
             backend="turbo", max_messages=4_000_000,
-        )
+        ).run()
         record("crash-GLA", n, f, n // 2 + 1, crash, time.perf_counter() - start)
     if not smoke:
         n, f = 100, max_faults(100)
         start = time.perf_counter()
-        wts = run_wts_scenario(
-            n=n, f=f,
-            proposals={f"p{i}": frozenset({f"v{i}"}) for i in range(3)},
+        wts = build_scenario(
+            "wts", n, f,
+            inputs={f"p{i}": frozenset({f"v{i}"}) for i in range(3)},
             lattice=SetLattice(), seed=1141, backend="turbo",
             max_messages=4_000_000,
-        )
+        ).run()
         record("WTS", n, f, (n + f) // 2 + 1, wts, time.perf_counter() - start)
     return rows
 

@@ -12,7 +12,7 @@ Run with::
     python examples/attack_gallery.py
 """
 
-from repro import run_crash_la_scenario, run_gwts_scenario, run_sbs_scenario, run_wts_scenario
+from repro import build_scenario
 from repro.byzantine import (
     AlwaysAckAcceptor,
     EquivocatingProposer,
@@ -44,13 +44,12 @@ def main() -> None:
         "always-ack acceptor": lambda pid, lat, m, f: AlwaysAckAcceptor(pid, lat, m, f),
     }
     for name, factory in attacks.items():
-        scenario = run_wts_scenario(n=4, f=1, byzantine_factories=[factory], seed=101)
+        scenario = build_scenario("wts", 4, 1, byzantine_factories=[factory], seed=101).run()
         report(name, scenario.check_la().ok)
 
     print("\nGWTS (n=4, f=1, 5 rounds) under the round-clogging adversary:")
-    scenario = run_gwts_scenario(
-        n=4,
-        f=1,
+    scenario = build_scenario(
+        "gwts", 4, 1,
         values_per_process=2,
         rounds=5,
         byzantine_factories=[
@@ -59,15 +58,14 @@ def main() -> None:
             )
         ],
         seed=17,
-    )
+    ).run()
     check = scenario.check_gla()
     decisions = {pid: len(d) for pid, d in scenario.decisions().items()}
     report("fast-forward / round clogging", check.ok, f"decisions per process: {decisions}")
 
     print("\nSbS (n=4, f=1) under signature attacks:")
-    scenario = run_sbs_scenario(
-        n=4,
-        f=1,
+    scenario = build_scenario(
+        "sbs", 4, 1,
         byzantine_factories=[
             lambda pid, lat, m, f, registry: SbSEquivocatingProposer(
                 pid, lat, m, f,
@@ -77,7 +75,7 @@ def main() -> None:
             )
         ],
         seed=29,
-    )
+    ).run()
     decided = [sorted(d[0]) for d in scenario.decisions().values() if d]
     both_injected = any("sig-a" in d and "sig-b" in d for d in map(set, decided))
     report(
@@ -88,14 +86,13 @@ def main() -> None:
 
     print("\nNegative control — crash-fault baseline without the paper's defences:")
     partition = SkewedPairDelay([("p0", "p1")], base=FixedDelay(1.0), slow_delay=10_000.0)
-    baseline = run_crash_la_scenario(
-        n=3,
-        f=1,
+    baseline = build_scenario(
+        "crash-la", 3, 1,
         byzantine_factories=[lambda pid, lat, m, f: AlwaysAckAcceptor(pid, lat, m, f)],
         delay_model=partition,
         seed=3,
         max_messages=5_000,
-    )
+    ).run()
     check = baseline.check_la(require_liveness=False)
     report("majority-quorum LA, n=3f, always-ack + partition", check.ok,
            "" if check.ok else f"violations: {list(check.violations)}")

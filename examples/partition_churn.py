@@ -24,7 +24,7 @@ import sys
 
 from repro.byzantine import SilentByzantine
 from repro.engine import FixedDelay
-from repro.harness import run_gwts_scenario
+from repro.harness import build_scenario
 from repro.sim import FaultPlan, WorstCaseScheduler
 
 N, F, ROUNDS, SEED = 4, 1, 4, 37
@@ -49,15 +49,14 @@ def churn_plan() -> FaultPlan:
 def run(name, **kwargs):
     if "scheduler" not in kwargs:
         kwargs["delay_model"] = FixedDelay(1.0)
-    scenario = run_gwts_scenario(
-        n=N,
-        f=F,
+    scenario = build_scenario(
+        "gwts", N, F,
         values_per_process=1,
         rounds=ROUNDS,
         seed=SEED,
         byzantine_factories=[lambda pid, lat, members, ff: SilentByzantine(pid)],
         **kwargs,
-    )
+    ).run()
     check = scenario.check_gla(require_all_inputs_decided=False)
     decided = sum(1 for decs in scenario.decisions().values() if decs)
     last = max((record.time for record in scenario.metrics.decisions), default=0.0)

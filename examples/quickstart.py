@@ -13,7 +13,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import SetLattice, run_wts_scenario
+from repro import SetLattice, build_scenario
 from repro.byzantine import EquivocatingProposer
 from repro.lattice import hasse_diagram_text, sort_chain
 
@@ -31,10 +31,9 @@ def main() -> None:
         )
     ]
 
-    scenario = run_wts_scenario(
-        n=4,
-        f=1,
-        proposals={
+    scenario = build_scenario(
+        "wts", 4, 1,
+        inputs={
             "p0": frozenset({"apple"}),
             "p1": frozenset({"banana"}),
             "p2": frozenset({"cherry"}),
@@ -42,7 +41,7 @@ def main() -> None:
         lattice=lattice,
         byzantine_factories=byzantine,
         seed=42,
-    )
+    ).run()
 
     print("Proposals of correct processes:")
     for pid, proposal in sorted(scenario.proposals().items()):

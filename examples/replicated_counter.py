@@ -18,7 +18,7 @@ Run with::
     python examples/replicated_counter.py
 """
 
-from repro import GCounterObject, GSetObject, run_rsm_scenario
+from repro import GCounterObject, GSetObject, build_scenario
 from repro.byzantine import SilentByzantine
 from repro.rsm import check_rsm_history
 
@@ -47,17 +47,16 @@ def main() -> None:
         ],
     }
 
-    scenario = run_rsm_scenario(
-        n_replicas=4,
-        f=1,
-        client_scripts=scripts,
-        byzantine_replica_factories=[
+    scenario = build_scenario(
+        "rsm", 4, 1,
+        inputs=scripts,
+        byzantine_factories=[
             lambda pid, lattice, members, f: SilentByzantine(pid)
         ],
         byzantine_client_payloads={"mallory": ["junk-a", "junk-b"]},
         rounds=10,
         seed=7,
-    )
+    ).run()
 
     print("Client operations:")
     for client_id, history in sorted(scenario.extras["histories"].items()):

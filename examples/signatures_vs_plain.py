@@ -13,7 +13,7 @@ Run with::
     python examples/signatures_vs_plain.py
 """
 
-from repro import run_sbs_scenario, run_wts_scenario
+from repro import build_scenario
 from repro.engine import FixedDelay
 from repro.metrics import format_table
 
@@ -22,8 +22,8 @@ def main() -> None:
     f = 1
     rows = []
     for n in (4, 7, 10, 13):
-        wts = run_wts_scenario(n=n, f=f, seed=500 + n, delay_model=FixedDelay(1.0))
-        sbs = run_sbs_scenario(n=n, f=f, seed=500 + n, delay_model=FixedDelay(1.0))
+        wts = build_scenario("wts", n, f, seed=500 + n, delay_model=FixedDelay(1.0)).run()
+        sbs = build_scenario("sbs", n, f, seed=500 + n, delay_model=FixedDelay(1.0)).run()
         assert wts.check_la().ok and sbs.check_la().ok
 
         wts_msgs = wts.metrics.mean_messages_per_process(wts.correct_pids)

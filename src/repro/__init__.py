@@ -9,8 +9,8 @@ asynchronous message-passing simulator with pluggable Byzantine behaviours.
 Quickstart
 ----------
 
->>> from repro import run_wts_scenario
->>> scenario = run_wts_scenario(n=4, f=1, seed=42)
+>>> from repro import build_scenario
+>>> scenario = build_scenario("wts", 4, 1, seed=42).run()
 >>> scenario.check_la().ok
 True
 
@@ -36,7 +36,7 @@ Package layout
 ``repro.rsm``                 replicated state machine + CRDT objects + checker
 ``repro.baselines``           crash-fault LA/GLA, restrictive-spec comparison
 ``repro.metrics``             message/latency accounting and report helpers
-``repro.harness``             scenario builders and experiments E1–E13
+``repro.harness``             the scenario path and experiments E1–E13
 ``repro.orchestrator``        parallel sweep runner, JSON result artifacts and
                               the ``python -m repro`` CLI
 ``repro.cluster``             service mode: the RSM as real OS processes over
@@ -59,16 +59,7 @@ from repro.core import (
     required_processes,
 )
 from repro.engine import FixedDelay, KernelEngine, ProtocolCore, TurboEngine, UniformDelay, create_engine
-from repro.harness import (
-    ScenarioResult,
-    run_crash_gla_scenario,
-    run_crash_la_scenario,
-    run_gsbs_scenario,
-    run_gwts_scenario,
-    run_rsm_scenario,
-    run_sbs_scenario,
-    run_wts_scenario,
-)
+from repro.harness import ScenarioResult, build_scenario
 from repro.lattice import (
     GCounterLattice,
     JoinSemilattice,
@@ -156,14 +147,8 @@ __all__ = [
     "LWWRegisterObject",
     "ORSetObject",
     # harness
+    "build_scenario",
     "ScenarioResult",
-    "run_wts_scenario",
-    "run_sbs_scenario",
-    "run_gwts_scenario",
-    "run_gsbs_scenario",
-    "run_crash_la_scenario",
-    "run_crash_gla_scenario",
-    "run_rsm_scenario",
     # cluster service mode (lazy — see __getattr__)
     "ClusterSpec",
     "NodeSpec",

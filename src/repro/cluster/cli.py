@@ -149,8 +149,12 @@ def _cmd_up(args: argparse.Namespace) -> int:
     print("stop with SIGTERM/Ctrl-C, or `python -m repro cluster down "
           f"--state {args.state}` from another terminal", flush=True)
     reported_dead: set[str] = set()
-    while not stopping:
+    while True:
         time.sleep(0.2)
+        # A process-group SIGTERM reaches the nodes too; they drain within
+        # this sleep, so check the flag before reading their exits as deaths.
+        if stopping:
+            break
         for name, proc in cluster.procs.items():
             if proc.poll() is not None and name not in reported_dead:
                 reported_dead.add(name)

@@ -35,7 +35,7 @@ services.Clock` abstraction (simulated vs wall-clock time sources) and the
 uniform :class:`RunResult` — live in :mod:`repro.engine.services`.
 
 ``create_engine(backend=...)`` resolves names through the registry;
-everything above this layer (scenario builders, experiments, the explorer)
+everything above this layer (the scenario path, experiments, the explorer)
 takes a ``backend`` string and stays agnostic.
 """
 

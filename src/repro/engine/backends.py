@@ -9,7 +9,7 @@ schedule is deterministic, and a one-line summary the CLI help is generated
 from.  Everything above the engine layer asks this registry instead of
 hard-coding names:
 
-* the scenario builders resolve ``backend="..."`` via :func:`create_engine`;
+* :func:`~repro.harness.build_scenario` resolves ``backend="..."`` via :func:`create_engine`;
 * ``repro list`` / ``repro run --param backend=...`` help text comes from
   :func:`backend_param_help`;
 * the results layer stamps each job with :func:`backend_time_source` so

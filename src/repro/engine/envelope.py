@@ -103,7 +103,6 @@ class Envelope:
         deliver_time: float | None = None,
         depth: int = 1,
         seq: int = 0,
-        size: int | None = None,
     ) -> None:
         #: True sender process id (stamped by the network — unforgeable).
         self.sender = sender
@@ -122,7 +121,7 @@ class Envelope:
         self.depth = depth
         #: Monotonic sequence number (tie-breaker for deterministic ordering).
         self.seq = seq
-        self._size = size
+        self._size: int | None = None
         self._mtype: str | None = None
 
     def measure(self, memo: dict[int, tuple[Any, int]] | None = None) -> int:
@@ -136,23 +135,6 @@ class Envelope:
         return self._size
 
     size = property(measure)
-
-    def delivered_at(self, time: float) -> Envelope:
-        """Return a copy of the envelope stamped with its delivery time.
-
-        Kept for API compatibility (and for callers that want a snapshot);
-        the network itself stamps ``deliver_time`` in place on delivery.
-        """
-        return Envelope(
-            sender=self.sender,
-            dest=self.dest,
-            payload=self.payload,
-            send_time=self.send_time,
-            deliver_time=time,
-            depth=self.depth,
-            seq=self.seq,
-            size=self._size,
-        )
 
     @property
     def mtype(self) -> str:

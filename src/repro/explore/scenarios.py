@@ -11,7 +11,7 @@ replay command line.
 :func:`generate_scenarios` derives a whole budget of specs from a single
 seed (the explorer's only source of randomness), and
 :func:`run_scenario_experiment` — registered as the hidden ``SCENARIO``
-experiment — executes one spec through the harness scenario builders and
+experiment — executes one spec through :func:`~repro.harness.build_scenario` and
 judges it with the invariant library.  ``ok`` is ``True`` iff no invariant
 was violated, which is what makes the orchestrator's exit codes and
 artifact totals meaningful for fuzzing.

@@ -6,8 +6,10 @@ registry (:data:`PROTOCOLS`), :func:`build_scenario` and
 algorithm (WTS, GWTS, SbS, GSbS, the crash baselines and the RSM) with
 configurable size, failure threshold, Byzantine population, delay model and
 seed, and returns a :class:`~repro.harness.workloads.ScenarioResult`
-exposing the proposals, decisions, metrics and specification checks.  The
-``run_*_scenario`` functions are the per-algorithm entry points onto it.
+exposing the proposals, decisions, metrics and specification checks:
+``build_scenario("gwts", 4, 1, rounds=5).run()``.  The one generator beside
+it, :func:`~repro.harness.workloads.run_open_loop_scenario`, feeds a GWTS
+cluster fixed-rate arrivals on top of that path.
 
 :mod:`repro.harness.experiments` implements the per-table/figure experiment
 runners E1–E13 (E1–E10 regenerate the paper's claims; E11 ablation, E12
@@ -41,15 +43,7 @@ from repro.harness.workloads import (
     build_scenario,
     default_proposals,
     member_pids,
-    run_crash_gla_scenario,
-    run_crash_la_scenario,
-    run_gsbs_scenario,
-    run_gwts_scenario,
     run_open_loop_scenario,
-    run_rsm_scenario,
-    run_sbs_scenario,
-    run_sharded_rsm_scenario,
-    run_wts_scenario,
 )
 
 __all__ = [
@@ -59,14 +53,6 @@ __all__ = [
     "ScenarioResult",
     "member_pids",
     "default_proposals",
-    "run_wts_scenario",
-    "run_sbs_scenario",
-    "run_gwts_scenario",
-    "run_gsbs_scenario",
-    "run_crash_la_scenario",
-    "run_crash_gla_scenario",
-    "run_rsm_scenario",
-    "run_sharded_rsm_scenario",
     "run_open_loop_scenario",
     "OpenLoopReport",
     "run_chain_experiment",

@@ -4,8 +4,8 @@
 factory, how inputs are seeded, stop predicate, message cap, invariant
 family); :func:`build_scenario` assembles a cluster of any of them into a
 :class:`Scenario` and :meth:`Scenario.run` executes it — two steps, so a
-caller can time the run window alone.  The ``run_*_scenario`` functions are
-the per-algorithm entry points and delegate to that pair.
+caller can time the run window alone.  Every simulated run goes through that
+pair: ``build_scenario("wts", 4, 1, seed=42).run()``.
 
 The recipe, written once in :func:`build_scenario`:
 
@@ -29,9 +29,9 @@ whose constructor takes exactly those arguments is a factory as it stands
 (``byzantine_factories=[AlwaysAckAcceptor]``); the others fit through a
 small lambda, e.g.::
 
-    run_wts_scenario(n=4, f=1, byzantine_factories=[
+    build_scenario("wts", 4, 1, byzantine_factories=[
         lambda pid, lat, members, f: SilentByzantine(pid)
-    ])
+    ]).run()
 """
 
 from __future__ import annotations
@@ -506,231 +506,6 @@ def build_scenario(
 
 
 # ---------------------------------------------------------------------------
-# Per-algorithm entry points (thin delegations to build_scenario)
-# ---------------------------------------------------------------------------
-
-
-def _run_named(protocol: str, arguments: dict[str, Any], **renames: str) -> ScenarioResult:
-    """Build and run ``protocol`` from a named builder's ``locals()``.
-
-    ``renames`` maps the builder's historical parameter names onto
-    :func:`build_scenario`'s; everything else is forwarded unchanged.
-    """
-    arguments = {renames.get(name, name): value for name, value in arguments.items()}
-    arguments.update(arguments.pop("engine_kwargs", {}))
-    return build_scenario(protocol, **arguments).run()
-
-
-def run_wts_scenario(
-    n: int,
-    f: int,
-    proposals: Mapping[Hashable, LatticeElement] | None = None,
-    lattice: JoinSemilattice | None = None,
-    byzantine_factories: Sequence[ByzantineFactory] = (),
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    scheduler: SchedulerSpec = None,
-    fault_plan: FaultPlanSpec = None,
-    backend: str = "kernel",
-    max_messages: int = 400_000,
-    run_to_quiescence: bool = False,
-    process_class: type = WTSProcess,
-) -> ScenarioResult:
-    """Build and run one WTS cluster; stop when all correct processes decided.
-
-    ``process_class`` lets the ablation experiments substitute a deliberately
-    weakened WTS variant (see :mod:`repro.core.ablations`) for the correct
-    processes while keeping the rest of the scenario identical.
-    """
-    return _run_named("wts", locals(), proposals="inputs")
-
-
-def run_sbs_scenario(
-    n: int,
-    f: int,
-    proposals: Mapping[Hashable, LatticeElement] | None = None,
-    lattice: JoinSemilattice | None = None,
-    byzantine_factories: Sequence[ByzantineFactory] = (),
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    scheduler: SchedulerSpec = None,
-    fault_plan: FaultPlanSpec = None,
-    backend: str = "kernel",
-    max_messages: int = 400_000,
-    registry_seed: int = 1234,
-    registry: KeyRegistry | None = None,
-    max_wall_s: float | None = None,
-    **engine_kwargs: Any,
-) -> ScenarioResult:
-    """Build and run one SbS cluster (signature-based single-shot LA).
-
-    ``registry`` substitutes the shared PKI (e.g. the explorer's
-    :class:`~repro.core.ablations.BlindKeyRegistry` no-verification
-    ablation); extra keyword arguments go to the backend constructor (the
-    async backend's ``transport=`` / ``framing=`` / ``wire_faults=``).
-    """
-    return _run_named("sbs", locals(), proposals="inputs")
-
-
-def run_crash_la_scenario(
-    n: int,
-    f: int,
-    proposals: Mapping[Hashable, LatticeElement] | None = None,
-    lattice: JoinSemilattice | None = None,
-    byzantine_factories: Sequence[ByzantineFactory] = (),
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    scheduler: SchedulerSpec = None,
-    fault_plan: FaultPlanSpec = None,
-    backend: str = "kernel",
-    max_messages: int = 400_000,
-) -> ScenarioResult:
-    """Build and run one crash-fault-baseline LA cluster."""
-    return _run_named("crash-la", locals(), proposals="inputs")
-
-
-def run_gwts_scenario(
-    n: int,
-    f: int,
-    values_per_process: int = 2,
-    rounds: int = 3,
-    inputs: Mapping[Hashable, Sequence[LatticeElement]] | None = None,
-    lattice: JoinSemilattice | None = None,
-    byzantine_factories: Sequence[ByzantineFactory] = (),
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    scheduler: SchedulerSpec = None,
-    fault_plan: FaultPlanSpec = None,
-    backend: str = "kernel",
-    max_messages: int = 1_500_000,
-    batch_size: int | None = None,
-) -> ScenarioResult:
-    """Build and run one GWTS cluster for ``rounds`` rounds.
-
-    Inputs are spread over the first rounds (queued before the run starts);
-    the remaining rounds run on empty batches, which gives in-flight values
-    time to be included (the finite-prefix analogue of eventual Inclusivity).
-    ``batch_size`` caps how many queued values one round's proposal joins
-    (``None`` = unbounded, the paper's implicit behaviour).
-    """
-    return _run_named("gwts", locals())
-
-
-def run_gsbs_scenario(
-    n: int,
-    f: int,
-    values_per_process: int = 2,
-    rounds: int = 3,
-    inputs: Mapping[Hashable, Sequence[LatticeElement]] | None = None,
-    lattice: JoinSemilattice | None = None,
-    byzantine_factories: Sequence[ByzantineFactory] = (),
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    scheduler: SchedulerSpec = None,
-    fault_plan: FaultPlanSpec = None,
-    backend: str = "kernel",
-    max_messages: int = 1_500_000,
-    registry_seed: int = 1234,
-    registry: KeyRegistry | None = None,
-    max_wall_s: float | None = None,
-    batch_size: int | None = None,
-    **engine_kwargs: Any,
-) -> ScenarioResult:
-    """Build and run one GSbS cluster for ``rounds`` rounds.
-
-    ``registry``/``engine_kwargs`` as in :func:`run_sbs_scenario`;
-    ``batch_size`` as in :func:`run_gwts_scenario`.
-    """
-    return _run_named("gsbs", locals())
-
-
-def run_crash_gla_scenario(
-    n: int,
-    f: int,
-    values_per_process: int = 2,
-    rounds: int = 3,
-    inputs: Mapping[Hashable, Sequence[LatticeElement]] | None = None,
-    lattice: JoinSemilattice | None = None,
-    byzantine_factories: Sequence[ByzantineFactory] = (),
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    scheduler: SchedulerSpec = None,
-    fault_plan: FaultPlanSpec = None,
-    backend: str = "kernel",
-    max_messages: int = 1_500_000,
-) -> ScenarioResult:
-    """Build and run one crash-fault-baseline GLA cluster for ``rounds`` rounds."""
-    return _run_named("crash-gla", locals())
-
-
-_RSM_RENAMES = dict(n_replicas="n", client_scripts="inputs", byzantine_replica_factories="byzantine_factories")
-
-
-def run_rsm_scenario(
-    n_replicas: int,
-    f: int,
-    client_scripts: Mapping[Hashable, Sequence[tuple[Any, ...]]],
-    byzantine_replica_factories: Sequence[ByzantineFactory] = (),
-    byzantine_client_payloads: Mapping[Hashable, Sequence[Any]] | None = None,
-    rounds: int = 8,
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    scheduler: SchedulerSpec = None,
-    fault_plan: FaultPlanSpec = None,
-    backend: str = "kernel",
-    max_messages: int = 2_000_000,
-    client_retry_timeout: float | None = 150.0,
-    batch_size: int | None = None,
-    client_pipeline: int = 1,
-) -> ScenarioResult:
-    """Build and run one RSM: ``n_replicas`` replicas plus the given clients.
-
-    ``client_scripts`` maps client ids to sequential operation scripts
-    (``("update", payload)`` / ``("read",)``).  Byzantine replicas occupy the
-    last membership slots; Byzantine clients (one per entry of
-    ``byzantine_client_payloads``) flood inadmissible/under-replicated
-    updates as per Lemma 12.  The run stops when every correct client
-    finished its script (or the message cap is hit, which tests treat as a
-    liveness failure).  ``batch_size`` caps the replicas' per-round proposal
-    batches; ``client_pipeline`` lets each client keep that many commutative
-    updates in flight at once (reads always barrier).
-    """
-    return _run_named("rsm", locals(), **_RSM_RENAMES)
-
-
-def run_sharded_rsm_scenario(
-    n_replicas: int,
-    f: int,
-    shards: int,
-    client_scripts: Mapping[Hashable, Sequence[tuple[Any, ...]]],
-    rounds: int = 8,
-    delay_model: DelayModel | None = None,
-    seed: int = 0,
-    scheduler: SchedulerSpec = None,
-    fault_plan: FaultPlanSpec = None,
-    backend: str = "kernel",
-    max_messages: int = 2_000_000,
-    client_retry_timeout: float | None = 150.0,
-    batch_size: int | None = None,
-    client_pipeline: int = 1,
-) -> ScenarioResult:
-    """Build and run a *sharded* RSM: ``shards`` independent replica groups.
-
-    The ``n_replicas`` replica pids are split into ``shards`` contiguous
-    groups (:func:`repro.rsm.sharding.partition_replicas`), each running its
-    own GWTS instance over a disjoint membership on the same engine — a
-    broadcast reaches its sender's members only, so the per-round message complexity
-    scales with the group size, not the total replica count.  ``f`` is the
-    per-shard resilience threshold (every group needs ``>= 3f + 1``
-    members).  Clients are :class:`~repro.rsm.sharding.ShardedRSMClient`
-    cores: each ``("update", payload)`` hashes to one shard by its routing
-    key; each ``("read",)`` fans out to every shard and completes with the
-    join of the per-shard confirmed views.
-    """
-    return _run_named("rsm", locals(), **_RSM_RENAMES)
-
-
-# ---------------------------------------------------------------------------
 # Open-loop load generation
 # ---------------------------------------------------------------------------
 
@@ -782,10 +557,11 @@ def run_open_loop_scenario(
 ) -> ScenarioResult:
     """Drive a GWTS cluster with an open-loop (fixed-rate) arrival process.
 
-    Unlike the closed-loop builders — which queue all inputs up front or wait
-    for one operation to finish before issuing the next — this generator
-    injects one new value every ``interval`` engine time units *regardless of
-    how the cluster is keeping up*, round-robin across the correct proposers.
+    Unlike a closed-loop :func:`build_scenario` run — which queues all inputs
+    up front or waits for one operation to finish before issuing the next —
+    this generator injects one new value every ``interval`` engine time units
+    *regardless of how the cluster is keeping up*, round-robin across the
+    correct proposers.
     The per-value latencies (arrival to first including decision of the
     proposer) land in ``result.extras["open_loop"]`` as an
     :class:`OpenLoopReport`.

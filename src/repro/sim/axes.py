@@ -5,7 +5,7 @@ worker process, so the adversarial knobs of a simulated run — which
 :class:`~repro.sim.scheduler.Scheduler` drives delivery and which
 :class:`~repro.sim.faults.FaultPlan` scripts the environment — must be
 expressible as plain strings.  This module is the single parser for those
-strings; the scenario builders in :mod:`repro.harness.workloads` accept
+strings; :func:`~repro.harness.workloads.build_scenario` accepts
 either the objects or the specs and resolve the latter here.
 
 Scheduler specs (``parse_scheduler``)::

@@ -2,10 +2,11 @@
 
 A :class:`FaultPlan` is a reusable, inspectable description of *when the
 environment misbehaves*: which processes crash and recover when, which
-partitions open and heal when, plus arbitrary timed injections.  Scenario
-builders take a plan and apply it to the network before the run starts, so
-an experiment's fault script lives next to its workload description instead
-of being smeared across hand-rolled delay models.
+partitions open and heal when, plus arbitrary timed injections.
+:func:`~repro.harness.workloads.build_scenario` takes a plan and applies it
+to the network before the run starts, so an experiment's fault script lives
+next to its workload description instead of being smeared across
+hand-rolled delay models.
 
 Plans are built fluently and are order-independent (every action carries its
 absolute time; the engine orders them)::
@@ -16,7 +17,7 @@ absolute time; the engine orders them)::
         .crash("p1", at=25.0, recover_at=35.0)
         .crash("p2", at=40.0, recover_at=50.0)
     )
-    run_gwts_scenario(n=4, f=1, fault_plan=plan, ...)
+    build_scenario("gwts", 4, 1, fault_plan=plan, ...).run()
 
 Crash semantics: a crashed process stops executing and everything addressed
 to it (messages *and* timers) is held and handed over on recovery — channels

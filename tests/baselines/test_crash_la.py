@@ -6,28 +6,28 @@ from repro.baselines import CrashLAProcess
 from repro.byzantine import AlwaysAckAcceptor, SilentByzantine
 from repro.core.messages import Ack
 from repro.engine import Deliver, FixedDelay, SkewedPairDelay, Start
-from repro.harness import run_crash_la_scenario, run_wts_scenario
+from repro.harness import build_scenario
 from repro.lattice import SetLattice
 
 
 class TestCrashFreeRuns:
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_properties_hold_without_failures(self, n):
-        scenario = run_crash_la_scenario(n=n, f=(n - 1) // 3, seed=n)
+        scenario = build_scenario("crash-la", n, (n - 1) // 3, seed=n).run()
         assert scenario.check_la().ok
 
     def test_tolerates_minority_of_silent_processes(self):
         """Crash tolerance: up to floor((n-1)/2) silent processes are fine."""
-        scenario = run_crash_la_scenario(
-            n=5, f=2,
+        scenario = build_scenario(
+            "crash-la", 5, 2,
             byzantine_factories=[lambda pid, lat, m, f: SilentByzantine(pid)] * 2,
             seed=1,
-        )
+        ).run()
         assert scenario.check_la().ok
 
     def test_cheaper_than_wts(self):
-        crash = run_crash_la_scenario(n=7, f=2, seed=2, delay_model=FixedDelay(1.0))
-        wts = run_wts_scenario(n=7, f=2, seed=2, delay_model=FixedDelay(1.0))
+        crash = build_scenario("crash-la", 7, 2, seed=2, delay_model=FixedDelay(1.0)).run()
+        wts = build_scenario("wts", 7, 2, seed=2, delay_model=FixedDelay(1.0)).run()
         assert (
             crash.metrics.mean_messages_per_process(crash.correct_pids)
             < wts.metrics.mean_messages_per_process(wts.correct_pids)
@@ -38,25 +38,25 @@ class TestByzantineBreaksBaseline:
     def test_always_ack_plus_partition_violates_safety_at_3f(self):
         """The negative control behind Theorem 1 / experiment E2."""
         partition = SkewedPairDelay([("p0", "p1")], base=FixedDelay(1.0), slow_delay=10_000.0)
-        scenario = run_crash_la_scenario(
-            n=3, f=1,
+        scenario = build_scenario(
+            "crash-la", 3, 1,
             byzantine_factories=[lambda pid, lat, m, f: AlwaysAckAcceptor(pid, lat, m, f)],
             delay_model=partition,
             seed=3,
             max_messages=5_000,
-        )
+        ).run()
         check = scenario.check_la(require_liveness=False)
         assert not check.ok
         assert check.violated("comparability")
 
     def test_wts_resists_the_same_adversary(self):
         partition = SkewedPairDelay([("p0", "p1")], base=FixedDelay(1.0), slow_delay=50.0)
-        scenario = run_wts_scenario(
-            n=4, f=1,
+        scenario = build_scenario(
+            "wts", 4, 1,
             byzantine_factories=[lambda pid, lat, m, f: AlwaysAckAcceptor(pid, lat, m, f)],
             delay_model=partition,
             seed=3,
-        )
+        ).run()
         assert scenario.check_la().ok
 
 

@@ -12,6 +12,8 @@ import signal
 import subprocess
 import sys
 
+import pytest
+
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
@@ -29,7 +31,11 @@ def repro_cli(*args, timeout=60, **kwargs):
 
 
 class TestClusterCli:
-    def test_up_status_client_sigterm_down(self, tmp_path):
+    # ``group``: the SIGTERM goes to the whole process group (a shell's
+    # Ctrl-C, a CI runner's cancel), so the nodes drain on their own while
+    # ``up`` is still watching them; that drain is not a node death.
+    @pytest.mark.parametrize("group", [False, True], ids=["up-only", "process-group"])
+    def test_up_status_client_sigterm_down(self, tmp_path, group):
         state = str(tmp_path / "state")
         env = os.environ.copy()
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -39,6 +45,7 @@ class TestClusterCli:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            start_new_session=group,
         )
         try:
             status = repro_cli(
@@ -56,8 +63,21 @@ class TestClusterCli:
             assert "12/12 completed" in client.stdout, client.stdout
             assert "audit: ok" in client.stdout, client.stdout
 
-            up.send_signal(signal.SIGTERM)
-            assert up.wait(timeout=30) == 0, up.stdout.read()
+            output = ""
+            if group:
+                # Signal only once ``up`` itself reports the cluster up.
+                for line in up.stdout:
+                    output += line
+                    if line.startswith("cluster up ("):
+                        break
+                os.killpg(up.pid, signal.SIGTERM)
+            else:
+                up.send_signal(signal.SIGTERM)
+            code = up.wait(timeout=30)
+            output += up.stdout.read()
+            assert code == 0, output
+            assert "cluster stopped (clean)" in output, output
+            assert "exited with code" not in output, output
         finally:
             if up.poll() is None:
                 up.kill()

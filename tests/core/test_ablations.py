@@ -10,7 +10,7 @@ import pytest
 from repro.byzantine import EquivocatingProposer, NackSpamAcceptor
 from repro.core.ablations import NoDefencesWTSProcess, NoSafetyWTSProcess, PlainDisclosureWTSProcess
 from repro.engine import UniformDelay
-from repro.harness import run_wts_scenario
+from repro.harness import build_scenario
 
 
 def nack_spammer(pid, lat, members, f):
@@ -27,11 +27,11 @@ def equivocator(pid, lat, members, f):
 def scan_seeds(process_class, adversary, judge, seeds=tuple(range(8))):
     """Return True if the attack succeeds on at least one scanned schedule."""
     for seed in seeds:
-        scenario = run_wts_scenario(
-            n=4, f=1, seed=seed, byzantine_factories=[adversary],
+        scenario = build_scenario(
+            "wts", 4, 1, seed=seed, byzantine_factories=[adversary],
             delay_model=UniformDelay(0.5, 2.0), max_messages=30_000,
             process_class=process_class, run_to_quiescence=True,
-        )
+        ).run()
         if judge(scenario):
             return True
     return False
@@ -65,14 +65,14 @@ class TestAblations:
     @pytest.mark.parametrize("adversary", [nack_spammer, equivocator])
     def test_intact_wts_survives_both_attacks_on_the_same_schedules(self, adversary):
         for seed in range(8):
-            scenario = run_wts_scenario(
-                n=4, f=1, seed=seed, byzantine_factories=[adversary],
+            scenario = build_scenario(
+                "wts", 4, 1, seed=seed, byzantine_factories=[adversary],
                 delay_model=UniformDelay(0.5, 2.0),
-            )
+            ).run()
             assert scenario.check_la().ok
 
     def test_ablated_variants_still_work_without_byzantines(self):
         """The ablations only remove defences; failure-free runs still succeed."""
         for process_class in (NoSafetyWTSProcess, PlainDisclosureWTSProcess, NoDefencesWTSProcess):
-            scenario = run_wts_scenario(n=4, f=1, seed=3, process_class=process_class)
+            scenario = build_scenario("wts", 4, 1, seed=3, process_class=process_class).run()
             assert scenario.check_la().ok

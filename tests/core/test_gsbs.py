@@ -16,7 +16,7 @@ from repro.core.messages import (
 from repro.core.sbs import safe_ack_body
 from repro.crypto import SignedValue
 from repro.engine import Deliver, Start
-from repro.harness import run_gsbs_scenario
+from repro.harness import build_scenario
 from repro.lattice import SetLattice
 
 
@@ -24,39 +24,37 @@ class TestFailureFreeRuns:
     @pytest.mark.parametrize("n,rounds", [(4, 2), (4, 3), (7, 2)])
     def test_gla_properties_hold(self, n, rounds):
         f = (n - 1) // 3
-        scenario = run_gsbs_scenario(n=n, f=f, values_per_process=1, rounds=rounds, seed=n)
+        scenario = build_scenario("gsbs", n, f, values_per_process=1, rounds=rounds, seed=n).run()
         check = scenario.check_gla()
         assert check.ok, str(check)
 
     def test_one_decision_per_round(self):
-        scenario = run_gsbs_scenario(n=4, f=1, values_per_process=1, rounds=3, seed=2)
+        scenario = build_scenario("gsbs", 4, 1, values_per_process=1, rounds=3, seed=2).run()
         for decisions in scenario.decisions().values():
             assert len(decisions) == 3
 
     def test_decisions_non_decreasing(self):
-        scenario = run_gsbs_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=3)
+        scenario = build_scenario("gsbs", 4, 1, values_per_process=2, rounds=3, seed=3).run()
         for decisions in scenario.decisions().values():
             for earlier, later in zip(decisions, decisions[1:], strict=False):
                 assert earlier <= later
 
     def test_cheaper_than_gwts_in_messages(self):
         """The point of GSbS: fewer messages per decision than GWTS."""
-        from repro.harness import run_gwts_scenario
-
-        gwts = run_gwts_scenario(n=4, f=1, values_per_process=1, rounds=2, seed=4)
-        gsbs = run_gsbs_scenario(n=4, f=1, values_per_process=1, rounds=2, seed=4)
+        gwts = build_scenario("gwts", 4, 1, values_per_process=1, rounds=2, seed=4).run()
+        gsbs = build_scenario("gsbs", 4, 1, values_per_process=1, rounds=2, seed=4).run()
         gwts_msgs = gwts.metrics.mean_messages_per_process(gwts.correct_pids)
         gsbs_msgs = gsbs.metrics.mean_messages_per_process(gsbs.correct_pids)
         assert gsbs_msgs < gwts_msgs
 
     def test_certificates_observed_for_every_finished_round(self):
-        scenario = run_gsbs_scenario(n=4, f=1, values_per_process=1, rounds=3, seed=5)
+        scenario = build_scenario("gsbs", 4, 1, values_per_process=1, rounds=3, seed=5).run()
         for node in scenario.correct_nodes():
             assert set(node.certificates) >= {0, 1}
 
     def test_n7_three_rounds_on_turbo(self):
         """A size whose signing bodies used to take seconds: GLA holds, every certificate checks out."""
-        scenario = run_gsbs_scenario(n=7, f=2, values_per_process=2, rounds=3, seed=7, backend="turbo")
+        scenario = build_scenario("gsbs", 7, 2, values_per_process=2, rounds=3, seed=7, backend="turbo").run()
         check = scenario.check_gla()
         assert check.ok, str(check)
         for node in scenario.correct_nodes():
@@ -65,7 +63,7 @@ class TestFailureFreeRuns:
                 assert verify_certificate(node.registry, certificate, node.quorum)
 
     def test_trusted_round_advances(self):
-        scenario = run_gsbs_scenario(n=4, f=1, values_per_process=1, rounds=3, seed=6)
+        scenario = build_scenario("gsbs", 4, 1, values_per_process=1, rounds=3, seed=6).run()
         for node in scenario.correct_nodes():
             assert node.trusted_round >= 2
 

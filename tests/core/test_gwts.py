@@ -7,7 +7,7 @@ from repro.core.gwts import GWTSProcess
 from repro.core.messages import RoundAck, RoundAckRequest
 from repro.core.process import HALTED
 from repro.engine import Deliver, FixedDelay, Start
-from repro.harness import run_gwts_scenario
+from repro.harness import build_scenario
 from repro.lattice import SetLattice
 
 
@@ -15,38 +15,38 @@ class TestFailureFreeRuns:
     @pytest.mark.parametrize("n,rounds", [(4, 2), (4, 4), (7, 3)])
     def test_gla_properties_hold(self, n, rounds):
         f = (n - 1) // 3
-        scenario = run_gwts_scenario(n=n, f=f, values_per_process=2, rounds=rounds, seed=n + rounds)
+        scenario = build_scenario("gwts", n, f, values_per_process=2, rounds=rounds, seed=n + rounds).run()
         check = scenario.check_gla()
         assert check.ok, str(check)
 
     def test_one_decision_per_round(self):
         rounds = 3
-        scenario = run_gwts_scenario(n=4, f=1, values_per_process=1, rounds=rounds, seed=1)
+        scenario = build_scenario("gwts", 4, 1, values_per_process=1, rounds=rounds, seed=1).run()
         for decisions in scenario.decisions().values():
             assert len(decisions) == rounds
 
     def test_decisions_are_non_decreasing_per_process(self):
-        scenario = run_gwts_scenario(n=4, f=1, values_per_process=2, rounds=4, seed=2)
+        scenario = build_scenario("gwts", 4, 1, values_per_process=2, rounds=4, seed=2).run()
         for decisions in scenario.decisions().values():
             for earlier, later in zip(decisions, decisions[1:], strict=False):
                 assert earlier <= later
 
     def test_decisions_comparable_across_processes(self):
-        scenario = run_gwts_scenario(n=7, f=2, values_per_process=1, rounds=3, seed=3)
+        scenario = build_scenario("gwts", 7, 2, values_per_process=1, rounds=3, seed=3).run()
         all_decisions = [d for decs in scenario.decisions().values() for d in decs]
         for a in all_decisions:
             for b in all_decisions:
                 assert a <= b or b <= a
 
     def test_every_input_eventually_decided(self):
-        scenario = run_gwts_scenario(n=4, f=1, values_per_process=3, rounds=5, seed=4)
+        scenario = build_scenario("gwts", 4, 1, values_per_process=3, rounds=5, seed=4).run()
         for pid, inputs in scenario.inputs().items():
             final = scenario.decisions()[pid][-1]
             for value in inputs:
                 assert value <= final
 
     def test_all_processes_halt_after_max_rounds(self):
-        scenario = run_gwts_scenario(n=4, f=1, values_per_process=1, rounds=2, seed=5)
+        scenario = build_scenario("gwts", 4, 1, values_per_process=1, rounds=2, seed=5).run()
         for node in scenario.correct_nodes():
             assert node.state == HALTED
             assert node.round == 1  # rounds 0 and 1 executed
@@ -54,13 +54,13 @@ class TestFailureFreeRuns:
     def test_empty_batches_still_produce_decisions(self):
         """Rounds with no new values still terminate (decisions may repeat)."""
         inputs = {f"p{i}": [] for i in range(4)}
-        scenario = run_gwts_scenario(n=4, f=1, inputs=inputs, rounds=2, seed=6)
+        scenario = build_scenario("gwts", 4, 1, inputs=inputs, rounds=2, seed=6).run()
         for decisions in scenario.decisions().values():
             assert len(decisions) == 2
 
     def test_values_injected_mid_run_are_included(self):
         """new_value() called while the simulation is running (via a later batch)."""
-        scenario = run_gwts_scenario(n=4, f=1, values_per_process=1, rounds=4, seed=7)
+        scenario = build_scenario("gwts", 4, 1, values_per_process=1, rounds=4, seed=7).run()
         # The workload queues values before the run; additionally verify the
         # received_inputs bookkeeping matches what the checker uses.
         for node in scenario.correct_nodes():
@@ -69,21 +69,21 @@ class TestFailureFreeRuns:
 
     def test_refinements_bounded(self):
         """Lemma 10: at most f refinements per round per correct proposer."""
-        scenario = run_gwts_scenario(n=7, f=2, values_per_process=2, rounds=3, seed=8)
+        scenario = build_scenario("gwts", 7, 2, values_per_process=2, rounds=3, seed=8).run()
         for node in scenario.correct_nodes():
             for count in node.refinements_by_round.values():
                 assert count <= 2 + 1  # f plus slack for the empty-batch round
 
     def test_safe_round_advances_with_rounds(self):
-        scenario = run_gwts_scenario(n=4, f=1, values_per_process=1, rounds=3, seed=9)
+        scenario = build_scenario("gwts", 4, 1, values_per_process=1, rounds=3, seed=9).run()
         for node in scenario.correct_nodes():
             assert node.safe_round >= 2
 
     def test_unit_delay_run_has_bounded_latency_per_round(self):
         rounds = 3
-        scenario = run_gwts_scenario(
-            n=4, f=1, values_per_process=1, rounds=rounds, seed=10, delay_model=FixedDelay(1.0)
-        )
+        scenario = build_scenario(
+            "gwts", 4, 1, values_per_process=1, rounds=rounds, seed=10, delay_model=FixedDelay(1.0)
+        ).run()
         # Every round is a WTS round plus the reliably broadcast acks: the
         # whole 3-round run must finish within a small constant per round.
         last = max(r.time for r in scenario.metrics.decisions)

@@ -29,7 +29,7 @@ from repro.core.sbs import (
 )
 from repro.crypto import KeyRegistry, SignedValue, canonical_bytes
 from repro.engine import Deliver, FixedDelay, Start
-from repro.harness import run_sbs_scenario
+from repro.harness import build_scenario
 from repro.lattice import SetLattice
 
 #: The shared checker serves both signature cores, named by their safe_ack class.
@@ -229,7 +229,7 @@ class TestFailureFreeRuns:
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_all_decide_and_properties_hold(self, n):
         f = (n - 1) // 3
-        scenario = run_sbs_scenario(n=n, f=f, seed=n)
+        scenario = build_scenario("sbs", n, f, seed=n).run()
         check = scenario.check_la()
         assert check.ok, str(check)
 
@@ -237,7 +237,7 @@ class TestFailureFreeRuns:
         """Theorem 8: at most 5 + 4f message delays."""
         for f in (0, 1, 2):
             n = 3 * f + 1
-            scenario = run_sbs_scenario(n=n, f=f, seed=40 + f, delay_model=FixedDelay(1.0))
+            scenario = build_scenario("sbs", n, f, seed=40 + f, delay_model=FixedDelay(1.0)).run()
             decision_time = max(r.time for r in scenario.metrics.decisions)
             assert decision_time <= 5 + 4 * f
 
@@ -245,7 +245,7 @@ class TestFailureFreeRuns:
         """Section 8.1: O(n) messages per process when f = O(1)."""
         per_process = {}
         for n in (4, 8, 16):
-            scenario = run_sbs_scenario(n=n, f=1, seed=50 + n, delay_model=FixedDelay(1.0))
+            scenario = build_scenario("sbs", n, 1, seed=50 + n, delay_model=FixedDelay(1.0)).run()
             per_process[n] = scenario.metrics.mean_messages_per_process(scenario.correct_pids)
         # Doubling n should roughly double (not quadruple) the per-process count.
         assert per_process[8] < per_process[4] * 3
@@ -254,13 +254,13 @@ class TestFailureFreeRuns:
     def test_refinements_bounded_by_2f(self):
         """Lemma 16: at most 2f refinements per correct proposer."""
         for seed in range(20):
-            scenario = run_sbs_scenario(n=7, f=2, seed=seed)
+            scenario = build_scenario("sbs", 7, 2, seed=seed).run()
             for node in scenario.correct_nodes():
                 assert node.refinements <= 4
 
     def test_lemma16_seed9_refines_at_most_2f(self):
         """Lemma 16 on the run where a proof-only nack once caused a third refinement."""
-        scenario = run_sbs_scenario(n=4, f=1, seed=9)
+        scenario = build_scenario("sbs", 4, 1, seed=9).run()
         refinements = {node.pid: node.refinements for node in scenario.correct_nodes()}
         assert max(refinements.values()) <= 2, refinements
 
@@ -271,15 +271,15 @@ class TestFailureFreeRuns:
             seed for seed in range(200)
             if any(
                 node.refinements > 2
-                for node in run_sbs_scenario(n=4, f=1, seed=seed, backend="turbo", scheduler=scheduler).correct_nodes()
+                for node in build_scenario("sbs", 4, 1, seed=seed, backend="turbo", scheduler=scheduler).run().correct_nodes()
             )
         ]
         assert over == []
 
     def test_message_size_grows_with_n(self):
         """The SbS trade-off: fewer messages but larger payloads (Section 8)."""
-        small = run_sbs_scenario(n=4, f=1, seed=60)
-        large = run_sbs_scenario(n=10, f=1, seed=61)
+        small = build_scenario("sbs", 4, 1, seed=60).run()
+        large = build_scenario("sbs", 10, 1, seed=61).run()
         assert large.metrics.max_payload_size > small.metrics.max_payload_size
         # Exact sizes: payloads share proof objects, and each is still
         # counted wherever it is reached.  A carrier holds one proof per
@@ -290,7 +290,7 @@ class TestFailureFreeRuns:
         assert sum(large.metrics.bytes_by_process.values()) == 2890120
 
     def test_decision_joins_only_proven_values(self):
-        scenario = run_sbs_scenario(n=4, f=1, seed=62)
+        scenario = build_scenario("sbs", 4, 1, seed=62).run()
         proposals_union = frozenset().union(*scenario.proposals().values())
         for decs in scenario.decisions().values():
             assert decs[0] <= proposals_union

@@ -6,7 +6,7 @@ from repro.byzantine import ForgedSafetyByzantine, SbSEquivocatingProposer, Sile
 from repro.core.messages import InitPhase, ProvenValue, SafeAck, SbSAckRequest, SbSNack
 from repro.core.sbs import PROPOSING, SbSProcess, safe_ack_body
 from repro.engine import Deliver, Start
-from repro.harness import run_sbs_scenario
+from repro.harness import build_scenario
 from repro.lattice import SetLattice
 
 
@@ -34,9 +34,9 @@ class TestByzantineSbS:
     @pytest.mark.parametrize("name", sorted(BEHAVIOURS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_la_properties_hold(self, name, seed):
-        scenario = run_sbs_scenario(
-            n=4, f=1, byzantine_factories=[BEHAVIOURS[name]], seed=seed
-        )
+        scenario = build_scenario(
+            "sbs", 4, 1, byzantine_factories=[BEHAVIOURS[name]], seed=seed
+        ).run()
         check = scenario.check_la()
         assert check.ok, f"{name}: {check}"
 
@@ -44,29 +44,29 @@ class TestByzantineSbS:
         """Lemma 13: of two values signed by the same process, at most one can
         ever become safe, so decisions never contain both."""
         for seed in range(4):
-            scenario = run_sbs_scenario(
-                n=4, f=1, byzantine_factories=[sig_equivocator], seed=seed
-            )
+            scenario = build_scenario(
+                "sbs", 4, 1, byzantine_factories=[sig_equivocator], seed=seed
+            ).run()
             for decs in scenario.decisions().values():
                 decided = decs[0]
                 assert not ({"byz-a", "byz-b"} <= set(decided))
 
     def test_forged_values_never_decided(self):
         """Fabricated signatures / proofs of safety are rejected everywhere."""
-        scenario = run_sbs_scenario(n=4, f=1, byzantine_factories=[forger], seed=5)
+        scenario = build_scenario("sbs", 4, 1, byzantine_factories=[forger], seed=5).run()
         for decs in scenario.decisions().values():
             assert "forged-value" not in decs[0]
 
     def test_lemma14_own_value_always_in_own_decision(self):
         """Lemma 14: a correct process's signed value is in its decision."""
-        scenario = run_sbs_scenario(n=4, f=1, byzantine_factories=[sig_equivocator], seed=6)
+        scenario = build_scenario("sbs", 4, 1, byzantine_factories=[sig_equivocator], seed=6).run()
         for pid, proposal in scenario.proposals().items():
             assert proposal <= scenario.decisions()[pid][0]
 
     def test_two_byzantines_n7(self):
-        scenario = run_sbs_scenario(
-            n=7, f=2, byzantine_factories=[sig_equivocator, forger], seed=7
-        )
+        scenario = build_scenario(
+            "sbs", 7, 2, byzantine_factories=[sig_equivocator, forger], seed=7
+        ).run()
         assert scenario.check_la().ok
 
 

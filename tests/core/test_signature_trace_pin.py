@@ -28,14 +28,7 @@ from repro.core.ablations import NoDefencesWTSProcess, NoSafetyWTSProcess, Plain
 from repro.crypto import canonical_bytes
 from repro.engine import FixedDelay, SkewedPairDelay, UniformDelay
 from repro.engine.wire import get_codec, register_wire_dataclass
-from repro.harness import (
-    run_crash_gla_scenario,
-    run_crash_la_scenario,
-    run_gsbs_scenario,
-    run_gwts_scenario,
-    run_sbs_scenario,
-    run_wts_scenario,
-)
+from repro.harness import build_scenario
 
 # The crash-GLA baseline's plain disclosure is outside the built-in wire
 # vocabulary; registering it lets its frames be digested like any other.
@@ -72,44 +65,44 @@ def gwts_equivocator(pid, lat, members, f):
 
 def ablated(process_class):
     """WTS with one defence removed against the equivocator, as in experiment E11."""
-    return lambda: run_wts_scenario(
-        n=4, f=1, seed=31, byzantine_factories=[equivocator], delay_model=UniformDelay(0.5, 2.0),
+    return lambda: build_scenario(
+        "wts", 4, 1, seed=31, byzantine_factories=[equivocator], delay_model=UniformDelay(0.5, 2.0),
         process_class=process_class, run_to_quiescence=True, max_messages=30_000,
-    )
+    ).run()
 
 
 SCENARIOS = {
-    "sbs_n4_seed0": lambda: run_sbs_scenario(n=4, f=1, seed=0),
-    "sbs_n4_seed1": lambda: run_sbs_scenario(n=4, f=1, seed=1),
-    "sbs_n4_seed2": lambda: run_sbs_scenario(n=4, f=1, seed=2),
-    "sbs_n7_seed2": lambda: run_sbs_scenario(n=7, f=2, seed=2),
-    "sbs_n4_sig_equivocator": lambda: run_sbs_scenario(n=4, f=1, seed=0, byzantine_factories=[sig_equivocator]),
-    "sbs_n4_forger": lambda: run_sbs_scenario(n=4, f=1, seed=0, byzantine_factories=[forger]),
-    "gsbs_n4_seed0": lambda: run_gsbs_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=0),
-    "gsbs_n4_seed1": lambda: run_gsbs_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=1),
-    "gsbs_n4_seed2": lambda: run_gsbs_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=2),
-    "gsbs_n7_seed3": lambda: run_gsbs_scenario(n=7, f=2, values_per_process=1, rounds=2, seed=3),
-    "gsbs_n4_batch1": lambda: run_gsbs_scenario(
-        n=4, f=1, values_per_process=2, rounds=3, seed=0, batch_size=1
-    ),
-    "crash_la_n4_seed0": lambda: run_crash_la_scenario(n=4, f=1, seed=0),
-    "crash_la_n7_seed1": lambda: run_crash_la_scenario(n=7, f=2, seed=1),
+    "sbs_n4_seed0": lambda: build_scenario("sbs", 4, 1, seed=0).run(),
+    "sbs_n4_seed1": lambda: build_scenario("sbs", 4, 1, seed=1).run(),
+    "sbs_n4_seed2": lambda: build_scenario("sbs", 4, 1, seed=2).run(),
+    "sbs_n7_seed2": lambda: build_scenario("sbs", 7, 2, seed=2).run(),
+    "sbs_n4_sig_equivocator": lambda: build_scenario("sbs", 4, 1, seed=0, byzantine_factories=[sig_equivocator]).run(),
+    "sbs_n4_forger": lambda: build_scenario("sbs", 4, 1, seed=0, byzantine_factories=[forger]).run(),
+    "gsbs_n4_seed0": lambda: build_scenario("gsbs", 4, 1, values_per_process=2, rounds=3, seed=0).run(),
+    "gsbs_n4_seed1": lambda: build_scenario("gsbs", 4, 1, values_per_process=2, rounds=3, seed=1).run(),
+    "gsbs_n4_seed2": lambda: build_scenario("gsbs", 4, 1, values_per_process=2, rounds=3, seed=2).run(),
+    "gsbs_n7_seed3": lambda: build_scenario("gsbs", 7, 2, values_per_process=1, rounds=2, seed=3).run(),
+    "gsbs_n4_batch1": lambda: build_scenario(
+        "gsbs", 4, 1, values_per_process=2, rounds=3, seed=0, batch_size=1
+    ).run(),
+    "crash_la_n4_seed0": lambda: build_scenario("crash-la", 4, 1, seed=0).run(),
+    "crash_la_n7_seed1": lambda: build_scenario("crash-la", 7, 2, seed=1).run(),
     # Experiment E2's negative control: n = 3f, an always-acking Byzantine
     # and slow links between the two correct processes.
-    "crash_la_n3_always_ack_partition": lambda: run_crash_la_scenario(
-        n=3, f=1, seed=7, byzantine_factories=[AlwaysAckAcceptor], max_messages=20_000,
+    "crash_la_n3_always_ack_partition": lambda: build_scenario(
+        "crash-la", 3, 1, seed=7, byzantine_factories=[AlwaysAckAcceptor], max_messages=20_000,
         delay_model=SkewedPairDelay([("p0", "p1")], base=FixedDelay(1.0), slow_delay=10_000.0),
-    ),
-    "crash_gla_n4_seed0": lambda: run_crash_gla_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=0),
-    "gwts_n4_batch1": lambda: run_gwts_scenario(n=4, f=1, values_per_process=3, rounds=4, seed=0, batch_size=1),
-    "wts_n4_equivocator": lambda: run_wts_scenario(n=4, f=1, seed=0, byzantine_factories=[equivocator]),
-    "wts_n4_garbage": lambda: run_wts_scenario(n=4, f=1, seed=0, byzantine_factories=[garbage]),
+    ).run(),
+    "crash_gla_n4_seed0": lambda: build_scenario("crash-gla", 4, 1, values_per_process=2, rounds=3, seed=0).run(),
+    "gwts_n4_batch1": lambda: build_scenario("gwts", 4, 1, values_per_process=3, rounds=4, seed=0, batch_size=1).run(),
+    "wts_n4_equivocator": lambda: build_scenario("wts", 4, 1, seed=0, byzantine_factories=[equivocator]).run(),
+    "wts_n4_garbage": lambda: build_scenario("wts", 4, 1, seed=0, byzantine_factories=[garbage]).run(),
     "ablation_no_safety": ablated(NoSafetyWTSProcess),
     "ablation_plain_disclosure": ablated(PlainDisclosureWTSProcess),
     "ablation_no_defences": ablated(NoDefencesWTSProcess),
-    "gwts_n4_equivocator": lambda: run_gwts_scenario(
-        n=4, f=1, values_per_process=2, rounds=3, seed=0, byzantine_factories=[gwts_equivocator]
-    ),
+    "gwts_n4_equivocator": lambda: build_scenario(
+        "gwts", 4, 1, values_per_process=2, rounds=3, seed=0, byzantine_factories=[gwts_equivocator]
+    ).run(),
 }
 
 # The SbS and GSbS digests were regenerated once, when their carriers went

@@ -9,7 +9,7 @@ from repro.byzantine import EquivocatingProposer, GarbageProposer
 from repro.core.messages import AckRequest
 from repro.core.wts import DECIDED, DISCLOSURE_TAG, WTSProcess
 from repro.engine import Deliver, FixedDelay, Start, UniformDelay
-from repro.harness import build_scenario, run_wts_scenario
+from repro.harness import build_scenario
 from repro.lattice import GCounterLattice, MaxIntLattice, SetLattice
 
 
@@ -17,37 +17,37 @@ class TestFailureFreeRuns:
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
     def test_all_decide_and_properties_hold(self, n):
         f = (n - 1) // 3
-        scenario = run_wts_scenario(n=n, f=f, seed=n)
+        scenario = build_scenario("wts", n, f, seed=n).run()
         assert scenario.check_la().ok
         for node in scenario.correct_nodes():
             assert node.state == DECIDED
 
     def test_every_decision_contains_own_proposal(self):
-        scenario = run_wts_scenario(n=4, f=1, seed=1)
+        scenario = build_scenario("wts", 4, 1, seed=1).run()
         for pid, proposal in scenario.proposals().items():
             decision = scenario.decisions()[pid][0]
             assert proposal <= decision
 
     def test_decisions_within_join_of_proposals(self):
-        scenario = run_wts_scenario(n=7, f=2, seed=2)
+        scenario = build_scenario("wts", 7, 2, seed=2).run()
         everything = frozenset().union(*scenario.proposals().values())
         for decs in scenario.decisions().values():
             assert decs[0] <= everything
 
     def test_identical_proposals_decide_immediately_on_that_value(self):
         proposals = {f"p{i}": frozenset({"same"}) for i in range(4)}
-        scenario = run_wts_scenario(n=4, f=1, proposals=proposals, seed=3)
+        scenario = build_scenario("wts", 4, 1, inputs=proposals, seed=3).run()
         for decs in scenario.decisions().values():
             assert decs[0] == frozenset({"same"})
 
     def test_f_zero_single_process(self):
-        scenario = run_wts_scenario(n=1, f=0, proposals={"p0": frozenset({"solo"})}, seed=0)
+        scenario = build_scenario("wts", 1, 0, inputs={"p0": frozenset({"solo"})}, seed=0).run()
         assert scenario.decisions()["p0"] == [frozenset({"solo"})]
 
     def test_refinements_bounded_by_f_plus_slack(self):
         """Lemma 3: each proposer refines its proposal at most f times."""
         for seed in range(5):
-            scenario = run_wts_scenario(n=7, f=2, seed=seed)
+            scenario = build_scenario("wts", 7, 2, seed=seed).run()
             for node in scenario.correct_nodes():
                 assert node.refinements <= 2
 
@@ -55,14 +55,14 @@ class TestFailureFreeRuns:
         """Theorem 3: at most 2f + 5 message delays with unit-delay links."""
         for f in (0, 1, 2):
             n = 3 * f + 1
-            scenario = run_wts_scenario(n=n, f=f, seed=f, delay_model=FixedDelay(1.0))
+            scenario = build_scenario("wts", n, f, seed=f, delay_model=FixedDelay(1.0)).run()
             decision_time = max(r.time for r in scenario.metrics.decisions)
             assert decision_time <= 2 * f + 5
 
     def test_works_on_non_set_lattices(self):
         lattice = MaxIntLattice()
         proposals = {"p0": 3, "p1": 10, "p2": 6}
-        scenario = run_wts_scenario(n=4, f=1, lattice=lattice, proposals=proposals, seed=4)
+        scenario = build_scenario("wts", 4, 1, lattice=lattice, inputs=proposals, seed=4).run()
         assert scenario.check_la().ok
         for decs in scenario.decisions().values():
             assert decs[0] >= 1
@@ -74,18 +74,18 @@ class TestFailureFreeRuns:
             "p1": lattice.lift({"p1": 5}),
             "p2": lattice.lift({"p2": 1}),
         }
-        scenario = run_wts_scenario(n=4, f=1, lattice=lattice, proposals=proposals, seed=5)
+        scenario = build_scenario("wts", 4, 1, lattice=lattice, inputs=proposals, seed=5).run()
         assert scenario.check_la().ok
 
     def test_message_complexity_dominated_by_reliable_broadcast(self):
-        scenario = run_wts_scenario(n=7, f=2, seed=6)
+        scenario = build_scenario("wts", 7, 2, seed=6).run()
         by_type = scenario.metrics.sent_by_type
         rb_messages = by_type["rb_init"] + by_type["rb_echo"] + by_type["rb_ready"]
         other = by_type.get("ack_req", 0) + by_type.get("ack", 0) + by_type.get("nack", 0)
         assert rb_messages > other
 
     def test_stop_condition_leaves_no_correct_process_undecided(self):
-        scenario = run_wts_scenario(n=10, f=3, seed=7, delay_model=UniformDelay(0.1, 4.0))
+        scenario = build_scenario("wts", 10, 3, seed=7, delay_model=UniformDelay(0.1, 4.0)).run()
         assert all(decs for decs in scenario.decisions().values())
 
 

@@ -14,7 +14,7 @@ from repro.byzantine import (
 )
 from repro.core.wts import WTSProcess
 from repro.engine import UniformDelay
-from repro.harness import run_wts_scenario
+from repro.harness import build_scenario
 
 
 def silent(pid, lat, members, f):
@@ -70,24 +70,24 @@ class TestSingleByzantine:
     @pytest.mark.parametrize("name", sorted(ALL_BEHAVIOURS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_properties_hold_with_one_byzantine(self, name, seed):
-        scenario = run_wts_scenario(
-            n=4, f=1, byzantine_factories=[ALL_BEHAVIOURS[name]], seed=seed
-        )
+        scenario = build_scenario(
+            "wts", 4, 1, byzantine_factories=[ALL_BEHAVIOURS[name]], seed=seed
+        ).run()
         check = scenario.check_la()
         assert check.ok, f"{name}: {check}"
 
     @pytest.mark.parametrize("name", sorted(ALL_BEHAVIOURS))
     def test_properties_hold_with_two_byzantines_n7(self, name):
-        scenario = run_wts_scenario(
-            n=7, f=2, byzantine_factories=[ALL_BEHAVIOURS[name], silent], seed=5
-        )
+        scenario = build_scenario(
+            "wts", 7, 2, byzantine_factories=[ALL_BEHAVIOURS[name], silent], seed=5
+        ).run()
         check = scenario.check_la()
         assert check.ok, f"{name}: {check}"
 
 
 class TestSpecificAttacks:
     def test_equivocator_cannot_make_both_values_decided_incomparably(self):
-        scenario = run_wts_scenario(n=4, f=1, byzantine_factories=[equivocator], seed=9)
+        scenario = build_scenario("wts", 4, 1, byzantine_factories=[equivocator], seed=9).run()
         decisions = [d[0] for d in scenario.decisions().values()]
         # Comparable decisions regardless of which (if any) Byzantine value got in.
         for a in decisions:
@@ -95,30 +95,30 @@ class TestSpecificAttacks:
                 assert a <= b or b <= a
 
     def test_garbage_values_never_appear_in_decisions(self):
-        scenario = run_wts_scenario(n=4, f=1, byzantine_factories=[garbage], seed=10)
+        scenario = build_scenario("wts", 4, 1, byzantine_factories=[garbage], seed=10).run()
         for decs in scenario.decisions().values():
             for member in decs[0]:
                 assert isinstance(member, str)
 
     def test_injected_value_may_appear_but_is_bounded(self):
         """The paper's spec allows Byzantine values in decisions (Non-Triviality |B| <= f)."""
-        scenario = run_wts_scenario(n=4, f=1, byzantine_factories=[injector], seed=11)
+        scenario = build_scenario("wts", 4, 1, byzantine_factories=[injector], seed=11).run()
         extra = set()
         for decs in scenario.decisions().values():
             extra |= decs[0] - frozenset().union(*scenario.proposals().values())
         assert extra <= {"injected"}
 
     def test_nack_spam_junk_never_enters_decisions(self):
-        scenario = run_wts_scenario(n=4, f=1, byzantine_factories=[nack_spammer], seed=12)
+        scenario = build_scenario("wts", 4, 1, byzantine_factories=[nack_spammer], seed=12).run()
         for decs in scenario.decisions().values():
             assert not any("undisclosed-junk" in str(member) for member in decs[0])
 
     def test_silent_byzantine_does_not_block_termination(self):
-        scenario = run_wts_scenario(n=4, f=1, byzantine_factories=[silent], seed=13,
-                                    delay_model=UniformDelay(0.5, 3.0))
+        scenario = build_scenario("wts", 4, 1, byzantine_factories=[silent], seed=13,
+                                    delay_model=UniformDelay(0.5, 3.0)).run()
         assert all(decs for decs in scenario.decisions().values())
 
     def test_max_byzantine_population_at_n13(self):
         factories = [silent, equivocator, flip_flopper, nack_spammer]
-        scenario = run_wts_scenario(n=13, f=4, byzantine_factories=factories, seed=14)
+        scenario = build_scenario("wts", 13, 4, byzantine_factories=factories, seed=14).run()
         assert scenario.check_la().ok

@@ -13,7 +13,7 @@ from repro.core.gsbs import gsbs_ack_body, verify_gsbs_ack
 from repro.core.messages import GSbSAck, ProvenValue, SafeAck
 from repro.core.sbs import all_safe, safe_ack_body
 from repro.crypto import KeyRegistry, SignatureError, SignedValue, canonical_bytes, signatures
-from repro.harness import run_gsbs_scenario, run_sbs_scenario
+from repro.harness import build_scenario
 from repro.lattice import SetLattice
 
 
@@ -308,13 +308,13 @@ class TestMemoisedRunsDoNotMove:
     """Exact counts of seeded kernel runs: memoised checks change no verdict."""
 
     def test_sbs_n10(self):
-        scenario = run_sbs_scenario(n=10, f=3, seed=3)
+        scenario = build_scenario("sbs", 10, 3, seed=3).run()
         assert scenario.metrics.total_delivered == 773
         assert len(scenario.metrics.decisions) == 10
         assert scenario.check_la().ok
 
     def test_gsbs_n7(self):
-        scenario = run_gsbs_scenario(n=7, f=2, seed=3, rounds=3, values_per_process=2)
+        scenario = build_scenario("gsbs", 7, 2, seed=3, rounds=3, values_per_process=2).run()
         assert scenario.metrics.total_delivered == 1157
         assert len(scenario.metrics.decisions) == 21
         assert scenario.check_gla().ok

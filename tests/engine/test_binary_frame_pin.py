@@ -17,13 +17,7 @@ from collections import namedtuple
 from enum import IntEnum
 
 from repro.engine import wire
-from repro.harness import (
-    run_gsbs_scenario,
-    run_gwts_scenario,
-    run_rsm_scenario,
-    run_sbs_scenario,
-    run_wts_scenario,
-)
+from repro.harness import build_scenario
 from repro.rsm import GCounterObject
 
 COUNTER = GCounterObject("hits")
@@ -47,17 +41,16 @@ EXTRAS = [
 ]
 
 CORPUS_RUNS = {
-    "wts": lambda: run_wts_scenario(n=4, f=1, seed=3),
-    "gwts": lambda: run_gwts_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=3),
-    "sbs": lambda: run_sbs_scenario(n=4, f=1, seed=3),
-    "gsbs": lambda: run_gsbs_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=3),
-    "rsm": lambda: run_rsm_scenario(
-        n_replicas=4,
-        f=1,
-        client_scripts={"c": [("update", COUNTER.op_inc(k)) for k in (1, 2, 3)] + [("read",)]},
+    "wts": lambda: build_scenario("wts", 4, 1, seed=3).run(),
+    "gwts": lambda: build_scenario("gwts", 4, 1, values_per_process=2, rounds=3, seed=3).run(),
+    "sbs": lambda: build_scenario("sbs", 4, 1, seed=3).run(),
+    "gsbs": lambda: build_scenario("gsbs", 4, 1, values_per_process=2, rounds=3, seed=3).run(),
+    "rsm": lambda: build_scenario(
+        "rsm", 4, 1,
+        inputs={"c": [("update", COUNTER.op_inc(k)) for k in (1, 2, 3)] + [("read",)]},
         rounds=9,
         seed=3,
-    ),
+    ).run(),
 }
 
 #: Moved once with ``repro.engine.wire`` untouched: the corpus's RSM run

@@ -25,7 +25,7 @@ from repro.core.wts import WTSProcess
 from repro.crypto.signatures import KeyRegistry
 from repro.engine import AsyncEngine
 from repro.engine.delays import AdversarialTargetedDelay, FixedDelay, UniformDelay
-from repro.harness import run_gwts_scenario, run_rsm_scenario, run_wts_scenario
+from repro.harness import build_scenario
 from repro.lattice.set_lattice import SetLattice
 from repro.rsm.crdt import GCounterObject, GSetObject
 
@@ -37,8 +37,8 @@ def decisions_of(scenario):
 class TestCrossBackendGolden:
     @pytest.mark.parametrize("seed", [11, 2026, 77])
     def test_e1_wts_decisions_identical(self, seed):
-        kernel = run_wts_scenario(n=4, f=1, seed=seed, backend="kernel")
-        turbo = run_wts_scenario(n=4, f=1, seed=seed, backend="turbo")
+        kernel = build_scenario("wts", 4, 1, seed=seed, backend="kernel").run()
+        turbo = build_scenario("wts", 4, 1, seed=seed, backend="turbo").run()
         assert kernel.check_la().ok and turbo.check_la().ok
         assert decisions_of(kernel) == decisions_of(turbo)
         # The output lattice (join of everything decided) matches exactly.
@@ -52,8 +52,8 @@ class TestCrossBackendGolden:
     @pytest.mark.parametrize("seed", [7, 23])
     def test_e6_gwts_decision_chains_identical(self, seed):
         kwargs = dict(n=4, f=1, values_per_process=2, rounds=3, seed=seed)
-        kernel = run_gwts_scenario(backend="kernel", **kwargs)
-        turbo = run_gwts_scenario(backend="turbo", **kwargs)
+        kernel = build_scenario("gwts", backend="kernel", **kwargs).run()
+        turbo = build_scenario("gwts", backend="turbo", **kwargs).run()
         assert decisions_of(kernel) == decisions_of(turbo)
         assert kernel.run.end_time == pytest.approx(turbo.run.end_time)
 
@@ -65,9 +65,9 @@ class TestCrossBackendGolden:
             "c0": [("update", counter.op_inc(1)), ("read",)],
             "c1": [("update", gset.op_add("x")), ("read",)],
         }
-        kwargs = dict(n_replicas=4, f=1, client_scripts=scripts, rounds=8, seed=seed)
-        kernel = run_rsm_scenario(backend="kernel", **kwargs)
-        turbo = run_rsm_scenario(backend="turbo", **kwargs)
+        kwargs = dict(n=4, f=1, inputs=scripts, rounds=8, seed=seed)
+        kernel = build_scenario("rsm", backend="kernel", **kwargs).run()
+        turbo = build_scenario("rsm", backend="turbo", **kwargs).run()
         for cid in scripts:
             k_history = kernel.extras["histories"][cid]
             t_history = turbo.extras["histories"][cid]
@@ -87,8 +87,8 @@ class TestCrossBackendGolden:
             scheduler="worst-case:victims=quorum,starve=40,fast=1",
             fault_plan="crash:0@5-25",
         )
-        kernel = run_gwts_scenario(backend="kernel", **kwargs)
-        turbo = run_gwts_scenario(backend="turbo", **kwargs)
+        kernel = build_scenario("gwts", backend="kernel", **kwargs).run()
+        turbo = build_scenario("gwts", backend="turbo", **kwargs).run()
         assert decisions_of(kernel) == decisions_of(turbo)
         assert kernel.run.end_time == pytest.approx(turbo.run.end_time)
 
@@ -103,13 +103,12 @@ class TestCrossBackendGolden:
             return None
 
         def build(backend):
-            return run_wts_scenario(
-                n=4,
-                f=1,
+            return build_scenario(
+                "wts", 4, 1,
                 seed=9,
                 backend=backend,
                 delay_model=AdversarialTargetedDelay(chooser, base=FixedDelay(1.0)),
-            )
+            ).run()
 
         kernel, turbo, run_async = build("kernel"), build("turbo"), build("async")
         assert decisions_of(kernel) == decisions_of(turbo) == decisions_of(run_async)
@@ -121,8 +120,8 @@ class TestCrossBackendGolden:
         ]
 
     def test_turbo_send_counts_match_kernel(self):
-        kernel = run_wts_scenario(n=4, f=1, seed=11, backend="kernel")
-        turbo = run_wts_scenario(n=4, f=1, seed=11, backend="turbo")
+        kernel = build_scenario("wts", 4, 1, seed=11, backend="kernel").run()
+        turbo = build_scenario("wts", 4, 1, seed=11, backend="turbo").run()
         assert turbo.metrics.decisions  # stop predicates & invariants work
         # Same schedule => identical per-process send tallies...
         assert turbo.metrics.sent_by_process == kernel.metrics.sent_by_process
@@ -144,16 +143,16 @@ class TestAsyncBackendGolden:
 
     @pytest.mark.parametrize("seed", [11, 2026, 77])
     def test_e1_wts_decisions_identical(self, seed):
-        kernel = run_wts_scenario(n=4, f=1, seed=seed, backend="kernel")
-        run_async = run_wts_scenario(n=4, f=1, seed=seed, backend="async")
+        kernel = build_scenario("wts", 4, 1, seed=seed, backend="kernel").run()
+        run_async = build_scenario("wts", 4, 1, seed=seed, backend="async").run()
         assert kernel.check_la().ok and run_async.check_la().ok
         assert decisions_of(kernel) == decisions_of(run_async)
 
     @pytest.mark.parametrize("seed", [7, 23])
     def test_e6_gwts_decision_chains_identical(self, seed):
         kwargs = dict(n=4, f=1, values_per_process=2, rounds=3, seed=seed)
-        kernel = run_gwts_scenario(backend="kernel", **kwargs)
-        run_async = run_gwts_scenario(backend="async", **kwargs)
+        kernel = build_scenario("gwts", backend="kernel", **kwargs).run()
+        run_async = build_scenario("gwts", backend="async", **kwargs).run()
         assert decisions_of(kernel) == decisions_of(run_async)
 
     @pytest.mark.parametrize("seed", [5, 41])
@@ -164,9 +163,9 @@ class TestAsyncBackendGolden:
             "c0": [("update", counter.op_inc(1)), ("read",)],
             "c1": [("update", gset.op_add("x")), ("read",)],
         }
-        kwargs = dict(n_replicas=4, f=1, client_scripts=scripts, rounds=8, seed=seed)
-        kernel = run_rsm_scenario(backend="kernel", **kwargs)
-        run_async = run_rsm_scenario(backend="async", **kwargs)
+        kwargs = dict(n=4, f=1, inputs=scripts, rounds=8, seed=seed)
+        kernel = build_scenario("rsm", backend="kernel", **kwargs).run()
+        run_async = build_scenario("rsm", backend="async", **kwargs).run()
         for cid in scripts:
             k_history = kernel.extras["histories"][cid]
             a_history = run_async.extras["histories"][cid]
@@ -187,13 +186,13 @@ class TestAsyncBackendGolden:
             scheduler="worst-case:victims=quorum,starve=40,fast=1",
             fault_plan="crash:0@5-25",
         )
-        kernel = run_gwts_scenario(backend="kernel", **kwargs)
-        run_async = run_gwts_scenario(backend="async", **kwargs)
+        kernel = build_scenario("gwts", backend="kernel", **kwargs).run()
+        run_async = build_scenario("gwts", backend="async", **kwargs).run()
         assert decisions_of(kernel) == decisions_of(run_async)
 
     def test_async_send_counts_and_wall_clock_times(self):
-        kernel = run_wts_scenario(n=4, f=1, seed=11, backend="kernel")
-        run_async = run_wts_scenario(n=4, f=1, seed=11, backend="async")
+        kernel = build_scenario("wts", 4, 1, seed=11, backend="kernel").run()
+        run_async = build_scenario("wts", 4, 1, seed=11, backend="async").run()
         assert run_async.metrics.sent_by_process == kernel.metrics.sent_by_process
         assert run_async.metrics.total_sent == kernel.metrics.total_sent
         assert run_async.backend == "async"

@@ -20,13 +20,6 @@ class TestEnvelope:
         env = Envelope(sender="a", dest="b", payload=("raw",), send_time=0.0)
         assert env.mtype == "tuple"
 
-    def test_delivered_at_copies_and_stamps(self):
-        env = Envelope(sender="a", dest="b", payload="x", send_time=1.0, depth=3, seq=7, size=2)
-        delivered = env.delivered_at(5.0)
-        assert delivered.deliver_time == 5.0
-        assert delivered.sender == "a" and delivered.depth == 3 and delivered.seq == 7
-        assert env.deliver_time is None  # original untouched
-
 
 class TestEstimateSize:
     def test_scalars_are_small(self):

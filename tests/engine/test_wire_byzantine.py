@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.ablations import BlindKeyRegistry
 from repro.engine.wire_faults import POISON
-from repro.harness.workloads import run_gsbs_scenario, run_sbs_scenario
+from repro.harness.workloads import build_scenario
 
 FULL_MENU = "flip:0.3+trunc:0.3+dup:0.3+replay:0.3+tamper-value:0.5+tamper-sig:0.5"
 
@@ -31,10 +31,10 @@ def assert_unpoisoned(scenario):
 class TestHonestRegistryHoldsTheLine:
     @pytest.mark.parametrize("framing", ["json", "binary"])
     def test_sbs_decides_correctly_under_the_full_fault_menu(self, framing):
-        scenario = run_sbs_scenario(
-            n=4, f=1, seed=7, backend="async", transport="tcp", framing=framing,
+        scenario = build_scenario(
+            "sbs", 4, 1, seed=7, backend="async", transport="tcp", framing=framing,
             wire_faults=FULL_MENU, max_wall_s=30.0,
-        )
+        ).run()
         check = scenario.check_la()
         assert check.ok, check.violations
         assert_unpoisoned(scenario)
@@ -48,10 +48,10 @@ class TestHonestRegistryHoldsTheLine:
         assert stats.get("injected_delivered", 0) > 0  # well-formed forgeries
 
     def test_gsbs_multi_round_survives_tampering(self):
-        scenario = run_gsbs_scenario(
-            n=4, f=1, rounds=2, seed=5, backend="async", transport="tcp",
+        scenario = build_scenario(
+            "gsbs", 4, 1, rounds=2, seed=5, backend="async", transport="tcp",
             wire_faults="tamper-value:0.5+tamper-sig:0.5+dup:0.3", max_wall_s=45.0,
-        )
+        ).run()
         check = scenario.check_gla(require_all_inputs_decided=False)
         assert check.ok, check.violations
         assert_unpoisoned(scenario)
@@ -64,11 +64,11 @@ class TestBlindRegistryCanary:
     the honest-registry assertions above are not vacuous."""
 
     def test_sbs_with_blind_pki_violates_invariants_under_tampering(self):
-        scenario = run_sbs_scenario(
-            n=4, f=1, seed=7, backend="async", transport="tcp", framing="binary",
+        scenario = build_scenario(
+            "sbs", 4, 1, seed=7, backend="async", transport="tcp", framing="binary",
             registry=BlindKeyRegistry(seed=1234),
             wire_faults="tamper-value:0.6", max_wall_s=30.0,
-        )
+        ).run()
         check = scenario.check_la()
         assert not check.ok, "blind verification shrugged off on-wire tampering"
         stats = scenario.engine.wire_fault_stats
@@ -76,6 +76,6 @@ class TestBlindRegistryCanary:
 
     def test_wire_faults_require_the_tcp_transport(self):
         with pytest.raises(ValueError, match="transport"):
-            run_sbs_scenario(
-                n=4, f=1, seed=1, backend="async", wire_faults="flip:0.5",
-            )
+            build_scenario(
+                "sbs", 4, 1, seed=1, backend="async", wire_faults="flip:0.5",
+            ).run()

@@ -13,7 +13,7 @@ from repro.explore.invariants import (
     proof_invariants,
     rsm_invariants,
 )
-from repro.harness import run_gsbs_scenario, run_gwts_scenario, run_rsm_scenario, run_sbs_scenario, run_wts_scenario
+from repro.harness import build_scenario
 from repro.rsm.crdt import GCounterObject
 
 
@@ -29,31 +29,31 @@ def nack_spammer(pid, lat, members, f, **kw):
 
 class TestLAInvariants:
     def test_clean_run_has_no_violations(self):
-        scenario = run_wts_scenario(n=4, f=1, seed=3)
+        scenario = build_scenario("wts", 4, 1, seed=3).run()
         assert la_invariants(scenario) == {}
 
     def test_silent_byzantine_run_is_still_clean(self):
-        scenario = run_wts_scenario(
-            n=4, f=1, seed=3,
+        scenario = build_scenario(
+            "wts", 4, 1, seed=3,
             byzantine_factories=[lambda pid, lat, members, f: SilentByzantine(pid)],
-        )
+        ).run()
         assert la_invariants(scenario) == {}
 
     def test_truncated_run_flags_liveness_unless_relaxed(self):
         # Stop immediately: nobody decides.
-        scenario = run_wts_scenario(n=4, f=1, seed=3, max_messages=1)
+        scenario = build_scenario("wts", 4, 1, seed=3, max_messages=1).run()
         violations = la_invariants(scenario)
         assert "liveness" in violations
         assert "liveness" not in la_invariants(scenario, require_liveness=False)
 
     def test_no_safety_mutant_breaks_non_triviality(self):
-        scenario = run_wts_scenario(
-            n=4, f=1, seed=910211,
+        scenario = build_scenario(
+            "wts", 4, 1, seed=910211,
             byzantine_factories=[nack_spammer],
             process_class=NoSafetyWTSProcess,
             run_to_quiescence=True,
             max_messages=30_000,
-        )
+        ).run()
         assert "non_triviality" in la_invariants(scenario)
 
     def test_no_defences_mutant_breaks_byzantine_value_bound(self):
@@ -61,13 +61,13 @@ class TestLAInvariants:
         # E11 uses — some schedule in it gets both values decided.
         hit = False
         for seed in range(31, 39):
-            scenario = run_wts_scenario(
-                n=4, f=1, seed=seed,
+            scenario = build_scenario(
+                "wts", 4, 1, seed=seed,
                 byzantine_factories=[equivocator],
                 process_class=NoDefencesWTSProcess,
                 run_to_quiescence=True,
                 max_messages=30_000,
-            )
+            ).run()
             if byzantine_value_bound_violations(scenario):
                 hit = True
                 violations = la_invariants(scenario)
@@ -77,23 +77,23 @@ class TestLAInvariants:
 
     def test_intact_wts_respects_byzantine_value_bound(self):
         for seed in range(31, 35):
-            scenario = run_wts_scenario(
-                n=4, f=1, seed=seed, byzantine_factories=[equivocator]
-            )
+            scenario = build_scenario(
+                "wts", 4, 1, seed=seed, byzantine_factories=[equivocator]
+            ).run()
             assert byzantine_value_bound_violations(scenario) == []
 
 
 class TestGLAInvariants:
     def test_clean_generalized_run(self):
-        scenario = run_gwts_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=9)
+        scenario = build_scenario("gwts", 4, 1, values_per_process=2, rounds=3, seed=9).run()
         assert gla_invariants(scenario) == {}
 
     def test_inclusivity_can_be_relaxed(self):
         # A truncated prefix cannot have included every queued value; the
         # relaxed mode keeps judging safety but drops the eventual property.
-        scenario = run_gwts_scenario(
-            n=4, f=1, values_per_process=2, rounds=3, seed=9, max_messages=150
-        )
+        scenario = build_scenario(
+            "gwts", 4, 1, values_per_process=2, rounds=3, seed=9, max_messages=150
+        ).run()
         violations = gla_invariants(scenario)
         assert "inclusivity" in violations
         relaxed = gla_invariants(scenario, require_inclusivity=False)
@@ -105,7 +105,7 @@ class TestRSMInvariants:
     def _scenario(self):
         counter = GCounterObject("hits")
         scripts = {"c0": [("update", counter.op_inc(1)), ("read",)]}
-        return run_rsm_scenario(n_replicas=4, f=1, client_scripts=scripts, rounds=8, seed=5)
+        return build_scenario("rsm", 4, 1, inputs=scripts, rounds=8, seed=5).run()
 
     def test_clean_rsm_run(self):
         assert rsm_invariants(self._scenario()) == {}
@@ -127,7 +127,7 @@ class TestRSMInvariants:
 
 class TestDispatch:
     def test_kinds_route_to_the_right_checker(self):
-        scenario = run_wts_scenario(n=4, f=1, seed=3)
+        scenario = build_scenario("wts", 4, 1, seed=3).run()
         assert check_scenario_invariants(scenario, "la") == {}
         with pytest.raises(ValueError):
             check_scenario_invariants(scenario, "bogus")
@@ -135,14 +135,14 @@ class TestDispatch:
 
 class TestOneProofPerValue:
     @pytest.mark.parametrize("run", [
-        lambda: run_sbs_scenario(n=4, f=1, seed=9),
-        lambda: run_gsbs_scenario(n=4, f=1, values_per_process=2, rounds=3, seed=0),
+        lambda: build_scenario("sbs", 4, 1, seed=9).run(),
+        lambda: build_scenario("gsbs", 4, 1, values_per_process=2, rounds=3, seed=0).run(),
     ], ids=["sbs", "gsbs"])
     def test_clean_run_reports_nothing(self, run):
         assert proof_invariants(run()) == {}
 
     def test_a_doctored_carrier_is_reported(self):
-        scenario = run_sbs_scenario(n=4, f=1, seed=9)
+        scenario = build_scenario("sbs", 4, 1, seed=9).run()
         node = scenario.correct_nodes()[0]
         kept = next(iter(node.accepted_set))
         node.accepted_set = node.accepted_set | {ProvenValue(value=kept.value, safe_acks=frozenset())}

@@ -1,77 +1,51 @@
-"""Tests for the scenario builders."""
+"""Tests for the scenario path: the registry, build_scenario and the open-loop generator."""
 
 import pytest
 
 from repro.byzantine import SilentByzantine
 from repro.explore.scenarios import _DEFAULT_MENUS, PROTOCOL_BEHAVIOURS, PROTOCOL_KINDS
-from repro.harness import (
-    PROTOCOLS,
-    build_scenario,
-    member_pids,
-    run_crash_gla_scenario,
-    run_crash_la_scenario,
-    run_gsbs_scenario,
-    run_gwts_scenario,
-    run_open_loop_scenario,
-    run_rsm_scenario,
-    run_sbs_scenario,
-    run_sharded_rsm_scenario,
-    run_wts_scenario,
-)
+from repro.harness import PROTOCOLS, build_scenario, member_pids, run_open_loop_scenario
 from repro.harness.workloads import default_proposals, make_gla_inputs
 from repro.lattice import SetLattice
 
 _SCRIPTS = {"c0": [("update", ("obj-a", 1)), ("read",)], "c1": [("update", ("obj-b", 2)), ("read",)]}
 
-#: Registry name -> (the named builder, its arguments at the minimal n, the
-#: same arguments in build_scenario's vocabulary).  ``rsm/sharded`` is the
-#: registry's ``rsm`` row driven with ``shards=``.
-_NAMED_BUILDERS = {
-    "wts": (run_wts_scenario, dict(n=4, f=1), dict(n=4, f=1)),
-    "sbs": (run_sbs_scenario, dict(n=4, f=1), dict(n=4, f=1)),
-    "crash-la": (run_crash_la_scenario, dict(n=4, f=1), dict(n=4, f=1)),
-    "gwts": (run_gwts_scenario, dict(n=4, f=1, values_per_process=1, rounds=2), dict(n=4, f=1, values_per_process=1, rounds=2)),
-    "gsbs": (run_gsbs_scenario, dict(n=4, f=1, values_per_process=1, rounds=2), dict(n=4, f=1, values_per_process=1, rounds=2)),
-    "crash-gla": (run_crash_gla_scenario, dict(n=4, f=1, values_per_process=1, rounds=2), dict(n=4, f=1, values_per_process=1, rounds=2)),
-    "rsm": (
-        run_rsm_scenario,
-        dict(n_replicas=4, f=1, client_scripts=_SCRIPTS, rounds=6),
-        dict(n=4, f=1, inputs=_SCRIPTS, rounds=6),
-    ),
-    "rsm/sharded": (
-        run_sharded_rsm_scenario,
-        dict(n_replicas=8, f=1, shards=2, client_scripts=_SCRIPTS, rounds=6),
-        dict(n=8, f=1, shards=2, inputs=_SCRIPTS, rounds=6),
-    ),
+#: Registry name -> build_scenario arguments at the minimal n.  ``rsm/sharded``
+#: is the registry's ``rsm`` row driven with ``shards=``.
+_REGISTRY_CASES = {
+    "wts": dict(n=4, f=1),
+    "sbs": dict(n=4, f=1),
+    "crash-la": dict(n=4, f=1),
+    "gwts": dict(n=4, f=1, values_per_process=1, rounds=2),
+    "gsbs": dict(n=4, f=1, values_per_process=1, rounds=2),
+    "crash-gla": dict(n=4, f=1, values_per_process=1, rounds=2),
+    "rsm": dict(n=4, f=1, inputs=_SCRIPTS, rounds=6),
+    "rsm/sharded": dict(n=8, f=1, shards=2, inputs=_SCRIPTS, rounds=6),
 }
 
 
-def _fingerprint(scenario, per_process=True):
+def _fingerprint(scenario):
     """Decisions, exact message totals and client histories of one finished run.
 
-    Turbo sheds the per-process/delivery counters to go fast, so cross-backend
-    comparisons pass ``per_process=False``.
+    Only counters both backends keep: turbo sheds the per-process/delivery
+    counters to go fast.
     """
-    metrics = scenario.metrics
     histories = {
         client: [(r.kind, r.completed, r.start_time, r.end_time, r.result) for r in history]
         for client, history in scenario.extras.get("histories", {}).items()
     }
-    fingerprint = [scenario.decisions(), scenario.run.delivered, scenario.run.end_time, metrics.total_sent, histories]
-    if per_process:
-        fingerprint += [metrics.total_delivered, dict(metrics.sent_by_process)]
-    return fingerprint
+    return [scenario.decisions(), scenario.run.delivered, scenario.run.end_time, scenario.metrics.total_sent, histories]
 
 
 class TestProtocolRegistry:
-    """One scenario path: every registered protocol builds, runs and agrees with its named builder."""
+    """One scenario path: every registered protocol builds, runs and schedules alike on kernel and turbo."""
 
-    def test_every_registered_protocol_has_a_named_builder(self):
-        assert {name.split("/")[0] for name in _NAMED_BUILDERS} == set(PROTOCOLS)
+    def test_every_registered_protocol_is_exercised(self):
+        assert {name.split("/")[0] for name in _REGISTRY_CASES} == set(PROTOCOLS)
 
-    @pytest.mark.parametrize("name", _NAMED_BUILDERS)
-    def test_build_run_matches_the_named_builder_on_kernel_and_turbo(self, name):
-        builder, named_kwargs, build_kwargs = _NAMED_BUILDERS[name]
+    @pytest.mark.parametrize("name", _REGISTRY_CASES)
+    def test_build_run_matches_on_kernel_and_turbo(self, name):
+        build_kwargs = _REGISTRY_CASES[name]
         protocol = name.split("/")[0]
         kernel = build_scenario(protocol, seed=3, **build_kwargs).run()
         assert kernel.run.delivered > 0
@@ -80,12 +54,10 @@ class TestProtocolRegistry:
         assert ("registry" in kernel.extras) == PROTOCOLS[protocol].signed
         if PROTOCOLS[protocol].kind == "rsm":
             assert "clients" in kernel.extras and "histories" in kernel.extras
-        # (a) the named builder is a delegation: same decisions, same exact message totals.
-        assert _fingerprint(builder(seed=3, **named_kwargs)) == _fingerprint(kernel)
-        # (b) kernel and turbo execute the same schedule.
+        # Kernel and turbo execute the same schedule.
         turbo = build_scenario(protocol, seed=3, backend="turbo", **build_kwargs).run()
         assert turbo.backend == "turbo"
-        assert _fingerprint(turbo, per_process=False) == _fingerprint(kernel, per_process=False)
+        assert _fingerprint(turbo) == _fingerprint(kernel)
 
     def test_build_and_run_are_separate_steps(self):
         scenario = build_scenario("wts", 4, 1, seed=3)
@@ -98,7 +70,7 @@ class TestProtocolRegistry:
             build_scenario("bogus", 4, 1)
 
     def test_explorer_menu_and_kinds_come_from_the_registry(self):
-        # (c) the explorer samples and judges only what the registry can build.
+        # The explorer samples and judges only what the registry can build.
         assert set(PROTOCOL_BEHAVIOURS) <= set(PROTOCOLS)
         assert set(_DEFAULT_MENUS["protocols"]) <= set(PROTOCOLS)
         assert PROTOCOL_KINDS == {name: PROTOCOLS[name].kind for name in PROTOCOL_BEHAVIOURS}
@@ -123,11 +95,11 @@ class TestHelpers:
 
 class TestScenarioResult:
     def test_views_cover_only_correct_processes(self):
-        scenario = run_wts_scenario(
-            n=4, f=1,
+        scenario = build_scenario(
+            "wts", 4, 1,
             byzantine_factories=[lambda pid, lat, m, f: SilentByzantine(pid)],
             seed=0,
-        )
+        ).run()
         assert set(scenario.correct_pids) == {"p0", "p1", "p2"}
         assert scenario.byzantine_pids == ["p3"]
         assert set(scenario.proposals()) == {"p0", "p1", "p2"}
@@ -135,8 +107,8 @@ class TestScenarioResult:
 
     def test_too_many_byzantine_factories_rejected(self):
         with pytest.raises(ValueError):
-            run_wts_scenario(n=2, f=1, byzantine_factories=[
-                lambda pid, lat, m, f: SilentByzantine(pid)] * 3)
+            build_scenario("wts", 2, 1, byzantine_factories=[
+                lambda pid, lat, m, f: SilentByzantine(pid)] * 3).run()
 
 
 class TestOpenLoopScenario:

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.harness import (
-    run_crash_gla_scenario,
-    run_crash_la_scenario,
-    run_gsbs_scenario,
-    run_gwts_scenario,
-    run_sbs_scenario,
-    run_wts_scenario,
-)
+from repro.harness import build_scenario
 from repro.lattice import SetLattice
 
 
@@ -21,42 +14,40 @@ PROPOSALS = {
 
 
 class TestSameWorkloadAllAlgorithms:
-    @pytest.mark.parametrize("runner", [run_wts_scenario, run_sbs_scenario, run_crash_la_scenario])
-    def test_single_shot_algorithms_agree_on_the_spec(self, runner):
-        scenario = runner(n=4, f=1, proposals=dict(PROPOSALS), seed=77)
+    @pytest.mark.parametrize("protocol", ["wts", "sbs", "crash-la"])
+    def test_single_shot_algorithms_agree_on_the_spec(self, protocol):
+        scenario = build_scenario(protocol, 4, 1, inputs=dict(PROPOSALS), seed=77).run()
         check = scenario.check_la()
-        assert check.ok, f"{runner.__name__}: {check}"
+        assert check.ok, f"{protocol}: {check}"
         union = frozenset({"alpha", "beta", "gamma"})
         for decs in scenario.decisions().values():
             assert decs[0] <= union
 
-    @pytest.mark.parametrize(
-        "runner", [run_gwts_scenario, run_gsbs_scenario, run_crash_gla_scenario]
-    )
-    def test_generalized_algorithms_agree_on_the_spec(self, runner):
-        scenario = runner(n=4, f=1, values_per_process=2, rounds=3, seed=78)
+    @pytest.mark.parametrize("protocol", ["gwts", "gsbs", "crash-gla"])
+    def test_generalized_algorithms_agree_on_the_spec(self, protocol):
+        scenario = build_scenario(protocol, 4, 1, values_per_process=2, rounds=3, seed=78).run()
         check = scenario.check_gla()
-        assert check.ok, f"{runner.__name__}: {check}"
+        assert check.ok, f"{protocol}: {check}"
 
     def test_wts_and_sbs_decide_comparable_content_on_same_inputs(self):
-        wts = run_wts_scenario(n=4, f=1, proposals=dict(PROPOSALS), seed=79)
-        sbs = run_sbs_scenario(n=4, f=1, proposals=dict(PROPOSALS), seed=79)
+        wts = build_scenario("wts", 4, 1, inputs=dict(PROPOSALS), seed=79).run()
+        sbs = build_scenario("sbs", 4, 1, inputs=dict(PROPOSALS), seed=79).run()
         lattice = SetLattice()
         for decisions in (wts.decisions(), sbs.decisions()):
             for pid, proposal in PROPOSALS.items():
                 assert lattice.leq(proposal, decisions[pid][0])
 
     def test_signature_variant_is_cheaper_in_messages(self):
-        wts = run_wts_scenario(n=10, f=1, seed=80)
-        sbs = run_sbs_scenario(n=10, f=1, seed=80)
+        wts = build_scenario("wts", 10, 1, seed=80).run()
+        sbs = build_scenario("sbs", 10, 1, seed=80).run()
         assert (
             sbs.metrics.mean_messages_per_process(sbs.correct_pids)
             < wts.metrics.mean_messages_per_process(wts.correct_pids)
         )
 
     def test_byzantine_algorithms_never_cheaper_than_crash_baseline(self):
-        crash = run_crash_la_scenario(n=7, f=2, seed=81)
-        wts = run_wts_scenario(n=7, f=2, seed=81)
+        crash = build_scenario("crash-la", 7, 2, seed=81).run()
+        wts = build_scenario("wts", 7, 2, seed=81).run()
         assert (
             wts.metrics.mean_messages_per_process(wts.correct_pids)
             >= crash.metrics.mean_messages_per_process(crash.correct_pids)

@@ -12,7 +12,10 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_quickstart_snippet(self):
-        scenario = repro.run_wts_scenario(n=4, f=1, seed=42)
+        # The README quickstart, verbatim.
+        from repro import build_scenario
+
+        scenario = build_scenario("wts", 4, 1, seed=42).run()
         assert scenario.check_la().ok
 
     def test_algorithm_classes_exported(self):

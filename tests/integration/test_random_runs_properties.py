@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.byzantine import EquivocatingProposer, FlipFloppingAcceptor, NackSpamAcceptor, SilentByzantine
 from repro.engine import FixedDelay, UniformDelay
-from repro.harness import run_gwts_scenario, run_sbs_scenario, run_wts_scenario
+from repro.harness import build_scenario
 
 
 def byz_factory(kind):
@@ -46,11 +46,11 @@ def delay_model(kind):
 )
 def test_wts_satisfies_spec_under_random_conditions(seed, n, byz, delay):
     f = (n - 1) // 3
-    scenario = run_wts_scenario(
-        n=n, f=f, seed=seed,
+    scenario = build_scenario(
+        "wts", n, f, seed=seed,
         byzantine_factories=[byz_factory(byz)] * f,
         delay_model=delay_model(delay),
-    )
+    ).run()
     check = scenario.check_la()
     assert check.ok, str(check)
 
@@ -61,12 +61,12 @@ def test_wts_satisfies_spec_under_random_conditions(seed, n, byz, delay):
     byz=st.sampled_from(["silent", "flipflop"]),
 )
 def test_sbs_satisfies_spec_under_random_conditions(seed, byz):
-    scenario = run_sbs_scenario(
-        n=4, f=1, seed=seed,
+    scenario = build_scenario(
+        "sbs", 4, 1, seed=seed,
         byzantine_factories=[
             lambda pid, lat, m, f, registry: byz_factory(byz)(pid, lat, m, f)
         ],
-    )
+    ).run()
     check = scenario.check_la()
     assert check.ok, str(check)
 
@@ -77,9 +77,9 @@ def test_sbs_satisfies_spec_under_random_conditions(seed, byz):
     values=st.integers(min_value=1, max_value=3),
 )
 def test_gwts_satisfies_spec_under_random_conditions(seed, values):
-    scenario = run_gwts_scenario(
-        n=4, f=1, values_per_process=values, rounds=3, seed=seed,
+    scenario = build_scenario(
+        "gwts", 4, 1, values_per_process=values, rounds=3, seed=seed,
         byzantine_factories=[byz_factory("silent")],
-    )
+    ).run()
     check = scenario.check_gla()
     assert check.ok, str(check)

@@ -12,7 +12,7 @@ clients put in flight).  Pinned here:
   the client's own history.
 """
 
-from repro.harness import run_rsm_scenario
+from repro.harness import build_scenario
 from repro.rsm import GCounterObject, RSMClient, check_rsm_history
 
 import pytest
@@ -26,12 +26,12 @@ def script(updates):
 
 
 def run(pipeline, updates=4, seed=11, backend="kernel"):
-    return run_rsm_scenario(
-        n_replicas=4, f=1,
-        client_scripts={"c": script(updates)},
+    return build_scenario(
+        "rsm", 4, 1,
+        inputs={"c": script(updates)},
         rounds=updates + 6, seed=seed, backend=backend,
         client_pipeline=pipeline,
-    )
+    ).run()
 
 
 class TestPipelineWindow:
@@ -40,10 +40,10 @@ class TestPipelineWindow:
             RSMClient("c", ("r0", "r1", "r2", "r3"), 1, pipeline=0)
 
     def test_depth_one_matches_the_sequential_client(self):
-        baseline = run_rsm_scenario(
-            n_replicas=4, f=1, client_scripts={"c": script(4)},
+        baseline = build_scenario(
+            "rsm", 4, 1, inputs={"c": script(4)},
             rounds=10, seed=11,
-        )
+        ).run()
         explicit = run(pipeline=1, seed=11)
         base_history = baseline.extras["histories"]["c"]
         history = explicit.extras["histories"]["c"]
@@ -82,10 +82,10 @@ class TestPipelineWindow:
         ops = [("update", COUNTER.op_inc(1)), ("update", COUNTER.op_inc(1)),
                ("read",),
                ("update", COUNTER.op_inc(1)), ("read",)]
-        scenario = run_rsm_scenario(
-            n_replicas=4, f=1, client_scripts={"c": ops},
+        scenario = build_scenario(
+            "rsm", 4, 1, inputs={"c": ops},
             rounds=12, seed=13, client_pipeline=pipeline,
-        )
+        ).run()
         history = scenario.extras["histories"]["c"]
         assert all(record.completed for record in history)
         for read in (r for r in history if r.kind == "read"):

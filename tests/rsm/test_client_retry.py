@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import Deliver, FixedDelay, Send, Start, TimerFired
 from repro.explore.invariants import rsm_invariants
-from repro.harness import build_scenario, run_rsm_scenario
+from repro.harness import build_scenario
 from repro.rsm.checker import check_rsm_history
 from repro.rsm.client import RSMClient
 from repro.rsm.crdt import GCounterObject
@@ -27,16 +27,15 @@ class TestClientRetry:
         plan = FaultPlan().partition(
             ["c0"], ["p0", "p1", "p2", "p3"], at=0.0, heal_at=15.0
         )
-        scenario = run_rsm_scenario(
-            n_replicas=4,
-            f=1,
-            client_scripts=build_scripts(counter),
+        scenario = build_scenario(
+            "rsm", 4, 1,
+            inputs=build_scripts(counter),
             rounds=14,
             delay_model=FixedDelay(1.0),
             seed=3,
             fault_plan=plan,
             client_retry_timeout=6.0,
-        )
+        ).run()
         client = scenario.extras["clients"]["c0"]
         assert client.retries >= 1
         assert client.all_completed
@@ -53,14 +52,13 @@ class TestClientRetry:
 
     def test_no_retries_in_calm_runs(self):
         counter = GCounterObject("hits")
-        scenario = run_rsm_scenario(
-            n_replicas=4,
-            f=1,
-            client_scripts=build_scripts(counter),
+        scenario = build_scenario(
+            "rsm", 4, 1,
+            inputs=build_scripts(counter),
             rounds=8,
             delay_model=FixedDelay(1.0),
             seed=3,
-        )
+        ).run()
         client = scenario.extras["clients"]["c0"]
         assert client.all_completed
         assert client.retries == 0
@@ -70,16 +68,15 @@ class TestClientRetry:
         plan = FaultPlan().partition(
             ["c0"], ["p0", "p1", "p2", "p3"], at=0.0, heal_at=25.0
         )
-        scenario = run_rsm_scenario(
-            n_replicas=4,
-            f=1,
-            client_scripts=build_scripts(counter),
+        scenario = build_scenario(
+            "rsm", 4, 1,
+            inputs=build_scripts(counter),
             rounds=8,
             delay_model=FixedDelay(1.0),
             seed=3,
             fault_plan=plan,
             client_retry_timeout=10.0,
-        )
+        ).run()
         # After the heal, the retried update reaches all four replicas, not
         # just the initial f + 1 = 2.
         update_dests = {

@@ -24,7 +24,7 @@ delivery must agree on every random workload.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.harness import run_rsm_scenario, run_sharded_rsm_scenario
+from repro.harness import build_scenario
 from repro.lattice import SetLattice
 from repro.rsm import (
     GCounterObject,
@@ -113,11 +113,11 @@ def test_cross_shard_read_is_join_of_per_shard_views(seed, increments, shards, b
     # Rounds are generous (some seeds spend extra rounds on retry timing)
     # and the message cap is tight so a genuine liveness bug fails fast
     # instead of grinding to the default 2M-message cap.
-    scenario = run_sharded_rsm_scenario(
-        n_replicas=shards * 4, f=1, shards=shards, client_scripts=scripts,
+    scenario = build_scenario(
+        "rsm", shards * 4, 1, shards=shards, inputs=scripts,
         rounds=2 * len(increments) + 8, seed=seed, backend=backend,
         max_messages=300_000,
-    )
+    ).run()
     reads = scenario.extras["cross_shard_reads"]["writer"]
     assert reads and all(record.completed for record in reads)
     # Every one of the client's own updates is visible in its final read...
@@ -148,11 +148,11 @@ def test_batched_and_unbatched_proposals_decide_the_same_state(seed, tags, batch
     }
     results = {}
     for batch_size in (None, batch):
-        scenario = run_rsm_scenario(
-            n_replicas=4, f=1, client_scripts=scripts,
+        scenario = build_scenario(
+            "rsm", 4, 1, inputs=scripts,
             rounds=2 * len(tags) + 8, seed=seed, backend=backend,
             batch_size=batch_size, max_messages=300_000,
-        )
+        ).run()
         history = scenario.extras["histories"]["writer"]
         assert all(record.completed for record in history)
         results[batch_size] = [r for r in history if r.kind == "read"][-1].result

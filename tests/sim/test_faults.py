@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import FixedDelay
-from repro.harness import run_gwts_scenario, run_wts_scenario
+from repro.harness import build_scenario
 from repro.sim import FaultPlan
 
 
@@ -45,15 +45,15 @@ class TestBuilder:
     def test_unknown_pid_rejected_at_apply(self):
         plan = FaultPlan().crash("ghost", at=1.0)
         with pytest.raises(ValueError):
-            run_wts_scenario(n=4, f=1, seed=0, fault_plan=plan)
+            build_scenario("wts", 4, 1, seed=0, fault_plan=plan).run()
 
 
 class TestScriptedScenarios:
     def test_wts_survives_crash_recover_cycle(self):
         plan = FaultPlan().crash("p0", at=1.0, recover_at=40.0)
-        scenario = run_wts_scenario(
-            n=4, f=1, seed=2, delay_model=FixedDelay(1.0), fault_plan=plan
-        )
+        scenario = build_scenario(
+            "wts", 4, 1, seed=2, delay_model=FixedDelay(1.0), fault_plan=plan
+        ).run()
         check = scenario.check_la()
         assert check.ok, check
         # The crashed-then-recovered process decides after its recovery.
@@ -66,15 +66,14 @@ class TestScriptedScenarios:
             .partition(["p0", "p1"], ["p2", "p3"], at=2.0, heal_at=15.0)
             .crash("p1", at=16.0, recover_at=25.0)
         )
-        scenario = run_gwts_scenario(
-            n=4,
-            f=1,
+        scenario = build_scenario(
+            "gwts", 4, 1,
             values_per_process=1,
             rounds=3,
             seed=6,
             delay_model=FixedDelay(1.0),
             fault_plan=plan,
-        )
+        ).run()
         check = scenario.check_gla(require_all_inputs_decided=False)
         assert check.ok, check
         assert all(decs for decs in scenario.decisions().values())
@@ -83,8 +82,8 @@ class TestScriptedScenarios:
         plan = lambda: FaultPlan().partition(  # noqa: E731
             ["p0", "p1"], ["p2", "p3"], at=2.0, heal_at=12.0
         ).crash("p2", at=13.0, recover_at=18.0)
-        a = run_wts_scenario(n=4, f=1, seed=8, fault_plan=plan())
-        b = run_wts_scenario(n=4, f=1, seed=8, fault_plan=plan())
+        a = build_scenario("wts", 4, 1, seed=8, fault_plan=plan()).run()
+        b = build_scenario("wts", 4, 1, seed=8, fault_plan=plan()).run()
         assert a.decisions() == b.decisions()
         assert [
             (e.sender, e.dest, e.mtype, e.deliver_time) for e in a.engine.delivery_log

@@ -12,7 +12,7 @@ across the board while (the starvation being finite) never preventing them.
 
 import pytest
 
-from repro.harness import run_gwts_scenario
+from repro.harness import build_scenario
 from repro.sim.axes import parse_scheduler
 from repro.sim.scheduler import WorstCaseScheduler
 
@@ -58,12 +58,12 @@ class TestQuorumStarvationBitesHarder:
     def test_quorum_critical_delays_gwts_decisions_more_than_fixed_victim_at_n7(self):
         """The satellite claim, measured: same workload, same seed, two menus."""
         common = dict(n=7, f=1, values_per_process=1, rounds=2, seed=3)
-        fixed = run_gwts_scenario(
-            scheduler="worst-case:victims=p0,starve=60,fast=1", **common
-        )
-        quorum = run_gwts_scenario(
-            scheduler="worst-case:victims=quorum,starve=60,fast=1", **common
-        )
+        fixed = build_scenario(
+            "gwts", scheduler="worst-case:victims=p0,starve=60,fast=1", **common
+        ).run()
+        quorum = build_scenario(
+            "gwts", scheduler="worst-case:victims=quorum,starve=60,fast=1", **common
+        ).run()
         # Liveness holds under both (finite starvation: delayed, never prevented).
         assert all(decs for decs in fixed.decisions().values())
         assert all(decs for decs in quorum.decisions().values())

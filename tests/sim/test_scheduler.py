@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import FixedDelay, UniformDelay
-from repro.harness import run_wts_scenario
+from repro.harness import build_scenario
 from repro.sim import DelayModelScheduler, RandomScheduler, WorstCaseScheduler
 
 
@@ -13,10 +13,10 @@ class TestDelayModelScheduler:
         assert "FixedDelay" in DelayModelScheduler(FixedDelay(1.0)).describe()
 
     def test_equivalent_to_passing_delay_model(self):
-        plain = run_wts_scenario(n=4, f=1, seed=5, delay_model=UniformDelay(0.5, 2.0))
-        wrapped = run_wts_scenario(
-            n=4, f=1, seed=5, scheduler=DelayModelScheduler(UniformDelay(0.5, 2.0))
-        )
+        plain = build_scenario("wts", 4, 1, seed=5, delay_model=UniformDelay(0.5, 2.0)).run()
+        wrapped = build_scenario(
+            "wts", 4, 1, seed=5, scheduler=DelayModelScheduler(UniformDelay(0.5, 2.0))
+        ).run()
         assert [e.deliver_time for e in plain.engine.delivery_log] == [
             e.deliver_time for e in wrapped.engine.delivery_log
         ]
@@ -29,8 +29,8 @@ class TestRandomScheduler:
             RandomScheduler(spread=0.0)
 
     def test_deterministic_per_seed_and_safe(self):
-        a = run_wts_scenario(n=4, f=1, seed=9, scheduler=RandomScheduler(spread=8.0))
-        b = run_wts_scenario(n=4, f=1, seed=9, scheduler=RandomScheduler(spread=8.0))
+        a = build_scenario("wts", 4, 1, seed=9, scheduler=RandomScheduler(spread=8.0)).run()
+        b = build_scenario("wts", 4, 1, seed=9, scheduler=RandomScheduler(spread=8.0)).run()
         assert a.decisions() == b.decisions()
         assert a.check_la().ok
         assert [e.deliver_time for e in a.engine.delivery_log] == [
@@ -40,15 +40,14 @@ class TestRandomScheduler:
 
 class TestWorstCaseScheduler:
     def test_starved_victim_delays_but_does_not_prevent_decisions(self):
-        fast = run_wts_scenario(
-            n=4, f=1, seed=3, scheduler=WorstCaseScheduler(fast_delay=1.0)
-        )
-        starved = run_wts_scenario(
-            n=4,
-            f=1,
+        fast = build_scenario(
+            "wts", 4, 1, seed=3, scheduler=WorstCaseScheduler(fast_delay=1.0)
+        ).run()
+        starved = build_scenario(
+            "wts", 4, 1,
             seed=3,
             scheduler=WorstCaseScheduler(victims=["p0"], starve_delay=80.0, fast_delay=1.0),
-        )
+        ).run()
         for scenario in (fast, starved):
             assert scenario.check_la().ok
             assert all(decs for decs in scenario.decisions().values())
@@ -60,9 +59,9 @@ class TestWorstCaseScheduler:
         # Run to quiescence so the starved messages (which the decisions do
         # not need — that is the point of the starvation) still get flushed
         # into the delivery log for inspection.
-        scenario = run_wts_scenario(
-            n=4, f=1, seed=4, scheduler=scheduler, run_to_quiescence=True
-        )
+        scenario = build_scenario(
+            "wts", 4, 1, seed=4, scheduler=scheduler, run_to_quiescence=True
+        ).run()
         assert scenario.check_la().ok
         slow = [
             e

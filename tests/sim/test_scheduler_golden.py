@@ -21,26 +21,26 @@ Regenerate (only if the kernel's event semantics deliberately change)::
 import json
 import pathlib
 
-from repro.harness import run_gwts_scenario, run_wts_scenario
+from repro.harness import build_scenario
 
 FIXTURE_PATH = pathlib.Path(__file__).resolve().parents[1] / "golden" / "scheduler_traces.json"
 
 #: name -> zero-argument scenario builder; every builder goes through the
 #: string axis specs, so these traces also pin the axes-DSL resolution path.
 TRACED_SCENARIOS = {
-    "wts_n4_f1_seed2026_random5": lambda: run_wts_scenario(
-        n=4, f=1, seed=2026, scheduler="random:spread=5"
-    ),
-    "wts_n4_f1_seed2026_worstcase": lambda: run_wts_scenario(
-        n=4, f=1, seed=2026, scheduler="worst-case:victims=p0,starve=40,fast=1"
-    ),
-    "gwts_n4_f1_r2_seed7_random5": lambda: run_gwts_scenario(
-        n=4, f=1, values_per_process=1, rounds=2, seed=7, scheduler="random:spread=5"
-    ),
-    "gwts_n4_f1_r2_seed7_worstcase": lambda: run_gwts_scenario(
-        n=4, f=1, values_per_process=1, rounds=2, seed=7,
+    "wts_n4_f1_seed2026_random5": lambda: build_scenario(
+        "wts", 4, 1, seed=2026, scheduler="random:spread=5"
+    ).run(),
+    "wts_n4_f1_seed2026_worstcase": lambda: build_scenario(
+        "wts", 4, 1, seed=2026, scheduler="worst-case:victims=p0,starve=40,fast=1"
+    ).run(),
+    "gwts_n4_f1_r2_seed7_random5": lambda: build_scenario(
+        "gwts", 4, 1, values_per_process=1, rounds=2, seed=7, scheduler="random:spread=5"
+    ).run(),
+    "gwts_n4_f1_r2_seed7_worstcase": lambda: build_scenario(
+        "gwts", 4, 1, values_per_process=1, rounds=2, seed=7,
         scheduler="worst-case:victims=p1,starve=40,fast=1",
-    ),
+    ).run(),
 }
 
 

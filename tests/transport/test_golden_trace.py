@@ -28,7 +28,7 @@ import pathlib
 
 import pytest
 
-from repro.harness import run_gwts_scenario, run_rsm_scenario, run_wts_scenario
+from repro.harness import build_scenario
 from repro.rsm.crdt import GCounterObject
 
 GOLDEN = json.loads(
@@ -59,17 +59,17 @@ def comparable(rows, backend):
 @pytest.mark.parametrize("backend", ["kernel", "async"])
 class TestGoldenTraces:
     def test_wts_trace_matches_seed_implementation(self, backend):
-        scenario = run_wts_scenario(n=4, f=1, seed=2026, backend=backend)
+        scenario = build_scenario("wts", 4, 1, seed=2026, backend=backend).run()
         assert comparable(signature(scenario), backend) == comparable(GOLDEN["wts_n4_f1_seed2026"], backend)
 
     def test_gwts_trace_matches_seed_implementation(self, backend):
-        scenario = run_gwts_scenario(n=4, f=1, values_per_process=1, rounds=2, seed=7, backend=backend)
+        scenario = build_scenario("gwts", 4, 1, values_per_process=1, rounds=2, seed=7, backend=backend).run()
         assert comparable(signature(scenario), backend) == comparable(GOLDEN["gwts_n4_f1_r2_seed7"], backend)
 
     def test_rsm_trace_matches_seed_implementation(self, backend):
         counter = GCounterObject("hits")
         scripts = {"c0": [("update", counter.op_inc(1)), ("read",)]}
-        scenario = run_rsm_scenario(
-            n_replicas=4, f=1, client_scripts=scripts, rounds=6, seed=5, backend=backend
-        )
+        scenario = build_scenario(
+            "rsm", 4, 1, inputs=scripts, rounds=6, seed=5, backend=backend
+        ).run()
         assert comparable(signature(scenario), backend) == comparable(GOLDEN["rsm_n4_f1_seed5"], backend)
