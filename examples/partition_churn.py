@@ -6,8 +6,8 @@ end:
 
 1. a declarative :class:`FaultPlan` splits the cluster 2/2, heals it, then
    takes two correct processes through crash/recover cycles;
-2. the run is repeated under a :class:`WorstCaseScheduler` that starves
-   every link of one correct process with a large (finite) delay;
+2. the run is repeated under a :class:`SkewedPairDelay` that slows every
+   link of one correct process by a large (finite) delay;
 3. the GLA specification checker verifies that decisions stayed pairwise
    comparable in every configuration, and the decision timestamps show the
    churn and the adversarial schedule *delaying* decisions without ever
@@ -23,9 +23,9 @@ Run with::
 import sys
 
 from repro.byzantine import SilentByzantine
-from repro.engine import FixedDelay
+from repro.engine import FixedDelay, SkewedPairDelay
 from repro.harness import build_scenario
-from repro.sim import FaultPlan, WorstCaseScheduler
+from repro.sim import FaultPlan
 
 N, F, ROUNDS, SEED = 4, 1, 4, 37
 
@@ -46,15 +46,14 @@ def churn_plan() -> FaultPlan:
     )
 
 
-def run(name, **kwargs):
-    if "scheduler" not in kwargs:
-        kwargs["delay_model"] = FixedDelay(1.0)
+def run(name, delay_model=FixedDelay(1.0), **kwargs):
     scenario = build_scenario(
         "gwts", N, F,
         values_per_process=1,
         rounds=ROUNDS,
         seed=SEED,
         byzantine_factories=[lambda pid, lat, members, ff: SilentByzantine(pid)],
+        delay_model=delay_model,
         **kwargs,
     ).run()
     check = scenario.check_gla(require_all_inputs_decided=False)
@@ -84,7 +83,7 @@ def main() -> int:
     ok_worst, live_worst, t_worst = run(
         "churn + worst-case schedule",
         fault_plan=churn_plan(),
-        scheduler=WorstCaseScheduler(victims=["p0"], starve_delay=40.0, fast_delay=1.0),
+        delay_model=SkewedPairDelay(victims=["p0"], base=FixedDelay(1.0), slow_delay=40.0),
     )
 
     all_safe = ok_calm and ok_churn and ok_worst

@@ -24,9 +24,9 @@ Package layout
 
 ============================  ====================================================
 ``repro.lattice``             join semilattices (sets, counters, maps, clocks)
-``repro.sim``                 simulation policy: schedulers and fault plans
-                              (crashes, partitions, injections)
-``repro.engine``              sans-I/O protocol cores + execution backends
+``repro.sim``                 simulation policy: fault plans (crashes,
+                              partitions, injections) and the string axes
+``repro.engine``              sans-I/O protocol cores, delay models + backends
                               (one simulated-time loop: turbo, and kernel =
                               turbo + delivery log; asyncio)
 ``repro.crypto``              simulated PKI (Section 8's signatures)
@@ -79,7 +79,7 @@ from repro.rsm import (
     RSMClient,
     check_rsm_history,
 )
-from repro.sim import FaultPlan, RandomScheduler, WorstCaseScheduler
+from repro.sim import FaultPlan
 
 _CLUSTER_EXPORTS = {
     "ClusterSpec": "repro.cluster.spec",
@@ -135,8 +135,6 @@ __all__ = [
     "FixedDelay",
     "UniformDelay",
     "FaultPlan",
-    "RandomScheduler",
-    "WorstCaseScheduler",
     # RSM
     "Replica",
     "RSMClient",

@@ -56,6 +56,7 @@ from repro.engine.wire import (
     K_HELLO,
     FrameLink,
     FrameTable,
+    ProtocolError,
     WireError,
     frame_field,
     get_codec,
@@ -251,6 +252,9 @@ class NodeServer:
     def _handle_client_frame(self, frame: dict, writer: asyncio.StreamWriter) -> None:
         self._last_activity = time.monotonic()
         client = frame_field(frame, "client")
+        if not isinstance(client, str) or client in self.core.members:
+            # Only a hello makes a connection speak for a member.
+            raise ProtocolError(f"{K_CLIENT!r} frame cannot speak for {client!r}")
         if self.clients.get(client) is not writer:
             # (Re)registration: this connection is now the reply channel.
             self.clients[client] = writer

@@ -17,7 +17,7 @@ This package realises that model in two decoupled halves:
   :class:`~repro.engine.services.EngineBase` skeleton and described as data
   in the :mod:`~repro.engine.backends` registry:
 
-  - :class:`TurboEngine` — the simulated-time event loop: schedulers,
+  - :class:`TurboEngine` — the simulated-time event loop: delay models,
     fault plans, causal-depth accounting, no per-message objects (see
     :mod:`repro.engine.turbo_backend`).
   - :class:`KernelEngine` — the reference backend: turbo's loop plus an
@@ -51,14 +51,7 @@ from repro.engine.backends import (
     register_backend,
 )
 from repro.engine.core import ProtocolCore
-from repro.engine.delays import (
-    AdversarialTargetedDelay,
-    DelayModel,
-    FixedDelay,
-    LinkPartitionDelay,
-    SkewedPairDelay,
-    UniformDelay,
-)
+from repro.engine.delays import DelayModel, FixedDelay, SkewedPairDelay, UniformDelay
 from repro.engine.effects import Broadcast, Cancel, Decide, Effect, Output, Send, SetTimer, TimerHandle
 from repro.engine.envelope import Envelope, estimate_size
 from repro.engine.events import CoreEvent, Crashed, Deliver, Recovered, Start, TimerFired
@@ -75,19 +68,6 @@ from repro.engine.services import (
     percentile,
 )
 from repro.engine.turbo_backend import TurboEngine
-
-
-def _engine_backends():
-    """Legacy name -> class view of the registry (kept for callers that
-    imported the old ``ENGINE_BACKENDS`` dict)."""
-    from repro.engine.backends import _BACKENDS
-
-    return {name: info.factory for name, info in _BACKENDS.items()}
-
-
-#: Registry of execution backends by name (the scenario builders' axis).
-#: Derived from :mod:`repro.engine.backends`; prefer the registry functions.
-ENGINE_BACKENDS = _engine_backends()
 
 
 __all__ = [
@@ -113,7 +93,6 @@ __all__ = [
     "AsyncEngine",
     "RunResult",
     "BackendInfo",
-    "ENGINE_BACKENDS",
     "create_engine",
     "register_backend",
     "get_backend",
@@ -137,6 +116,4 @@ __all__ = [
     "FixedDelay",
     "UniformDelay",
     "SkewedPairDelay",
-    "LinkPartitionDelay",
-    "AdversarialTargetedDelay",
 ]

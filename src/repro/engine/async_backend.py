@@ -11,11 +11,11 @@ length-prefixed frames in either wire framing (:mod:`repro.engine.wire`,
   benchmarks**: the kernel backend on a wall clock.  :class:`AsyncEngine`
   subclasses :class:`~repro.engine.kernel_backend.KernelEngine` and, on this
   transport, runs its sink methods, calendar and event loop
-  (:meth:`TurboEngine.run`) unchanged: the same seeded scheduler draws,
+  (:meth:`TurboEngine.run`) unchanged: the same seeded delay draws,
   sequence numbers and crash/partition holds, so the schedule is the
   kernel's by construction.  Decided values, outputs and the order of the
   :attr:`delivery_log` match the kernel's for the same (cores, seed,
-  scheduler, fault plan) — pinned by ``tests/engine/test_cross_backend.py``
+  delay model, fault plan) — pinned by ``tests/engine/test_cross_backend.py``
   and ``tests/transport/test_golden_trace.py``.  Only time differs: the
   loop's stamp hook (:attr:`TurboEngine._stamp`) is the wall clock, so every
   ``core.now``, decision time and ``deliver_time`` is real elapsed seconds
@@ -104,7 +104,6 @@ from repro.engine.services import (
 )
 from repro.engine.turbo_backend import _MESSAGE, _TIMER
 from repro.metrics.collector import MetricsCollector
-from repro.sim.scheduler import Scheduler
 
 #: Inbox event kinds handed to node tasks (tcp transport).
 _EV_START = "start"
@@ -128,14 +127,13 @@ class AsyncEngine(KernelEngine):
         delay_model: DelayModel | None = None,
         seed: int = 0,
         metrics: MetricsCollector | None = None,
-        scheduler: Scheduler | None = None,
         transport: str = "memory",
         time_scale: float | None = None,
         host: str = "127.0.0.1",
         framing: str = "json",
         wire_faults: Any = None,
     ) -> None:
-        super().__init__(delay_model, seed, metrics, scheduler)
+        super().__init__(delay_model, seed, metrics)
         if transport not in ("memory", "tcp"):
             raise ValueError(f"unknown transport {transport!r}; known: memory, tcp")
         self._transport = transport
@@ -400,7 +398,7 @@ class AsyncEngine(KernelEngine):
         self._scripted_controls.append((due, kind, arg))
 
     def _admit(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> tuple[Envelope, float]:
-        """Count one message to ``dest`` as sent and draw its scheduler delay."""
+        """Count one message to ``dest`` as sent and draw its delay."""
         if dest not in self._index:
             raise ValueError(f"unknown destination {dest!r}")
         self._msg_seq += 1
@@ -412,15 +410,15 @@ class AsyncEngine(KernelEngine):
             depth=depth,
             seq=self._msg_seq,
         )
-        delay = self._scheduler.delay(envelope, self.rng)
+        delay = self._delay_model.delay(envelope, self.rng)
         if invalid_time(delay):
-            raise ValueError(f"scheduler produced invalid delay {delay!r}")
+            raise ValueError(f"delay model produced invalid delay {delay!r}")
         self.pending_messages += 1
         self.metrics.record_send(sender, dest, envelope.mtype, envelope)
         return envelope, delay
 
     def _tcp_fanout(self, sender: Hashable, dests: Iterable[Hashable], payload: Any, depth: int) -> None:
-        """One message per destination, each paced by its own scheduler delay.
+        """One message per destination, each paced by its own drawn delay.
 
         The frame is encoded once and the same bytes go on every link; a
         message to the sender itself is handed over as its inbox event.
@@ -686,7 +684,7 @@ class AsyncEngine(KernelEngine):
                     if index not in self._crashed:
                         self._inboxes[index].put_nowait((_EV_START,))
             deadline = None if max_wall_s is None else started_wall + max_wall_s
-            # Quiescence: nothing in flight (scheduler-paced sends, held
+            # Quiescence: nothing in flight (delay-paced sends, held
             # frames, queued-but-unprocessed inbox events all count) after at
             # least one settle poll, and no timer or scripted control still
             # to run, as on the simulated backends.

@@ -45,11 +45,11 @@ class BackendInfo:
     #: Registry key (the ``backend=`` axis value).
     name: str
     #: Constructor accepting the shared signature
-    #: ``(delay_model=, seed=, metrics=, scheduler=, **extra)``.
+    #: ``(delay_model=, seed=, metrics=, **extra)``.
     factory: Callable[..., Any]
     #: One of :data:`repro.engine.services.TIME_SOURCES`.
     time_source: str
-    #: Whether a run is a pure function of (cores, seed, scheduler, faults).
+    #: Whether a run is a pure function of (cores, seed, delay model, faults).
     deterministic: bool
     #: One-line description used in generated CLI help and docs.
     summary: str
@@ -110,7 +110,6 @@ def create_engine(
     delay_model=None,
     seed: int = 0,
     metrics=None,
-    scheduler=None,
     **extra: Any,
 ):
     """Instantiate the named backend with the shared constructor signature.
@@ -120,9 +119,7 @@ def create_engine(
     reject options they do not understand, so a typo fails loudly.
     """
     info = get_backend(backend)
-    return info.factory(
-        delay_model=delay_model, seed=seed, metrics=metrics, scheduler=scheduler, **extra
-    )
+    return info.factory(delay_model=delay_model, seed=seed, metrics=metrics, **extra)
 
 
 def _register_builtin_backends() -> None:

@@ -6,17 +6,18 @@ send time, how long a particular envelope will stay in flight.  Because every
 model is driven by the simulation's seeded RNG (or is fully deterministic),
 runs are exactly reproducible.
 
-The adversarial models (:class:`LinkPartitionDelay`,
-:class:`AdversarialTargetedDelay`, :class:`SkewedPairDelay`) implement the
-schedules used in the lower-bound experiment (Theorem 1: "delay the messages
-between p1 and p2") and in the worst-case latency experiments.
+The adversarial model, :class:`SkewedPairDelay`, implements the schedules
+used in the lower-bound experiment (Theorem 1: "delay the messages between p1
+and p2") and the ``worst-case`` axis of :mod:`repro.sim.axes`.  Crashes and
+partitions are not delays: :class:`~repro.sim.faults.FaultPlan` scripts them
+on every backend.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 
 from repro.engine.envelope import Envelope
 
@@ -65,94 +66,84 @@ class UniformDelay(DelayModel):
 
 
 class SkewedPairDelay(DelayModel):
-    """Uniform delays, except messages between selected pairs are much slower.
+    """The ``base`` delays, except links the adversary picked are much slower.
 
     This models the Theorem 1 adversary: "consider a run where we delay the
     messages between p1 and p2" — both processes must still decide before the
-    slow messages arrive.
+    slow messages arrive.  ``slow_pairs`` are unordered pid pairs;
+    ``victims`` slows every link touching those pids (both directions).  A
+    slow delivery takes ``slow_delay`` plus a seeded jitter in ``[0, 1]``, so
+    the slow messages do not all collapse onto one timestamp.  The delay is
+    finite, so the paper's liveness theorems still apply: decisions are
+    delayed, never prevented.
     """
 
     def __init__(
         self,
-        slow_pairs: Iterable[tuple[Hashable, Hashable]],
+        slow_pairs: Iterable[tuple[Hashable, Hashable]] = (),
         base: DelayModel | None = None,
         slow_delay: float = 1_000.0,
+        victims: Iterable[Hashable] = (),
     ) -> None:
+        if slow_delay <= 0:
+            raise ValueError("delays must be positive")
         self._slow: set[frozenset] = {frozenset(pair) for pair in slow_pairs}
+        self.victims: set[Hashable] = set(victims)
         self._base = base or UniformDelay()
         self._slow_delay = slow_delay
 
+    @classmethod
+    def quorum_critical(
+        cls,
+        members: Iterable[Hashable],
+        f: int,
+        slow_delay: float = 200.0,
+        fast_delay: float = 0.5,
+    ) -> SkewedPairDelay:
+        """The strongest link-slowing schedule the membership ``(n, f)`` allows.
+
+        A proposer needs a Byzantine ack quorum ``q = floor((n + f) / 2) + 1``
+        (the same formula as :func:`repro.core.quorum.byzantine_quorum`,
+        restated locally to keep the engine import-free of the protocol
+        layer).  A fixed victim list slows all links touching a hand-picked
+        pid — but whenever fewer than ``n - q + 1`` processes are slowed, the
+        remaining fast processes still form a whole quorum and every other
+        proposer decides at fast-link speed, so the adversary wastes most of
+        its power.  This constructor instead *computes* the quorum-critical
+        set: the minimal number of slowed processes, ``n - q + 1``, that
+        leaves only ``q - 1`` fast responders — forcing **every** proposer to
+        wait on at least one slow link per ack quorum, round after round.
+
+        The victims are the tail of the membership order.  Scenario builders
+        place Byzantine processes in the tail slots, which makes this the
+        adversary's best play twice over: the slowed set overlaps the
+        processes that were never going to help anyway, so the ``n - f``
+        disclosure and ``q`` ack thresholds must both cross a slow link.
+        Every other link takes exactly ``fast_delay``.
+        """
+        member_list = list(members)
+        n = len(member_list)
+        if n == 0:
+            raise ValueError("quorum-critical starvation needs a non-empty membership")
+        if f < 0:
+            raise ValueError("f must be non-negative")
+        if fast_delay <= 0:
+            raise ValueError("delays must be positive")
+        quorum = (n + f) // 2 + 1
+        count = min(n, max(1, n - quorum + 1))
+        return cls(victims=member_list[n - count:], base=FixedDelay(fast_delay), slow_delay=slow_delay)
+
     def delay(self, envelope: Envelope, rng: random.Random) -> float:
-        if frozenset((envelope.sender, envelope.dest)) in self._slow:
+        if (
+            envelope.sender in self.victims
+            or envelope.dest in self.victims
+            or frozenset((envelope.sender, envelope.dest)) in self._slow
+        ):
             return self._slow_delay + rng.uniform(0.0, 1.0)
         return self._base.delay(envelope, rng)
 
     def describe(self) -> str:
-        return f"SkewedPairDelay({len(self._slow)} slow pairs)"
-
-
-class LinkPartitionDelay(DelayModel):
-    """Hold all traffic crossing a partition until ``heal_time``.
-
-    Before ``heal_time`` the two sides only talk internally; afterwards the
-    withheld messages are released (channels are reliable, nothing is lost).
-    """
-
-    def __init__(
-        self,
-        group_a: Iterable[Hashable],
-        group_b: Iterable[Hashable],
-        heal_time: float,
-        base: DelayModel | None = None,
-    ) -> None:
-        self._group_a = set(group_a)
-        self._group_b = set(group_b)
-        self._heal_time = heal_time
-        self._base = base or UniformDelay()
-
-    def delay(self, envelope: Envelope, rng: random.Random) -> float:
-        crosses = (
-            envelope.sender in self._group_a
-            and envelope.dest in self._group_b
-        ) or (
-            envelope.sender in self._group_b
-            and envelope.dest in self._group_a
+        return (
+            f"SkewedPairDelay({len(self._slow)} slow pairs, {len(self.victims)} victims, "
+            f"slow={self._slow_delay}, base={self._base.describe()})"
         )
-        base = self._base.delay(envelope, rng)
-        if crosses and envelope.send_time < self._heal_time:
-            return (self._heal_time - envelope.send_time) + base
-        return base
-
-    def describe(self) -> str:
-        return f"LinkPartitionDelay(heal={self._heal_time})"
-
-
-class AdversarialTargetedDelay(DelayModel):
-    """Fully programmable adversary: a callback picks the delay per envelope.
-
-    The callback receives the envelope and the RNG and returns either a delay
-    or ``None`` to fall back to the base model.  Experiments use this to build
-    message-type-aware worst cases (e.g. always deliver Byzantine nacks before
-    correct acks to force the maximum number of proposal refinements).
-    """
-
-    def __init__(
-        self,
-        chooser: Callable[[Envelope, random.Random], float | None],
-        base: DelayModel | None = None,
-        name: str = "custom",
-    ) -> None:
-        self._chooser = chooser
-        self._base = base or UniformDelay()
-        self._name = name
-
-    def delay(self, envelope: Envelope, rng: random.Random) -> float:
-        chosen = self._chooser(envelope, rng)
-        if chosen is None:
-            return self._base.delay(envelope, rng)
-        if chosen < 0:
-            raise ValueError("adversarial delay must be non-negative")
-        return chosen
-
-    def describe(self) -> str:
-        return f"AdversarialTargetedDelay({self._name})"

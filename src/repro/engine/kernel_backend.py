@@ -5,7 +5,7 @@ on :class:`~repro.engine.turbo_backend.TurboEngine`'s calendar and event
 loop — the same seeded RNG, ``(time, seq)`` tie-breaking and crash/partition
 hold semantics, so the schedule is turbo's by construction — and adds what
 turbo sheds: one :class:`~repro.engine.envelope.Envelope` per message (handed
-to the scheduler, which may read any field), per-type and payload-size
+to the delay model, which may read any field), per-type and payload-size
 metrics, and the :attr:`delivery_log`.  Recording draws no random number and
 takes no sequence number, which is what keeps a kernel run's schedule equal to
 turbo's (``tests/engine/test_cross_backend.py``) and to the frozen JSON
@@ -20,8 +20,8 @@ Guarantees provided (matching the paper's model, Section 3):
   interpreter applies effects under the identity of the core that emitted
   them, so a Byzantine core cannot forge the sender field.
 * **Deterministic replay** — delivery order and timing come from a pluggable
-  :class:`~repro.sim.scheduler.Scheduler` driven by the seeded RNG; a run is
-  a pure function of (cores, seed, scheduler, fault plan).
+  :class:`~repro.engine.delays.DelayModel` driven by the seeded RNG; a run is
+  a pure function of (cores, seed, delay model, fault plan).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.engine.envelope import Envelope
 from repro.engine.services import EngineBase, RunResult
 from repro.engine.turbo_backend import _MESSAGE, TurboEngine
 from repro.metrics.collector import MetricsCollector
-from repro.sim.scheduler import Scheduler
 
 __all__ = ["KernelEngine", "RunResult"]
 
@@ -50,9 +49,8 @@ class KernelEngine(TurboEngine):
         delay_model: DelayModel | None = None,
         seed: int = 0,
         metrics: MetricsCollector | None = None,
-        scheduler: Scheduler | None = None,
     ) -> None:
-        super().__init__(delay_model, seed, metrics, scheduler)
+        super().__init__(delay_model, seed, metrics)
         #: Every delivered envelope, in delivery order (for trace tests).
         self.delivery_log: list[Envelope] = []
 
@@ -73,9 +71,9 @@ class KernelEngine(TurboEngine):
             depth=depth,
             seq=self._msg_seq,
         )
-        delay = self._scheduler.delay(envelope, self.rng)
+        delay = self._delay_model.delay(envelope, self.rng)
         if invalid_time(delay):
-            raise ValueError(f"scheduler produced invalid delay {delay!r}")
+            raise ValueError(f"delay model produced invalid delay {delay!r}")
         self.metrics.record_send(sender, dest, envelope.mtype, envelope)
         self._seq += 1
         self._enqueue((now + delay, self._seq, _MESSAGE, dest_index, sender, payload, depth, envelope))

@@ -36,7 +36,6 @@ from repro.engine.delays import DelayModel, UniformDelay
 from repro.engine.effects import TimerHandle, interpret, invalid_time, members_of
 from repro.metrics.collector import MetricsCollector
 from repro.sim.faults import validate_partition_groups
-from repro.sim.scheduler import DelayModelScheduler, Scheduler
 
 #: ``time_source`` label of the deterministic discrete-event backends.
 TIME_SIMULATED = "simulated"
@@ -229,15 +228,8 @@ class EngineBase:
         self,
         delay_model: DelayModel | None = None,
         metrics: MetricsCollector | None = None,
-        scheduler: Scheduler | None = None,
     ) -> None:
-        if delay_model is not None and scheduler is not None:
-            raise ValueError(
-                "pass either delay_model or scheduler, not both (a scheduler "
-                "fully determines delays; wrap a DelayModel in "
-                "DelayModelScheduler if you want to combine them)"
-            )
-        self._scheduler = scheduler or DelayModelScheduler(delay_model or UniformDelay())
+        self._delay_model = delay_model or UniformDelay()
         self.metrics = metrics or MetricsCollector()
         #: ``(time, pid, label, data)`` tuples from cores' ``Output`` effects.
         self.outputs: list[tuple[float, Hashable, str, Any]] = []
@@ -262,9 +254,6 @@ class EngineBase:
         self._pids += (pid,)
         return core
 
-    # ``add_node`` reads better at call sites that think in cluster terms.
-    add_node = add_core
-
     @property
     def pids(self) -> tuple[Hashable, ...]:
         """All registered process identifiers, in registration order."""
@@ -288,11 +277,6 @@ class EngineBase:
     def now(self) -> float:
         """Current engine time, read off :attr:`clock`."""
         return self._clock.now()
-
-    @property
-    def scheduler(self) -> Scheduler:
-        """The active scheduling policy."""
-        return self._scheduler
 
     def _check_pid(self, pid: Hashable) -> None:
         if pid not in self._nodes:

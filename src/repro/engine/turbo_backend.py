@@ -1,7 +1,7 @@
 """Turbo backend: the simulated-time event loop for protocol cores.
 
 :class:`TurboEngine` owns the only deterministic event loop in the repo: a
-seeded RNG, scheduler delay draws, ``(time, seq)`` tie-breaking and the
+seeded RNG, delay-model draws, ``(time, seq)`` tie-breaking and the
 crash/partition hold semantics of the paper's model (faults only hold
 traffic).  The kernel backend is this loop plus recording
 (:mod:`repro.engine.kernel_backend`), and the async backend's memory
@@ -11,7 +11,8 @@ Turbo itself carries no per-message object:
 * **no envelopes** — a message in flight is one calendar tuple
   ``(time, seq, kind, dest_index, sender, payload, depth)``; a single
   preallocated probe envelope is reused (fields overwritten per send) to
-  interrogate :class:`~repro.sim.scheduler.Scheduler` strategies;
+  interrogate :class:`~repro.engine.delays.DelayModel` strategies that
+  read the envelope;
 * **no per-message bucket** — the calendar (after Brown's calendar queue,
   CACM 1988) is a heap of distinct due times plus one slot per time.  An
   entry alone on its time is stored bare, as the calendar tuple itself; a
@@ -43,7 +44,7 @@ What turbo does *not* keep is a delivery log or per-type/size metrics.  The
 kernel backend keeps both through one delivery hook (:attr:`TurboEngine.
 _record_delivery`, ``None`` here) and an envelope in an eighth calendar slot;
 recording draws no random number and takes no sequence number, so a kernel
-run and a turbo run of the same (cores, seed, scheduler, fault plan) follow
+run and a turbo run of the same (cores, seed, delay model, fault plan) follow
 one schedule.  Use the kernel backend for trace-level debugging and
 message-type or payload-size analysis.  A second hook
 (:attr:`TurboEngine._stamp`, ``None`` here) replaces the event's simulated
@@ -75,7 +76,6 @@ from repro.engine.services import (
     SimulatedClock,
 )
 from repro.metrics.collector import MetricsCollector
-from repro.sim.scheduler import DelayModelScheduler, Scheduler
 
 #: Heap-entry kinds (slot 2 of every queue tuple); scripted controls use
 #: the shared kinds of :mod:`repro.engine.services`.
@@ -101,9 +101,8 @@ class TurboEngine(EngineBase):
         delay_model: DelayModel | None = None,
         seed: int = 0,
         metrics: MetricsCollector | None = None,
-        scheduler: Scheduler | None = None,
     ) -> None:
-        super().__init__(delay_model, metrics, scheduler)
+        super().__init__(delay_model, metrics)
         self.rng = Random(seed)
         #: Calendar queue: a heap of *distinct due times* plus one slot per
         #: time in ``_buckets``.  A time holding one ``(time, seq, kind, ...)``
@@ -138,7 +137,7 @@ class TurboEngine(EngineBase):
         #: same delays and seq numbers, in the same order, as one ``send``
         #: per member would.
         self._scopes: dict[Hashable, tuple[tuple[int, Hashable], ...]] = {}
-        #: The one reusable envelope handed to scheduler strategies: its
+        #: The one reusable envelope handed to delay models: its
         #: fields are overwritten per send and its lazy caches reset, so no
         #: per-message envelope is ever allocated.
         self._probe = Envelope(sender=None, dest=None, payload=None, send_time=0.0)
@@ -152,10 +151,11 @@ class TurboEngine(EngineBase):
         # draws exactly one ``random()`` per send on both paths).  The
         # uniform path keeps ``(low, high - low)`` and computes
         # ``low + span * random()``, which is ``Random.uniform``'s own
-        # formula: the same float, minus a method call per send.
-        model = self._scheduler.model if isinstance(self._scheduler, DelayModelScheduler) else None
-        self._fixed_delay = model._value if isinstance(model, FixedDelay) else None
-        self._uniform_bounds = (model._low, model._high - model._low) if isinstance(model, UniformDelay) else None
+        # formula: the same float, minus a method call per send.  A subclass
+        # may override ``delay``, so it takes the probe path.
+        model = self._delay_model
+        self._fixed_delay = model._value if type(model) is FixedDelay else None
+        self._uniform_bounds = (model._low, model._high - model._low) if type(model) is UniformDelay else None
 
     # -- the calendar queue -------------------------------------------------------
 
@@ -193,12 +193,12 @@ class TurboEngine(EngineBase):
         return entry
 
     def _delay_for(self, sender: Hashable, dest: Hashable, payload: Any, depth: int) -> float:
-        """One scheduler consultation via the reusable probe envelope.
+        """One delay-model consultation via the reusable probe envelope.
 
         The probe carries the same field values (including the message-only
-        ``seq``) the kernel backend's envelope does, so even a scheduler
+        ``seq``) the kernel backend's envelope does, so even a delay model
         that reads every envelope field sees an identical schedule.  The
-        counter lives here — every send consults the scheduler exactly once
+        counter lives here — every send consults the model exactly once
         on this path — and is skipped entirely by the envelope-free
         FixedDelay/UniformDelay fast paths, which never read the probe.
         """
@@ -212,9 +212,9 @@ class TurboEngine(EngineBase):
         probe.seq = self._msg_seq
         probe._size = None
         probe._mtype = None
-        delay = self._scheduler.delay(probe, self.rng)
+        delay = self._delay_model.delay(probe, self.rng)
         if invalid_time(delay):
-            raise ValueError(f"scheduler produced invalid delay {delay!r}")
+            raise ValueError(f"delay model produced invalid delay {delay!r}")
         return delay
 
     # -- the effect sink ------------------------------------------------------------
@@ -321,8 +321,8 @@ class TurboEngine(EngineBase):
         proposers have decided"), when the calendar is exhausted, or when the
         ``max_messages`` / ``max_events`` safety valves trip (which tests
         treat as a liveness failure).  Because event order is entirely
-        determined by the seeded scheduler, a run is a pure function of
-        (cores, seed, scheduler, fault plan).
+        determined by the seeded delay model, a run is a pure function of
+        (cores, seed, delay model, fault plan).
         """
         self.start()
         if max_events is None:

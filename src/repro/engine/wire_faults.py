@@ -1,6 +1,6 @@
 """Wire-level fault injection: corrupt, duplicate and tamper with real bytes.
 
-The simulated backends perturb *Python objects* (schedulers reorder
+The simulated backends perturb *Python objects* (delay models reorder
 envelopes, fault plans crash nodes); everything here perturbs *encoded
 frames* — the attack surface that actually exists once traffic rides
 sockets.  Two injection points:

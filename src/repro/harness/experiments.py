@@ -60,7 +60,6 @@ from repro.rsm.checker import check_rsm_history, collect_admissible_commands
 from repro.rsm.crdt import GCounterObject, GSetObject
 from repro.sim.axes import parse_fault_plan, parse_scheduler
 from repro.sim.faults import FaultPlan
-from repro.sim.scheduler import WorstCaseScheduler
 
 #: Reason recorded when a delay-model bound check is skipped.  The paper's
 #: latency bounds count *message delays* (simulated-time units with a unit
@@ -887,7 +886,7 @@ def run_partition_churn_experiment(sweep: _Sweep, f: int = 1, rounds: int = 4, s
     2. **churn** — a 2/2 partition that heals, then two crash/recover cycles
       on correct processes, scripted declaratively via :class:`FaultPlan`;
     3. **churn + worst-case schedule** — same fault plan, with a
-      :class:`WorstCaseScheduler` starving every link of one correct process.
+      :class:`SkewedPairDelay` slowing every link of one correct process.
 
     The paper's liveness argument is asynchronous, so holding traffic for a
     finite time (partition, crash with reliable hand-over on recovery,
@@ -913,12 +912,13 @@ def run_partition_churn_experiment(sweep: _Sweep, f: int = 1, rounds: int = 4, s
     )
     # The orchestrator's axis params replace this experiment's built-in churn
     # ingredients (rather than stacking on top of them): a custom fault plan
-    # substitutes for the scripted churn, a custom scheduler for the built-in
+    # substitutes for the scripted churn, a custom schedule for the built-in
     # worst case.  The calm reference configuration stays calm.
     scheduler_override = parse_scheduler(sweep.axes["scheduler"], pids=pids, f=f)
     fault_plan_override = parse_fault_plan(sweep.axes["fault_plan"], pids=pids, correct=correct)
     churn_plan = fault_plan_override or plan
-    worst_scheduler = scheduler_override or WorstCaseScheduler(victims=[correct[0]], starve_delay=40.0, fast_delay=1.0)
+    calm_delay = FixedDelay(1.0)
+    worst_delay = scheduler_override or SkewedPairDelay(victims=[correct[0]], base=calm_delay, slow_delay=40.0)
     # The strict calm < churn < worst-case timing ordering is a claim about
     # the *built-in* churn script and starvation schedule; a substituted axis
     # may legitimately be faster than either, and a wall-clock backend
@@ -926,9 +926,13 @@ def run_partition_churn_experiment(sweep: _Sweep, f: int = 1, rounds: int = 4, s
     # cases the verdict checks only the schedule-independent properties
     # (safety + everyone decides).
     axes_overridden = scheduler_override is not None or fault_plan_override is not None
-    configs = [("calm", None, None), ("churn", churn_plan, None), ("churn+worst-case", churn_plan, worst_scheduler)]
+    configs = [
+        ("calm", None, calm_delay),
+        ("churn", churn_plan, calm_delay),
+        ("churn+worst-case", churn_plan, worst_delay),
+    ]
     outcomes: list[dict[str, Any]] = []
-    for name, config_plan, config_scheduler in configs:
+    for name, config_plan, config_delay in configs:
         scenario = sweep.run(
             "gwts",
             n,
@@ -937,9 +941,10 @@ def run_partition_churn_experiment(sweep: _Sweep, f: int = 1, rounds: int = 4, s
             rounds=3 if sweep.quick else rounds,
             seed=seed,
             byzantine_factories=[_silent] * f,
-            delay_model=FixedDelay(1.0),
+            delay_model=config_delay,
             fault_plan=config_plan,
-            scheduler=config_scheduler,
+            # The axis is resolved into ``config_delay`` above.
+            scheduler=None,
         )
         outcomes.append(
             {

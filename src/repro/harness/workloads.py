@@ -53,7 +53,7 @@ from repro.core.wts import WTSProcess
 from repro.crypto.signatures import KeyRegistry
 from repro.engine import RunResult, create_engine, latency_summary
 from repro.engine.core import ProtocolCore
-from repro.engine.delays import DelayModel, UniformDelay
+from repro.engine.delays import DelayModel
 from repro.engine.effects import interpret
 from repro.lattice.base import JoinSemilattice, LatticeElement
 from repro.lattice.set_lattice import SetLattice
@@ -67,9 +67,8 @@ from repro.sim.faults import FaultPlan
 #: Signature of a Byzantine core factory.
 ByzantineFactory = Callable[..., ProtocolCore]
 
-#: Builders accept a Scheduler/FaultPlan object or its string spec (the
+#: Builders accept a FaultPlan object or its string spec (the
 #: orchestrator's JSON-able axis form, see :mod:`repro.sim.axes`).
-SchedulerSpec = Any | None
 FaultPlanSpec = Any | None
 
 
@@ -269,7 +268,7 @@ def _split_members(n: int, byzantine_factories: Sequence[ByzantineFactory]) -> t
 def _build_engine(
     delay_model: DelayModel | None,
     seed: int,
-    scheduler: SchedulerSpec,
+    scheduler: str | None,
     backend: str,
     pids: Sequence[Hashable],
     f: int,
@@ -277,22 +276,19 @@ def _build_engine(
 ):
     """One engine per scenario.
 
-    ``scheduler`` may be a :class:`Scheduler`, a string spec (see
-    :mod:`repro.sim.axes`) or ``None``.  An explicit scheduler *overrides*
-    the builder's delay model — that is what lets the orchestrator's
-    ``scheduler=`` axis re-run any experiment (which typically picks its own
-    delay model) under an adversarial schedule without each runner having to
-    special-case the combination.  Membership-dependent specs
-    (``worst-case:victims=quorum``) resolve against ``pids``/``f``.
-    ``backend`` picks the execution engine via the registry; the simulated
-    backends and the async backend's in-process transport run the same loop
-    on the same schedule, so decided values are backend-independent.
+    ``scheduler`` is the string axis (see :mod:`repro.sim.axes`) or ``None``.
+    A spec naming a schedule *overrides* the builder's delay model — that is
+    what lets the orchestrator's ``scheduler=`` axis re-run any experiment
+    (which typically picks its own delay model) under an adversarial schedule
+    without each runner having to special-case the combination.
+    Membership-dependent specs (``worst-case:victims=quorum``) resolve
+    against ``pids``/``f``.  ``backend`` picks the execution engine via the
+    registry; the simulated backends and the async backend's in-process
+    transport run the same loop on the same schedule, so decided values are
+    backend-independent.
     """
-    if isinstance(scheduler, str):
-        scheduler = parse_scheduler(scheduler, pids=pids, f=f)
-    if scheduler is not None:
-        return create_engine(backend, seed=seed, scheduler=scheduler, **engine_kwargs)
-    return create_engine(backend, delay_model=delay_model or UniformDelay(), seed=seed, **engine_kwargs)
+    delay_model = parse_scheduler(scheduler, pids=pids, f=f) or delay_model
+    return create_engine(backend, delay_model=delay_model, seed=seed, **engine_kwargs)
 
 
 def _client_views(clients: Mapping[Hashable, Any], shards: int | None) -> dict[str, Any]:
@@ -367,13 +363,12 @@ def build_scenario(
     byzantine_client_payloads: Mapping[Hashable, Sequence[Any]] | None = None,
     delay_model: DelayModel | None = None,
     seed: int = 0,
-    scheduler: SchedulerSpec = None,
+    scheduler: str | None = None,
     fault_plan: FaultPlanSpec = None,
     backend: str = "kernel",
     max_messages: int | None = None,
     run_to_quiescence: bool = False,
     process_class: type | None = None,
-    registry_seed: int = 1234,
     registry: KeyRegistry | None = None,
     max_wall_s: float | None = None,
     batch_size: int | None = None,
@@ -438,7 +433,7 @@ def build_scenario(
     shared: dict[str, Any] = {}
     if proto.signed:
         if registry is None:
-            registry = KeyRegistry(seed=registry_seed)
+            registry = KeyRegistry(seed=1234)
         shared["registry"] = extras["registry"] = registry
     core_kwargs = dict(shared)
     if proto.seeding != "proposal":
@@ -550,7 +545,7 @@ def run_open_loop_scenario(
     lattice: JoinSemilattice | None = None,
     delay_model: DelayModel | None = None,
     seed: int = 0,
-    scheduler: SchedulerSpec = None,
+    scheduler: str | None = None,
     backend: str = "kernel",
     max_messages: int = 1_500_000,
     **engine_kwargs: Any,

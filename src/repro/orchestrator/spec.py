@@ -161,7 +161,7 @@ def _blob_runner(kilobytes: int = 64, seed: int = 0, quick: bool = False) -> dic
 #: quick/full range unless a comma-separated override is given.
 _KIND_OF_DEFAULT = {int: "int", float: "float", bool: "bool", str: "str", type(None): "ints"}
 
-#: Help for the axes every experiment shares: which scheduler drives
+#: Help for the axes every experiment shares: which delay model drives
 #: delivery, which fault plan scripts the environment (string specs, see
 #: :mod:`repro.sim.axes`) and which engine backend executes the run — so a
 #: sweep can run the whole evaluation under adversarial schedules and

@@ -1,26 +1,30 @@
-"""String-encoded scenario axes: schedulers and fault plans as data.
+"""String-encoded scenario axes: schedules and fault plans as data.
 
 The orchestrator persists every job spec as JSON and re-executes it in a
 worker process, so the adversarial knobs of a simulated run — which
-:class:`~repro.sim.scheduler.Scheduler` drives delivery and which
+:class:`~repro.engine.delays.DelayModel` drives delivery and which
 :class:`~repro.sim.faults.FaultPlan` scripts the environment — must be
 expressible as plain strings.  This module is the single parser for those
-strings; :func:`~repro.harness.workloads.build_scenario` accepts
-either the objects or the specs and resolve the latter here.
+strings; :func:`~repro.harness.workloads.build_scenario` takes the specs
+(its ``scheduler=`` and ``fault_plan=`` axes) and resolves them here.
 
-Scheduler specs (``parse_scheduler``)::
+Scheduler specs (``parse_scheduler``; the axis keeps its historical name,
+which every job artifact and replay command carries)::
 
     ""                         inherit the builder's delay model (no override)
     delay                      same (explicit)
-    random                     RandomScheduler() with the default spread
-    random:spread=5            RandomScheduler(spread=5.0)
-    worst-case                 WorstCaseScheduler starving every link of p0
-    worst-case:victims=p0+p2   starve all links touching p0 and p2
-    worst-case:victims=quorum  starve the quorum-critical link set computed
+    random                     UniformDelay(0, 10): near-arbitrary reordering
+    random:spread=5            UniformDelay(0, 5)
+    worst-case                 SkewedPairDelay slowing every link of p0
+    worst-case:victims=p0+p2   slow all links touching p0 and p2
+    worst-case:victims=quorum  slow the quorum-critical link set computed
                                from the membership (n, f) — enough processes
                                that no ack quorum can form over fast links
                                only (needs ``pids``/``f``; builders pass them)
     worst-case:starve=100,fast=1,victims=p1
+
+A ``worst-case`` slow link takes ``starve`` plus a jitter in ``[0, 1]``;
+every other link takes exactly ``fast``.
 
 Fault-plan specs (``parse_fault_plan``) are resolved against a concrete
 membership, since group membership and crash targets depend on the cluster
@@ -43,8 +47,8 @@ typo'd axis fails sweep expansion up front instead of inside a worker.
 from __future__ import annotations
 from collections.abc import Hashable, Sequence
 
+from repro.engine.delays import DelayModel, FixedDelay, SkewedPairDelay, UniformDelay
 from repro.sim.faults import FaultPlan
-from repro.sim.scheduler import RandomScheduler, Scheduler, WorstCaseScheduler
 
 #: Spec strings meaning "no scheduler override".
 _NO_SCHEDULER = ("", "delay", "default")
@@ -82,7 +86,7 @@ def parse_scheduler(
     spec: str | None,
     pids: Sequence[Hashable] | None = None,
     f: int | None = None,
-) -> Scheduler | None:
+) -> DelayModel | None:
     """Parse a scheduler spec; ``None`` means "keep the builder's delay model".
 
     ``pids`` and ``f`` are the concrete membership the spec is resolved
@@ -101,7 +105,7 @@ def parse_scheduler(
         spread = _positive_float(options.pop("spread", "10"), "spread", spec)
         if options:
             raise ValueError(f"unknown random-scheduler options {sorted(options)} in {spec!r}")
-        return RandomScheduler(spread=spread)
+        return UniformDelay(0.0, spread)
     if kind == "worst-case":
         victims_text = options.pop("victims", "p0")
         starve = _positive_float(options.pop("starve", "200"), "starve delay", spec)
@@ -114,13 +118,11 @@ def parse_scheduler(
                     f"{spec!r} computes its starved links from the membership; "
                     "resolve it with pids= and f= (the scenario builders do)"
                 )
-            return WorstCaseScheduler.quorum_critical(
-                pids, f, starve_delay=starve, fast_delay=fast
-            )
+            return SkewedPairDelay.quorum_critical(pids, f, slow_delay=starve, fast_delay=fast)
         victims = tuple(v for v in victims_text.split("+") if v)
         if not victims:
             raise ValueError(f"worst-case scheduler needs at least one victim in {spec!r}")
-        return WorstCaseScheduler(victims=victims, starve_delay=starve, fast_delay=fast)
+        return SkewedPairDelay(victims=victims, base=FixedDelay(fast), slow_delay=starve)
     raise ValueError(
         f"unknown scheduler spec {spec!r} (expected delay, random[:spread=S] "
         "or worst-case[:victims=p0+p1|quorum,starve=S,fast=F])"

@@ -76,9 +76,9 @@ def build(n, f, hosts=None, extra=None, delay=None, seed=0):
     for pid in members:
         spec = (hosts or {}).get(pid, [])
         node = RBHost(pid, n, f, to_broadcast=spec)
-        nodes.append(network.add_node(node))
+        nodes.append(network.add_core(node))
     for node in extra or []:
-        network.add_node(node)
+        network.add_core(node)
     return network, members, nodes
 
 
@@ -138,8 +138,8 @@ class TestAgreementUnderEquivocation:
         network = KernelEngine(delay_model=UniformDelay(0.1, 3.0), seed=seed)
         honest = []
         for pid in members[:-1]:
-            honest.append(network.add_node(RBHost(pid, n, f)))
-        network.add_node(byz)
+            honest.append(network.add_core(RBHost(pid, n, f)))
+        network.add_core(byz)
         network.run_until_quiescent()
         delivered_values = {value for node in honest for (_, _, value) in node.delivered}
         # Agreement: at most one of the two equivocated values is ever delivered.
@@ -149,8 +149,8 @@ class TestAgreementUnderEquivocation:
         n, f = 4, 1
         members = [f"p{i}" for i in range(n)]
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
-        honest = [network.add_node(RBHost(pid, n, f)) for pid in members[:-1]]
-        network.add_node(ForgingRelay("p3", members, victim="p0"))
+        honest = [network.add_core(RBHost(pid, n, f)) for pid in members[:-1]]
+        network.add_core(ForgingRelay("p3", members, victim="p0"))
         network.run_until_quiescent()
         for node in honest:
             assert node.delivered == []
@@ -160,10 +160,10 @@ class TestAgreementUnderEquivocation:
         n, f = 4, 1
         host = RBHost("p0", n, f)
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
-        network.add_node(host)
+        network.add_core(host)
         spammer_pids = ["p1"]
         for pid in spammer_pids + ["p2", "p3"]:
-            network.add_node(RBHost(pid, n, f))
+            network.add_core(RBHost(pid, n, f))
         network.start()
         # p1 sends the same READY five times: only one vote should count, so
         # no delivery can happen from these alone (needs 2f+1 = 3 distinct).

@@ -15,7 +15,7 @@ def test_validity_and_agreement_random_schedules(seed, n):
     members = [f"p{i}" for i in range(n)]
     hosts = {pid: [((pid, "tag"), f"value-from-{pid}")] for pid in members}
     network = KernelEngine(delay_model=UniformDelay(0.1, 4.0), seed=seed)
-    nodes = [network.add_node(RBHost(pid, n, f, to_broadcast=hosts[pid])) for pid in members]
+    nodes = [network.add_core(RBHost(pid, n, f, to_broadcast=hosts[pid])) for pid in members]
     network.run_until_quiescent()
     for node in nodes:
         assert len(node.delivered) == n
@@ -31,8 +31,8 @@ def test_no_split_brain_with_equivocating_origin(seed):
     n, f = 7, 2
     members = [f"p{i}" for i in range(n)]
     network = KernelEngine(delay_model=UniformDelay(0.1, 4.0), seed=seed)
-    honest = [network.add_node(RBHost(pid, n, f)) for pid in members[: n - 1]]
-    network.add_node(
+    honest = [network.add_core(RBHost(pid, n, f)) for pid in members[: n - 1]]
+    network.add_core(
         EquivocatingOrigin(members[-1], members, tag="t", value_a="A", value_b="B")
     )
     network.run_until_quiescent()

@@ -54,8 +54,8 @@ class TestFlags:
 class TestSilentAndCrash:
     def test_silent_sends_nothing(self):
         network = build_network()
-        silent = network.add_node(SilentByzantine("b"))
-        network.add_node(SilentByzantine("x"))
+        silent = network.add_core(SilentByzantine("b"))
+        network.add_core(SilentByzantine("x"))
         network.start()
         silent.on_message("x", "poke")
         assert network.pending() == 0
@@ -64,9 +64,9 @@ class TestSilentAndCrash:
         network = build_network()
         inner = WTSProcess("b", LAT, ["b", "p1", "p2", "p3"], 1, proposal=frozenset({"c"}))
         wrapper = CrashByzantine(inner, crash_after_deliveries=2)
-        network.add_node(wrapper)
+        network.add_core(wrapper)
         for pid in ("p1", "p2", "p3"):
-            network.add_node(WTSProcess(pid, LAT, ["b", "p1", "p2", "p3"], 1,
+            network.add_core(WTSProcess(pid, LAT, ["b", "p1", "p2", "p3"], 1,
                                         proposal=frozenset({pid})))
         network.run(max_messages=500)
         assert wrapper.crashed
@@ -75,8 +75,8 @@ class TestSilentAndCrash:
         network = build_network()
         inner = WTSProcess("b", LAT, ["b", "p1"], 0, proposal=frozenset({"c"}))
         wrapper = CrashByzantine(inner, crash_after_deliveries=0)
-        network.add_node(wrapper)
-        network.add_node(SilentByzantine("p1"))
+        network.add_core(wrapper)
+        network.add_core(SilentByzantine("p1"))
         network.start()
         assert wrapper.crashed
         assert network.pending() == 0
@@ -87,9 +87,9 @@ class TestEquivocator:
         network = build_network()
         eq = EquivocatingProposer("p0", LAT, MEMBERS, 1,
                                   value_a=frozenset({"A"}), value_b=frozenset({"B"}))
-        network.add_node(eq)
+        network.add_core(eq)
         for pid in MEMBERS[1:]:
-            network.add_node(SilentByzantine(pid))
+            network.add_core(SilentByzantine(pid))
         network.start()
         # Inspect the outgoing init messages directly from the queue's metrics.
         assert network.metrics.sent_by_type["rb_init"] == len(MEMBERS)
@@ -97,8 +97,8 @@ class TestEquivocator:
     def test_garbage_proposer_discloses_non_element(self):
         network = build_network()
         garbage = GarbageProposer("p0", LAT, MEMBERS, 1, garbage="junk")
-        network.add_node(garbage)
-        honest = [network.add_node(WTSProcess(pid, LAT, MEMBERS, 1, proposal=frozenset({pid})))
+        network.add_core(garbage)
+        honest = [network.add_core(WTSProcess(pid, LAT, MEMBERS, 1, proposal=frozenset({pid})))
                   for pid in MEMBERS[1:]]
         network.run(max_messages=2000)
         for node in honest:
@@ -111,10 +111,10 @@ class TestAcceptorAttacks:
 
         network = build_network()
         spammer = NackSpamAcceptor("b", LAT, MEMBERS[:3] + ["b"], 1)
-        network.add_node(spammer)
-        network.add_node(SilentByzantine("p0"))
-        network.add_node(SilentByzantine("p1"))
-        network.add_node(SilentByzantine("p2"))
+        network.add_core(spammer)
+        network.add_core(SilentByzantine("p0"))
+        network.add_core(SilentByzantine("p1"))
+        network.add_core(SilentByzantine("p2"))
         network.start()
         network.submit("p0", "b", AckRequest(proposed_set=frozenset({"v"}), ts=0))
         network.run_until_quiescent()
@@ -132,10 +132,10 @@ class TestAcceptorAttacks:
 
         network = build_network()
         acker = AlwaysAckAcceptor("b", LAT, MEMBERS[:3] + ["b"], 1)
-        network.add_node(acker)
-        network.add_node(SilentByzantine("p0"))
-        network.add_node(SilentByzantine("p1"))
-        network.add_node(SilentByzantine("p2"))
+        network.add_core(acker)
+        network.add_core(SilentByzantine("p0"))
+        network.add_core(SilentByzantine("p1"))
+        network.add_core(SilentByzantine("p2"))
         network.start()
         network.submit("p0", "b", AckRequest(proposed_set=frozenset({"anything"}), ts=9))
         network.run_until_quiescent()
@@ -149,9 +149,9 @@ class TestFastForward:
         network = build_network()
         ff = FastForwardGWTS("b", LAT, MEMBERS, rounds_ahead=3,
                              values=[frozenset({"x"})])
-        network.add_node(ff)
+        network.add_core(ff)
         for pid in MEMBERS:
-            network.add_node(SilentByzantine(pid))
+            network.add_core(SilentByzantine(pid))
         network.start()
         # 3 rounds x (disclosure + ack_req + fake ack) x 4 destinations.
         assert network.pending() == 3 * 3 * 4

@@ -280,6 +280,10 @@ HELLO_RULE_CASES = {
     "frame_that_is_not_a_dict": ("n1", [["peer", "n1"]], "must be a dict"),
     "peer_frame_without_a_payload": ("n1", [{"kind": "peer"}], "missing 'payload'"),
     "the_old_self_declared_sender_shape": ("n1", [msg_frame("n2", ECHO)], "unexpected frame kind 'msg'"),
+    # A node serves client frames (the engine's reader rejects every one):
+    # the client id must be a string naming no member.
+    "client_frame_naming_a_member": (None, [client_frame("n1", ECHO)], "'client'"),
+    "client_frame_with_an_unhashable_id": (None, [{"kind": "client", "client": ["c9"], "payload": ECHO}], "'client'"),
 }
 
 
@@ -299,6 +303,7 @@ class TestNodeSocketHardening:
         assert delivered == []
         err = capsys.readouterr().err
         assert "cluster node n0: dropping connection:" in err and note in err
+        return err
 
     def test_protocol_frame_before_hello(self, capsys):
         self.drops("protocol_frame_before_hello", capsys)
@@ -337,6 +342,12 @@ class TestNodeSocketHardening:
 
     def test_the_old_self_declared_sender_shape(self, capsys):
         self.drops("the_old_self_declared_sender_shape", capsys)
+
+    def test_client_frame_naming_a_member(self, capsys):
+        assert "'client' frame cannot speak for 'n1'" in self.drops("client_frame_naming_a_member", capsys)
+
+    def test_client_frame_with_an_unhashable_id(self, capsys):
+        assert "'client' frame cannot speak for ['c9']" in self.drops("client_frame_with_an_unhashable_id", capsys)
 
     def test_a_connection_speaks_only_for_the_peer_it_said_hello_as(self):
         async def scenario(node):

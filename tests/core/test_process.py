@@ -32,9 +32,9 @@ def make(pid="p0", members=("p0", "p1", "p2", "p3"), f=1, cls=AgreementProcess, 
     process = cls(pid, lattice, list(members), f, **kwargs)
     for other in members:
         if other == pid:
-            network.add_node(process)
+            network.add_core(process)
         else:
-            network.add_node(AgreementProcess(other, lattice, list(members), f))
+            network.add_core(AgreementProcess(other, lattice, list(members), f))
     return network, process
 
 

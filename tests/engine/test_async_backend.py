@@ -112,12 +112,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="time_scale"):
             AsyncEngine(time_scale=-1.0)
 
-    def test_delay_model_and_scheduler_are_exclusive(self):
-        from repro.sim.scheduler import RandomScheduler
-
-        with pytest.raises(ValueError, match="not both"):
-            AsyncEngine(delay_model=UniformDelay(), scheduler=RandomScheduler())
-
     def test_duplicate_pid_rejected(self):
         engine = AsyncEngine()
         engine.add_core(ProtocolCore("p0"))

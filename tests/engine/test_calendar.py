@@ -15,9 +15,8 @@ from itertools import count
 
 import pytest
 
-from repro.engine import ProtocolCore, UniformDelay, create_engine
+from repro.engine import DelayModel, ProtocolCore, UniformDelay, create_engine
 from repro.engine.envelope import Envelope
-from repro.sim.scheduler import Scheduler
 
 BACKENDS = ["turbo", "kernel"]
 
@@ -48,7 +47,7 @@ def delay_of(hop, dest):
     return 0.5 + (hop.ident * 7 + mix) % 509 / 1024
 
 
-class MixedScheduler(Scheduler):
+class MixedDelay(DelayModel):
     """Reads the delay off the payload, so the test can predict every due time."""
 
     def delay(self, envelope, rng):
@@ -115,7 +114,7 @@ class Mixer(ProtocolCore):
 @pytest.mark.parametrize("stepwise", [False, True], ids=["one-run", "stepwise"])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_pops_in_time_seq_order_across_bare_and_shared_slots(backend, stepwise):
-    engine = create_engine(backend, scheduler=MixedScheduler(), seed=0)
+    engine = create_engine(backend, delay_model=MixedDelay(), seed=0)
     pids = tuple(f"p{i}" for i in range(4))
     idents, expected, log = count(), [], []
     for pid in pids:

@@ -3,7 +3,7 @@
 The kernel backend is turbo's event loop plus recording (envelopes,
 per-type/size metrics, the delivery log), so kernel == turbo here pins that
 recording consumes no RNG draw and no sequence number: for the same (cores,
-seed, scheduler, fault plan) both must reach identical decision values and
+seed, delay model, fault plan) both must reach identical decision values and
 output lattices.  Pinned on the E1 (WTS chain), E6 (GWTS) and E8 (RSM)
 workload shapes across several seeds.  The external reference for the
 schedule itself is the frozen seed-implementation JSON under
@@ -24,7 +24,7 @@ from repro.core.sbs import SbSProcess
 from repro.core.wts import WTSProcess
 from repro.crypto.signatures import KeyRegistry
 from repro.engine import AsyncEngine
-from repro.engine.delays import AdversarialTargetedDelay, FixedDelay, UniformDelay
+from repro.engine.delays import DelayModel, UniformDelay
 from repro.harness import build_scenario
 from repro.lattice.set_lattice import SetLattice
 from repro.rsm.crdt import GCounterObject, GSetObject
@@ -77,14 +77,15 @@ class TestCrossBackendGolden:
         # Replica decision chains (the RSM's output lattice) match too.
         assert decisions_of(kernel) == decisions_of(turbo)
 
-    def test_backends_match_under_faults_and_adversarial_schedule(self):
+    @pytest.mark.parametrize("scheduler", ["worst-case:victims=quorum,starve=40,fast=1", "random:spread=5"])
+    def test_backends_match_under_faults_and_adversarial_schedule(self, scheduler):
         kwargs = dict(
             n=4,
             f=1,
             values_per_process=1,
             rounds=3,
             seed=13,
-            scheduler="worst-case:victims=quorum,starve=40,fast=1",
+            scheduler=scheduler,
             fault_plan="crash:0@5-25",
         )
         kernel = build_scenario("gwts", backend="kernel", **kwargs).run()
@@ -97,18 +98,12 @@ class TestCrossBackendGolden:
         identical values on every backend (turbo reuses one probe envelope —
         a stale field here silently forks the schedule)."""
 
-        def chooser(envelope, rng):
-            if envelope.seq % 3 == 0 or envelope.dest == "p0":
-                return 7.0
-            return None
+        class Targeted(DelayModel):
+            def delay(self, envelope, rng):
+                return 7.0 if envelope.seq % 3 == 0 or envelope.dest == "p0" else 1.0
 
         def build(backend):
-            return build_scenario(
-                "wts", 4, 1,
-                seed=9,
-                backend=backend,
-                delay_model=AdversarialTargetedDelay(chooser, base=FixedDelay(1.0)),
-            ).run()
+            return build_scenario("wts", 4, 1, seed=9, backend=backend, delay_model=Targeted()).run()
 
         kernel, turbo, run_async = build("kernel"), build("turbo"), build("async")
         assert decisions_of(kernel) == decisions_of(turbo) == decisions_of(run_async)
@@ -118,6 +113,21 @@ class TestCrossBackendGolden:
         assert [(env.seq, env.send_time) for env in run_async.engine.delivery_log] == [
             (env.seq, env.send_time) for env in kernel.engine.delivery_log
         ]
+
+    def test_turbo_consults_a_subclass_of_a_stock_delay_model(self):
+        """Turbo's envelope-free fast paths serve the stock classes only: a
+        subclass that overrides ``delay`` is consulted, as on the kernel."""
+
+        class SlowToP0(UniformDelay):
+            def delay(self, envelope, rng):
+                return 5.0 if envelope.dest == "p0" else super().delay(envelope, rng)
+
+        kernel, turbo = (
+            build_scenario("wts", 4, 1, seed=3, backend=backend, delay_model=SlowToP0()).run()
+            for backend in ("kernel", "turbo")
+        )
+        assert decisions_of(kernel) == decisions_of(turbo)
+        assert kernel.run.end_time == pytest.approx(turbo.run.end_time)
 
     def test_turbo_send_counts_match_kernel(self):
         kernel = build_scenario("wts", 4, 1, seed=11, backend="kernel").run()

@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from repro.engine import (
-    AdversarialTargetedDelay,
-    Envelope,
-    FixedDelay,
-    LinkPartitionDelay,
-    SkewedPairDelay,
-    UniformDelay,
-)
+from repro.engine import Envelope, FixedDelay, SkewedPairDelay, UniformDelay
 
 
 def env(sender="a", dest="b", send_time=0.0):
@@ -62,38 +55,3 @@ class TestSkewedPairDelay:
         rng = random.Random(0)
         assert model.delay(env("a", "c"), rng) == 1.0
 
-
-class TestLinkPartitionDelay:
-    def test_cross_partition_held_until_heal(self):
-        model = LinkPartitionDelay(["a"], ["b"], heal_time=50.0, base=FixedDelay(1.0))
-        rng = random.Random(0)
-        delay = model.delay(env("a", "b", send_time=10.0), rng)
-        assert delay >= 40.0
-
-    def test_internal_traffic_unaffected(self):
-        model = LinkPartitionDelay(["a", "c"], ["b"], heal_time=50.0, base=FixedDelay(1.0))
-        rng = random.Random(0)
-        assert model.delay(env("a", "c", send_time=10.0), rng) == 1.0
-
-    def test_after_heal_uses_base(self):
-        model = LinkPartitionDelay(["a"], ["b"], heal_time=50.0, base=FixedDelay(1.0))
-        rng = random.Random(0)
-        assert model.delay(env("a", "b", send_time=60.0), rng) == 1.0
-
-
-class TestAdversarialTargetedDelay:
-    def test_chooser_wins(self):
-        model = AdversarialTargetedDelay(lambda e, rng: 42.0, base=FixedDelay(1.0))
-        assert model.delay(env(), random.Random(0)) == 42.0
-
-    def test_none_falls_back_to_base(self):
-        model = AdversarialTargetedDelay(lambda e, rng: None, base=FixedDelay(1.0))
-        assert model.delay(env(), random.Random(0)) == 1.0
-
-    def test_negative_choice_rejected(self):
-        model = AdversarialTargetedDelay(lambda e, rng: -1.0)
-        with pytest.raises(ValueError):
-            model.delay(env(), random.Random(0))
-
-    def test_describe(self):
-        assert "custom" in AdversarialTargetedDelay(lambda e, rng: None).describe()

@@ -51,7 +51,7 @@ class TestTopology:
     def test_add_core_and_membership(self):
         engine = KernelEngine()
         a = engine.add_core(Echo("a"))
-        b = engine.add_node(Echo("b"))  # alias spelling
+        b = engine.add_core(Echo("b"))
         assert engine.pids == ("a", "b")
         assert engine.node("a") is a
         assert engine.node("b") is b

@@ -34,8 +34,8 @@ class TestLazySizes:
 
         monkeypatch.setattr(envelope_module, "estimate_size", counting)
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
-        network.add_node(Flood("a", "b", 10))
-        network.add_node(Flood("b", "a", 0))
+        network.add_core(Flood("a", "b", 10))
+        network.add_core(Flood("b", "a", 0))
         network.run_until_quiescent()
         assert calls == []  # nothing read the size views
         assert network.metrics.max_payload_size > 0  # flush on read

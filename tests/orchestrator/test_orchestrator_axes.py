@@ -1,11 +1,11 @@
 """Scheduler / fault-plan axes as first-class ExperimentSpec params.
 
 The ROADMAP gap this closes: the sweep grid used to vary only declared
-experiment parameters and seeds — the kernel's adversarial schedulers and
+experiment parameters and seeds — the kernel's adversarial schedules and
 scripted churn were unreachable from the orchestrator.  Every E1-E12 spec
 now declares ``scheduler`` and ``fault_plan`` string params, so one grid
-axis runs the whole evaluation under RandomScheduler / WorstCaseScheduler /
-crash-partition churn.
+axis runs the whole evaluation under a ``random`` or ``worst-case`` delay
+model (:mod:`repro.sim.axes`) or crash-partition churn.
 """
 
 import pytest

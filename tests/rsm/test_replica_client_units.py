@@ -21,8 +21,8 @@ REPLICAS = ["r0", "r1", "r2", "r3"]
 
 def build_cluster(with_client=True):
     network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
-    replicas = [network.add_node(Replica(pid, REPLICAS, f=1, max_rounds=4)) for pid in REPLICAS]
-    client = network.add_node(_Sink("client")) if with_client else None
+    replicas = [network.add_core(Replica(pid, REPLICAS, f=1, max_rounds=4)) for pid in REPLICAS]
+    client = network.add_core(_Sink("client")) if with_client else None
     return network, replicas, client
 
 
@@ -158,9 +158,9 @@ class TestClientUnit:
     def test_client_script_validation(self):
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
         client = RSMClient("c", REPLICAS, f=1, script=[("bogus-kind",)])
-        network.add_node(client)
+        network.add_core(client)
         for pid in REPLICAS:
-            network.add_node(_Sink(pid))
+            network.add_core(_Sink(pid))
         try:
             network.start()
             raised = False
@@ -176,8 +176,8 @@ class TestClientUnit:
         client = RSMClient(
             "c", REPLICAS, f=1, script=[("update", ("obj", "add", 1))], retry_timeout=None
         )
-        network.add_node(client)
-        sinks = [network.add_node(_Sink(pid)) for pid in REPLICAS]
+        network.add_core(client)
+        sinks = [network.add_core(_Sink(pid)) for pid in REPLICAS]
         network.run_until_quiescent()
         contacted = [sink.pid for sink in sinks if sink.received]
         assert len(contacted) == 2  # f + 1
@@ -185,9 +185,9 @@ class TestClientUnit:
     def test_client_completes_after_f_plus_1_matching_notices(self):
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
         client = RSMClient("c", REPLICAS, f=1, script=[("update", ("obj", "add", 1))])
-        network.add_node(client)
+        network.add_core(client)
         for pid in REPLICAS:
-            network.add_node(_Sink(pid))
+            network.add_core(_Sink(pid))
         network.start()
         command = client.history[0].command
         accepted = frozenset({command})
@@ -200,9 +200,9 @@ class TestClientUnit:
     def test_notice_without_own_command_is_ignored(self):
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
         client = RSMClient("c", REPLICAS, f=1, script=[("update", ("obj", "add", 1))])
-        network.add_node(client)
+        network.add_core(client)
         for pid in REPLICAS:
-            network.add_node(_Sink(pid))
+            network.add_core(_Sink(pid))
         network.start()
         other = frozenset({make_command("other", 1, "op")})
         network.submit("r0", "c", DecideNotice(accepted_set=other, replica="r0"))

@@ -9,13 +9,13 @@ from repro.sim.axes import (
     parse_scheduler,
     scheduler_spec_is_adversarial,
 )
-from repro.sim.scheduler import RandomScheduler, WorstCaseScheduler
+from repro.engine import SkewedPairDelay, UniformDelay
 
 PIDS = ["p0", "p1", "p2", "p3"]
 CORRECT = ["p0", "p1", "p2"]
 
 
-class TestParseScheduler:
+class TestParseSchedulerSpec:
     def test_empty_and_delay_mean_no_override(self):
         assert parse_scheduler(None) is None
         assert parse_scheduler("") is None
@@ -24,18 +24,17 @@ class TestParseScheduler:
 
     def test_random_with_default_and_explicit_spread(self):
         scheduler = parse_scheduler("random")
-        assert isinstance(scheduler, RandomScheduler)
-        assert scheduler.spread == 10.0
-        assert parse_scheduler("random:spread=3").spread == 3.0
+        assert isinstance(scheduler, UniformDelay)
+        assert scheduler.describe() == "UniformDelay[0.0,10.0]"
+        assert parse_scheduler("random:spread=3").describe() == "UniformDelay[0.0,3.0]"
 
     def test_worst_case_defaults_and_options(self):
         scheduler = parse_scheduler("worst-case")
-        assert isinstance(scheduler, WorstCaseScheduler)
+        assert isinstance(scheduler, SkewedPairDelay)
         assert scheduler.victims == {"p0"}
         custom = parse_scheduler("worst-case:victims=p1+p2,starve=99,fast=2")
         assert custom.victims == {"p1", "p2"}
-        assert custom.starve_delay == 99.0
-        assert custom.fast_delay == 2.0
+        assert custom.describe() == "SkewedPairDelay(0 slow pairs, 2 victims, slow=99.0, base=FixedDelay(2.0))"
 
     @pytest.mark.parametrize("spec", [
         "bogus",

@@ -30,7 +30,7 @@ class Recorder(ProtocolCore):
 
 def build(n=3, delay=1.0, seed=0):
     network = KernelEngine(delay_model=FixedDelay(delay), seed=seed)
-    nodes = [network.add_node(Recorder(f"p{i}")) for i in range(n)]
+    nodes = [network.add_core(Recorder(f"p{i}")) for i in range(n)]
     return network, nodes
 
 
@@ -220,7 +220,7 @@ class TestStepSafetyValve:
                 self.set_timer(1.0, "tick")  # re-arms forever, sends nothing
 
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
-        network.add_node(Rearming("p0"))
+        network.add_core(Rearming("p0"))
         network.start()
         # "Advance by one delivery" returns after max_messages * 8 events
         # instead of spinning, and says so.
@@ -237,7 +237,7 @@ class TestStepSafetyValve:
                 self.set_timer(1.0, "tick")
 
         network = KernelEngine(delay_model=FixedDelay(1.0), seed=0)
-        network.add_node(Rearming("p0"))
+        network.add_core(Rearming("p0"))
         result = network.run(max_messages=100)
         assert result.events_capped
         assert not result.quiescent  # truncation must not masquerade as done
@@ -282,7 +282,7 @@ class TestDeterminismWithFaults:
 
         def trace(with_faults):
             network = KernelEngine(delay_model=UniformDelay(0.5, 2.0), seed=11)
-            nodes = [network.add_node(Recorder(f"p{i}")) for i in range(2)]
+            nodes = [network.add_core(Recorder(f"p{i}")) for i in range(2)]
             if with_faults:
                 network.crash_node("p1", at=100.0)
                 network.recover_node("p1", at=101.0)

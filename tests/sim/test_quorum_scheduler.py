@@ -1,6 +1,6 @@
 """Quorum-critical link starvation: computed from (n, f), beats fixed victims.
 
-The ROADMAP open item: the worst-case scheduler menu should starve the
+The ROADMAP open item: the ``worst-case`` axis menu should starve the
 *quorum-critical* links derived from the membership instead of a hand-picked
 victim list.  At ``n = 7, f = 1`` the Byzantine ack quorum is ``q = 5``, so
 starving one fixed victim leaves six fast processes — still a whole quorum —
@@ -10,32 +10,38 @@ starves ``n - q + 1 = 3`` processes, leaving only ``q - 1`` fast responders:
 across the board while (the starvation being finite) never preventing them.
 """
 
+import random
+
 import pytest
 
+from repro.engine import Envelope, SkewedPairDelay
 from repro.harness import build_scenario
 from repro.sim.axes import parse_scheduler
-from repro.sim.scheduler import WorstCaseScheduler
+
+
+def draw(model, sender, dest):
+    return model.delay(Envelope(sender=sender, dest=dest, payload="x", send_time=0.0), random.Random(0))
 
 
 class TestQuorumCriticalConstruction:
     def test_victim_count_is_n_minus_quorum_plus_one(self):
         members = [f"p{i}" for i in range(7)]
-        scheduler = WorstCaseScheduler.quorum_critical(members, f=1)
+        scheduler = SkewedPairDelay.quorum_critical(members, f=1)
         # n=7, f=1 -> q=5 -> 3 victims, taken from the membership tail.
         assert scheduler.victims == {"p4", "p5", "p6"}
 
     def test_scales_with_membership(self):
         members = [f"p{i}" for i in range(4)]
-        scheduler = WorstCaseScheduler.quorum_critical(members, f=1)
+        scheduler = SkewedPairDelay.quorum_critical(members, f=1)
         # n=4, f=1 -> q=3 -> 2 victims.
         assert scheduler.victims == {"p2", "p3"}
-        ten = WorstCaseScheduler.quorum_critical([f"p{i}" for i in range(10)], f=2)
+        ten = SkewedPairDelay.quorum_critical([f"p{i}" for i in range(10)], f=2)
         # n=10, f=2 -> q=7 -> 4 victims.
         assert ten.victims == {"p6", "p7", "p8", "p9"}
 
     def test_empty_membership_rejected(self):
         with pytest.raises(ValueError):
-            WorstCaseScheduler.quorum_critical([], f=1)
+            SkewedPairDelay.quorum_critical([], f=1)
 
 
 class TestAxisSpec:
@@ -43,7 +49,10 @@ class TestAxisSpec:
         pids = [f"p{i}" for i in range(7)]
         scheduler = parse_scheduler("worst-case:victims=quorum,starve=80,fast=1", pids=pids, f=1)
         assert scheduler.victims == {"p4", "p5", "p6"}
-        assert scheduler.starve_delay == 80.0 and scheduler.fast_delay == 1.0
+        # A link touching a victim takes the starve delay plus a jitter in
+        # [0, 1]; every other link takes exactly the fast delay.
+        assert 80.0 <= draw(scheduler, "p0", "p4") <= 81.0
+        assert draw(scheduler, "p0", "p1") == 1.0
 
     def test_quorum_spec_without_membership_is_an_error(self):
         with pytest.raises(ValueError, match="membership"):

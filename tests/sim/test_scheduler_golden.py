@@ -1,9 +1,11 @@
-"""Golden traces for the adversarial schedulers (Random / WorstCase).
+"""Golden traces for the ``random`` and ``worst-case`` schedule axes.
 
 ``tests/golden/scheduler_traces.json`` pins the full delivery ordering —
 sender, destination, message type, send/deliver times, causal depth — of
-fixed-seed runs under :class:`~repro.sim.scheduler.RandomScheduler` and
-:class:`~repro.sim.scheduler.WorstCaseScheduler`.  The fixtures were
+fixed-seed runs under ``random:spread=5`` (a
+:class:`~repro.engine.delays.UniformDelay` from 0) and ``worst-case`` (a
+:class:`~repro.engine.delays.SkewedPairDelay` slowing a victim's links over
+a fixed fast delay).  The fixtures were
 generated on CPython 3.11 and must match byte-for-byte on every interpreter
 the CI matrix runs (3.11/3.12/3.13): ``random.Random`` is specified to be
 reproducible across versions, and nothing else may inject nondeterminism
