@@ -99,6 +99,14 @@ class TestRegistry:
         with pytest.raises(TypeError):
             create_engine("kernel", transport="tcp")
 
+    @pytest.mark.parametrize("backend", ["kernel", "turbo", "async"])
+    def test_delay_model_is_the_only_delay_option(self, backend):
+        from repro.engine import FixedDelay
+
+        assert create_engine(backend, delay_model=FixedDelay(1.0)).name == backend
+        with pytest.raises(TypeError, match="scheduler"):
+            create_engine(backend, scheduler=FixedDelay(1.0))
+
 
 class TestClocks:
     def test_engine_clock_time_sources(self):
