@@ -1,8 +1,9 @@
 """Micro-benchmarks of the substrates the algorithms are built on.
 
 These are classic pytest-benchmark kernels (many iterations of a small
-operation) complementing the E1–E10 experiment benchmarks: lattice joins,
-reliable broadcast, network delivery throughput and signature verification.
+operation) complementing the experiments of ``python -m repro sweep``: lattice
+joins, reliable broadcast, network delivery throughput and signature
+verification.
 They are useful when profiling changes to the substrate code paths that
 dominate the big experiments.
 """

@@ -34,9 +34,8 @@ def churn_plan() -> FaultPlan:
     """2/2 partition (heals at t=18), then two crash/recover cycles.
 
     Intentionally spelled out rather than imported: this example exists to
-    demonstrate building a FaultPlan by hand.  Keep the constants in sync
-    with ``run_partition_churn_experiment`` (E12), which runs the same
-    scenario from the experiment registry.
+    demonstrate building a FaultPlan by hand.  ``tests/sim/test_axes.py``
+    checks that it equals the ``churn`` preset E12 runs.
     """
     return (
         FaultPlan()

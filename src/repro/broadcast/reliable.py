@@ -187,9 +187,10 @@ class ReliableBroadcaster:
         if sender != msg.origin:
             return
         try:
+            hash(msg.value)
             state = self._state((msg.origin, msg.tag))
         except TypeError:
-            return  # unhashable origin or tag: a malformed message, dropped
+            return  # unhashable origin, tag or value: a malformed message, dropped
         if state.sent_echo:
             # Echo only the *first* value received from the origin; an
             # equivocating origin cannot make us echo two values.

@@ -14,8 +14,8 @@ This package realises that model in two decoupled halves:
   :mod:`~repro.engine.events` (start / deliver / timer / crash / recover).
 * **Backends** — sinks of the one effect interpreter
   (:func:`~repro.engine.effects.interpret`), built on the shared
-  :class:`~repro.engine.services.EngineBase` skeleton and described as data
-  in the :mod:`~repro.engine.backends` registry:
+  :class:`~repro.engine.services.EngineBase` skeleton and listed by name
+  in the :mod:`~repro.engine.backends` table:
 
   - :class:`TurboEngine` — the simulated-time event loop: delay models,
     fault plans, causal-depth accounting, no per-message objects (see
@@ -34,21 +34,19 @@ Engine *services* shared by every backend — the :class:`~repro.engine.
 services.Clock` abstraction (simulated vs wall-clock time sources) and the
 uniform :class:`RunResult` — live in :mod:`repro.engine.services`.
 
-``create_engine(backend=...)`` resolves names through the registry;
+``create_engine(backend=...)`` resolves names through that table;
 everything above this layer (the scenario path, experiments, the explorer)
 takes a ``backend`` string and stays agnostic.
 """
 
 from repro.engine.async_backend import AsyncEngine
 from repro.engine.backends import (
-    BackendInfo,
+    BACKENDS,
     backend_is_wall_clock,
-    backend_names,
     backend_param_help,
     backend_time_source,
     create_engine,
     get_backend,
-    register_backend,
 )
 from repro.engine.core import ProtocolCore
 from repro.engine.delays import DelayModel, FixedDelay, SkewedPairDelay, UniformDelay
@@ -87,16 +85,14 @@ __all__ = [
     "TimerFired",
     "Crashed",
     "Recovered",
-    # backends & the registry
+    # backends & the backend table
     "KernelEngine",
     "TurboEngine",
     "AsyncEngine",
     "RunResult",
-    "BackendInfo",
+    "BACKENDS",
     "create_engine",
-    "register_backend",
     "get_backend",
-    "backend_names",
     "backend_time_source",
     "backend_is_wall_clock",
     "backend_param_help",

@@ -121,6 +121,10 @@ class AsyncEngine(KernelEngine):
 
     name = "async"
     time_source = TIME_WALL_CLOCK
+    summary = (
+        "wall-clock time + tail latencies: the kernel's loop in memory, "
+        "or asyncio with coalesced TCP frames (framing=json|binary)"
+    )
 
     def __init__(
         self,

@@ -1,13 +1,10 @@
-"""The execution-backend registry: every engine, described as data.
+"""The execution-backend table: every engine, by name.
 
-Before this module existed, "which backends are there" lived as string
-dispatch smeared across the harness builders, the orchestrator's parameter
-help text and the explorer.  Now there is exactly one table: each backend
-registers a :class:`BackendInfo` carrying its constructor, its time source
-(simulated vs wall-clock — see :mod:`repro.engine.services`), whether its
-schedule is deterministic, and a one-line summary the CLI help is generated
-from.  Everything above the engine layer asks this registry instead of
-hard-coding names:
+"Which backends are there" is this one table, :data:`BACKENDS`, mapping the
+``backend=`` axis value to its engine class.  Each class carries its own
+``time_source`` (simulated vs wall-clock — see :mod:`repro.engine.services`)
+and a one-line ``summary`` the CLI help is generated from.  Everything above
+the engine layer asks this module instead of hard-coding names:
 
 * :func:`~repro.harness.build_scenario` resolves ``backend="..."`` via :func:`create_engine`;
 * ``repro list`` / ``repro run --param backend=...`` help text comes from
@@ -18,10 +15,7 @@ hard-coding names:
 * experiments ask :func:`backend_is_wall_clock` to decide whether a
   delay-model bound is meaningful or must be skipped with a reason.
 
-Adding a backend is one :func:`register_backend` call — no other layer
-changes.
-
-Cluster service mode (:mod:`repro.cluster`) is deliberately *not* a registry
+Cluster service mode (:mod:`repro.cluster`) is deliberately *not* a table
 entry: backends here are in-process engines that run a scenario to
 completion and return a :class:`~repro.engine.api.RunResult`, while the
 cluster supervises long-lived OS processes with no run driver or stop
@@ -30,61 +24,27 @@ through ``python -m repro cluster ...`` rather than ``--param backend=``.
 """
 
 from __future__ import annotations
-from collections.abc import Callable
 
-from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.services import TIME_SOURCES, TIME_WALL_CLOCK
+from repro.engine.async_backend import AsyncEngine
+from repro.engine.kernel_backend import KernelEngine
+from repro.engine.services import TIME_WALL_CLOCK
+from repro.engine.turbo_backend import TurboEngine
+
+#: ``backend=`` name -> engine class, kernel (the reference) first.  Every
+#: class takes the shared ``(delay_model=, seed=, metrics=, **extra)``.
+BACKENDS: dict[str, type[TurboEngine]] = {
+    engine.name: engine for engine in (KernelEngine, TurboEngine, AsyncEngine)
+}
 
 
-@dataclass(frozen=True)
-class BackendInfo:
-    """One registered execution backend."""
-
-    #: Registry key (the ``backend=`` axis value).
-    name: str
-    #: Constructor accepting the shared signature
-    #: ``(delay_model=, seed=, metrics=, **extra)``.
-    factory: Callable[..., Any]
-    #: One of :data:`repro.engine.services.TIME_SOURCES`.
-    time_source: str
-    #: Whether a run is a pure function of (cores, seed, delay model, faults).
-    deterministic: bool
-    #: One-line description used in generated CLI help and docs.
-    summary: str
-
-    def __post_init__(self) -> None:
-        if self.time_source not in TIME_SOURCES:
-            raise ValueError(
-                f"backend {self.name!r} has unknown time source "
-                f"{self.time_source!r}; expected one of {TIME_SOURCES}"
-            )
-
-
-#: The registry, in registration order (kernel first — the reference).
-_BACKENDS: dict[str, BackendInfo] = {}
-
-
-def register_backend(info: BackendInfo) -> BackendInfo:
-    """Register a backend (refusing silent replacement of an existing name)."""
-    if info.name in _BACKENDS:
-        raise ValueError(f"backend {info.name!r} is already registered")
-    _BACKENDS[info.name] = info
-    return info
-
-
-def backend_names() -> tuple[str, ...]:
-    """All registered backend names, in registration order."""
-    return tuple(_BACKENDS)
-
-
-def get_backend(name: str) -> BackendInfo:
-    """Look up one backend; raise ``ValueError`` naming the known ones."""
+def get_backend(name: str) -> type[TurboEngine]:
+    """Look up one engine class; raise ``ValueError`` naming the known ones."""
     try:
-        return _BACKENDS[name]
+        return BACKENDS[name]
     except KeyError:
-        known = ", ".join(_BACKENDS)
+        known = ", ".join(BACKENDS)
         raise ValueError(f"unknown engine backend {name!r}; known: {known}") from None
 
 
@@ -101,66 +61,15 @@ def backend_is_wall_clock(name: str) -> bool:
 
 def backend_param_help() -> str:
     """The generated help text of the shared ``backend`` axis parameter."""
-    parts = [f"{info.name} ({info.summary})" for info in _BACKENDS.values()]
+    parts = [f"{name} ({engine.summary})" for name, engine in BACKENDS.items()]
     return "execution engine: " + " | ".join(parts)
 
 
-def create_engine(
-    backend: str = "kernel",
-    delay_model=None,
-    seed: int = 0,
-    metrics=None,
-    **extra: Any,
-):
+def create_engine(backend: str = "kernel", delay_model=None, seed: int = 0, metrics=None, **extra: Any):
     """Instantiate the named backend with the shared constructor signature.
 
     ``extra`` passes backend-specific options through (e.g. the async
     backend's ``transport=`` / ``time_scale=`` / ``framing=``); backends
     reject options they do not understand, so a typo fails loudly.
     """
-    info = get_backend(backend)
-    return info.factory(delay_model=delay_model, seed=seed, metrics=metrics, **extra)
-
-
-def _register_builtin_backends() -> None:
-    """Populate the registry with the in-tree backends.
-
-    Imports live here (not at module top) so the registry module stays
-    import-light and free of cycles: backends import
-    :mod:`repro.engine.services`, which must not drag every backend in.
-    """
-    from repro.engine.async_backend import AsyncEngine
-    from repro.engine.kernel_backend import KernelEngine
-    from repro.engine.turbo_backend import TurboEngine
-
-    register_backend(
-        BackendInfo(
-            name="kernel",
-            factory=KernelEngine,
-            time_source=KernelEngine.time_source,
-            deterministic=True,
-            summary="reference: turbo's schedule plus delivery log + full metrics",
-        )
-    )
-    register_backend(
-        BackendInfo(
-            name="turbo",
-            factory=TurboEngine,
-            time_source=TurboEngine.time_source,
-            deterministic=True,
-            summary="fast path: identical schedule, no per-message objects",
-        )
-    )
-    register_backend(
-        BackendInfo(
-            name="async",
-            factory=AsyncEngine,
-            time_source=AsyncEngine.time_source,
-            deterministic=False,
-            summary="wall-clock time + tail latencies: the kernel's loop in memory, "
-            "or asyncio with coalesced TCP frames (framing=json|binary)",
-        )
-    )
-
-
-_register_builtin_backends()
+    return get_backend(backend)(delay_model=delay_model, seed=seed, metrics=metrics, **extra)

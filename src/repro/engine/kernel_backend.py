@@ -43,6 +43,7 @@ class KernelEngine(TurboEngine):
     """Reference backend: turbo's loop, plus envelopes, full metrics and a delivery log."""
 
     name = "kernel"
+    summary = "reference: turbo's schedule plus delivery log + full metrics"
 
     def __init__(
         self,

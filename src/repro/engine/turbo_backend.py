@@ -88,6 +88,8 @@ class TurboEngine(EngineBase):
 
     name = "turbo"
     time_source = TIME_SIMULATED
+    #: One line of the generated ``backend`` help (:mod:`repro.engine.backends`).
+    summary = "fast path: identical schedule, no per-message objects"
     #: Delivery hook ``(entry, time)``, called before ``on_message``; ``None``
     #: here, the kernel backend's recording otherwise.
     _record_delivery: Callable[[tuple, float], None] | None = None

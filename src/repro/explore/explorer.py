@@ -7,9 +7,9 @@ One call to :func:`explore` is one fuzzing campaign:
 2. each spec becomes a ``SCENARIO`` :class:`~repro.orchestrator.jobs.JobSpec`
    and runs through the persistent worker pool — same process isolation,
    per-job timeouts and versioned job payloads as a sweep; finished
-   payloads stream out through ``sink`` (the CLI's JSONL shard writer) as
-   they complete, and ``completed`` feeds back shard records on
-   ``--resume`` so only the missing jobs execute;
+   payloads stream out to ``shard`` (the CLI's JSONL shard writer) as they
+   complete, and on ``--resume`` the same shard hands back its stored
+   records so only the missing jobs execute;
 3. every invariant violation is **replayed** in-process from its seed
    (confirming the determinism the reproducer story depends on) and then
    **shrunk** to a minimal spec with
@@ -49,6 +49,7 @@ from repro.explore.scenarios import ScenarioSampler, ScenarioSpec, run_scenario_
 from repro.explore.shrink import DEFAULT_MAX_PROBES, shrink_scenario
 from repro.orchestrator.jobs import JobSpec
 from repro.orchestrator.pool import JobResult, iter_job_results
+from repro.orchestrator.results import ShardWriter
 
 #: Default number of scenarios per campaign (mirrors the CLI default).
 DEFAULT_BUDGET = 25
@@ -138,25 +139,22 @@ def explore(
     batch: int = 0,
     menus: dict[str, tuple[str, ...]] | None = None,
     campaign_config: dict[str, Any] | None = None,
-    sink: Callable[[int, dict[str, Any]], None] | None = None,
-    completed: dict[int, dict[str, Any]] | None = None,
+    shard: ShardWriter | None = None,
 ) -> ExplorationReport:
     """Run one exploration campaign; see the module docstring for the shape.
 
-    ``sink`` receives ``(index, payload)`` for every *newly executed* job as
-    it completes — the CLI points it at the JSONL shard writer, so a crash
-    loses at most the in-flight jobs.  ``completed`` maps scenario indices
-    to job payloads recovered from a previous run's shard (``--resume``):
+    ``shard`` receives every *newly executed* job as it completes, so a
+    crash loses at most the in-flight jobs.  A shard opened for resume
+    hands back the payloads it already stores (:meth:`ShardWriter.reuse`):
     those scenarios are not re-executed, but their stored payloads still
     feed the coverage map in job order, so the feedback RNG stream — and
     therefore every later scenario — is identical to the uninterrupted run.
-    A ``completed`` payload whose key does not match the deterministic
-    re-expansion means the shard belongs to a different campaign; that
-    raises rather than silently mixing runs.
+    A stored record of a different job raises
+    :class:`~repro.orchestrator.results.ShardMismatch` rather than silently
+    mixing runs.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    completed = completed or {}
     coverage_map = CoverageMap() if coverage else None
     sampler = ScenarioSampler(seed=seed, mutant=mutant, coverage=coverage_map, menus=menus)
     # Without feedback, batching changes nothing — run one batch, which
@@ -180,22 +178,17 @@ def explore(
                 timeout_s=timeout_s,
                 index=base + offset,
             )
-            done = completed.get(job.index)
-            if done is not None:
-                if done.get("key") != job.key:
-                    raise ValueError(
-                        f"resume shard does not match this campaign: stored job "
-                        f"{done.get('key')!r} at index {job.index} vs expected {job.key!r}"
-                    )
-                chunk_results[offset] = JobResult(job=job, payload=done)
+            stored = shard.reuse(job.index, job.key) if shard is not None else None
+            if stored is not None:
+                chunk_results[offset] = JobResult(job=job, payload=stored)
             else:
                 pending.append(job)
                 pending_offsets.append(offset)
         for position, result in iter_job_results(pending, workers=workers):
             offset = pending_offsets[position]
             chunk_results[offset] = result
-            if sink is not None:
-                sink(base + offset, result.payload)
+            if shard is not None:
+                shard.append(base + offset, result.payload)
             if progress is not None:
                 progress(result)
         if coverage_map is not None:

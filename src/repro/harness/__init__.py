@@ -14,13 +14,13 @@ cluster fixed-rate arrivals on top of that path.
 :mod:`repro.harness.experiments` implements the per-table/figure experiment
 runners E1–E13 (E1–E10 regenerate the paper's claims; E11 ablation, E12
 partition-churn and E13 sharded/batched scaling are extensions);
-``python -m repro list`` prints each with its parameters, and the
-``benchmarks/`` directory contains one pytest-benchmark target per
-experiment.
+``@experiment`` registers each in :data:`EXPERIMENT_SPECS`, the one
+experiment table ``python -m repro list`` prints with its parameters and
+``python -m repro run``/``sweep`` execute.
 """
 
 from repro.harness.experiments import (
-    ALL_EXPERIMENTS,
+    EXPERIMENT_SPECS,
     run_ablation_experiment,
     run_baseline_comparison,
     run_breadth_experiment,
@@ -68,5 +68,5 @@ __all__ = [
     "run_ablation_experiment",
     "run_partition_churn_experiment",
     "run_shard_scaling_experiment",
-    "ALL_EXPERIMENTS",
+    "EXPERIMENT_SPECS",
 ]

@@ -19,11 +19,11 @@ Every runner is a body ``(sweep, **params)`` registered through
 :func:`experiment`: the decorator gives it the four axes all experiments
 share (``scheduler``, ``fault_plan``, ``backend``, ``quick``), hands the body
 a :class:`_Sweep` that threads them into every scenario it builds, and
-records the experiment in :data:`EXPERIMENTS` — the single list both
-:data:`ALL_EXPERIMENTS` and the orchestrator's spec table are generated from.
-``quick=True`` shrinks sweep ranges; the benchmark harness and the CI sweep
-use the quick settings so a full run stays in the minutes range, while the
-defaults give smoother curves.
+registers its :class:`ExperimentSpec` in :data:`EXPERIMENT_SPECS` — the one
+experiment table ``repro list``, sweep expansion and the worker pool read.
+``quick=True`` shrinks sweep ranges; the CI sweep uses the quick settings
+so a full run stays in the minutes range, while the defaults give smoother
+curves.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.byzantine.behaviors import (
     ValueInjectorProposer,
 )
 from repro.core.quorum import max_faults, required_processes
-from repro.engine.backends import backend_is_wall_clock
+from repro.engine.backends import backend_is_wall_clock, backend_param_help
 from repro.engine.delays import FixedDelay, SkewedPairDelay, UniformDelay
 from repro.explore.invariants import la_invariants
 from repro.harness.workloads import ScenarioResult, build_scenario, member_pids
@@ -59,7 +59,6 @@ from repro.metrics.report import fit_polynomial_order, format_table
 from repro.rsm.checker import check_rsm_history, collect_admissible_commands
 from repro.rsm.crdt import GCounterObject, GSetObject
 from repro.sim.axes import parse_fault_plan, parse_scheduler
-from repro.sim.faults import FaultPlan
 
 #: Reason recorded when a delay-model bound check is skipped.  The paper's
 #: latency bounds count *message delays* (simulated-time units with a unit
@@ -169,19 +168,129 @@ class _Sweep:
         }
 
 
+#: An experiment runner: keyword parameters in, the outcome dictionary out.
+Runner = Callable[..., dict[str, Any]]
+
+#: Parameter kinds the CLI knows how to parse from ``key=value`` strings.
+PARAM_PARSERS: dict[str, Callable[[str], Any]] = {
+    "int": int,
+    "float": float,
+    "bool": lambda text: text.lower() in ("1", "true", "yes", "on"),
+    "str": str,
+    "ints": lambda text: tuple(int(part) for part in text.split(",") if part),
+}
+
+#: Parameter kind by the type of its declared default.  A ``None`` default
+#: marks a sweep list (``sizes``, ``breadths``): the runner picks its own
+#: quick/full range unless a comma-separated override is given.
+_KIND_OF_DEFAULT = {int: "int", float: "float", bool: "bool", str: "str", type(None): "ints"}
+
+#: Help for the axes every experiment shares: which delay model drives
+#: delivery, which fault plan scripts the environment (string specs, see
+#: :mod:`repro.sim.axes`) and which engine backend executes the run — so a
+#: sweep can run the whole evaluation under adversarial schedules and
+#: crash/partition churn.  The backend menu and its help text come from the
+#: engine's backend table: a new backend shows up here without touching
+#: this module.
+_AXIS_HELP = {
+    "scheduler": "schedule override: delay | random[:spread=S] | "
+    "worst-case[:victims=p0+p1|quorum,starve=S,fast=F]",
+    "fault_plan": "fault script: churn | partition@A-B and crash:IDX@A-B terms joined with +",
+    "backend": backend_param_help(),
+}
+
+
 @dataclass(frozen=True)
-class Experiment:
-    """One registered experiment: what the CLI lists and the orchestrator runs."""
+class ParamSpec:
+    """One declared parameter of an experiment runner."""
+
+    name: str
+    kind: str  # key into PARAM_PARSERS
+    default: Any
+    help: str = ""
+
+    def parse(self, text: str) -> Any:
+        """Parse a CLI-supplied string into this parameter's type."""
+        try:
+            return PARAM_PARSERS[self.kind](text)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"bad value {text!r} for parameter {self.name} ({self.kind})") from exc
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """Uniform entry point for one experiment.
+
+    A declared parameter schema and one ``run(seed=..., quick=...,
+    **overrides)`` call returning the runner's verdict (``ok``), headline
+    and latency metrics — the fields the orchestrator persists and the
+    baseline comparison diffs.
+    """
 
     id: str
     title: str
-    runner: Callable[..., dict[str, Any]]
-    #: Parameter name -> help text (kinds and defaults come from the signature).
-    param_help: Mapping[str, str]
+    runner: Runner
+    params: tuple[ParamSpec, ...] = ()
+    #: The seed a job runs with when none is given (the runner's own default).
+    default_seed: int = 0
+    #: Specs hidden from ``repro list`` and excluded from default sweeps
+    #: (used for orchestrator self-tests, e.g. the sleep experiment).
+    hidden: bool = False
+
+    def param(self, name: str) -> ParamSpec | None:
+        for spec in self.params:
+            if spec.name == name:
+                return spec
+        return None
+
+    def coerce_params(self, overrides: Mapping[str, Any]) -> dict[str, Any]:
+        """Validate override names against the schema; reject unknown ones."""
+        coerced: dict[str, Any] = {}
+        for name, value in overrides.items():
+            spec = self.param(name)
+            if spec is None:
+                known = ", ".join(p.name for p in self.params) or "(none)"
+                raise ValueError(f"{self.id} has no parameter {name!r}; known: {known}")
+            coerced[name] = spec.parse(value) if isinstance(value, str) else value
+        return coerced
+
+    def run(self, seed: int | None = None, quick: bool = False, **overrides: Any) -> dict[str, Any]:
+        """Run the experiment with schema-checked overrides."""
+        kwargs = self.coerce_params(overrides)
+        kwargs["seed"] = self.default_seed if seed is None else seed
+        return self.runner(quick=quick, **kwargs)
 
 
-#: Every experiment, in registration (= report) order.
-EXPERIMENTS: list[Experiment] = []
+#: The experiment table: every experiment the orchestrator can run, by id,
+#: in registration (= report) order.  E1..E13 register below; the
+#: orchestrator adds its hidden ones (:mod:`repro.orchestrator.spec`).
+EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {}
+
+
+def register_experiment(
+    experiment_id: str, title: str, defaults: Mapping[str, Any] | None = None, hidden: bool = False, **param_help: str
+) -> Callable[[Runner], Runner]:
+    """Decorator: add ``runner``'s :class:`ExperimentSpec` to :data:`EXPERIMENT_SPECS`.
+
+    ``defaults`` (the runner's own signature when omitted) maps each
+    parameter to its default, whose type gives the parameter's kind.
+    ``seed`` becomes the spec's default seed and ``quick`` is no parameter:
+    every job carries both itself.  The runner is returned unchanged.
+    """
+    param_help = {**_AXIS_HELP, **param_help}
+
+    def register(runner: Runner) -> Runner:
+        declared = defaults or {name: p.default for name, p in inspect.signature(runner).parameters.items()}
+        params = tuple(
+            ParamSpec(name, _KIND_OF_DEFAULT[type(default)], default, param_help.get(name, ""))
+            for name, default in declared.items()
+            if name not in ("seed", "quick")
+        )
+        seed = declared.get("seed", 0)
+        EXPERIMENT_SPECS[experiment_id] = ExperimentSpec(experiment_id, title, runner, params, seed, hidden)
+        return runner
+
+    return register
 
 
 def experiment(experiment_id: str, title: str, backend: str = "kernel", **param_help: str):
@@ -189,10 +298,10 @@ def experiment(experiment_id: str, title: str, backend: str = "kernel", **param_
 
     The public runner accepts the body's own parameters plus the shared
     ``scheduler``/``fault_plan``/``backend``/``quick`` axes (``backend``
-    defaulting as given here) and advertises exactly that signature.
+    defaulting as given here).
     """
 
-    def register(body: Callable[..., dict[str, Any]]) -> Callable[..., dict[str, Any]]:
+    def register(body: Runner) -> Runner:
         @functools.wraps(body)
         def runner(
             *args: Any,
@@ -206,10 +315,8 @@ def experiment(experiment_id: str, title: str, backend: str = "kernel", **param_
             return body(sweep, *args, **params)
 
         own = list(inspect.signature(body).parameters.values())[1:]
-        axes = inspect.signature(runner, follow_wrapped=False).parameters.values()
-        runner.__signature__ = inspect.Signature(own + [axis for axis in axes if axis.kind is axis.KEYWORD_ONLY])
-        EXPERIMENTS.append(Experiment(experiment_id, title, runner, param_help))
-        return runner
+        defaults = {p.name: p.default for p in own} | {"scheduler": "", "fault_plan": "", "backend": backend}
+        return register_experiment(experiment_id, title, defaults, **param_help)(runner)
 
     return register
 
@@ -895,21 +1002,16 @@ def run_partition_churn_experiment(sweep: _Sweep, f: int = 1, rounds: int = 4, s
     and all decisions pairwise comparable, with the decision times strictly
     ordered calm < churn < worst-case.
 
+    The churn script is the ``churn`` preset of :mod:`repro.sim.axes`;
     ``examples/partition_churn.py`` narrates the same scenario with the
-    fault plan built by hand — keep the timing constants in sync.
+    fault plan built by hand.
     """
     if f < 1:
         raise ValueError("partition churn needs f >= 1 (n >= 4) to have groups to split")
     n = required_processes(f)
     pids = member_pids(n)
     correct = pids[: n - f]
-    half = max(1, n // 2)
-    plan = (
-        FaultPlan()
-        .partition(pids[:half], pids[half:], at=3.0, heal_at=18.0)
-        .crash(correct[1 % len(correct)], at=20.0, recover_at=30.0)
-        .crash(correct[-1], at=32.0, recover_at=42.0)
-    )
+    plan = parse_fault_plan("churn", pids=pids, correct=correct)
     # The orchestrator's axis params replace this experiment's built-in churn
     # ingredients (rather than stacking on top of them): a custom fault plan
     # substitutes for the scripted churn, a custom schedule for the built-in
@@ -1174,7 +1276,3 @@ def run_shard_scaling_experiment(sweep: _Sweep, seed: int = 41) -> dict[str, Any
         batch_speedup=batch_speedup,
         shard_scaleup=shard_scaleup,
     )
-
-
-#: ``id -> runner``, for the CLI example and documentation generation.
-ALL_EXPERIMENTS: dict[str, Callable[..., dict[str, Any]]] = {entry.id: entry.runner for entry in EXPERIMENTS}

@@ -3,9 +3,10 @@
 The orchestrator turns the experiment runners of :mod:`repro.harness` into a
 batch-processing pipeline:
 
-* :mod:`repro.orchestrator.spec` — one :class:`ExperimentSpec` per experiment
-  (E1–E12): a uniform entry point with a declared parameter schema instead of
-  ad-hoc kwargs, plus the verdict/headline extraction the runners expose.
+* :mod:`repro.orchestrator.spec` — lookups over the experiment table
+  (one :class:`ExperimentSpec` per experiment, registered by
+  :mod:`repro.harness.experiments`: a uniform entry point with a declared
+  parameter schema) plus the hidden explorer and self-test entries.
 * :mod:`repro.orchestrator.jobs` — declarative :class:`SweepSpec` expansion
   into independent :class:`JobSpec` units (experiments x seeds x param grid).
 * :mod:`repro.orchestrator.pool` — execution: inline for one worker, a
@@ -30,7 +31,6 @@ from repro.orchestrator.results import (
     canonicalize_payload,
     load_payload,
     validate_run_payload,
-    write_run_payload,
 )
 from repro.orchestrator.spec import EXPERIMENT_SPECS, ExperimentSpec, ParamSpec, get_spec
 
@@ -48,7 +48,6 @@ __all__ = [
     "canonicalize_payload",
     "load_payload",
     "validate_run_payload",
-    "write_run_payload",
     "EXPERIMENT_SPECS",
     "ExperimentSpec",
     "ParamSpec",

@@ -24,7 +24,7 @@ artifact at the end; ``--resume`` keeps the shard's completed records and
 runs only the missing jobs, producing a byte-identical canonical artifact.
 
 ``--param KEY=VALUE`` (repeatable, on ``run`` and ``sweep``) overrides any
-parameter an experiment declares; since the backend registry landed, every
+parameter an experiment declares; through the engine's backend table, every
 scenario-driven experiment exposes the shared ``backend`` axis
 (``kernel`` | ``turbo`` | ``async`` — help text is generated from
 :func:`repro.engine.backends.backend_param_help`), and the async backend
@@ -38,6 +38,7 @@ experiment, bad parameter).
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 import time
 from collections.abc import Sequence
@@ -54,18 +55,17 @@ from repro.orchestrator.jobs import JobSpec, SweepSpec, expand_sweep
 from repro.orchestrator.pool import JobResult, iter_job_results, payload_from_outcome
 from repro.orchestrator.results import (
     ShardIndex,
+    ShardMismatch,
     ShardWriter,
-    build_run_payload,
+    StreamingRunWriter,
     default_results_path,
     iter_shard_records,
-    jsonable,
     load_payload,
     rollup_shard,
     shard_path_for,
     validate_job_payload,
     validate_run_payload,
     validate_shard,
-    write_run_payload,
 )
 from repro.orchestrator.spec import EXPERIMENT_SPECS, get_spec, visible_experiment_ids
 
@@ -168,6 +168,18 @@ def _resolve_specs(experiment_ids: Sequence[str] | None) -> list[str]:
     return list(experiment_ids)
 
 
+def _open_shard(
+    shard_path: pathlib.Path, tag: str, config: dict[str, Any], resume: bool
+) -> ShardWriter | int:
+    """Open a run's JSONL shard, or the exit code when ``--resume`` cannot:
+    1 for an unreadable (corrupt) shard, 2 for another run's shard."""
+    try:
+        return ShardWriter(shard_path, tag=tag, config=config, fresh=not resume)
+    except ValueError as exc:
+        print(f"cannot resume from {shard_path}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ShardMismatch) else 1
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     [experiment_id] = _resolve_specs([args.experiment])
     spec = get_spec(experiment_id)
@@ -188,14 +200,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             params=tuple(sorted(overrides.items())),
             quick=args.quick,
         )
-        payload = build_run_payload(
+        writer = StreamingRunWriter(
+            args.json,
             tag=f"run-{experiment_id}",
             config={"experiments": [experiment_id], "seeds": [seed], "quick": args.quick},
-            job_payloads=[payload_from_outcome(job, outcome, elapsed)],
-            wall_time_s=elapsed,
             workers=1,
         )
-        write_run_payload(payload, args.json)
+        writer.add_job(payload_from_outcome(job, outcome, elapsed))
+        writer.close(wall_time_s=elapsed)
         print(f"wrote {args.json}")
     return 0 if outcome.get("ok", True) else 1
 
@@ -227,32 +239,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     path = args.out or default_results_path(tag)
     shard_path = shard_path_for(path)
 
-    # --resume: reuse every shard record whose (index, key) matches the
-    # deterministic re-expansion; everything else runs again.  The shard
-    # header's config guards against resuming a different sweep onto the
-    # same tag.
-    reused: dict[int, dict[str, Any]] = {}
-    resuming = bool(args.resume and shard_path.exists())
-    if resuming:
-        try:
-            index = ShardIndex(shard_path)
-        except ValueError as exc:
-            print(f"cannot resume from {shard_path}: {exc}", file=sys.stderr)
-            return 1
-        header_config = (index.header or {}).get("config")
-        if header_config != jsonable(config):
-            print(f"cannot resume from {shard_path}: its config does not match "
-                  f"this sweep (same tag, different --only/--seeds/--param/--quick?)",
-                  file=sys.stderr)
-            return 2
+    writer = _open_shard(shard_path, tag, config, args.resume)
+    if isinstance(writer, int):
+        return writer
+    totals = {"ok": 0, "check_failed": 0, "timeout": 0, "error": 0}
+    failed: list[str] = []
+
+    def account(key: str, payload: dict[str, Any]) -> None:
+        totals[payload["status"]] = totals.get(payload["status"], 0) + 1
+        if payload["status"] != "ok":
+            error = payload.get("error")
+            detail = f": {str(error).strip().splitlines()[-1]}" if error else ""
+            failed.append(f"FAILED {key} [{payload['status']}]{detail}")
+
+    # --resume: a job whose record the shard stores is not run again.
+    pending: list[JobSpec] = []
+    try:
         for job in jobs:
-            if job.index in index and index.key_of(job.index) == job.key:
-                reused[job.index] = index.get(job.index)
-    pending = [job for job in jobs if job.index not in reused]
+            payload = writer.reuse(job.index, job.key)
+            if payload is None:
+                pending.append(job)
+            else:
+                account(job.key, payload)
+    except ShardMismatch as exc:
+        writer.close()
+        print(f"cannot resume from {shard_path}: {exc}", file=sys.stderr)
+        return 2
 
     print(f"sweep: {len(jobs)} jobs across {len(experiments)} experiments, "
           f"{args.workers} worker(s)"
-          + (f" ({len(reused)} reused from {shard_path})" if reused else ""))
+          + (f" ({writer.reused} reused from {shard_path})" if writer.reused else ""))
 
     def report_progress(result: JobResult) -> None:
         marker = {"ok": "ok", "check_failed": "CHECK FAILED"}.get(
@@ -265,24 +281,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(format_table(data["headers"], data["rows"]))
 
     meter = ProgressMeter(
-        total=len(jobs), label="sweep", enabled=args.progress, already_done=len(reused)
+        total=len(jobs), label="sweep", enabled=args.progress, already_done=writer.reused
     )
-    totals = {"ok": 0, "check_failed": 0, "timeout": 0, "error": 0}
-    failed: list[str] = []
-
-    def account(key: str, payload: dict[str, Any]) -> None:
-        totals[payload["status"]] = totals.get(payload["status"], 0) + 1
-        if payload["status"] != "ok":
-            error = payload.get("error")
-            detail = f": {str(error).strip().splitlines()[-1]}" if error else ""
-            failed.append(f"FAILED {key} [{payload['status']}]{detail}")
-
-    for job in jobs:
-        if job.index in reused:
-            account(job.key, reused[job.index])
 
     started = time.perf_counter()
-    with ShardWriter(shard_path, tag=tag, config=config, fresh=not resuming) as writer:
+    with writer:
         for _position, result in iter_job_results(pending, workers=args.workers):
             writer.append(result.job.index, result.payload)
             account(result.job.key, result.payload)
@@ -293,7 +296,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rollup_shard(
         ShardIndex(shard_path), path, tag=tag, config=config,
         job_count=len(jobs), wall_time_s=wall_time, workers=args.workers,
-        resumed=len(reused),
+        resumed=writer.reused,
     )
 
     print(f"\n{len(jobs)} jobs: {totals['ok']} ok, {totals['check_failed']} check-failed, "
@@ -343,12 +346,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     print(f"explore: {budget} scenarios from seed {seed}{notes}, "
           f"{args.workers} worker(s)")
 
-    def report_progress(result: JobResult) -> None:
-        marker = {"ok": "ok", "check_failed": "VIOLATION"}.get(
-            result.status, result.status.upper()
-        )
-        print(f"  [{marker:>12}] {result.job.key}  ({result.payload['wall_time_s']:.1f}s)")
-
     tag = args.tag or (f"explore-{campaign.name}" if campaign else f"explore-{seed}")
     path = args.out or default_results_path(tag)
     shard_path = shard_path_for(path)
@@ -361,37 +358,26 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         "coverage": coverage, "batch": batch,
         "campaign": campaign.to_config() if campaign else None,
     }
-    completed: dict[int, dict[str, Any]] = {}
-    resuming = bool(args.resume and shard_path.exists())
-    if resuming:
-        try:
-            index = ShardIndex(shard_path)
-        except ValueError as exc:
-            print(f"cannot resume from {shard_path}: {exc}", file=sys.stderr)
-            return 1
-        header_config = (index.header or {}).get("config")
-        if header_config != jsonable(inputs):
-            print(f"cannot resume from {shard_path}: its config does not match "
-                  f"this campaign (same tag, different seed/budget/flags?)",
-                  file=sys.stderr)
-            return 2
-        for position in index.indices():
-            if 0 <= position < budget:
-                completed[position] = index.get(position)
-        if completed:
-            print(f"resuming: {len(completed)} of {budget} scenarios "
-                  f"reused from {shard_path}")
+    writer = _open_shard(shard_path, tag, inputs, args.resume)
+    if isinstance(writer, int):
+        return writer
+    # The header config pins the budget, so every stored record is reusable.
+    stored = len(writer.stored or ())
+    if stored:
+        print(f"resuming: {stored} of {budget} scenarios reused from {shard_path}")
 
     meter = ProgressMeter(
-        total=budget, label="explore", enabled=args.progress, already_done=len(completed)
+        total=budget, label="explore", enabled=args.progress, already_done=stored
     )
-    started = time.perf_counter()
-    writer = ShardWriter(shard_path, tag=tag, config=inputs, fresh=not resuming)
 
-    def sink(position: int, payload: dict[str, Any]) -> None:
-        writer.append(position, payload)
+    def report_progress(result: JobResult) -> None:
         meter.tick()
+        marker = {"ok": "ok", "check_failed": "VIOLATION"}.get(
+            result.status, result.status.upper()
+        )
+        print(f"  [{marker:>12}] {result.job.key}  ({result.payload['wall_time_s']:.1f}s)")
 
+    started = time.perf_counter()
     try:
         report = explore(
             budget=budget,
@@ -405,12 +391,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             batch=batch,
             menus=campaign.menus() if campaign else None,
             campaign_config=campaign.to_config() if campaign else None,
-            sink=sink,
-            completed=completed,
+            shard=writer,
         )
     except ValueError as exc:  # bad budget/mutant/menus, or a mismatched shard
         writer.close()
-        if not resuming and writer.written == 0:
+        if writer.stored is None and writer.written == 0:
             shard_path.unlink(missing_ok=True)  # nothing useful was persisted
         print(exc, file=sys.stderr)
         return 2
@@ -427,7 +412,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     rollup_shard(
         ShardIndex(shard_path), path, tag=tag, config=config,
         job_count=budget, wall_time_s=wall_time, workers=args.workers,
-        resumed=len(completed),
+        resumed=writer.reused,
     )
 
     print(f"\n{len(report.results)} scenarios: {len(report.violations)} invariant "

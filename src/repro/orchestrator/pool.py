@@ -92,7 +92,7 @@ def _base_payload(job: JobSpec, status: str, wall_time_s: float, error: str | No
         # repro-results/v3: whether the job's latency metrics are
         # deterministic simulated-time units (safe to gate regressions on)
         # or wall-clock measurements (informational only) — resolved from
-        # the engine's backend registry.  A job spec naming an unknown
+        # the engine's backend table.  A job spec naming an unknown
         # backend still needs an error payload, so fall back to simulated.
         "time_source": _safe_time_source(backend),
         # repro-results/v4: wall-clock decision-latency histogram (the

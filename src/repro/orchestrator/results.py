@@ -293,17 +293,6 @@ def default_results_path(tag: str, results_dir: str = "results") -> pathlib.Path
     return pathlib.Path(results_dir) / f"run-{tag}.json"
 
 
-def write_run_payload(payload: dict[str, Any], path: pathlib.Path) -> pathlib.Path:
-    """Validate and write one artifact (refuses to persist malformed data)."""
-    problems = validate_run_payload(payload)
-    if problems:
-        raise ValueError("refusing to write invalid results payload: " + "; ".join(problems))
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def load_payload(path: pathlib.Path) -> dict[str, Any]:
     with open(path) as handle:
         return json.load(handle)
@@ -333,13 +322,22 @@ def shard_path_for(artifact_path: pathlib.Path | str) -> pathlib.Path:
     return path.with_name(f"{stem}.jobs.jsonl")
 
 
+class ShardMismatch(ValueError):
+    """A shard opened for resume belongs to another run (a usage error)."""
+
+
 class ShardWriter:
     """Append-only JSONL shard: one flushed line per finished job.
 
     Each ``append`` is written, flushed and fsync'd before returning, so a
     SIGKILL between jobs loses nothing and a SIGKILL mid-write leaves at
     most one torn final line — which :func:`iter_shard_records` tolerates.
-    Opened in append mode so ``--resume`` extends a partial shard in place.
+
+    ``fresh=False`` opens an existing shard for resume, and this class is
+    the one place the resume rule lives: the shard's header config must
+    equal this run's (else :class:`ShardMismatch`); a corrupt shard raises
+    ``ValueError`` while opening; the torn tail is truncated and new records
+    append in place; and :meth:`reuse` hands back each stored job payload.
     """
 
     def __init__(
@@ -351,14 +349,23 @@ class ShardWriter:
     ) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if fresh and self.path.exists():
-            self.path.unlink()
-        if not fresh and self.path.exists():
-            self._truncate_torn_tail()
-        write_header = fresh or not self.path.exists() or self.path.stat().st_size == 0
-        self._handle = open(self.path, "a")
+        #: The records of the shard being resumed (``None`` for a fresh one).
+        self.stored: ShardIndex | None = None
+        #: How many stored payloads :meth:`reuse` handed back.
+        self.reused = 0
         self.written = 0
-        if write_header:
+        if fresh:
+            self.path.unlink(missing_ok=True)
+        elif self.path.exists():
+            self.stored = ShardIndex(self.path)
+            if (self.stored.header or {}).get("config") != jsonable(config):
+                raise ShardMismatch(
+                    "its config does not match this run (same tag, different "
+                    "experiments, seeds, parameters or flags?)"
+                )
+            self._truncate_torn_tail()
+        self._handle = open(self.path, "a")
+        if self.stored is None:
             self._write_line(
                 {
                     "schema": SHARD_SCHEMA_VERSION,
@@ -381,6 +388,24 @@ class ShardWriter:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
+    def reuse(self, index: int, key: str) -> dict[str, Any] | None:
+        """The stored payload of job ``index``, or ``None`` if it must run.
+
+        A stored record of a *different* job at that index means the shard
+        belongs to another run: that raises :class:`ShardMismatch` rather
+        than silently mixing runs.
+        """
+        if self.stored is None or index not in self.stored:
+            return None
+        stored_key = self.stored.key_of(index)
+        if stored_key != key:
+            raise ShardMismatch(
+                f"resume shard does not match this run: stored job {stored_key!r} "
+                f"at index {index} vs expected {key!r}"
+            )
+        self.reused += 1
+        return self.stored.get(index)
+
     def append(self, index: int, payload: dict[str, Any]) -> None:
         """Persist one finished job payload under its deterministic index."""
         problems = validate_job_payload(payload, f"jobs[{index}]")
@@ -399,32 +424,44 @@ class ShardWriter:
         self.close()
 
 
-def iter_shard_records(path: pathlib.Path | str) -> Iterator[dict[str, Any]]:
-    """Yield every complete record of a shard (header first, if present).
+def _shard_lines(path: pathlib.Path | str) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield ``(byte offset, record)`` for every complete line of a shard.
 
-    A torn final line — the signature of a supervisor killed mid-write — is
-    silently dropped; a malformed line *followed by more data* is corruption
-    and raises, because nothing legitimate produces it.
+    The one shard line reader.  A torn final line — the signature of a
+    supervisor killed mid-write, so any line without its newline — is
+    silently dropped (and truncated away by a resuming :class:`ShardWriter`);
+    a malformed line *followed by more data* is corruption and raises,
+    because nothing legitimate produces it.
     """
-    with open(path) as handle:
-        pending_error: tuple[int, str] | None = None
+    with open(path, "rb") as handle:
+        offset = 0
+        bad: tuple[int, bytes] | None = None
         for number, line in enumerate(handle, start=1):
-            if pending_error is not None:
-                bad_number, bad_line = pending_error
+            start, offset = offset, offset + len(line)
+            if not line.strip():
+                continue
+            if bad is not None:
+                bad_number, bad_line = bad
                 raise ValueError(
                     f"{path}: line {bad_number} is not valid JSON but is not the "
                     f"final line — the shard is corrupt, not merely torn: {bad_line[:80]!r}"
                 )
-            if not line.strip():
-                continue
+            if not line.endswith(b"\n"):
+                return
             try:
                 record = json.loads(line)
             except ValueError:
-                pending_error = (number, line)
+                bad = (number, line)
                 continue
             if not isinstance(record, dict):
                 raise ValueError(f"{path}: line {number} is not an object")
-            yield record
+            yield start, record
+
+
+def iter_shard_records(path: pathlib.Path | str) -> Iterator[dict[str, Any]]:
+    """Yield every complete record of a shard (header first, if present)."""
+    for _offset, record in _shard_lines(path):
+        yield record
 
 
 class ShardIndex:
@@ -441,31 +478,14 @@ class ShardIndex:
         #: job index -> (byte offset, job key); later records win, so a
         #: shard that somehow recorded a job twice resolves to the newest.
         self._offsets: dict[int, tuple[int, str]] = {}
-        with open(self.path) as handle:
-            while True:
-                offset = handle.tell()
-                line = handle.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    # A torn final line is a crash artifact; a bad line with
-                    # data after it is corruption.
-                    if handle.read().strip():
-                        raise ValueError(
-                            f"{self.path}: corrupt non-final shard line at offset {offset}"
-                        ) from None
-                    break
-                if record.get("schema") == SHARD_SCHEMA_VERSION:
-                    self.header = record
-                else:
-                    index = record.get(_SHARD_INDEX_FIELD)
-                    if not isinstance(index, int):
-                        raise ValueError(f"{self.path}: job record without an integer index")
-                    self._offsets[index] = (offset, str(record.get("key")))
+        for offset, record in _shard_lines(self.path):
+            if record.get("schema") == SHARD_SCHEMA_VERSION:
+                self.header = record
+                continue
+            index = record.get(_SHARD_INDEX_FIELD)
+            if not isinstance(index, int):
+                raise ValueError(f"{self.path}: job record without an integer index")
+            self._offsets[index] = (offset, str(record.get("key")))
 
     def __len__(self) -> int:
         return len(self._offsets)
@@ -484,7 +504,7 @@ class ShardIndex:
     def get(self, index: int) -> dict[str, Any]:
         """Load one job payload (the ``index`` envelope field stripped)."""
         offset, _key = self._offsets[index]
-        with open(self.path) as handle:
+        with open(self.path, "rb") as handle:
             handle.seek(offset)
             record = json.loads(handle.readline())
         record.pop(_SHARD_INDEX_FIELD, None)
@@ -520,11 +540,8 @@ def validate_shard(path: pathlib.Path | str) -> tuple[list[str], int, bool]:
         problems.append("shard carries no header and no complete job records")
     # Torn == the file does not end with a newline-terminated line that
     # parsed; iter_shard_records already dropped it, so detect via raw tail.
-    torn = False
     raw = pathlib.Path(path).read_bytes()
-    if raw and not raw.endswith(b"\n"):
-        torn = True
-    return problems, jobs, torn
+    return problems, jobs, bool(raw) and not raw.endswith(b"\n")
 
 
 # ---------------------------------------------------------------------------

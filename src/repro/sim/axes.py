@@ -55,8 +55,7 @@ _NO_SCHEDULER = ("", "delay", "default")
 #: Spec strings meaning "no fault plan".
 _NO_FAULT_PLAN = ("", "none")
 
-#: The churn preset mirrors E12 / ``examples/partition_churn.py``: keep the
-#: timing constants in sync with ``run_partition_churn_experiment``.
+#: The churn preset: E12's built-in churn script (``run_partition_churn_experiment``).
 CHURN_PRESET = "partition@3-18+crash:1@20-30+crash:-1@32-42"
 
 

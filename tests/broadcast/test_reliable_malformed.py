@@ -20,6 +20,8 @@ MEMBERS = ["p0", "p1", "p2", "p3"]
 MALFORMED = {
     "echo-list-value": RBEcho(origin="p3", tag=("ack", 0, 0, "p1"), value=[1]),
     "init-list-tag": RBInit(origin="p3", tag=["x"], value=frozenset({"v"})),
+    # Echoing it would cost n^2 echoes that every receiver drops.
+    "init-list-value": RBInit(origin="p3", tag=("disclosure",), value=[1]),
     "ready-dict-origin": RBReady(origin={}, tag=("disclosure", 0), value=frozenset({"v"})),
 }
 

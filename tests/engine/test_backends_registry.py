@@ -1,96 +1,56 @@
-"""The backend registry and engine services (clocks, time sources)."""
+"""The backend table and engine services (clocks, time sources)."""
 
 import pytest
 
 from repro.engine import (
+    BACKENDS,
     TIME_SIMULATED,
+    TIME_SOURCES,
     TIME_WALL_CLOCK,
     AsyncEngine,
-    BackendInfo,
     KernelEngine,
     SimulatedClock,
     TurboEngine,
     WallClock,
     backend_is_wall_clock,
-    backend_names,
     backend_param_help,
     backend_time_source,
     create_engine,
     get_backend,
-    register_backend,
 )
-from repro.engine import backends as backends_module
 
 
 class TestRegistry:
-    def test_builtin_backends_are_registered_in_order(self):
-        assert backend_names() == ("kernel", "turbo", "async")
-
-    def test_lookup_returns_rich_info(self):
-        info = get_backend("kernel")
-        assert info.factory is KernelEngine
-        assert info.time_source == TIME_SIMULATED
-        assert info.deterministic
-        assert get_backend("turbo").factory is TurboEngine
-        async_info = get_backend("async")
-        assert async_info.factory is AsyncEngine
-        assert async_info.time_source == TIME_WALL_CLOCK
-        assert not async_info.deterministic
+    def test_table_maps_names_to_engine_classes_in_order(self):
+        assert BACKENDS == {"kernel": KernelEngine, "turbo": TurboEngine, "async": AsyncEngine}
+        assert list(BACKENDS) == ["kernel", "turbo", "async"]
+        for name, engine in BACKENDS.items():
+            assert engine.name == name
+            assert engine.time_source in TIME_SOURCES
+        assert get_backend("turbo") is TurboEngine
 
     def test_unknown_backend_names_the_known_ones(self):
-        with pytest.raises(ValueError, match="unknown engine backend 'warp'.*kernel"):
+        message = "unknown engine backend 'warp'; known: kernel, turbo, async"
+        with pytest.raises(ValueError) as raised:
             get_backend("warp")
-        with pytest.raises(ValueError, match="unknown engine backend"):
+        assert str(raised.value) == message
+        with pytest.raises(ValueError, match="unknown engine backend 'warp'"):
             create_engine("warp")
 
     def test_time_source_helpers(self):
-        assert backend_time_source("kernel") == "simulated"
-        assert backend_time_source("async") == "wall-clock"
+        assert backend_time_source("kernel") == TIME_SIMULATED
+        assert backend_time_source("async") == TIME_WALL_CLOCK
         assert not backend_is_wall_clock("turbo")
         assert backend_is_wall_clock("async")
 
     def test_param_help_is_generated_from_the_registry(self):
-        help_text = backend_param_help()
-        for name in backend_names():
-            assert name in help_text
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(
-                BackendInfo(
-                    name="kernel",
-                    factory=KernelEngine,
-                    time_source=TIME_SIMULATED,
-                    deterministic=True,
-                    summary="imposter",
-                )
-            )
-
-    def test_bad_time_source_rejected_at_registration(self):
-        with pytest.raises(ValueError, match="unknown time source"):
-            BackendInfo(
-                name="x",
-                factory=KernelEngine,
-                time_source="lunar",
-                deterministic=True,
-                summary="",
-            )
-
-    def test_custom_backend_registration_roundtrip(self):
-        register_backend(
-            BackendInfo(
-                name="test-only",
-                factory=KernelEngine,
-                time_source=TIME_SIMULATED,
-                deterministic=True,
-                summary="registered by a test",
-            )
+        assert backend_param_help() == (
+            "execution engine: "
+            "kernel (reference: turbo's schedule plus delivery log + full metrics) | "
+            "turbo (fast path: identical schedule, no per-message objects) | "
+            "async (wall-clock time + tail latencies: the kernel's loop in memory, "
+            "or asyncio with coalesced TCP frames (framing=json|binary))"
         )
-        try:
-            assert create_engine("test-only").name == "kernel"
-            assert "test-only" in backend_param_help()
-        finally:
-            del backends_module._BACKENDS["test-only"]
 
     def test_create_engine_passes_backend_specific_extras(self):
         engine = create_engine("async", transport="tcp", time_scale=0.5)

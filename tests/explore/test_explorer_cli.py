@@ -188,6 +188,18 @@ class TestStreamedCampaigns:
         assert status == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_resume_over_a_corrupt_shard_exits_1(self, tmp_path, capsys):
+        from repro.orchestrator.results import shard_path_for
+
+        artifact = tmp_path / "c.json"
+        assert main([*self.COVERAGE_ARGS, "--tag", "c", "--out", str(artifact)]) == 0
+        shard = shard_path_for(artifact)
+        lines = shard.read_text().splitlines(keepends=True)
+        shard.write_text("".join(lines[:3]) + "GARBAGE\n" + "".join(lines[3:]))
+        status = main([*self.COVERAGE_ARGS, "--tag", "c", "--out", str(artifact), "--resume"])
+        assert status == 1
+        assert "corrupt" in capsys.readouterr().err
+
     def test_campaign_shard_validates_alongside_the_artifact(self, tmp_path, capsys):
         from repro.orchestrator.results import shard_path_for
 

@@ -2,7 +2,7 @@
 
 
 from repro.harness import (
-    ALL_EXPERIMENTS,
+    EXPERIMENT_SPECS,
     run_baseline_comparison,
     run_breadth_experiment,
     run_chain_experiment,
@@ -16,7 +16,8 @@ from repro.harness import (
 
 class TestRegistry:
     def test_all_experiments_registered(self):
-        assert set(ALL_EXPERIMENTS) == {f"E{i}" for i in range(1, 14)}
+        visible = {spec.id for spec in EXPERIMENT_SPECS.values() if not spec.hidden}
+        assert visible == {f"E{i}" for i in range(1, 14)}
 
     def test_every_outcome_has_table_and_expected(self):
         outcome = run_chain_experiment(quick=True)

@@ -48,6 +48,15 @@ class TestRun:
         assert payload["schema"] == RESULTS_SCHEMA_VERSION
         assert payload["jobs"][0]["experiment"] == "E1"
 
+    def test_run_json_artifact_is_the_canonical_dump_and_validates(self, tmp_path, capsys):
+        artifact = tmp_path / "run-one.json"
+        assert main(["run", "E1", "--quick", "--json", str(artifact)]) == 0
+        with open(artifact) as handle:
+            expected = json.dumps(json.load(handle), indent=2, sort_keys=True) + "\n"
+        assert artifact.read_text() == expected
+        assert main(["validate", str(artifact)]) == 0
+        assert "valid repro-results/v6 artifact with 1 job(s)" in capsys.readouterr().out
+
 
 class TestSweep:
     def test_quick_sweep_writes_valid_artifact(self, tmp_path, capsys):

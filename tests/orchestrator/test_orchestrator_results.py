@@ -1,7 +1,5 @@
 """Result artifacts: jsonable conversion, schema validation, canonical form."""
 
-import json
-
 import pytest
 
 from repro.core.spec import LACheckResult
@@ -12,9 +10,7 @@ from repro.orchestrator.results import (
     build_run_payload,
     canonicalize_payload,
     jsonable,
-    load_payload,
     validate_run_payload,
-    write_run_payload,
 )
 
 
@@ -190,19 +186,6 @@ class TestValidation:
 
 
 class TestRoundTrip:
-    def test_write_then_load(self, tmp_path):
-        path = tmp_path / "run-x.json"
-        payload = _payload()
-        write_run_payload(payload, path)
-        assert load_payload(path) == json.loads(json.dumps(payload))
-
-    def test_write_refuses_invalid_payloads(self, tmp_path):
-        payload = _payload()
-        payload["jobs"][0]["status"] = "exploded"
-        with pytest.raises(ValueError, match="refusing to write"):
-            write_run_payload(payload, tmp_path / "run-bad.json")
-        assert not (tmp_path / "run-bad.json").exists()
-
     def test_schema_version_recorded(self):
         assert _payload()["schema"] == RESULTS_SCHEMA_VERSION
 
@@ -260,8 +243,3 @@ class TestValidatorNegativePaths:
         payload["jobs"][0]["latency"] = {"sneaky": True}
         assert any("must be numeric" in p for p in validate_run_payload(payload))
 
-    def test_write_refuses_invalid_payloads(self, tmp_path):
-        payload = _payload()
-        payload["jobs"][0]["status"] = "exploded"
-        with pytest.raises(ValueError, match="refusing to write"):
-            write_run_payload(payload, tmp_path / "bad.json")

@@ -1,14 +1,15 @@
-"""ExperimentSpec registry: schemas, coercion, uniform entry points."""
+"""The experiment table: schemas, coercion, uniform entry points."""
 
 import pytest
 
-from repro.harness import ALL_EXPERIMENTS
+from repro.harness import run_chain_experiment
 from repro.orchestrator.spec import EXPERIMENT_SPECS, get_spec, visible_experiment_ids
 
 
 class TestRegistry:
     def test_every_experiment_has_a_spec(self):
-        assert set(visible_experiment_ids()) == set(ALL_EXPERIMENTS)
+        assert set(visible_experiment_ids()) == {f"E{i}" for i in range(1, 14)}
+        assert get_spec("E1").runner is run_chain_experiment
 
     def test_registry_preserves_experiment_order(self):
         assert list(visible_experiment_ids()) == [f"E{i}" for i in range(1, 14)]
@@ -48,7 +49,7 @@ class TestParamSchema:
 class TestUniformRun:
     def test_run_uses_default_seed_when_unset(self):
         outcome = get_spec("E1").run(quick=True)
-        reference = ALL_EXPERIMENTS["E1"](seed=11, quick=True)
+        reference = run_chain_experiment(seed=11, quick=True)
         assert outcome["rows"] == reference["rows"]
 
     def test_run_with_override(self):

@@ -252,6 +252,46 @@ class TestSweepResume:
         assert status == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_resume_over_another_jobs_record_exits_2(self, tmp_path, capsys):
+        status, artifact = self._sweep(tmp_path, "part")
+        assert status == 0
+        shard = shard_path_for(artifact)
+        lines = shard.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        assert record["index"] == 1
+        record["key"] = "E1[seed=99]"
+        lines[2] = json.dumps(record, sort_keys=True) + "\n"
+        shard.write_text("".join(lines))
+        status, _artifact = self._sweep(tmp_path, "part", extra=("--resume",))
+        assert status == 2
+        assert "does not match" in capsys.readouterr().err
+
+    def test_resume_reruns_a_final_record_cut_before_its_newline(self, tmp_path):
+        status, full = self._sweep(tmp_path, "full")
+        assert status == 0
+        status, partial = self._sweep(tmp_path, "part")
+        assert status == 0
+        # A kill between a record's bytes and its newline: the record is
+        # torn, so resume truncates it and runs that job again.
+        shard = shard_path_for(partial)
+        lines = shard.read_text().splitlines(keepends=True)
+        shard.write_text("".join(lines[:3]).rstrip("\n"))
+        partial.unlink()
+        status, resumed = self._sweep(tmp_path, "part", extra=("--resume",))
+        assert status == 0
+        assert _canonical(resumed) == _canonical(full)
+        assert load_payload(resumed)["resumed"] == 1
+
+    def test_resume_over_a_corrupt_shard_exits_1(self, tmp_path, capsys):
+        status, artifact = self._sweep(tmp_path, "part")
+        assert status == 0
+        shard = shard_path_for(artifact)
+        lines = shard.read_text().splitlines(keepends=True)
+        shard.write_text("".join(lines[:2]) + "GARBAGE\n" + "".join(lines[2:]))
+        status, _artifact = self._sweep(tmp_path, "part", extra=("--resume",))
+        assert status == 1
+        assert "corrupt" in capsys.readouterr().err
+
     def test_fresh_run_overwrites_a_stale_shard(self, tmp_path):
         status, artifact = self._sweep(tmp_path, "t")
         assert status == 0

@@ -1,5 +1,8 @@
 """The string DSL for scheduler and fault-plan axes (repro.sim.axes)."""
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.sim.axes import (
@@ -10,6 +13,7 @@ from repro.sim.axes import (
     scheduler_spec_is_adversarial,
 )
 from repro.engine import SkewedPairDelay, UniformDelay
+from repro.harness import member_pids
 
 PIDS = ["p0", "p1", "p2", "p3"]
 CORRECT = ["p0", "p1", "p2"]
@@ -76,6 +80,14 @@ class TestParseFaultPlan:
         assert [(a.at, a.kind, a.pid) for a in plan.actions] == [
             (a.at, a.kind, a.pid) for a in expanded.actions
         ]
+
+    def test_churn_preset_is_the_partition_churn_examples_hand_built_plan(self):
+        path = pathlib.Path(__file__).resolve().parents[2] / "examples" / "partition_churn.py"
+        spec = importlib.util.spec_from_file_location("partition_churn", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        pids = member_pids(4)
+        assert example.churn_plan().actions == parse_fault_plan("churn", pids, pids[:3]).actions
 
     def test_partition_splits_membership_in_halves(self):
         plan = parse_fault_plan("partition@3-18", PIDS, CORRECT)
