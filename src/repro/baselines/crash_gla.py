@@ -21,7 +21,7 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.gwts import DISCLOSING, PROPOSING
+from repro.core.gwts import DISCLOSING, PROPOSING, request_token
 from repro.core.messages import RoundAck, RoundAckRequest, RoundNack
 from repro.core.process import NEWROUND, GeneralizedProcess
 from repro.lattice.base import JoinSemilattice, LatticeElement
@@ -97,7 +97,7 @@ class CrashGLAProcess(GeneralizedProcess):
             self.send_to(
                 sender,
                 RoundAck(
-                    accepted_set=self.accepted_set,
+                    proposal=request_token(msg),
                     destination=sender,
                     sender=self.pid,
                     ts=msg.ts,

@@ -20,7 +20,7 @@ from collections.abc import Hashable, Sequence
 from typing import Any
 
 from repro.broadcast.reliable import RBInit
-from repro.core.gwts import DISCLOSING, GWTSProcess
+from repro.core.gwts import DISCLOSING, GWTSProcess, request_token
 from repro.core.messages import (
     Ack,
     AckRequest,
@@ -370,9 +370,11 @@ class FastForwardGWTS(_ByzantineMixin, ProtocolCore):
             request = RoundAckRequest(proposed_set=value, ts=round_no + 1, round=round_no)
             for dest in self.members:
                 self.send_to_member(dest, request)
-            # Fabricated ack claiming its own proposal committed in this round.
+            # Fabricated ack claiming its own proposal committed in this round:
+            # it names the request just sent, so correct processes resolve it
+            # and count this one acceptor, never a quorum.
             fake_ack = RoundAck(
-                accepted_set=value,
+                proposal=request_token(request),
                 destination=self.pid,
                 sender=self.pid,
                 ts=round_no + 1,

@@ -27,6 +27,38 @@ crash-GLA baseline; this module supplies the round's disclosure
 (``_start_round``) and everything after it.  Cluster service mode sets the
 horizon per replica from ``ClusterSpec.max_rounds`` (docs/operations.md,
 "max_rounds").
+
+**Acks name the request they accept.**  Algorithm 4 line 10's ack carries
+the acceptor's ``Accepted_set``, which is exactly the ``Proposed_set`` of
+the request just accepted, and that request already reached every member:
+the proposer broadcasts it.  So a :class:`~repro.core.messages.RoundAck`
+carries ``proposal``, the request's canonical token
+(:func:`~repro.crypto.canonical_bytes`: ``"H"`` + SHA-256 of the request),
+instead of the set.  Every process indexes each well-formed request it
+receives (its own included) by ``(token, sender, ts, round)``, the key an
+ack of it is stored under, and an ack is counted only once that index
+resolves its key to a set and the set is safe; until then it waits in
+``Waiting_msgs``, as an unsafe ack always did.  An RSM replica's accepted
+set is its whole command history, so ack frames, three per acceptor and
+peer in every reliable broadcast, go from history-sized to constant-sized.
+
+* *Safety.*  A correct acceptor reliably broadcasts an ack naming token
+  ``T`` only after setting ``Accepted_set`` to the one request that hashes
+  to ``T``; a process counts an ack for set ``S`` only under a request
+  with token ``T`` that carries ``S``.  By collision resistance, every
+  quorum a process counts for ``S`` is a quorum whose correct members
+  accepted ``S``, and Lemma 1's quorum-intersection argument reads as it
+  did when the ack carried ``S`` itself.  A token that no received request
+  carries, or that is no string, is never counted.
+* *Liveness.*  A correct proposer's request reaches every correct process
+  over reliable links, so every ack of a correct proposal eventually
+  resolves everywhere: ``Safe_r`` still advances (Lemma 7) and each
+  correct proposer still decides (Lemma 10).  A commit that only a
+  Byzantine proposer's selectively sent request could resolve may stay
+  unresolved at some process; no liveness lemma relies on such a commit.
+* *Every proposer still observes the commit*, as Algorithm 4 line 10
+  intends: the acks are still reliably broadcast, and the message count
+  per round is unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +70,7 @@ from typing import Any
 from repro.broadcast.reliable import ReliableBroadcaster
 from repro.core.messages import RoundAck, RoundAckRequest, RoundNack
 from repro.core.process import NEWROUND, GeneralizedProcess
+from repro.crypto.signatures import canonical_bytes
 from repro.lattice.base import JoinSemilattice, LatticeElement
 
 #: Proposer phases within a round (Algorithm 3's ``state`` variable; the
@@ -45,9 +78,10 @@ from repro.lattice.base import JoinSemilattice, LatticeElement
 DISCLOSING = "disclosing"
 PROPOSING = "proposing"
 
-#: Key identifying one acknowledged proposal in ``Ack_history``:
-#: (accepted_set, destination proposer, timestamp, round).
-AckKey = tuple[Any, Hashable, int, int]
+#: Key identifying one acknowledged proposal in ``Ack_history``, and the
+#: request it names in the request index: (request token, destination
+#: proposer, timestamp, round).
+AckKey = tuple[str, Hashable, int, int]
 
 
 class GWTSProcess(GeneralizedProcess):
@@ -87,6 +121,9 @@ class GWTSProcess(GeneralizedProcess):
         #: very same acceptor sets): the guards below ask about one round at
         #: a time, many times per message, and must not rescan all history.
         self._round_acks: dict[int, dict[AckKey, set[Hashable]]] = defaultdict(dict)
+        #: Every well-formed request received, by the key its acks are
+        #: stored under: AckKey -> the request's ``Proposed_set``.
+        self._proposals: dict[AckKey, LatticeElement] = {}
         #: Refinements performed per round (Lemma 10 bounds each by f).
         self.refinements_by_round: dict[int, int] = defaultdict(int)
 
@@ -107,6 +144,8 @@ class GWTSProcess(GeneralizedProcess):
     def on_message(self, sender: Hashable, payload: Any) -> None:
         if self._rb is not None and self._rb.handle(sender, payload):
             return
+        if isinstance(payload, RoundAckRequest):
+            self._index_request(sender, payload)
         if isinstance(payload, (RoundAckRequest, RoundNack)):
             self.waiting_msgs.append((sender, payload))
             self._drain_waiting()
@@ -145,6 +184,15 @@ class GWTSProcess(GeneralizedProcess):
         if self.state == DISCLOSING and round_no == self.round:
             self.proposed_set = self.lattice.join(self.proposed_set, value)
 
+    def _index_request(self, sender: Hashable, msg: RoundAckRequest) -> None:
+        """Record a well-formed request under the key its acks name, on arrival."""
+        if (
+            isinstance(msg.ts, int)
+            and isinstance(msg.round, int)
+            and self.lattice.is_element(msg.proposed_set)
+        ):
+            self._proposals[(request_token(msg), sender, msg.ts, msg.round)] = msg.proposed_set
+
     def _on_rb_ack(self, origin: Hashable, value: Any) -> None:
         """Algorithm 3 lines 34-36 / Algorithm 4 lines 14-16."""
         if not isinstance(value, RoundAck):
@@ -153,25 +201,33 @@ class GWTSProcess(GeneralizedProcess):
             # The reliable broadcast authenticates its origin; an ack claiming
             # to come from somebody else is a forgery attempt and is dropped.
             return
-        if not self.lattice.is_element(value.accepted_set):
+        if not isinstance(value.proposal, str):
             return
-        if not self.is_safe(value.accepted_set):
-            # Buffer under the generic waiting mechanism: re-checked when the
-            # safe set grows.
-            self.waiting_msgs.append((origin, value))
-            return
-        self._store_ack(origin, value)
-
-    def _store_ack(self, origin: Hashable, ack: RoundAck) -> set[Hashable]:
-        """Record one reliably-broadcast ack; the acceptors seen for it so far
-        (none for a malformed ack, which is dropped)."""
-        key: AckKey = (ack.accepted_set, ack.destination, ack.ts, ack.round)
         try:
-            acceptors = self.ack_history[key]
+            hash((value.destination, value.ts, value.round))
         except TypeError:
-            return set()  # an unhashable key field: a malformed ack, dropped
+            return  # an unhashable key field: a malformed ack, dropped
+        if not self._try_store_ack(origin, value):
+            # Buffer under the generic waiting mechanism: re-checked when the
+            # safe set grows or the request it names arrives.
+            self.waiting_msgs.append((origin, value))
+
+    def _try_store_ack(self, origin: Hashable, ack: RoundAck) -> bool:
+        """Store ``ack`` if a received request carries the token it names and
+        that request's set is safe; whether it was stored."""
+        key: AckKey = (ack.proposal, ack.destination, ack.ts, ack.round)
+        accepted = self._proposals.get(key)
+        if accepted is None or not self.is_safe(accepted):
+            return False
+        self._store_ack(origin, key, accepted)
+        return True
+
+    def _store_ack(self, origin: Hashable, key: AckKey, accepted: LatticeElement) -> set[Hashable]:
+        """Record one reliably-broadcast ack of the set ``accepted``; the
+        acceptors seen for it so far."""
+        acceptors = self.ack_history[key]
         acceptors.add(origin)
-        self._round_acks[ack.round][key] = acceptors
+        self._round_acks[key[3]][key] = acceptors
         return acceptors
 
     # -- safety predicate ----------------------------------------------------------------------
@@ -240,10 +296,11 @@ class GWTSProcess(GeneralizedProcess):
 
     def _find_decidable_commit(self) -> LatticeElement | None:
         """A committed ``Accepted_set`` of the current round extending ``Decided_set``."""
+        proposals, leq = self._proposals, self.lattice.leq
         candidates = [
-            key[0]
+            proposals[key]
             for key, senders in self._round_acks.get(self.round, {}).items()
-            if len(senders) >= self.quorum and self.lattice.leq(self.decided_set, key[0])
+            if len(senders) >= self.quorum and leq(self.decided_set, proposals[key])
         ]
         if not candidates:
             return None
@@ -264,17 +321,16 @@ class GWTSProcess(GeneralizedProcess):
         if isinstance(payload, RoundNack):
             return self._handle_nack(sender, payload)
         if isinstance(payload, RoundAck):
-            # Re-queued reliably-broadcast ack awaiting safety.
-            if not self.is_safe(payload.accepted_set):
-                return False
-            self._store_ack(sender, payload)
-            return True
+            # Re-queued reliably-broadcast ack awaiting its request or safety.
+            return self._try_store_ack(sender, payload)
         return True
 
     # Acceptor role (Algorithm 4 lines 6-13) ------------------------------------------------------------
 
     def _handle_ack_request(self, sender: Hashable, msg: RoundAckRequest) -> bool:
-        if not isinstance(msg.round, int) or msg.round < 0:
+        # Serve only the requests ``_index_request`` records, so every ack a
+        # correct acceptor sends names a request its receivers index too.
+        if not isinstance(msg.round, int) or msg.round < 0 or not isinstance(msg.ts, int):
             return True
         if not self.lattice.is_element(msg.proposed_set):
             return True
@@ -285,7 +341,7 @@ class GWTSProcess(GeneralizedProcess):
         if self.lattice.leq(self.accepted_set, msg.proposed_set):
             self.accepted_set = msg.proposed_set
             ack = RoundAck(
-                accepted_set=self.accepted_set,
+                proposal=request_token(msg),
                 destination=sender,
                 sender=self.pid,
                 ts=msg.ts,
@@ -318,3 +374,13 @@ class GWTSProcess(GeneralizedProcess):
             self.refinements_by_round[self.round] += 1
             self._broadcast_ack_request()
         return True
+
+
+def request_token(request: RoundAckRequest) -> str:
+    """The canonical token a :class:`RoundAck` names ``request`` by.
+
+    ``canonical_bytes`` caches it on the request object the first time, on
+    arrival, so the acceptor's ack and every in-process receiver of the same
+    request read the cached digest.
+    """
+    return canonical_bytes(request).decode("ascii")

@@ -66,15 +66,24 @@ class RoundAckRequest:
 
 @dataclass(frozen=True)
 class RoundAck:
-    """``<ack, Accepted_set, destination, sender, ts, r>`` (Algorithm 4 line 10).
+    """``<ack, proposal, destination, sender, ts, r>`` (Algorithm 4 line 10).
 
     ``destination`` is the proposer whose request is being acknowledged and
     ``sender`` the acceptor issuing the ack.  GWTS reliably-broadcasts these
     so that every proposer can observe committed proposals and decide even on
     proposals it did not issue.
+
+    The paper's ack carries the acceptor's ``Accepted_set``, which is the
+    acknowledged request's ``Proposed_set``.  ``proposal`` names that request
+    instead: its canonical token (:func:`repro.core.gwts.request_token`,
+    ``"H"`` + SHA-256), which every receiver resolves against the requests it
+    received itself (the argument is in :mod:`repro.core.gwts`), so the frame
+    stays the same size as the set grows.  The crash-GLA baseline's
+    point-to-point ack has the same shape; its proposer reads only ``ts`` and
+    ``round``.
     """
 
-    accepted_set: Any
+    proposal: str
     destination: Hashable
     sender: Hashable
     ts: int

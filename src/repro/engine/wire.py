@@ -817,8 +817,9 @@ def frame_field(frame: dict, key: str) -> Any:
 #: How many decoded peer frames a :class:`FrameTable` remembers.  A
 #: reliable-broadcast instance is over within a few frames of its first
 #: echo, so a short memory catches nearly every repeat: measured on a
-#: 4-node counter workload, 0.58 of peer frames hit at 64 entries, 0.59 at
-#: 512, 0.15 at 8.
+#: 4-node counter workload (``cluster client --commands 100 --clients 2``,
+#: acks naming their request by token), 0.59 of peer frames hit at 64
+#: entries, 0.59 at 512, 0.17 at 8.
 FRAME_TABLE_ENTRIES = 64
 
 #: Bodies larger than this are decoded every time instead of remembered, so

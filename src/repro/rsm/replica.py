@@ -61,8 +61,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.broadcast.reliable import RBInit
-from repro.core.gwts import GWTSProcess
-from repro.core.messages import RoundAck
+from repro.core.gwts import AckKey, GWTSProcess
 from repro.core.process import NEWROUND
 from repro.engine.effects import TimerHandle
 from repro.lattice.base import JoinSemilattice
@@ -270,10 +269,12 @@ class Replica(GWTSProcess):
                 still_pending.append((client, accepted_set))
         self._pending_conf = still_pending
 
-    def _store_ack(self, origin: Hashable, ack: RoundAck) -> set[Hashable]:
-        acceptors = super()._store_ack(origin, ack)
+    def _store_ack(
+        self, origin: Hashable, key: AckKey, accepted: frozenset[Command]
+    ) -> set[Hashable]:
+        acceptors = super()._store_ack(origin, key, accepted)
         if len(acceptors) >= self.quorum:
-            self._committed_sets.add(ack.accepted_set)
+            self._committed_sets.add(accepted)
         return acceptors
 
     def _is_committed(self, accepted_set: frozenset[Command]) -> bool:

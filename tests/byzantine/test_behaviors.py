@@ -13,9 +13,11 @@ from repro.byzantine import (
     SilentByzantine,
     ValueInjectorProposer,
 )
+from repro.broadcast.reliable import RBInit
+from repro.core.gwts import GWTSProcess
 from repro.core.wts import WTSProcess
 from repro.crypto import KeyRegistry
-from repro.engine import FixedDelay, KernelEngine
+from repro.engine import Deliver, FixedDelay, KernelEngine, Start
 from repro.lattice import SetLattice
 
 
@@ -155,3 +157,23 @@ class TestFastForward:
         network.start()
         # 3 rounds x (disclosure + ack_req + fake ack) x 4 destinations.
         assert network.pending() == 3 * 3 * 4
+
+    def test_its_forged_acks_count_one_acceptor_and_never_advance_safe_round(self):
+        """Each forged ack names the request it flooded, so a correct process
+        resolves and stores it (the attack is not dropped as malformed), but
+        with one acceptor, far below a quorum."""
+        ff = FastForwardGWTS("p3", LAT, MEMBERS, rounds_ahead=3, values=[frozenset({"x"})])
+        process = GWTSProcess("p0", LAT, MEMBERS, 1)
+        process.handle(Start())
+        for effect in ff.handle(Start()):
+            if effect.dest != "p0":
+                continue
+            if isinstance(effect.payload, RBInit):
+                # As if the reliable broadcast delivered it.
+                process._on_rb_deliver("p3", effect.payload.tag, effect.payload.value)
+            else:
+                process.handle(Deliver("p3", effect.payload))
+        forged = {key: acceptors for key, acceptors in process.ack_history.items() if key[1] == "p3"}
+        assert sorted((ts, round_no) for _, _, ts, round_no in forged) == [(1, 0), (2, 1), (3, 2)]
+        assert all(acceptors == {"p3"} for acceptors in forged.values())
+        assert process.safe_round == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.broadcast.reliable import RBEcho, RBInit, RBReady
-from repro.core.gwts import GWTSProcess
+from repro.core.gwts import GWTSProcess, request_token
 from repro.core.messages import RoundAck, RoundAckRequest
 from repro.core.process import HALTED
 from repro.engine import Deliver, FixedDelay, Start
@@ -165,8 +165,11 @@ class TestUponEvent:
 
     def test_the_delivery_that_commits_a_round_serves_requests_buffered_for_the_next(self):
         process = self.started()
+        # The acks name p1's round-0 request, which reached p0 first.
+        request = RoundAckRequest(proposed_set=frozenset(), ts=1, round=0)
+        process.handle(Deliver("p1", request))
         for origin in ("p1", "p2", "p3"):
-            ack = RoundAck(accepted_set=frozenset(), destination="p1", sender=origin, ts=1, round=0)
+            ack = RoundAck(proposal=request_token(request), destination="p1", sender=origin, ts=1, round=0)
             effects = deliver_reliably(process, origin, ("ack", 0, 1, "p1"), ack)
         assert process.safe_round == 1
         assert process.waiting_msgs == []

@@ -22,7 +22,7 @@ class TestMTypes:
 
     def test_gwts_message_types(self):
         assert RoundAckRequest(frozenset(), 1, 0).mtype == "ack_req"
-        assert RoundAck(frozenset(), "p0", "p1", 1, 0).mtype == "ack"
+        assert RoundAck("H00", "p0", "p1", 1, 0).mtype == "ack"
         assert RoundNack(frozenset(), 1, 0).mtype == "nack"
 
     def test_messages_are_hashable_and_frozen(self):

@@ -107,7 +107,11 @@ SCENARIOS = {
 
 # The SbS and GSbS digests were regenerated once, when their carriers went
 # to one proof per signed value: a nack bringing only a new proof of a known
-# value no longer refines, and payloads shrink.
+# value no longer refines, and payloads shrink.  The GWTS and crash-GLA
+# digests were regenerated once, when a ``RoundAck`` went from carrying the
+# accepted set to naming the request by its token: with every frame that
+# carries a ``RoundAck`` masked, those three traces hash as before, so the
+# delivery order, times and decisions are unchanged.
 DIGESTS = {
     "sbs_n4_seed0": "8dfdefdd22fed5b26c64fdde527e1820441e33021bdbf0c400c24ef7843804a4",
     "sbs_n4_seed1": "74f7f436d3fa2b2aaf1044132bd38514fc20bb136ef027ce4b8322308b0409b4",
@@ -123,14 +127,14 @@ DIGESTS = {
     "crash_la_n4_seed0": "2e4d1686e5d5763a3a9c645eb0f5a88741d5500f918d6f68b4bcb9f743ec1b74",
     "crash_la_n7_seed1": "4e4e9d23632fd0281854752be9a37048327e9f0c6e9f89014fa8e63088b9df70",
     "crash_la_n3_always_ack_partition": "717a396f3f831cfb13c1ead75f156fd8eb2da6fb57cab47725f4ace2c7b17818",
-    "crash_gla_n4_seed0": "fba962cf0cc8a19d2e7aa9c2a2c38eb7b3179ff36a1f1bb215a13b4903ba4402",
-    "gwts_n4_batch1": "72fb78f73405ce8b0a64940404ebf8fa8bfb85ec65c5b3bc269f4e77ea8f7d6c",
+    "crash_gla_n4_seed0": "aa127e37105bea77b37babcd0b6ef37217ca8c59c2376f983bdb157a05247798",
+    "gwts_n4_batch1": "6624eaf32694a3b673f125bd8b7c7b131c05a1104e8fcf9052b68ff934ecf924",
     "wts_n4_equivocator": "5b3f2acf2590c40fd44d42d78c10ff8ec96c781008e9fd776360024937a662e3",
     "wts_n4_garbage": "c47879e8b7cc6b6c36521be3dd241e7f9ac3cff6c7cd65fbeeb6e8c9fa3dc6ff",
     "ablation_no_safety": "69b6d51ef8c41a419e235117cfd97d5ab33bdb1db1ceb60b5f17f40f15b09365",
     "ablation_plain_disclosure": "6c65447e0a02b56f935671dcde9b316e0493c5ac918936f377fcfe4f72a88c64",
     "ablation_no_defences": "5ef9e168aa3f07c030db23cee88a1ea05c9d00196b8d01df67eceac5ffd278e0",
-    "gwts_n4_equivocator": "a09ca7cf37cd6ac8f1bc1eed0b13ca0666957b5c4e82b443254c25ac153597b2",
+    "gwts_n4_equivocator": "39c76ec187c837e38c9a7ec5c3f42cae6e094659bd61c5bf1fd7c1350ad5e7b1",
 }
 
 

@@ -21,6 +21,7 @@ from repro.core.messages import (
     Nack,
     ProvenValue,
     RoundAck,
+    RoundNack,
     SafeAck,
     SafeRequest,
     SbSAckRequest,
@@ -91,7 +92,8 @@ class TestDataclassPayloads:
             AckRequest(proposed_set=frozenset({"v"}), ts=3),
             Ack(accepted_set=frozenset({"v"}), ts=3),
             Nack(accepted_set=frozenset({"v", "w"}), ts=4),
-            RoundAck(accepted_set=frozenset({"v"}), destination="p0", sender="p1", ts=2, round=1),
+            RoundAck(proposal="H00ff", destination="p0", sender="p1", ts=2, round=1),
+            RoundNack(accepted_set=frozenset({"v"}), ts=2, round=1),
         ):
             assert roundtrip(message, codec) == message
 
@@ -352,22 +354,20 @@ class TestBitFlipSweep:
 PARENT_ENCODER_BODIES = [
     (
         b'{"kind":"msg","sender":"n2","payload":{"~":"dc:RBEcho","v":{"origin":"n1","tag":{"~":"tuple",'
-        b'"v":["ack",2,5,"n0"]},"value":{"~":"dc:RoundAck","v":{"accepted_set":{"~":"frozenset","v":[{"~":'
+        b'"v":["ack",2,5,"n0"]},"value":{"~":"dc:RoundNack","v":{"accepted_set":{"~":"frozenset","v":[{"~":'
         b'"dc:Command","v":{"client":"c0","seq":1,"operation":{"~":"tuple","v":["svc","inc",1]}}},{"~":'
-        b'"dc:Command","v":{"client":"c1","seq":2,"operation":{"~":"tuple","v":["nop"]}}}]},"destination":'
-        b'"n0","sender":"n1","ts":5,"round":2,"mtype":"ack"}},"mtype":"rb_echo"}}}',
+        b'"dc:Command","v":{"client":"c1","seq":2,"operation":{"~":"tuple","v":["nop"]}}}]},'
+        b'"ts":5,"round":2,"mtype":"nack"}},"mtype":"rb_echo"}}}',
         lambda: {
             "kind": "msg",
             "sender": "n2",
             "payload": RBEcho(
                 origin="n1",
                 tag=("ack", 2, 5, "n0"),
-                value=RoundAck(
+                value=RoundNack(
                     accepted_set=frozenset(
                         {make_command("c0", 1, ("svc", "inc", 1)), make_command("c1", 2, ("nop",))}
                     ),
-                    destination="n0",
-                    sender="n1",
                     ts=5,
                     round=2,
                 ),
@@ -441,11 +441,11 @@ class TestSinglePassJsonCodec:
     def test_set_bearing_frames_do_not_depend_on_the_hash_seed(self):
         script = (
             "from repro.engine import wire\n"
-            "from repro.core.messages import RoundAck\n"
+            "from repro.core.messages import RoundNack\n"
             "from repro.rsm.commands import make_command\n"
             "cmds = frozenset(make_command(f'client-{i}', i, ('svc', 'inc', i)) for i in range(40))\n"
-            "ack = RoundAck(accepted_set=cmds, destination='n0', sender='n1', ts=1, round=0)\n"
-            "message = {'kind': 'peer', 'payload': (ack, frozenset({frozenset({'a', 'b'}), 'c', 3}))}\n"
+            "nack = RoundNack(accepted_set=cmds, ts=1, round=0)\n"
+            "message = {'kind': 'peer', 'payload': (nack, frozenset({frozenset({'a', 'b'}), 'c', 3}))}\n"
             "for framing in wire.FRAMINGS:\n"
             "    print(wire.get_codec(framing).encode_frame(message).hex())\n"
         )

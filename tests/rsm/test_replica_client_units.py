@@ -73,10 +73,10 @@ class TestReplica:
         commit_times = {}
         original = replicas[0]._store_ack
 
-        def store_ack(origin, ack):
-            acceptors = original(origin, ack)
-            if ack.accepted_set in replicas[0]._committed_sets:
-                commit_times.setdefault(ack.accepted_set, replicas[0].now)
+        def store_ack(origin, key, accepted):
+            acceptors = original(origin, key, accepted)
+            if accepted in replicas[0]._committed_sets:
+                commit_times.setdefault(accepted, replicas[0].now)
             return acceptors
 
         replicas[0]._store_ack = store_ack
@@ -150,7 +150,9 @@ class TestReplica:
             assert regrouped == sorted(history, key=lambda key: key[3])  # stable: order within a round kept
             for acks in replica._round_acks.values():
                 assert all(acks[key] is history[key] for key in acks)
-            quorum_backed = {key[0] for key, acceptors in history.items() if len(acceptors) >= replica.quorum}
+            quorum_backed = {
+                replica._proposals[key] for key, acceptors in history.items() if len(acceptors) >= replica.quorum
+            }
             assert replica._committed_sets == quorum_backed and quorum_backed
 
 
