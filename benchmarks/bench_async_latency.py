@@ -35,11 +35,11 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import subprocess
 import sys
 import time
 
 from repro.harness import run_open_loop_scenario
+from repro.orchestrator.results import git_sha
 
 BENCH_SCHEMA = "repro-bench-async-latency/v1"
 
@@ -49,20 +49,6 @@ CONFIGS = (
     ("async-tcp-json", {"transport": "tcp", "framing": "json"}),
     ("async-tcp-binary", {"transport": "tcp", "framing": "binary"}),
 )
-
-
-def _git_sha() -> str:
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return completed.stdout.strip() if completed.returncode == 0 else "unknown"
 
 
 def measure_point(
@@ -149,7 +135,7 @@ def main(argv=None) -> int:
     if args.json:
         payload = {
             "schema": BENCH_SCHEMA,
-            "git_sha": _git_sha(),
+            "git_sha": git_sha(),
             "created_unix": time.time(),
             "python": sys.version.split()[0],
             "time_scale": args.time_scale,

@@ -54,7 +54,6 @@ import argparse
 import heapq
 import json
 import pathlib
-import subprocess
 import sys
 import time
 from collections.abc import Hashable
@@ -64,6 +63,7 @@ from typing import Any
 from repro.engine import AsyncEngine, FixedDelay, KernelEngine, ProtocolCore, TurboEngine
 from repro.engine.envelope import estimate_size
 from repro.metrics.collector import MetricsCollector
+from repro.orchestrator.results import git_sha
 
 BENCH_SCHEMA = "repro-bench-kernel/v1"
 
@@ -298,20 +298,6 @@ RUNNERS = {
 }
 
 
-def _git_sha() -> str:
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return completed.stdout.strip() if completed.returncode == 0 else "unknown"
-
-
 def measure(n: int, hops: int, repeats: int, substrates) -> dict:
     """Best-of-``repeats`` events/s per substrate, interleaved against drift."""
     expected = n * hops
@@ -427,7 +413,7 @@ def main(argv=None) -> int:
     if args.json:
         payload = {
             "schema": BENCH_SCHEMA,
-            "git_sha": _git_sha(),
+            "git_sha": git_sha(),
             "created_unix": time.time(),
             "python": sys.version.split()[0],
             "nodes": n,

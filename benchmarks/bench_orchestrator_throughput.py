@@ -38,13 +38,13 @@ import argparse
 import json
 import multiprocessing
 import pathlib
-import subprocess
 import sys
 import time
 from multiprocessing.connection import wait as connection_wait
 
 from repro.orchestrator.jobs import JobSpec
 from repro.orchestrator.pool import execute_job, iter_job_results
+from repro.orchestrator.results import git_sha
 
 BENCH_SCHEMA = "repro-bench-orchestrator/v1"
 
@@ -145,20 +145,6 @@ def check_regression(speedups: dict, baseline_path: str, max_regression: float) 
     return problems
 
 
-def _git_sha() -> str:
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return completed.stdout.strip() if completed.returncode == 0 else "unknown"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -221,7 +207,7 @@ def main(argv=None) -> int:
     if args.json:
         payload = {
             "schema": BENCH_SCHEMA,
-            "git_sha": _git_sha(),
+            "git_sha": git_sha(),
             "created_unix": time.time(),
             "python": sys.version.split()[0],
             "workers": args.workers,

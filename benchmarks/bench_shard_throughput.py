@@ -46,13 +46,13 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import subprocess
 import sys
 import time
 
 from repro.core.quorum import max_faults
 from repro.harness.workloads import build_scenario
 from repro.lattice.set_lattice import SetLattice
+from repro.orchestrator.results import git_sha
 
 BENCH_SCHEMA = "repro-bench-shard/v1"
 
@@ -204,20 +204,6 @@ def check_regression(speedups: dict, baseline_path: str, max_regression: float) 
     return problems
 
 
-def _git_sha() -> str:
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return completed.stdout.strip() if completed.returncode == 0 else "unknown"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -305,7 +291,7 @@ def main(argv=None) -> int:
     if args.json:
         payload = {
             "schema": BENCH_SCHEMA,
-            "git_sha": _git_sha(),
+            "git_sha": git_sha(),
             "created_unix": time.time(),
             "python": sys.version.split()[0],
             "batch_topology": {

@@ -120,8 +120,9 @@ class ReliableBroadcaster:
     Instances and votes are keyed by a message's ``origin``, ``tag`` and
     ``value``.  No correct process originates a message with an unhashable
     field, so one that has it (a Byzantine peer's ``list`` or ``dict``) is
-    dropped where the broadcaster would look the field up.  An INIT's value is not looked
-    up: an unhashable one is echoed, and every receiver drops the echoes.
+    dropped where the broadcaster would look the field up.  An INIT's value is
+    hashed on arrival too: an INIT with an unhashable value is dropped without
+    an echo.
     """
 
     def __init__(

@@ -28,7 +28,9 @@ This package realises that model in two decoupled halves:
     determinism-lite), or length-prefixed frames — JSON or compact
     binary (``framing=``) — over localhost TCP, on the cluster's link layer
     (:class:`~repro.engine.wire.FrameLink` out, the shared sender-stamping
-    reader in; see :mod:`repro.engine.async_backend`).
+    reader in, handing each frame straight to its core; timers, paced
+    frames and scripted faults on turbo's calendar and hold lists; see
+    :mod:`repro.engine.async_backend`).
 
 Engine *services* shared by every backend — the :class:`~repro.engine.
 services.Clock` abstraction (simulated vs wall-clock time sources) and the

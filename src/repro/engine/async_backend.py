@@ -27,13 +27,16 @@ length-prefixed frames in either wire framing (:mod:`repro.engine.wire`,
 
 * ``transport="tcp"`` — the real network path, on the cluster's link layer
   (:mod:`repro.engine.wire`): every node listens on an ephemeral localhost
-  port and runs one asyncio task draining its inbox, and every (sender,
-  dest) pair gets one :class:`~repro.engine.wire.FrameLink` that says
-  ``hello`` as the sender before anything else.  The listener runs the
-  shared peer-frame reader (:func:`~repro.engine.wire.read_peer_frames`),
-  which stamps the sender from that hello: a frame carries its payload and
-  causal depth, no sender and no destination, so a connection speaks only
-  for the node that dialed it and delivers only to the node that listens.
+  port, and every (sender, dest) pair gets one
+  :class:`~repro.engine.wire.FrameLink` that says ``hello`` as the sender
+  before anything else.  The listener runs the shared peer-frame reader
+  (:func:`~repro.engine.wire.read_peer_frames`), which stamps the sender
+  from that hello: a frame carries its payload and causal depth, no sender
+  and no destination, so a connection speaks only for the node that dialed
+  it and delivers only to the node that listens.  The reader hands each
+  frame to the node's core as it reads it, as a cluster node's
+  :class:`~repro.cluster.runtime.CoreHost` does: no node has an inbox or a
+  task of its own.
   A ``Broadcast`` is encoded once and the same bytes are queued on every
   destination's link, and a body another listener decoded a moment ago is
   looked up in the engine's :class:`~repro.engine.wire.FrameTable` instead
@@ -41,15 +44,18 @@ length-prefixed frames in either wire framing (:mod:`repro.engine.wire`,
   in one ``write`` and then awaits ``drain()``, so a burst of effects costs
   one syscall and a slow peer exerts backpressure instead of ballooning
   memory; reads are plain :class:`asyncio.StreamReader` reads (no
-  ``BufferedProtocol``).  A message to oneself skips the wire: a node has
-  no link to itself.  Paced messages, ``SetTimer`` timers and scripted
+  ``BufferedProtocol``).  A message to oneself skips the wire (a node has
+  no link to itself) and waits on the calendar, so it never re-enters the
+  handler that sent it.  Paced messages, ``SetTimer`` timers and scripted
   controls wait on the calendar the engine inherits from
   :class:`~repro.engine.turbo_backend.TurboEngine`, due at ``loop.time()``
   seconds; one ``loop.call_at`` is armed for its head and hands each due
-  entry over in ``(time, seq)`` order.  The calendar belongs to the engine,
-  not to the run's event loop, so what a run leaves on it is due in the
-  next run.  ``Cancel`` is lazy, as on the simulated backends.  Delivery
-  order is whatever the OS and the loop produce.
+  entry over in ``(time, seq)`` order, a control to turbo's own
+  :meth:`~repro.engine.turbo_backend.TurboEngine._apply_control`.  The
+  calendar belongs to the engine, not to the run's event loop, so what a
+  run leaves on it is due in the next run.  ``Cancel`` is lazy, as on the
+  simulated backends.  Delivery order is whatever the OS and the loop
+  produce.
   Safety properties must still hold (they are schedule-independent);
   latency metrics are wall-clock measurements.  A run owns a fresh event
   loop, so it must not be called from inside a running one.  The kernel's
@@ -57,8 +63,10 @@ length-prefixed frames in either wire framing (:mod:`repro.engine.wire`,
   on this one the attribute does not exist and ``submit`` raises.
 
 Both transports preserve the model's channel guarantees: messages are never
-lost (crashes and partitions *hold* traffic before it reaches a link; it is
-handed over on recovery/heal) and the shared interpreter
+lost (crashes and partitions *hold* traffic in turbo's hold lists and it is
+handed over on recovery/heal; over TCP a partition holds a frame before its
+link, and a crashed node holds the frames that reach it and the timers that
+come due) and the shared interpreter
 (:func:`repro.engine.effects.interpret`, with the engine as its sink) stamps
 the true sender, so channels stay authenticated.  Registration, fault
 scripting and the ``run_until_*`` helpers come from
@@ -87,28 +95,13 @@ from functools import partial
 from typing import Any
 
 from repro.engine import wire
-from repro.engine.core import ProtocolCore
 from repro.engine.delays import DelayModel
 from repro.engine.effects import TimerHandle, interpret, invalid_time, members_of
 from repro.engine.envelope import Envelope
 from repro.engine.kernel_backend import KernelEngine
-from repro.engine.services import (
-    CRASH,
-    HEAL,
-    PARTITION,
-    RECOVER,
-    TIME_WALL_CLOCK,
-    RunResult,
-    WallClock,
-    latency_summary,
-)
+from repro.engine.services import TIME_WALL_CLOCK, RunResult, WallClock, latency_summary
 from repro.engine.turbo_backend import _MESSAGE, _TIMER
 from repro.metrics.collector import MetricsCollector
-
-#: Inbox event kinds handed to node tasks (tcp transport).
-_EV_START = "start"
-_EV_MSG = "msg"
-_EV_TIMER = "timer"
 
 #: How often the TCP driver polls the stop predicate / quiescence state.
 _TCP_POLL_S = 0.002
@@ -183,13 +176,13 @@ class AsyncEngine(KernelEngine):
             del self.delivery_log
         #: Fault scripts registered before the loop exists (tcp transport).
         self._scripted_controls: list[tuple[float, int, Any]] = []
-        # -- live-loop state (tcp transport, valid only inside one run) --
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._inboxes: list[asyncio.Queue | None] = []
-        self._tasks: list[asyncio.Task | None] = []
-        self._node_failure: BaseException | None = None
-        self._delivered_total = 0
         # -- tcp-transport state --
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: The first exception a core's hook, an injection or a listener
+        #: raised on the loop; the run raises it.
+        self._node_failure: BaseException | None = None
+        #: Messages handed to cores in the current run.
+        self._delivered = 0
         self._servers: list[asyncio.Server] = []
         self._ports: dict[Hashable, int] = {}
         #: One outbound link per (sender, dest) pair, dialed on first use.
@@ -198,10 +191,6 @@ class AsyncEngine(KernelEngine):
         self._conns: set[asyncio.StreamWriter] = set()
         #: Decoded peer frames by body, shared by every node's listener.
         self._frames = wire.FrameTable()
-        #: Messages held before any link (crashed or partitioned destination):
-        #: ``(sender, dest, item)`` with ``item`` as :meth:`_tcp_enqueue` takes it.
-        self._held_frames: list[tuple[Hashable, Hashable, Any]] = []
-        self._held_timers: dict[int, list[TimerHandle]] = {}
         #: The one asyncio timer of the tcp transport, armed for the calendar's
         #: head (at ``_wake_at``, in ``loop.time()`` seconds) by :meth:`_tcp_file`.
         self._wake: asyncio.TimerHandle | None = None
@@ -239,8 +228,10 @@ class AsyncEngine(KernelEngine):
             if max_events is None:
                 max_events = max_messages * 8
             return asyncio.run(self._run_tcp(stop_when, max_messages, max_events, max_wall_s))
-        self._clock.start()
+        # The run's start is read before the clock is anchored, so
+        # ``end_time`` (from the anchor) never exceeds ``wall_time_s``.
         started_wall = _time.perf_counter()
+        self._clock.start()
         start_decisions = len(self.metrics.decisions)
         latency_origin = self._clock.now()
         timed_out = False
@@ -289,72 +280,13 @@ class AsyncEngine(KernelEngine):
             for record in self.metrics.decisions[start_decisions:]
         )
 
-    # -- node tasks (tcp transport) ---------------------------------------------------
-
-    def _process_event(self, core: ProtocolCore, event: tuple) -> None:
-        """Handle one inbox event inside the node's task."""
-        kind = event[0]
-        core.now = self._clock.now()
-        if kind is _EV_MSG:
-            envelope = event[1]
-            if core.causal_depth < envelope.depth:
-                core.causal_depth = envelope.depth
-            self.pending_messages -= 1
-            self._delivered_total += 1
-            envelope.deliver_time = core.now
-            self.metrics.record_delivery(envelope.sender, core.pid, envelope.mtype)
-            core.on_message(envelope.sender, envelope.payload)
-        elif kind is _EV_TIMER:
-            handle = event[1]
-            core.on_timer(handle.tag, handle.payload)
-        elif kind is _EV_START:
-            core.on_start()
-        if core._out:
-            interpret(core, self)
-
-    async def _node_loop(self, index: int) -> None:
-        """One task per node: drain the inbox and run the core."""
-        core = self._cores[index]
-        inbox = self._inboxes[index]
-        while True:
-            event = await inbox.get()
-            try:
-                self._process_event(core, event)
-            except BaseException as failure:
-                if self._node_failure is None:
-                    self._node_failure = failure
-                raise
-
-    def _spawn_node(self, index: int) -> None:
-        # Reuse a surviving inbox: on the TCP transport frames keep arriving
-        # while a node is down, queueing in its inbox — a respawn after a
-        # crash must hand them over, not drop them (reliable channels).
-        if self._inboxes[index] is None:
-            self._inboxes[index] = asyncio.Queue()
-        self._tasks[index] = asyncio.get_running_loop().create_task(
-            self._node_loop(index), name=f"repro-node-{self._pids[index]}"
-        )
-
-    async def _cancel_node(self, index: int) -> None:
-        task = self._tasks[index]
-        if task is None:
-            return
-        task.cancel()
-        try:
-            await task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self._tasks[index] = None
-
     async def _teardown(self) -> None:
-        # The calendar outlives the loop: what is left on it is due in the
-        # next run.
+        # The calendar and the hold lists outlive the loop: what is left on
+        # them is due, or held, in the next run.
         if self._wake is not None:
             self._wake.cancel()
             self._wake = None
         self._wake_at = _INFINITY
-        for index in range(len(self._tasks)):
-            await self._cancel_node(index)
         # Both ends of every connection close before the servers do: from
         # Python 3.12.1, Server.wait_closed() waits for every connection the
         # server accepted.
@@ -369,8 +301,6 @@ class AsyncEngine(KernelEngine):
             await server.wait_closed()
         self._servers = []
         self._ports = {}
-        # Inboxes are kept: a crashed node's queued frames must survive into
-        # a follow-up run (the run drivers swap in fresh loop-bound queues).
         self._loop = None
 
     # -- tcp transport: peer frames on FrameLinks over localhost -----------------------
@@ -425,7 +355,8 @@ class AsyncEngine(KernelEngine):
         """One message per destination, each paced by its own drawn delay.
 
         The frame is encoded once and the same bytes go on every link; a
-        message to the sender itself is handed over as its inbox event.
+        message to the sender itself carries its envelope and always waits
+        on the calendar, so it never re-enters the handler that sent it.
         Under ``wire_faults`` each link's forgeries are drawn for that link,
         so a replay re-sends an earlier frame of the same link (the receiver
         stamps the link's sender on it).
@@ -437,7 +368,7 @@ class AsyncEngine(KernelEngine):
         for dest in dests:
             envelope, delay = self._admit(sender, dest, payload, depth)
             if dest == sender:
-                item = (_EV_MSG, envelope)
+                item = envelope
             else:
                 if data is None:
                     frame = wire.peer_frame(payload)
@@ -445,19 +376,20 @@ class AsyncEngine(KernelEngine):
                     data = self._codec.encode_frame(frame)
                 item = data if self._forger is None else self._forger.forge(frame, data, (sender, dest)) + data
             wall_delay = delay * self.time_scale
-            if wall_delay <= 0.0:
+            self._seq += 1
+            entry = (loop.time() + wall_delay, self._seq, _MESSAGE, self._index[dest], sender, item)
+            if wall_delay <= 0.0 and item is not envelope:
                 # Unpaced: straight into the link buffer, so every frame
-                # emitted in this task step rides the link's next write.
-                self._tcp_enqueue(sender, dest, item)
+                # emitted in this step rides the link's next write.
+                self._hand_over(entry)
             else:
-                self._seq += 1
-                self._tcp_file((loop.time() + wall_delay, self._seq, _MESSAGE, sender, dest, item))
+                self._tcp_file(entry)
 
     # -- tcp transport: the calendar ------------------------------------------------------
 
     def _tcp_file(self, entry: tuple) -> None:
-        """File one paced message or timer on the engine's calendar, and
-        re-arm the wake-up if it is now the head.
+        """File one paced message, message to oneself or timer on the
+        engine's calendar, and re-arm the wake-up if it is now the head.
 
         Due times are ``loop.time()`` seconds, the monotonic clock every
         event loop reads, so an entry left over when a run's loop closes is
@@ -476,25 +408,29 @@ class AsyncEngine(KernelEngine):
 
     def _tcp_due(self) -> None:
         """Hand every calendar entry now due to its handler, in ``(time, seq)``
-        order, then re-arm for the new head."""
+        order, then re-arm for the new head.
+
+        Controls go to :meth:`TurboEngine._apply_control`, which re-files
+        released traffic at ``_now``: this pass hands it over too, after the
+        control's own hooks.
+        """
         self._wake = None
         # Entries filed by the handlers below wait for the re-arm at the end.
         self._wake_at = -_INFINITY
         times = self._times
-        now = self._loop.time()
+        self._now = now = self._loop.time()
         try:
             while times and times[0] <= now:
                 entry = self._pop()
                 kind = entry[2]
                 if kind == _MESSAGE:
-                    self._tcp_enqueue(entry[3], entry[4], entry[5])
+                    self._hand_over(entry)
                 elif kind == _TIMER:
-                    self._tcp_fire_timer(entry[3], entry[4])
+                    self._tcp_fire(entry)
                 else:
-                    self._tcp_apply_control(kind, entry[3])
+                    self._apply_control(kind, entry[3], self._clock.now())
         except Exception as failure:
-            # A core's crash/recover hook or an injection raised: fail the
-            # run, as a failing message handler does.
+            # A core's hook or an injection raised: fail the run.
             if self._node_failure is None:
                 self._node_failure = failure
         finally:
@@ -502,29 +438,59 @@ class AsyncEngine(KernelEngine):
             if times:
                 self._tcp_arm(times[0])
 
-    def _tcp_enqueue(self, sender: Hashable, dest: Hashable, item: Any) -> None:
-        """Queue one message on the (sender, dest) link, or hold it.
+    # -- tcp transport: handing over ------------------------------------------------------
 
-        ``item`` is the encoded frame, or for a message to oneself (a node
-        has no link to itself) the inbox event.
+    def _hand_over(self, entry: tuple) -> None:
+        """Hand one message to its link or to its core, or hold it.
+
+        ``entry`` is ``(time, seq, _MESSAGE, dest_index, sender, item)``:
+        ``item`` is the encoded frame for the (sender, dest) link, or the
+        :class:`Envelope` of a message for the core itself (one to oneself,
+        or a frame the listener read).  A partition holds a frame before its
+        link; a crashed node holds what reaches it.  Held entries wait in
+        turbo's hold lists until :meth:`TurboEngine._apply_control` re-files
+        them (channels are reliable).
         """
-        index = self._index[dest]
-        if self._loop is None or index in self._crashed or (
-            self._partition_groups and self._link_blocked(sender, dest)
-        ):
-            # Channels are reliable: hold the frame, release on recover/heal.
-            self._held_frames.append((sender, dest, item))
+        index, sender, item = entry[3], entry[4], entry[5]
+        if item.__class__ is not Envelope:
+            dest = self._pids[index]
+            if self._partition_groups and self._link_blocked(sender, dest):
+                self._held_for_partition.append(entry)
+                return
+            link = self._links.get((sender, dest))
+            if link is None:
+                link = self._links[sender, dest] = wire.FrameLink(
+                    self._host, self._ports[dest], self._codec, hello=wire.hello_frame(sender)
+                )
+                link.start()
+            link.send_encoded(item)
+        elif index in self._crashed:
+            self._held_for_node.setdefault(index, []).append(entry)
+        else:
+            core = self._cores[index]
+            if core.causal_depth < item.depth:
+                core.causal_depth = item.depth
+            self.pending_messages -= 1
+            self._delivered += 1
+            core.now = self._clock.now()
+            self.metrics.record_delivery(sender, core.pid, item.mtype)
+            core.on_message(sender, item.payload)
+            if core._out:
+                interpret(core, self)
+
+    def _tcp_fire(self, entry: tuple) -> None:
+        """Fire one due timer, or hold it while its node is down."""
+        index, handle = entry[3], entry[4]
+        if handle.cancelled:
             return
-        if dest == sender:
-            self._inboxes[index].put_nowait(item)
+        if index in self._crashed:
+            self._held_for_node.setdefault(index, []).append(entry)
             return
-        link = self._links.get((sender, dest))
-        if link is None:
-            link = self._links[sender, dest] = wire.FrameLink(
-                self._host, self._ports[dest], self._codec, hello=wire.hello_frame(sender)
-            )
-            link.start()
-        link.send_encoded(item)
+        core = self._cores[index]
+        core.now = self._clock.now()
+        core.on_timer(handle.tag, handle.payload)
+        if core._out:
+            interpret(core, self)
 
     async def _serve_link(self, index: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         """One connection to node ``index``'s listener, read by the shared
@@ -532,7 +498,8 @@ class AsyncEngine(KernelEngine):
 
         On a clean wire a checksum, decode or protocol violation fails the
         run; under ``wire_faults`` it is counted in :attr:`wire_fault_stats`
-        and the frame skipped.
+        and the frame skipped.  A core's handler that raises fails the run
+        too.
         """
         self._conns.add(writer)
         try:
@@ -557,7 +524,7 @@ class AsyncEngine(KernelEngine):
             writer.close()
 
     def _receive(self, index: int, sender: Hashable, frame: dict) -> None:
-        """Queue one peer frame, stamped with its connection's sender."""
+        """Hand one peer frame, stamped with its connection's sender, to node ``index``."""
         if "wf" in frame:
             # An injected duplicate/replay/tamper frame (marked with
             # wire_faults.INJECTED_KEY) was never counted as a send; balance
@@ -565,23 +532,7 @@ class AsyncEngine(KernelEngine):
             self.pending_messages += 1
             self._count_wire_rejection("injected_delivered")
         envelope = Envelope(sender, self._pids[index], frame["payload"], 0.0, depth=frame["depth"])
-        self._inboxes[index].put_nowait((_EV_MSG, envelope))
-
-    def _tcp_release_held(self) -> None:
-        held, self._held_frames = self._held_frames, []
-        for sender, dest, item in held:
-            # Re-enqueue (and re-filter: still-blocked links hold again).
-            self._tcp_enqueue(sender, dest, item)
-
-    def _tcp_fire_timer(self, index: int, handle: TimerHandle) -> None:
-        if handle.cancelled:
-            return
-        if index in self._crashed:
-            # Timers are held for a crashed process, not lost: the recovery
-            # path fires them.
-            self._held_timers.setdefault(index, []).append(handle)
-            return
-        self._inboxes[index].put_nowait((_EV_TIMER, handle))
+        self._hand_over((0.0, 0, _MESSAGE, index, sender, envelope))
 
     def _count_wire_rejection(self, kind: str) -> None:
         self.wire_stats[kind] = self.wire_stats.get(kind, 0) + 1
@@ -595,45 +546,6 @@ class AsyncEngine(KernelEngine):
                 stats[f"sent_{mode}"] = count
         return stats
 
-    def _tcp_apply_control(self, kind: int, arg: Any) -> None:
-        if kind == CRASH:
-            index = self._index[arg]
-            if index not in self._crashed:
-                self._crashed.add(index)
-                task = self._tasks[index]
-                if task is not None:
-                    task.cancel()
-                    self._tasks[index] = None
-                core = self._cores[index]
-                core.now = self._clock.now()
-                core.on_crash()
-                if core._out:
-                    interpret(core, self)
-        elif kind == RECOVER:
-            index = self._index[arg]
-            if index in self._crashed:
-                self._crashed.discard(index)
-                self._tcp_release_held()
-                self._spawn_node(index)
-                for handle in self._held_timers.pop(index, ()):
-                    self._tcp_fire_timer(index, handle)
-                core = self._cores[index]
-                core.now = self._clock.now()
-                core.on_recover()
-                if core._out:
-                    interpret(core, self)
-        elif kind == PARTITION:
-            self._partition_groups = arg
-            # Re-evaluate parked traffic against the new groups: a link that
-            # was blocked may now be internal to one side (the simulated
-            # backends release-and-refilter on repartition too).
-            self._tcp_release_held()
-        elif kind == HEAL:
-            self._partition_groups = ()
-            self._tcp_release_held()
-        else:  # INJECT
-            arg(self)
-
     async def _run_tcp(
         self,
         stop_when: Callable[[], bool] | None,
@@ -641,37 +553,22 @@ class AsyncEngine(KernelEngine):
         max_events: int,
         max_wall_s: float | None,
     ) -> RunResult:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._clock.start()
+        # The run's start is read before the clock is anchored, so
+        # ``end_time`` (from the anchor) never exceeds ``wall_time_s``.
         started_wall = _time.perf_counter()
+        self._clock.start()
+        loop = self._loop = asyncio.get_running_loop()
         start_decisions = len(self.metrics.decisions)
         latency_origin = self._clock.now()
-        start_delivered = self._delivered_total  # per-run delivery counting
-        # Every node gets an inbox up front — even a crashed one, so frames
-        # already in flight on the sockets queue there and are handed over on
-        # recovery instead of being dropped; only live nodes get a task.
-        # Queues bind to the event loop on first await, so a follow-up run
-        # (fresh loop) gets fresh queues with any leftovers drained over.
-        prior_inboxes = self._inboxes
-        self._inboxes = [asyncio.Queue() for _core in self._cores]
-        if len(prior_inboxes) == len(self._cores):
-            for index, prior in enumerate(prior_inboxes):
-                while prior is not None and not prior.empty():
-                    self._inboxes[index].put_nowait(prior.get_nowait())
-        self._tasks = [None] * len(self._cores)
+        self._delivered = 0
         stopped = False
         timed_out = False
-        stalled = False
         try:
             # One listening socket per node; ports are ephemeral.
             for index, pid in enumerate(self._pids):
                 server = await asyncio.start_server(partial(self._serve_link, index), self._host, 0)
                 self._servers.append(server)
                 self._ports[pid] = server.sockets[0].getsockname()[1]
-            for index in range(len(self._cores)):
-                if index not in self._crashed:
-                    self._spawn_node(index)
             # Fault scripts registered before the loop existed join the
             # calendar, due on this run's clock at the time scale of message
             # delays; entries an earlier run left there are due as filed.
@@ -682,61 +579,41 @@ class AsyncEngine(KernelEngine):
             self._scripted_controls = []
             if self._times:
                 self._tcp_arm(self._times[0])
-            if not self._started:
-                self._started = True
-                for index in range(len(self._cores)):
-                    if index not in self._crashed:
-                        self._inboxes[index].put_nowait((_EV_START,))
+            self.start()
             deadline = None if max_wall_s is None else started_wall + max_wall_s
-            # Quiescence: nothing in flight (delay-paced sends, held
-            # frames, queued-but-unprocessed inbox events all count) after at
-            # least one settle poll, and no timer or scripted control still
-            # to run, as on the simulated backends.
             while True:
                 if self._node_failure is not None:
                     raise self._node_failure
                 if stop_when is not None and stop_when():
                     stopped = True
                     break
-                delivered = self._delivered_total - start_delivered
-                if delivered >= max_messages or delivered >= max_events:
+                if self._delivered >= max_messages or self._delivered >= max_events:
                     break
                 if deadline is not None and _time.perf_counter() > deadline:
                     timed_out = True
                     break
                 if self.pending_messages == 0:
-                    # Double-check after one extra loop turn: a frame may be
-                    # between the socket and an inbox (pending stays > 0
-                    # until the destination task actually processes it, so
-                    # pending == 0 means nothing is in flight anywhere).
-                    await asyncio.sleep(_TCP_POLL_S)
-                    if (
-                        self.pending_messages == 0
-                        and self._node_failure is None
-                        and (stop_when is None or not stop_when())
-                        and not self._tcp_timers_live()
-                    ):
+                    # Quiescent: messages are handed to cores as they arrive,
+                    # so nothing is in flight anywhere, and no timer or
+                    # scripted control is still to run, as on the simulated
+                    # backends.
+                    if not self._tcp_timers_live():
                         break
-                    continue
-                if self._tcp_stalled():
-                    # Everything still pending is parked behind a crash or
+                elif self._tcp_stalled():
+                    # Everything still pending is held behind a crash or a
                     # partition that nothing scheduled will ever lift: return
                     # non-quiescent (the simulated backends' exhaustion exit)
                     # instead of polling until max_wall_s.
-                    stalled = True
                     break
                 await asyncio.sleep(_TCP_POLL_S)
-            if self._node_failure is not None:
-                raise self._node_failure
         finally:
             await self._teardown()
-        delivered = self._delivered_total - start_delivered
         return RunResult(
-            delivered=delivered,
+            delivered=self._delivered,
             end_time=self._clock.now(),
             stopped_by_predicate=stopped,
             pending_messages=self.pending_messages,
-            events=delivered,
+            events=self._delivered,
             events_capped=timed_out,
             wall_time_s=_time.perf_counter() - started_wall,
             metrics=self.metrics,
@@ -744,32 +621,27 @@ class AsyncEngine(KernelEngine):
         )
 
     def _tcp_timers_live(self) -> bool:
-        """Whether a timer or scripted control is still to run: on the
-        calendar and not cancelled, or come due and queued in a live node's
-        inbox.  Read only when no message is pending, so no paced message
-        is on the calendar and a live inbox holds no message."""
+        """Whether a timer or scripted control is still to run: an entry on
+        the calendar that is not a cancelled timer.  Read only when no
+        message is pending, so no message is on the calendar."""
         for slot in self._buckets.values():
             for entry in (slot,) if slot.__class__ is tuple else slot:
                 if entry[2] != _TIMER or not entry[4].cancelled:
                     return True
-        return any(
-            inbox.qsize() for index, inbox in enumerate(self._inboxes) if index not in self._crashed
-        )
+        return False
 
     def _tcp_stalled(self) -> bool:
         """Whether every pending message is held with no future release.
 
         True when the calendar is empty (no paced message, timer or scripted
-        control is still to come) and all pending traffic sits in the
-        held-frame list or in a crashed node's inbox.  ``stalled`` is the
-        TCP analogue of the simulated backends' queue-exhaustion exit: the
-        run ends non-quiescent rather than polling forever.
+        control is still to come) and all pending traffic sits in turbo's
+        hold lists.  ``stalled`` is the TCP analogue of the simulated
+        backends' queue-exhaustion exit: the run ends non-quiescent rather
+        than polling forever.
         """
         if self._times:
             return False
-        held = len(self._held_frames)
-        for index in self._crashed:
-            inbox = self._inboxes[index]
-            if inbox is not None:
-                held += inbox.qsize()
-        return self.pending_messages > 0 and self.pending_messages == held
+        held = len(self._held_for_partition) + sum(
+            entry[2] == _MESSAGE for entries in self._held_for_node.values() for entry in entries
+        )
+        return self.pending_messages == held

@@ -22,7 +22,9 @@ Turbo itself carries no per-message object:
   and a dict slot, not a deque besides.  Pops follow ``(time, seq)``
   exactly, whichever shape a slot has;
 * **no event objects** — timers, crashes, partitions and injections are
-  calendar tuples too, discriminated by an integer kind;
+  calendar tuples too, discriminated by an integer kind; one method
+  (:meth:`TurboEngine._apply_control`) applies every scripted control, here
+  and on the async backend's tcp calendar;
 * **interned node ids** — destinations resolve to list indices once at send
   time; the dispatch loop indexes a flat core list;
 * **no per-message accounting objects** — no delivery log, no per-type or
@@ -303,6 +305,49 @@ class TurboEngine(EngineBase):
             self._seq += 1
             self._enqueue((self._now, self._seq) + entry[2:])
 
+    def _apply_control(self, kind: int, arg: Any, time: float) -> None:
+        """Apply one scripted control; ``time`` is the ``core.now`` its hooks see.
+
+        Crashing a crashed node or recovering a live one does nothing.  A
+        recovery re-queues the node's held traffic (:meth:`_release`) before
+        its hook runs, so that traffic takes the lower seq numbers; a
+        partition or a heal re-queues everything a partition held, to be
+        filtered again against the new groups.  :meth:`run` calls this, and
+        so does the async backend's tcp calendar.
+        """
+        crashed = self._crashed
+        if kind == CRASH:
+            index = self._index[arg]
+            if index not in crashed:
+                crashed.add(index)
+                core = self._cores[index]
+                core.now = time
+                core.on_crash()
+                if core._out:
+                    interpret(core, self)
+        elif kind == RECOVER:
+            index = self._index[arg]
+            if index in crashed:
+                crashed.discard(index)
+                held = self._held_for_node.pop(index, None)
+                if held:
+                    self._release(held)
+                core = self._cores[index]
+                core.now = time
+                core.on_recover()
+                if core._out:
+                    interpret(core, self)
+        elif kind == PARTITION:
+            self._partition_groups = arg
+            held, self._held_for_partition = self._held_for_partition, []
+            self._release(held)
+        elif kind == HEAL:
+            self._partition_groups = ()
+            held, self._held_for_partition = self._held_for_partition, []
+            self._release(held)
+        else:  # INJECT
+            arg(self)
+
     # -- running -------------------------------------------------------------------
 
     def start(self) -> None:
@@ -410,39 +455,8 @@ class TurboEngine(EngineBase):
                 core.on_timer(handle.tag, handle.payload)
                 if core._out:
                     interpret(core, self)
-            elif kind == CRASH:
-                index = self._index[entry[3]]
-                if index not in crashed:
-                    crashed.add(index)
-                    core = cores[index]
-                    core.now = time
-                    core.on_crash()
-                    if core._out:
-                        interpret(core, self)
-            elif kind == RECOVER:
-                index = self._index[entry[3]]
-                if index in crashed:
-                    crashed.discard(index)
-                    # Held traffic is re-queued before the recovery hook
-                    # runs, so it takes the lower seq numbers.
-                    held = self._held_for_node.pop(index, None)
-                    if held:
-                        self._release(held)
-                    core = cores[index]
-                    core.now = time
-                    core.on_recover()
-                    if core._out:
-                        interpret(core, self)
-            elif kind == PARTITION:
-                self._partition_groups = entry[3]
-                held, self._held_for_partition = self._held_for_partition, []
-                self._release(held)
-            elif kind == HEAL:
-                self._partition_groups = ()
-                held, self._held_for_partition = self._held_for_partition, []
-                self._release(held)
-            else:  # INJECT
-                entry[3](self)
+            else:
+                self._apply_control(kind, entry[3], time)
         self._flush_send_counts()
         return RunResult(
             delivered=delivered,

@@ -38,7 +38,6 @@ from repro.rsm.sharding import (
     project_map,
     routing_key,
     shard_of,
-    shard_of_command,
     shard_of_operation,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "project_map",
     "routing_key",
     "shard_of",
-    "shard_of_command",
     "shard_of_operation",
     "Command",
     "nop_command",

@@ -45,7 +45,6 @@ __all__ = [
     "project_map",
     "routing_key",
     "shard_of",
-    "shard_of_command",
     "shard_of_operation",
 ]
 
@@ -77,11 +76,6 @@ def routing_key(operation: Any) -> Any:
 def shard_of_operation(operation: Any, shards: int) -> int:
     """Shard index an update operation routes to."""
     return shard_of(routing_key(operation), shards)
-
-
-def shard_of_command(command: Command, shards: int) -> int:
-    """Shard index a :class:`Command` routes to (by its operation payload)."""
-    return shard_of_operation(command.operation, shards)
 
 
 def partition_replicas(

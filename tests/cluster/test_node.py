@@ -393,35 +393,41 @@ class Hangup:
         pass
 
 
+class Recorder(ProtocolCore):
+    """A core that records ``(pid, sender, payload)`` for every message it is handed."""
+
+    def __init__(self, pid, delivered):
+        super().__init__(pid)
+        self.delivered = delivered
+
+    def on_message(self, sender, payload):
+        self.delivered.append((self.pid, sender, payload))
+
+
 def read_by_engine(connections, **engine_kwargs):
     """Feed each ``(hello, frames)`` connection in turn to listener n0 of a tcp
     AsyncEngine on n0..n3: the shared reader exactly as the engine configures
     it, fed from a StreamReader.  A frame given as bytes goes in as it is.
 
     Returns the engine and ``(dest, sender, payload)`` for every message that
-    reached an inbox.
+    reached a core.
     """
     engine = AsyncEngine(transport="tcp", **engine_kwargs)
+    delivered = []
     for name in ("n0", "n1", "n2", "n3"):
-        engine.add_core(ProtocolCore(name))
+        engine.add_core(Recorder(name, delivered))
     codec = wire.get_codec("json")
 
     async def main():
-        engine._inboxes = [asyncio.Queue() for _pid in engine.pids]
         for hello, frames in connections:
             reader = asyncio.StreamReader()
             for frame in ([hello_frame(hello)] if hello else []) + frames:
                 reader.feed_data(frame if isinstance(frame, bytes) else codec.encode_frame(frame))
             reader.feed_eof()
             await engine._serve_link(0, reader, Hangup())
-        delivered = []
-        for pid, inbox in zip(engine.pids, engine._inboxes):
-            while not inbox.empty():
-                _kind, envelope = inbox.get_nowait()
-                delivered.append((pid, envelope.sender, envelope.payload))
-        return delivered
 
-    return engine, asyncio.run(main())
+    asyncio.run(main())
+    return engine, delivered
 
 
 class TestTheEngineReadsByTheSameRule:
@@ -444,7 +450,7 @@ class TestTheEngineReadsByTheSameRule:
         assert delivered == [("n0", "n1", ECHO)]
         assert engine._frames.hits == 1
 
-    def test_a_frame_cannot_name_its_way_into_a_foreign_inbox(self):
+    def test_a_frame_cannot_name_its_way_into_a_foreign_core(self):
         claims = {**engine_frame(ECHO), "sender": "n2", "dest": "n3", "seq": 9}
         engine, delivered = read_by_engine([("n1", [claims])])
         assert engine._node_failure is None

@@ -1,12 +1,14 @@
-"""AsyncEngine: asyncio node tasks, wall-clock time, memory and TCP transports."""
+"""AsyncEngine: wall-clock time, memory and TCP transports, cores handed their events synchronously."""
 
 import asyncio
+import itertools
 import time
 from collections import defaultdict
 
 import pytest
 
 from repro.engine import AsyncEngine, FixedDelay, ProtocolCore, UniformDelay, create_engine
+from repro.engine.envelope import Envelope
 from repro.sim.faults import FaultPlan
 
 
@@ -101,6 +103,45 @@ def _cluster(transport="memory", **kwargs):
     pids = ["p0", "p1", "p2"]
     nodes = [engine.add_core(Echoer(pid, pids)) for pid in pids]
     return engine, nodes
+
+
+class Journal(ProtocolCore):
+    """Writes every hook it is handed, in order, to one journal."""
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.journal = []
+
+    def on_crash(self):
+        self.journal.append("crash")
+
+    def on_recover(self):
+        self.journal.append("recover")
+
+    def on_message(self, sender, payload):
+        self.journal.append(payload)
+
+    def on_timer(self, tag, payload=None):
+        self.journal.append(tag)
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+def test_end_time_never_exceeds_wall_time_however_slow_the_clock_reads(monkeypatch, transport):
+    """``end_time`` counts from the clock's anchor and ``wall_time_s`` from
+    the run's first reading.  A run reads its start before it anchors the
+    clock, so a slow reading between the two (here 1000 s) cannot make
+    ``end_time`` exceed ``wall_time_s``."""
+    readings = itertools.count()
+
+    def slow_perf_counter():
+        reading = next(readings)
+        return reading + (1000.0 if reading else 0.0)
+
+    engine, _nodes = _cluster(transport=transport, time_scale=0.0)
+    monkeypatch.setattr(time, "perf_counter", slow_perf_counter)
+    result = engine.run()
+    assert result.delivered == 4
+    assert 0.0 < result.end_time <= result.wall_time_s
 
 
 class TestConstruction:
@@ -489,7 +530,7 @@ class TestTcpTransport:
         nodes = _wts_cluster(engine, 4)
         due = defaultdict(list)
         handed = defaultdict(list)
-        admit, enqueue = engine._admit, engine._tcp_enqueue
+        admit, hand_over = engine._admit, engine._hand_over
 
         def timed_admit(sender, dest, payload, depth):
             sent = time.monotonic()
@@ -497,12 +538,15 @@ class TestTcpTransport:
             due[sender, dest].append(sent + delay * engine.time_scale)
             return envelope, delay
 
-        def timed_enqueue(sender, dest, item):
-            handed[sender, dest].append(time.monotonic())
-            enqueue(sender, dest, item)
+        def timed_hand_over(entry):
+            # Link handovers and messages to oneself, not frames off the wire.
+            sender, dest, item = entry[4], engine.pids[entry[3]], entry[5]
+            if not isinstance(item, Envelope) or sender == dest:
+                handed[sender, dest].append(time.monotonic())
+            hand_over(entry)
 
         engine._admit = timed_admit
-        engine._tcp_enqueue = timed_enqueue
+        engine._hand_over = timed_hand_over
         result = engine.run(stop_when=lambda: all(node.has_decided for node in nodes), max_wall_s=30.0)
         assert result.stopped_by_predicate
         assert sum(map(len, handed.values())) >= result.delivered > 0
@@ -565,3 +609,76 @@ class TestTcpTransport:
         result = engine.run(stop_when=lambda: all(node.has_decided for node in nodes), max_wall_s=60.0)
         assert result.stopped_by_predicate
         assert 0 < handles < result.delivered / 10
+
+    # -- one delivery path: cores are handed their events synchronously --------------------
+
+    def test_a_message_to_oneself_arrives_after_the_handler_that_sent_it(self):
+        """The self-message is filed on the calendar, so it is handed over
+        only after every effect of the handler that sent it was applied."""
+
+        class Noter(ProtocolCore):
+            def on_start(self):
+                if self.pid == "p1":
+                    self.send("p0", "ping")
+
+            def on_message(self, sender, payload):
+                if payload == "ping":
+                    self.send(self.pid, "note")
+                    self.output("sent-note")
+                else:
+                    self.output("got-note")
+
+        engine = AsyncEngine(delay_model=FixedDelay(1.0), seed=0, transport="tcp", time_scale=0.0)
+        engine.add_core(Noter("p0"))
+        engine.add_core(Noter("p1"))
+        result = engine.run(max_wall_s=10.0)
+        assert result.quiescent and result.delivered == 2
+        assert [(pid, label) for _t, pid, label, _d in engine.outputs] == [("p0", "sent-note"), ("p0", "got-note")]
+
+    def test_a_crashed_node_gets_what_reached_it_after_its_recovery_in_arrival_order(self):
+        """A frame that reaches a crashed node and a timer that comes due
+        while it is down are held in turbo's hold list, and handed over in
+        the order they came, after the recovery hook."""
+
+        class Sleeper(Journal):
+            def on_start(self):
+                self.set_timer(150.0, "alarm")
+
+        class Talker(ProtocolCore):
+            def on_start(self):
+                self.send("p0", "early")
+                self.set_timer(300.0, "late")
+
+            def on_timer(self, tag, payload=None):
+                self.send("p0", tag)
+
+        engine = AsyncEngine(delay_model=FixedDelay(1.0), seed=0, transport="tcp", time_scale=0.001)
+        sleeper = engine.add_core(Sleeper("p0"))
+        engine.add_core(Talker("p1"))
+        engine.crash_node("p0", at=0.0)
+        engine.recover_node("p0", at=450.0)
+        result = engine.run(max_wall_s=30.0)
+        assert result.quiescent and result.delivered == 2
+        assert sleeper.journal == ["crash", "recover", "early", "alarm", "late"]
+
+    def test_scripted_faults_reach_the_cores_alike_on_both_transports(self):
+        """Both transports apply scripted controls with turbo's one method: a
+        crash of a crashed node and a recovery of a live one do nothing."""
+
+        def journals(transport):
+            engine = AsyncEngine(delay_model=FixedDelay(1.0), seed=0, transport=transport, time_scale=0.001)
+            cores = [engine.add_core(Journal(pid)) for pid in ("p0", "p1", "p2")]
+            engine.crash_node("p0", at=5.0)
+            engine.crash_node("p0", at=6.0)
+            engine.recover_node("p2", at=7.0)
+            engine.recover_node("p0", at=10.0)
+            engine.start_partition(["p0"], ["p1", "p2"], at=15.0)
+            engine.crash_node("p1", at=20.0)
+            engine.heal_partition(at=25.0)
+            engine.recover_node("p1", at=30.0)
+            result = engine.run(max_wall_s=30.0)
+            assert result.quiescent
+            return {core.pid: core.journal for core in cores}
+
+        expected = {"p0": ["crash", "recover"], "p1": ["crash", "recover"], "p2": []}
+        assert journals("memory") == journals("tcp") == expected
